@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fmt check auditsmoke spillsmoke cachesmoke bench benchcompare benchfull
+.PHONY: build test race vet fmt check freshbuild loc auditsmoke spillsmoke cachesmoke bench benchcompare benchfull
 
 build:
 	$(GO) build ./...
@@ -17,6 +17,20 @@ vet:
 # fmt fails if any file needs gofmt (CI-friendly).
 fmt:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
+
+# freshbuild builds and vets the committed tree (a git archive of HEAD), not
+# the working tree: a source file that .gitignore swallows builds fine
+# locally forever and fails only here.
+freshbuild:
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+		git archive HEAD | tar -x -C "$$tmp" && cd "$$tmp" && $(GO) build ./... && $(GO) vet ./...
+
+# loc prints the non-test line counts ROADMAP.md tracks under "quality of
+# design": these should go down.
+loc:
+	@for d in internal/engine internal/federation; do \
+		printf '%-22s %6d non-test lines\n' $$d $$(find $$d -name '*.go' ! -name '*_test.go' | xargs cat | wc -l); \
+	done
 
 # auditsmoke exercises the tamper-evident audit chain end to end: a JSONL
 # sink round-trip (the mipd -audit-log format) plus mutation detection.

@@ -261,6 +261,20 @@ func measureCaching(report *benchReport) {
 	report.Caching = append(report.Caching, c)
 }
 
+// dashboardMix is the six-statement repeat traffic of a pathology page
+// (EXPERIMENTS.md E18): what every scientist opening the dashboard fires at
+// the same federation.
+func dashboardMix() []string {
+	return []string{
+		"SELECT count(*) AS n FROM data",
+		"SELECT avg(ab42) AS m FROM data",
+		"SELECT alzheimerbroadcategory, count(*) AS n FROM data GROUP BY alzheimerbroadcategory",
+		"SELECT gender, avg(minimentalstate) AS m FROM data GROUP BY gender",
+		"SELECT min(p_tau) AS lo, max(p_tau) AS hi FROM data",
+		"SELECT alzheimerbroadcategory, avg(lefthippocampus) AS m FROM data WHERE subjectageyears > 65 GROUP BY alzheimerbroadcategory",
+	}
+}
+
 // comparePerf diffs the fresh report against the baseline JSON at path,
 // printing ns/op and allocs/op deltas per benchmark, and returns how many
 // benchmarks regressed more than threshold percent. Alloc regressions only

@@ -1,6 +1,7 @@
 package algorithms
 
 import (
+	"encoding/json"
 	"fmt"
 	"math"
 
@@ -57,7 +58,8 @@ func anova1Local(wctx *federation.WorkerCtx, data *engine.Table, kwargs federati
 	return federation.Transfer{"groups": out}, nil
 }
 
-// ANOVATable is one effect row.
+// ANOVATable is one effect row. F and PValue are NaN where undefined (the
+// Residuals row tests nothing).
 type ANOVATable struct {
 	Effect string  `json:"effect"`
 	DF     float64 `json:"df"`
@@ -65,6 +67,23 @@ type ANOVATable struct {
 	MeanSq float64 `json:"mean_sq"`
 	F      float64 `json:"f"`
 	PValue float64 `json:"p_value"`
+}
+
+// MarshalJSON renders undefined F / p-value cells as JSON null:
+// encoding/json rejects NaN, which would fail the whole result envelope.
+func (r ANOVATable) MarshalJSON() ([]byte, error) {
+	type row ANOVATable // the fields without this method
+	nullable := func(x float64) *float64 {
+		if math.IsNaN(x) {
+			return nil
+		}
+		return &x
+	}
+	return json.Marshal(struct {
+		row
+		F      *float64 `json:"f"`
+		PValue *float64 `json:"p_value"`
+	}{row(r), nullable(r.F), nullable(r.PValue)})
 }
 
 // ANOVAOneWay implements one-way analysis of variance.

@@ -170,6 +170,68 @@ func TestExperimentLifecycle(t *testing.T) {
 	}
 }
 
+// TestANOVAOverREST pins the fix for the Residuals row's undefined F and
+// p-value: as NaN they failed json.Marshal of the whole result, so both
+// ANOVA algorithms always errored through the API. They must now complete
+// and carry JSON null in exactly those cells.
+func TestANOVAOverREST(t *testing.T) {
+	s, ts := testServer(t)
+	for _, req := range []ExperimentRequest{
+		{Algorithm: "anova_oneway", Request: algorithms.Request{
+			Datasets:   []string{"edsd"},
+			Y:          []string{"lefthippocampus"},
+			X:          []string{"alzheimerbroadcategory"},
+			Parameters: map[string]any{"levels": []any{"CN", "MCI", "AD"}},
+		}},
+		{Algorithm: "anova_twoway", Request: algorithms.Request{
+			Datasets: []string{"edsd"},
+			Y:        []string{"lefthippocampus"},
+			X:        []string{"alzheimerbroadcategory", "gender"},
+			Parameters: map[string]any{"levels": map[string]any{
+				"alzheimerbroadcategory": []any{"CN", "MCI", "AD"},
+				"gender":                 []any{"F", "M"},
+			}},
+		}},
+	} {
+		var exp Experiment
+		if code := postJSON(t, ts.URL+"/experiments", req, &exp); code != 201 {
+			t.Fatalf("%s: create = %d", req.Algorithm, code)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		_, err := s.WaitForExperiment(ctx, exp.UUID)
+		cancel()
+		if err != nil {
+			t.Fatalf("%s: %v", req.Algorithm, err)
+		}
+		var final Experiment
+		if code := getJSON(t, ts.URL+"/experiments/"+exp.UUID, &final); code != 200 {
+			t.Fatalf("%s: get = %d", req.Algorithm, code)
+		}
+		if final.Status != "success" {
+			t.Fatalf("%s: status = %q err = %q", req.Algorithm, final.Status, final.Error)
+		}
+		var result struct {
+			Table []map[string]any `json:"table"`
+		}
+		if err := json.Unmarshal(final.Result, &result); err != nil {
+			t.Fatalf("%s: %v", req.Algorithm, err)
+		}
+		if len(result.Table) < 2 {
+			t.Fatalf("%s: table has %d rows", req.Algorithm, len(result.Table))
+		}
+		for i, row := range result.Table {
+			f, hasF := row["f"]
+			p, hasP := row["p_value"]
+			if !hasF || !hasP {
+				t.Fatalf("%s: row %v lacks f/p_value keys", req.Algorithm, row)
+			}
+			if residuals := i == len(result.Table)-1; residuals != (f == nil) || residuals != (p == nil) {
+				t.Errorf("%s: row %v: f and p_value must be null on the Residuals row only", req.Algorithm, row)
+			}
+		}
+	}
+}
+
 func TestExperimentValidation(t *testing.T) {
 	_, ts := testServer(t)
 	// Unknown algorithm.

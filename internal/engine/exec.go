@@ -8,199 +8,22 @@ import (
 	"sync/atomic"
 )
 
-// execSelect runs a parsed SELECT over an input table. It implements the
-// pipeline scan → filter → (group-by aggregate | project) → having →
-// order by → limit, column-at-a-time over morsels: the filter, aggregate
-// and ORDER BY stages fan row ranges out across ec's worker pool (per-
-// morsel sort + parallel run merging), while LIMIT stays a serial tail.
-// qs (optional, may be nil)
-// accumulates rows/vectors touched and grows the plan tree one node per
-// executed stage (the scan/join/merge nodes below the first stage are
-// planted by db.run and the merge table before this runs).
+// execSelect runs a parsed SELECT over an input table: it plans the stage
+// list for the statement and the input's row count (planSelect — the same
+// list EXPLAIN renders) and walks it. Top-k, aggregation and every stage
+// hosting a WHERE run inside the one morsel loop (forMorsels), fanned out
+// across ec's worker pool; LIMIT stays a serial tail. qs (optional, may be
+// nil) accumulates rows/vectors touched and grows the plan tree one node
+// per stage (the scan/join/merge nodes below the first stage are planted by
+// db.run and the merge table before this runs).
 func execSelect(ec *ExecContext, st *SelectStmt, input *Table, qs *QueryStats) (*Table, error) {
-	t := input
 	if qs != nil {
 		qs.RowsScanned += input.NumRows()
 		qs.Vectors += len(input.Schema())
 	}
 	ec.addRows(input.NumRows())
-	if err := ec.interrupted(); err != nil {
-		return nil, err
-	}
-
-	// Pipeline fusion: when a WHERE precedes a fusible stage and the input
-	// is non-empty, the filter runs inside that stage's morsel loop
-	// (select → gather → consume per morsel) instead of materializing a
-	// filtered intermediate table. Fusion never changes the morsel
-	// decomposition rule — morsels still cover the unfused input — so
-	// results stay bit-identical at every parallelism degree. Empty inputs
-	// take the unfused path so evaluation errors surface identically.
-	hasAgg := selHasAgg(st)
-	kPrime := -1
-	if st.Limit >= 0 {
-		kPrime = st.Limit + st.Offset
-	}
-	useTopk := !hasAgg && len(st.OrderBy) > 0 && kPrime >= 0 &&
-		kPrime <= topkMaxCandidates && kPrime < t.NumRows()
-	canFuse := st.Where != nil && t.NumRows() > 0
-	fuseAgg := canFuse && hasAgg
-	fuseExtend := canFuse && !hasAgg && len(st.OrderBy) > 0 && !useTopk
-	fuseProject := canFuse && !hasAgg && len(st.OrderBy) == 0 && !st.Star
-	whereFused := fuseAgg || fuseExtend || fuseProject || useTopk
-
-	// WHERE (unfused): compute a selection vector morsel-wise, gather once.
-	if st.Where != nil && !whereFused {
-		sg := qs.beginStage("filter", st.Where.String(), t.NumRows())
-		sg.setParallelism(ec.degreeFor(len(ec.morselsOf(t.NumRows()))))
-		sel, err := ec.filterSel(st.Where, t, sg.planNode())
-		if err != nil {
-			return nil, err
-		}
-		t = ec.gather(t, sel)
-		sg.end(t)
-	}
-
-	var out *Table
-	var err error
-	limitApplied := false
-	degree := ec.degreeFor(len(ec.morselsOf(t.NumRows())))
-	beginFusedFilter := func() *stage {
-		if st.Where == nil {
-			return nil
-		}
-		fs := qs.beginStage("filter", st.Where.String(), t.NumRows())
-		fs.setParallelism(degree)
-		if fn := fs.planNode(); fn != nil {
-			fn.Fused = true
-		}
-		return fs
-	}
-	switch {
-	case hasAgg:
-		var fs *stage
-		var where Expr
-		if fuseAgg {
-			where = st.Where
-			fs = beginFusedFilter()
-		}
-		sg := qs.beginStage("aggregate", aggDetail(st), t.NumRows())
-		sg.setParallelism(degree)
-		if n := sg.planNode(); n != nil && fuseAgg {
-			n.Fused = true
-		}
-		out, err = execAggregate(ec, st, t, sg.planNode(), where, fs.planNode())
-		if err != nil {
-			return nil, err
-		}
-		if fs != nil {
-			fs.end(nil)
-		}
-		sg.end(out)
-		if len(st.OrderBy) > 0 {
-			if err := ec.interrupted(); err != nil {
-				return nil, err
-			}
-			so := qs.beginStage("order", orderDetail(st.OrderBy), out.NumRows())
-			out, err = execOrderByPar(ec, st.OrderBy, out, so)
-			if err != nil {
-				return nil, err
-			}
-			so.end(out)
-		}
-	case useTopk:
-		// ORDER BY ... LIMIT k: bounded per-morsel selection + merge. Each
-		// morsel keeps only its k'=limit+offset best rows, so the sort/merge
-		// never materializes the full ordered table. The limit is folded in.
-		if err := ec.interrupted(); err != nil {
-			return nil, err
-		}
-		out, err = execTopK(ec, st, t, qs, kPrime, degree, beginFusedFilter)
-		if err != nil {
-			return nil, err
-		}
-		limitApplied = true
-	case len(st.OrderBy) > 0:
-		// ORDER BY may reference source columns that the projection drops
-		// (SELECT id ... ORDER BY age), as well as projection aliases. Build
-		// an extended table carrying both, sort it, then project.
-		if err := ec.interrupted(); err != nil {
-			return nil, err
-		}
-		var ext *Table
-		var outNames []string
-		if fuseExtend {
-			fs := beginFusedFilter()
-			sp := qs.beginStage("project", "extend", t.NumRows())
-			sp.setParallelism(degree)
-			if n := sp.planNode(); n != nil {
-				n.Fused = true
-			}
-			ext, outNames, err = execExtendFused(ec, st, t, fs.planNode(), sp.planNode())
-			if err != nil {
-				return nil, err
-			}
-			fs.end(nil)
-			sp.end(ext)
-		} else {
-			sp := qs.beginStage("project", "extend", t.NumRows())
-			ext, outNames, err = extendWithProjection(st, t)
-			if err != nil {
-				return nil, err
-			}
-			sp.end(ext)
-		}
-		so := qs.beginStage("order", orderDetail(st.OrderBy), ext.NumRows())
-		ext, err = execOrderByPar(ec, st.OrderBy, ext, so)
-		if err != nil {
-			return nil, err
-		}
-		so.end(ext)
-		sf := qs.beginStage("project", projectDetail(st), ext.NumRows())
-		out, err = projectNames(ext, outNames)
-		if err != nil {
-			return nil, err
-		}
-		sf.end(out)
-	case fuseProject:
-		if err := ec.interrupted(); err != nil {
-			return nil, err
-		}
-		fs := beginFusedFilter()
-		sp := qs.beginStage("project", projectDetail(st), t.NumRows())
-		sp.setParallelism(degree)
-		if n := sp.planNode(); n != nil {
-			n.Fused = true
-		}
-		out, err = execProjectFused(ec, st, t, fs.planNode(), sp.planNode())
-		if err != nil {
-			return nil, err
-		}
-		fs.end(nil)
-		sp.end(out)
-	default:
-		if err := ec.interrupted(); err != nil {
-			return nil, err
-		}
-		sp := qs.beginStage("project", projectDetail(st), t.NumRows())
-		out, err = execProject(st, t)
-		if err != nil {
-			return nil, err
-		}
-		sp.end(out)
-	}
-	if !limitApplied {
-		if st.Limit >= 0 || st.Offset > 0 {
-			sl := qs.beginStage("limit", limitDetail(st), out.NumRows())
-			out = execLimit(st, out)
-			sl.end(out)
-		} else {
-			out = execLimit(st, out)
-		}
-	}
-	// Fused pipelines charge their output at the terminal concat, after the
-	// last in-loop interrupt check; settle any resulting hard-limit or
-	// deadline cancellation before declaring the statement done.
-	if err := ec.interrupted(); err != nil {
+	out, err := ec.runStages(st, ec.planSelect(st, input.NumRows()), input, qs)
+	if err != nil {
 		return nil, err
 	}
 	if qs != nil {
@@ -210,205 +33,155 @@ func execSelect(ec *ExecContext, st *SelectStmt, input *Table, qs *QueryStats) (
 	return out, nil
 }
 
+// runStages walks a stage list over t, one profiled plan node per stage.
+// A fused filter stage does no work of its own: it hands its predicate and
+// plan node to the stage that follows, whose morsel loop evaluates it.
+func (ec *ExecContext) runStages(st *SelectStmt, stages []selectStage, t *Table, qs *QueryStats) (*Table, error) {
+	var where Expr        // fused WHERE awaiting the next stage's morsel loop
+	var fnode *PlanNode   // ... and its plan node
+	var outNames []string // output columns, from the extend stage to the final projection
+	for _, s := range stages {
+		if err := ec.interrupted(); err != nil {
+			return nil, err
+		}
+		sg := qs.beginStage(s.op, s.detail, t.NumRows())
+		sg.setParallelism(s.par)
+		node := sg.planNode()
+		if node != nil {
+			node.Fused = s.fused
+		}
+		if s.kind == stageFilter && s.fused {
+			where, fnode = st.Where, node
+			continue
+		}
+		sg.fuseFilter(fnode)
+		var err error
+		switch s.kind {
+		case stageFilter:
+			t, err = ec.filterTable(t, st.Where, node)
+		case stageAggregate:
+			t, err = execAggregate(ec, st, t, node, where, fnode)
+		case stageTopK:
+			t, err = execTopK(ec, st, t, node, where, fnode)
+		case stageExtend:
+			t, outNames, err = execExtend(ec, st, t, node, where, fnode)
+		case stageOrder:
+			t, err = ec.sortTable(st.OrderBy, t, sg)
+		case stageProjectNames:
+			t, err = projectNames(t, outNames)
+		case stageProject:
+			if !st.Star { // SELECT * passes its input through, zero-copy
+				t, err = execProject(ec, st, t, node, where, fnode)
+			}
+		case stageLimit:
+			t = execLimit(st, t)
+		}
+		if err != nil {
+			return nil, err
+		}
+		where, fnode = nil, nil
+		sg.end(t)
+	}
+	// Morsel loops charge their output at the terminal concat, after the
+	// last in-loop interrupt check; settle any resulting hard-limit or
+	// deadline cancellation before declaring the statement done.
+	if err := ec.interrupted(); err != nil {
+		return nil, err
+	}
+	return t, nil
+}
+
 // topkMaxCandidates bounds k'=limit+offset for the top-k operator: past
 // this, per-morsel candidate sets stop being "bounded" in any useful sense
 // and the full sort path is used instead.
 const topkMaxCandidates = 1 << 16
 
 // execTopK implements ORDER BY ... LIMIT k without a full sort: every
-// morsel (optionally filtered in-loop) sorts its own extended rows and
-// keeps only its first k'=limit+offset; the candidates are concatenated in
-// morsel order and re-sorted. A row outside its morsel's first k' has ≥ k'
-// rows ahead of it globally, so the merged first k' equal the full stable
-// sort's first k' — including tie order, because per-morsel stable sorts
-// preserve within-morsel row order and the concat preserves morsel order.
-func execTopK(ec *ExecContext, st *SelectStmt, t *Table, qs *QueryStats, kPrime, degree int, beginFusedFilter func() *stage) (*Table, error) {
-	fs := beginFusedFilter()
-	sg := qs.beginStage("topk", orderDetail(st.OrderBy)+" "+limitDetail(st), t.NumRows())
-	sg.setParallelism(degree)
-	fnode, node := fs.planNode(), sg.planNode()
-	if node != nil && st.Where != nil {
-		node.Fused = true
-	}
-
+// morsel sorts its own extended rows and keeps only its first
+// k'=limit+offset; the candidates are concatenated in morsel order and
+// re-sorted. A row outside its morsel's first k' has ≥ k' rows ahead of it
+// globally, so the merged first k' equal the full sort's first k' —
+// including tie order, because ties break on row index within a morsel and
+// the concat preserves morsel order.
+func execTopK(ec *ExecContext, st *SelectStmt, t *Table, node *PlanNode, where Expr, fnode *PlanNode) (*Table, error) {
+	kPrime := st.Limit + st.Offset
 	extEmpty, outNames, err := extendWithProjection(st, t.Slice(0, 0))
 	if err != nil {
 		return nil, err
 	}
-	schema := extEmpty.Schema()
-	ms := ec.morselsOf(t.NumRows())
-	parts := make([]*Table, len(ms))
-	err = ec.parallelFor(len(ms), func(i int) error {
-		m := ms[i]
-		part := t.Slice(m.lo, m.hi)
-		if st.Where != nil {
-			sel, err := FilterSel(st.Where, part)
-			if err != nil {
-				return err
-			}
-			if fnode != nil {
-				atomic.AddInt64(&fnode.RowsOut, int64(len(sel)))
-			}
-			fnode.AddMorsels(1)
-			part = part.Gather(sel)
+	// best keeps rows [lo, hi) of ext's sorted order. A morsel's rows are a
+	// single run sorted on the morsel's own goroutine; only the final pass
+	// over the merged candidates can span runs and fan out.
+	best := func(ext *Table, lo, hi int) (*Table, error) {
+		keys, err := orderKeys(st.OrderBy, ext)
+		if err != nil {
+			return nil, err
 		}
+		perm, err := ec.sortPerm(keys, ext.NumRows(), nil)
+		if err != nil {
+			return nil, err
+		}
+		return ext.Gather(perm[min(lo, len(perm)):min(hi, len(perm))]), nil
+	}
+	merged, err := ec.mapMorsels(t, where, fnode, extEmpty.Schema(), node, func(part *Table) (*Table, error) {
 		ext, _, err := extendWithProjection(st, part)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		idx, err := sortIdx(st.OrderBy, ext)
-		if err != nil {
-			return err
-		}
-		if len(idx) > kPrime {
-			idx = idx[:kPrime]
-		}
-		parts[i] = ext.Gather(idx)
-		node.AddMorsels(1)
-		return nil
+		return best(ext, 0, kPrime)
 	})
 	if err != nil {
 		return nil, err
 	}
-	merged, err := ec.concatTables(schema, parts)
+	top, err := best(merged, st.Offset, kPrime)
 	if err != nil {
 		return nil, err
 	}
-	idx, err := sortIdx(st.OrderBy, merged)
-	if err != nil {
-		return nil, err
-	}
-	start := st.Offset
-	if start > len(idx) {
-		start = len(idx)
-	}
-	end := len(idx)
-	if st.Limit >= 0 && start+st.Limit < end {
-		end = start + st.Limit
-	}
-	out, err := projectNames(merged.Gather(idx[start:end]), outNames)
+	out, err := projectNames(top, outNames)
 	if err != nil {
 		return nil, err
 	}
 	ec.charge(out.ByteSize())
-	if fs != nil {
-		fs.end(nil)
-	}
-	sg.end(out)
 	return out, nil
 }
 
-// execExtendFused runs filter → extend fused per morsel: each morsel
-// selects its matching rows, gathers them, and evaluates the extended
-// projection locally; the morsel outputs concatenate in morsel order.
-func execExtendFused(ec *ExecContext, st *SelectStmt, t *Table, fnode, enode *PlanNode) (*Table, []string, error) {
+// execExtend evaluates the extended projection (see extendWithProjection)
+// row-wise (mapRows). ORDER BY may reference source columns that the
+// projection drops (SELECT id ... ORDER BY age) as well as projection
+// aliases, so the sort runs over a table carrying both; outNames is what
+// the final projection keeps.
+func execExtend(ec *ExecContext, st *SelectStmt, t *Table, node *PlanNode, where Expr, fnode *PlanNode) (*Table, []string, error) {
 	extEmpty, outNames, err := extendWithProjection(st, t.Slice(0, 0))
 	if err != nil {
 		return nil, nil, err
 	}
-	schema := extEmpty.Schema()
-	ms := ec.morselsOf(t.NumRows())
-	parts := make([]*Table, len(ms))
-	err = ec.parallelFor(len(ms), func(i int) error {
-		m := ms[i]
-		part := t.Slice(m.lo, m.hi)
-		sel, err := FilterSel(st.Where, part)
-		if err != nil {
-			return err
-		}
-		if fnode != nil {
-			atomic.AddInt64(&fnode.RowsOut, int64(len(sel)))
-		}
-		fnode.AddMorsels(1)
-		ext, _, err := extendWithProjection(st, part.Gather(sel))
-		if err != nil {
-			return err
-		}
-		parts[i] = ext
-		enode.AddMorsels(1)
-		return nil
+	ext, err := ec.mapRows(t, where, fnode, extEmpty.Schema(), node, func(part *Table) (*Table, error) {
+		ext, _, err := extendWithProjection(st, part)
+		return ext, err
 	})
-	if err != nil {
-		return nil, nil, err
-	}
-	merged, err := ec.concatTables(schema, parts)
-	if err != nil {
-		return nil, nil, err
-	}
-	return merged, outNames, nil
+	return ext, outNames, err
 }
 
-// execProjectFused runs filter → project fused per morsel (non-star
-// projections without ORDER BY): no filtered intermediate table is ever
-// materialized, only the projected output.
-func execProjectFused(ec *ExecContext, st *SelectStmt, t *Table, fnode, pnode *PlanNode) (*Table, error) {
-	empty := t.Slice(0, 0)
-	schema := make(Schema, len(st.Items))
-	for i, it := range st.Items {
-		v, err := Eval(it.Expr, empty)
-		if err != nil {
-			return nil, err
-		}
-		name := it.Alias
-		if name == "" {
-			name = exprName(it.Expr)
-		}
-		schema[i] = ColumnDef{Name: name, Type: v.Type()}
-	}
-	ms := ec.morselsOf(t.NumRows())
-	parts := make([]*Table, len(ms))
-	err := ec.parallelFor(len(ms), func(i int) error {
-		m := ms[i]
-		part := t.Slice(m.lo, m.hi)
-		sel, err := FilterSel(st.Where, part)
-		if err != nil {
-			return err
-		}
-		if fnode != nil {
-			atomic.AddInt64(&fnode.RowsOut, int64(len(sel)))
-		}
-		fnode.AddMorsels(1)
-		part = part.Gather(sel)
-		cols := make([]*Vector, len(st.Items))
-		for k, it := range st.Items {
-			v, err := Eval(it.Expr, part)
-			if err != nil {
-				return err
-			}
-			cols[k] = v
-		}
-		pt, err := NewTableFromVectors(schema, cols)
-		if err != nil {
-			return err
-		}
-		parts[i] = pt
-		pnode.AddMorsels(1)
-		return nil
-	})
+// execProject evaluates the select items row-wise (mapRows).
+func execProject(ec *ExecContext, st *SelectStmt, t *Table, node *PlanNode, where Expr, fnode *PlanNode) (*Table, error) {
+	schema, _, err := evalItems(st, t.Slice(0, 0))
 	if err != nil {
 		return nil, err
 	}
-	return ec.concatTables(schema, parts)
+	return ec.mapRows(t, where, fnode, schema, node, func(part *Table) (*Table, error) {
+		schema, cols, err := evalItems(st, part)
+		if err != nil {
+			return nil, err
+		}
+		return NewTableFromVectors(schema, cols)
+	})
 }
 
-// extendWithProjection evaluates the select items over t and returns a
-// table holding the projected columns first (under their output names)
-// followed by the source columns that do not collide, plus the list of
-// output column names in order.
-func extendWithProjection(st *SelectStmt, t *Table) (*Table, []string, error) {
-	var schema Schema
-	var cols []*Vector
-	var outNames []string
-	if st.Star {
-		for i, c := range t.Schema() {
-			schema = append(schema, c)
-			cols = append(cols, t.Col(i))
-			outNames = append(outNames, c.Name)
-		}
-		return mustTable(schema, cols, outNames)
-	}
-	taken := map[string]bool{}
-	for _, it := range st.Items {
+// evalItems evaluates the select items over t into output columns.
+func evalItems(st *SelectStmt, t *Table) (Schema, []*Vector, error) {
+	schema := make(Schema, len(st.Items))
+	cols := make([]*Vector, len(st.Items))
+	for i, it := range st.Items {
 		v, err := Eval(it.Expr, t)
 		if err != nil {
 			return nil, nil, err
@@ -417,27 +190,37 @@ func extendWithProjection(st *SelectStmt, t *Table) (*Table, []string, error) {
 		if name == "" {
 			name = exprName(it.Expr)
 		}
-		schema = append(schema, ColumnDef{Name: name, Type: v.Type()})
-		cols = append(cols, v)
-		outNames = append(outNames, name)
-		taken[strings.ToLower(name)] = true
+		schema[i] = ColumnDef{Name: name, Type: v.Type()}
+		cols[i] = v
 	}
-	for i, c := range t.Schema() {
-		if taken[strings.ToLower(c.Name)] {
-			continue
-		}
-		schema = append(schema, c)
-		cols = append(cols, t.Col(i))
-	}
-	return mustTable(schema, cols, outNames)
+	return schema, cols, nil
 }
 
-func mustTable(schema Schema, cols []*Vector, outNames []string) (*Table, []string, error) {
-	tab, err := NewTableFromVectors(schema, cols)
+// extendWithProjection evaluates the select items over t and returns a
+// table holding the projected columns first (under their output names)
+// followed by the source columns that do not collide, plus the list of
+// output column names in order.
+func extendWithProjection(st *SelectStmt, t *Table) (*Table, []string, error) {
+	if st.Star {
+		return t, t.Schema().Names(), nil
+	}
+	schema, cols, err := evalItems(st, t)
 	if err != nil {
 		return nil, nil, err
 	}
-	return tab, outNames, nil
+	outNames := schema.Names()
+	taken := map[string]bool{}
+	for _, n := range outNames {
+		taken[strings.ToLower(n)] = true
+	}
+	for i, c := range t.Schema() {
+		if !taken[strings.ToLower(c.Name)] {
+			schema = append(schema, c)
+			cols = append(cols, t.Col(i))
+		}
+	}
+	ext, err := NewTableFromVectors(schema, cols)
+	return ext, outNames, err
 }
 
 // projectNames selects the named columns in order.
@@ -451,27 +234,6 @@ func projectNames(t *Table, names []string) (*Table, error) {
 		}
 		schema[i] = t.Schema()[idx]
 		cols[i] = t.Col(idx)
-	}
-	return NewTableFromVectors(schema, cols)
-}
-
-func execProject(st *SelectStmt, t *Table) (*Table, error) {
-	if st.Star {
-		return t, nil
-	}
-	schema := make(Schema, len(st.Items))
-	cols := make([]*Vector, len(st.Items))
-	for i, it := range st.Items {
-		v, err := Eval(it.Expr, t)
-		if err != nil {
-			return nil, err
-		}
-		name := it.Alias
-		if name == "" {
-			name = exprName(it.Expr)
-		}
-		schema[i] = ColumnDef{Name: name, Type: v.Type()}
-		cols[i] = v
 	}
 	return NewTableFromVectors(schema, cols)
 }
@@ -503,98 +265,6 @@ func execLimit(st *SelectStmt, t *Table) *Table {
 	return t.Gather(sel)
 }
 
-func execOrderBy(keys []OrderItem, t *Table) (*Table, error) {
-	idx, err := sortIdx(keys, t)
-	if err != nil {
-		return nil, err
-	}
-	return t.Gather(idx), nil
-}
-
-// sortIdx returns the stable sort permutation of t's rows under the ORDER
-// BY keys without gathering; top-k truncates it before materializing.
-func sortIdx(keys []OrderItem, t *Table) ([]int32, error) {
-	n := t.NumRows()
-	vecs := make([]*Vector, len(keys))
-	for i, k := range keys {
-		v, err := Eval(k.Expr, t)
-		if err != nil {
-			return nil, err
-		}
-		vecs[i] = v
-	}
-	idx := make([]int32, n)
-	for i := range idx {
-		idx[i] = int32(i)
-	}
-	sort.SliceStable(idx, func(a, b int) bool {
-		ia, ib := int(idx[a]), int(idx[b])
-		for k, v := range vecs {
-			c := compareRows(v, ia, ib)
-			if c == 0 {
-				continue
-			}
-			if keys[k].Desc {
-				return c > 0
-			}
-			return c < 0
-		}
-		return false
-	})
-	return idx, nil
-}
-
-// compareRows orders two rows of one vector: NULLs sort first, and NaNs
-// sort after every number (so ASC puts them last, DESC first). Giving NaN
-// a fixed position keeps the comparator total — IEEE NaN comparisons are
-// all false, which would otherwise make "equality" intransitive and the
-// sorted order an artifact of the sort algorithm rather than of the data;
-// totality is what lets the parallel merge reproduce the serial sort
-// bit-identically.
-func compareRows(v *Vector, a, b int) int {
-	na, nb := v.IsNull(a), v.IsNull(b)
-	switch {
-	case na && nb:
-		return 0
-	case na:
-		return -1
-	case nb:
-		return 1
-	}
-	switch v.Type() {
-	case String:
-		return strings.Compare(v.StringAt(a), v.StringAt(b))
-	case Bool:
-		x, y := v.Bools()[a], v.Bools()[b]
-		switch {
-		case x == y:
-			return 0
-		case !x:
-			return -1
-		default:
-			return 1
-		}
-	default:
-		f := v.CastFloat64().Float64s()
-		x, y := f[a], f[b]
-		nx, ny := math.IsNaN(x), math.IsNaN(y)
-		switch {
-		case nx && ny:
-			return 0
-		case nx:
-			return 1
-		case ny:
-			return -1
-		case x < y:
-			return -1
-		case x > y:
-			return 1
-		default:
-			return 0
-		}
-	}
-}
-
 // --- aggregation ---
 
 // aggState accumulates one aggregate across groups.
@@ -618,23 +288,31 @@ type aggState struct {
 	strMM    bool         // string-typed min/max
 }
 
-func newAggState(call *AggCall, groups int, t *Table) (*aggState, []*Vector, error) {
-	var argVecs []*Vector
-	for _, a := range call.Args {
+// aggArgs evaluates an aggregate call's arguments over t in the form the
+// accumulators (and the spill run files) hold them: quantile's literal
+// fraction dropped, numeric arguments viewed as float64.
+func aggArgs(call *AggCall, t *Table) ([]*Vector, error) {
+	args := call.Args
+	if call.Name == "quantile" && len(args) == 2 {
+		args = args[:1] // the fraction is read from the AST, not per row
+	}
+	vecs := make([]*Vector, len(args))
+	for i, a := range args {
 		v, err := Eval(a, t)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		argVecs = append(argVecs, v)
+		if v.Type() != String {
+			v = v.CastFloat64()
+		}
+		vecs[i] = v
 	}
-	return newAggStateFromArgs(call, groups, argVecs)
+	return vecs, nil
 }
 
-// newAggStateFromArgs builds the state from already-evaluated argument
-// vectors. The spill path reloads processed arg vectors from run files
-// (quantile's literal fraction arg is already trimmed there; the literal
-// itself still comes from the call AST).
-func newAggStateFromArgs(call *AggCall, groups int, argVecs []*Vector) (*aggState, []*Vector, error) {
+// newAggState sizes the accumulators of one aggregate call for the given
+// number of groups; args are aggArgs vectors (only their types matter).
+func newAggState(call *AggCall, groups int, args []*Vector) (*aggState, error) {
 	s := &aggState{call: call}
 	name := call.Name
 	switch name {
@@ -648,7 +326,7 @@ func newAggStateFromArgs(call *AggCall, groups int, argVecs []*Vector) (*aggStat
 		s.sum = make([]float64, groups)
 		s.sum2 = make([]float64, groups)
 	case "min", "max":
-		if len(argVecs) == 1 && argVecs[0].Type() == String {
+		if len(args) == 1 && args[0].Type() == String {
 			s.strMM = true
 			s.minS = make([]string, groups)
 			s.maxS = make([]string, groups)
@@ -660,7 +338,7 @@ func newAggStateFromArgs(call *AggCall, groups int, argVecs []*Vector) (*aggStat
 		s.count = make([]int64, groups)
 	case "corr":
 		if len(call.Args) != 2 {
-			return nil, nil, fmt.Errorf("engine: corr takes 2 arguments")
+			return nil, fmt.Errorf("engine: corr takes 2 arguments")
 		}
 		s.count = make([]int64, groups)
 		s.sum = make([]float64, groups)
@@ -674,11 +352,11 @@ func newAggStateFromArgs(call *AggCall, groups int, argVecs []*Vector) (*aggStat
 		s.qarg = 0.5
 		if name == "quantile" {
 			if len(call.Args) != 2 {
-				return nil, nil, fmt.Errorf("engine: quantile takes (expr, fraction)")
+				return nil, fmt.Errorf("engine: quantile takes (expr, fraction)")
 			}
 			lit, ok := call.Args[1].(*Lit)
 			if !ok {
-				return nil, nil, fmt.Errorf("engine: quantile fraction must be a literal")
+				return nil, fmt.Errorf("engine: quantile fraction must be a literal")
 			}
 			switch f := lit.Val.(type) {
 			case float64:
@@ -686,22 +364,13 @@ func newAggStateFromArgs(call *AggCall, groups int, argVecs []*Vector) (*aggStat
 			case int64:
 				s.qarg = float64(f)
 			default:
-				return nil, nil, fmt.Errorf("engine: bad quantile fraction")
+				return nil, fmt.Errorf("engine: bad quantile fraction")
 			}
-			argVecs = argVecs[:1]
 		}
 	default:
-		return nil, nil, fmt.Errorf("engine: unknown aggregate %q", name)
+		return nil, fmt.Errorf("engine: unknown aggregate %q", name)
 	}
-	// Numeric aggregates view args as float64.
-	if !s.strMM && !call.Star {
-		for i, v := range argVecs {
-			if v.Type() != String {
-				argVecs[i] = v.CastFloat64()
-			}
-		}
-	}
-	return s, argVecs, nil
+	return s, nil
 }
 
 // observeAll folds every row into the per-group accumulators. groupOf may
@@ -1049,102 +718,42 @@ type morselAgg struct {
 }
 
 // execAggregate runs partitioned hash aggregation: every morsel groups and
-// accumulates into thread-local state, then a serial combine step assigns
-// global group ids and folds the partials in morsel order. Because morsels
-// are row ranges in order and local first-appearance order is row order,
-// global group ids equal first-appearance-in-row-order ids — exactly what
-// the single-threaded implementation produced — and the fixed fold order
-// makes float results bit-identical at every parallelism degree.
-//
-// When where is non-nil the WHERE filter is fused into the morsel loop:
-// morsels decompose the unfiltered input, and each morsel selects and
-// gathers its matching rows before grouping, so no filtered intermediate
-// table is materialized. fnode (optional) receives the fused filter's
-// per-morsel stats.
+// accumulates into thread-local state (buildPartial), then a serial combine
+// assigns global group ids and folds the partials in morsel order
+// (combinePartials). Because morsels are row ranges in order and local
+// first-appearance order is row order, global group ids equal
+// first-appearance-in-row-order ids, and the fixed fold order makes float
+// results bit-identical at every parallelism degree. where (optional) is
+// the fused WHERE, fnode its plan node.
 func execAggregate(ec *ExecContext, st *SelectStmt, t *Table, node *PlanNode, where Expr, fnode *PlanNode) (*Table, error) {
-	grouped := len(st.GroupBy) > 0
-
-	// 1+2. Rewrite items/HAVING, collect aggregate calls, validate over an
-	// empty row range.
-	empty := t.Slice(0, 0)
-	prep, err := prepareAgg(st, empty)
+	prep, err := prepareAgg(st, t.Slice(0, 0))
 	if err != nil {
 		return nil, err
 	}
-	items, having, aggCalls, emptyKeys := prep.items, prep.having, prep.aggCalls, prep.emptyKeys
-
-	// 3. Per-morsel partial aggregation (parallel). Each morsel charges its
-	// partial's approximate footprint once (key vectors + per-group state);
-	// the total is released after the combine, when the partials die.
-	// With spilling available, every morsel polls the soft budget before
+	// Each morsel charges its partial's approximate footprint once; the
+	// total is released after the combine, when the partials die. With
+	// spilling available, every morsel polls the soft budget before
 	// building its partial; crossing it aborts the in-memory pass with a
 	// sentinel and the aggregation restarts through the disk-backed
 	// partitioned path (bit-identical results, bounded memory).
-	spillOK := grouped && ec.spillEnabled()
-	ms := ec.morselsOf(t.NumRows())
-	partials := make([]*morselAgg, len(ms))
+	spillOK := len(st.GroupBy) > 0 && ec.spillEnabled()
+	partials := make([]*morselAgg, ec.numMorsels(t.NumRows()))
 	var partialBytes atomic.Int64
-	err = ec.parallelFor(len(ms), func(i int) error {
+	err = ec.forMorsels(t, where, fnode, func(i int, _ morsel, part *Table, _ []int32) error {
 		if spillOK && ec.overBudget() {
 			return errAggOverBudget
 		}
-		m := ms[i]
-		part := t.Slice(m.lo, m.hi)
-		if where != nil {
-			sel, err := FilterSel(where, part)
-			if err != nil {
-				return err
-			}
-			if fnode != nil {
-				atomic.AddInt64(&fnode.RowsOut, int64(len(sel)))
-			}
-			fnode.AddMorsels(1)
-			part = part.Gather(sel)
+		keys, args, err := prep.evalInputs(part)
+		if err != nil {
+			return err
 		}
-		n := part.NumRows()
-		ma := &morselAgg{}
-		var groupOf []int
-		localGroups := 1
-		if grouped {
-			ma.keyVecs = make([]*Vector, len(st.GroupBy))
-			for k, g := range st.GroupBy {
-				v, err := Eval(g, part)
-				if err != nil {
-					return err
-				}
-				ma.keyVecs[k] = v
-			}
-			// Vectorized grouping: hash every row's key tuple with the typed
-			// kernels, then assign dense local ids through the open-addressing
-			// table (first-appearance order = row order within the morsel).
-			groupOf = make([]int, n)
-			hashes := getHashBuf(n)
-			hashKeyCols(ma.keyVecs, n, hashes)
-			gi := newGroupIndex(0)
-			gi.addSource(ma.keyVecs)
-			for r := 0; r < n; r++ {
-				groupOf[r] = int(gi.insert(hashes[r], 0, int32(r)))
-			}
-			putHashBuf(hashes)
-			ma.hashes = gi.hashes
-			ma.rows = make([]int32, len(gi.refs))
-			for g, rf := range gi.refs {
-				ma.rows[g] = rf.row
-			}
-			localGroups = gi.groups()
-		}
-		ma.states = make([]*aggState, len(aggCalls))
-		for k, c := range aggCalls {
-			s, av, err := newAggState(c, localGroups, part)
-			if err != nil {
-				return err
-			}
-			s.observeAll(groupOf, av, n)
-			ma.states[k] = s
+		ma, err := buildPartial(prep.aggCalls, keys, args, part.NumRows())
+		if err != nil {
+			return err
 		}
 		partials[i] = ma
 		if ec != nil && ec.Acct != nil {
-			b := ma.approxBytes(localGroups)
+			b := ma.approxBytes()
 			partialBytes.Add(b)
 			ec.charge(b)
 		}
@@ -1162,77 +771,18 @@ func execAggregate(ec *ExecContext, st *SelectStmt, t *Table, node *PlanNode, wh
 		if fnode != nil {
 			atomic.StoreInt64(&fnode.Morsels, 0)
 			atomic.StoreInt64(&fnode.RowsOut, 0)
+			atomic.StoreInt64(&fnode.Nanos, 0)
 		}
-		mid, err := execAggSpill(ec, st, t, node, fnode, where, aggCalls, emptyKeys, empty)
+		mid, err := execAggSpill(ec, prep, t, node, fnode, where)
 		if err != nil {
 			return nil, err
 		}
-		return aggFinalize(ec, mid, having, items)
+		return aggFinalize(ec, mid, prep.having, prep.items)
 	}
 	if err != nil {
 		return nil, err
 	}
-
-	// 4. Combine: assign global group ids in morsel order (= first
-	// appearance in row order) and fold every morsel's partials. Local
-	// key-tuple hashes are content-based, so they carry over to the global
-	// table unchanged; equality falls back to the typed key vectors.
-	groups := 1
-	var globalIdx *groupIndex // grouped only; refs locate representatives
-	gmaps := make([][]int, len(partials))
-	if grouped {
-		hint := 0
-		for _, ma := range partials {
-			hint += len(ma.rows)
-		}
-		globalIdx = newGroupIndex(hint)
-		for mi, ma := range partials {
-			src := globalIdx.addSource(ma.keyVecs)
-			gmaps[mi] = make([]int, len(ma.rows))
-			for lg := range ma.rows {
-				gmaps[mi][lg] = int(globalIdx.insert(ma.hashes[lg], src, ma.rows[lg]))
-			}
-		}
-		groups = globalIdx.groups()
-	}
-	states := make([]*aggState, len(aggCalls))
-	for k, c := range aggCalls {
-		s, _, err := newAggState(c, groups, empty)
-		if err != nil {
-			return nil, err
-		}
-		for mi, ma := range partials {
-			s.mergeFrom(ma.states[k], gmaps[mi])
-		}
-		states[k] = s
-	}
-
-	// 5. Build the intermediate table: $key* columns + $agg* columns. Key
-	// cells are copied typed from each group's representative row (located
-	// by the global table's refs) — no boxing through interface values.
-	var schema Schema
-	var cols []*Vector
-	for i := range st.GroupBy {
-		out := NewVector(emptyKeys[i].Type())
-		for g := 0; g < groups; g++ {
-			rf := globalIdx.refs[g]
-			kv := partials[rf.src].keyVecs[i]
-			if err := appendKeyRow(out, kv, int(rf.row)); err != nil {
-				return nil, err
-			}
-		}
-		schema = append(schema, ColumnDef{Name: fmt.Sprintf("$key%d", i), Type: out.Type()})
-		cols = append(cols, out)
-	}
-	if node != nil {
-		node.Groups = int64(groups)
-	}
-	for i, s := range states {
-		v := s.result(groups)
-		schema = append(schema, ColumnDef{Name: fmt.Sprintf("$agg%d", i), Type: v.Type()})
-		cols = append(cols, v)
-	}
-	mid, err := NewTableFromVectors(schema, cols)
+	mid, _, err := combinePartials(prep, partials)
 	if err != nil {
 		return nil, err
 	}
@@ -1240,19 +790,120 @@ func execAggregate(ec *ExecContext, st *SelectStmt, t *Table, node *PlanNode, wh
 	// the stage's live payload now.
 	ec.release(partialBytes.Load())
 	ec.charge(mid.ByteSize())
+	if node != nil {
+		node.Groups = int64(mid.NumRows())
+	}
+	return aggFinalize(ec, mid, prep.having, prep.items)
+}
 
-	return aggFinalize(ec, mid, having, items)
+// buildPartial is the aggregate kernel's first half: it groups n rows by
+// their key tuples (no keys = one global group) and folds each call's
+// argument vectors into fresh per-group accumulators. The in-memory
+// operator calls it per morsel; a spilled partition calls it per morsel-run
+// of its reloaded rows — same rows, same order, same partial.
+func buildPartial(calls []*AggCall, keys []*Vector, args [][]*Vector, n int) (*morselAgg, error) {
+	ma := &morselAgg{keyVecs: keys}
+	var groupOf []int
+	localGroups := 1
+	if len(keys) > 0 {
+		// Vectorized grouping: hash every row's key tuple with the typed
+		// kernels, then assign dense local ids through the open-addressing
+		// table (first-appearance order = row order within the morsel).
+		groupOf = make([]int, n)
+		hashes := getHashBuf(n)
+		hashKeyCols(keys, n, hashes)
+		gi := newGroupIndex(0)
+		gi.addSource(keys)
+		for r := 0; r < n; r++ {
+			groupOf[r] = int(gi.insert(hashes[r], 0, int32(r)))
+		}
+		putHashBuf(hashes)
+		ma.hashes = gi.hashes
+		ma.rows = make([]int32, len(gi.refs))
+		for g, rf := range gi.refs {
+			ma.rows[g] = rf.row
+		}
+		localGroups = gi.groups()
+	}
+	ma.states = make([]*aggState, len(calls))
+	for k, c := range calls {
+		s, err := newAggState(c, localGroups, args[k])
+		if err != nil {
+			return nil, err
+		}
+		s.observeAll(groupOf, args[k], n)
+		ma.states[k] = s
+	}
+	return ma, nil
+}
+
+// combinePartials is the kernel's second half: it assigns global group ids
+// in partial order (= first appearance in row order), folds every partial's
+// accumulators in that order, and builds the intermediate table of $key*
+// and $agg* columns. Local key-tuple hashes are content-based, so they
+// carry over to the global table unchanged; equality falls back to the
+// typed key vectors. refs locates each group's first row as (partial, row
+// within it); nil when not grouping.
+func combinePartials(p *aggPrep, partials []*morselAgg) (*Table, []rowRef, error) {
+	groups := 1
+	var refs []rowRef
+	gmaps := make([][]int, len(partials)) // nil = identity: the one global group
+	if len(p.emptyKeys) > 0 {
+		hint := 0
+		for _, ma := range partials {
+			hint += len(ma.rows)
+		}
+		idx := newGroupIndex(hint)
+		for mi, ma := range partials {
+			src := idx.addSource(ma.keyVecs)
+			gmaps[mi] = make([]int, len(ma.rows))
+			for lg := range ma.rows {
+				gmaps[mi][lg] = int(idx.insert(ma.hashes[lg], src, ma.rows[lg]))
+			}
+		}
+		groups, refs = idx.groups(), idx.refs
+	}
+	var schema Schema
+	var cols []*Vector
+	// Key cells are copied typed from each group's representative row — no
+	// boxing through interface values.
+	for i, ek := range p.emptyKeys {
+		out := NewVector(ek.Type())
+		for _, rf := range refs {
+			if err := appendKeyRow(out, partials[rf.src].keyVecs[i], int(rf.row)); err != nil {
+				return nil, nil, err
+			}
+		}
+		schema = append(schema, ColumnDef{Name: fmt.Sprintf("$key%d", i), Type: out.Type()})
+		cols = append(cols, out)
+	}
+	for k, c := range p.aggCalls {
+		s, err := newAggState(c, groups, p.emptyArgs[k])
+		if err != nil {
+			return nil, nil, err
+		}
+		for mi, ma := range partials {
+			s.mergeFrom(ma.states[k], gmaps[mi])
+		}
+		v := s.result(groups)
+		schema = append(schema, ColumnDef{Name: fmt.Sprintf("$agg%d", k), Type: v.Type()})
+		cols = append(cols, v)
+	}
+	mid, err := NewTableFromVectors(schema, cols)
+	return mid, refs, err
 }
 
 // aggPrep is the statement-level preparation of an aggregation: rewritten
 // select items and HAVING (aggregate calls and group keys replaced by
 // $agg*/$key* column refs), the collected aggregate calls, and the typed
-// empty group-key vectors.
+// group-key and aggregate-argument vectors over the empty input.
 type aggPrep struct {
+	groupBy   []Expr
 	items     []SelectItem
 	having    Expr
 	aggCalls  []*AggCall
 	emptyKeys []*Vector
+	emptyArgs [][]*Vector
 }
 
 // prepareAgg rewrites the statement against the (empty) input schema and
@@ -1265,7 +916,7 @@ func prepareAgg(st *SelectStmt, empty *Table) (*aggPrep, error) {
 	for i, g := range st.GroupBy {
 		keyNames[g.String()] = fmt.Sprintf("$key%d", i)
 	}
-	p := &aggPrep{}
+	p := &aggPrep{groupBy: st.GroupBy}
 	aggCols := map[string]string{}
 	p.items = make([]SelectItem, len(st.Items))
 	for i, it := range st.Items {
@@ -1277,20 +928,34 @@ func prepareAgg(st *SelectStmt, empty *Table) (*aggPrep, error) {
 	if st.Having != nil {
 		p.having = rewriteAgg(st.Having, keyNames, &p.aggCalls, aggCols)
 	}
-	p.emptyKeys = make([]*Vector, len(st.GroupBy))
-	for i, g := range st.GroupBy {
-		v, err := Eval(g, empty)
-		if err != nil {
-			return nil, err
-		}
-		p.emptyKeys[i] = v
+	var err error
+	if p.emptyKeys, p.emptyArgs, err = p.evalInputs(empty); err != nil {
+		return nil, err
 	}
-	for _, c := range p.aggCalls {
-		if _, _, err := newAggState(c, 0, empty); err != nil {
+	for k, c := range p.aggCalls {
+		if _, err := newAggState(c, 0, p.emptyArgs[k]); err != nil {
 			return nil, err
 		}
 	}
 	return p, nil
+}
+
+// evalInputs evaluates the group keys and every call's arguments (see
+// aggArgs) over one batch of input rows.
+func (p *aggPrep) evalInputs(part *Table) (keys []*Vector, args [][]*Vector, err error) {
+	keys = make([]*Vector, len(p.groupBy))
+	for i, g := range p.groupBy {
+		if keys[i], err = Eval(g, part); err != nil {
+			return nil, nil, err
+		}
+	}
+	args = make([][]*Vector, len(p.aggCalls))
+	for k, c := range p.aggCalls {
+		if args[k], err = aggArgs(c, part); err != nil {
+			return nil, nil, err
+		}
+	}
+	return keys, args, nil
 }
 
 // aggFinalize applies the HAVING filter (group counts are small: serial)
@@ -1326,13 +991,17 @@ func aggFinalize(ec *ExecContext, mid *Table, having Expr, items []SelectItem) (
 // vectors plus a coarse per-group, per-aggregate state cost. An estimate is
 // enough — the accountant tracks operator-scale allocations, not bytes-exact
 // heap usage.
-func (ma *morselAgg) approxBytes(localGroups int) int64 {
+func (ma *morselAgg) approxBytes() int64 {
 	var b int64
 	for _, v := range ma.keyVecs {
 		b += v.ByteSize()
 	}
 	b += int64(len(ma.hashes))*8 + int64(len(ma.rows))*4
-	b += int64(localGroups) * int64(len(ma.states)) * 48
+	groups := len(ma.rows)
+	if len(ma.keyVecs) == 0 {
+		groups = 1
+	}
+	b += int64(groups) * int64(len(ma.states)) * 48
 	return b
 }
 

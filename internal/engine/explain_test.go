@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -144,7 +145,8 @@ func TestExplainAnalyzeAggregateOverJoin(t *testing.T) {
 	}
 }
 
-func TestExplainAnalyzeMergePushdown(t *testing.T) {
+// explainMergeDB builds a two-part merge table "cohort" (2 rows per part).
+func explainMergeDB() *DB {
 	mdb := NewDB()
 	schema := Schema{{Name: "hospital", Type: String}, {Name: "age", Type: Float64}}
 	for _, part := range []string{"h1", "h2"} {
@@ -160,6 +162,11 @@ func TestExplainAnalyzeMergePushdown(t *testing.T) {
 		}
 		m.Parts = append(m.Parts, &LocalPart{Name: part, DB: pdb})
 	}
+	return mdb
+}
+
+func TestExplainAnalyzeMergePushdown(t *testing.T) {
+	mdb := explainMergeDB()
 
 	_, qs, err := mdb.QueryWithStats(`EXPLAIN ANALYZE SELECT avg(age) AS m FROM cohort`)
 	if err != nil {
@@ -306,6 +313,178 @@ func TestTopKOperator(t *testing.T) {
 					t.Errorf("%s: row %d col %d = %v, full-sort prefix has %v", q.limited, i, j, g, r)
 				}
 			}
+		}
+	}
+}
+
+// TestExplainMatchesExplainAnalyze pins that the predicted and the executed
+// plan cannot drift: for every statement shape this file uses, plain
+// EXPLAIN and EXPLAIN ANALYZE must list the same operators in the same
+// order with the same [fused] marks. Both come from one stage list.
+func TestExplainMatchesExplainAnalyze(t *testing.T) {
+	nodeList := func(db *DB, sql string) []string {
+		t.Helper()
+		_, qs, err := db.QueryWithStats(sql)
+		if err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+		var ops []string
+		qs.Root.Walk(func(n *PlanNode) {
+			op := n.Op
+			if n.Fused {
+				op += " [fused]"
+			}
+			ops = append(ops, op)
+		})
+		return ops
+	}
+	local, merged := explainDB(t), explainMergeDB()
+	for _, c := range []struct {
+		db  *DB
+		sql string
+	}{
+		{local, `SELECT hospital, avg(age) AS m FROM patients WHERE age > 60 GROUP BY hospital ORDER BY m LIMIT 2`},
+		{local, `SELECT p.hospital, avg(s.mmse) AS m, count(*) AS n FROM patients p JOIN scores s ON p.id = s.id WHERE p.age > 60 GROUP BY p.hospital ORDER BY m DESC`},
+		{merged, `SELECT avg(age) AS m FROM cohort`},
+		{merged, `SELECT hospital, avg(age) AS m FROM cohort GROUP BY hospital HAVING count(*) > 1 ORDER BY m LIMIT 1`},
+		{local, `SELECT * FROM patients`},
+		{local, `SELECT * FROM patients WHERE age > 60`},
+		{local, `SELECT count(*) AS n FROM patients`},
+		{local, `SELECT max(age) AS x FROM patients`},
+		{local, `SELECT id, age FROM patients ORDER BY age DESC LIMIT 2`},
+		{local, `SELECT id, age FROM patients ORDER BY age DESC, id`},
+		{local, `SELECT id, age FROM patients WHERE age > 60 ORDER BY age, id`},
+		{local, `SELECT id, age FROM patients WHERE age > 60 ORDER BY age, id LIMIT 2 OFFSET 1`},
+		{local, `SELECT id, age + 1 AS a FROM patients WHERE age > 60`},
+	} {
+		plain, analyzed := nodeList(c.db, "EXPLAIN "+c.sql), nodeList(c.db, "EXPLAIN ANALYZE "+c.sql)
+		if strings.Join(plain, "|") != strings.Join(analyzed, "|") {
+			t.Errorf("%s:\n  EXPLAIN         %v\n  EXPLAIN ANALYZE %v", c.sql, plain, analyzed)
+		}
+	}
+}
+
+// TestFusedFilterWallTimeBookedOnce: a fused filter→project runs in one
+// morsel loop, whose wall time must be split between the two operators —
+// booking it to both inflated mip_engine_operator_nanos_total past the
+// statement's own wall time.
+func TestFusedFilterWallTimeBookedOnce(t *testing.T) {
+	db := NewDB(WithParallelism(4))
+	tab := NewTable(Schema{{Name: "id", Type: Int64}, {Name: "age", Type: Float64}})
+	for i := 0; i < 50_000; i++ {
+		if err := tab.AppendRow(int64(i), float64(i%97)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	db.RegisterTable("big", tab)
+	start := time.Now()
+	_, qs, err := db.QueryWithStats(`SELECT id, sqrt(age) * 2 AS a FROM big WHERE age > 10`)
+	wall := time.Since(start).Nanoseconds()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var filter, project *PlanNode
+	qs.Root.Walk(func(n *PlanNode) {
+		switch n.Op {
+		case "filter":
+			filter = n
+		case "project":
+			project = n
+		}
+	})
+	if filter == nil || project == nil || !filter.Fused || !project.Fused {
+		t.Fatalf("want a fused filter→project, got:\n%s", qs.Root)
+	}
+	if qs.FilterNanos <= 0 || qs.ProjectNanos <= 0 {
+		t.Errorf("FilterNanos = %d, ProjectNanos = %d, want both > 0", qs.FilterNanos, qs.ProjectNanos)
+	}
+	if qs.FilterNanos != filter.Nanos || qs.ProjectNanos != project.Nanos {
+		t.Errorf("stats (%d, %d) disagree with plan nodes (%d, %d)", qs.FilterNanos, qs.ProjectNanos, filter.Nanos, project.Nanos)
+	}
+	if sum := qs.FilterNanos + qs.ProjectNanos; sum > wall {
+		t.Errorf("FilterNanos + ProjectNanos = %d exceeds the statement's wall time %d", sum, wall)
+	}
+
+	// The split itself. At degree 1 the filter's share is what its select
+	// and gather take over the morsels, which can be timed from here; at
+	// any degree the filter's fraction of the loop stays what it is at 1.
+	where, err := ParseExpr(`age > 10`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := int64(math.MaxInt64)
+	for range 5 {
+		t0 := time.Now()
+		for lo := 0; lo < tab.NumRows(); lo += DefaultMorselSize {
+			part := tab.Slice(lo, min(lo+DefaultMorselSize, tab.NumRows()))
+			sel, err := FilterSel(where, part)
+			if err != nil {
+				t.Fatal(err)
+			}
+			part.Gather(sel)
+		}
+		ref = min(ref, time.Since(t0).Nanoseconds())
+	}
+	fraction := func(par int) float64 {
+		db := NewDB(WithParallelism(par))
+		db.RegisterTable("big", tab)
+		best, frac := int64(math.MaxInt64), 0.0
+		for range 5 { // the quietest run: scheduling noise only ever adds time
+			_, qs, err := db.QueryWithStats(`SELECT id, sqrt(age) * 2 AS a FROM big WHERE age > 10`)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if loop := qs.FilterNanos + qs.ProjectNanos; loop < best {
+				best, frac = loop, float64(qs.FilterNanos)/float64(loop)
+				if par == 1 && (qs.FilterNanos < ref/4 || qs.FilterNanos > ref*4) {
+					frac = -1
+				}
+			}
+		}
+		return frac
+	}
+	serial := fraction(1)
+	if serial < 0 {
+		t.Errorf("serial FilterNanos is not within 4x of the measured select+gather time %d ns", ref)
+	}
+	if par := fraction(4); par < serial/3 || par > serial*3 {
+		t.Errorf("filter's fraction of the loop: %.2f at degree 4, %.2f at degree 1", par, serial)
+	}
+}
+
+// TestNoWhereProjectionIsZeroCopy: without a WHERE a projection evaluates
+// whole columns, so column references cost no memory — such statements must
+// pass under a per-query limit far smaller than the table, sorted or not.
+func TestNoWhereProjectionIsZeroCopy(t *testing.T) {
+	const rows = 200_000
+	ids, xs := make([]int64, rows), make([]float64, rows)
+	for i := range ids {
+		ids[i], xs[i] = int64(i), float64((i*7919)%rows)
+	}
+	tab, err := NewTableFromVectors(
+		Schema{{Name: "id", Type: Int64}, {Name: "x", Type: Float64}, {Name: "y", Type: Float64}},
+		[]*Vector{NewInt64Vector(ids, nil), NewFloat64Vector(xs, nil), NewFloat64Vector(xs, nil)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, par := range []int{1, 4} {
+		db := NewDB(WithParallelism(par), WithQueryMemLimit(tab.ByteSize()/4))
+		db.RegisterTable("big", tab)
+		for _, sql := range []string{`SELECT id, x FROM big`, `SELECT * FROM big ORDER BY x`, `SELECT id, x FROM big ORDER BY y`} {
+			res, qs, err := db.QueryWithStats(sql)
+			if err != nil {
+				t.Fatalf("par=%d: %s: %v", par, sql, err)
+			}
+			if res.NumRows() != rows || qs.MemPeakBytes != 0 {
+				t.Errorf("par=%d: %s: %d rows, peak %d bytes; want %d rows and no charge", par, sql, res.NumRows(), qs.MemPeakBytes, rows)
+			}
+		}
+		res, err := db.Query(`SELECT id, x FROM big`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if &res.Col(1).Float64s()[0] != &xs[0] {
+			t.Errorf("par=%d: SELECT id, x copied column x", par)
 		}
 	}
 }

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"sort"
 	"sync/atomic"
 	"time"
 )
@@ -29,38 +28,9 @@ func (db *DB) buildJoined(ec *ExecContext, st *SelectStmt, qs *QueryStats) (*Tab
 	if err != nil {
 		return nil, nil, err
 	}
-	inputs := make([]*Table, len(plan.rels))
-	nodes := make([]*PlanNode, len(plan.rels))
-	for i, r := range plan.rels {
-		qt := qualifyTable(r.table, r.alias)
-		var node *PlanNode
-		if qs != nil {
-			node = scanPlanNode(r.name, r.table)
-		}
-		if r.pushed != nil {
-			t0 := time.Now()
-			fnode := &PlanNode{Op: "filter", Detail: "pushed " + r.pushed.String(), RowsIn: int64(qt.NumRows())}
-			ec.setOperator("filter pushed " + r.pushed.String())
-			sel, err := ec.filterSel(r.pushed, qt, fnode)
-			if err != nil {
-				return nil, nil, err
-			}
-			qt = ec.gather(qt, sel)
-			if qs != nil {
-				fnode.Nanos = time.Since(t0).Nanoseconds()
-				fnode.RowsOut = int64(qt.NumRows())
-				fnode.Batches = int64(qt.NumCols())
-				fnode.Bytes = qt.ByteSize()
-				fnode.Children = []*PlanNode{node}
-				atomic.AddInt64(&qs.FilterNanos, fnode.Nanos)
-				node = fnode
-			}
-		}
-		if plan.reordered {
-			qt = withRowID(qt, i)
-		}
-		inputs[i] = qt
-		nodes[i] = node
+	inputs, nodes, err := joinInputs(ec, plan, qs)
+	if err != nil {
+		return nil, nil, err
 	}
 	cur, curNode := inputs[0], nodes[0]
 	for _, ji := range plan.order {
@@ -109,6 +79,46 @@ func (db *DB) buildJoined(ec *ExecContext, st *SelectStmt, qs *QueryStats) (*Tab
 	return cur, plan.residual, nil
 }
 
+// joinInputs loads every relation of the plan the way the join consumes
+// it — qualified alias.col names, the planner-pushed filter applied, a
+// hidden rowid appended when the order will be restored — along with its
+// scan (→ filter) plan node when qs is attached.
+func joinInputs(ec *ExecContext, plan *joinPlan, qs *QueryStats) ([]*Table, []*PlanNode, error) {
+	inputs := make([]*Table, len(plan.rels))
+	nodes := make([]*PlanNode, len(plan.rels))
+	for i, r := range plan.rels {
+		qt := qualifyTable(r.table, r.alias)
+		var node *PlanNode
+		if qs != nil {
+			node = scanPlanNode(r.name, r.table)
+		}
+		if r.pushed != nil {
+			t0 := time.Now()
+			fnode := &PlanNode{Op: "filter", Detail: "pushed " + r.pushed.String(), RowsIn: int64(qt.NumRows())}
+			ec.setOperator("filter pushed " + r.pushed.String())
+			var err error
+			if qt, err = ec.filterTable(qt, r.pushed, fnode); err != nil {
+				return nil, nil, err
+			}
+			if qs != nil {
+				fnode.Nanos = time.Since(t0).Nanoseconds()
+				fnode.RowsOut = int64(qt.NumRows())
+				fnode.Batches = int64(qt.NumCols())
+				fnode.Bytes = qt.ByteSize()
+				fnode.Children = []*PlanNode{node}
+				atomic.AddInt64(&qs.FilterNanos, fnode.Nanos)
+				node = fnode
+			}
+		}
+		if plan.reordered {
+			qt = withRowID(qt, i)
+		}
+		inputs[i] = qt
+		nodes[i] = node
+	}
+	return inputs, nodes, nil
+}
+
 // withRowID appends a hidden int64 row-number column $rid<rel> to t. The
 // restore sort reads these to put reordered join output back in written
 // order; the $ prefix keeps the name outside the user-expressible space.
@@ -149,23 +159,14 @@ func restoreWrittenOrder(ec *ExecContext, t *Table, plan *joinPlan) (*Table, err
 		offsets[ri] = off
 		off += len(plan.rels[ri].table.Schema()) + 1
 	}
-	rids := make([][]int64, len(plan.rels))
+	rids := make([]sortKey, len(plan.rels))
 	for ri, r := range plan.rels {
-		rids[ri] = t.Col(offsets[ri] + len(r.table.Schema())).Int64s()
+		rids[ri] = newSortKey(t.Col(offsets[ri]+len(r.table.Schema())), false)
 	}
-	idx := make([]int32, t.NumRows())
-	for i := range idx {
-		idx[i] = int32(i)
+	idx, err := ec.sortPerm(rids, t.NumRows(), nil)
+	if err != nil {
+		return nil, err
 	}
-	sort.Slice(idx, func(a, b int) bool {
-		ia, ib := idx[a], idx[b]
-		for _, rv := range rids {
-			if rv[ia] != rv[ib] {
-				return rv[ia] < rv[ib]
-			}
-		}
-		return false
-	})
 	sorted := ec.gather(t, idx)
 	var schema Schema
 	var cols []*Vector
@@ -268,10 +269,7 @@ func (ec *ExecContext) joinKeyHashes(cols []*Vector, n int, node *PlanNode) (has
 	ms := ec.morselsOf(n)
 	_ = ec.parallelFor(len(ms), func(i int) error {
 		m := ms[i]
-		sliced := make([]*Vector, len(cols))
-		for j, c := range cols {
-			sliced[j] = c.Slice(m.lo, m.hi)
-		}
+		sliced := sliceVecs(cols, m.lo, m.hi)
 		hashKeyCols(sliced, m.hi-m.lo, hashes[m.lo:m.hi])
 		if nulls != nil {
 			for _, c := range sliced {
@@ -303,85 +301,37 @@ func hashJoin(ec *ExecContext, left, right *Table, jc JoinClause, node *PlanNode
 	if err != nil {
 		return nil, err
 	}
-	rKeyCols := make([]*Vector, len(rk))
-	for i, n := range rk {
-		rKeyCols[i] = right.ColByName(n)
-	}
-	lKeyCols := make([]*Vector, len(lk))
-	for i, n := range lk {
-		lKeyCols[i] = left.ColByName(n)
-	}
-	// The typed kernels compare within one type; promote mixed-type key
-	// pairs to float64 so cross-type numeric equality (int 42 = float 42.0,
-	// string "42" = int 42) keeps matching as it did under value rendering.
-	for i := range lKeyCols {
-		if lKeyCols[i].Type() != rKeyCols[i].Type() {
-			lKeyCols[i] = lKeyCols[i].CastFloat64()
-			rKeyCols[i] = rKeyCols[i].CastFloat64()
-		}
-	}
+	jk := newJoinKeys(left, right, lk, rk)
 	// Grace hash join: when the estimated build-side + transient footprint
 	// cannot fit the query's soft memory budget, partition both sides to
 	// disk and join partition-wise instead. Output is bit-identical,
 	// including row order.
 	if est := right.ByteSize() + int64(right.NumRows())*24 + int64(left.NumRows())*8; ec.wouldSpill(est) &&
 		left.NumRows() < 1<<30 && right.NumRows() < 1<<30 {
-		return graceHashJoin(ec, left, right, lKeyCols, rKeyCols, lk, rk, jc, residual, node)
+		return graceHashJoin(ec, left, right, jk, jc, residual, node)
 	}
+	lKeyCols, rKeyCols := jk.of(left.cols, jk.l), jk.of(right.cols, jk.r)
 	rHashes, rNulls := ec.joinKeyHashes(rKeyCols, right.NumRows(), node)
 	lHashes, lNulls := ec.joinKeyHashes(lKeyCols, left.NumRows(), node)
-
-	// Build side: index the right table's key tuples (serial, row order)
-	// and lay the rows of each distinct key out in CSR form so probes emit
-	// matches in right row order. The serial loop polls for cancellation at
-	// batch-size strides, so a killed query aborts mid-build.
-	index := newGroupIndex(right.NumRows())
-	buildSrc := index.addSource(rKeyCols)
-	groupOf := make([]int32, right.NumRows())
-	for r := range groupOf {
-		if r&4095 == 0 {
-			if err := ec.interrupted(); err != nil {
-				return nil, err
-			}
-		}
-		if rNulls != nil && rNulls[r] {
-			groupOf[r] = -1
-			continue
-		}
-		groupOf[r] = index.insert(rHashes[r], buildSrc, int32(r))
-	}
-	groups := index.groups()
-	off := make([]int32, groups+1)
-	for _, g := range groupOf {
-		if g >= 0 {
-			off[g+1]++
-		}
-	}
-	for g := 0; g < groups; g++ {
-		off[g+1] += off[g]
-	}
-	matchRows := make([]int32, off[groups])
-	cursor := append([]int32(nil), off[:groups]...)
-	for r, g := range groupOf {
-		if g >= 0 {
-			matchRows[cursor[g]] = int32(r)
-			cursor[g]++
-		}
+	ji, err := ec.buildJoinIndex(rKeyCols, rHashes, rNulls)
+	if err != nil {
+		return nil, err
 	}
 	if node != nil {
-		node.Groups = int64(groups)
+		node.Groups = int64(ji.index.groups())
 	}
 	// Charge the join's transient payloads in one shot: both sides' key
 	// hashes, the build index's CSR arrays and group map. Released after the
 	// output is materialized and they become garbage.
 	buildBytes := int64(right.NumRows()+left.NumRows())*8 +
-		int64(len(groupOf)+len(off)+len(matchRows))*4 +
-		int64(groups)*16 // group-index slots/refs, approximate
+		int64(right.NumRows()+len(ji.off)+len(ji.matchRows))*4 +
+		int64(ji.index.groups())*16 // group-index slots/refs, approximate
 	ec.charge(buildBytes)
 
 	// Probe side: per-morsel selection vectors into the immutable index
-	// (find never mutates, so all probe workers share it).
-	probeSrc := index.addSource(lKeyCols)
+	// (find never mutates, so all probe workers share it), stitched in
+	// morsel order.
+	probeSrc := ji.index.addSource(lKeyCols)
 	ms := ec.morselsOf(left.NumRows())
 	if node != nil {
 		node.Parallelism = ec.degreeFor(len(ms))
@@ -389,25 +339,7 @@ func hashJoin(ec *ExecContext, left, right *Table, jc JoinClause, node *PlanNode
 	type probeOut struct{ lsel, rsel []int32 }
 	parts := make([]probeOut, len(ms))
 	err = ec.parallelFor(len(ms), func(i int) error {
-		m := ms[i]
-		lsel := getSelBuf(m.hi - m.lo)
-		rsel := getSelBuf(m.hi - m.lo)
-		for lr := m.lo; lr < m.hi; lr++ {
-			matched := false
-			if lNulls == nil || !lNulls[lr] {
-				if g := index.find(lHashes[lr], probeSrc, int32(lr)); g >= 0 {
-					for _, rr := range matchRows[off[g]:off[g+1]] {
-						lsel = append(lsel, int32(lr))
-						rsel = append(rsel, rr)
-						matched = true
-					}
-				}
-			}
-			if !matched && jc.Left {
-				lsel = append(lsel, int32(lr))
-				rsel = append(rsel, -1)
-			}
-		}
+		lsel, rsel := ji.probe(probeSrc, lHashes, lNulls, ms[i].lo, ms[i].hi, jc.Left)
 		parts[i] = probeOut{lsel, rsel}
 		node.AddMorsels(1)
 		return nil
@@ -446,13 +378,120 @@ func hashJoin(ec *ExecContext, left, right *Table, jc JoinClause, node *PlanNode
 	ec.charge(out.ByteSize())
 	ec.release(buildBytes)
 	if residual != nil {
-		sel, err := ec.filterSel(residual, out, node)
-		if err != nil {
-			return nil, err
-		}
 		// LEFT JOIN residual semantics simplified: residual filters the
 		// joined rows (matching most practical uses of ON ... AND extra).
-		out = ec.gather(out, sel)
+		return ec.filterTable(out, residual, node)
 	}
 	return out, nil
+}
+
+// joinKeys locates an equi-join's key columns on both sides. The typed
+// kernels compare within one type, so mixed-type key pairs are promoted to
+// float64: cross-type numeric equality (int 42 = float 42.0, string "42" =
+// int 42) keeps matching as it did under value rendering.
+type joinKeys struct {
+	l, r    []int  // key column positions in the left / right table
+	promote []bool // per pair: the sides' types differ
+}
+
+func newJoinKeys(left, right *Table, lk, rk []string) joinKeys {
+	jk := joinKeys{l: make([]int, len(lk)), r: make([]int, len(lk)), promote: make([]bool, len(lk))}
+	for i := range lk {
+		jk.l[i], jk.r[i] = left.colIndex(lk[i]), right.colIndex(rk[i])
+		jk.promote[i] = left.Col(jk.l[i]).Type() != right.Col(jk.r[i]).Type()
+	}
+	return jk
+}
+
+// of picks the key vectors out of one side's columns — the whole side or
+// one run batch of it; promotion is elementwise, so per-batch casts hash
+// identically to whole-side casts. kidx is jk.l or jk.r.
+func (jk joinKeys) of(cols []*Vector, kidx []int) []*Vector {
+	kc := make([]*Vector, len(kidx))
+	for i, ci := range kidx {
+		kc[i] = cols[ci]
+		if jk.promote[i] {
+			kc[i] = kc[i].CastFloat64()
+		}
+	}
+	return kc
+}
+
+// joinIndex is a hash join's build side: the distinct key tuples in
+// first-appearance order, each with its rows laid out in row order (CSR
+// form), so a probe emits a key's matches in build-row order. It is
+// immutable once built and shared by all probe workers.
+type joinIndex struct {
+	index     *groupIndex
+	off       []int32 // matchRows[off[g]:off[g+1]] are key g's build rows
+	matchRows []int32
+}
+
+// buildJoinIndex is the join-build kernel: it indexes the build side's key
+// tuples serially in row order. SQL NULL keys never match, so rows flagged
+// in nulls (nil = none) stay out of the index. The in-memory join builds
+// over the whole right table, a grace-join leaf over one loaded partition.
+// The loop polls for cancellation at batch-size strides, so a killed query
+// aborts mid-build.
+func (ec *ExecContext) buildJoinIndex(keys []*Vector, hashes []uint64, nulls []bool) (*joinIndex, error) {
+	n := len(hashes)
+	index := newGroupIndex(n)
+	src := index.addSource(keys)
+	groupOf := make([]int32, n)
+	for r := range groupOf {
+		if r&4095 == 0 {
+			if err := ec.interrupted(); err != nil {
+				return nil, err
+			}
+		}
+		if nulls != nil && nulls[r] {
+			groupOf[r] = -1
+			continue
+		}
+		groupOf[r] = index.insert(hashes[r], src, int32(r))
+	}
+	groups := index.groups()
+	off := make([]int32, groups+1)
+	for _, g := range groupOf {
+		if g >= 0 {
+			off[g+1]++
+		}
+	}
+	for g := 0; g < groups; g++ {
+		off[g+1] += off[g]
+	}
+	matchRows := make([]int32, off[groups])
+	cursor := append([]int32(nil), off[:groups]...)
+	for r, g := range groupOf {
+		if g >= 0 {
+			matchRows[cursor[g]] = int32(r)
+			cursor[g]++
+		}
+	}
+	return &joinIndex{index: index, off: off, matchRows: matchRows}, nil
+}
+
+// probe looks rows [lo, hi) of probe source src up in the index and
+// returns the matches as parallel selection vectors: probe rows in row
+// order, each with its build rows in build-row order. With outer set, a
+// probe row without a match is emitted once with build row -1. The vectors
+// come from the selection-buffer pool; the caller returns them.
+func (ji *joinIndex) probe(src int32, hashes []uint64, nulls []bool, lo, hi int, outer bool) (lsel, rsel []int32) {
+	lsel, rsel = getSelBuf(hi-lo), getSelBuf(hi-lo)
+	for r := lo; r < hi; r++ {
+		g := int32(-1)
+		if nulls == nil || !nulls[r] {
+			g = ji.index.find(hashes[r], src, int32(r))
+		}
+		if g >= 0 {
+			for _, br := range ji.matchRows[ji.off[g]:ji.off[g+1]] {
+				lsel = append(lsel, int32(r))
+				rsel = append(rsel, br)
+			}
+		} else if outer {
+			lsel = append(lsel, int32(r))
+			rsel = append(rsel, -1)
+		}
+	}
+	return lsel, rsel
 }

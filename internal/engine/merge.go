@@ -756,17 +756,19 @@ func (m *MergeTable) execPushdown(ec *ExecContext, st *SelectStmt, specs []parti
 		return e
 	}
 
+	stages := ec.pushdownStages(st)[1:] // the combine above was the aggregate
 	if st.Having != nil {
-		sh := qs.beginStage("filter", "having "+st.Having.String(), merged.NumRows())
+		sh := qs.beginStage(stages[0].op, stages[0].detail, merged.NumRows())
 		selv, err := FilterSel(rewrite(st.Having), merged)
 		if err != nil {
 			return nil, err
 		}
 		merged = merged.Gather(selv)
 		sh.end(merged)
+		stages = stages[1:]
 	}
 
-	sp := qs.beginStage("project", projectDetail(st), merged.NumRows())
+	sp := qs.beginStage(stages[0].op, stages[0].detail, merged.NumRows())
 	outSchema := make(Schema, len(st.Items))
 	outCols := make([]*Vector, len(st.Items))
 	for i, it := range st.Items {
@@ -786,20 +788,9 @@ func (m *MergeTable) execPushdown(ec *ExecContext, st *SelectStmt, specs []parti
 		return nil, err
 	}
 	sp.end(out)
-	if len(st.OrderBy) > 0 {
-		so := qs.beginStage("order", orderDetail(st.OrderBy), out.NumRows())
-		out, err = execOrderByPar(ec, st.OrderBy, out, so)
-		if err != nil {
-			return nil, err
-		}
-		so.end(out)
-	}
-	if st.Limit >= 0 || st.Offset > 0 {
-		sl := qs.beginStage("limit", limitDetail(st), out.NumRows())
-		out = execLimit(st, out)
-		sl.end(out)
-	} else {
-		out = execLimit(st, out)
+	out, err = ec.runStages(st, stages[1:], out, qs)
+	if err != nil {
+		return nil, err
 	}
 	if qs != nil {
 		// The combine-stage execSelect counted its intermediate rows; the
@@ -807,4 +798,17 @@ func (m *MergeTable) execPushdown(ec *ExecContext, st *SelectStmt, specs []parti
 		qs.RowsOut = out.NumRows()
 	}
 	return out, nil
+}
+
+// pushdownStages lists what the master runs once the parts' partial
+// aggregates have arrived: the combining aggregate, HAVING, the final
+// projection, then ORDER BY / LIMIT. EXPLAIN renders the list; execPushdown
+// opens its stages from it.
+func (ec *ExecContext) pushdownStages(st *SelectStmt) []selectStage {
+	out := []selectStage{{stageAggregate, "aggregate", aggDetail(st), false, 0}}
+	if st.Having != nil {
+		out = append(out, selectStage{stageFilter, "filter", "having " + st.Having.String(), false, 0})
+	}
+	out = append(out, selectStage{stageProject, "project", projectDetail(st), false, 0})
+	return append(out, ec.afterAggregate(st)...)
 }

@@ -3,13 +3,14 @@ package engine
 // Morsel-driven parallel execution. The engine follows MonetDB's
 // column-at-a-time model but, like HyPer's morsel-driven scheme, splits
 // every column into fixed-size row ranges ("morsels") and fans the hot
-// operators — filter+gather, partitioned hash aggregation, hash-join
-// build/probe, and merge-table part materialization — across a shared
-// worker pool. Two invariants make the parallel path safe to ship:
+// operators — the one morsel row loop under every row-wise SELECT stage
+// (forMorsels), partitioned hash aggregation, hash-join probe, sorting, and
+// merge-table part materialization — across a shared worker pool. Two
+// invariants make the parallel path safe to ship:
 //
 //  1. Determinism: morsel decomposition depends only on the table size and
-//     the DB's morsel size, and every combine step (selection-vector
-//     stitching, partial-aggregate merging, join-output concatenation)
+//     the DB's morsel size, and every combine step (morsel-output
+//     concatenation, partial-aggregate merging, join-output stitching)
 //     folds morsel results in morsel-index order. Results are therefore
 //     bit-identical at parallelism 1, 2, and NumCPU — the parallelism
 //     degree only changes how many morsels are in flight, never the
@@ -23,6 +24,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -225,6 +227,14 @@ func (ec *ExecContext) setOperator(op string) {
 	}
 }
 
+// serial returns a copy of ec whose morsel loops run on the calling
+// goroutine, in morsel order.
+func (ec *ExecContext) serial() *ExecContext {
+	c := *ec
+	c.Parallelism = 1
+	return &c
+}
+
 func (ec *ExecContext) parallelism() int {
 	if ec == nil || ec.Parallelism < 1 {
 		return 1
@@ -247,18 +257,20 @@ type morsel struct{ lo, hi int }
 // — which is what makes parallel results bit-identical to serial ones.
 func (ec *ExecContext) morselsOf(n int) []morsel {
 	size := ec.morselSize()
-	if n <= 0 {
-		return nil
-	}
-	out := make([]morsel, 0, (n+size-1)/size)
+	out := make([]morsel, 0, ec.numMorsels(n))
 	for lo := 0; lo < n; lo += size {
-		hi := lo + size
-		if hi > n {
-			hi = n
-		}
-		out = append(out, morsel{lo, hi})
+		out = append(out, morsel{lo, min(lo+size, n)})
 	}
 	return out
+}
+
+// numMorsels is len(morselsOf(n)).
+func (ec *ExecContext) numMorsels(n int) int {
+	if n <= 0 {
+		return 0
+	}
+	size := ec.morselSize()
+	return (n + size - 1) / size
 }
 
 // degreeFor reports the degree actually used over n tasks: the configured
@@ -357,51 +369,134 @@ func (ec *ExecContext) parallelFor(n int, fn func(i int) error) error {
 
 // --- parallel operator helpers ---
 
-// filterSel evaluates pred over t morsel-wise and returns the global
-// selection vector of matching rows, in row order. Each morsel computes a
-// local selection vector over a zero-copy slice; stitching concatenates
-// them in morsel order. node (optional) accrues per-morsel stats.
-func (ec *ExecContext) filterSel(pred Expr, t *Table, node *PlanNode) ([]int32, error) {
-	n := t.NumRows()
-	ms := ec.morselsOf(n)
-	if len(ms) <= 1 {
-		sel, err := FilterSel(pred, t)
-		if err != nil {
-			return nil, err
-		}
-		if node != nil {
-			node.AddMorsels(1)
-		}
-		return sel, nil
+// forMorsels is the engine's one morsel row loop: it runs fn over every
+// morsel of t, up to ec.Parallelism at a time. With a WHERE, each morsel
+// first selects and gathers its matching rows — the filter runs fused
+// inside the loop, never materializing a filtered copy of t — and sel holds
+// the surviving rows' indexes within the morsel (nil without a WHERE).
+// Morsels always decompose the unfiltered input, so what a morsel holds
+// never depends on the parallelism degree. fnode (optional) accrues the
+// filter's rows out and morsel count, and ends up holding the filter's
+// share of the loop's wall time.
+func (ec *ExecContext) forMorsels(t *Table, where Expr, fnode *PlanNode, fn func(i int, m morsel, part *Table, sel []int32) error) error {
+	ms := ec.morselsOf(t.NumRows())
+	if len(ms) == 0 && where != nil {
+		// No morsel will evaluate the predicate; evaluate it over the empty
+		// input so its errors surface like they do over a non-empty one.
+		_, err := FilterSel(where, t)
+		return err
 	}
-	parts := make([][]int32, len(ms))
+	var busy atomic.Int64 // time spent inside morsels, filter included
+	start := time.Now()
 	err := ec.parallelFor(len(ms), func(i int) error {
-		m := ms[i]
-		sel, err := FilterSel(pred, t.Slice(m.lo, m.hi))
-		if err != nil {
-			return err
+		var t0 time.Time
+		if fnode != nil {
+			t0 = time.Now()
 		}
-		for j := range sel {
-			sel[j] += int32(m.lo)
+		part, sel, err := filterPart(where, t.Slice(ms[i].lo, ms[i].hi), fnode)
+		if err == nil {
+			err = fn(i, ms[i], part, sel)
 		}
-		parts[i] = sel
-		if node != nil {
-			node.AddMorsels(1)
+		if fnode != nil {
+			busy.Add(time.Since(t0).Nanoseconds())
 		}
-		return nil
+		return err
+	})
+	if fnode != nil && err == nil && busy.Load() > 0 {
+		// fnode.Nanos is the filter's part of the time the workers spent in
+		// morsels, however many workers ran and however the morsels fell
+		// among them; the same fraction of the loop's wall time is the
+		// filter's, the rest the hosting stage's.
+		wall := float64(time.Since(start).Nanoseconds())
+		fnode.Nanos = int64(wall * float64(fnode.Nanos) / float64(busy.Load()))
+	}
+	return err
+}
+
+// selectPart evaluates a WHERE over one batch of rows: the indexes of the
+// matching rows within the batch. fnode (optional) accrues the rows out,
+// the batch and the time taken.
+func selectPart(where Expr, part *Table, fnode *PlanNode) ([]int32, error) {
+	t0 := time.Now()
+	sel, err := FilterSel(where, part)
+	if err == nil && fnode != nil {
+		atomic.AddInt64(&fnode.RowsOut, int64(len(sel)))
+		atomic.AddInt64(&fnode.Nanos, time.Since(t0).Nanoseconds())
+		fnode.AddMorsels(1)
+	}
+	return sel, err
+}
+
+// filterPart applies a fused WHERE to one batch of rows: the matching rows
+// gathered, plus their indexes within the batch. A nil predicate passes the
+// batch through (zero-copy, nil sel).
+func filterPart(where Expr, part *Table, fnode *PlanNode) (*Table, []int32, error) {
+	if where == nil {
+		return part, nil, nil
+	}
+	sel, err := selectPart(where, part, fnode)
+	if err != nil {
+		return nil, nil, err
+	}
+	t0 := time.Now()
+	part = part.Gather(sel)
+	if fnode != nil {
+		atomic.AddInt64(&fnode.Nanos, time.Since(t0).Nanoseconds())
+	}
+	return part, sel, nil
+}
+
+// mapMorsels runs forMorsels with a table-valued stage function and
+// concatenates the morsel outputs (all of the given schema) in morsel
+// order. node (optional) counts the morsels the stage processed.
+func (ec *ExecContext) mapMorsels(t *Table, where Expr, fnode *PlanNode, schema Schema, node *PlanNode, fn func(part *Table) (*Table, error)) (*Table, error) {
+	parts := make([]*Table, ec.numMorsels(t.NumRows()))
+	err := ec.forMorsels(t, where, fnode, func(i int, _ morsel, part *Table, _ []int32) error {
+		out, err := fn(part)
+		parts[i] = out
+		node.AddMorsels(1)
+		return err
 	})
 	if err != nil {
 		return nil, err
 	}
-	total := 0
-	for _, p := range parts {
-		total += len(p)
+	return ec.concatTables(schema, parts)
+}
+
+// mapRows is mapMorsels for a row-wise stage function: one whose output
+// over a table is the concatenation of its outputs over the table's
+// morsels. Without a WHERE the loop would only slice the input and copy
+// the outputs back together, so fn runs once over the whole table: column
+// references stay zero-copy and nothing is charged.
+func (ec *ExecContext) mapRows(t *Table, where Expr, fnode *PlanNode, schema Schema, node *PlanNode, fn func(part *Table) (*Table, error)) (*Table, error) {
+	if where == nil {
+		return fn(t)
 	}
-	sel := make([]int32, 0, total)
-	for _, p := range parts {
-		sel = append(sel, p...)
+	return ec.mapMorsels(t, where, fnode, schema, node, fn)
+}
+
+// filterTable materializes the rows of t matching pred. Nothing follows the
+// filter inside the loop, so the morsels only select: their selections,
+// stitched in morsel order, gather the surviving rows once. node (optional)
+// accrues the filter's stats.
+func (ec *ExecContext) filterTable(t *Table, pred Expr, node *PlanNode) (*Table, error) {
+	ms := ec.morselsOf(t.NumRows())
+	if len(ms) == 0 {
+		ms = []morsel{{}} // evaluate pred over the empty input: its errors must surface
 	}
-	return sel, nil
+	sels := make([][]int32, len(ms))
+	err := ec.parallelFor(len(ms), func(i int) error {
+		sel, err := selectPart(pred, t.Slice(ms[i].lo, ms[i].hi), node)
+		for j := range sel {
+			sel[j] += int32(ms[i].lo)
+		}
+		sels[i] = sel
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return ec.gather(t, slices.Concat(sels...)), nil
 }
 
 // gather materializes t.Gather(sel) with the columns fanned out across the

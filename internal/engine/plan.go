@@ -200,6 +200,7 @@ func scanPlanNode(name string, t *Table) *PlanNode {
 type stage struct {
 	qs       *QueryStats
 	node     *PlanNode
+	filter   *PlanNode // fused WHERE evaluated inside this stage's morsel loop
 	start    time.Time
 	memStart int64 // accounted live bytes when the stage opened
 }
@@ -244,6 +245,15 @@ func (s *stage) setParallelism(d int) {
 	s.node.Parallelism = d
 }
 
+// fuseFilter declares that the WHERE behind fnode (nil = none) runs inside
+// this stage's morsel loop. The two then share one wall clock: end books
+// the filter's share to the filter and only the rest to this stage.
+func (s *stage) fuseFilter(fnode *PlanNode) {
+	if s != nil {
+		s.filter = fnode
+	}
+}
+
 // end closes the stage, recording output shape and folding the elapsed time
 // into the legacy per-operator counters. The per-operator totals accumulate
 // atomically: merge-table combine stages and per-morsel workers may touch
@@ -253,6 +263,14 @@ func (s *stage) end(out *Table) {
 		return
 	}
 	s.node.Nanos = time.Since(s.start).Nanoseconds()
+	if f := s.filter; f != nil {
+		// The morsel loop left the filter's share of its wall time on the
+		// filter's node; this stage keeps the rest, so the wall time is
+		// booked exactly once.
+		f.Nanos = min(f.Nanos, s.node.Nanos)
+		s.node.Nanos -= f.Nanos
+		atomic.AddInt64(&s.qs.FilterNanos, f.Nanos)
+	}
 	if out != nil {
 		s.node.RowsOut = int64(out.NumRows())
 		s.node.Batches = int64(out.NumCols())
@@ -275,40 +293,151 @@ func (s *stage) end(out *Table) {
 	}
 }
 
+// stageKind names what a selectStage does; its op and detail are only how
+// the plan tree labels it (three kinds render as "project").
+type stageKind uint8
+
+const (
+	stageFilter stageKind = iota
+	stageAggregate
+	stageTopK
+	stageExtend
+	stageOrder
+	stageProjectNames
+	stageProject
+	stageLimit
+)
+
+// selectStage is one stage of a SELECT's pipeline over a single input
+// table.
+type selectStage struct {
+	kind   stageKind
+	op     string // plan-node label
+	detail string
+	// fused marks a WHERE that runs inside the next stage's morsel loop,
+	// and the stage hosting it.
+	fused bool
+	// par is the fan-out degree predicted from the planned input row count
+	// (0 = serial). ORDER BY sorts rows whose count is only known once its
+	// input exists; execution records the measured degree instead.
+	par int
+}
+
+// predictPar is the fan-out predicted over an input of the given row count:
+// the configured degree capped by how many morsels the input splits into (a
+// 100-row table cannot use 8 workers). Zero (= unannotated) for
+// single-morsel inputs.
+func (ec *ExecContext) predictPar(rows int) int {
+	if d := ec.degreeFor(ec.numMorsels(rows)); d > 1 {
+		return d
+	}
+	return 0
+}
+
+// planSelect is the one mapping from (statement, input row count) to the
+// stage list: filter? → aggregate·order? | topk | extend·order·project |
+// project, then limit?. EXPLAIN renders the list and runStages walks it,
+// so the two cannot drift.
+//
+// A WHERE over a non-empty input is fused into the stage that follows it:
+// that stage's morsel loop selects and gathers each morsel's rows instead
+// of materializing a filtered table first. Fusion never changes the morsel
+// decomposition — morsels still cover the unfiltered input — so results
+// stay bit-identical at every parallelism degree. Empty inputs filter
+// unfused so evaluation errors surface identically; so does SELECT *
+// without ORDER BY, whose projection passes the filter's output through.
+func (ec *ExecContext) planSelect(st *SelectStmt, rows int) []selectStage {
+	par := ec.predictPar(rows)
+	hasAgg := selHasAgg(st)
+	ordered := len(st.OrderBy) > 0
+	kPrime := -1
+	if st.Limit >= 0 {
+		kPrime = st.Limit + st.Offset
+	}
+	topk := !hasAgg && ordered && kPrime >= 0 && kPrime <= topkMaxCandidates && kPrime < rows
+	passThrough := !hasAgg && !ordered && st.Star
+	fused := st.Where != nil && rows > 0 && !passThrough
+	// A row-wise stage only enters the morsel loop to host a fused WHERE;
+	// alone it evaluates whole columns in one serial pass (mapRows).
+	rowPar := 0
+	if fused {
+		rowPar = par
+	}
+
+	var out []selectStage
+	if st.Where != nil {
+		out = append(out, selectStage{stageFilter, "filter", st.Where.String(), fused, par})
+	}
+	switch {
+	case hasAgg:
+		out = append(out, selectStage{stageAggregate, "aggregate", aggDetail(st), fused, par})
+		if ordered {
+			out = append(out, selectStage{stageOrder, "order", orderDetail(st.OrderBy), false, 0})
+		}
+	case topk:
+		// Each morsel keeps only its k' best rows, so the sort never
+		// materializes the full ordered table. The limit is folded in.
+		return append(out, selectStage{stageTopK, "topk", orderDetail(st.OrderBy) + " " + limitDetail(st), fused, par})
+	case ordered:
+		out = append(out,
+			selectStage{stageExtend, "project", "extend", fused, rowPar},
+			selectStage{stageOrder, "order", orderDetail(st.OrderBy), false, par},
+			selectStage{stageProjectNames, "project", projectDetail(st), false, 0})
+	case passThrough:
+		out = append(out, selectStage{stageProject, "project", projectDetail(st), false, 0})
+	default:
+		out = append(out, selectStage{stageProject, "project", projectDetail(st), fused, rowPar})
+	}
+	if st.Limit >= 0 || st.Offset > 0 {
+		out = append(out, selectStage{stageLimit, "limit", limitDetail(st), false, 0})
+	}
+	return out
+}
+
+// afterAggregate returns the stages of st's plan that follow its aggregate
+// (ORDER BY and LIMIT over the aggregated rows), for the operators that
+// compute the aggregate themselves: the spilled join→aggregate stream and
+// the merge table's pushdown combine.
+func (ec *ExecContext) afterAggregate(st *SelectStmt) []selectStage {
+	stages := ec.planSelect(st, 0)
+	for i, s := range stages {
+		if s.kind == stageAggregate {
+			return stages[i+1:]
+		}
+	}
+	return nil
+}
+
 // explainPlan predicts the plan shape for a statement without executing it.
-// It mirrors db.run's dispatch (merge view vs join vs plain scan) and
-// execSelect's stage order so that EXPLAIN and EXPLAIN ANALYZE agree.
+// It mirrors db.run's dispatch (merge view vs join vs plain scan) for the
+// nodes below the pipeline and renders the pipeline itself from the stage
+// list execution walks, so EXPLAIN and EXPLAIN ANALYZE agree.
 func (db *DB) explainPlan(st Statement) (*PlanNode, error) {
 	sel, ok := st.(*SelectStmt)
 	if !ok {
 		return nil, fmt.Errorf("engine: EXPLAIN supports only SELECT statements, got %T", st)
 	}
 	ec := db.execCtx()
-	// Predicted fan-out over n input rows: the configured degree capped by
-	// how many morsels the input actually splits into (a 100-row table
-	// cannot use 8 workers). Zero (= unannotated) for single-morsel inputs.
-	predictPar := func(rows int) int {
-		if d := ec.degreeFor(len(ec.morselsOf(rows))); d > 1 {
-			return d
-		}
-		return 0
-	}
 	var cur *PlanNode
-	baseRows := 0
-	where := sel.Where
+	var stages []selectStage
 	if m := db.Merge(sel.From); m != nil {
 		if len(sel.Joins) > 0 {
 			return nil, fmt.Errorf("engine: JOIN over merge tables is not supported")
 		}
+		// Either mode runs the whole WHERE at the parts, and the union's
+		// row count is unknown until they answer.
+		local := *sel
+		local.Where = nil
 		mode := "materialize"
 		var partSQL string
 		if specs, ok := m.decompose(sel); ok {
 			mode = "pushdown"
 			partSQL, _ = m.partialSQL(sel, specs)
+			stages = ec.pushdownStages(sel)
 		} else {
 			partSQL, _ = m.materializeSQL(sel)
+			stages = ec.planSelect(&local, 0)
 		}
-		where = nil // either mode runs the whole WHERE at the parts
 		cur = &PlanNode{Op: "merge", Detail: mode + " " + m.TableName}
 		if len(m.Parts) > 1 {
 			cur.Parallelism = len(m.Parts) // part fan-out is one goroutine per part
@@ -321,7 +450,8 @@ func (db *DB) explainPlan(st Statement) (*PlanNode, error) {
 		if base == nil {
 			return nil, fmt.Errorf("engine: unknown table %q", sel.From)
 		}
-		baseRows = base.NumRows()
+		baseRows := base.NumRows()
+		local := *sel
 		if len(sel.Joins) > 0 || sel.FromAlias != "" {
 			// Mirror buildJoined: same planner, same join order, same
 			// pushed-filter placement, so EXPLAIN shows what will run.
@@ -329,13 +459,13 @@ func (db *DB) explainPlan(st Statement) (*PlanNode, error) {
 			if err != nil {
 				return nil, err
 			}
-			where = plan.residual
+			local.Where = plan.residual
 			relNode := func(ri int) *PlanNode {
 				r := plan.rels[ri]
 				n := scanPlanNode(r.name, r.table)
 				if r.pushed != nil {
 					n = &PlanNode{Op: "filter", Detail: "pushed " + r.pushed.String(),
-						Parallelism: predictPar(r.table.NumRows()), Children: []*PlanNode{n}}
+						Parallelism: ec.predictPar(r.table.NumRows()), Children: []*PlanNode{n}}
 				}
 				return n
 			}
@@ -344,7 +474,7 @@ func (db *DB) explainPlan(st Statement) (*PlanNode, error) {
 				cur = &PlanNode{
 					Op:          "join",
 					Detail:      joinDetail(sel.Joins[ji]),
-					Parallelism: predictPar(baseRows),
+					Parallelism: ec.predictPar(baseRows),
 					Children:    []*PlanNode{cur, relNode(ji + 1)},
 				}
 			}
@@ -354,66 +484,10 @@ func (db *DB) explainPlan(st Statement) (*PlanNode, error) {
 		} else {
 			cur = scanPlanNode(sel.From, base)
 		}
+		stages = ec.planSelect(&local, baseRows)
 	}
-	wrap := func(op, detail string, par int) {
-		cur = &PlanNode{Op: op, Detail: detail, Parallelism: par, Children: []*PlanNode{cur}}
-	}
-	var fnode *PlanNode
-	if where != nil {
-		wrap("filter", where.String(), predictPar(baseRows))
-		fnode = cur
-	}
-	// Predict the same fusion/top-k choices execSelect makes; fusion needs
-	// a WHERE over a non-empty input, top-k a small enough limit+offset.
-	fusible := where != nil && baseRows > 0
-	markFused := func() {
-		if fusible && fnode != nil {
-			fnode.Fused = true
-			cur.Fused = true
-		}
-	}
-	hasAgg := selHasAgg(sel)
-	kPrime := -1
-	if sel.Limit >= 0 {
-		kPrime = sel.Limit + sel.Offset
-	}
-	useTopk := !hasAgg && len(sel.OrderBy) > 0 && kPrime >= 0 &&
-		kPrime <= topkMaxCandidates && kPrime < baseRows
-	if hasAgg {
-		wrap("aggregate", aggDetail(sel), predictPar(baseRows))
-		markFused()
-		if len(sel.OrderBy) > 0 {
-			// Sort input is the (unknown) group count; predict no fan-out.
-			// EXPLAIN ANALYZE records the measured degree instead.
-			wrap("order", orderDetail(sel.OrderBy), 0)
-		}
-	} else if useTopk {
-		wrap("topk", orderDetail(sel.OrderBy)+" "+limitDetail(sel), predictPar(baseRows))
-		markFused()
-		return cur, nil // limit is folded into topk
-	} else if len(sel.OrderBy) > 0 {
-		extPar := 0
-		if fusible {
-			extPar = predictPar(baseRows)
-		}
-		wrap("project", "extend", extPar)
-		markFused()
-		// A WHERE shrinks the sort input by an unknown factor; predict the
-		// pre-filter degree anyway (the measured one lands in ANALYZE).
-		wrap("order", orderDetail(sel.OrderBy), predictPar(baseRows))
-		wrap("project", projectDetail(sel), 0)
-	} else {
-		projPar := 0
-		if fusible && !sel.Star {
-			projPar = predictPar(baseRows)
-		}
-		wrap("project", projectDetail(sel), projPar)
-		if !sel.Star {
-			markFused()
-		}
-	}
-	if sel.Limit >= 0 || sel.Offset > 0 {
-		wrap("limit", limitDetail(sel), 0)
+	for _, s := range stages {
+		cur = &PlanNode{Op: s.op, Detail: s.detail, Parallelism: s.par, Fused: s.fused, Children: []*PlanNode{cur}}
 	}
 	return cur, nil
 }

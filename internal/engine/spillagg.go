@@ -5,8 +5,10 @@ package engine
 // aggregation restarts here: one serial pass hash-partitions every
 // (filtered) input row into 16 run files by its group-key hash, then each
 // partition is processed independently — re-partitioned recursively while
-// it still exceeds half the budget, otherwise loaded and aggregated with
-// exactly the in-memory combine algorithm restricted to its groups.
+// it still exceeds half the budget, otherwise loaded and aggregated by the
+// very kernel the in-memory path runs (buildPartial + combinePartials),
+// restricted to its groups — in-memory execution is the one-partition,
+// zero-spill case of this.
 //
 // Bit-identity with the in-memory path is preserved by construction:
 // every spilled row carries its original row ordinal (seq), partitions
@@ -20,8 +22,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
-	"sync/atomic"
 )
 
 // errAggOverBudget aborts the in-memory partial pass when the accountant
@@ -43,21 +43,22 @@ type rowSpiller struct {
 	sels  [16][]int32
 }
 
-func (sp *rowSpiller) shift() uint { return uint(60 - 4*sp.depth) }
-
-// add routes one batch's rows (cols share length n; seq[r] is row r's
-// global ordinal) to their partitions and appends each slice as a batch
-// to the partition's run file. Row order is preserved per partition, so
-// run files stay sorted by seq.
-func (sp *rowSpiller) add(hashes []uint64, cols []*Vector, seq []int64, n int) error {
+// add routes one batch's rows (keys and cols share length n; seq[r] is row
+// r's global ordinal) to their partitions by key hash and appends each
+// slice as a batch to the partition's run file. Row order is preserved per
+// partition, so run files stay sorted by seq.
+func (sp *rowSpiller) add(keys, cols []*Vector, seq []int64, n int) error {
 	for p := range sp.sels {
 		sp.sels[p] = sp.sels[p][:0]
 	}
-	shift := sp.shift()
+	hashes := getHashBuf(n)
+	hashKeyCols(keys, n, hashes)
+	shift := uint(60 - 4*sp.depth)
 	for r := 0; r < n; r++ {
 		p := (hashes[r] >> shift) & 15
 		sp.sels[p] = append(sp.sels[p], int32(r))
 	}
+	putHashBuf(hashes)
 	for p, sel := range sp.sels {
 		if len(sel) == 0 {
 			continue
@@ -105,73 +106,79 @@ func (sp *rowSpiller) close() ([16]string, int64, error) {
 	return paths, bytes, firstErr
 }
 
+// respill re-splits the run behind rr by the next 4 hash bits (depth) of
+// the key columns keysOf picks out of each batch, consuming and deleting
+// the run. A batch's last column is the row ordinal.
+func (ec *ExecContext) respill(rr *runReader, path, label string, depth int, keysOf func(vs []*Vector) []*Vector) ([16]string, int64, error) {
+	sub := &rowSpiller{ec: ec, label: label, depth: depth}
+	for {
+		vs, err := rr.next()
+		if err == io.EOF {
+			break
+		}
+		if err == nil {
+			err = ec.interrupted()
+		}
+		if err == nil {
+			last := len(vs) - 1
+			err = sub.add(keysOf(vs), vs[:last], vs[last].Int64s(), vs[0].Len())
+		}
+		if err != nil {
+			rr.close()
+			sub.close()
+			return [16]string{}, 0, err
+		}
+	}
+	if err := rr.close(); err != nil {
+		sub.close()
+		return [16]string{}, 0, err
+	}
+	ec.removeRun(path)
+	return sub.close()
+}
+
 // aggSpillState is a streaming sink for the spilled aggregation: callers
 // feed (filtered) input batches tagged with their original row ordinals,
 // then finish() partitions-processes everything into the $key/$agg
 // intermediate table. Used by execAggSpill (input table morsels) and the
-// grace-join path (merged join output batches).
+// grace-join path (merged join output batches). A run row holds the group
+// keys, then each call's argument vectors (see aggArgs), then the ordinal.
 type aggSpillState struct {
-	ec        *ExecContext
-	st        *SelectStmt
-	aggCalls  []*AggCall
-	emptyKeys []*Vector
-	empty     *Table
-	argCounts []int
-	nKeys     int
-	msize     int64
-	sp        *rowSpiller
-	spilled   int64
+	ec      *ExecContext
+	prep    *aggPrep
+	sp      *rowSpiller
+	spilled int64
 }
 
-// newAggSpillState validates the aggregate over the empty input slice and
-// fixes the run-row layout: group keys, then each call's processed
-// argument vectors (quantile's fraction literal trimmed), then seq.
-func newAggSpillState(ec *ExecContext, st *SelectStmt, aggCalls []*AggCall, emptyKeys []*Vector, empty *Table) (*aggSpillState, error) {
-	argCounts := make([]int, len(aggCalls))
-	for k, c := range aggCalls {
-		_, av, err := newAggState(c, 0, empty)
-		if err != nil {
-			return nil, err
-		}
-		argCounts[k] = len(av)
-	}
-	return &aggSpillState{
-		ec: ec, st: st, aggCalls: aggCalls, emptyKeys: emptyKeys, empty: empty,
-		argCounts: argCounts, nKeys: len(st.GroupBy), msize: int64(ec.morselSize()),
-		sp: &rowSpiller{ec: ec, label: "agg"},
-	}, nil
+func newAggSpillState(ec *ExecContext, prep *aggPrep) *aggSpillState {
+	return &aggSpillState{ec: ec, prep: prep, sp: &rowSpiller{ec: ec, label: "agg"}}
 }
 
-// feed partitions one batch of already-filtered rows; seq[r] is row r's
-// ordinal in the unfiltered input, which phase B uses to recover morsel
-// boundaries and first-appearance order.
-func (as *aggSpillState) feed(part *Table, seq []int64) error {
+// feed partitions one batch of already-filtered rows. The batch started at
+// ordinal start of the unfiltered input and sel (nil = every row) holds the
+// surviving rows' offsets from it; phase B uses the ordinals to recover
+// morsel boundaries and first-appearance order.
+func (as *aggSpillState) feed(part *Table, start int64, sel []int32) error {
 	n := part.NumRows()
 	if n == 0 {
 		return nil
 	}
-	keyVecs := make([]*Vector, as.nKeys)
-	cols := make([]*Vector, 0, as.nKeys+len(as.aggCalls))
-	for k, g := range as.st.GroupBy {
-		v, err := Eval(g, part)
-		if err != nil {
-			return err
-		}
-		keyVecs[k] = v
-		cols = append(cols, v)
+	keys, args, err := as.prep.evalInputs(part)
+	if err != nil {
+		return err
 	}
-	for _, c := range as.aggCalls {
-		_, av, err := newAggState(c, 0, part)
-		if err != nil {
-			return err
-		}
+	cols := keys
+	for _, av := range args {
 		cols = append(cols, av...)
 	}
-	hashes := getHashBuf(n)
-	hashKeyCols(keyVecs, n, hashes)
-	err := as.sp.add(hashes, cols, seq, n)
-	putHashBuf(hashes)
-	return err
+	seq := make([]int64, n)
+	for r := range seq {
+		seq[r] = start + int64(r)
+		if sel != nil {
+			seq[r] = start + int64(sel[r])
+		}
+	}
+	return as.sp.add(keys, cols, seq, n)
 }
 
 // abort closes any open run writers after a feed error.
@@ -180,7 +187,8 @@ func (as *aggSpillState) abort() { as.sp.close() }
 // finish processes every partition and assembles the intermediate table,
 // recording spill totals on the aggregate's plan node.
 func (as *aggSpillState) finish(node *PlanNode) (*Table, error) {
-	ec := as.ec
+	ec, prep := as.ec, as.prep
+	nKeys, msize := len(prep.emptyKeys), int64(ec.morselSize())
 	paths, bytes, err := as.sp.close()
 	if err != nil {
 		return nil, err
@@ -192,7 +200,6 @@ func (as *aggSpillState) finish(node *PlanNode) (*Table, error) {
 	// rows and restores global first-appearance order.
 	var midParts []*Table
 	var firstSeqs []int64
-	var groupsTotal, leafParts int64
 
 	var process func(path string, depth int) error
 	process = func(path string, depth int) error {
@@ -205,46 +212,16 @@ func (as *aggSpillState) finish(node *PlanNode) (*Table, error) {
 		}
 		if b := ec.budget(); rr.size > b/2 && depth < maxSpillDepth {
 			// Still too big to load: subdivide by the next 4 hash bits.
-			sub := &rowSpiller{ec: ec, label: "agg", depth: depth + 1}
-			for {
-				vs, err := rr.next()
-				if err == io.EOF {
-					break
-				}
-				if err == nil {
-					err = ec.interrupted()
-				}
-				if err != nil {
-					rr.close()
-					sub.close()
-					return err
-				}
-				n := vs[0].Len()
-				hashes := getHashBuf(n)
-				hashKeyCols(vs[:as.nKeys], n, hashes)
-				err = sub.add(hashes, vs[:len(vs)-1], vs[len(vs)-1].Int64s(), n)
-				putHashBuf(hashes)
-				if err != nil {
-					rr.close()
-					sub.close()
-					return err
-				}
-			}
-			if err := rr.close(); err != nil {
-				sub.close()
-				return err
-			}
-			ec.removeRun(path)
-			subPaths, bytes, err := sub.close()
+			subPaths, bytes, err := ec.respill(rr, path, "agg", depth+1, func(vs []*Vector) []*Vector { return vs[:nKeys] })
+			as.spilled += bytes
 			if err != nil {
 				return err
 			}
-			as.spilled += bytes
-			for _, sp2 := range subPaths {
-				if sp2 == "" {
+			for _, sp := range subPaths {
+				if sp == "" {
 					continue
 				}
-				if err := process(sp2, depth+1); err != nil {
+				if err := process(sp, depth+1); err != nil {
 					return err
 				}
 			}
@@ -252,151 +229,50 @@ func (as *aggSpillState) finish(node *PlanNode) (*Table, error) {
 		}
 
 		// Leaf: load the whole partition (sorted by seq — writers preserve
-		// row order), split it into per-morsel runs, and run the in-memory
-		// partial + combine algorithm over the runs.
-		batches, err := rr.drain()
-		if cerr := rr.close(); err == nil {
-			err = cerr
-		}
+		// row order), cut it at the input's morsel boundaries, and run the
+		// aggregate kernel over those runs: per-run partials hold exactly
+		// this partition's rows of each morsel, in morsel order.
+		cols, total, loaded, err := ec.loadRun(rr, path)
 		if err != nil {
 			return err
 		}
-		ec.removeRun(path)
-		if len(batches) == 0 {
+		defer ec.release(loaded)
+		if total == 0 {
 			return nil
 		}
-		ncols := len(batches[0])
-		total := 0
-		for _, b := range batches {
-			total += b[0].Len()
-		}
-		cols := make([]*Vector, ncols)
-		schema := make(Schema, ncols)
-		var loaded int64
-		for j := 0; j < ncols; j++ {
-			parts := make([]*Vector, len(batches))
-			for i, b := range batches {
-				parts[i] = b[j]
-			}
-			cols[j] = concatVectors(parts[0].Type(), parts, total)
-			schema[j] = ColumnDef{Name: fmt.Sprintf("$c%d", j), Type: cols[j].Type()}
-			loaded += cols[j].ByteSize()
-		}
-		ec.charge(loaded)
-		defer ec.release(loaded)
-		tbl, err := NewTableFromVectors(schema, cols)
-		if err != nil {
-			return err
-		}
-		seqAll := cols[ncols-1].Int64s()
-
-		type runRange struct{ lo, hi int }
-		var runs []runRange
+		seqAll := cols[len(cols)-1].Int64s()
+		var partials []*morselAgg
+		var runLo []int
 		for lo, r := 0, 1; r <= total; r++ {
-			if r == total || seqAll[r]/as.msize != seqAll[lo]/as.msize {
-				runs = append(runs, runRange{lo, r})
-				lo = r
+			if r < total && seqAll[r]/msize == seqAll[lo]/msize {
+				continue
 			}
-		}
-
-		// Per-run partials: same algorithm and same row order as the
-		// parallel in-memory pass, restricted to this partition's rows.
-		partials := make([]*morselAgg, len(runs))
-		for i, rg := range runs {
-			run := tbl.Slice(rg.lo, rg.hi)
-			n := rg.hi - rg.lo
-			ma := &morselAgg{keyVecs: make([]*Vector, as.nKeys)}
-			for k := 0; k < as.nKeys; k++ {
-				ma.keyVecs[k] = run.Col(k)
+			run := sliceVecs(cols, lo, r)
+			args := make([][]*Vector, len(prep.aggCalls))
+			off := nKeys
+			for k := range args {
+				args[k] = run[off : off+len(prep.emptyArgs[k])]
+				off += len(args[k])
 			}
-			groupOf := make([]int, n)
-			hashes := getHashBuf(n)
-			hashKeyCols(ma.keyVecs, n, hashes)
-			gi := newGroupIndex(0)
-			gi.addSource(ma.keyVecs)
-			for r := 0; r < n; r++ {
-				groupOf[r] = int(gi.insert(hashes[r], 0, int32(r)))
-			}
-			putHashBuf(hashes)
-			ma.hashes = gi.hashes
-			ma.rows = make([]int32, len(gi.refs))
-			for g, rf := range gi.refs {
-				ma.rows[g] = rf.row
-			}
-			localGroups := gi.groups()
-			ma.states = make([]*aggState, len(as.aggCalls))
-			off := as.nKeys
-			for k, c := range as.aggCalls {
-				av := make([]*Vector, as.argCounts[k])
-				for a := range av {
-					av[a] = run.Col(off + a)
-				}
-				off += as.argCounts[k]
-				s, av2, err := newAggStateFromArgs(c, localGroups, av)
-				if err != nil {
-					return err
-				}
-				s.observeAll(groupOf, av2, n)
-				ma.states[k] = s
-			}
-			partials[i] = ma
-		}
-
-		// Partition combine, in run (= morsel) order; a group's firstSeq is
-		// the ordinal of its first row anywhere in the input.
-		pgi := newGroupIndex(0)
-		gmaps := make([][]int, len(partials))
-		for mi, ma := range partials {
-			src := pgi.addSource(ma.keyVecs)
-			gmaps[mi] = make([]int, len(ma.rows))
-			for lg := range ma.rows {
-				before := pgi.groups()
-				g := int(pgi.insert(ma.hashes[lg], src, ma.rows[lg]))
-				gmaps[mi][lg] = g
-				if pgi.groups() > before {
-					firstSeqs = append(firstSeqs, seqAll[runs[mi].lo+int(ma.rows[lg])])
-				}
-			}
-		}
-		groups := pgi.groups()
-		states := make([]*aggState, len(as.aggCalls))
-		for k, c := range as.aggCalls {
-			s, _, err := newAggState(c, groups, as.empty)
+			ma, err := buildPartial(prep.aggCalls, run[:nKeys], args, r-lo)
 			if err != nil {
 				return err
 			}
-			for mi, ma := range partials {
-				s.mergeFrom(ma.states[k], gmaps[mi])
-			}
-			states[k] = s
+			partials = append(partials, ma)
+			runLo = append(runLo, lo)
+			lo = r
 		}
-
-		var pschema Schema
-		var pcols []*Vector
-		for i := range as.st.GroupBy {
-			out := NewVector(as.emptyKeys[i].Type())
-			for g := 0; g < groups; g++ {
-				rf := pgi.refs[g]
-				if err := appendKeyRow(out, partials[rf.src].keyVecs[i], int(rf.row)); err != nil {
-					return err
-				}
-			}
-			pschema = append(pschema, ColumnDef{Name: fmt.Sprintf("$key%d", i), Type: out.Type()})
-			pcols = append(pcols, out)
-		}
-		for i, s := range states {
-			v := s.result(groups)
-			pschema = append(pschema, ColumnDef{Name: fmt.Sprintf("$agg%d", i), Type: v.Type()})
-			pcols = append(pcols, v)
-		}
-		pt, err := NewTableFromVectors(pschema, pcols)
+		pt, refs, err := combinePartials(prep, partials)
 		if err != nil {
 			return err
 		}
+		// A group's firstSeq is the ordinal of its first row anywhere in
+		// the input.
+		for _, rf := range refs {
+			firstSeqs = append(firstSeqs, seqAll[runLo[rf.src]+int(rf.row)])
+		}
 		ec.charge(pt.ByteSize())
 		midParts = append(midParts, pt)
-		groupsTotal += int64(groups)
-		leafParts++
 		return nil
 	}
 	for _, p := range paths {
@@ -409,97 +285,46 @@ func (as *aggSpillState) finish(node *PlanNode) (*Table, error) {
 	}
 
 	if node != nil {
-		node.Groups = groupsTotal
-		node.SpillParts += leafParts
+		node.Groups = int64(len(firstSeqs))
+		node.SpillParts += int64(len(midParts))
 		node.SpillBytes += as.spilled
 	}
-	ec.addSpill(0, leafParts)
+	ec.addSpill(0, int64(len(midParts)))
 
 	if len(midParts) == 0 {
-		// Nothing spilled (all rows filtered out): the in-memory result is
-		// the empty grouped table.
-		var schema Schema
-		var cols []*Vector
-		for i := range as.st.GroupBy {
-			v := NewVector(as.emptyKeys[i].Type())
-			schema = append(schema, ColumnDef{Name: fmt.Sprintf("$key%d", i), Type: v.Type()})
-			cols = append(cols, v)
-		}
-		for k, c := range as.aggCalls {
-			s, _, err := newAggState(c, 0, as.empty)
-			if err != nil {
-				return nil, err
-			}
-			v := s.result(0)
-			schema = append(schema, ColumnDef{Name: fmt.Sprintf("$agg%d", k), Type: v.Type()})
-			cols = append(cols, v)
-		}
-		return NewTableFromVectors(schema, cols)
+		// Nothing spilled (all rows filtered out): the empty grouped table.
+		mid, _, err := combinePartials(prep, nil)
+		return mid, err
 	}
-
 	mid, err := ec.concatTables(midParts[0].Schema(), midParts)
 	if err != nil {
 		return nil, err
 	}
 	// Restore global first-appearance group order.
-	ord := make([]int32, mid.NumRows())
-	for i := range ord {
-		ord[i] = int32(i)
+	ord, err := ec.sortPerm([]sortKey{newSortKey(NewInt64Vector(firstSeqs, nil), false)}, len(firstSeqs), nil)
+	if err != nil {
+		return nil, err
 	}
-	sort.Slice(ord, func(a, b int) bool { return firstSeqs[ord[a]] < firstSeqs[ord[b]] })
 	return mid.Gather(ord), nil
 }
 
 // execAggSpill redoes a grouped aggregation with partitioned spilling and
 // returns the $key/$agg intermediate table, identical (bit-for-bit, group
 // order included) to what the in-memory combine would have produced.
-func execAggSpill(ec *ExecContext, st *SelectStmt, t *Table, node, fnode *PlanNode, where Expr, aggCalls []*AggCall, emptyKeys []*Vector, empty *Table) (*Table, error) {
-	as, err := newAggSpillState(ec, st, aggCalls, emptyKeys, empty)
-	if err != nil {
-		return nil, err
-	}
-
-	// Phase A: serial pass over the input, partitioning every (filtered)
-	// morsel's rows. Morsels decompose the unfiltered input exactly like
-	// the parallel path, and seq is the original row index, so morsel
-	// membership is recoverable as seq/msize.
-	for _, m := range ec.morselsOf(t.NumRows()) {
-		if err := ec.interrupted(); err != nil {
-			as.abort()
-			return nil, err
-		}
-		part := t.Slice(m.lo, m.hi)
-		var sel []int32
-		if where != nil {
-			var err error
-			sel, err = FilterSel(where, part)
-			if err != nil {
-				as.abort()
-				return nil, err
-			}
-			if fnode != nil {
-				atomic.AddInt64(&fnode.RowsOut, int64(len(sel)))
-			}
-			fnode.AddMorsels(1)
-			part = part.Gather(sel)
-		}
+func execAggSpill(ec *ExecContext, prep *aggPrep, t *Table, node, fnode *PlanNode, where Expr) (*Table, error) {
+	as := newAggSpillState(ec, prep)
+	// Phase A: the morsel loop run serially (the partition writers are
+	// shared and run files must stay in row order), partitioning every
+	// (filtered) morsel's rows. Morsels decompose the unfiltered input
+	// exactly like the parallel path, and a row's ordinal is its original
+	// row index, so morsel membership is recoverable as seq/msize.
+	err := ec.serial().forMorsels(t, where, fnode, func(_ int, m morsel, part *Table, sel []int32) error {
 		node.AddMorsels(1)
-		n := part.NumRows()
-		if n == 0 {
-			continue
-		}
-		seq := make([]int64, n)
-		for r := 0; r < n; r++ {
-			if sel != nil {
-				seq[r] = int64(m.lo) + int64(sel[r])
-			} else {
-				seq[r] = int64(m.lo + r)
-			}
-		}
-		if err := as.feed(part, seq); err != nil {
-			as.abort()
-			return nil, err
-		}
+		return as.feed(part, int64(m.lo), sel)
+	})
+	if err != nil {
+		as.abort()
+		return nil, err
 	}
 	return as.finish(node)
 }

@@ -236,18 +236,40 @@ func (ec *ExecContext) removeRun(path string) {
 	}
 }
 
-// drainRun reads a whole run into per-batch vector slices (used by
-// partition loads that are known to fit the budget).
-func (rr *runReader) drain() ([][]*Vector, error) {
-	var out [][]*Vector
+// loadRun reads a whole run (one known to fit the budget) into one vector
+// per column, batches concatenated in file order, then closes and deletes
+// it. The loaded bytes are charged to the query; the caller releases them
+// when done with the columns. An empty run loads as (nil, 0, 0).
+func (ec *ExecContext) loadRun(rr *runReader, path string) (cols []*Vector, rows int, loaded int64, err error) {
+	var batches [][]*Vector
 	for {
 		vs, err := rr.next()
 		if err == io.EOF {
-			return out, nil
+			break
 		}
 		if err != nil {
-			return nil, err
+			rr.close()
+			return nil, 0, 0, err
 		}
-		out = append(out, vs)
+		batches = append(batches, vs)
+		rows += vs[0].Len()
 	}
+	if err := rr.close(); err != nil {
+		return nil, 0, 0, err
+	}
+	ec.removeRun(path)
+	if len(batches) == 0 {
+		return nil, 0, 0, nil
+	}
+	cols = make([]*Vector, len(batches[0]))
+	for j := range cols {
+		parts := make([]*Vector, len(batches))
+		for i, b := range batches {
+			parts[i] = b[j]
+		}
+		cols[j] = concatVectors(parts[0].Type(), parts, rows)
+		loaded += cols[j].ByteSize()
+	}
+	ec.charge(loaded)
+	return cols, rows, loaded, nil
 }

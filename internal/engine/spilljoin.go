@@ -46,52 +46,20 @@ func joinedSchema(left, right *Table) Schema {
 	return append(s, right.Schema()...)
 }
 
-// joinSpill carries one grace join's fixed state: the two (qualified,
-// pushed-filtered) sides, the join-key column indexes, which key pairs
-// need float64 promotion, and the accumulated spill statistics.
+// joinSpill carries one grace join's fixed state — the two (qualified,
+// pushed-filtered) sides and their join keys — and the accumulated spill
+// statistics.
 type joinSpill struct {
-	ec           *ExecContext
-	left, right  *Table
-	kidxL, kidxR []int
-	promote      []bool
-	jc           JoinClause
-	residual     Expr // ON-clause residual, applied per emitted batch
-	node         *PlanNode
-	spilled      int64
-	leafParts    int64
-	groups       int64
-	outRuns      []string
-}
-
-func newJoinSpill(ec *ExecContext, left, right *Table, lk, rk []string, jc JoinClause, residual Expr, node *PlanNode) (*joinSpill, error) {
-	js := &joinSpill{ec: ec, left: left, right: right, jc: jc, residual: residual, node: node}
-	for i := range lk {
-		li := left.Schema().ColIndex(lk[i])
-		ri := right.Schema().ColIndex(rk[i])
-		if li < 0 || ri < 0 {
-			return nil, fmt.Errorf("engine: internal: lost join key %q/%q", lk[i], rk[i])
-		}
-		js.kidxL = append(js.kidxL, li)
-		js.kidxR = append(js.kidxR, ri)
-		js.promote = append(js.promote, left.Col(li).Type() != right.Col(ri).Type())
-	}
-	return js, nil
-}
-
-// batchKeys extracts one run batch's join-key vectors (vs is side columns
-// + rid), applying the same float64 promotion the in-memory join applies
-// to mixed-type key pairs — promotion is elementwise, so per-batch casts
-// hash identically to the full-side casts used for routing.
-func (js *joinSpill) batchKeys(vs []*Vector, kidx []int) []*Vector {
-	kc := make([]*Vector, len(kidx))
-	for i, ci := range kidx {
-		v := vs[ci]
-		if js.promote[i] {
-			v = v.CastFloat64()
-		}
-		kc[i] = v
-	}
-	return kc
+	ec          *ExecContext
+	left, right *Table
+	keys        joinKeys
+	jc          JoinClause
+	residual    Expr // ON-clause residual, applied per emitted batch
+	node        *PlanNode
+	spilled     int64
+	leafParts   int64
+	groups      int64
+	outRuns     []string
 }
 
 // partitionSide streams one side morsel-by-morsel into 16 run files keyed
@@ -101,29 +69,15 @@ func (js *joinSpill) batchKeys(vs []*Vector, kidx []int) []*Vector {
 func (js *joinSpill) partitionSide(t *Table, keyCols []*Vector, label string) ([16]string, error) {
 	ec := js.ec
 	sp := &rowSpiller{ec: ec, label: label}
-	nc := t.NumCols()
 	for _, m := range ec.morselsOf(t.NumRows()) {
-		if err := ec.interrupted(); err != nil {
-			sp.close()
-			return [16]string{}, err
+		err := ec.interrupted()
+		if err == nil {
+			seq := make([]int64, m.hi-m.lo)
+			for r := range seq {
+				seq[r] = int64(m.lo + r)
+			}
+			err = sp.add(sliceVecs(keyCols, m.lo, m.hi), sliceVecs(t.cols, m.lo, m.hi), seq, m.hi-m.lo)
 		}
-		n := m.hi - m.lo
-		cols := make([]*Vector, nc)
-		for j := 0; j < nc; j++ {
-			cols[j] = t.Col(j).Slice(m.lo, m.hi)
-		}
-		kc := make([]*Vector, len(keyCols))
-		for j := range keyCols {
-			kc[j] = keyCols[j].Slice(m.lo, m.hi)
-		}
-		hashes := getHashBuf(n)
-		hashKeyCols(kc, n, hashes)
-		seq := make([]int64, n)
-		for r := range seq {
-			seq[r] = int64(m.lo + r)
-		}
-		err := sp.add(hashes, cols, seq, n)
-		putHashBuf(hashes)
 		if err != nil {
 			sp.close()
 			return [16]string{}, err
@@ -136,12 +90,12 @@ func (js *joinSpill) partitionSide(t *Table, keyCols []*Vector, label string) ([
 
 // partitionAndProbe runs the full grace join: partition both sides, then
 // join each partition pair, leaving mk-sorted output runs in js.outRuns.
-func (js *joinSpill) partitionAndProbe(lKeyCols, rKeyCols []*Vector) error {
-	lPaths, err := js.partitionSide(js.left, lKeyCols, "jl")
+func (js *joinSpill) partitionAndProbe() error {
+	lPaths, err := js.partitionSide(js.left, js.keys.of(js.left.cols, js.keys.l), "jl")
 	if err != nil {
 		return err
 	}
-	rPaths, err := js.partitionSide(js.right, rKeyCols, "jr")
+	rPaths, err := js.partitionSide(js.right, js.keys.of(js.right.cols, js.keys.r), "jr")
 	if err != nil {
 		return err
 	}
@@ -150,38 +104,6 @@ func (js *joinSpill) partitionAndProbe(lKeyCols, rKeyCols []*Vector) error {
 			return err
 		}
 	}
-	return nil
-}
-
-// repartition re-splits one run by the next 4 hash bits (sub's depth).
-func (js *joinSpill) repartition(rr *runReader, path string, kidx []int, sub *rowSpiller) error {
-	for {
-		vs, err := rr.next()
-		if err == io.EOF {
-			break
-		}
-		if err == nil {
-			err = js.ec.interrupted()
-		}
-		if err != nil {
-			rr.close()
-			return err
-		}
-		n := vs[0].Len()
-		kc := js.batchKeys(vs, kidx)
-		hashes := getHashBuf(n)
-		hashKeyCols(kc, n, hashes)
-		err = sub.add(hashes, vs[:len(vs)-1], vs[len(vs)-1].Int64s(), n)
-		putHashBuf(hashes)
-		if err != nil {
-			rr.close()
-			return err
-		}
-	}
-	if err := rr.close(); err != nil {
-		return err
-	}
-	js.ec.removeRun(path)
 	return nil
 }
 
@@ -209,12 +131,7 @@ func (js *joinSpill) process(lp, rp string, depth int) error {
 			return err
 		}
 		if rr.size > ec.budget()/2 && depth < maxSpillDepth {
-			subR := &rowSpiller{ec: ec, label: "jr", depth: depth + 1}
-			if err := js.repartition(rr, rp, js.kidxR, subR); err != nil {
-				subR.close()
-				return err
-			}
-			rSub, bytes, err := subR.close()
+			rSub, bytes, err := ec.respill(rr, rp, "jr", depth+1, func(vs []*Vector) []*Vector { return js.keys.of(vs, js.keys.r) })
 			js.spilled += bytes
 			if err != nil {
 				return err
@@ -223,12 +140,7 @@ func (js *joinSpill) process(lp, rp string, depth int) error {
 			if err != nil {
 				return err
 			}
-			subL := &rowSpiller{ec: ec, label: "jl", depth: depth + 1}
-			if err := js.repartition(lr, lp, js.kidxL, subL); err != nil {
-				subL.close()
-				return err
-			}
-			lSub, bytes, err := subL.close()
+			lSub, bytes, err := ec.respill(lr, lp, "jl", depth+1, func(vs []*Vector) []*Vector { return js.keys.of(vs, js.keys.l) })
 			js.spilled += bytes
 			if err != nil {
 				return err
@@ -255,32 +167,12 @@ func (js *joinSpill) leaf(lp string, rr *runReader, rp string, depth int) error 
 	var rCols []*Vector
 	rTotal := 0
 	if rr != nil {
-		batches, err := rr.drain()
-		if cerr := rr.close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
+		var loaded int64
+		var err error
+		if rCols, rTotal, loaded, err = ec.loadRun(rr, rp); err != nil {
 			return err
 		}
-		ec.removeRun(rp)
-		if len(batches) > 0 {
-			for _, b := range batches {
-				rTotal += b[0].Len()
-			}
-			nc := len(batches[0])
-			rCols = make([]*Vector, nc)
-			var loaded int64
-			for j := 0; j < nc; j++ {
-				parts := make([]*Vector, len(batches))
-				for i, b := range batches {
-					parts[i] = b[j]
-				}
-				rCols[j] = concatVectors(parts[0].Type(), parts, rTotal)
-				loaded += rCols[j].ByteSize()
-			}
-			ec.charge(loaded)
-			defer ec.release(loaded)
-		}
+		defer ec.release(loaded)
 	}
 	if rCols == nil {
 		rCols = make([]*Vector, rw+1)
@@ -291,47 +183,15 @@ func (js *joinSpill) leaf(lp string, rr *runReader, rp string, depth int) error 
 	}
 	rrids := rCols[rw].Int64s()
 
-	// Build index over the loaded rows (loaded order = ascending rrid).
-	rKeys := js.batchKeys(rCols, js.kidxR)
-	rHashes := getHashBuf(rTotal)
-	hashKeyCols(rKeys, rTotal, rHashes)
-	rNulls := keyNulls(rKeys, rTotal)
-	index := newGroupIndex(rTotal)
-	buildSrc := index.addSource(rKeys)
-	groupOf := make([]int32, rTotal)
-	for r := 0; r < rTotal; r++ {
-		if r&4095 == 0 {
-			if err := ec.interrupted(); err != nil {
-				putHashBuf(rHashes)
-				return err
-			}
-		}
-		if rNulls != nil && rNulls[r] {
-			groupOf[r] = -1
-			continue
-		}
-		groupOf[r] = index.insert(rHashes[r], buildSrc, int32(r))
+	// Build over the loaded rows (loaded order = ascending rrid) with the
+	// in-memory join's kernel.
+	rKeys := js.keys.of(rCols, js.keys.r)
+	rHashes, rNulls := ec.joinKeyHashes(rKeys, rTotal, nil)
+	ji, err := ec.buildJoinIndex(rKeys, rHashes, rNulls)
+	if err != nil {
+		return err
 	}
-	putHashBuf(rHashes)
-	groups := index.groups()
-	off := make([]int32, groups+1)
-	for _, g := range groupOf {
-		if g >= 0 {
-			off[g+1]++
-		}
-	}
-	for g := 0; g < groups; g++ {
-		off[g+1] += off[g]
-	}
-	matchRows := make([]int32, off[groups])
-	cursor := append([]int32(nil), off[:groups]...)
-	for r, g := range groupOf {
-		if g >= 0 {
-			matchRows[cursor[g]] = int32(r)
-			cursor[g]++
-		}
-	}
-	js.groups += int64(groups)
+	js.groups += int64(ji.index.groups())
 
 	// Probe: left run batches arrive in ascending lrid, matches come out in
 	// ascending rrid, so the output run is mk-sorted without any sort.
@@ -360,30 +220,9 @@ func (js *joinSpill) leaf(lp string, rr *runReader, rp string, depth int) error 
 		}
 		n := vs[0].Len()
 		lrids := vs[lw].Int64s()
-		lKeys := js.batchKeys(vs, js.kidxL)
-		lHashes := getHashBuf(n)
-		hashKeyCols(lKeys, n, lHashes)
-		lNulls := keyNulls(lKeys, n)
-		probeSrc := index.addSource(lKeys)
-		lsel := getSelBuf(n)
-		rsel := getSelBuf(n)
-		for r := 0; r < n; r++ {
-			matched := false
-			if lNulls == nil || !lNulls[r] {
-				if g := index.find(lHashes[r], probeSrc, int32(r)); g >= 0 {
-					for _, mr := range matchRows[off[g]:off[g+1]] {
-						lsel = append(lsel, int32(r))
-						rsel = append(rsel, mr)
-						matched = true
-					}
-				}
-			}
-			if !matched && js.jc.Left {
-				lsel = append(lsel, int32(r))
-				rsel = append(rsel, -1)
-			}
-		}
-		putHashBuf(lHashes)
+		lKeys := js.keys.of(vs, js.keys.l)
+		lHashes, lNulls := ec.joinKeyHashes(lKeys, n, nil)
+		lsel, rsel := ji.probe(ji.index.addSource(lKeys), lHashes, lNulls, 0, n, js.jc.Left)
 		if len(lsel) == 0 {
 			putSelBuf(lsel)
 			putSelBuf(rsel)
@@ -465,31 +304,6 @@ func (js *joinSpill) finishStats() {
 		js.node.SpillBytes += js.spilled
 	}
 	js.ec.addSpill(0, js.leafParts)
-}
-
-// keyNulls returns a per-row any-key-component-NULL flag slice, or nil
-// when no key column can hold NULLs.
-func keyNulls(keys []*Vector, n int) []bool {
-	var nulls []bool
-	for _, c := range keys {
-		if c.valid != nil {
-			nulls = make([]bool, n)
-			break
-		}
-	}
-	if nulls != nil {
-		for _, c := range keys {
-			if c.valid == nil {
-				continue
-			}
-			for r := 0; r < n; r++ {
-				if c.IsNull(r) {
-					nulls[r] = true
-				}
-			}
-		}
-	}
-	return nulls
 }
 
 // mergeJoinRuns k-way merges mk-sorted output runs back into global mk
@@ -613,27 +427,21 @@ func mergeJoinRuns(ec *ExecContext, paths []string, schema Schema, batchRows int
 
 // graceHashJoin is hashJoin's disk-backed path: identical output (rows,
 // order, float bits), peak memory bounded by partition size instead of
-// build + output size. Called with the already-promoted key vectors.
-func graceHashJoin(ec *ExecContext, left, right *Table, lKeyCols, rKeyCols []*Vector, lk, rk []string, jc JoinClause, residual Expr, node *PlanNode) (*Table, error) {
-	js, err := newJoinSpill(ec, left, right, lk, rk, jc, residual, node)
-	if err != nil {
-		return nil, err
-	}
-	if err := js.partitionAndProbe(lKeyCols, rKeyCols); err != nil {
+// build + output size.
+func graceHashJoin(ec *ExecContext, left, right *Table, jk joinKeys, jc JoinClause, residual Expr, node *PlanNode) (*Table, error) {
+	js := &joinSpill{ec: ec, left: left, right: right, keys: jk, jc: jc, residual: residual, node: node}
+	if err := js.partitionAndProbe(); err != nil {
 		return nil, err
 	}
 	js.finishStats()
 	schema := joinedSchema(left, right)
 	var parts []*Table
-	err = mergeJoinRuns(ec, js.outRuns, schema, ec.morselSize(), func(b *Table, _ int64) error {
+	err := mergeJoinRuns(ec, js.outRuns, schema, ec.morselSize(), func(b *Table, _ int64) error {
 		parts = append(parts, b)
 		return nil
 	})
 	if err != nil {
 		return nil, err
-	}
-	if len(parts) == 0 {
-		return NewTable(schema), nil
 	}
 	return ec.concatTables(schema, parts)
 }
@@ -668,37 +476,9 @@ func (db *DB) trySpillJoinAgg(ec *ExecContext, s *SelectStmt, qs *QueryStats) (*
 		return nil, false, nil
 	}
 
-	// Load both relations exactly as buildJoined would: qualified names,
-	// planner-pushed filters below the join.
-	inputs := make([]*Table, 2)
-	nodes := make([]*PlanNode, 2)
-	for i, r := range plan.rels {
-		qt := qualifyTable(r.table, r.alias)
-		var node *PlanNode
-		if qs != nil {
-			node = scanPlanNode(r.name, r.table)
-		}
-		if r.pushed != nil {
-			tf := time.Now()
-			fnode := &PlanNode{Op: "filter", Detail: "pushed " + r.pushed.String(), RowsIn: int64(qt.NumRows())}
-			ec.setOperator("filter pushed " + r.pushed.String())
-			sel, err := ec.filterSel(r.pushed, qt, fnode)
-			if err != nil {
-				return nil, true, err
-			}
-			qt = ec.gather(qt, sel)
-			if qs != nil {
-				fnode.Nanos = time.Since(tf).Nanoseconds()
-				fnode.RowsOut = int64(qt.NumRows())
-				fnode.Batches = int64(qt.NumCols())
-				fnode.Bytes = qt.ByteSize()
-				fnode.Children = []*PlanNode{node}
-				atomic.AddInt64(&qs.FilterNanos, fnode.Nanos)
-				node = fnode
-			}
-		}
-		inputs[i] = qt
-		nodes[i] = node
+	inputs, nodes, err := joinInputs(ec, plan, qs)
+	if err != nil {
+		return nil, true, err
 	}
 	jc := s.Joins[plan.order[0]]
 	left, right := inputs[0], inputs[1]
@@ -710,21 +490,8 @@ func (db *DB) trySpillJoinAgg(ec *ExecContext, s *SelectStmt, qs *QueryStats) (*
 	t0 := time.Now()
 	jnode := &PlanNode{Op: "join", Detail: joinDetail(jc)}
 	ec.setOperator("join " + joinDetail(jc))
-	js, err := newJoinSpill(ec, left, right, lk, rk, jc, onResidual, jnode)
-	if err != nil {
-		return nil, true, err
-	}
-	lKeyCols := make([]*Vector, len(lk))
-	rKeyCols := make([]*Vector, len(rk))
-	for i := range lk {
-		lKeyCols[i] = left.Col(js.kidxL[i])
-		rKeyCols[i] = right.Col(js.kidxR[i])
-		if js.promote[i] {
-			lKeyCols[i] = lKeyCols[i].CastFloat64()
-			rKeyCols[i] = rKeyCols[i].CastFloat64()
-		}
-	}
-	if err := js.partitionAndProbe(lKeyCols, rKeyCols); err != nil {
+	js := &joinSpill{ec: ec, left: left, right: right, keys: newJoinKeys(left, right, lk, rk), jc: jc, residual: onResidual, node: jnode}
+	if err := js.partitionAndProbe(); err != nil {
 		return nil, true, err
 	}
 	js.finishStats()
@@ -736,63 +503,36 @@ func (db *DB) trySpillJoinAgg(ec *ExecContext, s *SelectStmt, qs *QueryStats) (*
 
 	// Aggregate off the merged stream. where is the planner's residual
 	// WHERE (the conjuncts not pushed below the join), applied per merged
-	// batch just like the fused in-memory filter applies it per morsel.
+	// batch just like the morsel loop applies a fused filter per morsel.
 	where := plan.residual
 	schema := joinedSchema(left, right)
-	emptyJoined := NewTable(schema)
-	prep, err := prepareAgg(s, emptyJoined)
+	prep, err := prepareAgg(s, NewTable(schema))
 	if err != nil {
 		return nil, true, err
 	}
-	as, err := newAggSpillState(ec, s, prep.aggCalls, prep.emptyKeys, emptyJoined)
-	if err != nil {
-		return nil, true, err
-	}
-	var fs *stage
+	as := newAggSpillState(ec, prep)
+	var fnode *PlanNode
 	if where != nil {
-		fs = qs.beginStage("filter", where.String(), 0)
-		if fn := fs.planNode(); fn != nil {
-			fn.Fused = true
-		}
+		fnode = qs.beginStage("filter", where.String(), 0).planNode()
 	}
 	sg := qs.beginStage("aggregate", aggDetail(s), 0)
-	if n := sg.planNode(); n != nil && where != nil {
-		n.Fused = true
+	sg.fuseFilter(fnode)
+	anode := sg.planNode()
+	for _, n := range []*PlanNode{fnode, anode} {
+		if n != nil {
+			n.Fused = where != nil
+		}
 	}
-	fnode, anode := fs.planNode(), sg.planNode()
 
 	var total int64
 	err = mergeJoinRuns(ec, js.outRuns, schema, ec.morselSize(), func(b *Table, startOrd int64) error {
-		n := b.NumRows()
-		total += int64(n)
-		part := b
-		var sel []int32
-		if where != nil {
-			var err error
-			sel, err = FilterSel(where, b)
-			if err != nil {
-				return err
-			}
-			if fnode != nil {
-				atomic.AddInt64(&fnode.RowsOut, int64(len(sel)))
-			}
-			fnode.AddMorsels(1)
-			part = b.Gather(sel)
+		total += int64(b.NumRows())
+		part, sel, err := filterPart(where, b, fnode)
+		if err != nil {
+			return err
 		}
 		anode.AddMorsels(1)
-		pn := part.NumRows()
-		if pn == 0 {
-			return nil
-		}
-		seq := make([]int64, pn)
-		for r := 0; r < pn; r++ {
-			if sel != nil {
-				seq[r] = startOrd + int64(sel[r])
-			} else {
-				seq[r] = startOrd + int64(r)
-			}
-		}
-		return as.feed(part, seq)
+		return as.feed(part, startOrd, sel)
 	})
 	if err != nil {
 		as.abort()
@@ -807,11 +547,10 @@ func (db *DB) trySpillJoinAgg(ec *ExecContext, s *SelectStmt, qs *QueryStats) (*
 		qs.Vectors += len(schema)
 	}
 	ec.addRows(int(total))
-	if fnode != nil {
-		fnode.RowsIn = total
-	}
-	if anode != nil {
-		anode.RowsIn = total
+	for _, n := range []*PlanNode{fnode, anode} {
+		if n != nil {
+			n.RowsIn = total
+		}
 	}
 
 	mid, err := as.finish(anode)
@@ -822,29 +561,8 @@ func (db *DB) trySpillJoinAgg(ec *ExecContext, s *SelectStmt, qs *QueryStats) (*
 	if err != nil {
 		return nil, true, err
 	}
-	if fs != nil {
-		fs.end(nil)
-	}
 	sg.end(out)
-	if len(s.OrderBy) > 0 {
-		if err := ec.interrupted(); err != nil {
-			return nil, true, err
-		}
-		so := qs.beginStage("order", orderDetail(s.OrderBy), out.NumRows())
-		out, err = execOrderBy(s.OrderBy, out)
-		if err != nil {
-			return nil, true, err
-		}
-		so.end(out)
-	}
-	if s.Limit >= 0 || s.Offset > 0 {
-		sl := qs.beginStage("limit", limitDetail(s), out.NumRows())
-		out = execLimit(s, out)
-		sl.end(out)
-	} else {
-		out = execLimit(s, out)
-	}
-	if err := ec.interrupted(); err != nil {
+	if out, err = ec.runStages(s, ec.afterAggregate(s), out, qs); err != nil {
 		return nil, true, err
 	}
 	if qs != nil {

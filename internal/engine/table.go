@@ -103,26 +103,28 @@ func (t *Table) Col(i int) *Vector { return t.cols[i] }
 // (whose columns carry qualified alias.col names), an unqualified name
 // resolves when exactly one column's suffix matches.
 func (t *Table) ColByName(name string) *Vector {
-	i := t.schema.ColIndex(name)
-	if i < 0 {
-		if !strings.Contains(name, ".") {
-			suffix := "." + strings.ToLower(name)
-			match := -1
-			for j, c := range t.schema {
-				if strings.HasSuffix(strings.ToLower(c.Name), suffix) {
-					if match >= 0 {
-						return nil // ambiguous
-					}
-					match = j
-				}
-			}
-			if match >= 0 {
-				return t.cols[match]
-			}
-		}
-		return nil
+	if i := t.colIndex(name); i >= 0 {
+		return t.cols[i]
 	}
-	return t.cols[i]
+	return nil
+}
+
+// colIndex is ColByName's resolution, returning the column's position or -1.
+func (t *Table) colIndex(name string) int {
+	if i := t.schema.ColIndex(name); i >= 0 || strings.Contains(name, ".") {
+		return i
+	}
+	suffix := "." + strings.ToLower(name)
+	match := -1
+	for j, c := range t.schema {
+		if strings.HasSuffix(strings.ToLower(c.Name), suffix) {
+			if match >= 0 {
+				return -1 // ambiguous
+			}
+			match = j
+		}
+	}
+	return match
 }
 
 // AppendRow appends one row of Go values (nil = NULL). Values are converted

@@ -472,6 +472,15 @@ func (v *Vector) Slice(lo, hi int) *Vector {
 	return out
 }
 
+// sliceVecs slices every vector to rows [lo, hi).
+func sliceVecs(vs []*Vector, lo, hi int) []*Vector {
+	out := make([]*Vector, len(vs))
+	for i, v := range vs {
+		out[i] = v.Slice(lo, hi)
+	}
+	return out
+}
+
 // GatherOuter is Gather extended with -1 selection entries, which produce
 // NULL output rows (left-outer join padding). The NULL payload values match
 // AppendNull. String outputs get a fresh dictionary — the source dictionary

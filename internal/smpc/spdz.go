@@ -3,6 +3,7 @@ package smpc
 import (
 	"errors"
 	"fmt"
+	"sync/atomic"
 )
 
 // SPDZ-style full-threshold sharing: x is split into additive shares
@@ -36,10 +37,13 @@ type Triple struct {
 // homomorphic encryption or OT; modeling it as a dealer preserves the
 // online protocol exactly, which is what the benchmarks exercise.
 type Dealer struct {
-	n         int
-	alpha     Fe
-	alphaSh   []Fe
-	TriplesIn int // count of triples generated (offline cost metric)
+	n       int
+	alpha   Fe
+	alphaSh []Fe
+	// TriplesIn counts the triples generated (offline cost metric). Triple
+	// may run concurrently — secure aggregations share one dealer — so it is
+	// incremented atomically; read it once the draws have finished.
+	TriplesIn int64
 }
 
 // NewDealer sets up the offline functionality for n nodes.
@@ -105,7 +109,7 @@ func (d *Dealer) Triple() []Triple {
 	for i := range out {
 		out[i] = Triple{A: as[i], B: bs[i], C: cs[i]}
 	}
-	d.TriplesIn++
+	atomic.AddInt64(&d.TriplesIn, 1)
 	return out
 }
 

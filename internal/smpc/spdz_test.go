@@ -3,6 +3,7 @@ package smpc
 import (
 	"errors"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -103,6 +104,32 @@ func TestSPDZBeaverMultiply(t *testing.T) {
 	}
 	if d.TriplesIn != 1 {
 		t.Fatalf("triple count = %d", d.TriplesIn)
+	}
+}
+
+// TestDealerTripleConcurrent draws triples from two goroutines at once, as
+// two concurrent secure aggregations do through their shared dealer. Run
+// under -race it pins the counter's synchronisation; the count itself must
+// not lose increments.
+func TestDealerTripleConcurrent(t *testing.T) {
+	d := NewDealer(3)
+	const perGoroutine = 200
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perGoroutine; i++ {
+				if tr := d.Triple(); len(tr) != 3 {
+					t.Errorf("triple has %d node shares, want 3", len(tr))
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if d.TriplesIn != 2*perGoroutine {
+		t.Fatalf("triple count = %d, want %d", d.TriplesIn, 2*perGoroutine)
 	}
 }
 
