@@ -8,6 +8,9 @@ build:
 test:
 	$(GO) test ./...
 
+# race is also where `make check` runs the one-record coherence test
+# (internal/federation TestOneRecordPerStatement) and the mipctl printer
+# test (cmd/mipctl TestPrintersRenderEveryServerField): both live in ./... .
 race:
 	$(GO) test -race ./...
 
@@ -28,7 +31,7 @@ freshbuild:
 # loc prints the non-test line counts ROADMAP.md tracks under "quality of
 # design": these should go down.
 loc:
-	@for d in internal/engine internal/federation; do \
+	@for d in internal/engine internal/federation internal/obs internal/api cmd/mipctl; do \
 		printf '%-22s %6d non-test lines\n' $$d $$(find $$d -name '*.go' ! -name '*_test.go' | xargs cat | wc -l); \
 	done
 

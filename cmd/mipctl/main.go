@@ -42,6 +42,10 @@ import (
 	"strconv"
 	"strings"
 	"time"
+
+	"mip/internal/algorithms"
+	"mip/internal/api"
+	"mip/internal/obs"
 )
 
 type multiFlag []string
@@ -159,24 +163,8 @@ func explainQuery(server, sql, datasets, tenant string, analyze bool) {
 	if ds := splitList(datasets); len(ds) > 0 {
 		req["datasets"] = ds
 	}
-	if tenant != "" {
-		req["tenant"] = tenant
-	}
-	body, _ := json.Marshal(req)
-	resp, err := http.Post(server+"/queries/explain", "application/json", bytes.NewReader(body))
-	if err != nil {
-		log.Fatal(err)
-	}
-	out, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != 200 {
-		log.Fatalf("HTTP %d: %s", resp.StatusCode, out)
-	}
-	var doc struct {
-		Datasets []string `json:"datasets"`
-		Plan     []string `json:"plan"`
-	}
-	if err := json.Unmarshal(out, &doc); err != nil {
+	var doc api.ExplainResponse
+	if err := json.Unmarshal(call(http.MethodPost, server+"/queries/explain", tenant, req, 200), &doc); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("datasets: %s\n", strings.Join(doc.Datasets, ","))
@@ -188,54 +176,33 @@ func explainQuery(server, sql, datasets, tenant string, analyze bool) {
 // printSlow renders GET /queries/slow: one header line per retained query
 // followed by its captured plan.
 func printSlow(body []byte) {
-	var doc struct {
-		ThresholdSeconds float64 `json:"threshold_seconds"`
-		Queries          []struct {
-			SQL          string   `json:"sql"`
-			Seconds      float64  `json:"seconds"`
-			RowsScanned  int      `json:"rows_scanned"`
-			RowsOut      int      `json:"rows_out"`
-			Error        string   `json:"error"`
-			When         string   `json:"when"`
-			Plan         []string `json:"plan"`
-			MemPeakBytes int64    `json:"mem_peak_bytes"`
-			SpillBytes   int64    `json:"spill_bytes"`
-			Reason       string   `json:"reason"`
-			Cache        string   `json:"cache"`
-			Tenant       string   `json:"tenant"`
-			Job          string   `json:"job"`
-			Datasets     []string `json:"datasets"`
-		} `json:"queries"`
-	}
+	var doc api.SlowQueriesResponse
 	if err := json.Unmarshal(body, &doc); err != nil {
 		fmt.Println(string(body))
 		return
 	}
 	fmt.Printf("slow-query threshold: %.3fs, %d retained\n", doc.ThresholdSeconds, len(doc.Queries))
 	for _, q := range doc.Queries {
-		fmt.Printf("\n%s  %.3fs  rows %d->%d", q.When, q.Seconds, q.RowsScanned, q.RowsOut)
-		if q.MemPeakBytes > 0 {
-			fmt.Printf("  mem_peak=%s", formatBytes(q.MemPeakBytes))
+		fmt.Printf("\n%s  %.3fs  rows %d->%d", q.Start.Format(time.RFC3339Nano), q.Seconds, q.RowsScanned, q.RowsOut)
+		show := func(key string, val any, set bool) {
+			if set {
+				fmt.Printf("  %s=%v", key, val)
+			}
 		}
-		if q.SpillBytes > 0 {
-			fmt.Printf("  spill=%s", formatBytes(q.SpillBytes))
-		}
-		if q.Reason != "" {
-			fmt.Printf("  reason=%s", q.Reason)
-		}
-		if q.Cache != "" {
-			fmt.Printf("  cache=%s", q.Cache)
-		}
-		if q.Tenant != "" {
-			fmt.Printf("  tenant=%s", q.Tenant)
-		}
-		if q.Job != "" {
-			fmt.Printf("  job=%s", q.Job)
-		}
-		if len(q.Datasets) > 0 {
-			fmt.Printf("  datasets=%s", strings.Join(q.Datasets, ","))
-		}
-		fmt.Printf("  %s\n", q.SQL)
+		show("mem_peak", formatBytes(q.MemPeakBytes), q.MemPeakBytes > 0)
+		show("spill", formatBytes(q.SpillBytes), q.SpillBytes > 0)
+		show("spill_parts", q.SpillPartitions, q.SpillPartitions > 0)
+		show("shipped_rows", q.RowsShipped, q.RowsShipped > 0)
+		show("shipped", formatBytes(q.BytesShipped), q.BytesShipped > 0)
+		show("reason", q.Verdict, q.Verdict != "")
+		show("cache", q.Cache, q.Cache != "")
+		show("id", q.ID, q.ID != "")
+		show("tenant", q.Tenant, q.Tenant != "")
+		show("job", q.Job, q.Job != "")
+		show("datasets", strings.Join(q.Datasets, ","), len(q.Datasets) > 0)
+		show("workers", strings.Join(q.Workers, ","), len(q.Workers) > 0)
+		show("dropped", strings.Join(q.Dropped, ","), len(q.Dropped) > 0)
+		fmt.Printf("  sql=%s  %s\n", q.SQLDigest, q.SQL)
 		if q.Error != "" {
 			fmt.Printf("  ERROR: %s\n", q.Error)
 		}
@@ -243,20 +210,6 @@ func printSlow(body []byte) {
 			fmt.Printf("  %s\n", line)
 		}
 	}
-}
-
-// activeQuery mirrors the server's engine.QueryInfo JSON.
-type activeQuery struct {
-	ID         int64   `json:"id"`
-	SQL        string  `json:"sql"`
-	Tenant     string  `json:"tenant"`
-	Job        string  `json:"job"`
-	Seconds    float64 `json:"seconds"`
-	Rows       int64   `json:"rows"`
-	LiveBytes  int64   `json:"live_bytes"`
-	PeakBytes  int64   `json:"peak_bytes"`
-	SpillBytes int64   `json:"spill_bytes"`
-	Operator   string  `json:"operator"`
 }
 
 // topQueries polls GET /queries/active and renders a live, top-style view:
@@ -267,83 +220,47 @@ func topQueries(server string, interval time.Duration, iterations int) {
 		if i > 0 {
 			time.Sleep(interval)
 		}
-		var doc struct {
-			Queries []activeQuery `json:"queries"`
+		get(server+"/queries/active", func(b []byte) { printTop(b, interval) })
+	}
+}
+
+// printTop renders one refresh of GET /queries/active.
+func printTop(body []byte, interval time.Duration) {
+	var doc api.ActiveQueriesResponse
+	if err := json.Unmarshal(body, &doc); err != nil {
+		log.Fatal(err)
+	}
+	fmt.Print("\033[H\033[2J") // clear screen, cursor home
+	fmt.Printf("%s  %d active quer%s (refresh %s; kill with: mipctl kill <id>)\n",
+		time.Now().Format("15:04:05"), len(doc.Queries), plural(len(doc.Queries), "y", "ies"), interval)
+	fmt.Printf("%4s  %8s  %10s  %10s  %10s  %10s  %-24s  %s\n",
+		"ID", "AGE", "ROWS", "LIVE", "PEAK", "SPILL", "OPERATOR", "SQL")
+	for _, q := range doc.Queries {
+		sql := q.SQL
+		if len(sql) > 60 {
+			sql = sql[:57] + "..."
 		}
-		get(server+"/queries/active", func(b []byte) {
-			if err := json.Unmarshal(b, &doc); err != nil {
-				log.Fatal(err)
-			}
-		})
-		fmt.Print("\033[H\033[2J") // clear screen, cursor home
-		fmt.Printf("%s  %d active quer%s (refresh %s; kill with: mipctl kill <id>)\n",
-			time.Now().Format("15:04:05"), len(doc.Queries), plural(len(doc.Queries), "y", "ies"), interval)
-		fmt.Printf("%4s  %8s  %10s  %10s  %10s  %10s  %-24s  %s\n",
-			"ID", "AGE", "ROWS", "LIVE", "PEAK", "SPILL", "OPERATOR", "SQL")
-		for _, q := range doc.Queries {
-			sql := q.SQL
-			switch {
-			case q.Tenant != "" && q.Job != "":
-				sql = "[" + q.Tenant + " " + q.Job + "] " + sql
-			case q.Tenant != "":
-				sql = "[" + q.Tenant + "] " + sql
-			case q.Job != "":
-				sql = "[" + q.Job + "] " + sql
-			}
-			if len(sql) > 60 {
-				sql = sql[:57] + "..."
-			}
-			fmt.Printf("%4d  %8s  %10d  %10s  %10s  %10s  %-24s  %s\n",
-				q.ID, (time.Duration(q.Seconds * float64(time.Second))).Round(time.Millisecond),
-				q.Rows, formatBytes(q.LiveBytes), formatBytes(q.PeakBytes), formatBytes(q.SpillBytes),
-				q.Operator, sql)
+		// Who the statement runs for follows its text; Start is the AGE column.
+		if tag := strings.TrimSpace(strings.Join(append([]string{q.Tenant, q.Job}, q.Datasets...), " ")); tag != "" {
+			sql += "  [" + tag + "]"
 		}
+		fmt.Printf("%4d  %8s  %10d  %10s  %10s  %10s  %-24s  %s\n",
+			q.ID, (time.Duration(q.Seconds * float64(time.Second))).Round(time.Millisecond),
+			q.Rows, formatBytes(q.LiveBytes), formatBytes(q.PeakBytes), formatBytes(q.SpillBytes),
+			q.Operator, sql)
 	}
 }
 
 // killQuery cancels an active query via DELETE /queries/{id}.
 func killQuery(server, id string) {
-	req, err := http.NewRequest(http.MethodDelete, server+"/queries/"+id, nil)
-	if err != nil {
-		log.Fatal(err)
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		log.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != 200 {
-		log.Fatalf("HTTP %d: %s", resp.StatusCode, body)
-	}
+	call(http.MethodDelete, server+"/queries/"+id, "", nil, 200)
 	fmt.Printf("query %s cancelled\n", id)
 }
 
 // printTenants renders GET /tenants: one block per account with cumulative
 // meters and the sliding-window SLO stats.
 func printTenants(body []byte) {
-	var doc struct {
-		Tenants []struct {
-			Tenant       string    `json:"tenant"`
-			Queries      int64     `json:"queries"`
-			QueryErrors  int64     `json:"query_errors"`
-			Experiments  int64     `json:"experiments"`
-			Degraded     int64     `json:"degraded_experiments"`
-			RowsShipped  int64     `json:"rows_shipped"`
-			BytesShipped int64     `json:"bytes_shipped"`
-			Seconds      float64   `json:"seconds"`
-			MemPeakBytes int64     `json:"mem_peak_bytes"`
-			LastSeen     time.Time `json:"last_seen"`
-			Windows      map[string]struct {
-				Count     uint64  `json:"count"`
-				QPS       float64 `json:"qps"`
-				ErrorRate float64 `json:"error_rate"`
-				P50       float64 `json:"p50_seconds"`
-				P95       float64 `json:"p95_seconds"`
-				P99       float64 `json:"p99_seconds"`
-			} `json:"windows"`
-		} `json:"tenants"`
-	}
+	var doc api.TenantsResponse
 	if err := json.Unmarshal(body, &doc); err != nil {
 		fmt.Println(string(body))
 		return
@@ -351,12 +268,21 @@ func printTenants(body []byte) {
 	fmt.Printf("%d tenant account%s\n", len(doc.Tenants), plural(len(doc.Tenants), "", "s"))
 	for _, u := range doc.Tenants {
 		fmt.Printf("\n%s  queries=%d errors=%d experiments=%d", u.Tenant, u.Queries, u.QueryErrors, u.Experiments)
-		if u.Degraded > 0 {
-			fmt.Printf(" degraded=%d", u.Degraded)
+		if u.ExperimentErrors > 0 {
+			fmt.Printf(" experiment_errors=%d", u.ExperimentErrors)
 		}
-		fmt.Printf("\n  shipped rows=%d bytes=%s  wall=%.3fs  mem_peak=%s  last_seen=%s\n",
-			u.RowsShipped, formatBytes(u.BytesShipped), u.Seconds,
-			formatBytes(u.MemPeakBytes), u.LastSeen.Format(time.RFC3339))
+		if u.DegradedExperiments > 0 {
+			fmt.Printf(" degraded=%d", u.DegradedExperiments)
+		}
+		fmt.Printf("\n  rows in=%d out=%d  shipped rows=%d bytes=%s  wall=%.3fs  mem_peak=%s\n",
+			u.RowsIn, u.RowsOut, u.RowsShipped, formatBytes(u.BytesShipped), u.Seconds, formatBytes(u.MemPeakBytes))
+		fmt.Printf("  first_seen=%s  last_seen=%s", u.FirstSeen.Format(time.RFC3339), u.LastSeen.Format(time.RFC3339))
+		verdicts := make([]string, 0, len(u.Verdicts))
+		for v, n := range u.Verdicts {
+			verdicts = append(verdicts, fmt.Sprintf("%s=%d", v, n))
+		}
+		sort.Strings(verdicts)
+		fmt.Printf("  verdicts: %s\n", strings.Join(verdicts, " "))
 		names := make([]string, 0, len(u.Windows))
 		for w := range u.Windows {
 			names = append(names, w)
@@ -364,8 +290,8 @@ func printTenants(body []byte) {
 		sort.Strings(names)
 		for _, w := range names {
 			s := u.Windows[w]
-			fmt.Printf("  %-4s count=%d qps=%.2f err=%.1f%% p50=%.3fs p95=%.3fs p99=%.3fs\n",
-				w, s.Count, s.QPS, 100*s.ErrorRate, s.P50, s.P95, s.P99)
+			fmt.Printf("  %-4s count=%d errors=%d qps=%.2f err=%.1f%% p50=%.3fs p95=%.3fs p99=%.3fs\n",
+				w, s.Count, s.Errors, s.QPS, 100*s.ErrorRate, s.P50, s.P95, s.P99)
 		}
 	}
 }
@@ -373,39 +299,26 @@ func printTenants(body []byte) {
 // printAudit renders GET /audit: the verification verdict, then one line
 // per record, oldest first.
 func printAudit(body []byte) {
-	var doc struct {
-		Records []struct {
-			Seq       uint64    `json:"seq"`
-			Time      time.Time `json:"time"`
-			Kind      string    `json:"kind"`
-			Tenant    string    `json:"tenant"`
-			Job       string    `json:"job"`
-			SQLDigest string    `json:"sql_digest"`
-			Datasets  []string  `json:"datasets"`
-			Workers   []string  `json:"workers"`
-			Dropped   []string  `json:"dropped_workers"`
-			Verdict   string    `json:"verdict"`
-			Seconds   float64   `json:"seconds"`
-			Rows      int64     `json:"rows"`
-		} `json:"records"`
-		Verified    bool   `json:"verified"`
-		VerifyError string `json:"verify_error"`
-		HeadSeq     uint64 `json:"head_seq"`
-		Head        string `json:"head"`
-	}
+	var doc api.AuditResponse
 	if err := json.Unmarshal(body, &doc); err != nil {
 		fmt.Println(string(body))
 		return
 	}
 	status := "chain VERIFIED"
 	if !doc.Verified {
-		status = "chain BROKEN: " + doc.VerifyError
+		status = "chain BROKEN"
+	}
+	if doc.VerifyError != "" {
+		status += ": " + doc.VerifyError
 	}
 	fmt.Printf("%d record%s, head seq=%d hash=%.16s...  %s\n",
 		len(doc.Records), plural(len(doc.Records), "", "s"), doc.HeadSeq, doc.Head, status)
 	for _, r := range doc.Records {
 		fmt.Printf("%6d  %s  %-10s  %-12s  %-8s %7.3fs",
 			r.Seq, r.Time.Format("15:04:05.000"), r.Kind, r.Tenant, r.Verdict, r.Seconds)
+		if r.QueryID != "" {
+			fmt.Printf("  id=%s", r.QueryID)
+		}
 		if r.SQLDigest != "" {
 			fmt.Printf("  sql=%s", r.SQLDigest)
 		}
@@ -430,22 +343,7 @@ func printAudit(body []byte) {
 
 // printCache renders GET /cache: one line per cache tier with hit rates.
 func printCache(body []byte) {
-	var doc struct {
-		Plan struct {
-			Capacity int   `json:"capacity"`
-			Entries  int   `json:"entries"`
-			Hits     int64 `json:"hits"`
-			Misses   int64 `json:"misses"`
-		} `json:"plan"`
-		Result struct {
-			BudgetBytes int64 `json:"budget_bytes"`
-			Bytes       int64 `json:"bytes"`
-			Entries     int   `json:"entries"`
-			Hits        int64 `json:"hits"`
-			Misses      int64 `json:"misses"`
-			Evictions   int64 `json:"evictions"`
-		} `json:"result"`
-	}
+	var doc api.CacheStatsResponse
 	if err := json.Unmarshal(body, &doc); err != nil {
 		fmt.Println(string(body))
 		return
@@ -470,26 +368,8 @@ func printCache(body []byte) {
 // flushCache drops both cache tiers via POST /cache/flush, attributing the
 // (audited) flush to -tenant when given.
 func flushCache(server, tenant string) {
-	req, err := http.NewRequest(http.MethodPost, server+"/cache/flush", nil)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if tenant != "" {
-		req.Header.Set("X-MIP-Tenant", tenant)
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		log.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != 200 {
-		log.Fatalf("HTTP %d: %s", resp.StatusCode, body)
-	}
-	var doc struct {
-		Plan   int `json:"flushed_plan_entries"`
-		Result int `json:"flushed_result_entries"`
-	}
+	body := call(http.MethodPost, server+"/cache/flush", tenant, nil, 200)
+	var doc api.CacheFlushResponse
 	if err := json.Unmarshal(body, &doc); err != nil {
 		fmt.Println(string(body))
 		return
@@ -547,13 +427,7 @@ func printHealth(body []byte) {
 // printWorkers renders GET /workers as one line per worker: id, circuit
 // state, hosted datasets, and the last error for unhealthy workers.
 func printWorkers(body []byte) {
-	var ws []struct {
-		ID                  string   `json:"id"`
-		State               string   `json:"state"`
-		ConsecutiveFailures int      `json:"consecutive_failures"`
-		LastError           string   `json:"last_error"`
-		Datasets            []string `json:"datasets"`
-	}
+	var ws []api.WorkerView
 	if json.Unmarshal(body, &ws) != nil {
 		fmt.Println(string(body))
 		return
@@ -570,16 +444,6 @@ func printWorkers(body []byte) {
 	}
 }
 
-// span mirrors the server's SpanNode JSON (obs.SpanNode).
-type span struct {
-	Name     string            `json:"name"`
-	SpanID   string            `json:"span_id"`
-	Attrs    map[string]string `json:"attrs"`
-	Err      string            `json:"error"`
-	DurMS    float64           `json:"duration_ms"`
-	Children []*span           `json:"children"`
-}
-
 // printTrace renders the span tree as an indented timing outline:
 //
 //	experiment linear_regression                      12.4ms
@@ -587,10 +451,7 @@ type span struct {
 //	    worker hospital-0                              7.9ms  rows=300
 //	      exec lr_local                                 7.2ms
 func printTrace(body []byte) {
-	var doc struct {
-		TraceID string  `json:"trace_id"`
-		Tree    []*span `json:"tree"`
-	}
+	var doc api.TraceResponse
 	if err := json.Unmarshal(body, &doc); err != nil {
 		log.Fatalf("decoding trace: %v", err)
 	}
@@ -604,7 +465,7 @@ func printTrace(body []byte) {
 	}
 }
 
-func printSpan(s *span, depth int) {
+func printSpan(s *obs.SpanNode, depth int) {
 	indent := strings.Repeat("  ", depth)
 	label := indent + s.Name
 	fmt.Printf("%-48s %9.3fms", label, s.DurMS)
@@ -626,16 +487,38 @@ func printSpan(s *span, depth int) {
 }
 
 func get(url string, show func([]byte)) {
-	resp, err := http.Get(url)
+	show(call(http.MethodGet, url, "", nil, 200))
+}
+
+// call issues one request — a JSON body when in is non-nil, the tenant
+// header when set — and returns the response body. Any status but want is
+// fatal.
+func call(method, url, tenant string, in any, want int) []byte {
+	var body io.Reader
+	if in != nil {
+		enc, _ := json.Marshal(in)
+		body = bytes.NewReader(enc)
+	}
+	req, err := http.NewRequest(method, url, body)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if in != nil {
+		req.Header.Set("Content-Type", "application/json")
+	}
+	if tenant != "" {
+		req.Header.Set("X-MIP-Tenant", tenant)
+	}
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer resp.Body.Close()
-	body, _ := io.ReadAll(resp.Body)
-	if resp.StatusCode != 200 {
-		log.Fatalf("HTTP %d: %s", resp.StatusCode, body)
+	out, _ := io.ReadAll(resp.Body)
+	if resp.StatusCode != want {
+		log.Fatalf("HTTP %d: %s", resp.StatusCode, out)
 	}
-	show(body)
+	return out
 }
 
 func prettyPrint(body []byte) {
@@ -652,52 +535,29 @@ func runExperiment(server, name, tenant, algorithm, datasets, y, x, filter strin
 	if algorithm == "" {
 		log.Fatal("run needs -algorithm")
 	}
-	req := map[string]any{
-		"name":      name,
-		"algorithm": algorithm,
-		"tenant":    tenant,
-		"request": map[string]any{
-			"datasets":   splitList(datasets),
-			"y":          splitList(y),
-			"x":          splitList(x),
-			"filter":     filter,
-			"parameters": parseParams(params),
-		},
-	}
-	body, _ := json.Marshal(req)
-	resp, err := http.Post(server+"/experiments", "application/json", bytes.NewReader(body))
-	if err != nil {
-		log.Fatal(err)
-	}
-	created, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != 201 {
-		log.Fatalf("HTTP %d: %s", resp.StatusCode, created)
-	}
-	var exp struct {
-		UUID   string `json:"uuid"`
-		Status string `json:"status"`
-	}
-	if err := json.Unmarshal(created, &exp); err != nil {
+	req := api.ExperimentRequest{Name: name, Algorithm: algorithm, Tenant: tenant, Request: algorithms.Request{
+		Datasets:   splitList(datasets),
+		Y:          splitList(y),
+		X:          splitList(x),
+		Filter:     filter,
+		Parameters: parseParams(params),
+	}}
+	var exp api.Experiment
+	if err := json.Unmarshal(call(http.MethodPost, server+"/experiments", "", req, 201), &exp); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("experiment %s submitted; polling...\n", exp.UUID)
 	for {
 		time.Sleep(200 * time.Millisecond)
-		var full struct {
-			Status string          `json:"status"`
-			Error  string          `json:"error"`
-			Result json.RawMessage `json:"result"`
-		}
-		get(server+"/experiments/"+exp.UUID, func(b []byte) { json.Unmarshal(b, &full) })
-		switch full.Status {
+		get(server+"/experiments/"+exp.UUID, func(b []byte) { json.Unmarshal(b, &exp) })
+		switch exp.Status {
 		case "success":
-			prettyPrint(full.Result)
+			prettyPrint(exp.Result)
 			return
 		case "error":
-			log.Fatalf("experiment failed: %s", full.Error)
+			log.Fatalf("experiment failed: %s", exp.Error)
 		default:
-			fmt.Printf("  status: %s (your experiment is currently running)\n", full.Status)
+			fmt.Printf("  status: %s (your experiment is currently running)\n", exp.Status)
 		}
 	}
 }
@@ -765,54 +625,35 @@ func runWorkflow(server, name string, stepSpecs []string) {
 	if len(stepSpecs) == 0 {
 		log.Fatal("workflow needs at least one step (alg:datasets:y[:x])")
 	}
-	var steps []map[string]any
+	req := api.WorkflowRequest{Name: name}
 	for _, spec := range stepSpecs {
 		parts := strings.Split(spec, ":")
 		if len(parts) < 3 {
 			log.Fatalf("bad step %q (want alg:datasets:y[:x])", spec)
 		}
-		req := map[string]any{
-			"datasets": splitList(parts[1]),
-			"y":        splitList(parts[2]),
-		}
+		step := api.WorkflowStep{Name: parts[0], Algorithm: parts[0], Request: algorithms.Request{
+			Datasets: splitList(parts[1]),
+			Y:        splitList(parts[2]),
+		}}
 		if len(parts) > 3 {
-			req["x"] = splitList(parts[3])
+			step.Request.X = splitList(parts[3])
 		}
-		steps = append(steps, map[string]any{
-			"name":      parts[0],
-			"algorithm": parts[0],
-			"request":   req,
-		})
+		req.Steps = append(req.Steps, step)
 	}
-	body, _ := json.Marshal(map[string]any{"name": name, "steps": steps})
-	resp, err := http.Post(server+"/workflows", "application/json", bytes.NewReader(body))
-	if err != nil {
-		log.Fatal(err)
-	}
-	created, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != 201 {
-		log.Fatalf("HTTP %d: %s", resp.StatusCode, created)
-	}
-	var wf struct {
-		UUID string `json:"uuid"`
-	}
-	if err := json.Unmarshal(created, &wf); err != nil {
+	var wf api.Workflow
+	if err := json.Unmarshal(call(http.MethodPost, server+"/workflows", "", req, 201), &wf); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("workflow %s submitted; polling...\n", wf.UUID)
 	for {
 		time.Sleep(200 * time.Millisecond)
-		var full struct {
-			Status string          `json:"status"`
-			Steps  json.RawMessage `json:"steps"`
-		}
-		get(server+"/workflows/"+wf.UUID, func(b []byte) { json.Unmarshal(b, &full) })
-		if full.Status == "success" || full.Status == "error" {
-			fmt.Printf("workflow %s: %s\n", wf.UUID, full.Status)
-			prettyPrint(full.Steps)
+		get(server+"/workflows/"+wf.UUID, func(b []byte) { json.Unmarshal(b, &wf) })
+		if wf.Status == "success" || wf.Status == "error" {
+			fmt.Printf("workflow %s: %s\n", wf.UUID, wf.Status)
+			steps, _ := json.Marshal(wf.Steps)
+			prettyPrint(steps)
 			return
 		}
-		fmt.Printf("  status: %s\n", full.Status)
+		fmt.Printf("  status: %s\n", wf.Status)
 	}
 }

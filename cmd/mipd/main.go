@@ -74,7 +74,7 @@ func main() {
 	minWorkers := flag.Int("min-workers", 0, "minimum workers for a degraded plain-path result (0 = all required)")
 	quorum := flag.Float64("quorum", 0, "quorum fraction of session workers for degraded results (0 = all required)")
 	stepDeadline := flag.Duration("step-deadline", 0, "per-step straggler deadline before dropping slow workers (0 = wait forever)")
-	slowQuery := flag.Duration("slow-query", engine.DefaultSlowLog.Threshold(), "engine slow-query log threshold (see GET /queries/slow)")
+	slowQuery := flag.Duration("slow-query", obs.DefaultSlowLog.Threshold(), "engine slow-query log threshold (see GET /queries/slow)")
 	auditLog := flag.String("audit-log", "", "append hash-chained audit records to this JSONL file (see GET /audit)")
 	enginePar := flag.Int("engine-parallelism", 0, "intra-query parallelism per worker engine (0 = NumCPU); results are identical at any value")
 	queryDeadline := flag.Duration("query-deadline", 0, "cancel engine statements running longer than this (0 = unbounded); see GET /queries/active")
@@ -84,7 +84,7 @@ func main() {
 	resultCacheBytes := flag.Int64("result-cache-bytes", 0, "federated result cache byte budget on the master (0 disables); see GET /cache")
 	flag.Parse()
 
-	engine.DefaultSlowLog.SetThreshold(*slowQuery)
+	obs.DefaultSlowLog.SetThreshold(*slowQuery)
 	engine.SetDefaultPlanCacheSize(*planCacheSize)
 	if *enginePar > 0 {
 		engine.SetDefaultParallelism(*enginePar)

@@ -69,21 +69,14 @@ type ANOVATable struct {
 	PValue float64 `json:"p_value"`
 }
 
-// MarshalJSON renders undefined F / p-value cells as JSON null:
-// encoding/json rejects NaN, which would fail the whole result envelope.
+// MarshalJSON renders undefined F / p-value cells as JSON null.
 func (r ANOVATable) MarshalJSON() ([]byte, error) {
 	type row ANOVATable // the fields without this method
-	nullable := func(x float64) *float64 {
-		if math.IsNaN(x) {
-			return nil
-		}
-		return &x
-	}
 	return json.Marshal(struct {
 		row
 		F      *float64 `json:"f"`
 		PValue *float64 `json:"p_value"`
-	}{row(r), nullable(r.F), nullable(r.PValue)})
+	}{row(r), finiteOrNull(r.F), finiteOrNull(r.PValue)})
 }
 
 // ANOVAOneWay implements one-way analysis of variance.

@@ -1,6 +1,7 @@
 package algorithms
 
 import (
+	"encoding/json"
 	"fmt"
 	"math"
 
@@ -194,6 +195,24 @@ type VariableSummary struct {
 	Q2         float64 `json:"q2"`
 	Q3         float64 `json:"q3"`
 	Max        float64 `json:"max"`
+}
+
+// MarshalJSON renders the statistics an empty or single-row group leaves
+// undefined as JSON null.
+func (s VariableSummary) MarshalJSON() ([]byte, error) {
+	type summary VariableSummary // the fields without this method
+	return json.Marshal(struct {
+		summary
+		Mean *float64 `json:"mean"`
+		SE   *float64 `json:"se"`
+		Std  *float64 `json:"std"`
+		Min  *float64 `json:"min"`
+		Q1   *float64 `json:"q1"`
+		Q2   *float64 `json:"q2"`
+		Q3   *float64 `json:"q3"`
+		Max  *float64 `json:"max"`
+	}{summary(s), finiteOrNull(s.Mean), finiteOrNull(s.SE), finiteOrNull(s.Std), finiteOrNull(s.Min),
+		finiteOrNull(s.Q1), finiteOrNull(s.Q2), finiteOrNull(s.Q3), finiteOrNull(s.Max)})
 }
 
 // Descriptive implements the descriptive-statistics algorithm.

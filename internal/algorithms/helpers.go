@@ -9,6 +9,16 @@ import (
 	"mip/internal/stats"
 )
 
+// finiteOrNull is how result types marshal a statistic that may be
+// undefined: encoding/json rejects NaN and ±Inf, which would fail the whole
+// result envelope, so those cells become JSON null.
+func finiteOrNull(x float64) *float64 {
+	if math.IsNaN(x) || math.IsInf(x, 0) {
+		return nil
+	}
+	return &x
+}
+
 // floatCol extracts a complete (non-NULL) float column from a local step's
 // relation input. The session's data query already applies complete-cases
 // filtering, so NULLs here indicate a caller bug.

@@ -1,6 +1,7 @@
 package algorithms
 
 import (
+	"encoding/json"
 	"fmt"
 	"math"
 
@@ -124,6 +125,15 @@ type KMCurve struct {
 	Events float64   `json:"events"`
 	Median float64   `json:"median"` // NaN if never below 0.5
 	Points []KMPoint `json:"points"`
+}
+
+// MarshalJSON renders an unreached median as JSON null.
+func (c KMCurve) MarshalJSON() ([]byte, error) {
+	type curve KMCurve // the fields without this method
+	return json.Marshal(struct {
+		curve
+		Median *float64 `json:"median"`
+	}{curve(c), finiteOrNull(c.Median)})
 }
 
 // KaplanMeier implements the federated Kaplan-Meier estimator.

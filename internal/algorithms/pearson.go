@@ -1,6 +1,7 @@
 package algorithms
 
 import (
+	"encoding/json"
 	"math"
 
 	"mip/internal/engine"
@@ -66,6 +67,18 @@ type Correlation struct {
 	PValue float64 `json:"p_value"`
 	CILow  float64 `json:"ci_low"`
 	CIHigh float64 `json:"ci_high"`
+}
+
+// MarshalJSON renders the statistics of a degenerate pair (too few rows, a
+// constant column, |r| = 1) as JSON null where they are undefined.
+func (c Correlation) MarshalJSON() ([]byte, error) {
+	type pair Correlation // the fields without this method
+	return json.Marshal(struct {
+		pair
+		R      *float64 `json:"r"`
+		T      *float64 `json:"t"`
+		PValue *float64 `json:"p_value"`
+	}{pair(c), finiteOrNull(c.R), finiteOrNull(c.T), finiteOrNull(c.PValue)})
 }
 
 // PearsonCorrelation implements the Pearson correlation algorithm.

@@ -194,10 +194,10 @@ func (s *Server) handleExperimentTrace(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusNotFound, "unknown experiment %q", uuid)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"trace_id": uuid,
-		"spans":    obs.DefaultTraces.Spans(uuid),
-		"tree":     obs.DefaultTraces.Tree(uuid),
+	writeJSON(w, http.StatusOK, TraceResponse{
+		TraceID: uuid,
+		Spans:   obs.DefaultTraces.Spans(uuid),
+		Tree:    obs.DefaultTraces.Tree(uuid),
 	})
 }
 
@@ -293,20 +293,13 @@ func (s *Server) handleWorkers(w http.ResponseWriter, _ *http.Request) {
 			hosts[id] = append(hosts[id], ds)
 		}
 	}
-	type workerView struct {
-		ID                  string   `json:"id"`
-		State               string   `json:"state"`
-		ConsecutiveFailures int      `json:"consecutive_failures"`
-		LastError           string   `json:"last_error,omitempty"`
-		Datasets            []string `json:"datasets"`
-	}
-	var out []workerView
+	var out []WorkerView
 	for _, wc := range s.Master.Workers() {
 		id := wc.ID()
 		st := states[id]
 		ds := hosts[id]
 		sort.Strings(ds)
-		out = append(out, workerView{
+		out = append(out, WorkerView{
 			ID: id, State: st.State, ConsecutiveFailures: st.ConsecutiveFailures,
 			LastError: st.LastError, Datasets: ds,
 		})
@@ -439,36 +432,26 @@ func (s *Server) runExperimentTask(ctx context.Context, payload json.RawMessage)
 		}
 		root.End()
 
-		// Fold the experiment into the tenant's account and seal it onto the
-		// audit chain. Per-statement rows/bytes were already metered by the
-		// engine governor as the workers ran; this records the experiment
-		// itself — its verdict, its worker set and any degraded quorum.
-		d := obs.UsageDelta{
-			Experiments: 1,
-			Seconds:     now.Sub(created).Seconds(),
-		}
-		rec := obs.AuditRecord{
-			Kind:      "experiment",
-			Tenant:    tenant,
-			Job:       exp.UUID,
-			QueryID:   exp.UUID,
-			SQLDigest: obs.SQLDigest(exp.Algorithm),
-			Datasets:  req.Datasets,
-			Verdict:   exp.Status,
-			Seconds:   now.Sub(created).Seconds(),
-		}
-		if exp.Status == "error" {
-			d.ExperimentErrors = 1
+		// The experiment's own record: its verdict, its worker set and any
+		// degraded quorum. The per-statement rows/bytes were already emitted
+		// by the workers' engines as they ran.
+		rec := obs.QueryRecord{
+			Kind:     obs.KindExperiment,
+			ID:       exp.UUID,
+			SQL:      exp.Algorithm,
+			Tenant:   tenant,
+			Job:      exp.UUID,
+			Datasets: req.Datasets,
+			Start:    created,
+			Seconds:  now.Sub(created).Seconds(),
+			Verdict:  exp.Status,
+			Error:    exp.Error,
+			Dropped:  exp.DroppedWorkers,
 		}
 		if sess != nil {
 			rec.Workers = sess.WorkerIDs()
-			rec.Dropped = exp.DroppedWorkers
 		}
-		if exp.Degraded {
-			d.Degraded = 1
-		}
-		obs.DefaultTenants.Record(tenant, d)
-		obs.DefaultAudit.Append(rec)
+		obs.Emit(&rec, nil, true)
 	}
 
 	sess, err := s.Master.NewSession(req.Datasets)

@@ -170,64 +170,128 @@ func TestExperimentLifecycle(t *testing.T) {
 	}
 }
 
-// TestANOVAOverREST pins the fix for the Residuals row's undefined F and
-// p-value: as NaN they failed json.Marshal of the whole result, so both
-// ANOVA algorithms always errored through the API. They must now complete
-// and carry JSON null in exactly those cells.
-func TestANOVAOverREST(t *testing.T) {
-	s, ts := testServer(t)
-	for _, req := range []ExperimentRequest{
-		{Algorithm: "anova_oneway", Request: algorithms.Request{
-			Datasets:   []string{"edsd"},
-			Y:          []string{"lefthippocampus"},
-			X:          []string{"alzheimerbroadcategory"},
-			Parameters: map[string]any{"levels": []any{"CN", "MCI", "AD"}},
+// undefinedCellServer serves two hospitals whose data leaves a cell of
+// every covered algorithm undefined: group "b" is censored too early for
+// its survival to reach 0.5 (no median), "flat" is constant (no
+// correlation), and site-b never recorded "sparse" (an empty group).
+func undefinedCellServer(t *testing.T) (*Server, *httptest.Server) {
+	t.Helper()
+	schema := engine.Schema{
+		{Name: "row_id", Type: engine.Int64}, {Name: "dataset", Type: engine.String},
+		{Name: "time", Type: engine.Float64}, {Name: "event", Type: engine.Float64},
+		{Name: "grp", Type: engine.String}, {Name: "sex", Type: engine.String},
+		{Name: "y", Type: engine.Float64}, {Name: "flat", Type: engine.Float64},
+		{Name: "sparse", Type: engine.Float64},
+	}
+	var clients []federation.WorkerClient
+	for w, site := range []string{"site-a", "site-b"} {
+		tab := engine.NewTable(schema)
+		for i := 0; i < 40; i++ {
+			grp, sex, event := "a", "F", 1.0
+			if i%2 == 1 {
+				grp, event = "b", float64(i%8/7) // one event in eight
+			}
+			if i%4 >= 2 {
+				sex = "M"
+			}
+			var sparse any
+			if w == 0 {
+				sparse = float64(i)
+			}
+			if err := tab.AppendRow(int64(w*40+i), site, float64(1+i%10), event, grp, sex,
+				float64(i%7)+float64(w), 3.0, sparse); err != nil {
+				t.Fatal(err)
+			}
+		}
+		db := engine.NewDB()
+		db.RegisterTable(federation.DataTable, tab)
+		clients = append(clients, federation.NewWorker(fmt.Sprintf("w%d", w), db))
+	}
+	m, err := federation.NewMaster(clients, nil, federation.Security{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	runner := queue.NewRunner(queue.NewBroker(0, 0), 2)
+	t.Cleanup(runner.Close)
+	s := NewServer(m, catalogue.Default(), runner)
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+	return s, ts
+}
+
+// TestUndefinedCellsOverREST: a statistic that is undefined (NaN, ±Inf) used
+// to fail json.Marshal of the whole result, turning a successful experiment
+// into status "error". Each algorithm must complete over REST and carry JSON
+// null in exactly the undefined cell.
+func TestUndefinedCellsOverREST(t *testing.T) {
+	s, ts := undefinedCellServer(t)
+	sites := []string{"site-a", "site-b"}
+	// cell digs the value that must be null, and one that must not, out of
+	// the decoded result.
+	for _, tc := range []struct {
+		req  ExperimentRequest
+		cell func(result map[string]any) (null, defined any)
+	}{
+		{ExperimentRequest{Algorithm: "anova_oneway", Request: algorithms.Request{
+			Datasets: sites, Y: []string{"y"}, X: []string{"grp"},
+			Parameters: map[string]any{"levels": []any{"a", "b"}},
+		}}, func(r map[string]any) (any, any) {
+			table := r["table"].([]any)
+			return table[len(table)-1].(map[string]any)["f"], table[0].(map[string]any)["f"]
 		}},
-		{Algorithm: "anova_twoway", Request: algorithms.Request{
-			Datasets: []string{"edsd"},
-			Y:        []string{"lefthippocampus"},
-			X:        []string{"alzheimerbroadcategory", "gender"},
-			Parameters: map[string]any{"levels": map[string]any{
-				"alzheimerbroadcategory": []any{"CN", "MCI", "AD"},
-				"gender":                 []any{"F", "M"},
-			}},
+		{ExperimentRequest{Algorithm: "anova_twoway", Request: algorithms.Request{
+			Datasets: sites, Y: []string{"y"}, X: []string{"grp", "sex"},
+			Parameters: map[string]any{"levels": map[string]any{"grp": []any{"a", "b"}, "sex": []any{"F", "M"}}},
+		}}, func(r map[string]any) (any, any) {
+			table := r["table"].([]any)
+			return table[len(table)-1].(map[string]any)["p_value"], table[0].(map[string]any)["p_value"]
+		}},
+		{ExperimentRequest{Algorithm: "kaplan_meier", Request: algorithms.Request{
+			Datasets: sites, Y: []string{"time", "event"}, X: []string{"grp"},
+			Parameters: map[string]any{"groups": []any{"a", "b"}},
+		}}, func(r map[string]any) (any, any) {
+			curves := r["curves"].([]any)
+			return curves[1].(map[string]any)["median"], curves[0].(map[string]any)["median"]
+		}},
+		{ExperimentRequest{Algorithm: "descriptive_stats", Request: algorithms.Request{
+			Datasets: sites, Y: []string{"sparse"},
+		}}, func(r map[string]any) (any, any) {
+			ds := r["datasets"].(map[string]any)
+			return ds["site-b"].([]any)[0].(map[string]any)["mean"], ds["site-a"].([]any)[0].(map[string]any)["mean"]
+		}},
+		{ExperimentRequest{Algorithm: "pearson_correlation", Request: algorithms.Request{
+			Datasets: sites, Y: []string{"y"}, X: []string{"flat", "time"},
+		}}, func(r map[string]any) (any, any) {
+			pairs := r["correlations"].([]any)
+			return pairs[0].(map[string]any)["r"], pairs[1].(map[string]any)["r"]
 		}},
 	} {
+		alg := tc.req.Algorithm
 		var exp Experiment
-		if code := postJSON(t, ts.URL+"/experiments", req, &exp); code != 201 {
-			t.Fatalf("%s: create = %d", req.Algorithm, code)
+		if code := postJSON(t, ts.URL+"/experiments", tc.req, &exp); code != 201 {
+			t.Fatalf("%s: create = %d", alg, code)
 		}
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		_, err := s.WaitForExperiment(ctx, exp.UUID)
 		cancel()
 		if err != nil {
-			t.Fatalf("%s: %v", req.Algorithm, err)
+			t.Fatalf("%s: %v", alg, err)
 		}
 		var final Experiment
 		if code := getJSON(t, ts.URL+"/experiments/"+exp.UUID, &final); code != 200 {
-			t.Fatalf("%s: get = %d", req.Algorithm, code)
+			t.Fatalf("%s: get = %d", alg, code)
 		}
 		if final.Status != "success" {
-			t.Fatalf("%s: status = %q err = %q", req.Algorithm, final.Status, final.Error)
+			t.Errorf("%s: status = %q err = %q", alg, final.Status, final.Error)
+			continue
 		}
-		var result struct {
-			Table []map[string]any `json:"table"`
-		}
+		var result map[string]any
 		if err := json.Unmarshal(final.Result, &result); err != nil {
-			t.Fatalf("%s: %v", req.Algorithm, err)
+			t.Fatalf("%s: %v", alg, err)
 		}
-		if len(result.Table) < 2 {
-			t.Fatalf("%s: table has %d rows", req.Algorithm, len(result.Table))
-		}
-		for i, row := range result.Table {
-			f, hasF := row["f"]
-			p, hasP := row["p_value"]
-			if !hasF || !hasP {
-				t.Fatalf("%s: row %v lacks f/p_value keys", req.Algorithm, row)
-			}
-			if residuals := i == len(result.Table)-1; residuals != (f == nil) || residuals != (p == nil) {
-				t.Errorf("%s: row %v: f and p_value must be null on the Residuals row only", req.Algorithm, row)
-			}
+		if null, defined := tc.cell(result); null != nil || defined == nil {
+			t.Errorf("%s: undefined cell = %v (want null), defined cell = %v (want a number)\n%s",
+				alg, null, defined, final.Result)
 		}
 	}
 }

@@ -17,9 +17,7 @@ import (
 // executing in this process: id, SQL, tenant/experiment tag, start time,
 // live rows and accounted bytes, and the operator it is inside right now.
 func (s *Server) handleActiveQueries(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{
-		"queries": engine.Queries.List(),
-	})
+	writeJSON(w, http.StatusOK, ActiveQueriesResponse{Queries: engine.Queries.List()})
 }
 
 // handleKillQuery cancels a live statement by registry id. The query fails
@@ -40,9 +38,9 @@ func (s *Server) handleKillQuery(w http.ResponseWriter, r *http.Request) {
 
 // handleSlowQueries serves the retained slow-query records, newest first.
 func (s *Server) handleSlowQueries(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{
-		"threshold_seconds": engine.DefaultSlowLog.Threshold().Seconds(),
-		"queries":           engine.DefaultSlowLog.Entries(),
+	writeJSON(w, http.StatusOK, SlowQueriesResponse{
+		ThresholdSeconds: obs.DefaultSlowLog.Threshold().Seconds(),
+		Queries:          obs.DefaultSlowLog.Entries(),
 	})
 }
 
@@ -50,9 +48,9 @@ func (s *Server) handleSlowQueries(w http.ResponseWriter, _ *http.Request) {
 // cache this platform's databases resolve statements through (see
 // SetPlanCache) and the master's federated result cache.
 func (s *Server) handleCacheStats(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{
-		"plan":   s.activePlanCache().Stats(),
-		"result": s.Master.ResultCacheStats(),
+	writeJSON(w, http.StatusOK, CacheStatsResponse{
+		Plan:   s.activePlanCache().Stats(),
+		Result: s.Master.ResultCacheStats(),
 	})
 }
 
@@ -64,16 +62,13 @@ func (s *Server) handleCacheFlush(w http.ResponseWriter, r *http.Request) {
 	plan := pc.Stats().Entries
 	pc.Flush()
 	result := s.Master.FlushResultCache()
-	obs.DefaultAudit.Append(obs.AuditRecord{
-		Kind:    "cache-flush",
+	obs.Emit(&obs.QueryRecord{
+		Kind:    obs.KindCacheFlush,
 		Tenant:  r.Header.Get("X-MIP-Tenant"),
-		Verdict: "completed",
-		Rows:    int64(plan + result),
-	})
-	writeJSON(w, http.StatusOK, map[string]any{
-		"flushed_plan_entries":   plan,
-		"flushed_result_entries": result,
-	})
+		Verdict: engine.VerdictCompleted,
+		RowsOut: plan + result,
+	}, nil, true)
+	writeJSON(w, http.StatusOK, CacheFlushResponse{Plan: plan, Result: result})
 }
 
 type explainRequest struct {
@@ -112,10 +107,5 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusUnprocessableEntity, "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"sql":      req.SQL,
-		"analyzed": req.Analyze,
-		"datasets": req.Datasets,
-		"plan":     lines,
-	})
+	writeJSON(w, http.StatusOK, ExplainResponse{SQL: req.SQL, Analyzed: req.Analyze, Datasets: req.Datasets, Plan: lines})
 }

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"mip/internal/engine"
+	"mip/internal/obs"
 )
 
 func TestExplainEndpoint(t *testing.T) {
@@ -49,9 +50,9 @@ func TestExplainEndpoint(t *testing.T) {
 
 func TestSlowQueriesEndpoint(t *testing.T) {
 	_, ts := testServer(t)
-	old := engine.DefaultSlowLog
-	engine.DefaultSlowLog = engine.NewSlowLog(8, time.Nanosecond)
-	defer func() { engine.DefaultSlowLog = old }()
+	old := obs.DefaultSlowLog
+	obs.DefaultSlowLog = obs.NewSlowLog(8, time.Nanosecond)
+	defer func() { obs.DefaultSlowLog = old }()
 
 	// Run something through the engine so the log has an entry.
 	if code := postJSON(t, ts.URL+"/queries/explain",
@@ -60,8 +61,8 @@ func TestSlowQueriesEndpoint(t *testing.T) {
 	}
 
 	var doc struct {
-		ThresholdSeconds float64            `json:"threshold_seconds"`
-		Queries          []engine.SlowQuery `json:"queries"`
+		ThresholdSeconds float64           `json:"threshold_seconds"`
+		Queries          []obs.QueryRecord `json:"queries"`
 	}
 	if code := getJSON(t, ts.URL+"/queries/slow", &doc); code != http.StatusOK {
 		t.Fatalf("slow status = %d", code)

@@ -15,9 +15,7 @@ import (
 
 // handleTenants serves every tenant account, sorted by tenant id.
 func (s *Server) handleTenants(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{
-		"tenants": obs.DefaultTenants.Snapshot(),
-	})
+	writeJSON(w, http.StatusOK, TenantsResponse{Tenants: obs.DefaultTenants.Snapshot()})
 }
 
 // handleTenantUsage serves one tenant's account, 404 when the tenant has
@@ -67,21 +65,11 @@ func (s *Server) handleAudit(w http.ResponseWriter, r *http.Request) {
 		}
 		f.Limit = n
 	}
-	verified := true
-	verifyErr := ""
+	resp := AuditResponse{Records: obs.DefaultAudit.Entries(f), Verified: true}
 	if err := obs.DefaultAudit.Verify(); err != nil {
-		verified = false
-		verifyErr = err.Error()
+		resp.Verified = false
+		resp.VerifyError = err.Error()
 	}
-	seq, hash := obs.DefaultAudit.Head()
-	resp := map[string]any{
-		"records":  obs.DefaultAudit.Entries(f),
-		"verified": verified,
-		"head_seq": seq,
-		"head":     hash,
-	}
-	if verifyErr != "" {
-		resp["verify_error"] = verifyErr
-	}
+	resp.HeadSeq, resp.Head = obs.DefaultAudit.Head()
 	writeJSON(w, http.StatusOK, resp)
 }

@@ -8,6 +8,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"mip/internal/obs"
 )
 
 // DB is the engine's catalog: named base tables plus registered merge
@@ -340,24 +342,21 @@ func (db *DB) QueryWithStats(sql string) (*Table, QueryStats, error) {
 // ceiling), and records its verdict on the returned stats.
 func (db *DB) QueryWithStatsCtx(ctx context.Context, sql string) (*Table, QueryStats, error) {
 	db.queries.Add(1)
-	var qs QueryStats
-	start := time.Now()
+	qs := newQueryStats(ctx, sql)
 	st, entry, hit, err := db.parseCached(sql)
 	if err != nil {
-		engQueryErrors.Inc()
+		// Nothing to govern, but the attempt is still a statement: it is
+		// counted, metered and audited like one that failed while running.
+		qs.emit(err, !db.ec.Load().NoAccounting)
 		return nil, qs, err
 	}
-	qs.CacheHit = hit
-	ec, finish := db.beginQuery(ctx, sql, &qs)
+	if hit {
+		qs.Cache = obs.CachePlan
+	}
+	ec, finish := db.beginQuery(ctx, &qs)
 	ec.plan = entry
 	t, err := db.run(st, &qs, ec)
-	elapsed := time.Since(start)
 	finish(err)
-	qs.publish(elapsed.Seconds())
-	if err != nil {
-		engQueryErrors.Inc()
-	}
-	DefaultSlowLog.observe(sql, elapsed, &qs, err)
 	return t, qs, err
 }
 
@@ -365,9 +364,9 @@ func (db *DB) QueryWithStatsCtx(ctx context.Context, sql string) (*Table, QueryS
 // enrolls it in the governance layer: cancellation context (with optional
 // deadline), memory accountant (with optional ceiling), and a registry
 // handle. The returned finish must be called exactly once when the
-// statement ends; it deregisters the query, settles the verdict, and
-// releases context resources.
-func (db *DB) beginQuery(ctx context.Context, sql string, qs *QueryStats) (*ExecContext, func(error)) {
+// statement ends; it deregisters the query, releases its resources, and
+// emits its record.
+func (db *DB) beginQuery(ctx context.Context, qs *QueryStats) (*ExecContext, func(error)) {
 	ecq := *db.ec.Load()
 	if ctx == nil {
 		ctx = context.Background()
@@ -376,7 +375,7 @@ func (db *DB) beginQuery(ctx context.Context, sql string, qs *QueryStats) (*Exec
 		if ctx.Done() != nil {
 			ecq.Ctx = ctx
 		}
-		return &ecq, func(error) {}
+		return &ecq, func(err error) { qs.emit(err, false) }
 	}
 	cctx, cancel := context.WithCancelCause(ctx)
 	var stopDeadline context.CancelFunc
@@ -391,28 +390,21 @@ func (db *DB) beginQuery(ctx context.Context, sql string, qs *QueryStats) (*Exec
 	} else {
 		acct.onExceed = func() { cancel(ErrQueryMemLimit) }
 	}
-	h := Queries.register(sql, queryAttribution(ctx), cancel, acct)
+	h := Queries.register(&qs.QueryRecord, cancel, acct)
 	ecq.Ctx = cctx
 	ecq.Acct = acct
 	ecq.query = h
-	if qs != nil {
-		qs.acct = acct
-		qs.handle = h
-	}
+	qs.acct = acct
+	qs.handle = h
 	return &ecq, func(err error) {
 		Queries.finish(h)
 		if ecq.spill != nil {
 			ecq.spill.cleanup()
 		}
-		v := verdictFor(err)
-		if qs != nil {
-			qs.MemPeakBytes = acct.Peak()
-			qs.SpillBytes = h.spillBytes.Load()
-			qs.SpillPartitions = h.spillParts.Load()
-			qs.Verdict = v
-		}
-		queryTerminated(v)
-		meterQuery(h, qs, v, time.Since(h.start))
+		qs.MemPeakBytes = acct.Peak()
+		qs.SpillBytes = h.spillBytes.Load()
+		qs.SpillPartitions = h.spillParts.Load()
+		qs.emit(err, true)
 		if stopDeadline != nil {
 			stopDeadline()
 		}
@@ -420,21 +412,20 @@ func (db *DB) beginQuery(ctx context.Context, sql string, qs *QueryStats) (*Exec
 	}
 }
 
-// Run executes a parsed statement. Like Query it counts the statement and
-// folds its stats into the engine metrics (it used to bypass both, leaving
-// pre-parsed statements unmetered); it cannot feed the slow-query log
-// because there is no SQL text to record.
+// Run executes a parsed statement, governed and recorded like Query. A
+// SELECT is recorded under its canonical rendering; other statement kinds
+// have no renderer and keep a placeholder.
 func (db *DB) Run(st Statement) (*Table, error) {
 	db.queries.Add(1)
-	var qs QueryStats
-	start := time.Now()
-	ec, finish := db.beginQuery(context.Background(), "(prepared statement)", &qs)
+	sql := "(prepared statement)"
+	if sel, ok := st.(*SelectStmt); ok {
+		sql = RenderSelect(sel)
+	}
+	ctx := context.Background()
+	qs := newQueryStats(ctx, sql)
+	ec, finish := db.beginQuery(ctx, &qs)
 	t, err := db.run(st, &qs, ec)
 	finish(err)
-	qs.publish(time.Since(start).Seconds())
-	if err != nil {
-		engQueryErrors.Inc()
-	}
 	return t, err
 }
 
@@ -470,9 +461,7 @@ func (db *DB) run(st Statement, qs *QueryStats, ec *ExecContext) (*Table, error)
 		if t == nil {
 			return nil, fmt.Errorf("engine: unknown table %q", s.From)
 		}
-		if qs != nil {
-			qs.Root = scanPlanNode(s.From, t)
-		}
+		qs.Root = scanPlanNode(s.From, t)
 		db.mu.RLock()
 		defer db.mu.RUnlock()
 		return execSelect(ec, s, t, qs)
@@ -499,10 +488,6 @@ func (db *DB) run(st Statement, qs *QueryStats, ec *ExecContext) (*Table, error)
 // result is a one-column table of plan lines.
 func (db *DB) runExplain(s *ExplainStmt, qs *QueryStats, ec *ExecContext) (*Table, error) {
 	if s.Analyze {
-		var local QueryStats
-		if qs == nil {
-			qs = &local
-		}
 		// Surface (and use) the plan cache for the inner SELECT: EXPLAIN
 		// parses as one ExplainStmt, so the inner statement bypassed
 		// parseCached. A peek neither inserts nor reorders the LRU beyond the
@@ -511,7 +496,7 @@ func (db *DB) runExplain(s *ExplainStmt, qs *QueryStats, ec *ExecContext) (*Tabl
 		if sel, ok := s.Stmt.(*SelectStmt); ok && ec != nil {
 			if e, hit := db.lookupSelect(sel); hit {
 				ec.plan = e
-				qs.CacheHit = true
+				qs.Cache = obs.CachePlan
 				cacheLine = "cache=hit"
 			} else {
 				cacheLine = "cache=miss"
@@ -533,9 +518,7 @@ func (db *DB) runExplain(s *ExplainStmt, qs *QueryStats, ec *ExecContext) (*Tabl
 	if err != nil {
 		return nil, err
 	}
-	if qs != nil {
-		qs.Root = plan
-	}
+	qs.Root = plan
 	return planTable(plan, false)
 }
 

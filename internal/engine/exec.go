@@ -17,19 +17,15 @@ import (
 // per stage (the scan/join/merge nodes below the first stage are planted by
 // db.run and the merge table before this runs).
 func execSelect(ec *ExecContext, st *SelectStmt, input *Table, qs *QueryStats) (*Table, error) {
-	if qs != nil {
-		qs.RowsScanned += input.NumRows()
-		qs.Vectors += len(input.Schema())
-	}
+	qs.RowsScanned += input.NumRows()
+	qs.Vectors += len(input.Schema())
 	ec.addRows(input.NumRows())
 	out, err := ec.runStages(st, ec.planSelect(st, input.NumRows()), input, qs)
 	if err != nil {
 		return nil, err
 	}
-	if qs != nil {
-		qs.RowsOut += out.NumRows()
-		qs.Vectors += len(out.Schema())
-	}
+	qs.RowsOut += out.NumRows()
+	qs.Vectors += len(out.Schema())
 	return out, nil
 }
 
@@ -46,10 +42,8 @@ func (ec *ExecContext) runStages(st *SelectStmt, stages []selectStage, t *Table,
 		}
 		sg := qs.beginStage(s.op, s.detail, t.NumRows())
 		sg.setParallelism(s.par)
-		node := sg.planNode()
-		if node != nil {
-			node.Fused = s.fused
-		}
+		node := sg.node
+		node.Fused = s.fused
 		if s.kind == stageFilter && s.fused {
 			where, fnode = st.Where, node
 			continue

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"mip/internal/obs"
 )
 
 func explainDB(t *testing.T) *DB {
@@ -189,7 +191,7 @@ func TestExplainAnalyzeMergePushdown(t *testing.T) {
 	if qs.RowsOut != 1 {
 		t.Errorf("statement rows_out = %d, want 1", qs.RowsOut)
 	}
-	if qs.MergeNanos <= 0 {
+	if qs.OpNanos[obs.OpMerge] <= 0 {
 		t.Error("MergeNanos not recorded")
 	}
 }
@@ -209,11 +211,11 @@ func TestExplainErrors(t *testing.T) {
 
 func TestSlowLogCapturesOverThreshold(t *testing.T) {
 	db := explainDB(t)
-	log := NewSlowLog(2, 0)
+	log := obs.NewSlowLog(2, 0)
 	log.SetThreshold(1) // 1ns: everything is slow
-	old := DefaultSlowLog
-	DefaultSlowLog = log
-	defer func() { DefaultSlowLog = old }()
+	old := obs.DefaultSlowLog
+	obs.DefaultSlowLog = log
+	defer func() { obs.DefaultSlowLog = old }()
 
 	for _, sql := range []string{
 		`SELECT count(*) AS n FROM patients`,
@@ -395,13 +397,13 @@ func TestFusedFilterWallTimeBookedOnce(t *testing.T) {
 	if filter == nil || project == nil || !filter.Fused || !project.Fused {
 		t.Fatalf("want a fused filter→project, got:\n%s", qs.Root)
 	}
-	if qs.FilterNanos <= 0 || qs.ProjectNanos <= 0 {
-		t.Errorf("FilterNanos = %d, ProjectNanos = %d, want both > 0", qs.FilterNanos, qs.ProjectNanos)
+	if qs.OpNanos[obs.OpFilter] <= 0 || qs.OpNanos[obs.OpProject] <= 0 {
+		t.Errorf("FilterNanos = %d, ProjectNanos = %d, want both > 0", qs.OpNanos[obs.OpFilter], qs.OpNanos[obs.OpProject])
 	}
-	if qs.FilterNanos != filter.Nanos || qs.ProjectNanos != project.Nanos {
-		t.Errorf("stats (%d, %d) disagree with plan nodes (%d, %d)", qs.FilterNanos, qs.ProjectNanos, filter.Nanos, project.Nanos)
+	if qs.OpNanos[obs.OpFilter] != filter.Nanos || qs.OpNanos[obs.OpProject] != project.Nanos {
+		t.Errorf("stats (%d, %d) disagree with plan nodes (%d, %d)", qs.OpNanos[obs.OpFilter], qs.OpNanos[obs.OpProject], filter.Nanos, project.Nanos)
 	}
-	if sum := qs.FilterNanos + qs.ProjectNanos; sum > wall {
+	if sum := qs.OpNanos[obs.OpFilter] + qs.OpNanos[obs.OpProject]; sum > wall {
 		t.Errorf("FilterNanos + ProjectNanos = %d exceeds the statement's wall time %d", sum, wall)
 	}
 
@@ -434,9 +436,9 @@ func TestFusedFilterWallTimeBookedOnce(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if loop := qs.FilterNanos + qs.ProjectNanos; loop < best {
-				best, frac = loop, float64(qs.FilterNanos)/float64(loop)
-				if par == 1 && (qs.FilterNanos < ref/4 || qs.FilterNanos > ref*4) {
+			if loop := qs.OpNanos[obs.OpFilter] + qs.OpNanos[obs.OpProject]; loop < best {
+				best, frac = loop, float64(qs.OpNanos[obs.OpFilter])/float64(loop)
+				if par == 1 && (qs.OpNanos[obs.OpFilter] < ref/4 || qs.OpNanos[obs.OpFilter] > ref*4) {
 					frac = -1
 				}
 			}

@@ -8,11 +8,8 @@ package engine
 // cancellation context. Cancellation — explicit (Queries.Cancel, the REST
 // DELETE /queries/{id}), deadline, or memory ceiling — propagates through
 // ExecContext into the morsel loops, which abort at batch boundaries. The
-// final verdict (completed/cancelled/deadline/mem-limit/error) lands on
-// QueryStats, the slow-query log, trace attributes, and the
-// mip_engine_queries_terminated_total counter. These are deliberately the
-// same seams future spill-to-disk and admission-control work will budget
-// against.
+// final verdict (completed/cancelled/deadline/mem-limit/error) lands on the
+// statement's record (QueryStats.emit), from which every sink reads it.
 
 import (
 	"context"
@@ -40,8 +37,7 @@ var (
 	ErrQueryMemLimit = errors.New("engine: query memory limit exceeded")
 )
 
-// Verdicts recorded on QueryStats.Verdict, the slow-query log, and the
-// mip_engine_queries_terminated_total{reason=...} counter.
+// Verdicts an engine statement's record can carry.
 const (
 	VerdictCompleted = "completed"
 	VerdictCancelled = "cancelled"
@@ -145,17 +141,14 @@ func (a *MemAccountant) Limit() int64 {
 // update only its atomics (rows, current operator) so List never races
 // execution under -race.
 type queryHandle struct {
-	id     int64
-	sql    string
-	attr   Attribution
-	start  time.Time
+	info   QueryInfo // the fields fixed at registration; List fills in the rest
 	cancel context.CancelCauseFunc
 	acct   *MemAccountant
 	rows   atomic.Int64
 	op     atomic.Pointer[string]
 	// spillBytes/spillParts tally run-file bytes written and partitions
-	// spilled so far; live (mipctl top) and final (QueryStats) views both
-	// read them.
+	// spilled so far; the live view (mipctl top) and the statement's record
+	// both read them.
 	spillBytes atomic.Int64
 	spillParts atomic.Int64
 }
@@ -205,13 +198,18 @@ type QueryRegistry struct {
 // Queries is the process-wide active-query registry.
 var Queries = &QueryRegistry{active: make(map[int64]*queryHandle)}
 
-func (r *QueryRegistry) register(sql string, attr Attribution, cancel context.CancelCauseFunc, acct *MemAccountant) *queryHandle {
-	h := &queryHandle{sql: sql, attr: attr, start: time.Now(), cancel: cancel, acct: acct}
+// register enrolls the statement behind rec and stamps the record with
+// its registry id.
+func (r *QueryRegistry) register(rec *obs.QueryRecord, cancel context.CancelCauseFunc, acct *MemAccountant) *queryHandle {
+	h := &queryHandle{cancel: cancel, acct: acct, info: QueryInfo{
+		SQL: rec.SQL, Tenant: rec.Tenant, Job: rec.Job, Datasets: rec.Datasets, Start: rec.Start,
+	}}
 	r.mu.Lock()
 	r.seq++
-	h.id = r.seq
-	r.active[h.id] = h
+	h.info.ID = r.seq
+	r.active[r.seq] = h
 	r.mu.Unlock()
+	rec.ID = strconv.FormatInt(h.info.ID, 10)
 	return h
 }
 
@@ -220,35 +218,34 @@ func (r *QueryRegistry) finish(h *queryHandle) {
 		return
 	}
 	r.mu.Lock()
-	delete(r.active, h.id)
+	delete(r.active, h.info.ID)
 	r.mu.Unlock()
 }
 
-// List snapshots the active queries, ordered by id (oldest first).
-func (r *QueryRegistry) List() []QueryInfo {
+// handles snapshots the live handles.
+func (r *QueryRegistry) handles() []*queryHandle {
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	hs := make([]*queryHandle, 0, len(r.active))
 	for _, h := range r.active {
 		hs = append(hs, h)
 	}
-	r.mu.Unlock()
-	sort.Slice(hs, func(i, j int) bool { return hs[i].id < hs[j].id })
+	return hs
+}
+
+// List snapshots the active queries, ordered by id (oldest first).
+func (r *QueryRegistry) List() []QueryInfo {
+	hs := r.handles()
+	sort.Slice(hs, func(i, j int) bool { return hs[i].info.ID < hs[j].info.ID })
 	now := time.Now()
 	out := make([]QueryInfo, len(hs))
 	for i, h := range hs {
-		info := QueryInfo{
-			ID:         h.id,
-			SQL:        h.sql,
-			Tenant:     h.attr.Tenant,
-			Job:        h.attr.Job,
-			Datasets:   h.attr.Datasets,
-			Start:      h.start,
-			Seconds:    now.Sub(h.start).Seconds(),
-			Rows:       h.rows.Load(),
-			LiveBytes:  h.acct.Live(),
-			PeakBytes:  h.acct.Peak(),
-			SpillBytes: h.spillBytes.Load(),
-		}
+		info := h.info
+		info.Seconds = now.Sub(info.Start).Seconds()
+		info.Rows = h.rows.Load()
+		info.LiveBytes = h.acct.Live()
+		info.PeakBytes = h.acct.Peak()
+		info.SpillBytes = h.spillBytes.Load()
 		if op := h.op.Load(); op != nil {
 			info.Operator = *op
 		}
@@ -280,14 +277,8 @@ func (r *QueryRegistry) Active() int {
 // LiveBytes sums accounted live bytes across active queries (the
 // mip_engine_query_mem_bytes gauge).
 func (r *QueryRegistry) LiveBytes() int64 {
-	r.mu.Lock()
-	hs := make([]*queryHandle, 0, len(r.active))
-	for _, h := range r.active {
-		hs = append(hs, h)
-	}
-	r.mu.Unlock()
 	var total int64
-	for _, h := range hs {
+	for _, h := range r.handles() {
 		total += h.acct.Live()
 	}
 	return total
@@ -302,18 +293,11 @@ func init() {
 		func() float64 { return float64(Queries.Active()) })
 }
 
-// queryTerminated counts a finished query under its verdict.
-func queryTerminated(reason string) {
-	obs.GetCounter("mip_engine_queries_terminated_total",
-		"Queries finished, by verdict (completed/cancelled/deadline/mem-limit/error).",
-		obs.Label{Key: "reason", Value: reason}).Inc()
-}
-
 // Attribution identifies who a statement runs for: the tenant that owns
 // the work, the federation job (experiment) it belongs to, and the
 // datasets it touches. It rides the context from the API / federation
-// layer into the governor, where it lands on the active-query registry,
-// the tenant meter, the audit trail, and the slow-query log.
+// layer into the governor, where it lands on the statement's record and
+// the active-query registry.
 type Attribution struct {
 	Tenant   string
 	Job      string
@@ -343,45 +327,4 @@ func queryAttribution(ctx context.Context) Attribution {
 	}
 	a, _ := ctx.Value(attrKey{}).(Attribution)
 	return a
-}
-
-// meterQuery folds one finished governed statement into the process-wide
-// tenant meter and appends its access record to the audit chain. Called
-// from beginQuery's finish closure, so the acct_off benchmark path
-// (NoAccounting) skips it entirely.
-func meterQuery(h *queryHandle, qs *QueryStats, verdict string, elapsed time.Duration) {
-	d := obs.UsageDelta{
-		Queries: 1,
-		Seconds: elapsed.Seconds(),
-		Verdict: verdict,
-	}
-	if verdict != VerdictCompleted {
-		d.Errors = 1
-	}
-	rec := obs.AuditRecord{
-		Kind:      "query",
-		Tenant:    h.attr.Tenant,
-		Job:       h.attr.Job,
-		QueryID:   strconv.FormatInt(h.id, 10),
-		SQLDigest: obs.SQLDigest(h.sql),
-		Datasets:  h.attr.Datasets,
-		Verdict:   verdict,
-		Seconds:   elapsed.Seconds(),
-	}
-	if qs != nil {
-		d.RowsIn = int64(qs.RowsScanned)
-		d.RowsOut = int64(qs.RowsOut)
-		d.RowsShipped = int64(qs.RowsShipped)
-		d.BytesShipped = qs.BytesShipped
-		d.MemPeakBytes = qs.MemPeakBytes
-		rec.Rows = int64(qs.RowsOut)
-		if len(qs.Parts) > 0 {
-			rec.Workers = qs.Parts
-		}
-		if len(qs.DroppedParts) > 0 {
-			rec.Dropped = qs.DroppedParts
-		}
-	}
-	obs.DefaultTenants.Record(h.attr.Tenant, d)
-	obs.DefaultAudit.Append(rec)
 }

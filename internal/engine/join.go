@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sync/atomic"
 	"time"
+
+	"mip/internal/obs"
 )
 
 // Hash equi-joins. A SELECT with JOIN clauses first materializes the joined
@@ -43,18 +45,14 @@ func (db *DB) buildJoined(ec *ExecContext, st *SelectStmt, qs *QueryStats) (*Tab
 		if err != nil {
 			return nil, nil, err
 		}
-		if qs != nil {
-			nanos := time.Since(t0).Nanoseconds()
-			atomic.AddInt64(&qs.JoinNanos, nanos)
-			node.RowsIn = int64(cur.NumRows() + right.NumRows())
-			node.RowsOut = int64(joined.NumRows())
-			node.Batches = int64(joined.NumCols())
-			node.Nanos = nanos
-			node.Bytes = joined.ByteSize()
-			node.Children = []*PlanNode{curNode, nodes[ji+1]}
-			curNode = node
-		}
-		cur = joined
+		node.Nanos = time.Since(t0).Nanoseconds()
+		atomic.AddInt64(&qs.OpNanos[obs.OpJoin], node.Nanos)
+		node.RowsIn = int64(cur.NumRows() + right.NumRows())
+		node.RowsOut = int64(joined.NumRows())
+		node.Batches = int64(joined.NumCols())
+		node.Bytes = joined.ByteSize()
+		node.Children = []*PlanNode{curNode, nodes[ji+1]}
+		cur, curNode = joined, node
 	}
 	if plan.reordered {
 		t0 := time.Now()
@@ -62,36 +60,28 @@ func (db *DB) buildJoined(ec *ExecContext, st *SelectStmt, qs *QueryStats) (*Tab
 		if err != nil {
 			return nil, nil, err
 		}
-		if qs != nil {
-			n := &PlanNode{
-				Op: "order", Detail: "restore written join order",
-				RowsIn: int64(cur.NumRows()), RowsOut: int64(cur.NumRows()),
-				Batches: int64(cur.NumCols()), Nanos: time.Since(t0).Nanoseconds(),
-				Bytes: cur.ByteSize(), Children: []*PlanNode{curNode},
-			}
-			atomic.AddInt64(&qs.SortNanos, n.Nanos)
-			curNode = n
+		curNode = &PlanNode{
+			Op: "order", Detail: "restore written join order",
+			RowsIn: int64(cur.NumRows()), RowsOut: int64(cur.NumRows()),
+			Batches: int64(cur.NumCols()), Nanos: time.Since(t0).Nanoseconds(),
+			Bytes: cur.ByteSize(), Children: []*PlanNode{curNode},
 		}
+		atomic.AddInt64(&qs.OpNanos[obs.OpSort], curNode.Nanos)
 	}
-	if qs != nil {
-		qs.Root = curNode
-	}
+	qs.Root = curNode
 	return cur, plan.residual, nil
 }
 
 // joinInputs loads every relation of the plan the way the join consumes
 // it — qualified alias.col names, the planner-pushed filter applied, a
 // hidden rowid appended when the order will be restored — along with its
-// scan (→ filter) plan node when qs is attached.
+// scan (→ filter) plan node.
 func joinInputs(ec *ExecContext, plan *joinPlan, qs *QueryStats) ([]*Table, []*PlanNode, error) {
 	inputs := make([]*Table, len(plan.rels))
 	nodes := make([]*PlanNode, len(plan.rels))
 	for i, r := range plan.rels {
 		qt := qualifyTable(r.table, r.alias)
-		var node *PlanNode
-		if qs != nil {
-			node = scanPlanNode(r.name, r.table)
-		}
+		node := scanPlanNode(r.name, r.table)
 		if r.pushed != nil {
 			t0 := time.Now()
 			fnode := &PlanNode{Op: "filter", Detail: "pushed " + r.pushed.String(), RowsIn: int64(qt.NumRows())}
@@ -100,15 +90,13 @@ func joinInputs(ec *ExecContext, plan *joinPlan, qs *QueryStats) ([]*Table, []*P
 			if qt, err = ec.filterTable(qt, r.pushed, fnode); err != nil {
 				return nil, nil, err
 			}
-			if qs != nil {
-				fnode.Nanos = time.Since(t0).Nanoseconds()
-				fnode.RowsOut = int64(qt.NumRows())
-				fnode.Batches = int64(qt.NumCols())
-				fnode.Bytes = qt.ByteSize()
-				fnode.Children = []*PlanNode{node}
-				atomic.AddInt64(&qs.FilterNanos, fnode.Nanos)
-				node = fnode
-			}
+			fnode.Nanos = time.Since(t0).Nanoseconds()
+			fnode.RowsOut = int64(qt.NumRows())
+			fnode.Batches = int64(qt.NumCols())
+			fnode.Bytes = qt.ByteSize()
+			fnode.Children = []*PlanNode{node}
+			atomic.AddInt64(&qs.OpNanos[obs.OpFilter], fnode.Nanos)
+			node = fnode
 		}
 		if plan.reordered {
 			qt = withRowID(qt, i)

@@ -8,6 +8,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"mip/internal/obs"
 )
 
 // Part is one member of a merge table: typically a remote table on another
@@ -263,24 +265,18 @@ type partResult struct {
 // roster onto the statement's stats (a statement can fan out more than
 // once — joins over two merge views — so fields add, not overwrite).
 func recordShipped(qs *QueryStats, shipped int, shippedBytes int64, parts []partResult, failed []string) {
-	if qs == nil {
-		return
-	}
 	qs.RowsShipped += shipped
 	qs.BytesShipped += shippedBytes
 	for _, pr := range parts {
-		qs.Parts = append(qs.Parts, pr.name)
+		qs.Workers = append(qs.Workers, pr.name)
 	}
-	qs.DroppedParts = append(qs.DroppedParts, failed...)
+	qs.Dropped = append(qs.Dropped, failed...)
 }
 
 // plantPlan roots qs at the merge fan-in node: one child per surviving
 // part, carrying that part's shipped rows, round-trip time, and the SQL
 // pushed to it (so EXPLAIN ANALYZE shows exactly what each part ran).
 func (m *MergeTable) plantPlan(qs *QueryStats, mode, sql string, parts []partResult, union *Table, elapsed time.Duration) {
-	if qs == nil {
-		return
-	}
 	n := &PlanNode{
 		Op:      "merge",
 		Detail:  mode + " " + m.TableName,
@@ -304,7 +300,7 @@ func (m *MergeTable) plantPlan(qs *QueryStats, mode, sql string, parts []partRes
 			Bytes:   pr.bytes,
 		})
 	}
-	atomic.AddInt64(&qs.MergeNanos, elapsed.Nanoseconds())
+	atomic.AddInt64(&qs.OpNanos[obs.OpMerge], elapsed.Nanoseconds())
 	qs.Root = n
 }
 
@@ -792,11 +788,9 @@ func (m *MergeTable) execPushdown(ec *ExecContext, st *SelectStmt, specs []parti
 	if err != nil {
 		return nil, err
 	}
-	if qs != nil {
-		// The combine-stage execSelect counted its intermediate rows; the
-		// statement's result is this final projection.
-		qs.RowsOut = out.NumRows()
-	}
+	// The combine-stage execSelect counted its intermediate rows; the
+	// statement's result is this final projection.
+	qs.RowsOut = out.NumRows()
 	return out, nil
 }
 

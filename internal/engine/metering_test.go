@@ -51,8 +51,8 @@ func TestQueryMeteringAndAudit(t *testing.T) {
 	if qs.RowsShipped == 0 || qs.BytesShipped == 0 {
 		t.Fatalf("merge statement shipped rows=%d bytes=%d, want > 0", qs.RowsShipped, qs.BytesShipped)
 	}
-	if len(qs.Parts) != 1 || qs.Parts[0] != "hospital-0" {
-		t.Fatalf("qs.Parts = %v, want [hospital-0]", qs.Parts)
+	if len(qs.Workers) != 1 || qs.Workers[0] != "hospital-0" {
+		t.Fatalf("qs.Workers = %v, want [hospital-0]", qs.Workers)
 	}
 
 	u, ok := obs.DefaultTenants.Usage(tenant)
@@ -116,9 +116,9 @@ func TestQueryMeteringAndAudit(t *testing.T) {
 // the audit trail.
 func TestSlowLogCarriesAttribution(t *testing.T) {
 	db := meteringDB(t)
-	old := DefaultSlowLog.Threshold()
-	DefaultSlowLog.SetThreshold(time.Nanosecond)
-	defer DefaultSlowLog.SetThreshold(old)
+	old := obs.DefaultSlowLog.Threshold()
+	obs.DefaultSlowLog.SetThreshold(time.Nanosecond)
+	defer obs.DefaultSlowLog.SetThreshold(old)
 
 	tenant := fmt.Sprintf("slow-test-%d", time.Now().UnixNano())
 	ctx := WithQueryAttribution(context.Background(), Attribution{
@@ -127,7 +127,7 @@ func TestSlowLogCarriesAttribution(t *testing.T) {
 	if _, _, err := db.QueryWithStatsCtx(ctx, `SELECT count(*) AS n FROM cohort`); err != nil {
 		t.Fatal(err)
 	}
-	for _, e := range DefaultSlowLog.Entries() {
+	for _, e := range obs.DefaultSlowLog.Entries() {
 		if e.Tenant == tenant {
 			if e.Job != "exp-slow-1" || len(e.Datasets) != 1 || e.Datasets[0] != "cohort" {
 				t.Fatalf("slow entry attribution = %+v", e)

@@ -1,123 +1,95 @@
 package engine
 
 import (
-	"strconv"
+	"context"
+	"time"
 
 	"mip/internal/obs"
 )
 
-// QueryStats collects per-statement execution statistics: rows and vectors
-// touched plus per-operator nanoseconds, threaded through execSelect. The
-// federation worker attaches them to its trace spans; DB.Query folds them
-// into the engine metrics.
+// QueryStats is one statement's record — the operators accumulate rows,
+// vectors and per-operator nanoseconds straight into the embedded
+// obs.QueryRecord, and emit hands that record to every sink when the
+// statement ends — plus the engine-private state behind it.
 type QueryStats struct {
-	RowsScanned    int   // input rows consumed by SELECT pipelines
-	RowsOut        int   // result rows
-	Vectors        int   // column vectors materialized (input + output)
-	FilterNanos    int64 // WHERE selection + gather
-	AggregateNanos int64 // group-by/aggregate stage
-	SortNanos      int64 // ORDER BY stage
-	ProjectNanos   int64 // projection stage
-	JoinNanos      int64 // hash-join build+probe
-	MergeNanos     int64 // merge-table part fan-out
-	// MemPeakBytes is the query's peak accounted memory (coarse operator
-	// charges: materialized outputs, hash/CSR payloads, partial aggregates).
-	MemPeakBytes int64
-	// SpillBytes/SpillPartitions report how much run-file data the
-	// statement wrote to disk and how many hash partitions it spilled
-	// (both zero when execution stayed in memory).
-	SpillBytes      int64
-	SpillPartitions int64
-	// RowsShipped/BytesShipped tally what the statement pulled over the
-	// wire from merge-table parts (zero for purely local statements);
-	// Parts/DroppedParts name the parts that answered and the ones that
-	// failed or were skipped. All four feed tenant metering and the audit
-	// trail.
-	RowsShipped  int
-	BytesShipped int64
-	Parts        []string
-	DroppedParts []string
-	// Verdict records how the statement ended: completed, cancelled,
-	// deadline, mem-limit, or error. Empty when governance was disabled.
-	Verdict string
-	// CacheHit reports that the statement's plan came from the plan cache
-	// (lex/parse and plan memoization skipped). Result-cache hits at the
-	// federation layer set it too — there the whole execution was skipped.
-	CacheHit bool
+	obs.QueryRecord
 	// Root is the executed operator tree (profiled plan). Nil for DDL/DML
-	// statements and for callers that executed with a nil QueryStats.
+	// statements.
 	Root *PlanNode
 
 	acct   *MemAccountant // the query's accountant, for stage memory deltas
 	handle *queryHandle   // live registry record (current operator, rows)
 }
 
-// AttrMap renders the stats as span attributes.
-func (qs *QueryStats) AttrMap() map[string]string {
-	m := map[string]string{
-		"rows_scanned": strconv.Itoa(qs.RowsScanned),
-		"rows_out":     strconv.Itoa(qs.RowsOut),
-		"vectors":      strconv.Itoa(qs.Vectors),
+// newQueryStats opens the record of a statement starting now, attributed to
+// whoever ctx says it runs for.
+func newQueryStats(ctx context.Context, sql string) QueryStats {
+	a := queryAttribution(ctx)
+	return QueryStats{QueryRecord: obs.QueryRecord{
+		Kind:     obs.KindQuery,
+		SQL:      sql,
+		Tenant:   a.Tenant,
+		Job:      a.Job,
+		Datasets: a.Datasets,
+		Start:    time.Now(),
+	}}
+}
+
+// emit settles how the statement ended and hands its record to every sink.
+// Unaccounted statements (WithAccounting(false)) reach the metrics and the
+// slow log only.
+func (qs *QueryStats) emit(err error, accounted bool) {
+	qs.Verdict = verdictFor(err)
+	if err != nil {
+		qs.Error = err.Error()
 	}
-	if qs.MemPeakBytes > 0 {
-		m["mem_peak_bytes"] = strconv.FormatInt(qs.MemPeakBytes, 10)
+	qs.Seconds = time.Since(qs.Start).Seconds()
+	if qs.Root != nil && obs.DefaultSlowLog.Keeps(qs.Seconds) {
+		qs.Plan = qs.Root.Render(true)
 	}
-	if qs.SpillBytes > 0 {
-		m["spill_bytes"] = strconv.FormatInt(qs.SpillBytes, 10)
-	}
-	if qs.Verdict != "" {
-		m["verdict"] = qs.Verdict
-	}
-	if qs.CacheHit {
-		m["cache"] = "hit"
-	}
-	return m
+	obs.Emit(&qs.QueryRecord, &engStatements, accounted)
 }
 
 var (
-	engQueries = obs.GetCounter("mip_engine_queries_total",
-		"SQL statements executed by engine databases.")
-	engQueryErrors = obs.GetCounter("mip_engine_query_errors_total",
-		"SQL statements that returned an error.")
-	engQuerySeconds = obs.GetHistogram("mip_engine_query_seconds",
-		"Wall time of one SQL statement in seconds.", nil)
-	engRowsScanned = obs.GetCounter("mip_engine_rows_scanned_total",
-		"Input rows consumed by SELECT pipelines.")
-	engVectors = obs.GetCounter("mip_engine_vectors_processed_total",
-		"Column vectors materialized by SELECT pipelines.")
 	engTables = obs.GetGauge("mip_engine_tables",
 		"Base tables currently registered across engine databases.")
 
-	engFilterNanos = obs.GetCounter("mip_engine_operator_nanos_total",
-		"Nanoseconds spent per SELECT operator.", obs.Label{Key: "op", Value: "filter"})
-	engAggNanos = obs.GetCounter("mip_engine_operator_nanos_total",
-		"Nanoseconds spent per SELECT operator.", obs.Label{Key: "op", Value: "aggregate"})
-	engSortNanos = obs.GetCounter("mip_engine_operator_nanos_total",
-		"Nanoseconds spent per SELECT operator.", obs.Label{Key: "op", Value: "sort"})
-	engProjectNanos = obs.GetCounter("mip_engine_operator_nanos_total",
-		"Nanoseconds spent per SELECT operator.", obs.Label{Key: "op", Value: "project"})
-	engJoinNanos = obs.GetCounter("mip_engine_operator_nanos_total",
-		"Nanoseconds spent per SELECT operator.", obs.Label{Key: "op", Value: "join"})
-	engMergeNanos = obs.GetCounter("mip_engine_operator_nanos_total",
-		"Nanoseconds spent per SELECT operator.", obs.Label{Key: "op", Value: "merge"})
-	engSlowQueries = obs.GetCounter("mip_engine_slow_queries_total",
-		"Statements whose wall time exceeded the slow-query threshold.")
-	engSpillBytes = obs.GetCounter("mip_engine_spill_bytes_total",
-		"Run-file bytes written to disk by memory-bounded operators.")
-	engSpillParts = obs.GetCounter("mip_engine_spill_partitions_total",
-		"Hash partitions spilled to disk by memory-bounded operators.")
+	engStatements = obs.QueryMetrics{
+		Queries: obs.GetCounter("mip_engine_queries_total",
+			"SQL statements executed by engine databases."),
+		Errors: obs.GetCounter("mip_engine_query_errors_total",
+			"SQL statements that returned an error."),
+		Slow: obs.GetCounter("mip_engine_slow_queries_total",
+			"Statements whose wall time exceeded the slow-query threshold."),
+		Seconds: obs.GetHistogram("mip_engine_query_seconds",
+			"Wall time of one SQL statement in seconds.", nil),
+		RowsScanned: obs.GetCounter("mip_engine_rows_scanned_total",
+			"Input rows consumed by SELECT pipelines."),
+		Vectors: obs.GetCounter("mip_engine_vectors_processed_total",
+			"Column vectors materialized by SELECT pipelines."),
+		SpillBytes: obs.GetCounter("mip_engine_spill_bytes_total",
+			"Run-file bytes written to disk by memory-bounded operators."),
+		SpillPartitions: obs.GetCounter("mip_engine_spill_partitions_total",
+			"Hash partitions spilled to disk by memory-bounded operators."),
+		OpNanos:    opNanosCounters(),
+		Terminated: verdictCounters(),
+	}
 )
 
-// publish folds one statement's stats into the engine metrics.
-func (qs *QueryStats) publish(seconds float64) {
-	engQueries.Inc()
-	engQuerySeconds.Observe(seconds)
-	engRowsScanned.Add(int64(qs.RowsScanned))
-	engVectors.Add(int64(qs.Vectors))
-	engFilterNanos.Add(qs.FilterNanos)
-	engAggNanos.Add(qs.AggregateNanos)
-	engSortNanos.Add(qs.SortNanos)
-	engProjectNanos.Add(qs.ProjectNanos)
-	engJoinNanos.Add(qs.JoinNanos)
-	engMergeNanos.Add(qs.MergeNanos)
+func opNanosCounters() (cs [obs.NumOps]*obs.Counter) {
+	for op := range cs {
+		cs[op] = obs.GetCounter("mip_engine_operator_nanos_total",
+			"Nanoseconds spent per SELECT operator.", obs.Label{Key: "op", Value: obs.Op(op).String()})
+	}
+	return cs
+}
+
+func verdictCounters() map[string]*obs.Counter {
+	cs := make(map[string]*obs.Counter)
+	for _, v := range []string{VerdictCompleted, VerdictCancelled, VerdictDeadline, VerdictMemLimit, VerdictError} {
+		cs[v] = obs.GetCounter("mip_engine_queries_terminated_total",
+			"Queries finished, by verdict (completed/cancelled/deadline/mem-limit/error).",
+			obs.Label{Key: "reason", Value: v})
+	}
+	return cs
 }

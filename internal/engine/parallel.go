@@ -162,23 +162,14 @@ func (ec *ExecContext) budget() int64 {
 }
 
 // addSpill tallies run-file bytes written and partitions spilled on the
-// live registry record and the process metrics.
+// live registry record; the statement's finish copies the totals onto its
+// record, from where they reach the process metrics.
 func (ec *ExecContext) addSpill(bytes, parts int64) {
-	if bytes > 0 {
-		engSpillBytes.Add(bytes)
-	}
-	if parts > 0 {
-		engSpillParts.Add(parts)
-	}
 	if ec == nil || ec.query == nil {
 		return
 	}
-	if bytes > 0 {
-		ec.query.spillBytes.Add(bytes)
-	}
-	if parts > 0 {
-		ec.query.spillParts.Add(parts)
-	}
+	ec.query.spillBytes.Add(bytes)
+	ec.query.spillParts.Add(parts)
 }
 
 // interrupted reports the statement's termination cause (cancellation,

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"sync/atomic"
 	"time"
+
+	"mip/internal/obs"
 )
 
 // PlanNode is one operator of a query's execution plan. Children are the
@@ -195,8 +197,7 @@ func scanPlanNode(name string, t *Table) *PlanNode {
 	}
 }
 
-// stage profiles one pipeline operator. A nil *stage (from a nil
-// *QueryStats) is inert, so executor code calls begin/end unconditionally.
+// stage profiles one pipeline operator.
 type stage struct {
 	qs       *QueryStats
 	node     *PlanNode
@@ -210,9 +211,6 @@ type stage struct {
 // their multi-child nodes by hand). It also marks the operator as the
 // query's current one in the active-query registry.
 func (qs *QueryStats) beginStage(op, detail string, rowsIn int) *stage {
-	if qs == nil {
-		return nil
-	}
 	n := &PlanNode{Op: op, Detail: detail, RowsIn: int64(rowsIn)}
 	if qs.Root != nil {
 		n.Children = append(n.Children, qs.Root)
@@ -228,40 +226,23 @@ func (qs *QueryStats) beginStage(op, detail string, rowsIn int) *stage {
 	return &stage{qs: qs, node: n, start: time.Now(), memStart: qs.acct.Live()}
 }
 
-// planNode returns the stage's plan node (nil for an inert stage); morsel
-// workers use it to accrue per-morsel counters.
-func (s *stage) planNode() *PlanNode {
-	if s == nil {
-		return nil
-	}
-	return s.node
-}
-
 // setParallelism records the degree the stage fanned out to.
 func (s *stage) setParallelism(d int) {
-	if s == nil || d <= 1 {
-		return
+	if d > 1 {
+		s.node.Parallelism = d
 	}
-	s.node.Parallelism = d
 }
 
 // fuseFilter declares that the WHERE behind fnode (nil = none) runs inside
 // this stage's morsel loop. The two then share one wall clock: end books
 // the filter's share to the filter and only the rest to this stage.
-func (s *stage) fuseFilter(fnode *PlanNode) {
-	if s != nil {
-		s.filter = fnode
-	}
-}
+func (s *stage) fuseFilter(fnode *PlanNode) { s.filter = fnode }
 
 // end closes the stage, recording output shape and folding the elapsed time
-// into the legacy per-operator counters. The per-operator totals accumulate
+// into the record's per-operator nanos. The per-operator totals accumulate
 // atomically: merge-table combine stages and per-morsel workers may touch
 // the same QueryStats, and atomics keep EXPLAIN ANALYZE totals exact.
 func (s *stage) end(out *Table) {
-	if s == nil {
-		return
-	}
 	s.node.Nanos = time.Since(s.start).Nanoseconds()
 	if f := s.filter; f != nil {
 		// The morsel loop left the filter's share of its wall time on the
@@ -269,7 +250,7 @@ func (s *stage) end(out *Table) {
 		// booked exactly once.
 		f.Nanos = min(f.Nanos, s.node.Nanos)
 		s.node.Nanos -= f.Nanos
-		atomic.AddInt64(&s.qs.FilterNanos, f.Nanos)
+		atomic.AddInt64(&s.qs.OpNanos[obs.OpFilter], f.Nanos)
 	}
 	if out != nil {
 		s.node.RowsOut = int64(out.NumRows())
@@ -281,16 +262,20 @@ func (s *stage) end(out *Table) {
 			s.node.MemBytes = d
 		}
 	}
-	switch s.node.Op {
-	case "filter":
-		atomic.AddInt64(&s.qs.FilterNanos, s.node.Nanos)
-	case "aggregate":
-		atomic.AddInt64(&s.qs.AggregateNanos, s.node.Nanos)
-	case "order", "topk":
-		atomic.AddInt64(&s.qs.SortNanos, s.node.Nanos)
-	case "project", "limit":
-		atomic.AddInt64(&s.qs.ProjectNanos, s.node.Nanos)
+	if op, ok := stageOp[s.node.Op]; ok {
+		atomic.AddInt64(&s.qs.OpNanos[op], s.node.Nanos)
 	}
+}
+
+// stageOp maps a stage's plan-node label to the operator its wall time is
+// booked under; stages it does not name book none.
+var stageOp = map[string]obs.Op{
+	"filter":    obs.OpFilter,
+	"aggregate": obs.OpAggregate,
+	"order":     obs.OpSort,
+	"topk":      obs.OpSort,
+	"project":   obs.OpProject,
+	"limit":     obs.OpProject,
 }
 
 // stageKind names what a selectStage does; its op and detail are only how

@@ -3,6 +3,8 @@ package engine
 import (
 	"fmt"
 	"testing"
+
+	"mip/internal/obs"
 )
 
 // planCacheDB builds a DB over the given private cache with a small table.
@@ -114,14 +116,14 @@ func TestPlanCacheQueryStatsFlag(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if qs.CacheHit {
+	if qs.Cache != "" {
 		t.Fatal("first execution must not report a cache hit")
 	}
 	_, qs, err = db.QueryWithStats(sql)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !qs.CacheHit {
+	if qs.Cache != obs.CachePlan {
 		t.Fatal("repeat execution should report CacheHit")
 	}
 }

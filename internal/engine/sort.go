@@ -188,11 +188,9 @@ func (ec *ExecContext) sortTable(items []OrderItem, t *Table, sg *stage) (*Table
 		return nil, err
 	}
 	n := t.NumRows()
-	if node := sg.planNode(); node != nil {
-		node.Parallelism = 0 // drop the plan's prediction: the row count is known now
-	}
+	sg.node.Parallelism = 0 // drop the plan's prediction: the row count is known now
 	sg.setParallelism(ec.degreeFor(ec.numMorsels(n)))
-	perm, err := ec.sortPerm(keys, n, sg.planNode())
+	perm, err := ec.sortPerm(keys, n, sg.node)
 	if err != nil {
 		return nil, err
 	}

@@ -82,7 +82,7 @@ func TestSpillReportsStats(t *testing.T) {
 	if qs.SpillPartitions <= 0 {
 		t.Fatalf("SpillPartitions = %d, want > 0", qs.SpillPartitions)
 	}
-	if got := qs.AttrMap(); got["spill_bytes"] == "" {
+	if got := qs.Attrs(); got["spill_bytes"] == "" {
 		t.Fatalf("attr map missing spill_bytes: %v", got)
 	}
 	if qs.Verdict != VerdictCompleted {

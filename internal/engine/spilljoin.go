@@ -27,6 +27,8 @@ import (
 	"io"
 	"sync/atomic"
 	"time"
+
+	"mip/internal/obs"
 )
 
 // wouldSpill reports whether an operator expecting to charge about est
@@ -495,11 +497,9 @@ func (db *DB) trySpillJoinAgg(ec *ExecContext, s *SelectStmt, qs *QueryStats) (*
 		return nil, true, err
 	}
 	js.finishStats()
-	if qs != nil {
-		jnode.RowsIn = int64(left.NumRows() + right.NumRows())
-		jnode.Children = []*PlanNode{nodes[0], nodes[1]}
-		qs.Root = jnode
-	}
+	jnode.RowsIn = int64(left.NumRows() + right.NumRows())
+	jnode.Children = []*PlanNode{nodes[0], nodes[1]}
+	qs.Root = jnode
 
 	// Aggregate off the merged stream. where is the planner's residual
 	// WHERE (the conjuncts not pushed below the join), applied per merged
@@ -513,11 +513,11 @@ func (db *DB) trySpillJoinAgg(ec *ExecContext, s *SelectStmt, qs *QueryStats) (*
 	as := newAggSpillState(ec, prep)
 	var fnode *PlanNode
 	if where != nil {
-		fnode = qs.beginStage("filter", where.String(), 0).planNode()
+		fnode = qs.beginStage("filter", where.String(), 0).node
 	}
 	sg := qs.beginStage("aggregate", aggDetail(s), 0)
 	sg.fuseFilter(fnode)
-	anode := sg.planNode()
+	anode := sg.node
 	for _, n := range []*PlanNode{fnode, anode} {
 		if n != nil {
 			n.Fused = where != nil
@@ -538,14 +538,11 @@ func (db *DB) trySpillJoinAgg(ec *ExecContext, s *SelectStmt, qs *QueryStats) (*
 		as.abort()
 		return nil, true, err
 	}
-	if qs != nil {
-		nanos := time.Since(t0).Nanoseconds()
-		atomic.AddInt64(&qs.JoinNanos, nanos)
-		jnode.Nanos = nanos
-		jnode.RowsOut = total
-		qs.RowsScanned += int(total)
-		qs.Vectors += len(schema)
-	}
+	jnode.Nanos = time.Since(t0).Nanoseconds()
+	atomic.AddInt64(&qs.OpNanos[obs.OpJoin], jnode.Nanos)
+	jnode.RowsOut = total
+	qs.RowsScanned += int(total)
+	qs.Vectors += len(schema)
 	ec.addRows(int(total))
 	for _, n := range []*PlanNode{fnode, anode} {
 		if n != nil {
@@ -565,9 +562,7 @@ func (db *DB) trySpillJoinAgg(ec *ExecContext, s *SelectStmt, qs *QueryStats) (*
 	if out, err = ec.runStages(s, ec.afterAggregate(s), out, qs); err != nil {
 		return nil, true, err
 	}
-	if qs != nil {
-		qs.RowsOut += out.NumRows()
-		qs.Vectors += len(out.Schema())
-	}
+	qs.RowsOut += out.NumRows()
+	qs.Vectors += len(out.Schema())
 	return out, true, nil
 }

@@ -382,7 +382,7 @@ func (m *Master) MergeQueryDegradedAs(tenant string, datasets []string, sql stri
 	start := m.now()
 	t, f, leader := m.results.begin(key)
 	if t != nil {
-		m.recordCacheHit(tenant, datasets, sql, ws, t, m.now().Sub(start))
+		m.recordServe(tenant, datasets, sql, ws, t, start, "cached")
 		return t, nil, nil
 	}
 	if !leader {
@@ -394,12 +394,12 @@ func (m *Master) MergeQueryDegradedAs(tenant string, datasets []string, sql stri
 			return m.mergeQueryExec(tenant, datasets, sql, ws)
 		}
 		if len(f.dropped) == 0 {
-			m.recordCacheHit(tenant, datasets, sql, ws, f.table, m.now().Sub(start))
+			m.recordServe(tenant, datasets, sql, ws, f.table, start, "cached")
 			return f.table, nil, nil
 		}
 		// A degraded result shared from the leader's flight is still a
 		// serve: meter and audit it like every other path.
-		m.recordServe(tenant, datasets, sql, ws, f.table, m.now().Sub(start), "shared-degraded")
+		m.recordServe(tenant, datasets, sql, ws, f.table, start, "shared-degraded")
 		return f.table, f.dropped, nil
 	}
 	return m.runFlightLeader(key, f, tenant, datasets, sql, ws)
@@ -492,7 +492,7 @@ func (m *Master) ExplainAs(tenant string, datasets []string, sql string, analyze
 					Batches: int64(t.NumCols()),
 					Bytes:   t.ByteSize(),
 				}
-				m.recordCacheHit(tenant, datasets, sql, ws, t, m.now().Sub(start))
+				m.recordServe(tenant, datasets, sql, ws, t, start, "cached")
 				return append(node.Render(true), "cache=hit"), nil
 			}
 		}
@@ -515,38 +515,27 @@ func (m *Master) ExplainAs(tenant string, datasets []string, sql string, analyze
 	return lines, nil
 }
 
-// recordCacheHit meters a result-cache serve under the tenant and seals it
-// onto the audit chain, mirroring what the engine governor records for an
-// executed statement — usage accounting must not go dark just because the
-// query never ran.
-func (m *Master) recordCacheHit(tenant string, datasets []string, sql string, ws []WorkerClient, t *engine.Table, elapsed time.Duration) {
-	m.recordServe(tenant, datasets, sql, ws, t, elapsed, "cached")
-}
-
-// recordServe is the shared metering/audit path for results served without
-// this caller executing: result-cache hits ("cached") and degraded results
-// shared from a singleflight leader ("shared-degraded").
-func (m *Master) recordServe(tenant string, datasets []string, sql string, ws []WorkerClient, t *engine.Table, elapsed time.Duration, verdict string) {
+// recordServe emits the record of a result served without this caller
+// executing — a result-cache hit ("cached") or a degraded result shared
+// from a singleflight leader ("shared-degraded") — so the tenant's account
+// and the audit chain do not go dark just because the query never ran.
+func (m *Master) recordServe(tenant string, datasets []string, sql string, ws []WorkerClient, t *engine.Table, start time.Time, verdict string) {
 	ids := make([]string, len(ws))
 	for i, w := range ws {
 		ids[i] = w.ID()
 	}
-	obs.DefaultTenants.Record(tenant, obs.UsageDelta{
-		Queries: 1,
-		RowsOut: int64(t.NumRows()),
-		Seconds: elapsed.Seconds(),
-		Verdict: engine.VerdictCompleted,
-	})
-	obs.DefaultAudit.Append(obs.AuditRecord{
-		Kind:      "query",
-		Tenant:    tenant,
-		SQLDigest: obs.SQLDigest(sql),
-		Datasets:  datasets,
-		Workers:   ids,
-		Verdict:   verdict,
-		Seconds:   elapsed.Seconds(),
-		Rows:      int64(t.NumRows()),
-	})
+	obs.Emit(&obs.QueryRecord{
+		Kind:     obs.KindQuery,
+		SQL:      sql,
+		Tenant:   tenant,
+		Datasets: datasets,
+		Start:    start,
+		Seconds:  m.now().Sub(start).Seconds(),
+		Verdict:  verdict,
+		RowsOut:  t.NumRows(),
+		Workers:  ids,
+		Cache:    obs.CacheResult,
+	}, nil, true)
 }
 
 // ResultCacheStats snapshots the master's result cache (zero when the

@@ -492,27 +492,21 @@ func (w *Worker) countRows(ctx context.Context, dataQuery string, parent *obs.Sp
 	}
 	qspan := parent.StartChild("engine query")
 	t, qs, err := w.db.QueryWithStatsCtx(ctx, dataQuery)
-	if err != nil {
+	if qspan != nil {
+		for k, v := range qs.Attrs() {
+			qspan.SetAttr(k, v)
+		}
 		qspan.SetError(err)
 		qspan.End()
-		if qspan != nil {
-			resp.Spans = append(resp.Spans, qspan.Data())
-		}
-		return 0, err
-	}
-	for k, v := range qs.AttrMap() {
-		qspan.SetAttr(k, v)
-	}
-	qspan.SetAttr("op_nanos", strconv.FormatInt(
-		qs.FilterNanos+qs.AggregateNanos+qs.SortNanos+qs.ProjectNanos+qs.JoinNanos+qs.MergeNanos, 10))
-	qspan.End()
-	if qspan != nil {
 		d := qspan.Data()
 		resp.Spans = append(resp.Spans, d)
 		// Graft the measured operator tree under the query span, so the
 		// master's experiment trace shows this worker's per-operator
 		// breakdown. Spans carry shapes and timings only — never values.
 		planSpans(d.TraceID, d.SpanID, d.Start, qs.Root, &resp.Spans)
+	}
+	if err != nil {
+		return 0, err
 	}
 	return t.NumRows(), nil
 }

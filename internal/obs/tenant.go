@@ -18,24 +18,6 @@ const (
 	maxTenants = 256
 )
 
-// UsageDelta is one increment folded into a tenant's account — typically
-// a single finished statement (Queries=1 plus its QueryStats) or a single
-// finished experiment.
-type UsageDelta struct {
-	Queries          int64
-	Errors           int64 // statements ending in a non-completed verdict
-	RowsIn           int64 // rows scanned
-	RowsOut          int64 // result rows
-	RowsShipped      int64 // rows pulled from federated parts
-	BytesShipped     int64
-	MemPeakBytes     int64 // statement peak; account keeps the max
-	Seconds          float64
-	Verdict          string
-	Experiments      int64
-	ExperimentErrors int64
-	Degraded         int64 // experiments that completed degraded
-}
-
 // TenantUsage is the JSON snapshot of one tenant's cumulative account plus
 // its live SLO windows, as served by GET /tenants.
 type TenantUsage struct {
@@ -154,44 +136,60 @@ func (m *TenantMeter) newAccount(tenant string) *tenantAccount {
 	return a
 }
 
-// Record folds one delta into the tenant's account. Statement deltas
-// (Queries > 0) also feed the tenant's SLO windows.
-func (m *TenantMeter) Record(tenant string, d UsageDelta) {
-	a := m.account(tenant)
+// Record folds one finished statement or experiment into its tenant's
+// account; statements also feed the tenant's SLO windows. Other kinds of
+// record (cache flushes) are audited but not metered.
+func (m *TenantMeter) Record(r *QueryRecord) {
+	query := r.Kind == KindQuery
+	if !query && r.Kind != KindExperiment {
+		return
+	}
+	failed := r.Error != ""
+	a := m.account(r.Tenant)
 	now := m.now()
 
 	a.mu.Lock()
-	a.u.Queries += d.Queries
-	a.u.QueryErrors += d.Errors
-	a.u.Experiments += d.Experiments
-	a.u.ExperimentErrors += d.ExperimentErrors
-	a.u.DegradedExperiments += d.Degraded
-	a.u.RowsIn += d.RowsIn
-	a.u.RowsOut += d.RowsOut
-	a.u.RowsShipped += d.RowsShipped
-	a.u.BytesShipped += d.BytesShipped
-	a.u.Seconds += d.Seconds
-	if d.MemPeakBytes > a.u.MemPeakBytes {
-		a.u.MemPeakBytes = d.MemPeakBytes
+	if query {
+		a.u.Queries++
+		if failed {
+			a.u.QueryErrors++
+		}
+		if r.Verdict != "" {
+			a.verdicts[r.Verdict]++
+		}
+	} else {
+		a.u.Experiments++
+		if failed {
+			a.u.ExperimentErrors++
+		}
+		if len(r.Dropped) > 0 {
+			a.u.DegradedExperiments++
+		}
 	}
-	if d.Verdict != "" {
-		a.verdicts[d.Verdict]++
-	}
+	a.u.RowsIn += int64(r.RowsScanned)
+	a.u.RowsOut += int64(r.RowsOut)
+	a.u.RowsShipped += int64(r.RowsShipped)
+	a.u.BytesShipped += r.BytesShipped
+	a.u.Seconds += r.Seconds
+	a.u.MemPeakBytes = max(a.u.MemPeakBytes, r.MemPeakBytes)
 	a.u.LastSeen = now.UTC()
 	a.mu.Unlock()
 
-	if d.Queries > 0 {
+	if query {
 		for _, w := range a.windows {
-			w.observe(now, d.Seconds, d.Errors > 0)
+			w.observe(now, r.Seconds, failed)
 		}
+		a.cQueries.Inc()
+		if failed {
+			a.cErrors.Inc()
+		}
+	} else {
+		a.cExperiments.Inc()
 	}
-	a.cQueries.Add(d.Queries)
-	a.cErrors.Add(d.Errors)
-	a.cRowsShipped.Add(d.RowsShipped)
-	a.cBytesShipped.Add(d.BytesShipped)
-	a.cExperiments.Add(d.Experiments)
-	if d.Seconds > 0 {
-		a.gSeconds.Add(d.Seconds)
+	a.cRowsShipped.Add(int64(r.RowsShipped))
+	a.cBytesShipped.Add(r.BytesShipped)
+	if r.Seconds > 0 {
+		a.gSeconds.Add(r.Seconds)
 	}
 }
 

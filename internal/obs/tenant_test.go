@@ -15,16 +15,16 @@ func TestTenantMeterAccounting(t *testing.T) {
 	m := NewTenantMeter(reg, clk.now)
 
 	for i := 0; i < 4; i++ {
-		m.Record("alice", UsageDelta{
-			Queries: 1, RowsIn: 1000, RowsOut: 10, RowsShipped: 100,
+		m.Record(&QueryRecord{
+			Kind: KindQuery, Tenant: "alice", RowsScanned: 1000, RowsOut: 10, RowsShipped: 100,
 			BytesShipped: 4096, MemPeakBytes: int64(1000 + i), Seconds: 0.010,
 			Verdict: "completed",
 		})
 	}
-	m.Record("bob", UsageDelta{
-		Queries: 1, Errors: 1, Seconds: 0.5, Verdict: "mem-limit",
+	m.Record(&QueryRecord{
+		Kind: KindQuery, Tenant: "bob", Seconds: 0.5, Verdict: "mem-limit", Error: "query memory limit exceeded",
 	})
-	m.Record("alice", UsageDelta{Experiments: 1, Degraded: 1, Seconds: 0.2})
+	m.Record(&QueryRecord{Kind: KindExperiment, Tenant: "alice", Dropped: []string{"hospital-1"}, Seconds: 0.2})
 
 	snap := m.Snapshot()
 	if len(snap) != 2 || snap[0].Tenant != "alice" || snap[1].Tenant != "bob" {
@@ -85,13 +85,13 @@ func TestTenantMeterBoundedCardinality(t *testing.T) {
 	clk := newFakeClock()
 	m := NewTenantMeter(NewRegistry(), clk.now)
 
-	m.Record("", UsageDelta{Queries: 1})
+	m.Record(&QueryRecord{Kind: KindQuery})
 	if _, ok := m.Usage(TenantUntagged); !ok {
 		t.Fatal("empty tenant not folded into the untagged account")
 	}
 
 	for i := 0; i < maxTenants+50; i++ {
-		m.Record(fmt.Sprintf("tenant-%d", i), UsageDelta{Queries: 1})
+		m.Record(&QueryRecord{Kind: KindQuery, Tenant: fmt.Sprintf("tenant-%d", i)})
 	}
 	snap := m.Snapshot()
 	if len(snap) > maxTenants+1 {
@@ -114,7 +114,7 @@ func TestTenantMeterConcurrent(t *testing.T) {
 			defer wg.Done()
 			tenant := fmt.Sprintf("t%d", g%2)
 			for i := 0; i < 200; i++ {
-				m.Record(tenant, UsageDelta{Queries: 1, Seconds: 0.001, Verdict: "completed"})
+				m.Record(&QueryRecord{Kind: KindQuery, Tenant: tenant, Seconds: 0.001, Verdict: "completed"})
 				_ = m.Snapshot()
 			}
 		}(g)
