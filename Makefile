@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fmt check freshbuild loc auditsmoke spillsmoke cachesmoke bench benchcompare benchfull
+.PHONY: build test race vet fmt check freshbuild loc auditsmoke spillsmoke cachesmoke wiresmoke bench benchcompare benchfull
 
 build:
 	$(GO) build ./...
@@ -31,7 +31,8 @@ freshbuild:
 # loc prints the non-test line counts ROADMAP.md tracks under "quality of
 # design": these should go down.
 loc:
-	@for d in internal/engine internal/federation internal/obs internal/api cmd/mipctl; do \
+	@for d in internal/engine internal/federation internal/obs internal/api cmd/mipctl \
+		internal/algorithms internal/udf internal/smpc cmd/mipbench; do \
 		printf '%-22s %6d non-test lines\n' $$d $$(find $$d -name '*.go' ! -name '*_test.go' | xargs cat | wc -l); \
 	done
 
@@ -53,7 +54,14 @@ spillsmoke:
 cachesmoke:
 	$(GO) test -count=1 -race -run 'TestPlanCacheResultsUnchanged|TestPlanCacheSchemaChangeInvalidates|TestResultCacheInvalidationOnAppend|TestResultCacheWorkerRestartInvalidates|TestResultCacheSingleflight|TestParallelSortEquivalence' ./internal/engine/ ./internal/federation/
 
-check: vet fmt race auditsmoke spillsmoke cachesmoke
+# wiresmoke covers the worker /query table stream: merge answers over HTTP
+# are bit-identical to in-process ones (NaN payloads, -0.0, Int64 past 2^53,
+# NULLs, pushdown, median, degraded quorum), and a body cut at any byte is
+# an error, never a shorter table.
+wiresmoke:
+	$(GO) test -count=1 -race -run 'TestQueryHTTPMatchesInProcess|TestQueryStreamTruncation' ./internal/federation/
+
+check: vet fmt race auditsmoke spillsmoke cachesmoke wiresmoke
 
 # bench runs the engine perf suite and writes BENCH_engine.json (the CI
 # bench job uploads it as an artifact). Use benchfull for the testing.B

@@ -304,11 +304,10 @@ func (m *MergeTable) plantPlan(qs *QueryStats, mode, sql string, parts []partRes
 	qs.Root = n
 }
 
-// appendVector appends all of src's rows onto dst (same type). String
-// payloads are re-encoded through a per-call code translation table and
-// null bitmaps materialize lazily, exactly like concatVectors — a union
-// grown by successive appendVector calls in part order is identical
-// (codes included) to the one-shot concatenation it replaces.
+// appendVector appends all of src's rows onto dst (same type): the engine's
+// one union kernel, under Table.Append, streamUnion and concatVectors.
+// String payloads are re-encoded through a per-call code translation table
+// (first-appearance order) and null bitmaps materialize lazily.
 func appendVector(dst, src *Vector) {
 	if src.valid != nil && dst.valid == nil {
 		dst.valid = NewBitmap(dst.Len())
@@ -400,12 +399,9 @@ func (m *MergeTable) streamUnion(ec *ExecContext, sql string) (*Table, []partRes
 		out[i] = nil // release the part as soon as it is folded in
 		if union == nil {
 			union = NewTable(t.Schema())
-		} else if !union.Schema().Equal(t.Schema()) {
-			return nil, nil, nil, fmt.Errorf("engine: cannot append table with schema %v to %v",
-				t.Schema().Names(), union.Schema().Names())
 		}
-		for j := range union.cols {
-			appendVector(union.cols[j], t.Col(j))
+		if err := union.Append(t); err != nil {
+			return nil, nil, nil, err
 		}
 		ok = append(ok, partResult{name: m.Parts[i].PartName(), rows: t.NumRows(),
 			cols: t.NumCols(), bytes: t.ByteSize(), nanos: nanos[i]})

@@ -540,62 +540,23 @@ func (ec *ExecContext) concatTables(schema Schema, parts []*Table) (*Table, erro
 	return out, nil
 }
 
-// concatVectors concatenates typed payloads in order. String vectors are
-// re-encoded into one fresh dictionary via a per-part code translation
-// table (O(dict size) per part, O(1) per row).
+// concatVectors concatenates parts in order into payloads sized for total
+// rows up front. It is the appendVector fold, so dictionary codes and NULLs
+// come out exactly as in a union grown part by part.
 func concatVectors(t Type, parts []*Vector, total int) *Vector {
-	out := &Vector{typ: t}
-	hasNulls := false
-	for _, p := range parts {
-		if p.valid != nil {
-			hasNulls = true
-			break
-		}
-	}
-	if hasNulls {
-		out.valid = NewBitmap(total)
-	}
-	off := 0
+	out := NewVector(t)
 	switch t {
 	case Float64:
 		out.f64 = make([]float64, 0, total)
-		for _, p := range parts {
-			out.f64 = append(out.f64, p.f64...)
-		}
 	case Int64:
 		out.i64 = make([]int64, 0, total)
-		for _, p := range parts {
-			out.i64 = append(out.i64, p.i64...)
-		}
 	case Bool:
 		out.b = make([]bool, 0, total)
-		for _, p := range parts {
-			out.b = append(out.b, p.b...)
-		}
 	case String:
-		out.dict = NewDict()
 		out.codes = make([]int32, 0, total)
-		for _, p := range parts {
-			trans := make([]int32, p.dict.Size())
-			for c := range trans {
-				trans[c] = out.dict.Code(p.dict.Value(int32(c)))
-			}
-			for _, c := range p.codes {
-				out.codes = append(out.codes, trans[c])
-			}
-		}
 	}
-	if hasNulls {
-		for _, p := range parts {
-			if p.valid != nil {
-				for i := 0; i < p.Len(); i++ {
-					if !p.valid.Get(i) {
-						out.valid.Set(off+i, false)
-					}
-				}
-			}
-			off += p.Len()
-		}
+	for _, p := range parts {
+		appendVector(out, p)
 	}
 	return out
 }

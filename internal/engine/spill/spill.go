@@ -1,11 +1,14 @@
-// Package spill implements the engine's on-disk run-file format: the
-// append-only columnar batches that memory-bounded operators (hash join,
-// hash aggregate) write when a query's memory budget is exceeded, and read
-// back partition-wise. A run file is a sequence of length-prefixed batches;
-// each batch holds the typed column payloads of a row range plus packed
-// null bitmaps. The format is little-endian, self-describing per batch,
-// and append-only — a writer never seeks back, so runs can stream through
-// an ordinary buffered file.
+// Package spill implements the engine's columnar table stream, the format
+// of both spill run files and a worker's /query answer:
+//
+//	"MIPT" | u8 version | frame(header) | frame(batch)* | u32 0 | u64 rows
+//
+// A frame is a non-zero u32 size and that many bytes; the header lists each
+// column's kind and name; a batch holds the typed column payloads of a row
+// range plus packed null bitmaps. The trailer's row count turns a stream
+// cut anywhere, even between batches, into an error rather than a shorter
+// table. The format is little-endian and append-only, so a stream can go
+// straight to a buffered file or an HTTP response.
 //
 // The package is deliberately independent of the engine's Vector/Table
 // types (the engine imports spill, never the reverse); the engine-side
@@ -13,23 +16,24 @@
 package spill
 
 import (
-	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
 
-// floatBits/floatFromBits round floats through their IEEE bit patterns so
-// NaN payloads and signed zeros survive a spill byte-for-byte.
-func floatBits(x float64) uint64     { return math.Float64bits(x) }
-func floatFromBits(b uint64) float64 { return math.Float64frombits(b) }
+const (
+	magic   = "MIPT"
+	version = 1
+)
 
-// Kind enumerates the column payload types a run file can carry. They
+// Kind enumerates the column payload types a stream can carry. They
 // mirror the engine's column types.
 type Kind uint8
 
@@ -41,9 +45,17 @@ const (
 	Str
 )
 
+// Field is one column of a stream header; run files leave Name empty.
+type Field struct {
+	Name string
+	Kind Kind
+}
+
 // Column is one column of a batch: exactly one payload slice is populated,
-// per Kind. Str columns are dictionary-encoded per batch: Codes index into
-// Dict. Nulls, when non-nil, is a packed bitmap (bit i set = row i NULL).
+// per Kind. Floats travel as IEEE bit patterns, so NaN payloads and signed
+// zeros survive byte for byte. Str columns are dictionary-encoded per
+// batch: Codes index into Dict. Nulls, when non-nil, is a packed bitmap
+// (bit i set = row i NULL).
 type Column struct {
 	Kind  Kind
 	F64   []float64
@@ -54,7 +66,7 @@ type Column struct {
 	Nulls []byte
 }
 
-// Batch is one row range of spilled columns.
+// Batch is one row range of a stream's columns.
 type Batch struct {
 	Rows int
 	Cols []Column
@@ -77,30 +89,27 @@ func (c *Column) SetNull(i, n int) {
 	c.Nulls[i/8] |= 1 << (uint(i) % 8)
 }
 
-// bufferSize is the bufio size for run readers and writers. It is small on
-// purpose: spilling queries are already over their memory budget, and the
-// accountant charges one buffer per open run.
-const bufferSize = 64 << 10
-
-// BufferSize returns the per-run buffered-I/O footprint, so the engine's
-// memory accountant can charge open readers and writers.
-func BufferSize() int64 { return bufferSize }
-
-// Writer appends batches to one run file.
+// Writer encodes one stream onto an io.Writer, one Write call per frame.
 type Writer struct {
-	f       *os.File
-	w       *bufio.Writer
+	w       io.Writer
+	rows    uint64
 	bytes   int64
 	scratch []byte
 }
 
-// NewWriter creates (truncating) the run file at path.
-func NewWriter(path string) (*Writer, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o600)
-	if err != nil {
+// NewWriter writes the stream header for the given columns to w.
+func NewWriter(w io.Writer, fields []Field) (*Writer, error) {
+	sw := &Writer{w: w, scratch: append([]byte(magic), version, 0, 0, 0, 0)}
+	sw.u32(uint32(len(fields)))
+	for _, f := range fields {
+		sw.scratch = append(sw.scratch, byte(f.Kind))
+		sw.u32(uint32(len(f.Name)))
+		sw.scratch = append(sw.scratch, f.Name...)
+	}
+	if err := sw.flush(len(magic) + 1); err != nil {
 		return nil, err
 	}
-	return &Writer{f: f, w: bufio.NewWriterSize(f, bufferSize)}, nil
+	return sw, nil
 }
 
 // Bytes returns the total encoded bytes written so far.
@@ -114,7 +123,19 @@ func (w *Writer) u64(x uint64) {
 	w.scratch = binary.LittleEndian.AppendUint64(w.scratch, x)
 }
 
-// Write appends one batch. Layout:
+// flush writes the scratch buffer out, first filling in the size of the
+// frame whose u32 size field sits at offset at (none when at < 0).
+func (w *Writer) flush(at int) error {
+	if at >= 0 {
+		binary.LittleEndian.PutUint32(w.scratch[at:], uint32(len(w.scratch)-at-4))
+	}
+	n, err := w.w.Write(w.scratch)
+	w.bytes += int64(n)
+	w.scratch = w.scratch[:0]
+	return err
+}
+
+// Write appends one batch as a frame. Batch layout:
 //
 //	u32 rows | u32 ncols | per column:
 //	  u8 kind | u8 hasNulls | [nulls bitmap] | payload
@@ -122,7 +143,9 @@ func (w *Writer) u64(x uint64) {
 // payloads: F64/I64 are 8*rows bytes, Bool is rows bytes, Str is
 // u32 dictLen, dictLen × (u32 len + bytes), then 4*rows code bytes.
 func (w *Writer) Write(b *Batch) error {
-	w.scratch = w.scratch[:0]
+	// Reserve 9 bytes a cell (the widest payload plus its null bit) up front;
+	// only string dictionaries can still grow the buffer.
+	w.scratch = append(slices.Grow(w.scratch[:0], 16+9*b.Rows*len(b.Cols)), 0, 0, 0, 0)
 	w.u32(uint32(b.Rows))
 	w.u32(uint32(len(b.Cols)))
 	for ci := range b.Cols {
@@ -142,7 +165,7 @@ func (w *Writer) Write(b *Batch) error {
 		switch c.Kind {
 		case F64:
 			for _, x := range c.F64[:b.Rows] {
-				w.u64(floatBits(x))
+				w.u64(math.Float64bits(x))
 			}
 		case I64:
 			for _, x := range c.I64[:b.Rows] {
@@ -169,131 +192,218 @@ func (w *Writer) Write(b *Batch) error {
 			return fmt.Errorf("spill: unknown column kind %d", c.Kind)
 		}
 	}
-	var hdr [4]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(len(w.scratch)))
-	if _, err := w.w.Write(hdr[:]); err != nil {
-		return err
-	}
-	if _, err := w.w.Write(w.scratch); err != nil {
-		return err
-	}
-	w.bytes += int64(len(hdr)) + int64(len(w.scratch))
-	return nil
+	w.rows += uint64(b.Rows)
+	return w.flush(0)
 }
 
-// Close flushes and closes the run file.
+// Close writes the end-of-stream trailer; the underlying writer stays open.
 func (w *Writer) Close() error {
-	if err := w.w.Flush(); err != nil {
-		w.f.Close()
-		return err
-	}
-	return w.f.Close()
+	w.scratch = append(w.scratch[:0], 0, 0, 0, 0)
+	w.u64(w.rows)
+	return w.flush(-1)
 }
 
-// Reader streams the batches of one run file back in write order.
+// Reader decodes one stream from an io.Reader. Malformed input — a bad
+// magic, version, kind, column count, length, dictionary code or trailer —
+// is an error, never a panic, and costs memory in proportion to its size.
 type Reader struct {
-	f       *os.File
-	r       *bufio.Reader
-	scratch []byte
+	r      io.Reader
+	fields []Field
+	rows   uint64
+	done   bool
+	buf    bytes.Buffer
 }
 
-// NewReader opens the run file at path.
-func NewReader(path string) (*Reader, error) {
-	f, err := os.Open(path)
+// NewReader reads and validates the stream header from r.
+func NewReader(r io.Reader) (*Reader, error) {
+	sr := &Reader{r: r}
+	pre, err := sr.read(len(magic) + 1)
 	if err != nil {
 		return nil, err
 	}
-	return &Reader{f: f, r: bufio.NewReaderSize(f, bufferSize)}, nil
+	if string(pre[:len(magic)]) != magic {
+		return nil, fmt.Errorf("spill: not a table stream (magic %q)", pre[:len(magic)])
+	}
+	if pre[len(magic)] != version {
+		return nil, fmt.Errorf("spill: unsupported stream version %d", pre[len(magic)])
+	}
+	d, err := sr.frame()
+	if err != nil {
+		return nil, err
+	}
+	sr.fields = make([]Field, d.count(5)) // ≥ kind + name length per column
+	for i := range sr.fields {
+		f := &sr.fields[i]
+		if f.Kind = Kind(d.u8()); f.Kind > Str {
+			return nil, fmt.Errorf("spill: unknown column kind %d in header", f.Kind)
+		}
+		f.Name = string(d.bytes(int(d.u32())))
+	}
+	if err := d.finish(); err != nil {
+		return nil, err
+	}
+	return sr, nil
 }
 
-// Next decodes the next batch, returning io.EOF after the last one.
-func (r *Reader) Next() (*Batch, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r.r, hdr[:]); err != nil {
-		if err == io.ErrUnexpectedEOF {
-			return nil, io.ErrUnexpectedEOF
+// Fields returns the stream's columns, as declared by its header.
+func (r *Reader) Fields() []Field { return r.fields }
+
+// read returns the next n bytes, valid until the next read. The buffer
+// grows only as bytes arrive, so a forged length costs at most about twice
+// the bytes actually present. Input may end only after the trailer.
+func (r *Reader) read(n int) ([]byte, error) {
+	r.buf.Reset()
+	if _, err := io.CopyN(&r.buf, r.r, int64(n)); err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
 		}
-		return nil, err // io.EOF at a clean batch boundary
+		return nil, fmt.Errorf("spill: truncated stream: %w", err)
 	}
-	size := int(binary.LittleEndian.Uint32(hdr[:]))
-	if cap(r.scratch) < size {
-		r.scratch = make([]byte, size)
+	return r.buf.Bytes(), nil
+}
+
+// frame reads one frame; the trailer's zero size yields an empty payload.
+func (r *Reader) frame() (*decoder, error) {
+	size, err := r.read(4)
+	if err != nil {
+		return nil, err
 	}
-	buf := r.scratch[:size]
-	if _, err := io.ReadFull(r.r, buf); err != nil {
-		return nil, fmt.Errorf("spill: truncated batch: %w", err)
+	buf, err := r.read(int(binary.LittleEndian.Uint32(size)))
+	return &decoder{buf: buf}, err
+}
+
+// Next decodes the next batch, returning io.EOF only after a trailer whose
+// row count matches the rows decoded.
+func (r *Reader) Next() (*Batch, error) {
+	if r.done {
+		return nil, io.EOF
 	}
-	d := decoder{buf: buf}
-	rows := int(d.u32())
-	ncols := int(d.u32())
+	d, err := r.frame()
+	if err != nil {
+		return nil, err
+	}
+	if len(d.buf) == 0 {
+		t, err := r.read(8)
+		if err != nil {
+			return nil, err
+		}
+		if total := binary.LittleEndian.Uint64(t); total != r.rows {
+			return nil, fmt.Errorf("spill: trailer counts %d rows, stream held %d", total, r.rows)
+		}
+		r.done = true
+		return nil, io.EOF
+	}
+	rows, ncols := int(d.u32()), d.count(2) // ≥ kind + null flag per column
+	if d.err == nil && ncols != len(r.fields) {
+		d.err = fmt.Errorf("spill: batch has %d columns, header declares %d", ncols, len(r.fields))
+	}
+	if d.err != nil {
+		return nil, d.err
+	}
 	b := &Batch{Rows: rows, Cols: make([]Column, ncols)}
-	for ci := 0; ci < ncols; ci++ {
+	for ci := range b.Cols {
 		c := &b.Cols[ci]
-		c.Kind = Kind(d.u8())
-		hasNulls := d.u8()
-		if hasNulls == 1 {
+		if c.Kind = Kind(d.u8()); d.err == nil && c.Kind != r.fields[ci].Kind {
+			return nil, fmt.Errorf("spill: column %d is kind %d, header declares %d", ci, c.Kind, r.fields[ci].Kind)
+		}
+		switch d.u8() {
+		case 0:
+		case 1:
 			c.Nulls = append([]byte(nil), d.bytes((rows+7)/8)...)
+		default:
+			d.fail()
 		}
 		switch c.Kind {
 		case F64:
-			c.F64 = make([]float64, rows)
+			p := d.bytes(8 * rows)
+			c.F64 = make([]float64, len(p)/8)
 			for i := range c.F64 {
-				c.F64[i] = floatFromBits(d.u64())
+				c.F64[i] = math.Float64frombits(binary.LittleEndian.Uint64(p[8*i:]))
 			}
 		case I64:
-			c.I64 = make([]int64, rows)
+			p := d.bytes(8 * rows)
+			c.I64 = make([]int64, len(p)/8)
 			for i := range c.I64 {
-				c.I64[i] = int64(d.u64())
+				c.I64[i] = int64(binary.LittleEndian.Uint64(p[8*i:]))
 			}
 		case Bool:
-			c.B = make([]bool, rows)
-			for i, x := range d.bytes(rows) {
+			p := d.bytes(rows)
+			c.B = make([]bool, len(p))
+			for i, x := range p {
 				c.B[i] = x != 0
 			}
 		case Str:
-			dictLen := int(d.u32())
-			c.Dict = make([]string, dictLen)
+			c.Dict = make([]string, d.count(4)) // ≥ a length per entry
 			for i := range c.Dict {
 				c.Dict[i] = string(d.bytes(int(d.u32())))
 			}
-			c.Codes = make([]int32, rows)
+			p := d.bytes(4 * rows)
+			c.Codes = make([]int32, len(p)/4)
 			for i := range c.Codes {
-				c.Codes[i] = int32(d.u32())
+				code := binary.LittleEndian.Uint32(p[4*i:])
+				if code >= uint32(len(c.Dict)) {
+					return nil, fmt.Errorf("spill: string code %d outside a %d-entry dictionary", code, len(c.Dict))
+				}
+				c.Codes[i] = int32(code)
 			}
-		default:
-			return nil, fmt.Errorf("spill: unknown column kind %d", c.Kind)
 		}
 		if d.err != nil {
 			return nil, d.err
 		}
 	}
+	if err := d.finish(); err != nil {
+		return nil, err
+	}
+	r.rows += uint64(rows)
 	return b, nil
 }
 
-// Close closes the run file.
-func (r *Reader) Close() error { return r.f.Close() }
-
+// decoder reads one frame's payload. A short read records an error and
+// yields zero values, so callers check err once per column.
 type decoder struct {
 	buf []byte
 	off int
 	err error
 }
 
-func (d *decoder) bytes(n int) []byte {
-	if d.err != nil || d.off+n > len(d.buf) {
-		if d.err == nil {
-			d.err = fmt.Errorf("spill: corrupt batch (short read)")
-		}
-		return make([]byte, n)
+func (d *decoder) fail() {
+	if d.err == nil {
+		d.err = fmt.Errorf("spill: corrupt frame (short read)")
 	}
-	b := d.buf[d.off : d.off+n]
+}
+
+// bytes returns the next n bytes. Once the frame runs short it returns
+// zeros, at most 8 of them, so a forged n allocates nothing.
+func (d *decoder) bytes(n int) []byte {
+	if d.err != nil || n > len(d.buf)-d.off {
+		d.fail()
+		return make([]byte, min(n, 8))
+	}
 	d.off += n
-	return b
+	return d.buf[d.off-n : d.off]
 }
 
 func (d *decoder) u8() byte    { return d.bytes(1)[0] }
 func (d *decoder) u32() uint32 { return binary.LittleEndian.Uint32(d.bytes(4)) }
-func (d *decoder) u64() uint64 { return binary.LittleEndian.Uint64(d.bytes(8)) }
+
+// count reads an element count and fails unless the frame has at least
+// size bytes left per element: the bound every allocation sized by the
+// stream passes through.
+func (d *decoder) count(size int) int {
+	if n := int(d.u32()); n <= (len(d.buf)-d.off)/size {
+		return n
+	}
+	d.fail()
+	return 0
+}
+
+// finish fails unless the frame decoded cleanly and completely.
+func (d *decoder) finish() error {
+	if d.err == nil && d.off != len(d.buf) {
+		d.err = fmt.Errorf("spill: %d trailing bytes in frame", len(d.buf)-d.off)
+	}
+	return d.err
+}
 
 // Dir manages one query's spill directory: a MkdirTemp under the
 // configured base, handing out unique run-file paths and removing
@@ -316,9 +426,6 @@ func NewDir(base string) (*Dir, error) {
 	}
 	return &Dir{path: p}, nil
 }
-
-// Path returns the directory path.
-func (d *Dir) Path() string { return d.path }
 
 // RunPath returns a fresh unique run-file path inside the directory. The
 // label is embedded for debuggability only.

@@ -1,10 +1,12 @@
 package spill
 
 import (
+	"bytes"
 	"io"
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -16,7 +18,7 @@ func TestRoundTripAllKinds(t *testing.T) {
 	defer dir.Cleanup()
 
 	path := dir.RunPath("test")
-	w, err := NewWriter(path)
+	w, err := createRun(path, F64, I64, Bool, Str)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,15 +47,15 @@ func TestRoundTripAllKinds(t *testing.T) {
 	if w.Bytes() <= 0 {
 		t.Fatalf("Bytes() = %d, want > 0", w.Bytes())
 	}
-	wantBytes := w.Bytes()
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
+	wantBytes := w.Bytes()
 	if st, err := os.Stat(path); err != nil || st.Size() != wantBytes {
 		t.Fatalf("file size %v (err %v), want %d", st, err, wantBytes)
 	}
 
-	r, err := NewReader(path)
+	r, err := openRun(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +128,7 @@ func TestDirCleanup(t *testing.T) {
 		t.Fatalf("RunPath not unique: %s", p1)
 	}
 	for _, p := range []string{p1, p2} {
-		w, err := NewWriter(p)
+		w, err := createRun(p, I64)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -162,7 +164,7 @@ func TestDirCleanup(t *testing.T) {
 func TestEmptyBatchAndZeroRuns(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "empty.col")
-	w, err := NewWriter(path)
+	w, err := createRun(path, F64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +174,7 @@ func TestEmptyBatchAndZeroRuns(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	r, err := NewReader(path)
+	r, err := openRun(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,5 +188,127 @@ func TestEmptyBatchAndZeroRuns(t *testing.T) {
 	}
 	if _, err := r.Next(); err != io.EOF {
 		t.Fatalf("expected io.EOF, got %v", err)
+	}
+}
+
+// runWriter/runReader put a stream on a file the way the engine's run
+// files do.
+type runWriter struct {
+	*Writer
+	f *os.File
+}
+
+func createRun(path string, kinds ...Kind) (*runWriter, error) {
+	f, err := os.Create(path)
+	if err != nil {
+		return nil, err
+	}
+	fields := make([]Field, len(kinds))
+	for i, k := range kinds {
+		fields[i].Kind = k
+	}
+	w, err := NewWriter(f, fields)
+	if err != nil {
+		f.Close()
+		return nil, err
+	}
+	return &runWriter{Writer: w, f: f}, nil
+}
+
+func (w *runWriter) Close() error {
+	if err := w.Writer.Close(); err != nil {
+		w.f.Close()
+		return err
+	}
+	return w.f.Close()
+}
+
+type runReader struct {
+	*Reader
+	f *os.File
+}
+
+func openRun(path string) (*runReader, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	r, err := NewReader(f)
+	if err != nil {
+		f.Close()
+		return nil, err
+	}
+	return &runReader{Reader: r, f: f}, nil
+}
+
+func (r *runReader) Close() error { return r.f.Close() }
+
+// oneColumnStream is a valid stream of one F64 column "x" holding two rows:
+// the header frame starts at 5, the batch frame at 19 (rows at 23, ncols at
+// 27, the column's kind at 31), and the trailer's row count is the last 8
+// bytes.
+func oneColumnStream(t *testing.T) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	w, err := NewWriter(&buf, []Field{{Name: "x", Kind: F64}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Write(&Batch{Rows: 2, Cols: []Column{{Kind: F64, F64: []float64{1, 2}}}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// readAll decodes a whole stream, returning the first error.
+func readAll(data []byte) error {
+	r, err := NewReader(bytes.NewReader(data))
+	if err != nil {
+		return err
+	}
+	for {
+		if _, err := r.Next(); err == io.EOF {
+			return nil
+		} else if err != nil {
+			return err
+		}
+	}
+}
+
+func TestReaderRejectsCorruptStreams(t *testing.T) {
+	if err := readAll(oneColumnStream(t)); err != nil {
+		t.Fatalf("valid stream: %v", err)
+	}
+	var badCode bytes.Buffer
+	w, _ := NewWriter(&badCode, []Field{{Kind: Str}})
+	if err := w.Write(&Batch{Rows: 1, Cols: []Column{{Kind: Str, Codes: []int32{1}, Dict: []string{"a"}}}}); err != nil {
+		t.Fatal(err)
+	}
+	w.Close()
+	cases := []struct {
+		name string
+		edit func(b []byte) []byte
+		want string
+	}{
+		{"magic", func(b []byte) []byte { b[0] = 'X'; return b }, "not a table stream"},
+		{"version", func(b []byte) []byte { b[4] = 9; return b }, "unsupported stream version"},
+		{"header kind", func(b []byte) []byte { b[13] = 7; return b }, "unknown column kind"},
+		{"column count", func(b []byte) []byte { b[27] = 2; return b }, "header declares 1"},
+		{"batch kind", func(b []byte) []byte { b[31] = byte(I64); return b }, "header declares 0"},
+		{"null flag", func(b []byte) []byte { b[32] = 5; return b }, "corrupt frame"},
+		{"row count", func(b []byte) []byte { b[23] = 200; return b }, "corrupt frame"},
+		{"trailer", func(b []byte) []byte { b[len(b)-8] = 3; return b }, "trailer counts 3 rows"},
+		{"no trailer", func(b []byte) []byte { return b[:len(b)-12] }, "truncated stream"},
+		{"trailing bytes", func(b []byte) []byte { b[23] = 1; return b }, "8 trailing bytes"},
+		{"code", func([]byte) []byte { return badCode.Bytes() }, "outside a 1-entry dictionary"},
+	}
+	for _, tc := range cases {
+		err := readAll(tc.edit(oneColumnStream(t)))
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want %q", tc.name, err, tc.want)
+		}
 	}
 }

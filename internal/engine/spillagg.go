@@ -63,13 +63,6 @@ func (sp *rowSpiller) add(keys, cols []*Vector, seq []int64, n int) error {
 		if len(sel) == 0 {
 			continue
 		}
-		if sp.ws[p] == nil {
-			w, err := sp.ec.newRunWriter(fmt.Sprintf("%s-d%d-p%d", sp.label, sp.depth, p))
-			if err != nil {
-				return err
-			}
-			sp.ws[p] = w
-		}
 		out := make([]*Vector, 0, len(cols)+1)
 		for _, c := range cols {
 			out = append(out, c.Gather(sel))
@@ -79,6 +72,13 @@ func (sp *rowSpiller) add(keys, cols []*Vector, seq []int64, n int) error {
 			sq[i] = seq[r]
 		}
 		out = append(out, &Vector{typ: Int64, i64: sq})
+		if sp.ws[p] == nil {
+			w, err := sp.ec.newRunWriter(fmt.Sprintf("%s-d%d-p%d", sp.label, sp.depth, p), out)
+			if err != nil {
+				return err
+			}
+			sp.ws[p] = w
+		}
 		if err := sp.ws[p].write(out); err != nil {
 			return err
 		}

@@ -1,13 +1,16 @@
 package engine
 
 // spillio adapts the engine's Vector/Table types to the spill package's
-// run-file format. Everything here is per-query: a spillSession lazily
-// creates one private temp directory the first time an operator sheds
-// state, runWriter/runReader wrap spill.Writer/Reader with memory-
-// accountant charges for their I/O buffers, and vecToCol/colToVec convert
-// columns losslessly (float bits, NULL bitmaps, dictionary strings).
+// table stream. WriteTable/ReadTable put a whole table on any byte stream
+// (the worker /query wire). Per query, a spillSession lazily creates one
+// private temp directory the first time an operator sheds state, and
+// runWriter/runReader keep streams in run files there, charging the memory
+// accountant for their I/O buffers. vecToCol/colToVec convert columns
+// losslessly (float bits, NULL bitmaps, dictionary strings).
 
 import (
+	"bufio"
+	"errors"
 	"io"
 	"os"
 	"sync"
@@ -46,39 +49,29 @@ func (s *spillSession) cleanup() {
 	}
 }
 
+// kindOf and typeOf map engine column types to stream kinds and back.
+var (
+	kindOf = [...]spill.Kind{Float64: spill.F64, Int64: spill.I64, String: spill.Str, Bool: spill.Bool}
+	typeOf = [...]Type{spill.F64: Float64, spill.I64: Int64, spill.Str: String, spill.Bool: Bool}
+)
+
 // vecToCol converts one vector into a spill column. Payload slices are
 // shared (the writer only reads them); String vectors are re-encoded
 // against a compact per-batch dictionary so a batch never serializes a
 // large shared dict.
 func vecToCol(v *Vector) spill.Column {
 	n := v.Len()
-	var c spill.Column
-	switch v.Type() {
-	case Float64:
-		c.Kind = spill.F64
-		c.F64 = v.f64
-	case Int64:
-		c.Kind = spill.I64
-		c.I64 = v.i64
-	case Bool:
-		c.Kind = spill.Bool
-		c.B = v.b
-	case String:
-		c.Kind = spill.Str
+	c := spill.Column{Kind: kindOf[v.typ], F64: v.f64, I64: v.i64, B: v.b}
+	if v.typ == String {
 		codes := make([]int32, n)
-		trans := make([]int32, v.dict.Size())
-		for i := range trans {
-			trans[i] = -1
-		}
+		trans := make([]int32, v.dict.Size()) // batch code + 1; 0 = not seen yet
 		var dict []string
 		for i, code := range v.codes[:n] {
-			t := trans[code]
-			if t < 0 {
-				t = int32(len(dict))
+			if trans[code] == 0 {
 				dict = append(dict, v.dict.Value(code))
-				trans[code] = t
+				trans[code] = int32(len(dict))
 			}
-			codes[i] = t
+			codes[i] = trans[code] - 1
 		}
 		c.Codes, c.Dict = codes, dict
 	}
@@ -94,22 +87,17 @@ func vecToCol(v *Vector) spill.Column {
 
 // colToVec converts a decoded spill column back into a vector. Per-batch
 // dictionaries hold unique values, so re-inserting them in order gives an
-// identity code mapping.
+// identity code mapping; one repeating a value (a corrupt stream) yields nil.
 func colToVec(c *spill.Column, rows int) *Vector {
-	var v *Vector
-	switch c.Kind {
-	case spill.F64:
-		v = &Vector{typ: Float64, f64: c.F64}
-	case spill.I64:
-		v = &Vector{typ: Int64, i64: c.I64}
-	case spill.Bool:
-		v = &Vector{typ: Bool, b: c.B}
-	case spill.Str:
-		d := NewDict()
+	v := &Vector{typ: typeOf[c.Kind], f64: c.F64, i64: c.I64, b: c.B, codes: c.Codes}
+	if c.Kind == spill.Str {
+		v.dict = NewDict()
 		for _, s := range c.Dict {
-			d.Code(s)
+			v.dict.Code(s)
 		}
-		v = &Vector{typ: String, codes: c.Codes, dict: d}
+		if v.dict.Size() != len(c.Dict) {
+			return nil
+		}
 	}
 	if c.Nulls != nil {
 		v.valid = NewBitmap(rows)
@@ -136,37 +124,115 @@ func batchOf(vs []*Vector) *spill.Batch {
 	return b
 }
 
-// vecsOf unpacks a decoded batch into vectors.
-func vecsOf(b *spill.Batch) []*Vector {
+// nextVecs decodes a stream's next batch into vectors, or returns io.EOF
+// after the last batch.
+func nextVecs(sr *spill.Reader) ([]*Vector, error) {
+	b, err := sr.Next()
+	if err != nil {
+		return nil, err
+	}
 	out := make([]*Vector, len(b.Cols))
 	for i := range b.Cols {
-		out[i] = colToVec(&b.Cols[i], b.Rows)
+		if out[i] = colToVec(&b.Cols[i], b.Rows); out[i] == nil {
+			return nil, errors.New("engine: table stream repeats a string in a batch dictionary")
+		}
 	}
-	return out
+	return out, nil
 }
+
+// readTable drains a stream's remaining batches into one table, appended
+// in stream order (string codes in first-appearance order).
+func readTable(sr *spill.Reader) (*Table, error) {
+	schema := make(Schema, len(sr.Fields()))
+	for i, f := range sr.Fields() {
+		schema[i] = ColumnDef{Name: f.Name, Type: typeOf[f.Kind]}
+	}
+	t := NewTable(schema)
+	for {
+		vs, err := nextVecs(sr)
+		if err == io.EOF {
+			return t, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+		if t.NumRows() == 0 {
+			t.cols = vs // adopt the first batch as is; later ones append to it
+			continue
+		}
+		for j, v := range vs {
+			appendVector(t.cols[j], v)
+		}
+	}
+}
+
+// WriteTable encodes t onto w as one table stream — the run-file format:
+// a header with the schema, morsel-sized batches and a row-count trailer.
+// Every value round-trips bit for bit (NaN payloads, signed zeros, 64-bit
+// integers, NULLs of every type).
+func WriteTable(w io.Writer, t *Table) error {
+	fields := make([]spill.Field, len(t.schema))
+	for i, c := range t.schema {
+		fields[i] = spill.Field{Name: c.Name, Kind: kindOf[c.Type]}
+	}
+	sw, err := spill.NewWriter(w, fields)
+	for lo := 0; err == nil && lo < t.NumRows(); lo += DefaultMorselSize {
+		err = sw.Write(batchOf(sliceVecs(t.cols, lo, min(lo+DefaultMorselSize, t.NumRows()))))
+	}
+	if err != nil {
+		return err
+	}
+	return sw.Close()
+}
+
+// ReadTable decodes one stream written by WriteTable; malformed or
+// truncated input is an error.
+func ReadTable(r io.Reader) (*Table, error) {
+	sr, err := spill.NewReader(r)
+	if err != nil {
+		return nil, err
+	}
+	return readTable(sr)
+}
+
+// runBuffer is the bufio size of run readers and writers: small on purpose,
+// since spilling queries are already over their memory budget and the
+// accountant charges one buffer per open run.
+const runBuffer = 64 << 10
 
 // runWriter appends batches to one run file, charging the accountant for
 // its write buffer while open and tallying spilled bytes on the query.
 type runWriter struct {
 	ec   *ExecContext
 	path string
+	f    *os.File
+	bw   *bufio.Writer
 	w    *spill.Writer
-	rows int64
 }
 
-// newRunWriter opens a fresh run file in the query's spill directory.
-func (ec *ExecContext) newRunWriter(label string) (*runWriter, error) {
+// newRunWriter opens a fresh run file in the query's spill directory for
+// batches shaped like vs.
+func (ec *ExecContext) newRunWriter(label string, vs []*Vector) (*runWriter, error) {
 	d, err := ec.spill.dir()
 	if err != nil {
 		return nil, err
 	}
-	path := d.RunPath(label)
-	w, err := spill.NewWriter(path)
-	if err != nil {
+	rw := &runWriter{ec: ec, path: d.RunPath(label)}
+	if rw.f, err = os.OpenFile(rw.path, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o600); err != nil {
 		return nil, err
 	}
-	ec.charge(spill.BufferSize())
-	return &runWriter{ec: ec, path: path, w: w}, nil
+	fields := make([]spill.Field, len(vs))
+	for i, v := range vs {
+		fields[i].Kind = kindOf[v.typ]
+	}
+	rw.bw = bufio.NewWriterSize(rw.f, runBuffer)
+	if rw.w, err = spill.NewWriter(rw.bw, fields); err != nil {
+		rw.f.Close()
+		return nil, err
+	}
+	ec.charge(runBuffer)
+	ec.addSpill(rw.w.Bytes(), 0)
+	return rw, nil
 }
 
 // write appends the vectors as one batch.
@@ -175,9 +241,6 @@ func (rw *runWriter) write(vs []*Vector) error {
 	if err := rw.w.Write(batchOf(vs)); err != nil {
 		return err
 	}
-	if len(vs) > 0 {
-		rw.rows += int64(vs[0].Len())
-	}
 	rw.ec.addSpill(rw.w.Bytes()-before, 0)
 	return nil
 }
@@ -185,47 +248,49 @@ func (rw *runWriter) write(vs []*Vector) error {
 // bytes returns the encoded bytes written so far.
 func (rw *runWriter) bytes() int64 { return rw.w.Bytes() }
 
-// close flushes and closes the run, releasing its buffer charge.
+// close ends the stream, flushes and closes the run, releasing its buffer
+// charge.
 func (rw *runWriter) close() error {
-	rw.ec.release(spill.BufferSize())
-	return rw.w.Close()
+	rw.ec.release(runBuffer)
+	return errors.Join(rw.w.Close(), rw.bw.Flush(), rw.f.Close())
 }
 
 // runReader streams one run file's batches back, charging the accountant
 // for its read buffer while open.
 type runReader struct {
 	ec   *ExecContext
+	f    *os.File
 	r    *spill.Reader
 	size int64 // encoded file size, for repartition decisions
 }
 
 // openRun opens a run file written earlier this query.
 func (ec *ExecContext) openRun(path string) (*runReader, error) {
-	fi, err := os.Stat(path)
+	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	r, err := spill.NewReader(path)
+	rr := &runReader{ec: ec, f: f}
+	fi, err := f.Stat()
+	if err == nil {
+		rr.size = fi.Size()
+		rr.r, err = spill.NewReader(bufio.NewReaderSize(f, runBuffer))
+	}
 	if err != nil {
+		f.Close()
 		return nil, err
 	}
-	ec.charge(spill.BufferSize())
-	return &runReader{ec: ec, r: r, size: fi.Size()}, nil
+	ec.charge(runBuffer)
+	return rr, nil
 }
 
 // next returns the next batch's vectors, or (nil, io.EOF) after the last.
-func (rr *runReader) next() ([]*Vector, error) {
-	b, err := rr.r.Next()
-	if err != nil {
-		return nil, err
-	}
-	return vecsOf(b), nil
-}
+func (rr *runReader) next() ([]*Vector, error) { return nextVecs(rr.r) }
 
 // close closes the run, releasing its buffer charge.
 func (rr *runReader) close() error {
-	rr.ec.release(spill.BufferSize())
-	return rr.r.Close()
+	rr.ec.release(runBuffer)
+	return rr.f.Close()
 }
 
 // removeRun deletes a fully consumed run file early (before the session
@@ -239,37 +304,13 @@ func (ec *ExecContext) removeRun(path string) {
 // loadRun reads a whole run (one known to fit the budget) into one vector
 // per column, batches concatenated in file order, then closes and deletes
 // it. The loaded bytes are charged to the query; the caller releases them
-// when done with the columns. An empty run loads as (nil, 0, 0).
+// when done with the columns.
 func (ec *ExecContext) loadRun(rr *runReader, path string) (cols []*Vector, rows int, loaded int64, err error) {
-	var batches [][]*Vector
-	for {
-		vs, err := rr.next()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			rr.close()
-			return nil, 0, 0, err
-		}
-		batches = append(batches, vs)
-		rows += vs[0].Len()
-	}
-	if err := rr.close(); err != nil {
+	t, err := readTable(rr.r)
+	if err = errors.Join(err, rr.close()); err != nil {
 		return nil, 0, 0, err
 	}
 	ec.removeRun(path)
-	if len(batches) == 0 {
-		return nil, 0, 0, nil
-	}
-	cols = make([]*Vector, len(batches[0]))
-	for j := range cols {
-		parts := make([]*Vector, len(batches))
-		for i, b := range batches {
-			parts[i] = b[j]
-		}
-		cols[j] = concatVectors(parts[0].Type(), parts, rows)
-		loaded += cols[j].ByteSize()
-	}
-	ec.charge(loaded)
-	return cols, rows, loaded, nil
+	ec.charge(t.ByteSize())
+	return t.cols, t.NumRows(), t.ByteSize(), nil
 }

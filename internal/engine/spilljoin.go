@@ -176,12 +176,8 @@ func (js *joinSpill) leaf(lp string, rr *runReader, rp string, depth int) error 
 		}
 		defer ec.release(loaded)
 	}
-	if rCols == nil {
-		rCols = make([]*Vector, rw+1)
-		for j := 0; j < rw; j++ {
-			rCols[j] = NewVector(js.right.Col(j).Type())
-		}
-		rCols[rw] = NewVector(Int64)
+	if rCols == nil { // no right run: an empty build side plus its rid column
+		rCols = append(NewTable(js.right.Schema()).cols, NewVector(Int64))
 	}
 	rrids := rCols[rw].Int64s()
 
@@ -270,7 +266,7 @@ func (js *joinSpill) leaf(lp string, rr *runReader, rp string, depth int) error 
 		}
 		outCols[lw+rw] = NewInt64Vector(mks, nil)
 		if ow == nil {
-			ow, err = ec.newRunWriter(fmt.Sprintf("jo-d%d", depth))
+			ow, err = ec.newRunWriter(fmt.Sprintf("jo-d%d", depth), outCols)
 			if err != nil {
 				return fail(err)
 			}

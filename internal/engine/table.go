@@ -169,16 +169,15 @@ func (t *Table) Gather(sel []int32) *Table {
 	return &Table{schema: t.schema, cols: cols}
 }
 
-// Append appends all rows of o (schemas must match) — the merge-table union
-// primitive.
+// Append appends all rows of o (schemas must match) column by column — the
+// merge-table union primitive. A union grown by successive Appends is
+// identical, dictionary codes included, to concatenating the parts at once.
 func (t *Table) Append(o *Table) error {
 	if !t.schema.Equal(o.schema) {
 		return fmt.Errorf("engine: cannot append table with schema %v to %v", o.schema.Names(), t.schema.Names())
 	}
-	for i := 0; i < o.NumRows(); i++ {
-		if err := t.AppendRow(o.Row(i)...); err != nil {
-			return err
-		}
+	for j, c := range t.cols {
+		appendVector(c, o.cols[j])
 	}
 	return nil
 }

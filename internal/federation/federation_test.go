@@ -362,28 +362,6 @@ func TestMasterValidation(t *testing.T) {
 	}
 }
 
-func TestWireTableRoundTrip(t *testing.T) {
-	db := newWorkerDB(t, "edsd", 25, 0)
-	tab, err := db.Query("SELECT * FROM data")
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := DecodeTable(EncodeTable(tab))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.NumRows() != tab.NumRows() || back.NumCols() != tab.NumCols() {
-		t.Fatal("shape changed")
-	}
-	for i := 0; i < tab.NumRows(); i++ {
-		for j := 0; j < tab.NumCols(); j++ {
-			if fmt.Sprint(back.Col(j).Value(i)) != fmt.Sprint(tab.Col(j).Value(i)) {
-				t.Fatalf("cell [%d][%d] changed", i, j)
-			}
-		}
-	}
-}
-
 // Full HTTP transport: master drives workers through httptest servers, and
 // results must match the in-process path.
 func TestHTTPTransport(t *testing.T) {

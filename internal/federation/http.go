@@ -26,8 +26,12 @@ import (
 //	GET  /healthz   — liveness + worker status JSON
 //	GET  /metrics   — Prometheus text exposition
 //
-// Payloads are JSON; tables travel as WireTable. Trace context rides the
+// Envelopes and {"error": …} bodies are JSON; a /query table travels as one
+// column-frame stream (engine.WriteTable). Trace context rides the
 // X-MIP-Trace header (and the LocalRunRequest envelope).
+
+// TableContentType is the media type of a /query answer.
+const TableContentType = "application/vnd.mip.table"
 
 // WorkerServer exposes a Worker over HTTP.
 type WorkerServer struct {
@@ -119,7 +123,10 @@ func (s *WorkerServer) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusUnprocessableEntity, map[string]string{"error": err.Error()})
 		return
 	}
-	writeJSON(w, http.StatusOK, EncodeTable(t))
+	w.Header().Set("Content-Type", TableContentType)
+	// A write failing past the committed status can only cut the stream,
+	// which the reader's row-count trailer turns into an error.
+	_ = engine.WriteTable(w, t)
 }
 
 func (s *WorkerServer) handleDatasets(w http.ResponseWriter, _ *http.Request) {
@@ -142,10 +149,17 @@ func (s *WorkerServer) handleDataStamp(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{"stamp": stamp})
 }
 
+// writeJSON marshals v before committing the status: a value JSON cannot
+// carry (a NaN in a Transfer) answers a final 422, not an empty 200.
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	body, err := json.Marshal(v)
+	if err != nil {
+		status = http.StatusUnprocessableEntity
+		body, _ = json.Marshal(map[string]string{"error": err.Error()})
+	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
+	w.Write(body)
 }
 
 // Default per-request timeouts for the HTTP worker client. Metadata calls
@@ -156,7 +170,7 @@ const (
 )
 
 // HTTPWorkerClient implements WorkerClient against a remote WorkerServer.
-// Idempotent calls (/datasets, /healthz, and /localrun — replay-safe
+// Idempotent calls (/datasets, /datastamp, and /localrun — replay-safe
 // because workers dedupe by JobID) retry transient failures under Retry.
 type HTTPWorkerClient struct {
 	WorkerID string
@@ -238,16 +252,13 @@ func (c *HTTPWorkerClient) httpClient() *http.Client {
 	return http.DefaultClient
 }
 
-// do issues one request with a deadline and decodes the JSON response,
+// do issues one request with a deadline and decodes the response,
 // surfacing worker-side error bodies as `worker <id>: HTTP <code>: <msg>`
-// instead of opaque transport errors.
-func (c *HTTPWorkerClient) do(method, path string, timeout time.Duration, trace *obs.TraceRef, in, out any) error {
-	return c.doCtx(context.Background(), method, path, timeout, trace, in, out)
-}
-
-// doCtx is do under a caller context: cancelling it aborts the in-flight
-// request, which the worker server sees as its request context dying.
-func (c *HTTPWorkerClient) doCtx(parent context.Context, method, path string, timeout time.Duration, trace *obs.TraceRef, in, out any) error {
+// instead of opaque transport errors. Cancelling parent aborts the request,
+// which the worker server sees as its request context dying. An out of type
+// **engine.Table decodes a table stream straight off the body; any other
+// out is decoded from JSON.
+func (c *HTTPWorkerClient) do(parent context.Context, method, path string, timeout time.Duration, trace *obs.TraceRef, in, out any) error {
 	var body io.Reader
 	var sent int
 	if in != nil {
@@ -280,11 +291,23 @@ func (c *HTTPWorkerClient) doCtx(parent context.Context, method, path string, ti
 	}
 	defer resp.Body.Close()
 	fedBytesSent.Add(int64(sent))
-	data, err := io.ReadAll(resp.Body)
+	rb := &countingReader{r: resp.Body}
+	defer func() { fedBytesRecv.Add(rb.n) }()
+	if tp, ok := out.(**engine.Table); ok && resp.StatusCode == http.StatusOK {
+		if ct := resp.Header.Get("Content-Type"); ct != TableContentType {
+			return &CallError{Worker: c.WorkerID, Status: resp.StatusCode,
+				Msg: fmt.Sprintf("%s answered %q, not %s: the worker speaks an older %s format", path, ct, TableContentType, path)}
+		}
+		if *tp, err = engine.ReadTable(rb); err != nil {
+			return &CallError{Worker: c.WorkerID, Err: fmt.Errorf("reading response: %w", err)}
+		}
+		io.Copy(io.Discard, rb) // reach EOF so the connection is reused; the table is already whole
+		return nil
+	}
+	data, err := io.ReadAll(rb)
 	if err != nil {
 		return &CallError{Worker: c.WorkerID, Err: fmt.Errorf("reading response: %w", err)}
 	}
-	fedBytesRecv.Add(int64(len(data)))
 	if resp.StatusCode != http.StatusOK {
 		msg := truncate(string(data), 200)
 		var e struct {
@@ -299,6 +322,18 @@ func (c *HTTPWorkerClient) doCtx(parent context.Context, method, path string, ti
 		return nil
 	}
 	return json.Unmarshal(data, out)
+}
+
+// countingReader counts the bytes read through it.
+type countingReader struct {
+	r io.Reader
+	n int64
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.n += int64(n)
+	return n, err
 }
 
 // truncate caps s at n bytes without splitting a multi-byte UTF-8 rune
@@ -328,7 +363,7 @@ func (c *HTTPWorkerClient) Datasets() ([]string, error) {
 func (c *HTTPWorkerClient) DatasetInfo() (DatasetInfo, error) {
 	var out DatasetInfo
 	err := c.Retry.run(c.WorkerID, func() error {
-		return c.do(http.MethodGet, "/datasets", c.metaTimeout(), nil, nil, &out)
+		return c.do(context.Background(), http.MethodGet, "/datasets", c.metaTimeout(), nil, nil, &out)
 	})
 	if err != nil {
 		return DatasetInfo{}, err
@@ -344,7 +379,7 @@ func (c *HTTPWorkerClient) DataStamp() (string, error) {
 		Stamp string `json:"stamp"`
 	}
 	err := c.Retry.run(c.WorkerID, func() error {
-		return c.do(http.MethodGet, "/datastamp", c.metaTimeout(), nil, nil, &out)
+		return c.do(context.Background(), http.MethodGet, "/datastamp", c.metaTimeout(), nil, nil, &out)
 	})
 	if err != nil {
 		return "", err
@@ -352,24 +387,12 @@ func (c *HTTPWorkerClient) DataStamp() (string, error) {
 	return out.Stamp, nil
 }
 
-// Health fetches the worker's /healthz document. Idempotent: retried.
-func (c *HTTPWorkerClient) Health() (map[string]any, error) {
-	var out map[string]any
-	err := c.Retry.run(c.WorkerID, func() error {
-		return c.do(http.MethodGet, "/healthz", c.metaTimeout(), nil, nil, &out)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // LocalRun implements WorkerClient. Replays are safe because workers
 // dedupe /localrun by JobID, so transient failures are retried.
 func (c *HTTPWorkerClient) LocalRun(req LocalRunRequest) (LocalRunResponse, error) {
 	var resp LocalRunResponse
 	err := c.Retry.run(c.WorkerID, func() error {
-		return c.do(http.MethodPost, "/localrun", c.runTimeout(), req.Trace, req, &resp)
+		return c.do(context.Background(), http.MethodPost, "/localrun", c.runTimeout(), req.Trace, req, &resp)
 	})
 	return resp, err
 }
@@ -381,7 +404,7 @@ func (c *HTTPWorkerClient) CancelJob(jobID string) bool {
 	var out struct {
 		Cancelled bool `json:"cancelled"`
 	}
-	if err := c.do(http.MethodPost, "/cancel", c.metaTimeout(), nil, map[string]string{"job_id": jobID}, &out); err != nil {
+	if err := c.do(context.Background(), http.MethodPost, "/cancel", c.metaTimeout(), nil, map[string]string{"job_id": jobID}, &out); err != nil {
 		return false
 	}
 	return out.Cancelled
@@ -396,9 +419,7 @@ func (c *HTTPWorkerClient) Query(sql string) (*engine.Table, error) {
 // cancelling the context tears down the HTTP request, which cancels the
 // worker-side engine execution through the server's request context.
 func (c *HTTPWorkerClient) QueryCtx(ctx context.Context, sql string) (*engine.Table, error) {
-	var wt WireTable
-	if err := c.doCtx(ctx, http.MethodPost, "/query", c.runTimeout(), nil, map[string]string{"sql": sql}, &wt); err != nil {
-		return nil, err
-	}
-	return DecodeTable(&wt)
+	var t *engine.Table
+	err := c.do(ctx, http.MethodPost, "/query", c.runTimeout(), nil, map[string]string{"sql": sql}, &t)
+	return t, err
 }

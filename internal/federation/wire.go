@@ -1,22 +1,16 @@
 package federation
 
 import (
+	"bytes"
 	"fmt"
 
 	"mip/internal/engine"
 )
 
-// WireTable is the JSON representation of an engine table used by the HTTP
-// transport (and by the REST API when returning tabular results).
+// WireTable is an engine table in its wire form: the table stream a /query
+// answer carries (engine.WriteTable), marshalled to JSON as one base64 field.
 type WireTable struct {
-	Columns []WireColumn `json:"columns"`
-	Rows    [][]any      `json:"rows"`
-}
-
-// WireColumn is one column header.
-type WireColumn struct {
-	Name string `json:"name"`
-	Type string `json:"type"`
+	Frame []byte `json:"frame"`
 }
 
 // EncodeTable converts an engine table to its wire form.
@@ -24,14 +18,9 @@ func EncodeTable(t *engine.Table) *WireTable {
 	if t == nil {
 		return nil
 	}
-	w := &WireTable{}
-	for _, c := range t.Schema() {
-		w.Columns = append(w.Columns, WireColumn{Name: c.Name, Type: c.Type.String()})
-	}
-	for i := 0; i < t.NumRows(); i++ {
-		w.Rows = append(w.Rows, t.Row(i))
-	}
-	return w
+	var b bytes.Buffer
+	_ = engine.WriteTable(&b, t) // writes to a bytes.Buffer cannot fail
+	return &WireTable{Frame: b.Bytes()}
 }
 
 // DecodeTable converts a wire table back to an engine table.
@@ -39,19 +28,5 @@ func DecodeTable(w *WireTable) (*engine.Table, error) {
 	if w == nil {
 		return nil, fmt.Errorf("federation: nil wire table")
 	}
-	schema := make(engine.Schema, len(w.Columns))
-	for i, c := range w.Columns {
-		typ, err := engine.ParseType(c.Type)
-		if err != nil {
-			return nil, err
-		}
-		schema[i] = engine.ColumnDef{Name: c.Name, Type: typ}
-	}
-	t := engine.NewTable(schema)
-	for _, r := range w.Rows {
-		if err := t.AppendRow(r...); err != nil {
-			return nil, err
-		}
-	}
-	return t, nil
+	return engine.ReadTable(bytes.NewReader(w.Frame))
 }
