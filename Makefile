@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fmt check freshbuild loc auditsmoke spillsmoke cachesmoke wiresmoke bench benchcompare benchfull
+.PHONY: build test race vet fmt check freshbuild loc auditsmoke spillsmoke cachesmoke wiresmoke smpcsmoke bench benchcompare benchfull
 
 build:
 	$(GO) build ./...
@@ -61,7 +61,13 @@ cachesmoke:
 wiresmoke:
 	$(GO) test -count=1 -race -run 'TestQueryHTTPMatchesInProcess|TestQueryStreamTruncation' ./internal/federation/
 
-check: vet fmt race auditsmoke spillsmoke cachesmoke wiresmoke
+# smpcsmoke covers share import outside the cluster lock: four goroutines
+# importing into two jobs while a third job aggregates (sums exact), and two
+# concurrent secure experiments each within 1e-3 of the pooled answer.
+smpcsmoke:
+	$(GO) test -count=1 -race -run 'TestConcurrentImportAggregate|TestConcurrentSecureExperiments' ./internal/smpc/ ./internal/federation/
+
+check: vet fmt race auditsmoke spillsmoke cachesmoke wiresmoke smpcsmoke
 
 # bench runs the engine perf suite and writes BENCH_engine.json (the CI
 # bench job uploads it as an artifact). Use benchfull for the testing.B

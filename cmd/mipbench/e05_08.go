@@ -2,6 +2,8 @@ package main
 
 import (
 	"fmt"
+	"math"
+	"sort"
 	"strconv"
 	"time"
 
@@ -19,58 +21,103 @@ func init() {
 	register("e8", "Claim: in-engine vectorized execution beats row-at-a-time (UDF-to-SQL payoff)", runE8)
 }
 
-// secureSum pushes `workers` vectors of dim values through one sum job and
-// reports wall time and traffic.
-func secureSum(c *smpc.Cluster, workers, dim int) (time.Duration, smpc.NetStats) {
-	vec := make([]float64, dim)
-	for i := range vec {
-		vec[i] = float64(i%100) / 7
-	}
-	c.ResetNetStats()
-	start := time.Now()
-	for w := 0; w < workers; w++ {
-		fatalIf(c.ImportSecret("bench", fmt.Sprintf("w%d", w), vec))
-	}
-	_, err := c.Aggregate("bench", smpc.OpSum, smpc.Noise{})
-	fatalIf(err)
-	return time.Since(start), c.NetStats()
+// phase is the wall time and simulated traffic of one SMPC phase.
+type phase struct {
+	d   time.Duration
+	net smpc.NetStats
 }
 
-// E5 — FT vs Shamir vs plain across vector dimensions.
-func runE5() {
-	const workers = 4
-	fmt.Printf("secure vector sum, %d workers, 3 SMPC nodes (Shamir t=1)\n\n", workers)
-	fmt.Printf("%10s | %14s %14s | %14s %14s | %12s\n",
-		"dim", "FT time", "FT bytes", "Shamir time", "Shamir bytes", "plain time")
-	for _, dim := range []int{10, 100, 1000, 10000, 100000} {
-		ft := newCluster(smpc.FullThreshold, 3)
-		ftTime, ftNet := secureSum(ft, workers, dim)
-		sh := newCluster(smpc.ShamirScheme, 3)
-		shTime, shNet := secureSum(sh, workers, dim)
+// secureRun imports the vectors into one job and aggregates it with op,
+// measuring the two phases apart: import (every worker secret-shares its
+// vector; FT adds the dealer's MAC shares) and aggregate (the secure rounds
+// up to the opened result).
+func secureRun(c *smpc.Cluster, vecs [][]float64, op smpc.Op) (imp, agg phase) {
+	c.ResetNetStats()
+	start := time.Now()
+	for w, vec := range vecs {
+		fatalIf(c.ImportSecret("bench", fmt.Sprintf("w%d", w), vec))
+	}
+	imp = phase{time.Since(start), c.NetStats()}
+	c.ResetNetStats()
+	start = time.Now()
+	_, err := c.Aggregate("bench", op, smpc.Noise{})
+	fatalIf(err)
+	return imp, phase{time.Since(start), c.NetStats()}
+}
 
-		// Plain baseline: direct float addition.
-		vec := make([]float64, dim)
-		start := time.Now()
-		acc := make([]float64, dim)
-		for w := 0; w < workers; w++ {
-			for i := range vec {
-				acc[i] += vec[i]
+// plainRun is the zero-security floor of secureRun: the same fold over the
+// cleartext vectors, with nothing to import.
+func plainRun(vecs [][]float64, op smpc.Op) time.Duration {
+	start := time.Now()
+	if op == smpc.OpUnion {
+		seen := map[float64]struct{}{}
+		for _, vec := range vecs {
+			for _, v := range vec {
+				seen[v] = struct{}{}
 			}
 		}
-		plainTime := time.Since(start)
+		out := make([]float64, 0, len(seen))
+		for v := range seen {
+			out = append(out, v)
+		}
+		sort.Float64s(out)
+		return time.Since(start)
+	}
+	acc := append([]float64(nil), vecs[0]...)
+	for _, vec := range vecs[1:] {
+		for i, v := range vec {
+			switch op {
+			case smpc.OpSum:
+				acc[i] += v
+			case smpc.OpProduct:
+				acc[i] *= v
+			case smpc.OpMin:
+				acc[i] = math.Min(acc[i], v)
+			case smpc.OpMax:
+				acc[i] = math.Max(acc[i], v)
+			}
+		}
+	}
+	return time.Since(start)
+}
 
-		fmt.Printf("%10d | %14s %14d | %14s %14d | %12s\n",
-			dim, ftTime.Round(time.Microsecond), ftNet.Bytes,
-			shTime.Round(time.Microsecond), shNet.Bytes,
-			plainTime.Round(time.Nanosecond))
+// benchVecs returns `workers` copies of a dim-vector built by f.
+func benchVecs(workers, dim int, f func(i int) float64) [][]float64 {
+	vec := make([]float64, dim)
+	for i := range vec {
+		vec[i] = f(i)
+	}
+	out := make([][]float64, workers)
+	for w := range out {
+		out[w] = vec
+	}
+	return out
+}
+
+// E5 — FT vs Shamir vs plain across vector dimensions, per phase.
+func runE5() {
+	const workers = 4
+	fmt.Printf("secure vector sum, %d workers, 3 SMPC nodes (Shamir t=1); import = all workers\n", workers)
+	fmt.Printf("secret-sharing their vectors, aggregate = local share sums + opening (+ MACCheck)\n\n")
+	fmt.Printf("%8s | %11s %11s %11s | %11s %11s %11s | %11s\n",
+		"dim", "FT import", "FT agg", "FT bytes", "Sh import", "Sh agg", "Sh bytes", "plain agg")
+	for _, dim := range []int{10, 100, 1000, 10000, 100000} {
+		vecs := benchVecs(workers, dim, func(i int) float64 { return float64(i%100) / 7 })
+		ftImp, ftAgg := secureRun(newCluster(smpc.FullThreshold, 3), vecs, smpc.OpSum)
+		shImp, shAgg := secureRun(newCluster(smpc.ShamirScheme, 3), vecs, smpc.OpSum)
+		fmt.Printf("%8d | %11s %11s %11d | %11s %11s %11d | %11s\n", dim,
+			ftImp.d.Round(time.Microsecond), ftAgg.d.Round(time.Microsecond), ftImp.net.Bytes+ftAgg.net.Bytes,
+			shImp.d.Round(time.Microsecond), shAgg.d.Round(time.Microsecond), shImp.net.Bytes+shAgg.net.Bytes,
+			plainRun(vecs, smpc.OpSum).Round(time.Nanosecond))
 	}
 	fmt.Println("\npaper shape: FT costs a constant factor more than Shamir in both time and traffic")
 	fmt.Println("(MACs double every share and every opening, plus the MACCheck round); both scale")
 	fmt.Println("linearly in the dimension; the data owner picks the scheme per the security-")
-	fmt.Println("efficiency trade-off. Plain addition is shown as the zero-security floor.")
+	fmt.Println("efficiency trade-off. Plain addition is shown as the zero-security floor; for a")
+	fmt.Println("sum, the import (one batched crypto/rand stream per vector) is most of the cost.")
 }
 
-// E6 — cost per operation type at fixed dimension.
+// E6 — cost per operation type at fixed dimension, per phase.
 func runE6() {
 	const workers, dim = 4, 64
 	ops := []struct {
@@ -80,34 +127,19 @@ func runE6() {
 		{"sum", smpc.OpSum}, {"product", smpc.OpProduct},
 		{"min", smpc.OpMin}, {"max", smpc.OpMax}, {"union", smpc.OpUnion},
 	}
-	fmt.Printf("aggregation of %d-dim vectors from %d workers (per-op wall time and traffic)\n\n", dim, workers)
-	fmt.Printf("%-10s | %14s %10s %12s | %14s %10s %12s\n",
-		"op", "FT time", "FT msgs", "FT bytes", "Shamir time", "Sh msgs", "Sh bytes")
+	// Positive and small: safe for products.
+	vecs := benchVecs(workers, dim, func(i int) float64 { return 1 + float64((i*13)%10)/10 })
+	fmt.Printf("aggregation of %d-dim vectors from %d workers: wall time per phase and the traffic of\n", dim, workers)
+	fmt.Printf("the aggregate phase (import traffic is the same for every op)\n\n")
+	fmt.Printf("%-8s | %10s %10s %8s %10s | %10s %10s %8s %10s | %10s\n",
+		"op", "FT import", "FT agg", "FT msgs", "FT bytes", "Sh import", "Sh agg", "Sh msgs", "Sh bytes", "plain agg")
 	for _, o := range ops {
-		var row [2]struct {
-			d   time.Duration
-			net smpc.NetStats
-		}
-		for si, scheme := range []smpc.Scheme{smpc.FullThreshold, smpc.ShamirScheme} {
-			c := newCluster(scheme, 3)
-			vec := make([]float64, dim)
-			for i := range vec {
-				vec[i] = 1 + float64((i*13)%10)/10 // positive, small: safe for products
-			}
-			for w := 0; w < workers; w++ {
-				fatalIf(c.ImportSecret("op", fmt.Sprintf("w%d", w), vec))
-			}
-			c.ResetNetStats()
-			start := time.Now()
-			_, err := c.Aggregate("op", o.op, smpc.Noise{})
-			fatalIf(err)
-			row[si].d = time.Since(start)
-			row[si].net = c.NetStats()
-		}
-		fmt.Printf("%-10s | %14s %10d %12d | %14s %10d %12d\n",
-			o.name,
-			row[0].d.Round(time.Microsecond), row[0].net.Messages, row[0].net.Bytes,
-			row[1].d.Round(time.Microsecond), row[1].net.Messages, row[1].net.Bytes)
+		ftImp, ftAgg := secureRun(newCluster(smpc.FullThreshold, 3), vecs, o.op)
+		shImp, shAgg := secureRun(newCluster(smpc.ShamirScheme, 3), vecs, o.op)
+		fmt.Printf("%-8s | %10s %10s %8d %10d | %10s %10s %8d %10d | %10s\n", o.name,
+			ftImp.d.Round(time.Microsecond), ftAgg.d.Round(time.Microsecond), ftAgg.net.Messages, ftAgg.net.Bytes,
+			shImp.d.Round(time.Microsecond), shAgg.d.Round(time.Microsecond), shAgg.net.Messages, shAgg.net.Bytes,
+			plainRun(vecs, o.op).Round(time.Nanosecond))
 	}
 	fmt.Println("\npaper shape: sums are cheap (pure local addition + one opening); products burn a")
 	fmt.Println("Beaver triple and two extra openings per fold; min/max pay a masked comparison")

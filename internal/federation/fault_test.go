@@ -7,6 +7,7 @@ package federation_test
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -16,6 +17,7 @@ import (
 	"mip/internal/engine"
 	"mip/internal/federation"
 	"mip/internal/federation/faultinject"
+	"mip/internal/obs"
 	"mip/internal/smpc"
 )
 
@@ -215,6 +217,60 @@ func TestSecureAggregationNeverDegrades(t *testing.T) {
 	_, err = sess.SecureSum(federation.LocalRunSpec{Func: "test_sums", Vars: []string{"age"}}, "n")
 	if err == nil || !strings.Contains(err.Error(), "secure aggregation requires shares from all 3 workers") {
 		t.Fatalf("err = %v, want all-shares-required", err)
+	}
+}
+
+// TestFailedSecureStepReleasesShares: when one worker fails a secure step,
+// the shares the others already imported are dropped with the step — the
+// cluster keeps no job and mip_smpc_pending_jobs returns to where it was —
+// and the next step aggregates normally.
+func TestFailedSecureStepReleasesShares(t *testing.T) {
+	pending := obs.GetGauge("mip_smpc_pending_jobs", "")
+	start := pending.Value()
+	cluster, err := smpc.NewCluster(smpc.Config{Scheme: smpc.FullThreshold, Nodes: 3, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var clients []federation.WorkerClient
+	for i := 0; i < 3; i++ {
+		w := chaosWorker(t, fmt.Sprintf("site%d", i), "edsd", 20, federation.WithSMPC(cluster))
+		if i == 1 {
+			fi := faultinject.Wrap(w)
+			fi.FailN("LocalRun", 1)
+			clients = append(clients, fi)
+		} else {
+			clients = append(clients, w)
+		}
+	}
+	m, err := federation.NewMaster(clients, cluster, federation.Security{UseSMPC: true},
+		federation.WithBreaker(breakerOff))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	sess, err := m.NewSession(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := federation.LocalRunSpec{Func: "test_sums", Vars: []string{"age"}}
+	if _, err := sess.SecureSum(spec, "n"); err == nil {
+		t.Fatal("secure step with a failing worker succeeded")
+	}
+	if w := cluster.Workers(sess.ID() + "/step-1"); w != nil {
+		t.Fatalf("failed step left shares from %v in the cluster", w)
+	}
+	if got := pending.Value(); got != start {
+		t.Fatalf("mip_smpc_pending_jobs = %v after the failed step, want %v", got, start)
+	}
+	total, err := sess.SecureSum(spec, "n")
+	if err != nil {
+		t.Fatalf("step after recovery: %v", err)
+	}
+	if n, _ := total.Float("n"); math.Abs(n-60) > 1e-6 {
+		t.Fatalf("n = %v, want 60", n)
+	}
+	if got := pending.Value(); got != start {
+		t.Fatalf("mip_smpc_pending_jobs = %v after the good step, want %v", got, start)
 	}
 }
 

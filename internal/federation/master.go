@@ -1044,17 +1044,20 @@ func (s *Session) aggregate(spec LocalRunSpec, op smpc.Op, keys []string) (Trans
 		iter := obs.DefaultTraces.StartSpan(s.trace.TraceID, s.trace.SpanID, "aggregate "+op.String()+" "+spec.Func)
 		defer iter.End()
 		resps, err := s.localRun(spec, keys, iter.ID())
+		stepJob := fmt.Sprintf("%s/step-%d", s.id, s.stepSeq)
 		if err != nil {
+			// Workers that did import must not leave their shares behind.
+			s.master.smpc.Discard(stepJob)
 			iter.SetError(err)
 			return nil, err
 		}
 		shapes := resps[0].Shapes
 		for _, r := range resps[1:] {
 			if !shapesEqual(shapes, r.Shapes) {
+				s.master.smpc.Discard(stepJob)
 				return nil, fmt.Errorf("federation: workers reported inconsistent secure shapes")
 			}
 		}
-		stepJob := fmt.Sprintf("%s/step-%d", s.id, s.stepSeq)
 		noise := smpc.Noise{}
 		if op == smpc.OpSum {
 			noise = s.master.security.Noise
@@ -1145,10 +1148,12 @@ func (s *Session) SecureUnion(spec LocalRunSpec, key string) ([]float64, error) 
 	}
 	// Secure path: workers import the vector under the step job id; union
 	// opens the merged set.
-	if _, err := s.localRun(spec, []string{key}, s.trace.SpanID); err != nil {
+	_, err := s.localRun(spec, []string{key}, s.trace.SpanID)
+	stepJob := fmt.Sprintf("%s/step-%d", s.id, s.stepSeq)
+	if err != nil {
+		s.master.smpc.Discard(stepJob)
 		return nil, err
 	}
-	stepJob := fmt.Sprintf("%s/step-%d", s.id, s.stepSeq)
 	round := obs.DefaultTraces.StartSpan(s.trace.TraceID, s.trace.SpanID, "smpc union")
 	defer round.End()
 	return s.master.smpc.Aggregate(stepJob, smpc.OpUnion, smpc.Noise{})

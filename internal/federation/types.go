@@ -107,6 +107,11 @@ func flattenNumeric(t Transfer, keys []string) (flat []float64, shapes map[strin
 	shapes = make(map[string][]int, len(keys))
 	sorted := append([]string(nil), keys...)
 	sort.Strings(sorted)
+	size := 0
+	for _, k := range sorted {
+		size += numericLen(t[k])
+	}
+	flat = make([]float64, 0, size)
 	for _, k := range sorted {
 		v, ok := t[k]
 		if !ok {
@@ -178,6 +183,32 @@ func flattenNumeric(t Transfer, keys []string) (flat []float64, shapes map[strin
 		}
 	}
 	return flat, shapes, nil
+}
+
+// numericLen is the number of floats flattenNumeric takes from v, so the
+// flat vector is sized once; values it rejects count one.
+func numericLen(v any) int {
+	switch x := v.(type) {
+	case []float64:
+		return len(x)
+	case [][]float64:
+		n := 0
+		for _, r := range x {
+			n += len(r)
+		}
+		return n
+	case []any:
+		n := 0
+		for _, e := range x {
+			if r, ok := e.([]any); ok {
+				n += len(r)
+			} else {
+				n++
+			}
+		}
+		return n
+	}
+	return 1
 }
 
 // unflattenNumeric rebuilds a transfer from a flat vector and shapes (the

@@ -461,7 +461,13 @@ func (w *Worker) doLocalRun(ctx context.Context, req LocalRunRequest, span *obs.
 		if err != nil {
 			return resp, err
 		}
-		if err := w.smpc.ImportSecret(req.JobID, w.id, flat); err != nil {
+		// Attributes, not a child span: the exec span's self time is what
+		// tells the import apart from the UDF call and the row-count query.
+		t0 := time.Now()
+		err = w.smpc.ImportSecret(req.JobID, w.id, flat)
+		span.SetAttr("smpc_import_ms", strconv.FormatFloat(time.Since(t0).Seconds()*1e3, 'f', 3, 64))
+		span.SetAttr("smpc_import_elems", strconv.Itoa(len(flat)))
+		if err != nil {
 			return resp, err
 		}
 		resp.Shapes = shapes

@@ -5,6 +5,7 @@ import (
 	"math"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"mip/internal/obs"
@@ -23,6 +24,8 @@ var (
 		"Simulated bytes between workers, SMPC nodes and the master.")
 	smpcJobs = obs.GetGauge("mip_smpc_pending_jobs",
 		"SMPC jobs holding imported shares not yet aggregated.")
+	smpcImportSeconds = obs.GetHistogram("mip_smpc_import_seconds",
+		"Latency of one worker's secret-share import into an SMPC cluster.", nil)
 )
 
 func smpcRoundSeconds(op Op) *obs.Histogram {
@@ -115,9 +118,14 @@ type NetStats struct {
 	Bytes    int64
 }
 
-func (n *NetStats) add(msgs int, bytes int64) {
-	n.Messages += msgs
-	n.Bytes += bytes
+// netCounters is the cluster's running NetStats, updated without a lock.
+type netCounters struct {
+	msgs, bytes atomic.Int64
+}
+
+func (n *netCounters) add(msgs int, bytes int64) {
+	n.msgs.Add(int64(msgs))
+	n.bytes.Add(bytes)
 	smpcMessages.Add(int64(msgs))
 	smpcBytes.Add(bytes)
 }
@@ -133,9 +141,12 @@ type Cluster struct {
 	rngMu sync.Mutex
 	rng   *stats.RNG
 
+	net netCounters
+
+	// mu guards only the jobs map and each job's slices: shares are built
+	// before it is taken and aggregated after the job is removed.
 	mu   sync.Mutex
 	jobs map[string]*job
-	net  NetStats
 }
 
 // job accumulates per-worker share contributions for one computation.
@@ -196,16 +207,13 @@ func (c *Cluster) Config() Config { return c.cfg }
 
 // NetStats returns cumulative simulated traffic.
 func (c *Cluster) NetStats() NetStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.net
+	return NetStats{Messages: int(c.net.msgs.Load()), Bytes: c.net.bytes.Load()}
 }
 
 // ResetNetStats zeroes the traffic counters.
 func (c *Cluster) ResetNetStats() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.net = NetStats{}
+	c.net.msgs.Store(0)
+	c.net.bytes.Store(0)
 }
 
 // ImportSecret secret-shares a worker's local vector into the cluster under
@@ -214,42 +222,73 @@ func (c *Cluster) ResetNetStats() {
 // import follows the authenticated-input mechanism (the paper cites
 // SCALE-MAMBA's importation procedure): the offline functionality
 // authenticates the input with MAC shares.
+//
+// A value the fixed-point codec cannot represent (NaN, or a magnitude past
+// Codec.MaxAbs) fails the import and nothing is added to the job: sharing
+// a clamped value would make the secure result silently differ from the
+// plain one. Imports from different workers and jobs run in parallel; the
+// cluster lock is held only to register the finished shares.
 func (c *Cluster) ImportSecret(jobID, workerID string, vals []float64) error {
+	start := time.Now()
+	n, m := c.cfg.Nodes, len(vals)
+	var ft [][]AuthShare
+	var sh [][]ShamirShare
+	shareBytes := 16 // FT: value + MAC share
+	if c.cfg.Scheme == FullThreshold {
+		back, err := c.dealer.shareEach(m, c.codec.encoder(vals))
+		if err != nil {
+			return fmt.Errorf("smpc: import into job %q from worker %q: %w", jobID, workerID, err)
+		}
+		ft = byNode(back, n, m)
+	} else {
+		back, err := shamirEach(m, c.cfg.Threshold, n, c.codec.encoder(vals))
+		if err != nil {
+			return fmt.Errorf("smpc: import into job %q from worker %q: %w", jobID, workerID, err)
+		}
+		sh = byNode(back, n, m)
+		shareBytes = 8
+	}
+
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	j := c.jobs[jobID]
 	if j == nil {
 		j = &job{}
 		c.jobs[jobID] = j
 		smpcJobs.Inc()
 	}
-	smpcImports.Inc()
-	smpcShares.Add(int64(c.cfg.Nodes * len(vals)))
-	j.dims = append(j.dims, len(vals))
-	enc := c.codec.EncodeVec(vals)
-	switch c.cfg.Scheme {
-	case FullThreshold:
-		perNode := c.dealer.ShareVec(enc) // [node][elem]
-		j.ft = append(j.ft, perNode)
-		// n messages of 16 bytes per element (value + MAC share).
-		c.net.add(c.cfg.Nodes, int64(c.cfg.Nodes*len(enc)*16))
-	case ShamirScheme:
-		perNode := make([][]ShamirShare, c.cfg.Nodes)
-		for i := range perNode {
-			perNode[i] = make([]ShamirShare, len(enc))
-		}
-		for e, v := range enc {
-			sh := ShamirShareSecret(v, c.cfg.Threshold, c.cfg.Nodes)
-			for i := range sh {
-				perNode[i][e] = sh[i]
-			}
-		}
-		j.shamir = append(j.shamir, perNode)
-		c.net.add(c.cfg.Nodes, int64(c.cfg.Nodes*len(enc)*8))
-	}
+	j.dims = append(j.dims, m)
 	j.workers = append(j.workers, workerID)
+	if ft != nil {
+		j.ft = append(j.ft, ft)
+	} else {
+		j.shamir = append(j.shamir, sh)
+	}
+	c.mu.Unlock()
+
+	smpcImports.Inc()
+	smpcShares.Add(int64(n * m))
+	// One message per node carrying its shares of every element.
+	c.net.add(n, int64(n*m*shareBytes))
+	smpcImportSeconds.Observe(time.Since(start).Seconds())
 	return nil
 }
+
+// take removes a job from the cluster and returns it (nil when unknown).
+func (c *Cluster) take(jobID string) *job {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	j := c.jobs[jobID]
+	if j != nil {
+		delete(c.jobs, jobID)
+		smpcJobs.Dec()
+	}
+	return j
+}
+
+// Discard drops whatever shares were imported under jobID without
+// aggregating them — the cleanup for a step that failed after some workers
+// had imported. Unknown jobs are ignored.
+func (c *Cluster) Discard(jobID string) { c.take(jobID) }
 
 // Workers lists the workers that have contributed to a job.
 func (c *Cluster) Workers(jobID string) []string {
@@ -265,13 +304,7 @@ func (c *Cluster) Workers(jobID string) []string {
 // jobID, optionally injecting noise inside the protocol, and returns the
 // cleartext result to the caller (the Master node). The job is consumed.
 func (c *Cluster) Aggregate(jobID string, op Op, noise Noise) ([]float64, error) {
-	c.mu.Lock()
-	j := c.jobs[jobID]
-	if j != nil {
-		smpcJobs.Dec()
-	}
-	delete(c.jobs, jobID)
-	c.mu.Unlock()
+	j := c.take(jobID)
 	if j == nil {
 		return nil, fmt.Errorf("smpc: unknown job %q", jobID)
 	}
@@ -328,39 +361,29 @@ func (c *Cluster) aggregateSum(j *job, noise Noise) ([]float64, error) {
 	ns := c.noiseShares(noise, dim)
 	switch c.cfg.Scheme {
 	case FullThreshold:
-		// Each node locally sums its share across workers, adds its noise
-		// share, then all elements are opened with MACCheck.
-		nodeSums := make([][]AuthShare, c.cfg.Nodes)
-		for node := 0; node < c.cfg.Nodes; node++ {
-			acc := make([]AuthShare, dim)
-			for _, w := range j.ft {
-				for e := 0; e < dim; e++ {
-					acc[e] = AuthShare{
-						Val: Add(acc[e].Val, w[node][e].Val),
-						MAC: Add(acc[e].MAC, w[node][e].MAC),
-					}
+		// Each node locally sums its shares across workers (into the first
+		// worker's: the job is consumed) and adds its noise share, then all
+		// elements are opened with MACCheck.
+		nodeSums := j.ft[0]
+		add := func(w [][]AuthShare) {
+			for node, acc := range nodeSums {
+				for e, s := range w[node] {
+					acc[e] = AuthShare{Val: Add(acc[e].Val, s.Val), MAC: Add(acc[e].MAC, s.MAC)}
 				}
 			}
-			nodeSums[node] = acc
 		}
-		if ns != nil {
-			// Nodes authenticate and add their noise via the offline
-			// functionality, preserving the MAC invariant.
-			for node := 0; node < c.cfg.Nodes; node++ {
-				enc := c.codec.EncodeVec(ns[node])
-				perNode := c.dealer.ShareVec(enc)
-				for target := 0; target < c.cfg.Nodes; target++ {
-					for e := 0; e < dim; e++ {
-						nodeSums[target][e] = AuthShare{
-							Val: Add(nodeSums[target][e].Val, perNode[target][e].Val),
-							MAC: Add(nodeSums[target][e].MAC, perNode[target][e].MAC),
-						}
-					}
-				}
-				c.mu.Lock()
-				c.net.add(c.cfg.Nodes, int64(c.cfg.Nodes*dim*16))
-				c.mu.Unlock()
+		for _, w := range j.ft[1:] {
+			add(w)
+		}
+		// Nodes authenticate and add their noise via the offline
+		// functionality, preserving the MAC invariant.
+		for node := range ns {
+			back, err := c.dealer.shareEach(dim, c.codec.encoder(ns[node]))
+			if err != nil {
+				return nil, fmt.Errorf("smpc: noise share of node %d: %w", node, err)
 			}
+			add(byNode(back, c.cfg.Nodes, dim))
+			c.net.add(c.cfg.Nodes, int64(c.cfg.Nodes*dim*16))
 		}
 		out := make([]float64, dim)
 		alpha := c.alphaShares()
@@ -375,37 +398,27 @@ func (c *Cluster) aggregateSum(j *job, noise Noise) ([]float64, error) {
 			}
 			out[e] = c.codec.Decode(v)
 		}
-		c.mu.Lock()
 		c.net.add(c.cfg.Nodes*2, int64(c.cfg.Nodes*dim*16*2)) // broadcast of value+MAC sigma rounds
-		c.mu.Unlock()
 		return out, nil
 	default: // Shamir
-		nodeSums := make([][]ShamirShare, c.cfg.Nodes)
-		for node := 0; node < c.cfg.Nodes; node++ {
-			acc := make([]ShamirShare, dim)
-			for e := range acc {
-				acc[e] = ShamirShare{X: uint64(node + 1)}
-			}
-			for _, w := range j.shamir {
-				for e := 0; e < dim; e++ {
-					acc[e].Y = Add(acc[e].Y, w[node][e].Y)
+		nodeSums := j.shamir[0]
+		add := func(w [][]ShamirShare) {
+			for node, acc := range nodeSums {
+				for e, s := range w[node] {
+					acc[e].Y = Add(acc[e].Y, s.Y)
 				}
 			}
-			nodeSums[node] = acc
 		}
-		if ns != nil {
-			for node := 0; node < c.cfg.Nodes; node++ {
-				enc := c.codec.EncodeVec(ns[node])
-				for e := 0; e < dim; e++ {
-					sh := ShamirShareSecret(enc[e], c.cfg.Threshold, c.cfg.Nodes)
-					for target := 0; target < c.cfg.Nodes; target++ {
-						nodeSums[target][e].Y = Add(nodeSums[target][e].Y, sh[target].Y)
-					}
-				}
-				c.mu.Lock()
-				c.net.add(c.cfg.Nodes, int64(c.cfg.Nodes*dim*8))
-				c.mu.Unlock()
+		for _, w := range j.shamir[1:] {
+			add(w)
+		}
+		for node := range ns {
+			back, err := shamirEach(dim, c.cfg.Threshold, c.cfg.Nodes, c.codec.encoder(ns[node]))
+			if err != nil {
+				return nil, fmt.Errorf("smpc: noise share of node %d: %w", node, err)
 			}
+			add(byNode(back, c.cfg.Nodes, dim))
+			c.net.add(c.cfg.Nodes, int64(c.cfg.Nodes*dim*8))
 		}
 		out := make([]float64, dim)
 		k := c.cfg.Threshold + 1
@@ -417,9 +430,7 @@ func (c *Cluster) aggregateSum(j *job, noise Noise) ([]float64, error) {
 			}
 			out[e] = c.codec.Decode(v)
 		}
-		c.mu.Lock()
 		c.net.add(k, int64(k*dim*8))
-		c.mu.Unlock()
 		return out, nil
 	}
 }
@@ -484,10 +495,8 @@ func (c *Cluster) aggregateProduct(j *job) ([]float64, error) {
 			for w := 1; w < nWorkers; w++ {
 				next := c.columnFT(j, w, e)
 				triples := c.dealer.Triple()
-				c.mu.Lock()
 				c.net.add(3*c.cfg.Nodes, int64(3*c.cfg.Nodes*16)) // triple distribution
 				c.net.add(2*c.cfg.Nodes, int64(2*c.cfg.Nodes*16)) // d/e openings
-				c.mu.Unlock()
 				prod, err := Multiply(cur, next, triples, alpha)
 				if err != nil {
 					return nil, err
@@ -499,9 +508,7 @@ func (c *Cluster) aggregateProduct(j *job) ([]float64, error) {
 				acc = c.codec.DecodeProduct(v)
 				if w < nWorkers-1 {
 					cur = c.dealer.Share(c.codec.Encode(acc))
-					c.mu.Lock()
 					c.net.add(c.cfg.Nodes, int64(c.cfg.Nodes*16))
-					c.mu.Unlock()
 				}
 			}
 			out[e] = acc
@@ -540,9 +547,7 @@ func (c *Cluster) aggregateProduct(j *job) ([]float64, error) {
 					return nil, err
 				}
 				acc = c.codec.DecodeProduct(v)
-				c.mu.Lock()
 				c.net.add(k, int64(k*8))
-				c.mu.Unlock()
 				if w < nWorkers-1 {
 					cur = c.reshare(acc)
 				}
@@ -556,9 +561,7 @@ func (c *Cluster) aggregateProduct(j *job) ([]float64, error) {
 // reshare produces a fresh Shamir sharing of a (decoded) value, modeling
 // the degree-reduction re-sharing round.
 func (c *Cluster) reshare(v float64) []ShamirShare {
-	c.mu.Lock()
 	c.net.add(c.cfg.Nodes, int64(c.cfg.Nodes*8))
-	c.mu.Unlock()
 	return ShamirShareSecret(c.codec.Encode(v), c.cfg.Threshold, c.cfg.Nodes)
 }
 
@@ -579,9 +582,7 @@ func (c *Cluster) openShamirColumn(j *job, worker, elem, k int) Fe {
 	if err != nil {
 		panic(err) // internal: k points always available
 	}
-	c.mu.Lock()
 	c.net.add(k, int64(k*8))
-	c.mu.Unlock()
 	return v
 }
 
@@ -608,9 +609,7 @@ func (c *Cluster) aggregateMinMax(j *job, wantMax bool) ([]float64, error) {
 				diff := SubShares(cand, best) // cand − best
 				mask := c.dealer.RandomMask(20)
 				triples := c.dealer.Triple()
-				c.mu.Lock()
 				c.net.add(4*c.cfg.Nodes, int64(4*c.cfg.Nodes*16))
-				c.mu.Unlock()
 				masked, err := Multiply(diff, mask, triples, alpha)
 				if err != nil {
 					return nil, err
@@ -659,9 +658,7 @@ func (c *Cluster) aggregateMinMax(j *job, wantMax bool) ([]float64, error) {
 				if err != nil {
 					return nil, err
 				}
-				c.mu.Lock()
 				c.net.add(k+c.cfg.Nodes, int64((k+c.cfg.Nodes)*8))
-				c.mu.Unlock()
 				negative := uint64(v) > half
 				if (negative && !wantMax) || (!negative && wantMax && v != 0) {
 					bestW = w

@@ -21,7 +21,6 @@
 package smpc
 
 import (
-	"bufio"
 	"crypto/rand"
 	"encoding/binary"
 	"fmt"
@@ -95,34 +94,64 @@ func Inv(a Fe) Fe {
 	return Pow(a, uint64(P)-2) // Fermat
 }
 
-// randPool buffers crypto/rand reads: secure imports of large vectors draw
-// millions of field elements and per-call getrandom syscalls would dominate.
-var randPool = sync.Pool{
-	New: func() any { return bufio.NewReaderSize(rand.Reader, 4096) },
+// streamBytes is the size of one feStream refill: 1 024 field elements per
+// crypto/rand read, so the OS CSPRNG's per-call cost vanishes against the
+// arithmetic of a share kernel.
+const streamBytes = 8 << 10
+
+// feStream is the one source of every dealer draw (value and MAC shares,
+// Beaver triples, comparison masks, Shamir coefficients, noise re-sharing):
+// uniform field elements cut from a buffer of crypto/rand output. It is not
+// a seeded PRG: every element is fresh OS randomness, so shares stay
+// uniformly random without a further assumption. A stream is owned by one
+// goroutine between getStream and putStream.
+type feStream struct {
+	src io.Reader // crypto/rand.Reader outside tests
+	buf [streamBytes]byte
+	pos int // next unread byte; len(buf) means drained
 }
 
-// RandFe draws a uniform field element from crypto/rand.
-func RandFe() Fe {
-	r := randPool.Get().(*bufio.Reader)
-	defer randPool.Put(r)
-	var buf [8]byte
+// streams recycles feStreams across kernel calls: a stream is taken once
+// per call (not per element), and unread bytes stay usable by the next call.
+var streams = sync.Pool{
+	New: func() any { return &feStream{src: rand.Reader, pos: streamBytes} },
+}
+
+func getStream() *feStream  { return streams.Get().(*feStream) }
+func putStream(s *feStream) { streams.Put(s) }
+
+// next returns a uniform element of [0, P): 61 bits of the buffer, with the
+// single invalid value P rejected.
+func (s *feStream) next() Fe {
 	for {
-		if _, err := io.ReadFull(r, buf[:]); err != nil {
-			panic(fmt.Sprintf("smpc: crypto/rand failed: %v", err))
+		if s.pos == len(s.buf) {
+			if _, err := io.ReadFull(s.src, s.buf[:]); err != nil {
+				panic(fmt.Sprintf("smpc: crypto/rand failed: %v", err))
+			}
+			s.pos = 0
 		}
-		// Take 61 bits; rejection-sample the single invalid value P.
-		v := binary.LittleEndian.Uint64(buf[:]) & P
-		if v != uint64(P) {
+		v := binary.LittleEndian.Uint64(s.buf[s.pos:]) & P
+		s.pos += 8
+		if v != P {
 			return Fe(v)
 		}
 	}
 }
 
+// RandFe draws a uniform field element from crypto/rand.
+func RandFe() Fe {
+	s := getStream()
+	defer putStream(s)
+	return s.next()
+}
+
 // RandVec draws a vector of uniform field elements.
 func RandVec(n int) []Fe {
+	s := getStream()
+	defer putStream(s)
 	out := make([]Fe, n)
 	for i := range out {
-		out[i] = RandFe()
+		out[i] = s.next()
 	}
 	return out
 }

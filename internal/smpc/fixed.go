@@ -85,6 +85,19 @@ func (c Codec) EncodeVec(xs []float64) []Fe {
 	return out
 }
 
+// encoder feeds xs to a share kernel one encoded element at a time, so no
+// encoded copy of the vector is ever materialised; an element EncodeErr
+// rejects is an error naming its index.
+func (c Codec) encoder(xs []float64) func(j int) (Fe, error) {
+	return func(j int) (Fe, error) {
+		f, err := c.EncodeErr(xs[j])
+		if err != nil {
+			return 0, fmt.Errorf("element %d: %w", j, err)
+		}
+		return f, nil
+	}
+}
+
 // DecodeVec decodes a vector.
 func (c Codec) DecodeVec(fs []Fe) []float64 {
 	out := make([]float64, len(fs))

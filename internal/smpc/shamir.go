@@ -17,20 +17,45 @@ type ShamirShare struct {
 // ShamirShareSecret splits secret into n shares with threshold t
 // (reconstruction needs t+1 shares). It panics if t >= n or n == 0.
 func ShamirShareSecret(secret Fe, t, n int) []ShamirShare {
+	shares, _ := shamirEach(1, t, n, func(int) (Fe, error) { return secret, nil }) // cannot fail
+	return shares
+}
+
+// ShamirShareVec splits every secret into n shares with threshold t; the
+// result is indexed [node][element]. It panics if t >= n or n == 0.
+func ShamirShareVec(secrets []Fe, t, n int) [][]ShamirShare {
+	back, _ := shamirEach(len(secrets), t, n, func(j int) (Fe, error) { return secrets[j], nil }) // cannot fail
+	return byNode(back, n, len(secrets))
+}
+
+// shamirEach is the Shamir vector kernel: for each of the m secrets at(j)
+// it draws the t random coefficients of f(x) = secret + c1·x + … + ct·x^t
+// from one stream and evaluates f at x = 1..n into a node-major array, node
+// i's shares at [i·m, (i+1)·m). It stops at the first secret at fails to
+// produce.
+func shamirEach(m, t, n int, at func(j int) (Fe, error)) ([]ShamirShare, error) {
 	if n <= 0 || t < 0 || t >= n {
 		panic(fmt.Sprintf("smpc: invalid Shamir parameters t=%d n=%d", t, n))
 	}
-	// Random polynomial f(x) = secret + c1·x + ... + ct·x^t.
+	s := getStream()
+	defer putStream(s)
 	coeffs := make([]Fe, t+1)
-	coeffs[0] = secret
-	for i := 1; i <= t; i++ {
-		coeffs[i] = RandFe()
+	back := make([]ShamirShare, n*m)
+	for j := 0; j < m; j++ {
+		v, err := at(j)
+		if err != nil {
+			return nil, err
+		}
+		coeffs[0] = v
+		for k := 1; k <= t; k++ {
+			coeffs[k] = s.next()
+		}
+		for i := 0; i < n; i++ {
+			x := uint64(i + 1)
+			back[i*m+j] = ShamirShare{X: x, Y: evalPoly(coeffs, Fe(x))}
+		}
 	}
-	shares := make([]ShamirShare, n)
-	for i := 1; i <= n; i++ {
-		shares[i-1] = ShamirShare{X: uint64(i), Y: evalPoly(coeffs, Fe(uint64(i)))}
-	}
-	return shares
+	return back, nil
 }
 
 // evalPoly evaluates the polynomial at x by Horner's rule.

@@ -51,8 +51,15 @@ func NewDealer(n int) *Dealer {
 	if n <= 0 {
 		panic("smpc: dealer needs at least one node")
 	}
-	d := &Dealer{n: n, alpha: RandFe()}
-	d.alphaSh = d.additive(d.alpha)
+	s := getStream()
+	defer putStream(s)
+	d := &Dealer{n: n, alpha: s.next(), alphaSh: make([]Fe, n)}
+	var acc Fe
+	for i := 0; i < n-1; i++ {
+		d.alphaSh[i] = s.next()
+		acc = Add(acc, d.alphaSh[i])
+	}
+	d.alphaSh[n-1] = Sub(d.alpha, acc)
 	return d
 }
 
@@ -62,52 +69,74 @@ func (d *Dealer) N() int { return d.n }
 // AlphaShare returns node i's share of the MAC key.
 func (d *Dealer) AlphaShare(i int) Fe { return d.alphaSh[i] }
 
-// additive splits v into n uniformly random additive shares.
-func (d *Dealer) additive(v Fe) []Fe {
-	shares := make([]Fe, d.n)
-	var acc Fe
-	for i := 0; i < d.n-1; i++ {
-		shares[i] = RandFe()
-		acc = Add(acc, shares[i])
+// split is the additive-split kernel every authenticated sharing runs
+// through. It writes node i's share of v to dst[i·stride]: nodes 0..n−2 get
+// uniform value and MAC shares from s, node n−1 the differences to v and
+// α·v.
+func (d *Dealer) split(s *feStream, v Fe, dst []AuthShare, stride int) {
+	var val, mac Fe
+	last := (d.n - 1) * stride
+	for i := 0; i < last; i += stride {
+		sh := AuthShare{Val: s.next(), MAC: s.next()}
+		dst[i] = sh
+		val, mac = Add(val, sh.Val), Add(mac, sh.MAC)
 	}
-	shares[d.n-1] = Sub(v, acc)
-	return shares
+	dst[last] = AuthShare{Val: Sub(v, val), MAC: Sub(Mul(d.alpha, v), mac)}
+}
+
+// shareEach is the FT vector kernel: it shares the m values at(0..m−1) into
+// one node-major array, node i's shares at [i·m, (i+1)·m). It stops at the
+// first value at fails to produce.
+func (d *Dealer) shareEach(m int, at func(j int) (Fe, error)) ([]AuthShare, error) {
+	s := getStream()
+	defer putStream(s)
+	back := make([]AuthShare, d.n*m)
+	for j := 0; j < m; j++ {
+		v, err := at(j)
+		if err != nil {
+			return nil, err
+		}
+		d.split(s, v, back[j:], m)
+	}
+	return back, nil
+}
+
+// byNode views a node-major array of n·m shares as n per-node vectors.
+func byNode[T any](back []T, n, m int) [][]T {
+	out := make([][]T, n)
+	for i := range out {
+		out[i] = back[i*m : (i+1)*m : (i+1)*m]
+	}
+	return out
 }
 
 // Share produces the authenticated sharing of v: per-node AuthShares.
 func (d *Dealer) Share(v Fe) []AuthShare {
-	vals := d.additive(v)
-	macs := d.additive(Mul(d.alpha, v))
+	s := getStream()
+	defer putStream(s)
 	out := make([]AuthShare, d.n)
-	for i := range out {
-		out[i] = AuthShare{Val: vals[i], MAC: macs[i]}
-	}
+	d.split(s, v, out, 1)
 	return out
 }
 
 // ShareVec shares a whole vector; result is indexed [node][element].
 func (d *Dealer) ShareVec(vs []Fe) [][]AuthShare {
-	out := make([][]AuthShare, d.n)
-	for i := range out {
-		out[i] = make([]AuthShare, len(vs))
-	}
-	for j, v := range vs {
-		sh := d.Share(v)
-		for i := range sh {
-			out[i][j] = sh[i]
-		}
-	}
-	return out
+	back, _ := d.shareEach(len(vs), func(j int) (Fe, error) { return vs[j], nil }) // cannot fail
+	return byNode(back, d.n, len(vs))
 }
 
 // Triple draws one Beaver triple (offline phase work).
 func (d *Dealer) Triple() []Triple {
-	a, b := RandFe(), RandFe()
-	c := Mul(a, b)
-	as, bs, cs := d.Share(a), d.Share(b), d.Share(c)
+	s := getStream()
+	defer putStream(s)
+	a, b := s.next(), s.next()
+	abc := make([]AuthShare, 3*d.n) // node i's shares of a, b, a·b at 3i, 3i+1, 3i+2
+	d.split(s, a, abc[0:], 3)
+	d.split(s, b, abc[1:], 3)
+	d.split(s, Mul(a, b), abc[2:], 3)
 	out := make([]Triple, d.n)
 	for i := range out {
-		out[i] = Triple{A: as[i], B: bs[i], C: cs[i]}
+		out[i] = Triple{A: abc[3*i], B: abc[3*i+1], C: abc[3*i+2]}
 	}
 	atomic.AddInt64(&d.TriplesIn, 1)
 	return out
@@ -116,14 +145,15 @@ func (d *Dealer) Triple() []Triple {
 // RandomMask draws a shared random value with a public sign guarantee
 // (uniform in [1, 2^bound]); used by the masked-comparison protocol.
 func (d *Dealer) RandomMask(bound uint) []AuthShare {
-	for {
-		r := RandFe()
-		v := uint64(r) & ((1 << bound) - 1)
-		if v == 0 {
-			continue
-		}
-		return d.Share(Fe(v))
+	s := getStream()
+	defer putStream(s)
+	var v Fe
+	for v == 0 {
+		v = s.next() & (1<<bound - 1)
 	}
+	out := make([]AuthShare, d.n)
+	d.split(s, v, out, 1)
+	return out
 }
 
 // AddShares adds two authenticated sharings locally (no interaction).
