@@ -9,8 +9,10 @@ test:
 	$(GO) test ./...
 
 # race is also where `make check` runs the one-record coherence test
-# (internal/federation TestOneRecordPerStatement) and the mipctl printer
-# test (cmd/mipctl TestPrintersRenderEveryServerField): both live in ./... .
+# (internal/federation TestOneRecordPerStatement), the one-relation step
+# tests (internal/federation TestOneStatementPerStep and
+# TestDisclosureCountsStepRelation) and the mipctl printer test (cmd/mipctl
+# TestPrintersRenderEveryServerField): all live in ./... .
 race:
 	$(GO) test -race ./...
 
@@ -29,12 +31,15 @@ freshbuild:
 		git archive HEAD | tar -x -C "$$tmp" && cd "$$tmp" && $(GO) build ./... && $(GO) vet ./...
 
 # loc prints the non-test line counts ROADMAP.md tracks under "quality of
-# design": these should go down.
+# design", then the engine + federation total it targets: these should go
+# down.
 loc:
 	@for d in internal/engine internal/federation internal/obs internal/api cmd/mipctl \
 		internal/algorithms internal/udf internal/smpc cmd/mipbench; do \
 		printf '%-22s %6d non-test lines\n' $$d $$(find $$d -name '*.go' ! -name '*_test.go' | xargs cat | wc -l); \
 	done
+	@printf '%-22s %6d non-test lines\n' 'engine + federation' \
+		$$(find internal/engine internal/federation -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)
 
 # auditsmoke exercises the tamper-evident audit chain end to end: a JSONL
 # sink round-trip (the mipd -audit-log format) plus mutation detection.

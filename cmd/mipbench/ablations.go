@@ -4,18 +4,14 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"time"
 
-	"mip/internal/engine"
 	"mip/internal/smpc"
 	"mip/internal/stats"
-	"mip/internal/udf"
 )
 
 func init() {
 	register("a1", "Ablation: fixed-point fractional bits vs SMPC accuracy and range", runA1)
 	register("a2", "Ablation: quantile-histogram bins vs descriptive-statistics accuracy", runA2)
-	register("a3", "Ablation: UDF fusion — one scan for N steps (paper roadmap)", runA3)
 }
 
 // A1 — the SMPC codec's fractional-bit budget trades resolution against
@@ -114,84 +110,4 @@ func histQuantileLocal(counts []float64, lo, hi, q float64) float64 {
 		cum += c
 	}
 	return hi
-}
-
-// A3 — UDF fusion (the paper's roadmap item): N statistics UDFs over the
-// same relation, fused into one scan vs N separate scans.
-func runA3() {
-	const rows = 200000
-	tab := engine.NewTable(engine.Schema{
-		{Name: "x", Type: engine.Float64},
-		{Name: "y", Type: engine.Float64},
-	})
-	rng := stats.NewRNG(31)
-	for i := 0; i < rows; i++ {
-		fatalIf(tab.AppendRow(rng.Normal(0, 1), rng.Normal(5, 2)))
-	}
-	db := engine.NewDB()
-	db.RegisterTable("t", tab)
-
-	reg := udf.NewRegistry()
-	mkSum := func(col string) *udf.Def {
-		return &udf.Def{
-			Name:    "sum_" + col,
-			Inputs:  []udf.IOSpec{{Name: "data", Kind: udf.Relation}},
-			Outputs: []udf.IOSpec{{Name: "s", Kind: udf.Scalar}},
-			Body: func(ctx *udf.Ctx, args []udf.Value) ([]udf.Value, error) {
-				v := args[0].Table.ColByName(col).Float64s()
-				var s float64
-				for _, x := range v {
-					s += x
-				}
-				return []udf.Value{udf.ScalarValue(s)}, nil
-			},
-		}
-	}
-	names := []string{}
-	for _, col := range []string{"x", "y"} {
-		reg.MustRegister(mkSum(col))
-		names = append(names, "sum_"+col)
-	}
-	reg.MustRegister(&udf.Def{
-		Name:    "count_rows",
-		Inputs:  []udf.IOSpec{{Name: "data", Kind: udf.Relation}},
-		Outputs: []udf.IOSpec{{Name: "n", Kind: udf.Scalar}},
-		Body: func(ctx *udf.Ctx, args []udf.Value) ([]udf.Value, error) {
-			return []udf.Value{udf.ScalarValue(float64(args[0].Table.NumRows()))}, nil
-		},
-	})
-	names = append(names, "count_rows")
-	e := &udf.Exec{Registry: reg, DB: db}
-	relSQL := `SELECT x, y FROM t WHERE x > -1`
-
-	const reps = 20
-	// Unfused: one relation resolution per UDF.
-	q0 := db.QueryCount()
-	start := time.Now()
-	for r := 0; r < reps; r++ {
-		for _, n := range names {
-			_, err := e.Call(n, make([]udf.Value, 1), map[string]string{"data": relSQL})
-			fatalIf(err)
-		}
-	}
-	unfused := time.Since(start)
-	unfusedScans := db.QueryCount() - q0
-
-	// Fused: one resolution for the batch.
-	q0 = db.QueryCount()
-	start = time.Now()
-	for r := 0; r < reps; r++ {
-		_, err := e.CallFused(names, relSQL, nil)
-		fatalIf(err)
-	}
-	fused := time.Since(start)
-	fusedScans := db.QueryCount() - q0
-
-	fmt.Printf("3 UDFs over %d rows (filter x > -1), %d repetitions\n\n", rows, reps)
-	fmt.Printf("%-10s %14s %12s\n", "mode", "wall", "engine scans")
-	fmt.Printf("%-10s %14s %12d\n", "unfused", unfused.Round(time.Microsecond), unfusedScans)
-	fmt.Printf("%-10s %14s %12d\n", "fused", fused.Round(time.Microsecond), fusedScans)
-	fmt.Printf("\nspeedup %.1fx, scans reduced %dx — the UDF-fusion payoff the paper's roadmap\n",
-		float64(unfused)/float64(fused), unfusedScans/fusedScans)
-	fmt.Println("targets; see internal/udf/fusion.go for the stateful-execution half.")
 }

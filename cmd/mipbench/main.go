@@ -35,7 +35,7 @@ func register(id, title string, run func()) {
 }
 
 func main() {
-	exp := flag.String("exp", "all", "experiment id (e1..e14) or all")
+	exp := flag.String("exp", "all", "experiment id (e1..e14, a1, a2; see -list) or all")
 	list := flag.Bool("list", false, "list experiments")
 	benchOut := flag.String("bench-out", "", "run the perf benchmark suite and write the JSON report to this file")
 	compare := flag.String("compare", "", "run the perf benchmark suite and print ns/op and allocs/op deltas vs this baseline JSON report")

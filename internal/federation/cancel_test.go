@@ -86,8 +86,7 @@ func TestWorkerCancelJobMidStep(t *testing.T) {
 	go func() {
 		_, err := w.LocalRun(LocalRunRequest{
 			JobID: jobID, Func: "test_sums",
-			DataQuery:     `SELECT age FROM slowtbl`,
-			ShareToGlobal: true,
+			DataQuery: `SELECT age FROM slowtbl`,
 		})
 		done <- err
 	}()
@@ -181,8 +180,7 @@ func TestHTTPCancelJob(t *testing.T) {
 	go func() {
 		_, err := c.LocalRun(LocalRunRequest{
 			JobID: jobID, Func: "test_sums",
-			DataQuery:     `SELECT age FROM slowtbl`,
-			ShareToGlobal: true,
+			DataQuery: `SELECT age FROM slowtbl`,
 		})
 		done <- err
 	}()

@@ -359,7 +359,7 @@ func TestWorkerReplayDedupe(t *testing.T) {
 	w := chaosWorker(t, "site0", "edsd", 15)
 	req := federation.LocalRunRequest{
 		JobID: "exp-replay/step-1", Func: "test_sideeffect",
-		DataQuery: "SELECT age FROM " + federation.DataTable, ShareToGlobal: true,
+		DataQuery: "SELECT age FROM " + federation.DataTable,
 	}
 	base := sideEffectRuns.Load()
 	r1, err := w.LocalRun(req)
@@ -393,7 +393,7 @@ func TestWorkerReplayConcurrent(t *testing.T) {
 	w := chaosWorker(t, "site0", "edsd", 15)
 	req := federation.LocalRunRequest{
 		JobID: "exp-conc/step-1", Func: "test_sideeffect",
-		DataQuery: "SELECT age FROM " + federation.DataTable, ShareToGlobal: true,
+		DataQuery: "SELECT age FROM " + federation.DataTable,
 	}
 	base := sideEffectRuns.Load()
 	var wg sync.WaitGroup

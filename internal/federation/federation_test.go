@@ -178,7 +178,7 @@ func TestLocalRunPlainAggregation(t *testing.T) {
 	if len(transfers) != 3 {
 		t.Fatalf("transfers = %d", len(transfers))
 	}
-	agg, err := AggregateSum(transfers, "n", "sums")
+	agg, err := aggregateFold(transfers, smpc.OpSum, []string{"n", "sums"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +198,7 @@ func TestSecureSumMatchesPlain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := AggregateSum(transfers, "n", "sums")
+	plain, err := aggregateFold(transfers, smpc.OpSum, []string{"n", "sums"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -382,7 +382,7 @@ func TestHTTPTransport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	agg, err := AggregateSum(transfers, "n", "sums")
+	agg, err := aggregateFold(transfers, smpc.OpSum, []string{"n", "sums"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -409,7 +409,7 @@ func TestHTTPRawQueryForbidden(t *testing.T) {
 		t.Fatal("raw query must be forbidden")
 	}
 	// Local runs still work.
-	resp, err := c.LocalRun(LocalRunRequest{JobID: "x", Func: "test_sums", DataQuery: "SELECT age FROM data", ShareToGlobal: true})
+	resp, err := c.LocalRun(LocalRunRequest{JobID: "x", Func: "test_sums", DataQuery: "SELECT age FROM data"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -599,32 +599,6 @@ func TestSessionAccessors(t *testing.T) {
 	}
 }
 
-func TestKeepLocalTransferRef(t *testing.T) {
-	db := newWorkerDB(t, "edsd", 40, 0)
-	w := NewWorker("keeper", db)
-	resp, err := w.LocalRun(LocalRunRequest{
-		JobID: "j1", Func: "test_sums",
-		DataQuery: "SELECT age FROM data",
-		// neither ShareToGlobal nor SecureKeys: result stays local
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.TransferRef == "" || resp.Transfer != nil {
-		t.Fatalf("expected a local ref, got %+v", resp)
-	}
-	tr, ok := w.LocalResult(resp.TransferRef)
-	if !ok {
-		t.Fatal("local result not retrievable by ref")
-	}
-	if n, _ := tr.Float("n"); n != 40 {
-		t.Fatalf("local n = %v", n)
-	}
-	if _, ok := w.LocalResult("bogus"); ok {
-		t.Fatal("bogus ref should miss")
-	}
-}
-
 func TestWithFuncsCustomRegistry(t *testing.T) {
 	reg := NewFuncRegistry()
 	reg.MustRegisterLocal("only_here", func(wctx *WorkerCtx, data *engine.Table, kwargs Kwargs) (Transfer, error) {
@@ -640,7 +614,7 @@ func TestWithFuncsCustomRegistry(t *testing.T) {
 	}
 	resp, err := w.LocalRun(LocalRunRequest{
 		JobID: "j", Func: "only_here",
-		DataQuery: "SELECT age FROM data", ShareToGlobal: true,
+		DataQuery: "SELECT age FROM data",
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -651,7 +625,7 @@ func TestWithFuncsCustomRegistry(t *testing.T) {
 	// The default registry's funcs are absent from the custom registry.
 	if _, err := w.LocalRun(LocalRunRequest{
 		JobID: "j2", Func: "test_sums",
-		DataQuery: "SELECT age FROM data", ShareToGlobal: true,
+		DataQuery: "SELECT age FROM data",
 	}); err == nil {
 		t.Fatal("default funcs should not exist on a custom registry")
 	}
@@ -703,10 +677,10 @@ func TestTransferAccessorErrors(t *testing.T) {
 func TestAggregateFoldMismatch(t *testing.T) {
 	a := Transfer{"v": []float64{1, 2}}
 	b := Transfer{"v": []float64{1, 2, 3}}
-	if _, err := AggregateSum([]Transfer{a, b}, "v"); err == nil {
+	if _, err := aggregateFold([]Transfer{a, b}, smpc.OpSum, []string{"v"}); err == nil {
 		t.Fatal("shape mismatch must error")
 	}
-	if _, err := AggregateSum(nil, "v"); err == nil {
+	if _, err := aggregateFold(nil, smpc.OpSum, []string{"v"}); err == nil {
 		t.Fatal("empty transfers must error")
 	}
 }

@@ -798,9 +798,10 @@ type LocalRunSpec struct {
 
 // LocalRun executes a local step on every session worker concurrently and
 // returns the per-worker transfers (plain path). This is the
-// `self.local_run(..., share_to_global=[True])` call of Figure 2.
+// `self.local_run(...)` call of Figure 2 with the transfer shared to the
+// global step.
 func (s *Session) LocalRun(spec LocalRunSpec) ([]Transfer, error) {
-	resps, err := s.localRun(spec, nil, s.trace.SpanID)
+	resps, _, err := s.localRun(spec, nil, s.trace.SpanID)
 	if err != nil {
 		return nil, err
 	}
@@ -821,9 +822,13 @@ func (s *Session) LocalRun(spec LocalRunSpec) ([]Transfer, error) {
 // session's Tolerance quorum still holds (plain path only — SMPC needs
 // every worker's shares), and the survivors' responses are returned with
 // the dropped ids recorded on the session and the step span.
-func (s *Session) localRun(spec LocalRunSpec, secureKeys []string, parentSpan string) ([]LocalRunResponse, error) {
+//
+// It also returns the job id it minted for the step, the key the workers
+// imported their shares under, so secure callers aggregate or discard
+// exactly that job ("" when the step failed before one was minted).
+func (s *Session) localRun(spec LocalRunSpec, secureKeys []string, parentSpan string) ([]LocalRunResponse, string, error) {
 	if s.Cancelled() {
-		return nil, fmt.Errorf("federation: experiment %s: %w", s.id, engine.ErrQueryCancelled)
+		return nil, "", fmt.Errorf("federation: experiment %s: %w", s.id, engine.ErrQueryCancelled)
 	}
 	jobID := s.nextJobID()
 	s.jobMu.Lock()
@@ -834,14 +839,13 @@ func (s *Session) localRun(spec LocalRunSpec, secureKeys []string, parentSpan st
 		dq = s.DataQuery(spec.Vars, spec.Filter, !spec.KeepNA)
 	}
 	req := LocalRunRequest{
-		JobID:         jobID,
-		Func:          spec.Func,
-		Tenant:        s.tenant,
-		Datasets:      s.datasets,
-		DataQuery:     dq,
-		Kwargs:        spec.Kwargs,
-		ShareToGlobal: len(secureKeys) == 0,
-		SecureKeys:    secureKeys,
+		JobID:      jobID,
+		Func:       spec.Func,
+		Tenant:     s.tenant,
+		Datasets:   s.datasets,
+		DataQuery:  dq,
+		Kwargs:     spec.Kwargs,
+		SecureKeys: secureKeys,
 	}
 	secure := len(secureKeys) > 0
 	step := obs.DefaultTraces.StartSpan(s.trace.TraceID, parentSpan, "localrun "+spec.Func)
@@ -923,7 +927,7 @@ func (s *Session) localRun(spec LocalRunSpec, secureKeys []string, parentSpan st
 	if cancelled {
 		err := fmt.Errorf("federation: experiment %s: %w", s.id, engine.ErrQueryCancelled)
 		step.SetError(err)
-		return nil, err
+		return nil, jobID, err
 	}
 	if timedOut {
 		for i, w := range s.workers {
@@ -947,7 +951,7 @@ func (s *Session) localRun(spec LocalRunSpec, secureKeys []string, parentSpan st
 		}
 	}
 	if len(errs) == 0 {
-		return ok, nil
+		return ok, jobID, nil
 	}
 	fedLocalRunErrors.Inc()
 	if secure {
@@ -957,7 +961,7 @@ func (s *Session) localRun(spec LocalRunSpec, secureKeys []string, parentSpan st
 		err := fmt.Errorf("federation: secure aggregation requires shares from all %d workers and cannot degrade to a partial result: %w",
 			len(s.workers), errors.Join(errs...))
 		step.SetError(err)
-		return nil, err
+		return nil, jobID, err
 	}
 	required := s.tolerance.Required(len(s.workers))
 	stepLog := obs.WithTrace(masterLog, &obs.TraceRef{TraceID: s.trace.TraceID, SpanID: step.ID()}).With(
@@ -968,7 +972,7 @@ func (s *Session) localRun(spec LocalRunSpec, secureKeys []string, parentSpan st
 		step.SetError(err)
 		stepLog.Error("quorum not met",
 			"responded", len(ok), "workers", len(s.workers), "required", required)
-		return nil, err
+		return nil, jobID, err
 	}
 	// Degraded success: the surviving quorum's partial aggregate.
 	s.recordDropped(droppedIDs)
@@ -977,7 +981,7 @@ func (s *Session) localRun(spec LocalRunSpec, secureKeys []string, parentSpan st
 	step.SetAttr("dropped_workers", strings.Join(droppedIDs, ","))
 	stepLog.Warn("degraded step: workers dropped",
 		"dropped", strings.Join(droppedIDs, ","), "responded", len(ok))
-	return ok, nil
+	return ok, jobID, nil
 }
 
 // SecureSum runs a local step on every worker, secret-shares the named
@@ -989,35 +993,6 @@ func (s *Session) SecureSum(spec LocalRunSpec, keys ...string) (Transfer, error)
 		return nil, fmt.Errorf("federation: session has no SMPC cluster")
 	}
 	return s.aggregate(spec, smpc.OpSum, keys)
-}
-
-// AggregateSum sums the named numeric entries across plain transfers —
-// the non-secure equivalent of SecureSum, used when the deployment handles
-// non-sensitive data.
-func AggregateSum(transfers []Transfer, keys ...string) (Transfer, error) {
-	if len(transfers) == 0 {
-		return nil, fmt.Errorf("federation: no transfers to aggregate")
-	}
-	var total []float64
-	var shapes map[string][]int
-	for i, t := range transfers {
-		flat, sh, err := flattenNumeric(t, keys)
-		if err != nil {
-			return nil, fmt.Errorf("federation: transfer %d: %w", i, err)
-		}
-		if total == nil {
-			total = flat
-			shapes = sh
-			continue
-		}
-		if !shapesEqual(shapes, sh) || len(flat) != len(total) {
-			return nil, fmt.Errorf("federation: transfer %d has inconsistent shapes", i)
-		}
-		for j := range total {
-			total[j] += flat[j]
-		}
-	}
-	return unflattenNumeric(total, shapes)
 }
 
 // Sum runs a local step and aggregates the named keys through the
@@ -1043,8 +1018,7 @@ func (s *Session) aggregate(spec LocalRunSpec, op smpc.Op, keys []string) (Trans
 	if s.master.security.UseSMPC {
 		iter := obs.DefaultTraces.StartSpan(s.trace.TraceID, s.trace.SpanID, "aggregate "+op.String()+" "+spec.Func)
 		defer iter.End()
-		resps, err := s.localRun(spec, keys, iter.ID())
-		stepJob := fmt.Sprintf("%s/step-%d", s.id, s.stepSeq)
+		resps, stepJob, err := s.localRun(spec, keys, iter.ID())
 		if err != nil {
 			// Workers that did import must not leave their shares behind.
 			s.master.smpc.Discard(stepJob)
@@ -1148,8 +1122,7 @@ func (s *Session) SecureUnion(spec LocalRunSpec, key string) ([]float64, error) 
 	}
 	// Secure path: workers import the vector under the step job id; union
 	// opens the merged set.
-	_, err := s.localRun(spec, []string{key}, s.trace.SpanID)
-	stepJob := fmt.Sprintf("%s/step-%d", s.id, s.stepSeq)
+	_, stepJob, err := s.localRun(spec, []string{key}, s.trace.SpanID)
 	if err != nil {
 		s.master.smpc.Discard(stepJob)
 		return nil, err

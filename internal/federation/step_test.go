@@ -1,0 +1,115 @@
+package federation
+
+import (
+	"fmt"
+	"net/http/httptest"
+	"strings"
+	"testing"
+
+	"mip/internal/engine"
+	"mip/internal/smpc"
+)
+
+// TestOneStatementPerStep: a worker evaluates a step's relation once — the
+// same table feeds disclosure control and the step body — so each step
+// grows every worker's engine statement count by exactly one, on the plain
+// and the secure path, in-process and over the HTTP transport.
+func TestOneStatementPerStep(t *testing.T) {
+	for _, secure := range []bool{false, true} {
+		for _, overHTTP := range []bool{false, true} {
+			t.Run(fmt.Sprintf("secure=%v/http=%v", secure, overHTTP), func(t *testing.T) {
+				var cluster *smpc.Cluster
+				var opts []WorkerOption
+				if secure {
+					cluster = buildCluster(t, smpc.FullThreshold)
+					opts = append(opts, WithSMPC(cluster))
+				}
+				var workers []*Worker
+				var clients []WorkerClient
+				for i := 0; i < 3; i++ {
+					w := NewWorker(fmt.Sprintf("q%d", i), newWorkerDB(t, "edsd", 40+5*i, float64(i)), opts...)
+					workers = append(workers, w)
+					if !overHTTP {
+						clients = append(clients, w)
+						continue
+					}
+					srv := httptest.NewServer((&WorkerServer{Worker: w}).Handler())
+					t.Cleanup(srv.Close)
+					clients = append(clients, NewHTTPWorkerClient(w.ID(), srv.URL))
+				}
+				m, err := NewMaster(clients, cluster, Security{UseSMPC: secure})
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(m.Close)
+				s, err := m.NewSession(nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				before := make([]int64, len(workers))
+				for i, w := range workers {
+					before[i] = w.DB().QueryCount()
+				}
+				const steps = 3
+				for k := 0; k < steps; k++ {
+					out, err := s.Sum(LocalRunSpec{Func: "test_sums", Vars: []string{"age"}}, "n")
+					if err != nil {
+						t.Fatal(err)
+					}
+					if n, _ := out.Float("n"); n != 40+45+50 {
+						t.Fatalf("step %d: n = %v", k, n)
+					}
+				}
+				for i, w := range workers {
+					if got := w.DB().QueryCount() - before[i]; got != steps {
+						t.Errorf("worker %s ran %d engine statements for %d steps, want %d", w.ID(), got, steps, steps)
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestDisclosureCountsStepRelation: disclosure control judges the relation
+// the step body would consume, before the body runs. The body here
+// loopback-INSERTs rows matching its own data query; were the relation
+// evaluated a second time after the body, the count would clear minRows on
+// rows the step never saw and a sub-threshold transfer would ship.
+func TestDisclosureCountsStepRelation(t *testing.T) {
+	reg := NewFuncRegistry()
+	ran := false
+	reg.MustRegisterLocal("test_inflate", func(wctx *WorkerCtx, data *engine.Table, _ Kwargs) (Transfer, error) {
+		ran = true
+		rows := make([]string, DefaultMinRows)
+		for i := range rows {
+			rows[i] = fmt.Sprintf("('tiny', %d, 1)", 60+i)
+		}
+		if _, err := wctx.Loopback("INSERT INTO " + DataTable + " VALUES " + strings.Join(rows, ", ")); err != nil {
+			return nil, err
+		}
+		return Transfer{"n": float64(data.NumRows())}, nil
+	})
+	db := newWorkerDB(t, "tiny", DefaultMinRows/2, 0)
+	w := NewWorker("tiny", db, WithFuncs(reg))
+
+	resp, err := w.LocalRun(LocalRunRequest{
+		JobID: "exp-inflate/step-1", Func: "test_inflate",
+		DataQuery: "SELECT age FROM " + DataTable + " WHERE dataset = 'tiny'",
+	})
+	if err == nil || !strings.Contains(err.Error(), "disclosure control") {
+		t.Fatalf("err = %v, want the disclosure-control refusal", err)
+	}
+	if resp.Transfer != nil {
+		t.Fatalf("a sub-threshold transfer shipped: %v", resp.Transfer)
+	}
+	if ran {
+		t.Fatal("the step body ran over a sub-threshold relation")
+	}
+	n, err := db.Query("SELECT count(*) AS n FROM " + DataTable)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := n.Col(0).Int64s()[0]; got != DefaultMinRows/2 {
+		t.Fatalf("data table holds %d rows after the refused step, want %d", got, DefaultMinRows/2)
+	}
+}

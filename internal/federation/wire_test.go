@@ -280,7 +280,7 @@ func TestLocalRunNaNAnswers422(t *testing.T) {
 	}))
 	defer srv.Close()
 	_, err := federation.NewHTTPWorkerClient("nan", srv.URL).LocalRun(federation.LocalRunRequest{
-		JobID: "j", Func: "test_nan_moment", DataQuery: "SELECT age FROM data", ShareToGlobal: true})
+		JobID: "j", Func: "test_nan_moment", DataQuery: "SELECT age FROM data"})
 	var ce *federation.CallError
 	if !errors.As(err, &ce) || ce.Status != http.StatusUnprocessableEntity || !strings.Contains(err.Error(), "unsupported value: NaN") {
 		t.Fatalf("err = %v, want HTTP 422 naming the unsupported NaN", err)

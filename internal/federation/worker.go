@@ -35,11 +35,10 @@ type LocalRunRequest struct {
 	DataQuery string `json:"data_query"`
 	// Kwargs are the step's keyword arguments.
 	Kwargs Kwargs `json:"kwargs"`
-	// ShareToGlobal ships the transfer back to the master (plain path).
-	ShareToGlobal bool `json:"share_to_global"`
 	// SecureKeys, when non-empty, secret-shares the named numeric transfer
 	// entries into the SMPC cluster under JobID instead of returning them;
-	// only shape metadata leaves the worker.
+	// only shape metadata leaves the worker. Otherwise the transfer ships
+	// back to the master (plain path).
 	SecureKeys []string `json:"secure_keys,omitempty"`
 	// Tenant and Datasets attribute the step for metering and audit: the
 	// worker tags its engine statements with them, so per-hospital access
@@ -53,15 +52,12 @@ type LocalRunRequest struct {
 	Trace *obs.TraceRef `json:"trace,omitempty"`
 }
 
-// LocalRunResponse carries the step's outputs (or pointers to them).
+// LocalRunResponse carries the step's outputs.
 type LocalRunResponse struct {
 	// WorkerID identifies the responding worker.
 	WorkerID string `json:"worker_id"`
-	// Transfer holds the result when ShareToGlobal is set and the secure
-	// path is not in use.
+	// Transfer holds the result on the plain path (no SecureKeys).
 	Transfer Transfer `json:"transfer,omitempty"`
-	// TransferRef points to the worker-resident result otherwise.
-	TransferRef string `json:"transfer_ref,omitempty"`
 	// Shapes reports the layout of securely shared entries.
 	Shapes map[string][]int `json:"shapes,omitempty"`
 	// Rows is the number of input rows the step consumed (not shipped in
@@ -85,8 +81,6 @@ type Worker struct {
 	smpc     *smpc.Cluster // the decoupled SMPC cluster (nil = plain only)
 	minRows  int
 	mu       sync.Mutex
-	results  map[string]Transfer // transfer_ref → kept-local results
-	refSeq   int
 	datasets []string
 	jobs     map[string]*jobEntry // JobID → dedupe record (replayed /localrun)
 	jobOrder []string             // FIFO eviction order for jobs
@@ -144,7 +138,6 @@ func NewWorker(id string, db *engine.DB, opts ...WorkerOption) *Worker {
 		funcs:   DefaultRegistry,
 		udfReg:  udf.NewRegistry(),
 		minRows: DefaultMinRows,
-		results: make(map[string]Transfer),
 		jobs:    make(map[string]*jobEntry),
 		bootID:  randHex(8),
 		dsVers:  make(map[string]uint64),
@@ -301,11 +294,12 @@ func (w *Worker) CancelJob(jobID string) bool {
 	return true
 }
 
-// LocalRun implements WorkerClient: executes a local step inside the
-// engine via the UDF generator, applies disclosure control, and routes the
-// transfer through the requested path. When the request carries a trace
-// context the worker records an execution span (with engine query stats)
-// and ships it back in the response envelope.
+// LocalRun implements WorkerClient: evaluates the step's relation once,
+// applies disclosure control to it, runs the step over it inside the engine
+// via the UDF generator, and ships the result one way — the transfer on the
+// plain path, secret shares on the secure path. When the request carries a
+// trace context the worker records an execution span (with engine query
+// stats) and ships it back in the response envelope.
 //
 // Calls are deduplicated by JobID: a replay of an already-completed step
 // (the master retries transient transport failures) returns the cached
@@ -383,6 +377,8 @@ func (w *Worker) runStep(ctx context.Context, req LocalRunRequest) (LocalRunResp
 	return resp, err
 }
 
+// doLocalRun is one step as a straight line: resolve the relation once,
+// disclosure control on its row count, the step body over it, then ship.
 func (w *Worker) doLocalRun(ctx context.Context, req LocalRunRequest, span *obs.Span) (LocalRunResponse, error) {
 	resp := LocalRunResponse{WorkerID: w.id}
 	if ctx == nil {
@@ -398,39 +394,41 @@ func (w *Worker) doLocalRun(ctx context.Context, req LocalRunRequest, span *obs.
 			Datasets: req.Datasets,
 		})
 	}
-	fn := w.funcs.Local(req.Func)
-	if fn == nil {
-		return resp, fmt.Errorf("federation: worker %s has no local func %q", w.id, req.Func)
+	def, err := w.stepUDF(req.Func)
+	if err != nil {
+		return resp, err
 	}
 
-	// Wrap the step as a SQL UDF (idempotently) and run it in-engine.
-	udfName := "fed_" + req.Func
-	if w.udfReg.Lookup(udfName) == nil {
-		def := &udf.Def{
-			Name:   udfName,
-			Doc:    "federated local step " + req.Func,
-			Inputs: []udf.IOSpec{{Name: "data", Kind: udf.Relation}, {Name: "kwargs", Kind: udf.Transfer}},
-			Outputs: []udf.IOSpec{
-				{Name: "transfer", Kind: udf.Transfer},
-			},
-			Body: func(ctx *udf.Ctx, args []udf.Value) ([]udf.Value, error) {
-				wctx := &WorkerCtx{WorkerID: w.id, UDF: ctx}
-				kw := Kwargs(args[1].Transfer)
-				tr, err := fn(wctx, args[0].Table, kw)
-				if err != nil {
-					return nil, err
-				}
-				return []udf.Value{udf.TransferValue(tr)}, nil
-			},
+	// Resolve the step's relation once. When tracing, the engine's stats
+	// land on a child span with the measured operator tree grafted under it,
+	// so the master's experiment trace shows this worker's per-operator
+	// breakdown. Spans carry shapes and timings only — never values.
+	qspan := span.StartChild("engine query")
+	data, qs, err := w.db.QueryWithStatsCtx(ctx, req.DataQuery)
+	if qspan != nil {
+		for k, v := range qs.Attrs() {
+			qspan.SetAttr(k, v)
 		}
-		if err := w.udfReg.Register(def); err != nil && w.udfReg.Lookup(udfName) == nil {
-			return resp, err
-		}
+		qspan.SetError(err)
+		qspan.End()
+		d := qspan.Data()
+		resp.Spans = append(resp.Spans, d)
+		planSpans(d.TraceID, d.SpanID, d.Start, qs.Root, &resp.Spans)
+	}
+	if err != nil {
+		return resp, err
 	}
 
-	args := []udf.Value{{}, udf.TransferValue(req.Kwargs)}
-	udfSpan := span.StartChild("udf " + udfName)
-	outs, err := w.exec.CallCtx(ctx, udfName, args, map[string]string{"data": req.DataQuery})
+	// Disclosure control counts exactly the rows the body would see, and
+	// refuses before the body runs.
+	resp.Rows = data.NumRows()
+	if resp.Rows > 0 && resp.Rows < w.minRows {
+		fedDisclosureBlocks.Inc()
+		return resp, fmt.Errorf("federation: worker %s: disclosure control: %d rows < minimum %d", w.id, resp.Rows, w.minRows)
+	}
+
+	udfSpan := span.StartChild("udf " + def.Name)
+	outs, err := w.exec.Call(ctx, def.Name, []udf.Value{udf.RelationValue(data), udf.TransferValue(req.Kwargs)})
 	udfSpan.SetError(err)
 	udfSpan.End()
 	if udfSpan != nil {
@@ -441,80 +439,63 @@ func (w *Worker) doLocalRun(ctx context.Context, req LocalRunRequest, span *obs.
 	}
 	transfer := Transfer(outs[0].Transfer)
 
-	// Row count for disclosure control.
-	rows, err := w.countRows(ctx, req.DataQuery, span, &resp)
-	if err != nil {
-		return resp, err
-	}
-	resp.Rows = rows
-	leavesWorker := req.ShareToGlobal || len(req.SecureKeys) > 0
-	if leavesWorker && rows > 0 && rows < w.minRows {
-		fedDisclosureBlocks.Inc()
-		return resp, fmt.Errorf("federation: worker %s: disclosure control: %d rows < minimum %d", w.id, rows, w.minRows)
-	}
-
-	if len(req.SecureKeys) > 0 {
-		if w.smpc == nil {
-			return resp, fmt.Errorf("federation: worker %s has no SMPC cluster attached", w.id)
-		}
-		flat, shapes, err := flattenNumeric(transfer, req.SecureKeys)
-		if err != nil {
-			return resp, err
-		}
-		// Attributes, not a child span: the exec span's self time is what
-		// tells the import apart from the UDF call and the row-count query.
-		t0 := time.Now()
-		err = w.smpc.ImportSecret(req.JobID, w.id, flat)
-		span.SetAttr("smpc_import_ms", strconv.FormatFloat(time.Since(t0).Seconds()*1e3, 'f', 3, 64))
-		span.SetAttr("smpc_import_elems", strconv.Itoa(len(flat)))
-		if err != nil {
-			return resp, err
-		}
-		resp.Shapes = shapes
-		return resp, nil
-	}
-
-	if req.ShareToGlobal {
+	if len(req.SecureKeys) == 0 {
 		resp.Transfer = transfer
 		return resp, nil
 	}
-
-	// Result stays on the worker as a pointer.
-	w.mu.Lock()
-	w.refSeq++
-	ref := fmt.Sprintf("%s/%s#%d", w.id, req.JobID, w.refSeq)
-	w.results[ref] = transfer
-	w.mu.Unlock()
-	resp.TransferRef = ref
+	if w.smpc == nil {
+		return resp, fmt.Errorf("federation: worker %s has no SMPC cluster attached", w.id)
+	}
+	flat, shapes, err := flattenNumeric(transfer, req.SecureKeys)
+	if err != nil {
+		return resp, err
+	}
+	// Attributes, not a child span: the exec span's self time is what tells
+	// the import apart from the relation query and the UDF call.
+	t0 := time.Now()
+	err = w.smpc.ImportSecret(req.JobID, w.id, flat)
+	span.SetAttr("smpc_import_ms", strconv.FormatFloat(time.Since(t0).Seconds()*1e3, 'f', 3, 64))
+	span.SetAttr("smpc_import_elems", strconv.Itoa(len(flat)))
+	if err != nil {
+		return resp, err
+	}
+	resp.Shapes = shapes
 	return resp, nil
 }
 
-// countRows evaluates the data query's row count (with a cheap rewrite for
-// plain SELECT ... FROM shapes; falls back to running the query). The
-// engine's per-query stats land on a child trace span when tracing is on.
-func (w *Worker) countRows(ctx context.Context, dataQuery string, parent *obs.Span, resp *LocalRunResponse) (int, error) {
-	if dataQuery == "" {
-		return 0, nil
+// stepUDF returns the SQL UDF fed_<name> wrapping local step name (its
+// relation and kwargs in, its transfer out), registering it on first use.
+// Steps run through it and GenerateStepSQL renders it, so the generated SQL
+// always describes the UDF that runs.
+func (w *Worker) stepUDF(name string) (*udf.Def, error) {
+	if def := w.udfReg.Lookup("fed_" + name); def != nil {
+		return def, nil
 	}
-	qspan := parent.StartChild("engine query")
-	t, qs, err := w.db.QueryWithStatsCtx(ctx, dataQuery)
-	if qspan != nil {
-		for k, v := range qs.Attrs() {
-			qspan.SetAttr(k, v)
+	fn := w.funcs.Local(name)
+	if fn == nil {
+		return nil, fmt.Errorf("federation: worker %s has no local func %q", w.id, name)
+	}
+	def := &udf.Def{
+		Name:    "fed_" + name,
+		Doc:     "federated local step " + name,
+		Inputs:  []udf.IOSpec{{Name: "data", Kind: udf.Relation}, {Name: "kwargs", Kind: udf.Transfer}},
+		Outputs: []udf.IOSpec{{Name: "transfer", Kind: udf.Transfer}},
+		Body: func(ctx *udf.Ctx, args []udf.Value) ([]udf.Value, error) {
+			tr, err := fn(&WorkerCtx{WorkerID: w.id, UDF: ctx}, args[0].Table, Kwargs(args[1].Transfer))
+			if err != nil {
+				return nil, err
+			}
+			return []udf.Value{udf.TransferValue(tr)}, nil
+		},
+	}
+	if err := w.udfReg.Register(def); err != nil {
+		// A concurrent first use registered the same wrapper.
+		if won := w.udfReg.Lookup(def.Name); won != nil {
+			return won, nil
 		}
-		qspan.SetError(err)
-		qspan.End()
-		d := qspan.Data()
-		resp.Spans = append(resp.Spans, d)
-		// Graft the measured operator tree under the query span, so the
-		// master's experiment trace shows this worker's per-operator
-		// breakdown. Spans carry shapes and timings only — never values.
-		planSpans(d.TraceID, d.SpanID, d.Start, qs.Root, &resp.Spans)
+		return nil, err
 	}
-	if err != nil {
-		return 0, err
-	}
-	return t.NumRows(), nil
+	return def, nil
 }
 
 // planSpans synthesizes one trace span per plan operator, nesting like the
@@ -547,28 +528,12 @@ func planSpans(traceID, parentID string, start time.Time, n *engine.PlanNode, ou
 	}
 }
 
-// LocalResult retrieves a kept-local transfer by ref (worker-side only; the
-// master never calls this in privacy mode — it is how subsequent local
-// steps consume prior results).
-func (w *Worker) LocalResult(ref string) (Transfer, bool) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	t, ok := w.results[ref]
-	return t, ok
-}
-
 // GenerateStepSQL exposes the UDF-to-SQL text for a registered step; shown
 // by the CLI's explain mode, mirroring the paper's generated wrappers.
 func (w *Worker) GenerateStepSQL(funcName, dataQuery string) (string, error) {
-	fn := w.funcs.Local(funcName)
-	if fn == nil {
-		return "", fmt.Errorf("federation: no local func %q", funcName)
-	}
-	def := &udf.Def{
-		Name:    "fed_" + funcName,
-		Inputs:  []udf.IOSpec{{Name: "data", Kind: udf.Relation}, {Name: "kwargs", Kind: udf.Transfer}},
-		Outputs: []udf.IOSpec{{Name: "transfer", Kind: udf.Transfer}},
-		Body:    func(*udf.Ctx, []udf.Value) ([]udf.Value, error) { return nil, nil },
+	def, err := w.stepUDF(funcName)
+	if err != nil {
+		return "", err
 	}
 	src := strings.TrimSpace(dataQuery)
 	if src == "" {

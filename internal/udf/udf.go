@@ -88,13 +88,10 @@ type Ctx struct {
 	// Context, when set, scopes every loopback query: cancelling it aborts
 	// the in-engine execution mid-batch (end-to-end query cancellation).
 	Context context.Context
-	// LoopbackCount tallies loopback queries, for tests and tracing.
-	LoopbackCount int
 }
 
 // Loopback executes SQL inside the engine hosting the UDF.
 func (c *Ctx) Loopback(sql string) (*engine.Table, error) {
-	c.LoopbackCount++
 	if c.Context != nil {
 		return c.DB.QueryCtx(c.Context, sql)
 	}
@@ -243,46 +240,28 @@ func sqlTypeOf(s IOSpec) string {
 }
 
 // Exec runs a registered UDF inside the given engine. Relation arguments
-// may be passed either directly (Value.Table) or by SQL text in
-// RelationQueries, which the executor resolves against the engine before
-// invoking the body — this is how the generated wrapper feeds the UDF with
-// vectorized columns.
+// arrive resolved (Value.Table): the caller evaluates each relation once, so
+// the body and any check the caller makes on the relation see the same rows.
 type Exec struct {
 	Registry *Registry
 	DB       *engine.DB
 }
 
-// Call invokes the named UDF. relationQueries maps input names to SQL;
-// inputs supplies the remaining arguments by position (entries for
-// relation inputs resolved via SQL may be zero Values).
-func (e *Exec) Call(name string, inputs []Value, relationQueries map[string]string) ([]Value, error) {
-	return e.CallCtx(context.Background(), name, inputs, relationQueries)
-}
-
-// CallCtx is Call with a caller-supplied context that scopes the UDF's
-// loopback queries; cancelling it aborts the data-resolution query (and any
-// loopbacks the body issues) at the next batch boundary.
-func (e *Exec) CallCtx(cctx context.Context, name string, inputs []Value, relationQueries map[string]string) ([]Value, error) {
+// Call validates the inputs against the named UDF's signature — arity,
+// every relation present, declared relation schemas — and invokes the body.
+// ctx scopes the body's loopback queries: cancelling it aborts them at the
+// next batch boundary.
+func (e *Exec) Call(ctx context.Context, name string, args []Value) ([]Value, error) {
 	d := e.Registry.Lookup(name)
 	if d == nil {
 		return nil, fmt.Errorf("udf: unknown function %q", name)
 	}
-	if len(inputs) != len(d.Inputs) {
-		return nil, fmt.Errorf("udf %s: got %d arguments, want %d", name, len(inputs), len(d.Inputs))
+	if len(args) != len(d.Inputs) {
+		return nil, fmt.Errorf("udf %s: got %d arguments, want %d", name, len(args), len(d.Inputs))
 	}
-	args := make([]Value, len(inputs))
-	copy(args, inputs)
-	ctx := &Ctx{DB: e.DB, Context: cctx}
 	for i, spec := range d.Inputs {
 		if spec.Kind != Relation {
 			continue
-		}
-		if sql, ok := relationQueries[spec.Name]; ok {
-			t, err := ctx.Loopback(sql)
-			if err != nil {
-				return nil, fmt.Errorf("udf %s: resolving relation %q: %w", name, spec.Name, err)
-			}
-			args[i] = RelationValue(t)
 		}
 		if args[i].Table == nil {
 			return nil, fmt.Errorf("udf %s: relation input %q not provided", name, spec.Name)
@@ -292,7 +271,7 @@ func (e *Exec) CallCtx(cctx context.Context, name string, inputs []Value, relati
 				name, spec.Name, args[i].Table.Schema().Names(), spec.Schema.Names())
 		}
 	}
-	outs, err := d.Body(ctx, args)
+	outs, err := d.Body(&Ctx{DB: e.DB, Context: ctx}, args)
 	if err != nil {
 		return nil, fmt.Errorf("udf %s: %w", name, err)
 	}

@@ -1,6 +1,7 @@
 package udf
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"strings"
@@ -21,6 +22,17 @@ func testDB(t *testing.T) *engine.DB {
 		}
 	}
 	return db
+}
+
+// resolved evaluates sql into a relation argument, the way a caller hands
+// Exec an already-resolved input.
+func resolved(t *testing.T, db *engine.DB, sql string) Value {
+	t.Helper()
+	tab, err := db.Query(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return RelationValue(tab)
 }
 
 // sumUDF computes column sums of its relation input — the simplest local
@@ -87,9 +99,7 @@ func TestExecWithRelationQuery(t *testing.T) {
 	r := NewRegistry()
 	r.MustRegister(sumUDF)
 	e := &Exec{Registry: r, DB: db}
-	outs, err := e.Call("col_sums", make([]Value, 1), map[string]string{
-		"data": `SELECT x, y FROM obs WHERE x > 1`,
-	})
+	outs, err := e.Call(context.Background(), "col_sums", []Value{resolved(t, db, `SELECT x, y FROM obs WHERE x > 1`)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +118,7 @@ func TestExecDirectRelation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	outs, err := e.Call("col_sums", []Value{RelationValue(tab)}, nil)
+	outs, err := e.Call(context.Background(), "col_sums", []Value{RelationValue(tab)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,17 +132,18 @@ func TestExecErrors(t *testing.T) {
 	r := NewRegistry()
 	r.MustRegister(sumUDF)
 	e := &Exec{Registry: r, DB: db}
-	if _, err := e.Call("nope", nil, nil); err == nil {
+	ctx := context.Background()
+	if _, err := e.Call(ctx, "nope", nil); err == nil {
 		t.Fatal("unknown UDF should fail")
 	}
-	if _, err := e.Call("col_sums", nil, nil); err == nil {
+	if _, err := e.Call(ctx, "col_sums", nil); err == nil {
 		t.Fatal("arity mismatch should fail")
 	}
-	if _, err := e.Call("col_sums", make([]Value, 1), nil); err == nil {
+	if _, err := e.Call(ctx, "col_sums", make([]Value, 1)); err == nil {
 		t.Fatal("missing relation input should fail")
 	}
-	if _, err := e.Call("col_sums", make([]Value, 1), map[string]string{"data": "SELECT broken"}); err == nil {
-		t.Fatal("bad relation SQL should fail")
+	if _, err := e.Call(ctx, "col_sums", []Value{ScalarValue(1.0)}); err == nil {
+		t.Fatal("non-relation value in a relation slot should fail")
 	}
 }
 
@@ -151,10 +162,10 @@ func TestSchemaCheck(t *testing.T) {
 	r := NewRegistry()
 	r.MustRegister(strict)
 	e := &Exec{Registry: r, DB: db}
-	if _, err := e.Call("strict", make([]Value, 1), map[string]string{"data": `SELECT x, y FROM obs`}); err == nil {
+	if _, err := e.Call(context.Background(), "strict", []Value{resolved(t, db, `SELECT x, y FROM obs`)}); err == nil {
 		t.Fatal("schema mismatch should fail")
 	}
-	if _, err := e.Call("strict", make([]Value, 1), map[string]string{"data": `SELECT x AS a FROM obs`}); err != nil {
+	if _, err := e.Call(context.Background(), "strict", []Value{resolved(t, db, `SELECT x AS a FROM obs`)}); err != nil {
 		t.Fatalf("matching schema should pass: %v", err)
 	}
 }
@@ -189,7 +200,7 @@ func TestLoopbackQueries(t *testing.T) {
 	r := NewRegistry()
 	r.MustRegister(lb)
 	e := &Exec{Registry: r, DB: db}
-	outs, err := e.Call("resid_var", []Value{ScalarValue("obs")}, nil)
+	outs, err := e.Call(context.Background(), "resid_var", []Value{ScalarValue("obs")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +234,7 @@ func TestRelationOutputMaterialized(t *testing.T) {
 	r := NewRegistry()
 	r.MustRegister(maker)
 	e := &Exec{Registry: r, DB: db}
-	if _, err := e.Call("make_squares", make([]Value, 1), map[string]string{"data": `SELECT x FROM obs`}); err != nil {
+	if _, err := e.Call(context.Background(), "make_squares", []Value{resolved(t, db, `SELECT x FROM obs`)}); err != nil {
 		t.Fatal(err)
 	}
 	res, err := db.Query(`SELECT sum(sq) AS s FROM squares`)
