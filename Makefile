@@ -55,9 +55,12 @@ spillsmoke:
 # cachesmoke covers both cache tiers' correctness backbone: plan-cached
 # execution stays bit-identical to uncached, schema changes invalidate
 # plans, dataset-version bumps and worker restarts invalidate federated
-# results, and a concurrent miss herd collapses to one execution.
+# results, and a concurrent miss herd collapses to one execution. It also
+# runs what the versions rest on: statements read one catalog version while
+# writers publish the next, and a write restamps only the datasets whose
+# rows it added or removed.
 cachesmoke:
-	$(GO) test -count=1 -race -run 'TestPlanCacheResultsUnchanged|TestPlanCacheSchemaChangeInvalidates|TestResultCacheInvalidationOnAppend|TestResultCacheWorkerRestartInvalidates|TestResultCacheSingleflight|TestParallelSortEquivalence' ./internal/engine/ ./internal/federation/
+	$(GO) test -count=1 -race -run 'TestPlanCacheResultsUnchanged|TestPlanCacheSchemaChangeInvalidates|TestResultCacheInvalidationOnAppend|TestResultCacheWorkerRestartInvalidates|TestResultCacheSingleflight|TestParallelSortEquivalence|TestCatalogSnapshotRace|TestDatasetVersionsDeclared' ./internal/engine/ ./internal/federation/
 
 # wiresmoke covers the worker /query table stream: merge answers over HTTP
 # are bit-identical to in-process ones (NaN payloads, -0.0, Int64 past 2^53,

@@ -25,7 +25,6 @@ func testFed(t *testing.T, nWorkers int, rowsPerWorker int, secure bool) (*feder
 	}
 	pooledDB := engine.NewDB()
 	pooled := engine.NewTable(engine.Schema(synth.Variables))
-	pooledDB.RegisterTable(federation.DataTable, pooled)
 
 	var clients []federation.WorkerClient
 	rowBase := 0
@@ -61,6 +60,7 @@ func testFed(t *testing.T, nWorkers int, rowsPerWorker int, secure bool) (*feder
 		}
 		clients = append(clients, federation.NewWorker(fmt.Sprintf("w%d", i), db, opts...))
 	}
+	pooledDB.RegisterTable(federation.DataTable, pooled)
 	m, err := federation.NewMaster(clients, cluster, federation.Security{UseSMPC: secure})
 	if err != nil {
 		t.Fatal(err)

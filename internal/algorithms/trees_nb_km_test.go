@@ -201,7 +201,6 @@ func survivalFed(t *testing.T, secure bool) (*federation.Master, *engine.DB) {
 	t.Helper()
 	pooledDB := engine.NewDB()
 	pooled := engine.NewTable(synth.SurvivalSchema)
-	pooledDB.RegisterTable(federation.DataTable, pooled)
 	var clients []federation.WorkerClient
 	for i := 0; i < 2; i++ {
 		tab, err := synth.Survival(synth.SurvivalSpec{
@@ -219,6 +218,7 @@ func survivalFed(t *testing.T, secure bool) (*federation.Master, *engine.DB) {
 		db.RegisterTable(federation.DataTable, tab)
 		clients = append(clients, federation.NewWorker(fmt.Sprintf("site%d", i), db))
 	}
+	pooledDB.RegisterTable(federation.DataTable, pooled)
 	m, err := federation.NewMaster(clients, nil, federation.Security{})
 	if err != nil {
 		t.Fatal(err)

@@ -12,10 +12,9 @@ import (
 
 // Plan cache: an LRU over parsed-and-planned SELECT statements, keyed on
 // SQL text. A hit skips lexing and parsing outright, and the entry also
-// memoizes the planning products that are pure functions of the statement —
-// the greedy join order and the merge-table pushdown decomposition with its
-// rendered per-part SQL — so repeated dashboard queries skip reorder and
-// pushdown planning too.
+// memoizes the merge-table pushdown decomposition with its rendered
+// per-part SQL, so repeated dashboard queries skip pushdown planning too.
+// Join planning reruns per statement against its catalog version.
 //
 // Two texts that parse to the same tree share one entry: a raw-text lookup
 // that misses falls back to the canonical rendering (RenderSelect), and the
@@ -45,12 +44,6 @@ type planEntry struct {
 	canon string   // canonical rendering (also the primary key suffix)
 	keys  []string // every cache key mapping to this entry, for eviction
 
-	// Greedy join order, memoized on first execution (reorder enabled only).
-	joinOnce      sync.Once
-	joinOK        bool
-	joinOrder     []int
-	joinReordered bool
-
 	// Merge-table pushdown decomposition, memoized on first execution.
 	mergeOnce sync.Once
 	pushOK    bool
@@ -63,8 +56,8 @@ type planEntry struct {
 
 // mergePlan memoizes the merge pushdown decision for st against m: whether
 // the statement decomposes, its partial specs, and the rendered per-part
-// SQL (partial or materialize form). Entries are per-DB, so m is stable for
-// the entry's lifetime.
+// SQL (partial or materialize form). Keys carry the schema version of the
+// catalog a statement reads, so m is stable for the entry's lifetime.
 func (e *planEntry) mergePlan(m *MergeTable, st *SelectStmt) *planEntry {
 	e.mergeOnce.Do(func() {
 		e.specs, e.pushOK = m.decompose(st)
@@ -214,59 +207,15 @@ func (c *PlanCache) aliasLocked(aliasKey string, el *list.Element, e *planEntry)
 
 // lookupSelect peeks the cache for an already-planned statement equal to
 // sel without inserting on a miss, so EXPLAIN does not pollute the LRU.
-func (db *DB) lookupSelect(sel *SelectStmt) (*planEntry, bool) {
+func (db *DB) lookupSelect(cat *catalog, sel *SelectStmt) (*planEntry, bool) {
 	c := db.plans
 	if c == nil {
 		return nil, false
 	}
-	if e := c.get(db.cacheKey(RenderSelect(sel))); e != nil {
+	if e := c.get(db.cacheKey(cat, RenderSelect(sel))); e != nil {
 		return e, true
 	}
 	return nil, false
-}
-
-// planJoinsFor is planJoins with join-order memoization through the plan
-// cache. The greedy reorder search runs once per cached statement; later
-// executions re-plan with reorder off (pushdown distribution is cheap and
-// must rebind to the DB's current table pointers) and install the memoized
-// order. Table sizes drifting after the first run can make the memoized
-// order stale-but-correct — reordering never affects results — and a schema
-// change mints a fresh entry.
-func (db *DB) planJoinsFor(ec *ExecContext, st *SelectStmt, reorder bool) (*joinPlan, error) {
-	var e *planEntry
-	if ec != nil {
-		e = ec.plan
-	}
-	if e == nil || !reorder {
-		return db.planJoins(st, reorder)
-	}
-	var first *joinPlan
-	var firstErr error
-	e.joinOnce.Do(func() {
-		first, firstErr = db.planJoins(st, true)
-		if firstErr != nil {
-			return
-		}
-		e.joinOK = true
-		e.joinOrder = append([]int(nil), first.order...)
-		e.joinReordered = first.reordered
-	})
-	if first != nil || firstErr != nil {
-		return first, firstErr
-	}
-	if !e.joinOK {
-		// The memoizing run errored; plan from scratch.
-		return db.planJoins(st, true)
-	}
-	p, err := db.planJoins(st, false)
-	if err != nil {
-		return nil, err
-	}
-	if len(e.joinOrder) == len(p.order) {
-		p.order = append([]int(nil), e.joinOrder...)
-		p.reordered = e.joinReordered
-	}
-	return p, nil
 }
 
 // dbSeq hands out process-unique DB identities for cache keys.
@@ -280,21 +229,21 @@ var dbSeq atomic.Uint64
 // instead of each DB inserting keys no later DB can ever reach.
 func NewPlanCacheIdentity() uint64 { return dbSeq.Add(1) }
 
-// cacheKey scopes a SQL text to one DB at one schema version.
-func (db *DB) cacheKey(sql string) string {
-	return strconv.FormatUint(db.id, 36) + ":" + strconv.FormatUint(db.schemaVer.Load(), 36) + "\x00" + sql
+// cacheKey scopes a SQL text to one DB at the schema version of cat.
+func (db *DB) cacheKey(cat *catalog, sql string) string {
+	return strconv.FormatUint(db.id, 36) + ":" + strconv.FormatUint(cat.schema, 36) + "\x00" + sql
 }
 
 // parseCached resolves sql to a statement through the plan cache: a raw- or
 // canonical-text hit skips the parser entirely and reports hit = true. Only
 // plain SELECTs are cached; EXPLAIN, DDL and DML always parse.
-func (db *DB) parseCached(sql string) (Statement, *planEntry, bool, error) {
+func (db *DB) parseCached(cat *catalog, sql string) (Statement, *planEntry, bool, error) {
 	c := db.plans
 	if c == nil {
 		st, err := Parse(sql)
 		return st, nil, false, err
 	}
-	rawKey := db.cacheKey(sql)
+	rawKey := db.cacheKey(cat, sql)
 	if e := c.get(rawKey); e != nil {
 		c.hits.Add(1)
 		engPlanCacheHits.Inc()
@@ -311,7 +260,7 @@ func (db *DB) parseCached(sql string) (Statement, *planEntry, bool, error) {
 	c.misses.Add(1)
 	engPlanCacheMisses.Inc()
 	canon := RenderSelect(sel)
-	canonKey := db.cacheKey(canon)
+	canonKey := db.cacheKey(cat, canon)
 	aliasKey := rawKey
 	if aliasKey == canonKey {
 		aliasKey = ""

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"maps"
 	"sort"
 	"strings"
 	"sync"
@@ -13,34 +14,45 @@ import (
 )
 
 // DB is the engine's catalog: named base tables plus registered merge
-// tables (the federation views). All methods are safe for concurrent use.
+// tables (the federation views). All methods are safe for concurrent use:
+// statements read an immutable catalog version without locking, and
+// writers serialise on wmu to publish the next one.
 type DB struct {
-	mu      sync.RWMutex
-	tables  map[string]*Table
-	merges  map[string]*MergeTable
+	cat     atomic.Pointer[catalog]
+	wmu     sync.Mutex
 	queries atomic.Int64
 	ec      atomic.Pointer[ExecContext]
+	id      uint64 // scopes this DB's plan-cache keys, with the schema version
+	plans   *PlanCache
+}
 
-	// id scopes this DB's plan-cache keys; schemaVer bumps on every DDL
-	// (CREATE/DROP/RegisterTable/RegisterMerge), making older cached plans
-	// unreachable. dataVer additionally bumps on DML, giving callers (the
-	// federation worker) a cheap monotonic data-version stamp for result
-	// caching.
-	id        uint64
-	schemaVer atomic.Uint64
-	dataVer   atomic.Uint64
-	// blindVer counts the dataVer advances no row-count diff can attribute:
-	// explicit BumpDataVersion calls and DDL (RegisterTable can swap a
-	// table wholesale without changing its row count). Result caches that
-	// attribute changes by diffing per-dataset counts treat any advance
-	// here as "anything may have changed".
-	blindVer atomic.Uint64
-	plans    *PlanCache
+// catalog is one version of a DB's contents, never modified once
+// published. A statement loads the current version once and resolves every
+// relation it reads from it.
+type catalog struct {
+	ver    uint64 // data version: every publish advances it
+	schema uint64 // schema version: DDL advances it
+	tables map[string]*relation
+	merges map[string]*MergeTable
+}
+
+// relation is one version of a base table. Its payload arrays may have
+// spare capacity, which only the writer appends into (see Table.extend).
+// stamps maps each value of its dataset column to the value's row count and
+// the catalog version that last added or removed rows of it.
+type relation struct {
+	t      *Table
+	stamps map[string]dsStamp
+}
+
+type dsStamp struct {
+	rows int
+	ver  uint64
 }
 
 // QueryCount returns the number of statements executed so far (scans,
-// DDL, DML alike); the UDF-fusion tests and benchmarks use it to assert
-// the single-scan property.
+// DDL, DML alike); the worker-step tests use it to assert that a step runs
+// exactly one statement.
 func (db *DB) QueryCount() int64 { return db.queries.Load() }
 
 // Option configures a DB at construction.
@@ -166,12 +178,8 @@ func WithPlanCacheIdentity(id uint64) Option {
 
 // NewDB returns an empty database.
 func NewDB(opts ...Option) *DB {
-	db := &DB{
-		tables: make(map[string]*Table),
-		merges: make(map[string]*MergeTable),
-		id:     dbSeq.Add(1),
-		plans:  DefaultPlanCache,
-	}
+	db := &DB{id: dbSeq.Add(1), plans: DefaultPlanCache}
+	db.cat.Store(&catalog{tables: map[string]*relation{}, merges: map[string]*MergeTable{}})
 	db.ec.Store(&ExecContext{Parallelism: DefaultParallelism(), MorselSize: DefaultMorselSize})
 	for _, o := range opts {
 		o(db)
@@ -184,31 +192,100 @@ func NewDB(opts ...Option) *DB {
 func (db *DB) PlanCache() *PlanCache { return db.plans }
 
 // DataVersion is a monotonic counter covering every mutation of this DB's
-// catalog or data: DDL, INSERT, DELETE, and explicit BumpDataVersion calls.
-// Equal values mean no statement-visible change happened in between.
-func (db *DB) DataVersion() uint64 { return db.dataVer.Load() }
+// catalog or data: DDL, INSERT, DELETE and Append. Equal values mean no
+// statement-visible change happened in between.
+func (db *DB) DataVersion() uint64 { return db.cat.Load().ver }
 
-// BumpDataVersion advances the data-version counter. Loaders that mutate a
-// registered *Table in place (bypassing SQL) call this so result caches
-// keyed on the version never serve stale data.
-func (db *DB) BumpDataVersion() {
-	db.blindVer.Add(1)
-	db.dataVer.Add(1)
+// DatasetVersions reads one catalog version: its DataVersion and, for each
+// value of the named table's "dataset" column that has rows, the version
+// that last added or removed rows of it (RegisterTable restamps them all).
+func (db *DB) DatasetVersions(table string) (uint64, map[string]uint64) {
+	c := db.cat.Load()
+	out := map[string]uint64{}
+	if r := c.tables[strings.ToLower(table)]; r != nil {
+		for ds, st := range r.stamps {
+			out[ds] = st.ver
+		}
+	}
+	return c.ver, out
 }
 
-// DataBumps counts the data-version advances that cannot be attributed to
-// a row-count-visible DML statement: explicit BumpDataVersion calls and
-// DDL. While it holds still, every DataVersion advance came from an
-// INSERT or DELETE, whose effects are visible in per-dataset row counts.
-func (db *DB) DataBumps() uint64 { return db.blindVer.Load() }
-
-// bumpSchema records a DDL change: cached plans become unreachable and the
-// data version advances too (a schema change is also a data change).
-func (db *DB) bumpSchema() {
-	db.schemaVer.Add(1)
-	db.blindVer.Add(1)
-	db.dataVer.Add(1)
+// write derives the next catalog version with fn under the writer lock and
+// publishes it, unless fn fails. ddl marks a schema change.
+func (db *DB) write(ddl bool, fn func(next *catalog) error) error {
+	db.wmu.Lock()
+	defer db.wmu.Unlock()
+	cur := db.cat.Load()
+	next := &catalog{ver: cur.ver + 1, schema: cur.schema, tables: maps.Clone(cur.tables), merges: maps.Clone(cur.merges)}
+	if ddl {
+		next.schema++
+	}
+	if err := fn(next); err != nil {
+		return err
+	}
+	db.cat.Store(next)
+	return nil
 }
+
+// publish installs t as table key's next version. delta is the signed
+// row-count change per dataset value: each value it changes is stamped with
+// this version, and a value left without rows is dropped.
+func (c *catalog) publish(key string, t *Table, old map[string]dsStamp, delta map[string]int) {
+	stamps := map[string]dsStamp{}
+	maps.Copy(stamps, old)
+	for ds, d := range delta {
+		if n := stamps[ds].rows + d; n <= 0 {
+			delete(stamps, ds)
+		} else if d != 0 {
+			stamps[ds] = dsStamp{n, c.ver}
+		}
+	}
+	c.tables[key] = &relation{t: t, stamps: stamps}
+}
+
+// datasetCounts tallies t's rows per value of its String "dataset" column
+// (NULL counts as ""); the map is empty when t has no such column.
+func datasetCounts(t *Table) map[string]int {
+	out := map[string]int{}
+	if i := t.schema.ColIndex("dataset"); i >= 0 && t.cols[i].typ == String {
+		v := t.cols[i]
+		per := make([]int, v.dict.Size())
+		for _, code := range v.codes {
+			per[code]++
+		}
+		for code, n := range per {
+			if n > 0 {
+				out[v.dict.values[code]] += n
+			}
+		}
+	}
+	return out
+}
+
+// table resolves a base relation a statement reads. A merge table is a
+// relation only as the whole FROM of a join-free statement, so naming one
+// here means a JOIN over it.
+func (c *catalog) table(name string) (*Table, error) {
+	key := strings.ToLower(name)
+	if r := c.tables[key]; r != nil {
+		return r.t, nil
+	}
+	if c.merges[key] != nil {
+		return nil, fmt.Errorf("engine: JOIN over merge tables is not supported")
+	}
+	return nil, unknownTable(name)
+}
+
+// mergeOf returns the merge table st reads, or nil when it reads base
+// tables.
+func (c *catalog) mergeOf(st *SelectStmt) *MergeTable {
+	if len(st.Joins) > 0 {
+		return nil
+	}
+	return c.merges[strings.ToLower(st.From)]
+}
+
+func unknownTable(name string) error { return fmt.Errorf("engine: unknown table %q", name) }
 
 // SetParallelism changes the DB's parallelism degree at runtime (n < 1 is
 // ignored). It also grows the shared worker pool to serve the new degree.
@@ -225,89 +302,103 @@ func (db *DB) SetParallelism(n int) {
 // Parallelism returns the DB's configured parallelism degree.
 func (db *DB) Parallelism() int { return db.ec.Load().Parallelism }
 
-// execCtx returns the DB's execution context (immutable snapshot).
-func (db *DB) execCtx() *ExecContext { return db.ec.Load() }
-
 // CreateTable registers an empty table with the given schema.
-func (db *DB) CreateTable(name string, schema Schema) (*Table, error) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
+func (db *DB) CreateTable(name string, schema Schema) error {
 	key := strings.ToLower(name)
-	if _, ok := db.tables[key]; ok {
-		return nil, fmt.Errorf("engine: table %q already exists", name)
-	}
-	if _, ok := db.merges[key]; ok {
-		return nil, fmt.Errorf("engine: merge table %q already exists", name)
-	}
-	t := NewTable(schema)
-	db.tables[key] = t
-	engTables.Inc()
-	db.bumpSchema()
-	return t, nil
-}
-
-// RegisterTable installs an existing table under the given name, replacing
-// any previous table (used by the ETL loaders).
-func (db *DB) RegisterTable(name string, t *Table) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	key := strings.ToLower(name)
-	if _, ok := db.tables[key]; !ok {
+	return db.write(true, func(c *catalog) error {
+		if c.tables[key] != nil {
+			return fmt.Errorf("engine: table %q already exists", name)
+		}
+		if c.merges[key] != nil {
+			return fmt.Errorf("engine: merge table %q already exists", name)
+		}
+		c.publish(key, NewTable(schema), nil, nil)
 		engTables.Inc()
-	}
-	db.tables[key] = t
-	db.bumpSchema()
+		return nil
+	})
 }
 
-// Table returns the named base table, or nil.
+// RegisterTable installs t under the given name, replacing any previous
+// table and restamping every dataset value (used by the ETL loaders). The
+// DB adopts t's columns clipped to their length, so its appends never
+// write into t's spare capacity; the caller must not modify t afterwards.
+func (db *DB) RegisterTable(name string, t *Table) {
+	key := strings.ToLower(name)
+	t = t.Slice(0, t.NumRows())
+	_ = db.write(true, func(c *catalog) error { // never fails
+		if c.tables[key] == nil {
+			engTables.Inc()
+		}
+		c.publish(key, t, nil, datasetCounts(t))
+		return nil
+	})
+}
+
+// Append adds rows, which must have the table's schema, to the named base
+// table as one write: the path for loaders that grow a registered table.
+// rows is copied, not adopted.
+func (db *DB) Append(name string, rows *Table) error {
+	key := strings.ToLower(name)
+	return db.write(false, func(c *catalog) error {
+		r := c.tables[key]
+		if r == nil {
+			return unknownTable(name)
+		}
+		t, err := r.t.extend(rows)
+		if err != nil {
+			return err
+		}
+		c.publish(key, t, r.stamps, datasetCounts(rows))
+		return nil
+	})
+}
+
+// Table returns the named base table's current version, or nil. It is
+// read-only; later writes publish new versions and leave it unchanged.
 func (db *DB) Table(name string) *Table {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return db.tables[strings.ToLower(name)]
+	if r := db.cat.Load().tables[strings.ToLower(name)]; r != nil {
+		return r.t
+	}
+	return nil
 }
 
 // DropTable removes a base or merge table.
 func (db *DB) DropTable(name string) bool {
-	db.mu.Lock()
-	defer db.mu.Unlock()
 	key := strings.ToLower(name)
-	if _, ok := db.tables[key]; ok {
-		delete(db.tables, key)
-		engTables.Dec()
-		db.bumpSchema()
-		return true
-	}
-	if _, ok := db.merges[key]; ok {
-		delete(db.merges, key)
-		db.bumpSchema()
-		return true
-	}
-	return false
+	return db.write(true, func(c *catalog) error {
+		switch {
+		case c.tables[key] != nil:
+			delete(c.tables, key)
+			engTables.Dec()
+		case c.merges[key] != nil:
+			delete(c.merges, key)
+		default:
+			return unknownTable(name)
+		}
+		return nil
+	}) == nil
 }
 
 // RegisterMerge installs a merge table: a non-materialized UNION ALL view
 // over remote parts, MonetDB-style. Queries against it push partial
 // aggregates down to the parts where possible.
 func (db *DB) RegisterMerge(name string, m *MergeTable) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	db.merges[strings.ToLower(name)] = m
-	db.bumpSchema()
+	_ = db.write(true, func(c *catalog) error { // never fails
+		c.merges[strings.ToLower(name)] = m
+		return nil
+	})
 }
 
 // Merge returns the named merge table, or nil.
 func (db *DB) Merge(name string) *MergeTable {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return db.merges[strings.ToLower(name)]
+	return db.cat.Load().merges[strings.ToLower(name)]
 }
 
 // TableNames lists base tables, sorted.
 func (db *DB) TableNames() []string {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	out := make([]string, 0, len(db.tables))
-	for n := range db.tables {
+	tables := db.cat.Load().tables
+	out := make([]string, 0, len(tables))
+	for n := range tables {
 		out = append(out, n)
 	}
 	sort.Strings(out)
@@ -343,7 +434,8 @@ func (db *DB) QueryWithStats(sql string) (*Table, QueryStats, error) {
 func (db *DB) QueryWithStatsCtx(ctx context.Context, sql string) (*Table, QueryStats, error) {
 	db.queries.Add(1)
 	qs := newQueryStats(ctx, sql)
-	st, entry, hit, err := db.parseCached(sql)
+	cat := db.cat.Load()
+	st, entry, hit, err := db.parseCached(cat, sql)
 	if err != nil {
 		// Nothing to govern, but the attempt is still a statement: it is
 		// counted, metered and audited like one that failed while running.
@@ -355,7 +447,7 @@ func (db *DB) QueryWithStatsCtx(ctx context.Context, sql string) (*Table, QueryS
 	}
 	ec, finish := db.beginQuery(ctx, &qs)
 	ec.plan = entry
-	t, err := db.run(st, &qs, ec)
+	t, err := db.run(cat, st, &qs, ec)
 	finish(err)
 	return t, qs, err
 }
@@ -424,55 +516,54 @@ func (db *DB) Run(st Statement) (*Table, error) {
 	ctx := context.Background()
 	qs := newQueryStats(ctx, sql)
 	ec, finish := db.beginQuery(ctx, &qs)
-	t, err := db.run(st, &qs, ec)
+	t, err := db.run(db.cat.Load(), st, &qs, ec)
 	finish(err)
 	return t, err
 }
 
-func (db *DB) run(st Statement, qs *QueryStats, ec *ExecContext) (*Table, error) {
+// run executes st, resolving every relation it reads from cat.
+func (db *DB) run(cat *catalog, st Statement, qs *QueryStats, ec *ExecContext) (*Table, error) {
 	switch s := st.(type) {
 	case *ExplainStmt:
-		return db.runExplain(s, qs, ec)
+		return db.runExplain(cat, s, qs, ec)
 	case *SelectStmt:
-		if m := db.Merge(s.From); m != nil {
-			if len(s.Joins) > 0 {
-				return nil, fmt.Errorf("engine: JOIN over merge tables is not supported")
-			}
+		if m := cat.mergeOf(s); m != nil {
 			return m.execSelect(ec, s, qs)
 		}
 		if len(s.Joins) > 0 || s.FromAlias != "" {
+			plan, err := cat.planJoins(s, !ec.NoJoinReorder)
+			if err != nil {
+				return nil, err
+			}
 			// Grouped aggregate over one join whose materialized result
 			// would blow the memory budget: stream the grace join's merged
 			// output straight into the spilled aggregation instead.
-			if out, handled, err := db.trySpillJoinAgg(ec, s, qs); handled || err != nil {
+			if out, handled, err := trySpillJoinAgg(ec, s, plan, qs); handled || err != nil {
 				return out, err
 			}
-			joined, residual, err := db.buildJoined(ec, s, qs)
+			joined, err := buildJoined(ec, s, plan, qs)
 			if err != nil {
 				return nil, err
 			}
 			// The planner pushed single-table conjuncts below the joins;
 			// only the residual reaches the statement's filter stage.
 			local := *s
-			local.Where = residual
+			local.Where = plan.residual
 			return execSelect(ec, &local, joined, qs)
 		}
-		t := db.Table(s.From)
-		if t == nil {
-			return nil, fmt.Errorf("engine: unknown table %q", s.From)
+		t, err := cat.table(s.From)
+		if err != nil {
+			return nil, err
 		}
 		qs.Root = scanPlanNode(s.From, t)
-		db.mu.RLock()
-		defer db.mu.RUnlock()
 		return execSelect(ec, s, t, qs)
 	case *CreateTableStmt:
-		_, err := db.CreateTable(s.Name, s.Schema)
-		return nil, err
+		return nil, db.CreateTable(s.Name, s.Schema)
 	case *InsertStmt:
 		return nil, db.runInsert(s)
 	case *DropTableStmt:
 		if !db.DropTable(s.Name) && !s.IfExists {
-			return nil, fmt.Errorf("engine: unknown table %q", s.Name)
+			return nil, unknownTable(s.Name)
 		}
 		return nil, nil
 	case *DeleteStmt:
@@ -486,7 +577,7 @@ func (db *DB) run(st Statement, qs *QueryStats, ec *ExecContext) (*Table, error)
 // inner statement (sharing the caller's QueryStats, so the statement still
 // publishes exactly once) and renders the measured tree. Either way the
 // result is a one-column table of plan lines.
-func (db *DB) runExplain(s *ExplainStmt, qs *QueryStats, ec *ExecContext) (*Table, error) {
+func (db *DB) runExplain(cat *catalog, s *ExplainStmt, qs *QueryStats, ec *ExecContext) (*Table, error) {
 	if s.Analyze {
 		// Surface (and use) the plan cache for the inner SELECT: EXPLAIN
 		// parses as one ExplainStmt, so the inner statement bypassed
@@ -494,7 +585,7 @@ func (db *DB) runExplain(s *ExplainStmt, qs *QueryStats, ec *ExecContext) (*Tabl
 		// hit itself; the trailing cache= line reports the outcome.
 		cacheLine := ""
 		if sel, ok := s.Stmt.(*SelectStmt); ok && ec != nil {
-			if e, hit := db.lookupSelect(sel); hit {
+			if e, hit := db.lookupSelect(cat, sel); hit {
 				ec.plan = e
 				qs.Cache = obs.CachePlan
 				cacheLine = "cache=hit"
@@ -502,7 +593,7 @@ func (db *DB) runExplain(s *ExplainStmt, qs *QueryStats, ec *ExecContext) (*Tabl
 				cacheLine = "cache=miss"
 			}
 		}
-		if _, err := db.run(s.Stmt, qs, ec); err != nil {
+		if _, err := db.run(cat, s.Stmt, qs, ec); err != nil {
 			return nil, err
 		}
 		t, err := planTable(qs.Root, true)
@@ -514,7 +605,7 @@ func (db *DB) runExplain(s *ExplainStmt, qs *QueryStats, ec *ExecContext) (*Tabl
 		}
 		return t, nil
 	}
-	plan, err := db.explainPlan(s.Stmt)
+	plan, err := cat.explainPlan(ec, s.Stmt)
 	if err != nil {
 		return nil, err
 	}
@@ -522,14 +613,13 @@ func (db *DB) runExplain(s *ExplainStmt, qs *QueryStats, ec *ExecContext) (*Tabl
 	return planTable(plan, false)
 }
 
+// runInsert converts the statement's rows to the table's schema and adds
+// them with Append, so a failing row publishes none of them.
 func (db *DB) runInsert(s *InsertStmt) error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	t := db.tables[strings.ToLower(s.Name)]
+	t := db.Table(s.Name)
 	if t == nil {
-		return fmt.Errorf("engine: unknown table %q", s.Name)
+		return unknownTable(s.Name)
 	}
-	defer db.dataVer.Add(1)
 	colIdx := make([]int, 0, len(t.schema))
 	if len(s.Cols) == 0 {
 		for i := range t.schema {
@@ -544,6 +634,7 @@ func (db *DB) runInsert(s *InsertStmt) error {
 			colIdx = append(colIdx, i)
 		}
 	}
+	rows := NewTable(t.schema)
 	for _, row := range s.Rows {
 		if len(row) != len(colIdx) {
 			return fmt.Errorf("engine: row has %d values, expected %d", len(row), len(colIdx))
@@ -552,31 +643,36 @@ func (db *DB) runInsert(s *InsertStmt) error {
 		for k, ci := range colIdx {
 			full[ci] = row[k]
 		}
-		if err := t.AppendRow(full...); err != nil {
+		if err := rows.AppendRow(full...); err != nil {
 			return err
 		}
 	}
-	return nil
+	return db.Append(s.Name, rows)
 }
 
+// runDelete publishes the gathered copy of the rows the predicate keeps.
 func (db *DB) runDelete(s *DeleteStmt) error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	t := db.tables[strings.ToLower(s.Name)]
-	if t == nil {
-		return fmt.Errorf("engine: unknown table %q", s.Name)
-	}
-	defer db.dataVer.Add(1)
-	if s.Where == nil {
-		db.tables[strings.ToLower(s.Name)] = NewTable(t.schema)
+	key := strings.ToLower(s.Name)
+	return db.write(false, func(c *catalog) error {
+		r := c.tables[key]
+		if r == nil {
+			return unknownTable(s.Name)
+		}
+		kept := NewTable(r.t.schema)
+		if s.Where != nil {
+			sel, err := FilterSel(&Unary{Op: "NOT", X: wrapNullFalse(s.Where)}, r.t)
+			if err != nil {
+				return err
+			}
+			kept = r.t.Gather(sel)
+		}
+		delta := datasetCounts(kept)
+		for ds, st := range r.stamps {
+			delta[ds] -= st.rows
+		}
+		c.publish(key, kept, r.stamps, delta)
 		return nil
-	}
-	sel, err := FilterSel(&Unary{Op: "NOT", X: wrapNullFalse(s.Where)}, t)
-	if err != nil {
-		return err
-	}
-	db.tables[strings.ToLower(s.Name)] = t.Gather(sel)
-	return nil
+	})
 }
 
 // wrapNullFalse turns NULL predicate results into FALSE so that

@@ -13,26 +13,20 @@ import (
 // filter/aggregate/order pipeline. Equality conditions on columns drive the
 // hash join; any residual ON conditions are applied as a post-join filter.
 
-// buildJoined plans the FROM/JOIN clause list and folds every JOIN clause
-// into one joined table, executing in the planner's greedy order. It
-// returns the joined table plus the residual WHERE (conjuncts the planner
-// did not push below the joins) for the caller's filter stage. With qs
-// attached it plants the scan/filter/join subtree that execSelect's stages
-// then chain on top of.
+// buildJoined folds every JOIN clause of st into one joined table,
+// executing in the plan's order with its pushed filters applied; the
+// caller's filter stage applies the plan's residual WHERE. It plants the
+// scan/filter/join subtree that execSelect's stages then chain on top of.
 //
 // Reordered execution is provably identical to written order: written-order
 // left-deep hash joins emit rows in lexicographic (base row, join-1 row,
 // ..., join-k row) order, so tagging each input with a hidden rowid and
 // sorting the reordered output by the written-order rowid tuple reproduces
 // the written-order result bit for bit.
-func (db *DB) buildJoined(ec *ExecContext, st *SelectStmt, qs *QueryStats) (*Table, Expr, error) {
-	plan, err := db.planJoinsFor(ec, st, ec == nil || !ec.NoJoinReorder)
-	if err != nil {
-		return nil, nil, err
-	}
+func buildJoined(ec *ExecContext, st *SelectStmt, plan *joinPlan, qs *QueryStats) (*Table, error) {
 	inputs, nodes, err := joinInputs(ec, plan, qs)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	cur, curNode := inputs[0], nodes[0]
 	for _, ji := range plan.order {
@@ -43,7 +37,7 @@ func (db *DB) buildJoined(ec *ExecContext, st *SelectStmt, qs *QueryStats) (*Tab
 		ec.setOperator("join " + joinDetail(jc))
 		joined, err := hashJoin(ec, cur, right, jc, node)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		node.Nanos = time.Since(t0).Nanoseconds()
 		atomic.AddInt64(&qs.OpNanos[obs.OpJoin], node.Nanos)
@@ -58,7 +52,7 @@ func (db *DB) buildJoined(ec *ExecContext, st *SelectStmt, qs *QueryStats) (*Tab
 		t0 := time.Now()
 		cur, err = restoreWrittenOrder(ec, cur, plan)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		curNode = &PlanNode{
 			Op: "order", Detail: "restore written join order",
@@ -69,7 +63,7 @@ func (db *DB) buildJoined(ec *ExecContext, st *SelectStmt, qs *QueryStats) (*Tab
 		atomic.AddInt64(&qs.OpNanos[obs.OpSort], curNode.Nanos)
 	}
 	qs.Root = curNode
-	return cur, plan.residual, nil
+	return cur, nil
 }
 
 // joinInputs loads every relation of the plan the way the join consumes

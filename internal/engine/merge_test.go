@@ -16,7 +16,6 @@ func buildFederation(t *testing.T, nParts int) (*DB, *MergeTable, *DB) {
 	master := NewDB()
 	pooled := NewDB()
 	pooledTab := NewTable(schema)
-	pooled.RegisterTable("data", pooledTab)
 
 	mt := &MergeTable{Schema: schema, TableName: "data"}
 	row := 0
@@ -42,6 +41,7 @@ func buildFederation(t *testing.T, nParts int) (*DB, *MergeTable, *DB) {
 		db.RegisterTable("data", tab)
 		mt.Parts = append(mt.Parts, &LocalPart{Name: fmt.Sprintf("part%d", p), DB: db})
 	}
+	pooled.RegisterTable("data", pooledTab)
 	master.RegisterMerge("data", mt)
 	return master, mt, pooled
 }

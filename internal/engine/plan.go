@@ -397,18 +397,14 @@ func (ec *ExecContext) afterAggregate(st *SelectStmt) []selectStage {
 // It mirrors db.run's dispatch (merge view vs join vs plain scan) for the
 // nodes below the pipeline and renders the pipeline itself from the stage
 // list execution walks, so EXPLAIN and EXPLAIN ANALYZE agree.
-func (db *DB) explainPlan(st Statement) (*PlanNode, error) {
+func (c *catalog) explainPlan(ec *ExecContext, st Statement) (*PlanNode, error) {
 	sel, ok := st.(*SelectStmt)
 	if !ok {
 		return nil, fmt.Errorf("engine: EXPLAIN supports only SELECT statements, got %T", st)
 	}
-	ec := db.execCtx()
 	var cur *PlanNode
 	var stages []selectStage
-	if m := db.Merge(sel.From); m != nil {
-		if len(sel.Joins) > 0 {
-			return nil, fmt.Errorf("engine: JOIN over merge tables is not supported")
-		}
+	if m := c.mergeOf(sel); m != nil {
 		// Either mode runs the whole WHERE at the parts, and the union's
 		// row count is unknown until they answer.
 		local := *sel
@@ -431,16 +427,16 @@ func (db *DB) explainPlan(st Statement) (*PlanNode, error) {
 			cur.Children = append(cur.Children, &PlanNode{Op: "part", Detail: p.PartName() + ": " + partSQL})
 		}
 	} else {
-		base := db.Table(sel.From)
-		if base == nil {
-			return nil, fmt.Errorf("engine: unknown table %q", sel.From)
+		base, err := c.table(sel.From)
+		if err != nil {
+			return nil, err
 		}
 		baseRows := base.NumRows()
 		local := *sel
 		if len(sel.Joins) > 0 || sel.FromAlias != "" {
 			// Mirror buildJoined: same planner, same join order, same
 			// pushed-filter placement, so EXPLAIN shows what will run.
-			plan, err := db.planJoins(sel, !ec.NoJoinReorder)
+			plan, err := c.planJoins(sel, !ec.NoJoinReorder)
 			if err != nil {
 				return nil, err
 			}

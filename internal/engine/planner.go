@@ -1,9 +1,6 @@
 package engine
 
-import (
-	"fmt"
-	"strings"
-)
+import "strings"
 
 // Statistics-free join planning. The engine keeps no cardinality stats, so
 // the planner orders multi-way joins greedily from what the query text
@@ -47,11 +44,11 @@ type joinPlan struct {
 // two or more joins, all INNER, distinct aliases, and every ON clause
 // resolvable at plan time; anything unclear keeps the written order (with
 // filter pushdown still applied where sound).
-func (db *DB) planJoins(st *SelectStmt, reorder bool) (*joinPlan, error) {
+func (c *catalog) planJoins(st *SelectStmt, reorder bool) (*joinPlan, error) {
 	plan := &joinPlan{}
-	base := db.Table(st.From)
-	if base == nil {
-		return nil, unknownTableErr(db, st.From)
+	base, err := c.table(st.From)
+	if err != nil {
+		return nil, err
 	}
 	alias := st.FromAlias
 	if alias == "" {
@@ -60,9 +57,9 @@ func (db *DB) planJoins(st *SelectStmt, reorder bool) (*joinPlan, error) {
 	plan.rels = append(plan.rels, &plannedRel{name: st.From, alias: alias, table: base})
 	for i := range st.Joins {
 		jc := &st.Joins[i]
-		right := db.Table(jc.Table)
-		if right == nil {
-			return nil, unknownTableErr(db, jc.Table)
+		right, err := c.table(jc.Table)
+		if err != nil {
+			return nil, err
 		}
 		ra := jc.Alias
 		if ra == "" {
@@ -98,13 +95,6 @@ func (db *DB) planJoins(st *SelectStmt, reorder bool) (*joinPlan, error) {
 		plan.greedyOrder()
 	}
 	return plan, nil
-}
-
-func unknownTableErr(db *DB, name string) error {
-	if db.Merge(name) != nil {
-		return fmt.Errorf("engine: JOIN over merge tables is not supported")
-	}
-	return fmt.Errorf("engine: unknown table %q", name)
 }
 
 // greedyOrder picks the execution order: starting from the base relation,

@@ -218,7 +218,7 @@ func TestPlanJoinsFilterPlacement(t *testing.T) {
 		t.Fatal(err)
 	}
 	sel := st.(*SelectStmt)
-	plan, err := db.planJoins(sel, true)
+	plan, err := db.cat.Load().planJoins(sel, true)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -452,13 +452,9 @@ func graceHashJoin(ec *ExecContext, left, right *Table, jk joinKeys, jc JoinClau
 // handled=false when the statement shape doesn't fit or the join is
 // expected to stay within budget; the caller then takes the normal
 // materialize path.
-func (db *DB) trySpillJoinAgg(ec *ExecContext, s *SelectStmt, qs *QueryStats) (*Table, bool, error) {
+func trySpillJoinAgg(ec *ExecContext, s *SelectStmt, plan *joinPlan, qs *QueryStats) (*Table, bool, error) {
 	if !ec.spillEnabled() || len(s.Joins) != 1 || !selHasAgg(s) || len(s.GroupBy) == 0 {
 		return nil, false, nil
-	}
-	plan, err := db.planJoinsFor(ec, s, ec == nil || !ec.NoJoinReorder)
-	if err != nil {
-		return nil, false, err
 	}
 	if len(plan.rels) != 2 || len(plan.order) != 1 || plan.reordered {
 		return nil, false, nil

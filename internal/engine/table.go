@@ -182,6 +182,27 @@ func (t *Table) Append(o *Table) error {
 	return nil
 }
 
+// extend is Append as a new version: t itself is unchanged and may be read
+// concurrently. The result shares t's payload arrays and appends past t's
+// length; it copies t's validity bitmaps, whose last word the append would
+// set bits in, and interns strings t's dictionaries lack into clones.
+func (t *Table) extend(o *Table) (*Table, error) {
+	if !t.schema.Equal(o.schema) {
+		return nil, fmt.Errorf("engine: cannot append table with schema %v to %v", o.schema.Names(), t.schema.Names())
+	}
+	cols := make([]*Vector, len(t.cols))
+	for j, c := range t.cols {
+		v := *c
+		v.valid = c.valid.Clone()
+		if v.typ == String {
+			v.dict = v.dict.covering(o.cols[j].dict)
+		}
+		appendVector(&v, o.cols[j])
+		cols[j] = &v
+	}
+	return &Table{schema: t.schema, cols: cols}, nil
+}
+
 // Float64Column extracts the named column as []float64 plus a missing-count;
 // NULLs are dropped. Int columns are converted. This is the bridge between
 // the engine and the numeric algorithm kernels.

@@ -8,6 +8,7 @@ package engine
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"strconv"
 	"sync"
@@ -118,15 +119,17 @@ func (b *Bitmap) CountValid() int {
 
 // slice returns a bitmap view of rows [lo, hi). When lo is word-aligned
 // (every morsel boundary is — morsel sizes are multiples of 64) the view
-// shares the parent's words with zero copying; the words past hi may carry
-// stray bits, so word-wise consumers must mask the tail (see mergeValid).
-// Sliced bitmaps are read-only views: a Set would corrupt the parent.
+// shares the parent's words with zero copying, clipped so that an append
+// reallocates; the bits past hi in its last word may be stray, so word-wise
+// consumers must mask the tail (see mergeValid). Sliced bitmaps are
+// read-only views: a Set would corrupt the parent.
 func (b *Bitmap) slice(lo, hi int) *Bitmap {
 	if b == nil {
 		return nil
 	}
 	if lo%64 == 0 {
-		return &Bitmap{words: b.words[lo/64:], n: hi - lo}
+		end := (hi + 63) / 64
+		return &Bitmap{words: b.words[lo/64 : end : end], n: hi - lo}
 	}
 	out := NewBitmap(hi - lo)
 	for i := lo; i < hi; i++ {
@@ -147,7 +150,9 @@ func (b *Bitmap) Clone() *Bitmap {
 	return &Bitmap{words: w, n: b.n}
 }
 
-// Dict is a shared string dictionary for dictionary-encoded columns.
+// Dict is a shared string dictionary for dictionary-encoded columns. A
+// dictionary a DB has published is never grown: a write that interns a new
+// string interns it into a clone (see covering).
 type Dict struct {
 	values []string
 	index  map[string]int32
@@ -172,6 +177,18 @@ func (d *Dict) Code(s string) int32 {
 	d.values = append(d.values, s)
 	d.index[s] = c
 	return c
+}
+
+// covering returns d when it already holds every value of src, else a
+// clone of d for src's values to be interned into. The clone's slices are
+// clipped, so its appends never write into arrays d shares.
+func (d *Dict) covering(src *Dict) *Dict {
+	for _, s := range src.values {
+		if _, ok := d.index[s]; !ok {
+			return &Dict{values: d.values[:len(d.values):len(d.values)], index: maps.Clone(d.index)}
+		}
+	}
+	return d
 }
 
 // Lookup returns the code for s and whether it is present.
@@ -456,18 +473,20 @@ func (v *Vector) Gather(sel []int32) *Vector {
 
 // Slice returns a zero-copy view of rows [lo, hi): the morsel primitive.
 // The payload slices and the dictionary are shared with v, so slices are
-// read-only — kernels must allocate fresh outputs, never mutate inputs.
+// read-only — kernels must allocate fresh outputs, never mutate inputs. The
+// payloads are clipped to the view (cap == len), so an append to one
+// reallocates instead of writing into v's spare capacity.
 func (v *Vector) Slice(lo, hi int) *Vector {
 	out := &Vector{typ: v.typ, dict: v.dict, valid: v.valid.slice(lo, hi)}
 	switch v.typ {
 	case Float64:
-		out.f64 = v.f64[lo:hi]
+		out.f64 = v.f64[lo:hi:hi]
 	case Int64:
-		out.i64 = v.i64[lo:hi]
+		out.i64 = v.i64[lo:hi:hi]
 	case String:
-		out.codes = v.codes[lo:hi]
+		out.codes = v.codes[lo:hi:hi]
 	case Bool:
-		out.b = v.b[lo:hi]
+		out.b = v.b[lo:hi:hi]
 	}
 	return out
 }
@@ -601,8 +620,7 @@ func (v *Vector) CastFloat64() *Vector {
 	return v
 }
 
-// Clone deep-copies the vector (the dictionary is shared; it is
-// append-only).
+// Clone deep-copies the vector (the dictionary is shared).
 func (v *Vector) Clone() *Vector {
 	out := &Vector{typ: v.typ, dict: v.dict, valid: v.valid.Clone()}
 	out.f64 = append([]float64(nil), v.f64...)

@@ -209,8 +209,10 @@ func LoadCSV(r io.Reader, m Mapping, path *catalogue.Pathology, db *engine.DB, t
 	if err != nil {
 		return nil, err
 	}
-	if existing := db.Table(tableName); existing != nil {
-		if err := existing.Append(harmonized); err != nil {
+	if db.Table(tableName) != nil {
+		// One DB write: the new rows get a new table version and bump the
+		// loaded dataset's version, so cached results over it go stale.
+		if err := db.Append(tableName, harmonized); err != nil {
 			return nil, fmt.Errorf("etl: appending to %s: %w", tableName, err)
 		}
 		return report, nil

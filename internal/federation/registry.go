@@ -33,7 +33,7 @@ func (w *WorkerCtx) Loopback(sql string) (*engine.Table, error) { return w.UDF.L
 // library (every node in a MIP deployment has the same algorithms
 // installed, so a process-wide default registry mirrors reality).
 type FuncRegistry struct {
-	mu      sync.RWMutex
+	mu      sync.Mutex
 	locals  map[string]LocalFunc
 	globals map[string]GlobalFunc
 }
@@ -84,22 +84,22 @@ func (r *FuncRegistry) MustRegisterGlobal(name string, fn GlobalFunc) {
 
 // Local returns the named local step, or nil.
 func (r *FuncRegistry) Local(name string) LocalFunc {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	return r.locals[name]
 }
 
 // Global returns the named global step, or nil.
 func (r *FuncRegistry) Global(name string) GlobalFunc {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	return r.globals[name]
 }
 
 // LocalNames lists registered local steps, sorted.
 func (r *FuncRegistry) LocalNames() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	out := make([]string, 0, len(r.locals))
 	for n := range r.locals {
 		out = append(out, n)

@@ -11,7 +11,9 @@ import (
 	"testing"
 	"time"
 
+	"mip/internal/catalogue"
 	"mip/internal/engine"
+	"mip/internal/etl"
 	"mip/internal/obs"
 )
 
@@ -364,10 +366,10 @@ func TestExplainAnalyzeCachedNode(t *testing.T) {
 
 // TestWorkerVersionsUnattributedReplaceNotMasked covers the attribution
 // trap: one retention DELETE spanning two datasets (one data-version
-// advance, two row-count changes) in the same refresh window as a
-// same-count in-place replace of a third dataset (BumpDataVersion, no
-// count change). The replace must bump the third dataset's version — it
-// must not hide behind the multi-dataset statement's count tally.
+// advance, two row-count changes) between the same two DatasetInfo calls as
+// a same-count replace of a third dataset (RegisterTable, no count change).
+// The replace must bump the third dataset's version — it must not hide
+// behind the multi-dataset statement's count changes.
 func TestWorkerVersionsUnattributedReplaceNotMasked(t *testing.T) {
 	db := engine.NewDB()
 	tab := engine.NewTable(engine.Schema{
@@ -400,9 +402,17 @@ func TestWorkerVersionsUnattributedReplaceNotMasked(t *testing.T) {
 	if _, err := db.Query(`DELETE FROM data WHERE age < 30`); err != nil {
 		t.Fatal(err)
 	}
-	// ...plus the documented loader path: rows of c replaced in place,
-	// same count, version bumped by hand.
-	db.BumpDataVersion()
+	// ...plus a loader replacing the rows of c with as many new ones.
+	next := engine.NewTable(tab.Schema())
+	for _, r := range rows[1:] {
+		if r.ds == "b" && r.age < 30 {
+			continue
+		}
+		if err := next.AppendRow(r.ds, r.age+1, 25.0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	db.RegisterTable(DataTable, next)
 
 	info2, err := w.DatasetInfo()
 	if err != nil {
@@ -411,6 +421,104 @@ func TestWorkerVersionsUnattributedReplaceNotMasked(t *testing.T) {
 	if info2.Versions["c"] <= v1 {
 		t.Fatalf("in-place replace masked by multi-dataset statement: c version %d -> %d, want a bump",
 			v1, info2.Versions["c"])
+	}
+}
+
+// TestDatasetVersionsDeclared: a dataset's version moves exactly when a
+// write adds or removes rows of it. An INSERT and a DELETE of one row of a
+// leave every row count as it was, yet a must bump; b, which neither write
+// touched, must keep its version.
+func TestDatasetVersionsDeclared(t *testing.T) {
+	db := engine.NewDB()
+	tab := engine.NewTable(engine.Schema{
+		{Name: "dataset", Type: engine.String},
+		{Name: "age", Type: engine.Float64},
+		{Name: "mmse", Type: engine.Float64},
+	})
+	for i, ds := range []string{"a", "b", "a", "b"} {
+		if err := tab.AppendRow(ds, 60+float64(i), 25.0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	db.RegisterTable(DataTable, tab)
+	w := NewWorker("decl0", db)
+
+	before, err := w.DatasetInfo()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sql := range []string{`INSERT INTO data VALUES ('a', 99, 25)`, `DELETE FROM data WHERE age = 99`} {
+		if _, err := db.Query(sql); err != nil {
+			t.Fatal(err)
+		}
+	}
+	after, err := w.DatasetInfo()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after.Stamp == before.Stamp {
+		t.Fatalf("stamp %q did not move after two writes", after.Stamp)
+	}
+	if after.Versions["a"] <= before.Versions["a"] {
+		t.Fatalf("a version %d -> %d, want a bump", before.Versions["a"], after.Versions["a"])
+	}
+	if after.Versions["b"] != before.Versions["b"] {
+		t.Fatalf("b version %d -> %d, want it unchanged: no write touched b", before.Versions["b"], after.Versions["b"])
+	}
+	if strings.Join(after.Datasets, ",") != "a,b" {
+		t.Fatalf("datasets = %v", after.Datasets)
+	}
+}
+
+// TestResultCacheInvalidationOnLoad: an ETL load appending to a worker's
+// data table is a write like an INSERT, so the worker's stamp and the
+// loaded dataset's version move and a cached answer over it re-executes.
+func TestResultCacheInvalidationOnLoad(t *testing.T) {
+	db := engine.NewDB()
+	load := func() {
+		t.Helper()
+		csv := "subjectageyears,minimentalstate\n70,24\n65,29\n80,15\n"
+		m := etl.IdentityMapping("siteX", []string{"subjectageyears", "minimentalstate"})
+		if _, err := etl.LoadCSV(strings.NewReader(csv), m, catalogue.Dementia(), db, DataTable); err != nil {
+			t.Fatal(err)
+		}
+	}
+	load()
+	w := NewWorker("etl0", db)
+	m, err := NewMaster([]WorkerClient{w}, nil, Security{}, WithResultCacheBytes(1<<20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(m.Close)
+
+	sql := `SELECT count(*) AS n FROM data`
+	for i := 0; i < 2; i++ {
+		if _, err := m.MergeQuery([]string{"siteX"}, sql); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if s := m.ResultCacheStats(); s.Hits != 1 {
+		t.Fatalf("warmup stats = %+v", s)
+	}
+	stamp, _ := w.DataStamp()
+	info, _ := w.DatasetInfo()
+
+	load()
+	if stamp2, _ := w.DataStamp(); stamp2 == stamp {
+		t.Fatal("stamp did not move after the load")
+	}
+	if info2, _ := w.DatasetInfo(); info2.Versions["siteX"] <= info.Versions["siteX"] {
+		t.Fatalf("siteX version %d -> %d, want a bump", info.Versions["siteX"], info2.Versions["siteX"])
+	}
+	got, err := m.MergeQuery([]string{"siteX"}, sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := got.Col(0).CastFloat64().Float64s()[0]; n != 6 {
+		t.Fatalf("stale serve: count = %v after the second load, want 6", n)
+	}
+	if s := m.ResultCacheStats(); s.Misses != 2 {
+		t.Fatalf("post-load query should miss, stats = %+v", s)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"crypto/rand"
 	"encoding/hex"
 	"fmt"
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -81,20 +82,13 @@ type Worker struct {
 	smpc     *smpc.Cluster // the decoupled SMPC cluster (nil = plain only)
 	minRows  int
 	mu       sync.Mutex
-	datasets []string
 	jobs     map[string]*jobEntry // JobID → dedupe record (replayed /localrun)
 	jobOrder []string             // FIFO eviction order for jobs
 
-	// Dataset version stamps for the master's result cache. bootID is
-	// restart-unique, so versions from a previous process never validate a
-	// stale entry; dsVers assigns each dataset a monotonic version bumped
-	// when its data changes (see refreshDatasets).
-	bootID      string
-	verSeq      uint64
-	dsVers      map[string]uint64
-	dsCounts    map[string]float64 // dataset → row count at last refresh
-	lastDataVer uint64             // engine data version at last refresh
-	lastBlind   uint64             // engine blind-bump count at last refresh
+	// bootID is restart-unique and prefixes every version stamp the
+	// master's result cache keys on, so versions from a previous process
+	// never validate a stale entry.
+	bootID string
 }
 
 // jobDedupeCap bounds the replay-dedupe cache; the oldest job records are
@@ -140,13 +134,11 @@ func NewWorker(id string, db *engine.DB, opts ...WorkerOption) *Worker {
 		minRows: DefaultMinRows,
 		jobs:    make(map[string]*jobEntry),
 		bootID:  randHex(8),
-		dsVers:  make(map[string]uint64),
 	}
 	for _, o := range opts {
 		o(w)
 	}
 	w.exec = &udf.Exec{Registry: w.udfReg, DB: db}
-	w.refreshDatasets()
 	return w
 }
 
@@ -162,57 +154,6 @@ func (w *Worker) ID() string { return w.id }
 
 // DB exposes the worker's engine (tests, ETL).
 func (w *Worker) DB() *engine.DB { return w.db }
-
-// refreshDatasets scans the data table for the dataset column values and
-// maintains the per-dataset version stamps. A dataset's version bumps when
-// its row count changes (append, partial delete, new dataset). Attribution
-// by count-diffing is trusted only when it is airtight: if the engine
-// reports any blind bump (BumpDataVersion from an in-place loader, DDL
-// swapping a table wholesale), or the data version advanced by a number of
-// mutations different from the row-count-change tally (multi-dataset
-// statements, anything unexplained), every dataset's version bumps.
-// Strict equality matters: a surplus of count changes (one DELETE spanning
-// two datasets) must not bank headroom that would mask a concurrent
-// count-invisible mutation — over-invalidation is safe, serving stale
-// cached results is not.
-func (w *Worker) refreshDatasets() {
-	w.datasets = nil
-	dv := w.db.DataVersion()
-	blind := w.db.DataBumps()
-	t, err := w.db.Query(fmt.Sprintf(`SELECT dataset, count(*) AS n FROM %s GROUP BY dataset ORDER BY dataset`, DataTable))
-	if err != nil {
-		return
-	}
-	counts := make(map[string]float64, t.NumRows())
-	for i := 0; i < t.NumRows(); i++ {
-		ds := t.Col(0).StringAt(i)
-		w.datasets = append(w.datasets, ds)
-		counts[ds] = t.Col(1).CastFloat64().Float64s()[i]
-	}
-	changed := 0
-	for ds, n := range counts {
-		if old, ok := w.dsCounts[ds]; !ok || old != n {
-			w.verSeq++
-			w.dsVers[ds] = w.verSeq
-			changed++
-		}
-	}
-	for ds := range w.dsCounts {
-		if _, ok := counts[ds]; !ok {
-			delete(w.dsVers, ds)
-			changed++
-		}
-	}
-	if blind != w.lastBlind || dv-w.lastDataVer != uint64(changed) {
-		for ds := range w.dsVers {
-			w.verSeq++
-			w.dsVers[ds] = w.verSeq
-		}
-	}
-	w.dsCounts = counts
-	w.lastDataVer = dv
-	w.lastBlind = blind
-}
 
 // DatasetInfo bundles a worker's dataset availability with the version
 // stamps the master's result cache keys on. Additive JSON over the
@@ -230,26 +171,22 @@ type DatasetInfo struct {
 }
 
 // DatasetInfo implements the master's optional versioned-client interface:
-// availability plus current per-dataset versions.
+// availability plus current per-dataset versions, all read from one engine
+// catalog version. A dataset's version is the engine's stamp for it, which
+// moves exactly when a write adds or removes rows of that dataset.
 func (w *Worker) DatasetInfo() (DatasetInfo, error) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.refreshDatasets()
-	vers := make(map[string]uint64, len(w.dsVers))
-	for k, v := range w.dsVers {
-		vers[k] = v
+	ver, vers := w.db.DatasetVersions(DataTable)
+	info := DatasetInfo{Versions: vers, Boot: w.bootID, Stamp: w.bootID + ":" + strconv.FormatUint(ver, 10)}
+	for ds := range vers {
+		info.Datasets = append(info.Datasets, ds)
 	}
-	return DatasetInfo{
-		Datasets: append([]string(nil), w.datasets...),
-		Versions: vers,
-		Boot:     w.bootID,
-		Stamp:    w.bootID + ":" + strconv.FormatUint(w.lastDataVer, 10),
-	}, nil
+	sort.Strings(info.Datasets)
+	return info, nil
 }
 
-// DataStamp is the cheap change probe: no table scan, just the engine's
-// data-version atomic. If it still equals the Stamp of an earlier
-// DatasetInfo, no data on this worker has changed since that snapshot.
+// DataStamp is the cheap change probe: the engine's data version. If it
+// still equals the Stamp of an earlier DatasetInfo, no data on this worker
+// has changed since that snapshot.
 func (w *Worker) DataStamp() (string, error) {
 	return w.bootID + ":" + strconv.FormatUint(w.db.DataVersion(), 10), nil
 }
@@ -257,10 +194,8 @@ func (w *Worker) DataStamp() (string, error) {
 // Datasets implements WorkerClient: the dataset availability the master
 // tracks for algorithm shipping.
 func (w *Worker) Datasets() ([]string, error) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.refreshDatasets()
-	return append([]string(nil), w.datasets...), nil
+	info, err := w.DatasetInfo()
+	return info.Datasets, err
 }
 
 // Query implements WorkerClient: the remote-table path (non-sensitive
