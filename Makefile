@@ -62,12 +62,15 @@ spillsmoke:
 cachesmoke:
 	$(GO) test -count=1 -race -run 'TestPlanCacheResultsUnchanged|TestPlanCacheSchemaChangeInvalidates|TestResultCacheInvalidationOnAppend|TestResultCacheWorkerRestartInvalidates|TestResultCacheSingleflight|TestParallelSortEquivalence|TestCatalogSnapshotRace|TestDatasetVersionsDeclared' ./internal/engine/ ./internal/federation/
 
-# wiresmoke covers the worker /query table stream: merge answers over HTTP
-# are bit-identical to in-process ones (NaN payloads, -0.0, Int64 past 2^53,
-# NULLs, pushdown, median, degraded quorum), and a body cut at any byte is
-# an error, never a shorter table.
+# wiresmoke covers both wires a worker answers on. The /query table stream:
+# merge answers over HTTP are bit-identical to in-process ones (NaN
+# payloads, -0.0, Int64 past 2^53, NULLs, pushdown, median, degraded
+# quorum), and a body cut at any byte is an error, never a shorter table.
+# The /localrun step values: every algorithm's result is byte-identical in
+# process and over HTTP, plain and secure, and a non-finite transfer fails
+# the step with one message on both transports.
 wiresmoke:
-	$(GO) test -count=1 -race -run 'TestQueryHTTPMatchesInProcess|TestQueryStreamTruncation' ./internal/federation/
+	$(GO) test -count=1 -race -run 'TestQueryHTTPMatchesInProcess|TestQueryStreamTruncation|TestTransportsAgree|TestNonFiniteTransferRejected' ./internal/federation/ ./internal/algorithms/
 
 # smpcsmoke covers share import outside the cluster lock: four goroutines
 # importing into two jobs while a third job aggregates (sums exact), and two

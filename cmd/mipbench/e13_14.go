@@ -55,7 +55,7 @@ FROM data GROUP BY alzheimerbroadcategory ORDER BY dx`
 	_, err = s.LocalRun(federation.LocalRunSpec{
 		Func:   "desc_moments",
 		Vars:   vars,
-		Kwargs: federation.Kwargs{"vars": vars},
+		Kwargs: map[string][]string{"vars": vars},
 	})
 	fatalIf(err)
 	root.End()

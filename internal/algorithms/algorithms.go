@@ -204,10 +204,6 @@ func Specs() []Spec {
 	return out
 }
 
-// kw converts federation kwargs into the Transfer accessor type (same
-// underlying map layout, so the Float/Floats/Matrix helpers apply).
-func kw(k federation.Kwargs) federation.Transfer { return federation.Transfer(k) }
-
 // requireVars validates the request against the spec's variable slots.
 func requireVars(spec Spec, req Request) error {
 	check := func(role string, vs VarSpec, vars []string) error {

@@ -23,39 +23,49 @@ func init() {
 	Register(&ANOVATwoWay{})
 }
 
+// anovaArgs are the kwargs of both ANOVA steps: the outcome and, one-way,
+// the factor X with its levels or, two-way, the factors A and B with theirs.
+type anovaArgs struct {
+	Y       string   `json:"y"`
+	X       string   `json:"x,omitempty"`
+	Levels  []string `json:"levels,omitempty"`
+	A       string   `json:"a,omitempty"`
+	B       string   `json:"b,omitempty"`
+	LevelsA []string `json:"levels_a,omitempty"`
+	LevelsB []string `json:"levels_b,omitempty"`
+}
+
 func anova1Local(wctx *federation.WorkerCtx, data *engine.Table, kwargs federation.Kwargs) (federation.Transfer, error) {
-	yvar, _ := kwargs["y"].(string)
-	xvar, _ := kwargs["x"].(string)
-	levels, err := kwVarsKey(kwargs, "levels")
+	var a anovaArgs
+	if err := kwargs.Decode(&a); err != nil {
+		return nil, err
+	}
+	if a.Levels == nil {
+		return nil, fmt.Errorf("algorithms: missing levels kwarg")
+	}
+	ys, err := floatCol(data, a.Y)
 	if err != nil {
 		return nil, err
 	}
-	ys, err := floatCol(data, yvar)
-	if err != nil {
-		return nil, err
-	}
-	gs, err := stringCol(data, xvar)
+	gs, err := stringCol(data, a.X)
 	if err != nil {
 		return nil, err
 	}
 	idx := map[string]int{}
-	for i, l := range levels {
+	for i, l := range a.Levels {
 		idx[l] = i
 	}
-	out := make([][]float64, len(levels)) // per level: n, sum, sum2
-	for i := range out {
-		out[i] = make([]float64, 3)
-	}
+	out := make([]float64, 3*len(a.Levels)) // per level: n, sum, sum2
 	for i, y := range ys {
 		li, ok := idx[gs[i]]
 		if !ok {
 			continue
 		}
-		out[li][0]++
-		out[li][1] += y
-		out[li][2] += y * y
+		out[3*li]++
+		out[3*li+1] += y
+		out[3*li+2] += y * y
 	}
-	return federation.Transfer{"groups": out}, nil
+	return federation.Transfer{"groups": federation.Matrix(len(a.Levels), 3, out)}, nil
 }
 
 // ANOVATable is one effect row. F and PValue are NaN where undefined (the
@@ -109,7 +119,7 @@ func (a *ANOVAOneWay) Run(sess *federation.Session, req Request) (Result, error)
 		Func:   "anova1_local",
 		Vars:   []string{req.Y[0], req.X[0]},
 		Filter: req.Filter,
-		Kwargs: federation.Kwargs{"y": req.Y[0], "x": req.X[0], "levels": levels},
+		Kwargs: anovaArgs{Y: req.Y[0], X: req.X[0], Levels: levels},
 	}, "groups")
 	if err != nil {
 		return nil, err
@@ -166,26 +176,26 @@ func (a *ANOVAOneWay) Run(sess *federation.Session, req Request) (Result, error)
 // anova2Local builds the full two-way design (intercept, A dummies, B
 // dummies, interaction dummies) and returns its normal-equation blocks.
 func anova2Local(wctx *federation.WorkerCtx, data *engine.Table, kwargs federation.Kwargs) (federation.Transfer, error) {
-	yvar, _ := kwargs["y"].(string)
-	avar, _ := kwargs["a"].(string)
-	bvar, _ := kwargs["b"].(string)
-	la, err := kwVarsKey(kwargs, "levels_a")
+	var args anovaArgs
+	if err := kwargs.Decode(&args); err != nil {
+		return nil, err
+	}
+	la, lb := args.LevelsA, args.LevelsB
+	if la == nil {
+		return nil, fmt.Errorf("algorithms: missing levels_a kwarg")
+	}
+	if lb == nil {
+		return nil, fmt.Errorf("algorithms: missing levels_b kwarg")
+	}
+	ys, err := floatCol(data, args.Y)
 	if err != nil {
 		return nil, err
 	}
-	lb, err := kwVarsKey(kwargs, "levels_b")
+	as, err := stringCol(data, args.A)
 	if err != nil {
 		return nil, err
 	}
-	ys, err := floatCol(data, yvar)
-	if err != nil {
-		return nil, err
-	}
-	as, err := stringCol(data, avar)
-	if err != nil {
-		return nil, err
-	}
-	bs, err := stringCol(data, bvar)
+	bs, err := stringCol(data, args.B)
 	if err != nil {
 		return nil, err
 	}
@@ -226,11 +236,11 @@ func anova2Local(wctx *federation.WorkerCtx, data *engine.Table, kwargs federati
 		copy(x.Row(i), r)
 	}
 	return federation.Transfer{
-		"n":   float64(len(yKeep)),
-		"xtx": denseToRows(stats.XtX(x)),
-		"xty": stats.XtY(x, yKeep),
-		"yty": sqSum(yKeep),
-		"sy":  sum(yKeep),
+		"n":   federation.Scalar(float64(len(yKeep))),
+		"xtx": denseTensor(stats.XtX(x)),
+		"xty": federation.Vector(stats.XtY(x, yKeep)),
+		"yty": federation.Scalar(sqSum(yKeep)),
+		"sy":  federation.Scalar(sum(yKeep)),
 	}, nil
 }
 
@@ -266,15 +276,12 @@ func (a *ANOVATwoWay) Run(sess *federation.Session, req Request) (Result, error)
 		Func:   "anova2_local",
 		Vars:   []string{req.Y[0], req.X[0], req.X[1]},
 		Filter: req.Filter,
-		Kwargs: federation.Kwargs{
-			"y": req.Y[0], "a": req.X[0], "b": req.X[1],
-			"levels_a": la, "levels_b": lb,
-		},
+		Kwargs: anovaArgs{Y: req.Y[0], A: req.X[0], B: req.X[1], LevelsA: la, LevelsB: lb},
 	}, "n", "xtx", "xty", "yty", "sy")
 	if err != nil {
 		return nil, err
 	}
-	xtxRows, err := agg.Matrix("xtx")
+	xtx, err := aggDense(agg, "xtx")
 	if err != nil {
 		return nil, err
 	}
@@ -282,7 +289,6 @@ func (a *ANOVATwoWay) Run(sess *federation.Session, req Request) (Result, error)
 	n, _ := agg.Float("n")
 	yty, _ := agg.Float("yty")
 
-	xtx := rowsToDense(xtxRows)
 	pa, pb := len(la)-1, len(lb)-1
 	p := 1 + pa + pb + pa*pb
 	if n <= float64(p) {

@@ -22,25 +22,33 @@ func init() {
 	Register(&CalibrationBelt{})
 }
 
+// calbeltArgs are the kwargs of the calibration-belt step: the predicted
+// probability and outcome columns, the positive level, the polynomial
+// degree and its degree+1 coefficients.
+type calbeltArgs struct {
+	PVar     string    `json:"p_var"`
+	Y        string    `json:"y"`
+	PosLevel string    `json:"pos_level"`
+	Degree   int       `json:"degree"`
+	Beta     []float64 `json:"beta"`
+}
+
 // calbeltGradLocal: logistic gradient/Hessian/log-likelihood for the
 // polynomial-in-logit design at the supplied coefficients.
 func calbeltGradLocal(wctx *federation.WorkerCtx, data *engine.Table, kwargs federation.Kwargs) (federation.Transfer, error) {
-	pvar, _ := kwargs["p_var"].(string)
-	yvar, _ := kwargs["y"].(string)
-	posLevel, _ := kwargs["pos_level"].(string)
-	degree := int(anyToFloat(kwargs["degree"]))
-	if pvar == "" || yvar == "" || posLevel == "" || degree < 1 {
-		return nil, fmt.Errorf("algorithms: calbelt needs p_var, y, pos_level, degree kwargs")
+	var a calbeltArgs
+	if err := kwargs.Decode(&a); err != nil {
+		return nil, err
 	}
-	beta, err := kw(kwargs).Floats("beta")
+	degree, beta, posLevel := a.Degree, a.Beta, a.PosLevel
+	if a.PVar == "" || a.Y == "" || posLevel == "" || degree < 1 || len(beta) != degree+1 {
+		return nil, fmt.Errorf("algorithms: calbelt needs p_var, y, pos_level, degree and degree+1 beta kwargs")
+	}
+	ps, err := floatCol(data, a.PVar)
 	if err != nil {
 		return nil, err
 	}
-	ps, err := floatCol(data, pvar)
-	if err != nil {
-		return nil, err
-	}
-	ysRaw, err := stringCol(data, yvar)
+	ysRaw, err := stringCol(data, a.Y)
 	if err != nil {
 		return nil, err
 	}
@@ -82,7 +90,8 @@ func calbeltGradLocal(wctx *federation.WorkerCtx, data *engine.Table, kwargs fed
 		}
 	}
 	return federation.Transfer{
-		"n": n, "pos": pos, "grad": grad, "hess": denseToRows(hess), "ll": ll,
+		"n": federation.Scalar(n), "pos": federation.Scalar(pos), "grad": federation.Vector(grad),
+		"hess": denseTensor(hess), "ll": federation.Scalar(ll),
 	}, nil
 }
 
@@ -152,11 +161,8 @@ func fitCalbelt(sess *federation.Session, req Request, degree int) (beta []float
 			Func:   "calbelt_grad_local",
 			Vars:   vars,
 			Filter: req.Filter,
-			Kwargs: federation.Kwargs{
-				"p_var": req.X[0], "y": req.Y[0],
-				"pos_level": req.ParamString("pos_level", ""),
-				"degree":    degree, "beta": beta,
-			},
+			Kwargs: calbeltArgs{PVar: req.X[0], Y: req.Y[0],
+				PosLevel: req.ParamString("pos_level", ""), Degree: degree, Beta: beta},
 		}, "n", "pos", "grad", "hess", "ll")
 		if err2 != nil {
 			return nil, nil, 0, 0, err2
@@ -167,12 +173,11 @@ func fitCalbelt(sess *federation.Session, req Request, degree int) (beta []float
 			return nil, nil, 0, 0, fmt.Errorf("algorithms: calibration belt cannot fit (n=%v, positives=%v)", n, pos)
 		}
 		grad, _ := agg.Floats("grad")
-		hessRows, err2 := agg.Matrix("hess")
+		hess, err2 = aggDense(agg, "hess")
 		if err2 != nil {
 			return nil, nil, 0, 0, err2
 		}
 		ll, _ = agg.Float("ll")
-		hess = rowsToDense(hessRows)
 		step, err2 := stats.SolveSPD(hess, grad)
 		if err2 != nil {
 			step, err2 = stats.SolveRidge(hess, grad, 1e-6)
@@ -203,11 +208,8 @@ func identityLL(sess *federation.Session, req Request) (float64, error) {
 		Func:   "calbelt_grad_local",
 		Vars:   []string{req.Y[0], req.X[0]},
 		Filter: req.Filter,
-		Kwargs: federation.Kwargs{
-			"p_var": req.X[0], "y": req.Y[0],
-			"pos_level": req.ParamString("pos_level", ""),
-			"degree":    1, "beta": []float64{0, 1},
-		},
+		Kwargs: calbeltArgs{PVar: req.X[0], Y: req.Y[0],
+			PosLevel: req.ParamString("pos_level", ""), Degree: 1, Beta: []float64{0, 1}},
 	}, "ll")
 	if err != nil {
 		return 0, err

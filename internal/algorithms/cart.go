@@ -58,19 +58,11 @@ func (a *CART) Run(sess *federation.Session, req Request) (Result, error) {
 	vars := append([]string{req.Y[0]}, req.X...)
 	frontier := []int{0}
 	for len(frontier) > 0 {
-		tj, err := treeJSON(tree)
-		if err != nil {
-			return nil, err
-		}
-		fr := make([]float64, len(frontier))
-		for i, id := range frontier {
-			fr[i] = float64(id)
-		}
 		agg, err := sess.Sum(federation.LocalRunSpec{
 			Func:   "tree_hist_local",
 			Vars:   vars,
 			Filter: req.Filter,
-			Kwargs: federation.Kwargs{"tree": tj, "frontier": fr},
+			Kwargs: treeArgs{Tree: tree, Frontier: frontier},
 		}, "hist", "totals")
 		if err != nil {
 			return nil, err
@@ -119,15 +111,11 @@ func (a *CART) Run(sess *federation.Session, req Request) (Result, error) {
 	}
 
 	// Final evaluation round.
-	tj, err := treeJSON(tree)
-	if err != nil {
-		return nil, err
-	}
 	result := Result{"tree": tree, "n_nodes": len(tree.Nodes)}
 	if classification {
 		agg, err := sess.Sum(federation.LocalRunSpec{
 			Func: "tree_eval_local", Vars: vars, Filter: req.Filter,
-			Kwargs: federation.Kwargs{"tree": tj},
+			Kwargs: treeArgs{Tree: tree},
 		}, "conf")
 		if err != nil {
 			return nil, err
@@ -149,7 +137,7 @@ func (a *CART) Run(sess *federation.Session, req Request) (Result, error) {
 	} else {
 		agg, err := sess.Sum(federation.LocalRunSpec{
 			Func: "tree_eval_local", Vars: vars, Filter: req.Filter,
-			Kwargs: federation.Kwargs{"tree": tj},
+			Kwargs: treeArgs{Tree: tree},
 		}, "metrics")
 		if err != nil {
 			return nil, err
@@ -179,7 +167,7 @@ func buildTreeFeatures(sess *federation.Session, req Request, levels map[string]
 			Func:   "desc_min",
 			Vars:   numeric,
 			Filter: req.Filter,
-			Kwargs: federation.Kwargs{"vars": numeric},
+			Kwargs: varsArgs{Vars: numeric},
 		}
 		minsT, err := sess.Min(spec, "mins")
 		if err != nil {

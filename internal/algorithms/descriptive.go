@@ -32,12 +32,12 @@ func init() {
 // descMomentsLocal returns, per requested variable, the additive moments
 // [n, na, sum, sum2] as one flat vector (variables × 4).
 func descMomentsLocal(wctx *federation.WorkerCtx, data *engine.Table, kwargs federation.Kwargs) (federation.Transfer, error) {
-	vars, err := kwVars(kwargs)
+	a, err := decodeVars(kwargs)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]float64, 0, len(vars)*4)
-	for _, name := range vars {
+	out := make([]float64, 0, len(a.Vars)*4)
+	for _, name := range a.Vars {
 		v := data.ColByName(name)
 		if v == nil {
 			return nil, fmt.Errorf("algorithms: no variable %q", name)
@@ -56,7 +56,7 @@ func descMomentsLocal(wctx *federation.WorkerCtx, data *engine.Table, kwargs fed
 		}
 		out = append(out, n, na, s, s2)
 	}
-	return federation.Transfer{"moments": out}, nil
+	return federation.Transfer{"moments": federation.Vector(out)}, nil
 }
 
 // descMinLocal returns per-variable minima (or +huge when the worker has
@@ -75,12 +75,12 @@ func descMaxLocal(wctx *federation.WorkerCtx, data *engine.Table, kwargs federat
 const extremeSentinel = 1e12
 
 func descExtreme(data *engine.Table, kwargs federation.Kwargs, wantMin bool) (federation.Transfer, error) {
-	vars, err := kwVars(kwargs)
+	a, err := decodeVars(kwargs)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]float64, len(vars))
-	for vi, name := range vars {
+	out := make([]float64, len(a.Vars))
+	for vi, name := range a.Vars {
 		v := data.ColByName(name)
 		if v == nil {
 			return nil, fmt.Errorf("algorithms: no variable %q", name)
@@ -111,27 +111,22 @@ func descExtreme(data *engine.Table, kwargs federation.Kwargs, wantMin bool) (fe
 	if !wantMin {
 		key = "maxs"
 	}
-	return federation.Transfer{key: out}, nil
+	return federation.Transfer{key: federation.Vector(out)}, nil
 }
 
 // descHistLocal bins each variable into histBins equal-width bins over the
 // global [min, max] passed down by the master.
 func descHistLocal(wctx *federation.WorkerCtx, data *engine.Table, kwargs federation.Kwargs) (federation.Transfer, error) {
-	vars, err := kwVars(kwargs)
+	a, err := decodeVars(kwargs)
 	if err != nil {
 		return nil, err
 	}
-	mins, err := kw(kwargs).Floats("mins")
-	if err != nil {
-		return nil, err
+	vars, mins, maxs := a.Vars, a.Mins, a.Maxs
+	if len(mins) != len(vars) || len(maxs) != len(vars) {
+		return nil, fmt.Errorf("algorithms: desc_hist needs mins and maxs kwargs per variable")
 	}
-	maxs, err := kw(kwargs).Floats("maxs")
-	if err != nil {
-		return nil, err
-	}
-	counts := make([][]float64, len(vars))
+	counts := make([]float64, len(vars)*histBins) // variables × bins
 	for vi, name := range vars {
-		counts[vi] = make([]float64, histBins)
 		v := data.ColByName(name)
 		if v == nil {
 			return nil, fmt.Errorf("algorithms: no variable %q", name)
@@ -154,32 +149,10 @@ func descHistLocal(wctx *federation.WorkerCtx, data *engine.Table, kwargs federa
 					b = histBins - 1
 				}
 			}
-			counts[vi][b]++
+			counts[vi*histBins+b]++
 		}
 	}
-	return federation.Transfer{"hist": counts}, nil
-}
-
-func kwVars(kwargs federation.Kwargs) ([]string, error) {
-	raw, ok := kwargs["vars"]
-	if !ok {
-		return nil, fmt.Errorf("algorithms: missing vars kwarg")
-	}
-	switch v := raw.(type) {
-	case []string:
-		return v, nil
-	case []any:
-		out := make([]string, len(v))
-		for i, e := range v {
-			s, ok := e.(string)
-			if !ok {
-				return nil, fmt.Errorf("algorithms: vars[%d] is %T", i, e)
-			}
-			out[i] = s
-		}
-		return out, nil
-	}
-	return nil, fmt.Errorf("algorithms: vars kwarg is %T", raw)
+	return federation.Transfer{"hist": federation.Matrix(len(vars), histBins, counts)}, nil
 }
 
 // VariableSummary is one row of the Figure 3 table.
@@ -261,7 +234,7 @@ func describeOnce(sess *federation.Session, req Request, datasets []string) ([]V
 		Vars:   req.Y,
 		Filter: filter,
 		KeepNA: true, // NA counting needs the incomplete rows
-		Kwargs: federation.Kwargs{"vars": req.Y},
+		Kwargs: varsArgs{Vars: req.Y},
 	}
 	moments, err := sess.Sum(spec, "moments")
 	if err != nil {
@@ -286,7 +259,7 @@ func describeOnce(sess *federation.Session, req Request, datasets []string) ([]V
 
 	histSpec := spec
 	histSpec.Func = "desc_hist"
-	histSpec.Kwargs = federation.Kwargs{"vars": req.Y, "mins": mins, "maxs": maxs}
+	histSpec.Kwargs = varsArgs{Vars: req.Y, Mins: mins, Maxs: maxs}
 	histT, err := sess.Sum(histSpec, "hist")
 	if err != nil {
 		return nil, err

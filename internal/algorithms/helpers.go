@@ -47,39 +47,121 @@ func stringCol(data *engine.Table, name string) ([]string, error) {
 	return data.StringColumn(name)
 }
 
-// levelsFromKwargs reads the map[var][]string level directory the master
-// passes to local steps (JSON round-trips deliver map[string]any).
-func levelsFromKwargs(kwargs federation.Kwargs, key string) (map[string][]string, error) {
-	raw, ok := kwargs[key]
-	if !ok || raw == nil {
-		return map[string][]string{}, nil
+// varsArgs are the kwargs of the steps over a list of numeric variables:
+// descriptive moments, extremes and histograms (which also take the global
+// bounds), the paired t-test, PCA and the k-means assignment (which also
+// takes the centroids).
+type varsArgs struct {
+	Vars      []string    `json:"vars"`
+	Mins      []float64   `json:"mins,omitempty"`
+	Maxs      []float64   `json:"maxs,omitempty"`
+	Centroids [][]float64 `json:"centroids,omitempty"`
+}
+
+func decodeVars(kwargs federation.Kwargs) (varsArgs, error) {
+	var a varsArgs
+	if err := kwargs.Decode(&a); err != nil {
+		return a, err
 	}
-	switch m := raw.(type) {
-	case map[string][]string:
-		return m, nil
-	case map[string]any:
-		out := make(map[string][]string, len(m))
-		for k, v := range m {
-			switch vs := v.(type) {
-			case []string:
-				out[k] = vs
-			case []any:
-				var ss []string
-				for _, e := range vs {
-					s, ok := e.(string)
-					if !ok {
-						return nil, fmt.Errorf("algorithms: levels for %q contain %T", k, e)
-					}
-					ss = append(ss, s)
-				}
-				out[k] = ss
-			default:
-				return nil, fmt.Errorf("algorithms: levels for %q are %T", k, v)
-			}
+	if a.Vars == nil {
+		return a, fmt.Errorf("algorithms: missing vars kwarg")
+	}
+	return a, nil
+}
+
+// foldArgs select cross-validation rows by their stable row_id. With
+// NumFolds set, mode "only" keeps the rows of fold Fold (held-out scoring)
+// and any other mode the rows outside it (training); without it every row
+// is kept.
+type foldArgs struct {
+	Fold     int    `json:"fold,omitempty"`
+	NumFolds int    `json:"num_folds,omitempty"`
+	FoldMode string `json:"fold_mode,omitempty"`
+}
+
+// selector reports whether the fold selection keeps row r of data.
+func (f foldArgs) selector(data *engine.Table) (func(r int) bool, error) {
+	if f.NumFolds == 0 {
+		return func(int) bool { return true }, nil
+	}
+	if f.NumFolds < 2 {
+		return nil, fmt.Errorf("algorithms: fold filtering needs num_folds > 1")
+	}
+	ids := data.ColByName("row_id")
+	if ids == nil {
+		return nil, fmt.Errorf("algorithms: cross-validation requires a row_id column")
+	}
+	iv := ids.CastFloat64().Float64s()
+	return func(r int) bool {
+		return (foldOf(int64(iv[r]), f.NumFolds) == f.Fold) == (f.FoldMode == "only")
+	}, nil
+}
+
+// modelArgs are the kwargs of the regression-family steps (linear and
+// logistic fit and score): the outcome, the covariates with the levels of
+// the nominal ones, the cross-validation fold, the current coefficients
+// and, for logistic models, the positive outcome level.
+type modelArgs struct {
+	Y      string              `json:"y"`
+	X      []string            `json:"x"`
+	Levels map[string][]string `json:"levels,omitempty"`
+	foldArgs
+	Beta     []float64 `json:"beta,omitempty"`
+	PosLevel string    `json:"pos_level,omitempty"`
+}
+
+func decodeModel(kwargs federation.Kwargs) (modelArgs, error) {
+	var a modelArgs
+	if err := kwargs.Decode(&a); err != nil {
+		return a, err
+	}
+	if a.Y == "" {
+		return a, fmt.Errorf("algorithms: missing y kwarg")
+	}
+	if a.X == nil {
+		return a, fmt.Errorf("algorithms: missing x kwarg")
+	}
+	return a, nil
+}
+
+// rows materializes the step's design matrix and the outcome (yOf maps a
+// row index to its value) over the rows the design and the fold keep.
+func (a modelArgs) rows(data *engine.Table, yOf func(r int) float64) (*stats.Dense, []float64, error) {
+	x, keep, err := newDesign(a.X, a.Levels).rows(data)
+	if err != nil {
+		return nil, nil, err
+	}
+	use, err := a.selector(data)
+	if err != nil {
+		return nil, nil, err
+	}
+	var rows []int
+	for i, r := range keep {
+		if use(r) {
+			rows = append(rows, i)
 		}
-		return out, nil
 	}
-	return nil, fmt.Errorf("algorithms: kwarg %q is %T, not a levels map", key, raw)
+	fx := stats.NewDense(len(rows), x.Cols())
+	y := make([]float64, len(rows))
+	for i, r := range rows {
+		copy(fx.Row(i), x.Row(r))
+		y[i] = yOf(keep[r])
+	}
+	return fx, y, nil
+}
+
+// denseTensor ships a matrix as a transfer entry without copying it.
+func denseTensor(m *stats.Dense) federation.Tensor {
+	return federation.Matrix(m.Rows(), m.Cols(), m.Data())
+}
+
+// aggDense reads a matrix entry of an aggregate as a matrix over its data.
+func aggDense(t federation.Transfer, key string) (*stats.Dense, error) {
+	if _, err := t.Matrix(key); err != nil {
+		return nil, err
+	}
+	v := t[key]
+	return stats.NewDenseData(v.Shape[0], v.Shape[1], v.Data), nil
 }
 
 // design holds the design-matrix layout shared by the regression-family

@@ -70,19 +70,11 @@ func (a *ID3) Run(sess *federation.Session, req Request) (Result, error) {
 	vars := append([]string{req.Y[0]}, req.X...)
 	frontier := []int{0}
 	for len(frontier) > 0 {
-		tj, err := treeJSON(tree)
-		if err != nil {
-			return nil, err
-		}
-		fr := make([]float64, len(frontier))
-		for i, id := range frontier {
-			fr[i] = float64(id)
-		}
 		agg, err := sess.Sum(federation.LocalRunSpec{
 			Func:   "tree_hist_local",
 			Vars:   vars,
 			Filter: req.Filter,
-			Kwargs: federation.Kwargs{"tree": tj, "frontier": fr},
+			Kwargs: treeArgs{Tree: tree, Frontier: frontier},
 		}, "hist", "totals")
 		if err != nil {
 			return nil, err
@@ -157,13 +149,9 @@ func (a *ID3) Run(sess *federation.Session, req Request) (Result, error) {
 		frontier = next
 	}
 
-	tj, err := treeJSON(tree)
-	if err != nil {
-		return nil, err
-	}
 	agg, err := sess.Sum(federation.LocalRunSpec{
 		Func: "tree_eval_local", Vars: vars, Filter: req.Filter,
-		Kwargs: federation.Kwargs{"tree": tj},
+		Kwargs: treeArgs{Tree: tree},
 	}, "conf")
 	if err != nil {
 		return nil, err

@@ -22,9 +22,23 @@ func init() {
 	Register(&KaplanMeier{})
 }
 
+// kmArgs are the kwargs of both Kaplan-Meier steps: the time variable and,
+// for the counts, the event indicator, the distinct times and the groups
+// (GroupVar empty puts every row in the one group).
+type kmArgs struct {
+	Time     string    `json:"time"`
+	Event    string    `json:"event,omitempty"`
+	Times    []float64 `json:"times,omitempty"`
+	Groups   []string  `json:"groups,omitempty"`
+	GroupVar string    `json:"group_var,omitempty"`
+}
+
 func kmTimesLocal(wctx *federation.WorkerCtx, data *engine.Table, kwargs federation.Kwargs) (federation.Transfer, error) {
-	timeVar, _ := kwargs["time"].(string)
-	ts, err := floatCol(data, timeVar)
+	var a kmArgs
+	if err := kwargs.Decode(&a); err != nil {
+		return nil, err
+	}
+	ts, err := floatCol(data, a.Time)
 	if err != nil {
 		return nil, err
 	}
@@ -36,29 +50,28 @@ func kmTimesLocal(wctx *federation.WorkerCtx, data *engine.Table, kwargs federat
 	for t := range seen {
 		out = append(out, t)
 	}
-	return federation.Transfer{"times": out}, nil
+	return federation.Transfer{"times": federation.Vector(out)}, nil
 }
 
 // kmCountsLocal returns per group g and per distinct time t: events d[g][t],
 // censorings c[g][t] and the group totals.
 func kmCountsLocal(wctx *federation.WorkerCtx, data *engine.Table, kwargs federation.Kwargs) (federation.Transfer, error) {
-	timeVar, _ := kwargs["time"].(string)
-	eventVar, _ := kwargs["event"].(string)
-	times, err := kw(kwargs).Floats("times")
+	var a kmArgs
+	if err := kwargs.Decode(&a); err != nil {
+		return nil, err
+	}
+	times, groups, groupVar := a.Times, a.Groups, a.GroupVar
+	if times == nil {
+		return nil, fmt.Errorf("algorithms: missing times kwarg")
+	}
+	if groups == nil {
+		return nil, fmt.Errorf("algorithms: missing groups kwarg")
+	}
+	ts, err := floatCol(data, a.Time)
 	if err != nil {
 		return nil, err
 	}
-	groups, err := kwVarsKey(kwargs, "groups")
-	if err != nil {
-		return nil, err
-	}
-	groupVar, _ := kwargs["group_var"].(string)
-
-	ts, err := floatCol(data, timeVar)
-	if err != nil {
-		return nil, err
-	}
-	evs, err := floatCol(data, eventVar)
+	evs, err := floatCol(data, a.Event)
 	if err != nil {
 		return nil, err
 	}
@@ -76,14 +89,10 @@ func kmCountsLocal(wctx *federation.WorkerCtx, data *engine.Table, kwargs federa
 	for i, g := range groups {
 		groupIdx[g] = i
 	}
-	ng := len(groups)
-	events := make([][]float64, ng)
-	censored := make([][]float64, ng)
+	ng, nt := len(groups), len(times)
+	events := make([]float64, ng*nt) // groups × times
+	censored := make([]float64, ng*nt)
 	totals := make([]float64, ng)
-	for g := 0; g < ng; g++ {
-		events[g] = make([]float64, len(times))
-		censored[g] = make([]float64, len(times))
-	}
 	for r := range ts {
 		g := 0
 		if groupVar != "" {
@@ -99,12 +108,13 @@ func kmCountsLocal(wctx *federation.WorkerCtx, data *engine.Table, kwargs federa
 		}
 		totals[g]++
 		if evs[r] != 0 {
-			events[g][ti]++
+			events[g*nt+ti]++
 		} else {
-			censored[g][ti]++
+			censored[g*nt+ti]++
 		}
 	}
-	return federation.Transfer{"events": events, "censored": censored, "totals": totals}, nil
+	return federation.Transfer{"events": federation.Matrix(ng, nt, events), "censored": federation.Matrix(ng, nt, censored),
+		"totals": federation.Vector(totals)}, nil
 }
 
 // KMPoint is one step of a survival curve.
@@ -181,7 +191,7 @@ func (a *KaplanMeier) Run(sess *federation.Session, req Request) (Result, error)
 		Func:   "km_times_local",
 		Vars:   vars,
 		Filter: req.Filter,
-		Kwargs: federation.Kwargs{"time": timeVar},
+		Kwargs: kmArgs{Time: timeVar},
 	}, "times")
 	if err != nil {
 		return nil, err
@@ -195,10 +205,7 @@ func (a *KaplanMeier) Run(sess *federation.Session, req Request) (Result, error)
 		Func:   "km_counts_local",
 		Vars:   vars,
 		Filter: req.Filter,
-		Kwargs: federation.Kwargs{
-			"time": timeVar, "event": eventVar, "times": times,
-			"groups": groups, "group_var": groupVar,
-		},
+		Kwargs: kmArgs{Time: timeVar, Event: eventVar, Times: times, Groups: groups, GroupVar: groupVar},
 	}, "events", "censored", "totals")
 	if err != nil {
 		return nil, err

@@ -22,13 +22,13 @@ func init() {
 }
 
 func kmeansAssignLocal(wctx *federation.WorkerCtx, data *engine.Table, kwargs federation.Kwargs) (federation.Transfer, error) {
-	vars, err := kwVars(kwargs)
+	a, err := decodeVars(kwargs)
 	if err != nil {
 		return nil, err
 	}
-	centroids, err := kw(kwargs).Matrix("centroids")
-	if err != nil {
-		return nil, err
+	vars, centroids := a.Vars, a.Centroids
+	if centroids == nil {
+		return nil, fmt.Errorf("algorithms: missing centroids kwarg")
 	}
 	k := len(centroids)
 	p := len(vars)
@@ -45,10 +45,7 @@ func kmeansAssignLocal(wctx *federation.WorkerCtx, data *engine.Table, kwargs fe
 		n = len(cols[0])
 	}
 	counts := make([]float64, k)
-	sums := make([][]float64, k)
-	for c := range sums {
-		sums[c] = make([]float64, p)
-	}
+	sums := make([]float64, k*p) // clusters × variables
 	var wss float64
 	for r := 0; r < n; r++ {
 		best, bestD := 0, math.Inf(1)
@@ -64,11 +61,12 @@ func kmeansAssignLocal(wctx *federation.WorkerCtx, data *engine.Table, kwargs fe
 		}
 		counts[best]++
 		for j := 0; j < p; j++ {
-			sums[best][j] += cols[j][r]
+			sums[best*p+j] += cols[j][r]
 		}
 		wss += bestD
 	}
-	return federation.Transfer{"counts": counts, "sums": sums, "wss": wss}, nil
+	return federation.Transfer{"counts": federation.Vector(counts), "sums": federation.Matrix(k, p, sums),
+		"wss": federation.Scalar(wss)}, nil
 }
 
 // KMeansResult is the clustering output.
@@ -119,7 +117,7 @@ func (a *KMeans) Run(sess *federation.Session, req Request) (Result, error) {
 		Func:   "desc_moments",
 		Vars:   req.Y,
 		Filter: req.Filter,
-		Kwargs: federation.Kwargs{"vars": req.Y},
+		Kwargs: varsArgs{Vars: req.Y},
 	}
 	mom, err := sess.Sum(spec, "moments")
 	if err != nil {
@@ -176,7 +174,7 @@ func (a *KMeans) Run(sess *federation.Session, req Request) (Result, error) {
 			Func:   "kmeans_assign",
 			Vars:   req.Y,
 			Filter: req.Filter,
-			Kwargs: federation.Kwargs{"vars": req.Y, "centroids": centroids},
+			Kwargs: varsArgs{Vars: req.Y, Centroids: centroids},
 		}, "counts", "sums", "wss")
 		if err != nil {
 			return nil, err

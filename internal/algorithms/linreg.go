@@ -1,6 +1,7 @@
 package algorithms
 
 import (
+	"encoding/json"
 	"fmt"
 	"math"
 
@@ -22,75 +23,50 @@ func init() {
 	Register(&LinearRegressionCV{})
 }
 
-// linregFitLocal computes the local normal-equation blocks. Kwargs: y
-// (name), x ([]string), levels (nominal var → levels), fold/exclude_fold
-// for CV.
-func linregFitLocal(wctx *federation.WorkerCtx, data *engine.Table, kwargs federation.Kwargs) (federation.Transfer, error) {
-	yvar, xvars, levels, err := modelArgs(kwargs)
+// linregData decodes the regression kwargs and returns the step's design
+// matrix and numeric outcome.
+func linregData(data *engine.Table, kwargs federation.Kwargs) (modelArgs, *stats.Dense, []float64, error) {
+	a, err := decodeModel(kwargs)
 	if err != nil {
-		return nil, err
+		return a, nil, nil, err
 	}
-	d := newDesign(xvars, levels)
-	x, keep, err := d.rows(data)
+	yAll, err := floatCol(data, a.Y)
 	if err != nil {
-		return nil, err
+		return a, nil, nil, err
 	}
-	yAll, err := floatCol(data, yvar)
-	if err != nil {
-		return nil, err
-	}
-	y := make([]float64, len(keep))
-	for i, r := range keep {
-		y[i] = yAll[r]
-	}
-	x, y, err = filterFold(data, kwargs, keep, x, y)
-	if err != nil {
-		return nil, err
-	}
+	x, y, err := a.rows(data, func(r int) float64 { return yAll[r] })
+	return a, x, y, err
+}
 
-	xtx := stats.XtX(x)
-	xty := stats.XtY(x, y)
+// linregFitLocal computes the local normal-equation blocks.
+func linregFitLocal(wctx *federation.WorkerCtx, data *engine.Table, kwargs federation.Kwargs) (federation.Transfer, error) {
+	_, x, y, err := linregData(data, kwargs)
+	if err != nil {
+		return nil, err
+	}
 	return federation.Transfer{
-		"n":   float64(len(y)),
-		"xtx": denseToRows(xtx),
-		"xty": xty,
-		"yty": sqSum(y),
-		"sy":  sum(y),
+		"n":   federation.Scalar(float64(len(y))),
+		"xtx": denseTensor(stats.XtX(x)),
+		"xty": federation.Vector(stats.XtY(x, y)),
+		"yty": federation.Scalar(sqSum(y)),
+		"sy":  federation.Scalar(sum(y)),
 	}, nil
 }
 
 // linregScoreLocal evaluates SSE/SAE of a given coefficient vector on the
 // local slice (used by the CV flow on held-out folds).
 func linregScoreLocal(wctx *federation.WorkerCtx, data *engine.Table, kwargs federation.Kwargs) (federation.Transfer, error) {
-	yvar, xvars, levels, err := modelArgs(kwargs)
+	a, x, y, err := linregData(data, kwargs)
 	if err != nil {
 		return nil, err
 	}
-	beta, err := kw(kwargs).Floats("beta")
-	if err != nil {
-		return nil, err
-	}
-	d := newDesign(xvars, levels)
-	x, keep, err := d.rows(data)
-	if err != nil {
-		return nil, err
-	}
-	yAll, err := floatCol(data, yvar)
-	if err != nil {
-		return nil, err
-	}
-	y := make([]float64, len(keep))
-	for i, r := range keep {
-		y[i] = yAll[r]
-	}
-	x, y, err = filterFold(data, kwargs, keep, x, y)
-	if err != nil {
-		return nil, err
+	if len(a.Beta) != x.Cols() {
+		return nil, fmt.Errorf("algorithms: beta kwarg has %d coefficients, design has %d", len(a.Beta), x.Cols())
 	}
 	var sse, sae, sy, sy2 float64
 	for i := 0; i < x.Rows(); i++ {
 		var pred float64
-		for j, b := range beta {
+		for j, b := range a.Beta {
 			pred += x.At(i, j) * b
 		}
 		r := y[i] - pred
@@ -100,102 +76,9 @@ func linregScoreLocal(wctx *federation.WorkerCtx, data *engine.Table, kwargs fed
 		sy2 += y[i] * y[i]
 	}
 	return federation.Transfer{
-		"n": float64(x.Rows()), "sse": sse, "sae": sae, "sy": sy, "sy2": sy2,
+		"n": federation.Scalar(float64(x.Rows())), "sse": federation.Scalar(sse), "sae": federation.Scalar(sae),
+		"sy": federation.Scalar(sy), "sy2": federation.Scalar(sy2),
 	}, nil
-}
-
-// filterFold applies CV fold selection: kwargs fold >= 0 with mode
-// "exclude" keeps rows outside the fold (training), mode "only" keeps rows
-// inside (testing). Fold assignment hashes the stable row_id.
-func filterFold(data *engine.Table, kwargs federation.Kwargs, keep []int, x *stats.Dense, y []float64) (*stats.Dense, []float64, error) {
-	foldRaw, ok := kwargs["fold"]
-	if !ok {
-		return x, y, nil
-	}
-	fold := int(anyToFloat(foldRaw))
-	if fold < 0 {
-		return x, y, nil
-	}
-	k := int(anyToFloat(kwargs["num_folds"]))
-	if k <= 1 {
-		return nil, nil, fmt.Errorf("algorithms: fold filtering needs num_folds > 1")
-	}
-	mode, _ := kwargs["fold_mode"].(string)
-	ids := data.ColByName("row_id")
-	if ids == nil {
-		return nil, nil, fmt.Errorf("algorithms: cross-validation requires a row_id column")
-	}
-	iv := ids.CastFloat64()
-	var rows []int
-	for i, r := range keep {
-		f := foldOf(int64(iv.Float64s()[r]), k)
-		inFold := f == fold
-		if (mode == "only" && inFold) || (mode != "only" && !inFold) {
-			rows = append(rows, i)
-		}
-	}
-	nx := stats.NewDense(len(rows), x.Cols())
-	ny := make([]float64, len(rows))
-	for i, r := range rows {
-		copy(nx.Row(i), x.Row(r))
-		ny[i] = y[r]
-	}
-	return nx, ny, nil
-}
-
-func anyToFloat(v any) float64 {
-	switch x := v.(type) {
-	case float64:
-		return x
-	case int:
-		return float64(x)
-	case int64:
-		return float64(x)
-	}
-	return -1
-}
-
-// modelArgs unpacks the shared regression kwargs.
-func modelArgs(kwargs federation.Kwargs) (yvar string, xvars []string, levels map[string][]string, err error) {
-	yvar, _ = kwargs["y"].(string)
-	if yvar == "" {
-		return "", nil, nil, fmt.Errorf("algorithms: missing y kwarg")
-	}
-	switch v := kwargs["x"].(type) {
-	case []string:
-		xvars = v
-	case []any:
-		for _, e := range v {
-			s, ok := e.(string)
-			if !ok {
-				return "", nil, nil, fmt.Errorf("algorithms: x kwarg contains %T", e)
-			}
-			xvars = append(xvars, s)
-		}
-	default:
-		return "", nil, nil, fmt.Errorf("algorithms: missing x kwarg")
-	}
-	levels, err = levelsFromKwargs(kwargs, "levels")
-	return yvar, xvars, levels, err
-}
-
-func denseToRows(m *stats.Dense) [][]float64 {
-	out := make([][]float64, m.Rows())
-	for i := range out {
-		out[i] = append([]float64(nil), m.Row(i)...)
-	}
-	return out
-}
-
-func rowsToDense(rows [][]float64) *stats.Dense {
-	if len(rows) == 0 {
-		return stats.NewDense(0, 0)
-	}
-	m := stats.NewDense(len(rows), len(rows[0]))
-	for i, r := range rows {
-		copy(m.Row(i), r)
-	}
-	return m
 }
 
 // Coefficient is one row of the regression summary table.
@@ -255,19 +138,17 @@ func (a *LinearRegression) Run(sess *federation.Session, req Request) (Result, e
 // fold >= 0 excludes that fold (CV training); numFolds carries k.
 func fitLinReg(sess *federation.Session, req Request, fold, numFolds int) (*LinRegModel, error) {
 	levels := levelsParam(req)
-	kwargs := federation.Kwargs{"y": req.Y[0], "x": req.X, "levels": levels}
+	args := modelArgs{Y: req.Y[0], X: req.X, Levels: levels}
 	vars := append(append([]string{}, req.Y...), req.X...)
 	if fold >= 0 {
-		kwargs["fold"] = fold
-		kwargs["num_folds"] = numFolds
-		kwargs["fold_mode"] = "exclude"
+		args.foldArgs = foldArgs{Fold: fold, NumFolds: numFolds, FoldMode: "exclude"}
 		vars = append(vars, "row_id")
 	}
 	agg, err := sess.Sum(federation.LocalRunSpec{
 		Func:   "linreg_fit_local",
 		Vars:   vars,
 		Filter: req.Filter,
-		Kwargs: kwargs,
+		Kwargs: args,
 	}, "n", "xtx", "xty", "yty", "sy")
 	if err != nil {
 		return nil, err
@@ -276,7 +157,7 @@ func fitLinReg(sess *federation.Session, req Request, fold, numFolds int) (*LinR
 }
 
 func solveLinReg(agg federation.Transfer, req Request, levels map[string][]string) (*LinRegModel, error) {
-	xtxRows, err := agg.Matrix("xtx")
+	xtx, err := aggDense(agg, "xtx")
 	if err != nil {
 		return nil, err
 	}
@@ -288,7 +169,6 @@ func solveLinReg(agg federation.Transfer, req Request, levels map[string][]strin
 	yty, _ := agg.Float("yty")
 	sy, _ := agg.Float("sy")
 
-	xtx := rowsToDense(xtxRows)
 	p := xtx.Rows()
 	if n <= float64(p) {
 		return nil, fmt.Errorf("algorithms: %v observations cannot identify %d coefficients", n, p)
@@ -352,14 +232,12 @@ func solveLinReg(agg federation.Transfer, req Request, levels map[string][]strin
 	return model, nil
 }
 
-// levelsParam reads the request's nominal-levels parameter.
+// levelsParam reads the request's nominal-levels parameter: each nominal
+// covariate's levels, reference level first. A malformed map reads as none.
 func levelsParam(req Request) map[string][]string {
-	raw := req.Param("levels", nil)
-	if raw == nil {
-		return map[string][]string{}
-	}
-	out, err := levelsFromKwargs(federation.Kwargs{"levels": raw}, "levels")
-	if err != nil {
+	var out map[string][]string
+	b, err := json.Marshal(req.Param("levels", nil))
+	if err != nil || json.Unmarshal(b, &out) != nil || out == nil {
 		return map[string][]string{}
 	}
 	return out
@@ -416,15 +294,12 @@ func (a *LinearRegressionCV) Run(sess *federation.Session, req Request) (Result,
 		for i, c := range model.Coefficients {
 			beta[i] = c.Estimate
 		}
-		scoreKw := federation.Kwargs{
-			"y": req.Y[0], "x": req.X, "levels": levels, "beta": beta,
-			"fold": f, "num_folds": k, "fold_mode": "only",
-		}
 		scores, err := sess.Sum(federation.LocalRunSpec{
 			Func:   "linreg_score_local",
 			Vars:   vars,
 			Filter: req.Filter,
-			Kwargs: scoreKw,
+			Kwargs: modelArgs{Y: req.Y[0], X: req.X, Levels: levels, Beta: beta,
+				foldArgs: foldArgs{Fold: f, NumFolds: k, FoldMode: "only"}},
 		}, "n", "sse", "sae", "sy", "sy2")
 		if err != nil {
 			return nil, fmt.Errorf("fold %d scoring: %w", f, err)

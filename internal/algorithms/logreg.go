@@ -23,45 +23,34 @@ func init() {
 	Register(&LogisticRegressionCV{})
 }
 
-// logregData extracts the design matrix and the 0/1 outcome for the local
-// slice, honoring CV fold kwargs.
-func logregData(data *engine.Table, kwargs federation.Kwargs) (*stats.Dense, []float64, error) {
-	yvar, xvars, levels, err := modelArgs(kwargs)
+// logregData decodes the regression kwargs and returns the step's design
+// matrix and 0/1 outcome, checked against the coefficients.
+func logregData(data *engine.Table, kwargs federation.Kwargs) ([]float64, *stats.Dense, []float64, error) {
+	a, err := decodeModel(kwargs)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
-	posLevel, _ := kwargs["pos_level"].(string)
-	if posLevel == "" {
-		return nil, nil, fmt.Errorf("algorithms: missing pos_level kwarg")
+	if a.PosLevel == "" {
+		return nil, nil, nil, fmt.Errorf("algorithms: missing pos_level kwarg")
 	}
-	d := newDesign(xvars, levels)
-	x, keep, err := d.rows(data)
+	ys, err := stringCol(data, a.Y)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
-	ysRaw, err := stringCol(data, yvar)
-	if err != nil {
-		return nil, nil, err
-	}
-	y := make([]float64, len(keep))
-	for i, r := range keep {
-		if ysRaw[r] == posLevel {
-			y[i] = 1
+	x, y, err := a.rows(data, func(r int) float64 {
+		if ys[r] == a.PosLevel {
+			return 1
 		}
+		return 0
+	})
+	if err == nil && len(a.Beta) != x.Cols() {
+		err = fmt.Errorf("algorithms: beta kwarg has %d coefficients, design has %d", len(a.Beta), x.Cols())
 	}
-	return filterFoldXY(data, kwargs, keep, x, y)
-}
-
-func filterFoldXY(data *engine.Table, kwargs federation.Kwargs, keep []int, x *stats.Dense, y []float64) (*stats.Dense, []float64, error) {
-	return filterFold(data, kwargs, keep, x, y)
+	return a.Beta, x, y, err
 }
 
 func logregGradLocal(wctx *federation.WorkerCtx, data *engine.Table, kwargs federation.Kwargs) (federation.Transfer, error) {
-	x, y, err := logregData(data, kwargs)
-	if err != nil {
-		return nil, err
-	}
-	beta, err := kw(kwargs).Floats("beta")
+	beta, x, y, err := logregData(data, kwargs)
 	if err != nil {
 		return nil, err
 	}
@@ -93,11 +82,11 @@ func logregGradLocal(wctx *federation.WorkerCtx, data *engine.Table, kwargs fede
 		}
 	}
 	return federation.Transfer{
-		"n":    float64(x.Rows()),
-		"pos":  pos,
-		"grad": grad,
-		"hess": denseToRows(hess),
-		"ll":   ll,
+		"n":    federation.Scalar(float64(x.Rows())),
+		"pos":  federation.Scalar(pos),
+		"grad": federation.Vector(grad),
+		"hess": denseTensor(hess),
+		"ll":   federation.Scalar(ll),
 	}, nil
 }
 
@@ -107,11 +96,7 @@ func logregGradLocal(wctx *federation.WorkerCtx, data *engine.Table, kwargs fede
 const rocBins = 100
 
 func logregScoreLocal(wctx *federation.WorkerCtx, data *engine.Table, kwargs federation.Kwargs) (federation.Transfer, error) {
-	x, y, err := logregData(data, kwargs)
-	if err != nil {
-		return nil, err
-	}
-	beta, err := kw(kwargs).Floats("beta")
+	beta, x, y, err := logregData(data, kwargs)
 	if err != nil {
 		return nil, err
 	}
@@ -144,7 +129,8 @@ func logregScoreLocal(wctx *federation.WorkerCtx, data *engine.Table, kwargs fed
 			}
 		}
 	}
-	return federation.Transfer{"pos_bins": posBins, "neg_bins": negBins, "conf": conf}, nil
+	return federation.Transfer{"pos_bins": federation.Vector(posBins), "neg_bins": federation.Vector(negBins),
+		"conf": federation.Vector(conf)}, nil
 }
 
 func sigmoid(x float64) float64 {
@@ -237,25 +223,20 @@ func fitLogReg(sess *federation.Session, req Request, fold, numFolds int) (*LogR
 	if fold >= 0 {
 		vars = append(vars, "row_id")
 	}
-	kwargs := federation.Kwargs{
-		"y": req.Y[0], "x": req.X, "levels": levels, "pos_level": posLevel,
-	}
+	args := modelArgs{Y: req.Y[0], X: req.X, Levels: levels, PosLevel: posLevel, Beta: beta}
 	if fold >= 0 {
-		kwargs["fold"] = fold
-		kwargs["num_folds"] = numFolds
-		kwargs["fold_mode"] = "exclude"
+		args.foldArgs = foldArgs{Fold: fold, NumFolds: numFolds, FoldMode: "exclude"}
 	}
 
 	model := &LogRegModel{}
 	var hessInv *stats.Dense
 	var lastLL float64
 	for iter := 1; iter <= maxIter; iter++ {
-		kwargs["beta"] = beta
 		agg, err := sess.Sum(federation.LocalRunSpec{
 			Func:   "logreg_grad_local",
 			Vars:   vars,
 			Filter: req.Filter,
-			Kwargs: kwargs,
+			Kwargs: args,
 		}, "n", "pos", "grad", "hess", "ll")
 		if err != nil {
 			return nil, nil, err
@@ -263,7 +244,7 @@ func fitLogReg(sess *federation.Session, req Request, fold, numFolds int) (*LogR
 		n, _ := agg.Float("n")
 		pos, _ := agg.Float("pos")
 		grad, _ := agg.Floats("grad")
-		hessRows, err := agg.Matrix("hess")
+		hess, err := aggDense(agg, "hess")
 		if err != nil {
 			return nil, nil, err
 		}
@@ -274,7 +255,6 @@ func fitLogReg(sess *federation.Session, req Request, fold, numFolds int) (*LogR
 		if pos == 0 || pos == n {
 			return nil, nil, fmt.Errorf("algorithms: outcome has a single class in the selected data")
 		}
-		hess := rowsToDense(hessRows)
 		step, err := stats.SolveSPD(hess, grad)
 		if err != nil {
 			// Escalating ridge: aggregation noise (secure aggregation with
@@ -389,12 +369,9 @@ func (a *LogisticRegressionCV) Run(sess *federation.Session, req Request) (Resul
 			Func:   "logreg_score_local",
 			Vars:   vars,
 			Filter: req.Filter,
-			Kwargs: federation.Kwargs{
-				"y": req.Y[0], "x": req.X, "levels": levels,
-				"pos_level": req.ParamString("pos_level", ""),
-				"beta":      beta,
-				"fold":      f, "num_folds": k, "fold_mode": "only",
-			},
+			Kwargs: modelArgs{Y: req.Y[0], X: req.X, Levels: levels,
+				PosLevel: req.ParamString("pos_level", ""), Beta: beta,
+				foldArgs: foldArgs{Fold: f, NumFolds: k, FoldMode: "only"}},
 		}, "pos_bins", "neg_bins", "conf")
 		if err != nil {
 			return nil, fmt.Errorf("fold %d scoring: %w", f, err)

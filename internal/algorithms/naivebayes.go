@@ -21,89 +21,80 @@ func init() {
 	Register(&NaiveBayesCV{})
 }
 
-// nbArgs unpacks the shared kwargs.
+// nbArgs are the kwargs of both naive Bayes steps: the outcome and its
+// classes, the numeric and nominal features (with the nominal ones'
+// levels), the cross-validation fold and, for scoring, the trained model.
 type nbArgs struct {
-	yvar    string
-	classes []string
-	numeric []string
-	nominal []string
-	levels  map[string][]string
+	Y       string              `json:"y"`
+	Classes []string            `json:"classes"`
+	Numeric []string            `json:"numeric,omitempty"`
+	Nominal []string            `json:"nominal,omitempty"`
+	Levels  map[string][]string `json:"levels,omitempty"`
+	foldArgs
+	Model *NBModel `json:"model,omitempty"`
 }
 
 func nbParse(kwargs federation.Kwargs) (*nbArgs, error) {
 	a := &nbArgs{}
-	a.yvar, _ = kwargs["y"].(string)
-	if a.yvar == "" {
+	if err := kwargs.Decode(a); err != nil {
+		return nil, err
+	}
+	if a.Y == "" {
 		return nil, fmt.Errorf("algorithms: missing y kwarg")
 	}
-	var err error
-	if a.classes, err = kwVarsKey(kwargs, "classes"); err != nil {
-		return nil, err
-	}
-	if raw, ok := kwargs["numeric"]; ok && raw != nil {
-		if a.numeric, err = kwVarsKey(kwargs, "numeric"); err != nil {
-			return nil, err
-		}
-	}
-	if raw, ok := kwargs["nominal"]; ok && raw != nil {
-		if a.nominal, err = kwVarsKey(kwargs, "nominal"); err != nil {
-			return nil, err
-		}
-	}
-	if a.levels, err = levelsFromKwargs(kwargs, "levels"); err != nil {
-		return nil, err
+	if a.Classes == nil {
+		return nil, fmt.Errorf("algorithms: missing classes kwarg")
 	}
 	return a, nil
 }
 
-// nbTrainLocal emits, flattened:
+// nbTrainLocal emits:
 //
-//	class_counts: [k]
-//	gauss: [k][numeric × 2] (Σx, Σx²) — as matrix rows per class
-//	cat:   [k][Σ levels] level counts per nominal var, concatenated
+//	counts: [k]
+//	gauss:  k × (numeric × 2) — (Σx, Σx²) per numeric feature, per class
+//	cat:    k × Σ levels — level counts per nominal var, concatenated
 func nbTrainLocal(wctx *federation.WorkerCtx, data *engine.Table, kwargs federation.Kwargs) (federation.Transfer, error) {
 	a, err := nbParse(kwargs)
 	if err != nil {
 		return nil, err
 	}
-	ys, err := stringCol(data, a.yvar)
+	ys, err := stringCol(data, a.Y)
 	if err != nil {
 		return nil, err
 	}
 	classIdx := map[string]int{}
-	for i, c := range a.classes {
+	for i, c := range a.Classes {
 		classIdx[c] = i
 	}
-	k := len(a.classes)
+	k := len(a.Classes)
 
-	numCols := make([][]float64, len(a.numeric))
-	for i, v := range a.numeric {
+	numCols := make([][]float64, len(a.Numeric))
+	for i, v := range a.Numeric {
 		c, err := floatCol(data, v)
 		if err != nil {
 			return nil, err
 		}
 		numCols[i] = c
 	}
-	nomCols := make([][]string, len(a.nominal))
+	nomCols := make([][]string, len(a.Nominal))
 	nomWidth := 0
-	for i, v := range a.nominal {
+	for i, v := range a.Nominal {
 		c, err := stringCol(data, v)
 		if err != nil {
 			return nil, err
 		}
 		nomCols[i] = c
-		nomWidth += len(a.levels[v])
+		nomWidth += len(a.Levels[v])
 	}
 
+	numWidth := len(a.Numeric) * 2
 	counts := make([]float64, k)
-	gauss := make([][]float64, k)
-	cat := make([][]float64, k)
-	for c := 0; c < k; c++ {
-		gauss[c] = make([]float64, len(a.numeric)*2)
-		cat[c] = make([]float64, nomWidth)
+	gauss := make([]float64, k*numWidth)
+	cat := make([]float64, k*nomWidth)
+	useRow, err := a.selector(data)
+	if err != nil {
+		return nil, err
 	}
-	// Apply fold filtering on raw indices if requested.
-	useRow := foldSelector(data, kwargs)
 
 	for r := range ys {
 		if !useRow(r) {
@@ -114,51 +105,25 @@ func nbTrainLocal(wctx *federation.WorkerCtx, data *engine.Table, kwargs federat
 			continue
 		}
 		counts[c]++
-		for vi := range a.numeric {
+		for vi := range a.Numeric {
 			x := numCols[vi][r]
-			gauss[c][vi*2] += x
-			gauss[c][vi*2+1] += x * x
+			gauss[c*numWidth+vi*2] += x
+			gauss[c*numWidth+vi*2+1] += x * x
 		}
-		off := 0
-		for vi, v := range a.nominal {
-			lv := a.levels[v]
+		off := c * nomWidth
+		for vi, v := range a.Nominal {
+			lv := a.Levels[v]
 			for li, l := range lv {
 				if nomCols[vi][r] == l {
-					cat[c][off+li]++
+					cat[off+li]++
 					break
 				}
 			}
 			off += len(lv)
 		}
 	}
-	return federation.Transfer{"counts": counts, "gauss": gauss, "cat": cat}, nil
-}
-
-// foldSelector builds a row predicate from the CV kwargs (always true when
-// no fold is requested).
-func foldSelector(data *engine.Table, kwargs federation.Kwargs) func(int) bool {
-	foldRaw, ok := kwargs["fold"]
-	if !ok {
-		return func(int) bool { return true }
-	}
-	fold := int(anyToFloat(foldRaw))
-	k := int(anyToFloat(kwargs["num_folds"]))
-	if fold < 0 || k <= 1 {
-		return func(int) bool { return true }
-	}
-	mode, _ := kwargs["fold_mode"].(string)
-	ids := data.ColByName("row_id")
-	if ids == nil {
-		return func(int) bool { return true }
-	}
-	iv := ids.CastFloat64().Float64s()
-	return func(r int) bool {
-		inFold := foldOf(int64(iv[r]), k) == fold
-		if mode == "only" {
-			return inFold
-		}
-		return !inFold
-	}
+	return federation.Transfer{"counts": federation.Vector(counts), "gauss": federation.Matrix(k, numWidth, gauss),
+		"cat": federation.Matrix(k, nomWidth, cat)}, nil
 }
 
 // NBModel is the trained model the master assembles (and ships back to the
@@ -178,10 +143,10 @@ type NBModel struct {
 
 // assembleNB turns aggregated sufficient statistics into the model.
 func assembleNB(a *nbArgs, counts []float64, gauss, cat [][]float64, alpha float64) (*NBModel, error) {
-	k := len(a.classes)
+	k := len(a.Classes)
 	model := &NBModel{
-		Classes: a.classes, Numeric: a.numeric, Nominal: a.nominal,
-		Levels: a.levels, Alpha: alpha,
+		Classes: a.Classes, Numeric: a.Numeric, Nominal: a.Nominal,
+		Levels: a.Levels, Alpha: alpha,
 	}
 	var total float64
 	for _, c := range counts {
@@ -193,9 +158,9 @@ func assembleNB(a *nbArgs, counts []float64, gauss, cat [][]float64, alpha float
 	model.N = total
 	for c := 0; c < k; c++ {
 		model.Priors = append(model.Priors, (counts[c]+alpha)/(total+alpha*float64(k)))
-		means := make([]float64, len(a.numeric))
-		vars := make([]float64, len(a.numeric))
-		for vi := range a.numeric {
+		means := make([]float64, len(a.Numeric))
+		vars := make([]float64, len(a.Numeric))
+		for vi := range a.Numeric {
 			n := counts[c]
 			if n < 2 {
 				means[vi], vars[vi] = 0, 1
@@ -214,8 +179,8 @@ func assembleNB(a *nbArgs, counts []float64, gauss, cat [][]float64, alpha float
 
 		probs := make([]float64, len(cat[c]))
 		off := 0
-		for _, v := range a.nominal {
-			lv := a.levels[v]
+		for _, v := range a.Nominal {
+			lv := a.Levels[v]
 			var ltot float64
 			for li := range lv {
 				ltot += cat[c][off+li]
@@ -270,52 +235,38 @@ func nbScoreLocal(wctx *federation.WorkerCtx, data *engine.Table, kwargs federat
 	if err != nil {
 		return nil, err
 	}
-	model := &NBModel{
-		Classes: a.classes, Numeric: a.numeric, Nominal: a.nominal, Levels: a.levels,
-		Alpha: anyToFloatDefault(kwargs["alpha"], 1),
+	model := a.Model
+	if model == nil {
+		return nil, fmt.Errorf("algorithms: missing model kwarg")
 	}
-	t := kw(kwargs)
-	if model.Priors, err = t.Floats("priors"); err != nil {
-		return nil, err
-	}
-	if model.Mean, err = t.Matrix("mean"); err != nil {
-		return nil, err
-	}
-	if model.Var, err = t.Matrix("var"); err != nil {
-		return nil, err
-	}
-	if model.CatProb, err = t.Matrix("cat_prob"); err != nil {
-		return nil, err
-	}
-
-	ys, err := stringCol(data, a.yvar)
+	ys, err := stringCol(data, a.Y)
 	if err != nil {
 		return nil, err
 	}
 	classIdx := map[string]int{}
-	for i, c := range a.classes {
+	for i, c := range model.Classes {
 		classIdx[c] = i
 	}
-	numCols := make([][]float64, len(a.numeric))
-	for i, v := range a.numeric {
+	numCols := make([][]float64, len(model.Numeric))
+	for i, v := range model.Numeric {
 		if numCols[i], err = floatCol(data, v); err != nil {
 			return nil, err
 		}
 	}
-	nomCols := make([][]string, len(a.nominal))
-	for i, v := range a.nominal {
+	nomCols := make([][]string, len(model.Nominal))
+	for i, v := range model.Nominal {
 		if nomCols[i], err = stringCol(data, v); err != nil {
 			return nil, err
 		}
 	}
-	useRow := foldSelector(data, kwargs)
-	k := len(a.classes)
-	conf := make([][]float64, k)
-	for i := range conf {
-		conf[i] = make([]float64, k)
+	useRow, err := a.selector(data)
+	if err != nil {
+		return nil, err
 	}
-	numVals := make([]float64, len(a.numeric))
-	nomVals := make([]string, len(a.nominal))
+	k := len(model.Classes)
+	conf := make([]float64, k*k)
+	numVals := make([]float64, len(model.Numeric))
+	nomVals := make([]string, len(model.Nominal))
 	for r := range ys {
 		if !useRow(r) {
 			continue
@@ -330,18 +281,9 @@ func nbScoreLocal(wctx *federation.WorkerCtx, data *engine.Table, kwargs federat
 		for vi := range nomCols {
 			nomVals[vi] = nomCols[vi][r]
 		}
-		pred := predictNB(model, numVals, nomVals)
-		conf[truth][pred]++
+		conf[truth*k+predictNB(model, numVals, nomVals)]++
 	}
-	return federation.Transfer{"conf": conf}, nil
-}
-
-func anyToFloatDefault(v any, def float64) float64 {
-	f := anyToFloat(v)
-	if f < 0 {
-		return def
-	}
-	return f
+	return federation.Transfer{"conf": federation.Matrix(k, k, conf)}, nil
 }
 
 // NaiveBayes implements naive Bayes training.
@@ -376,49 +318,42 @@ func splitFeatures(req Request) (numeric, nominal []string, levels map[string][]
 	return numeric, nominal, levels
 }
 
-func nbKwargs(req Request, classes []string, numeric, nominal []string, levels map[string][]string) federation.Kwargs {
-	return federation.Kwargs{
-		"y": req.Y[0], "classes": classes,
-		"numeric": numeric, "nominal": nominal, "levels": levels,
-	}
+// nbRequestArgs are the kwargs a request's naive Bayes steps share.
+func nbRequestArgs(req Request) nbArgs {
+	numeric, nominal, levels := splitFeatures(req)
+	return nbArgs{Y: req.Y[0], Classes: req.ParamStrings("classes"), Numeric: numeric, Nominal: nominal, Levels: levels}
 }
 
 // trainNB runs one training round (fold < 0 trains on everything).
-func trainNB(sess *federation.Session, req Request, fold, numFolds int) (*NBModel, *nbArgs, error) {
-	classes := req.ParamStrings("classes")
-	if len(classes) < 2 {
-		return nil, nil, fmt.Errorf("algorithms: naive_bayes needs parameter classes with >= 2 values")
+func trainNB(sess *federation.Session, req Request, fold, numFolds int) (*NBModel, error) {
+	a := nbRequestArgs(req)
+	if len(a.Classes) < 2 {
+		return nil, fmt.Errorf("algorithms: naive_bayes needs parameter classes with >= 2 values")
 	}
-	numeric, nominal, levels := splitFeatures(req)
-	kwargs := nbKwargs(req, classes, numeric, nominal, levels)
 	vars := append([]string{req.Y[0]}, req.X...)
 	if fold >= 0 {
-		kwargs["fold"] = fold
-		kwargs["num_folds"] = numFolds
-		kwargs["fold_mode"] = "exclude"
+		a.foldArgs = foldArgs{Fold: fold, NumFolds: numFolds, FoldMode: "exclude"}
 		vars = append(vars, "row_id")
 	}
 	agg, err := sess.Sum(federation.LocalRunSpec{
 		Func:   "nb_train_local",
 		Vars:   vars,
 		Filter: req.Filter,
-		Kwargs: kwargs,
+		Kwargs: a,
 	}, "counts", "gauss", "cat")
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	counts, _ := agg.Floats("counts")
 	gauss, err := agg.Matrix("gauss")
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	cat, err := agg.Matrix("cat")
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	a := &nbArgs{yvar: req.Y[0], classes: classes, numeric: numeric, nominal: nominal, levels: levels}
-	model, err := assembleNB(a, counts, gauss, cat, req.ParamFloat("alpha", 1))
-	return model, a, err
+	return assembleNB(&a, counts, gauss, cat, req.ParamFloat("alpha", 1))
 }
 
 // Run implements Algorithm.
@@ -426,7 +361,7 @@ func (alg *NaiveBayes) Run(sess *federation.Session, req Request) (Result, error
 	if err := requireVars(alg.Spec(), req); err != nil {
 		return nil, err
 	}
-	model, _, err := trainNB(sess, req, -1, 0)
+	model, err := trainNB(sess, req, -1, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -462,8 +397,8 @@ func (alg *NaiveBayesCV) Run(sess *federation.Session, req Request) (Result, err
 	if k < 2 {
 		return nil, fmt.Errorf("algorithms: num_folds must be >= 2")
 	}
-	classes := req.ParamStrings("classes")
-	numeric, nominal, levels := splitFeatures(req)
+	args := nbRequestArgs(req)
+	classes := args.Classes
 	vars := append(append([]string{req.Y[0]}, req.X...), "row_id")
 
 	kc := len(classes)
@@ -474,24 +409,17 @@ func (alg *NaiveBayesCV) Run(sess *federation.Session, req Request) (Result, err
 	var folds []map[string]any
 	var meanAcc float64
 	for f := 0; f < k; f++ {
-		model, _, err := trainNB(sess, req, f, k)
+		model, err := trainNB(sess, req, f, k)
 		if err != nil {
 			return nil, fmt.Errorf("fold %d: %w", f, err)
 		}
-		kwargs := nbKwargs(req, classes, numeric, nominal, levels)
-		kwargs["priors"] = model.Priors
-		kwargs["mean"] = model.Mean
-		kwargs["var"] = model.Var
-		kwargs["cat_prob"] = model.CatProb
-		kwargs["alpha"] = model.Alpha
-		kwargs["fold"] = f
-		kwargs["num_folds"] = k
-		kwargs["fold_mode"] = "only"
+		args.Model = model
+		args.foldArgs = foldArgs{Fold: f, NumFolds: k, FoldMode: "only"}
 		agg, err := sess.Sum(federation.LocalRunSpec{
 			Func:   "nb_score_local",
 			Vars:   vars,
 			Filter: req.Filter,
-			Kwargs: kwargs,
+			Kwargs: args,
 		}, "conf")
 		if err != nil {
 			return nil, fmt.Errorf("fold %d scoring: %w", f, err)

@@ -19,10 +19,11 @@ func init() {
 }
 
 func pcaLocal(wctx *federation.WorkerCtx, data *engine.Table, kwargs federation.Kwargs) (federation.Transfer, error) {
-	vars, err := kwVars(kwargs)
+	a, err := decodeVars(kwargs)
 	if err != nil {
 		return nil, err
 	}
+	vars := a.Vars
 	cols := make([][]float64, len(vars))
 	for i, v := range vars {
 		c, err := floatCol(data, v)
@@ -37,25 +38,23 @@ func pcaLocal(wctx *federation.WorkerCtx, data *engine.Table, kwargs federation.
 		n = len(cols[0])
 	}
 	sums := make([]float64, p)
-	cross := make([][]float64, p)
-	for i := range cross {
-		cross[i] = make([]float64, p)
-	}
+	cross := make([]float64, p*p)
 	for r := 0; r < n; r++ {
 		for i := 0; i < p; i++ {
 			xi := cols[i][r]
 			sums[i] += xi
 			for j := i; j < p; j++ {
-				cross[i][j] += xi * cols[j][r]
+				cross[i*p+j] += xi * cols[j][r]
 			}
 		}
 	}
 	for i := 0; i < p; i++ {
 		for j := 0; j < i; j++ {
-			cross[i][j] = cross[j][i]
+			cross[i*p+j] = cross[j*p+i]
 		}
 	}
-	return federation.Transfer{"n": float64(n), "sums": sums, "cross": cross}, nil
+	return federation.Transfer{"n": federation.Scalar(float64(n)), "sums": federation.Vector(sums),
+		"cross": federation.Matrix(p, p, cross)}, nil
 }
 
 // PCAResult is the decomposition output.
@@ -91,7 +90,7 @@ func (a *PCA) Run(sess *federation.Session, req Request) (Result, error) {
 		Func:   "pca_local",
 		Vars:   req.Y,
 		Filter: req.Filter,
-		Kwargs: federation.Kwargs{"vars": req.Y},
+		Kwargs: varsArgs{Vars: req.Y},
 	}, "n", "sums", "cross")
 	if err != nil {
 		return nil, err

@@ -2,6 +2,7 @@ package algorithms
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
 
 	"mip/internal/engine"
@@ -18,14 +19,24 @@ func init() {
 	Register(&PearsonCorrelation{})
 }
 
+// pearsonArgs are the kwargs of the co-moments step: every Y is paired
+// with every X.
+type pearsonArgs struct {
+	Y []string `json:"y"`
+	X []string `json:"x"`
+}
+
 func pearsonLocal(wctx *federation.WorkerCtx, data *engine.Table, kwargs federation.Kwargs) (federation.Transfer, error) {
-	ys, err := kwVarsKey(kwargs, "y")
-	if err != nil {
+	var a pearsonArgs
+	if err := kwargs.Decode(&a); err != nil {
 		return nil, err
 	}
-	xs, err := kwVarsKey(kwargs, "x")
-	if err != nil {
-		return nil, err
+	ys, xs := a.Y, a.X
+	if ys == nil {
+		return nil, fmt.Errorf("algorithms: missing y kwarg")
+	}
+	if xs == nil {
+		return nil, fmt.Errorf("algorithms: missing x kwarg")
 	}
 	cols := map[string][]float64{}
 	for _, v := range append(append([]string{}, ys...), xs...) {
@@ -38,7 +49,7 @@ func pearsonLocal(wctx *federation.WorkerCtx, data *engine.Table, kwargs federat
 		}
 		cols[v] = c
 	}
-	out := make([][]float64, 0, len(ys)*len(xs))
+	out := make([]float64, 0, len(ys)*len(xs)*6) // pairs × co-moments
 	for _, yv := range ys {
 		for _, xv := range xs {
 			a, b := cols[xv], cols[yv]
@@ -51,10 +62,10 @@ func pearsonLocal(wctx *federation.WorkerCtx, data *engine.Table, kwargs federat
 				syy += b[i] * b[i]
 				sxy += a[i] * b[i]
 			}
-			out = append(out, []float64{n, sx, sy, sxx, syy, sxy})
+			out = append(out, n, sx, sy, sxx, syy, sxy)
 		}
 	}
-	return federation.Transfer{"pairs": out}, nil
+	return federation.Transfer{"pairs": federation.Matrix(len(ys)*len(xs), 6, out)}, nil
 }
 
 // Correlation is one (y, x) pair's result.
@@ -108,7 +119,7 @@ func (a *PearsonCorrelation) Run(sess *federation.Session, req Request) (Result,
 		Func:   "pearson_local",
 		Vars:   dedupe(vars),
 		Filter: req.Filter,
-		Kwargs: federation.Kwargs{"y": req.Y, "x": req.X},
+		Kwargs: pearsonArgs{Y: req.Y, X: req.X},
 	}, "pairs")
 	if err != nil {
 		return nil, err

@@ -3,6 +3,7 @@ package algorithms
 import (
 	"fmt"
 	"math"
+	"net/http/httptest"
 	"testing"
 
 	"mip/internal/engine"
@@ -11,22 +12,11 @@ import (
 	"mip/internal/synth"
 )
 
-// testFed builds a federation over nWorkers shards of synthetic dementia
-// data plus a pooled engine DB holding all rows, for equivalence checks.
-func testFed(t *testing.T, nWorkers int, rowsPerWorker int, secure bool) (*federation.Master, *engine.DB) {
+// dementiaTables builds nWorkers hospitals of synthetic dementia data with
+// globally unique row ids (as real deployments guarantee via subject codes).
+func dementiaTables(t *testing.T, nWorkers, rowsPerWorker int) []*engine.Table {
 	t.Helper()
-	var cluster *smpc.Cluster
-	if secure {
-		var err error
-		cluster, err = smpc.NewCluster(smpc.Config{Scheme: smpc.ShamirScheme, Nodes: 3, Seed: 5})
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	pooledDB := engine.NewDB()
-	pooled := engine.NewTable(engine.Schema(synth.Variables))
-
-	var clients []federation.WorkerClient
+	var out []*engine.Table
 	rowBase := 0
 	for i := 0; i < nWorkers; i++ {
 		tab, err := synth.Generate(synth.Spec{
@@ -38,8 +28,6 @@ func testFed(t *testing.T, nWorkers int, rowsPerWorker int, secure bool) (*feder
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Re-key row ids so they are globally unique (as real deployments
-		// guarantee via subject codes).
 		rekeyed := engine.NewTable(engine.Schema(synth.Variables))
 		for r := 0; r < tab.NumRows(); r++ {
 			row := tab.Row(r)
@@ -47,25 +35,74 @@ func testFed(t *testing.T, nWorkers int, rowsPerWorker int, secure bool) (*feder
 			if err := rekeyed.AppendRow(row...); err != nil {
 				t.Fatal(err)
 			}
-			if err := pooled.AppendRow(row...); err != nil {
+		}
+		rowBase += tab.NumRows()
+		out = append(out, rekeyed)
+	}
+	return out
+}
+
+// pooledDB holds every hospital's rows in one engine DB, the reference the
+// federated results are checked against.
+func pooledDB(t *testing.T, tables []*engine.Table) *engine.DB {
+	t.Helper()
+	pooled := engine.NewTable(tables[0].Schema())
+	for _, tab := range tables {
+		for r := 0; r < tab.NumRows(); r++ {
+			if err := pooled.AppendRow(tab.Row(r)...); err != nil {
 				t.Fatal(err)
 			}
 		}
-		rowBase += tab.NumRows()
+	}
+	db := engine.NewDB()
+	db.RegisterTable(federation.DataTable, pooled)
+	return db
+}
+
+// fedOver builds a federation with one worker per hospital table, reached
+// in process or through WorkerServers behind httptest, plain or through a
+// Shamir SMPC cluster.
+func fedOver(t *testing.T, tables []*engine.Table, overHTTP, secure bool) *federation.Master {
+	t.Helper()
+	var cluster *smpc.Cluster
+	if secure {
+		var err error
+		if cluster, err = smpc.NewCluster(smpc.Config{Scheme: smpc.ShamirScheme, Nodes: 3, Seed: 5}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var clients []federation.WorkerClient
+	for i, tab := range tables {
 		db := engine.NewDB()
-		db.RegisterTable(federation.DataTable, rekeyed)
-		opts := []federation.WorkerOption{}
+		db.RegisterTable(federation.DataTable, tab)
+		var opts []federation.WorkerOption
 		if secure {
 			opts = append(opts, federation.WithSMPC(cluster))
 		}
-		clients = append(clients, federation.NewWorker(fmt.Sprintf("w%d", i), db, opts...))
+		w := federation.NewWorker(fmt.Sprintf("w%d", i), db, opts...)
+		if !overHTTP {
+			clients = append(clients, w)
+			continue
+		}
+		srv := httptest.NewServer((&federation.WorkerServer{Worker: w}).Handler())
+		t.Cleanup(srv.Close)
+		clients = append(clients, federation.NewHTTPWorkerClient(w.ID(), srv.URL))
 	}
-	pooledDB.RegisterTable(federation.DataTable, pooled)
 	m, err := federation.NewMaster(clients, cluster, federation.Security{UseSMPC: secure})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return m, pooledDB
+	t.Cleanup(m.Close)
+	return m
+}
+
+// testFed builds an in-process federation over nWorkers shards of synthetic
+// dementia data plus a pooled engine DB holding all rows, for equivalence
+// checks.
+func testFed(t *testing.T, nWorkers int, rowsPerWorker int, secure bool) (*federation.Master, *engine.DB) {
+	t.Helper()
+	tables := dementiaTables(t, nWorkers, rowsPerWorker)
+	return fedOver(t, tables, false, secure), pooledDB(t, tables)
 }
 
 func runAlg(t *testing.T, m *federation.Master, name string, req Request) Result {

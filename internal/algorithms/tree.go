@@ -1,7 +1,6 @@
 package algorithms
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 
@@ -126,28 +125,20 @@ func init() {
 	federation.RegisterLocal("tree_eval_local", treeEvalLocal)
 }
 
-// treeArgs decodes the shared kwargs of the tree local steps.
+// treeArgs are the kwargs of the tree local steps: the partial (or final)
+// tree and, for the histogram round, the frontier node ids.
 type treeArgs struct {
-	tree     *Tree
-	frontier []int
-	classes  []string // nil → regression
-	yvar     string
+	Tree     *Tree `json:"tree"`
+	Frontier []int `json:"frontier,omitempty"`
 }
 
 func parseTreeArgs(kwargs federation.Kwargs) (*treeArgs, error) {
-	raw, _ := kwargs["tree"].(string)
-	if raw == "" {
+	a := &treeArgs{}
+	if err := kwargs.Decode(a); err != nil {
+		return nil, err
+	}
+	if a.Tree == nil {
 		return nil, fmt.Errorf("algorithms: missing tree kwarg")
-	}
-	var tree Tree
-	if err := json.Unmarshal([]byte(raw), &tree); err != nil {
-		return nil, fmt.Errorf("algorithms: decoding tree: %w", err)
-	}
-	a := &treeArgs{tree: &tree, yvar: tree.YVar, classes: tree.Classes}
-	if fr, err := kw(kwargs).Floats("frontier"); err == nil {
-		for _, f := range fr {
-			a.frontier = append(a.frontier, int(f))
-		}
 	}
 	return a, nil
 }
@@ -195,48 +186,43 @@ func treeHistLocal(wctx *federation.WorkerCtx, data *engine.Table, kwargs federa
 	if err != nil {
 		return nil, err
 	}
-	t := a.tree
+	t := a.Tree
 	getNum, getStr, err := columnAccessors(t, data)
 	if err != nil {
 		return nil, err
 	}
-	classification := len(a.classes) > 0
+	classification := len(t.Classes) > 0
 	width := 3
 	classIdx := map[string]int{}
 	if classification {
-		width = len(a.classes)
-		for i, c := range a.classes {
+		width = len(t.Classes)
+		for i, c := range t.Classes {
 			classIdx[c] = i
 		}
 	}
 	var ys []float64
 	var ysC []string
 	if classification {
-		if ysC, err = stringCol(data, a.yvar); err != nil {
+		if ysC, err = stringCol(data, t.YVar); err != nil {
 			return nil, err
 		}
 	} else {
-		if ys, err = floatCol(data, a.yvar); err != nil {
+		if ys, err = floatCol(data, t.YVar); err != nil {
 			return nil, err
 		}
 	}
 
 	frontierPos := map[int]int{}
-	for i, id := range a.frontier {
+	for i, id := range a.Frontier {
 		frontierPos[id] = i
 	}
 	rowsPerNode := 0
 	for _, f := range t.Features {
 		rowsPerNode += f.Bins()
 	}
-	hist := make([][]float64, len(a.frontier)*rowsPerNode)
-	for i := range hist {
-		hist[i] = make([]float64, width)
-	}
-	totals := make([][]float64, len(a.frontier))
-	for i := range totals {
-		totals[i] = make([]float64, width)
-	}
+	histRows := len(a.Frontier) * rowsPerNode
+	hist := make([]float64, histRows*width)
+	totals := make([]float64, len(a.Frontier)*width)
 
 	n := data.NumRows()
 	for r := 0; r < n; r++ {
@@ -251,18 +237,19 @@ func treeHistLocal(wctx *federation.WorkerCtx, data *engine.Table, kwargs federa
 		// Accumulate this row into every feature's histogram for the node.
 		var cls int
 		var yv float64
+		tot := totals[fi*width : (fi+1)*width]
 		if classification {
 			var ok bool
 			cls, ok = classIdx[ysC[r]]
 			if !ok {
 				continue
 			}
-			totals[fi][cls]++
+			tot[cls]++
 		} else {
 			yv = ys[r]
-			totals[fi][0]++
-			totals[fi][1] += yv
-			totals[fi][2] += yv * yv
+			tot[0]++
+			tot[1] += yv
+			tot[2] += yv * yv
 		}
 		base := fi * rowsPerNode
 		off := 0
@@ -284,7 +271,7 @@ func treeHistLocal(wctx *federation.WorkerCtx, data *engine.Table, kwargs federa
 			} else {
 				b = f.binOf(getNum(r, f.Name))
 			}
-			row := hist[base+off+b]
+			row := hist[(base+off+b)*width : (base+off+b+1)*width]
 			if classification {
 				row[cls]++
 			} else {
@@ -295,7 +282,8 @@ func treeHistLocal(wctx *federation.WorkerCtx, data *engine.Table, kwargs federa
 			off += f.Bins()
 		}
 	}
-	return federation.Transfer{"hist": hist, "totals": totals}, nil
+	return federation.Transfer{"hist": federation.Matrix(histRows, width, hist),
+		"totals": federation.Matrix(len(a.Frontier), width, totals)}, nil
 }
 
 // treeEvalLocal scores a finished tree: classification returns the k×k
@@ -305,26 +293,22 @@ func treeEvalLocal(wctx *federation.WorkerCtx, data *engine.Table, kwargs federa
 	if err != nil {
 		return nil, err
 	}
-	t := a.tree
+	t := a.Tree
 	getNum, getStr, err := columnAccessors(t, data)
 	if err != nil {
 		return nil, err
 	}
-	classification := len(a.classes) > 0
-	if classification {
-		ysC, err := stringCol(data, a.yvar)
+	if len(t.Classes) > 0 {
+		ysC, err := stringCol(data, t.YVar)
 		if err != nil {
 			return nil, err
 		}
 		classIdx := map[string]int{}
-		for i, c := range a.classes {
+		for i, c := range t.Classes {
 			classIdx[c] = i
 		}
-		k := len(a.classes)
-		conf := make([][]float64, k)
-		for i := range conf {
-			conf[i] = make([]float64, k)
-		}
+		k := len(t.Classes)
+		conf := make([]float64, k*k)
 		for r := 0; r < data.NumRows(); r++ {
 			truth, ok := classIdx[ysC[r]]
 			if !ok {
@@ -334,11 +318,11 @@ func treeEvalLocal(wctx *federation.WorkerCtx, data *engine.Table, kwargs federa
 				func(name string) float64 { return getNum(r, name) },
 				func(name string) string { return getStr(r, name) },
 			)
-			conf[truth][int(t.Nodes[id].Prediction)]++
+			conf[truth*k+int(t.Nodes[id].Prediction)]++
 		}
-		return federation.Transfer{"conf": conf}, nil
+		return federation.Transfer{"conf": federation.Matrix(k, k, conf)}, nil
 	}
-	ys, err := floatCol(data, a.yvar)
+	ys, err := floatCol(data, t.YVar)
 	if err != nil {
 		return nil, err
 	}
@@ -353,7 +337,7 @@ func treeEvalLocal(wctx *federation.WorkerCtx, data *engine.Table, kwargs federa
 		sse += d * d
 		sae += math.Abs(d)
 	}
-	return federation.Transfer{"metrics": []float64{n, sse, sae}}, nil
+	return federation.Transfer{"metrics": federation.Vector([]float64{n, sse, sae})}, nil
 }
 
 // impurity helpers
@@ -401,15 +385,6 @@ func argmaxF(xs []float64) int {
 		}
 	}
 	return bi
-}
-
-// treeJSON serializes a tree for shipment in kwargs.
-func treeJSON(t *Tree) (string, error) {
-	b, err := json.Marshal(t)
-	if err != nil {
-		return "", err
-	}
-	return string(b), nil
 }
 
 // featureBinEdges builds equal-width bin edges over a global [lo, hi].

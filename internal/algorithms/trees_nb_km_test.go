@@ -196,12 +196,10 @@ func TestID3(t *testing.T) {
 	}
 }
 
-// survivalFed builds a 2-site federation of survival cohorts plus pooled.
-func survivalFed(t *testing.T, secure bool) (*federation.Master, *engine.DB) {
+// survivalTables builds two sites of survival cohorts.
+func survivalTables(t *testing.T) []*engine.Table {
 	t.Helper()
-	pooledDB := engine.NewDB()
-	pooled := engine.NewTable(synth.SurvivalSchema)
-	var clients []federation.WorkerClient
+	var out []*engine.Table
 	for i := 0; i < 2; i++ {
 		tab, err := synth.Survival(synth.SurvivalSpec{
 			Dataset: fmt.Sprintf("epi-site-%c", 'a'+i), Rows: 400, Seed: int64(50 + i),
@@ -209,25 +207,20 @@ func survivalFed(t *testing.T, secure bool) (*federation.Master, *engine.DB) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for r := 0; r < tab.NumRows(); r++ {
-			if err := pooled.AppendRow(tab.Row(r)...); err != nil {
-				t.Fatal(err)
-			}
-		}
-		db := engine.NewDB()
-		db.RegisterTable(federation.DataTable, tab)
-		clients = append(clients, federation.NewWorker(fmt.Sprintf("site%d", i), db))
+		out = append(out, tab)
 	}
-	pooledDB.RegisterTable(federation.DataTable, pooled)
-	m, err := federation.NewMaster(clients, nil, federation.Security{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return m, pooledDB
+	return out
+}
+
+// survivalFed builds a 2-site federation of survival cohorts plus pooled.
+func survivalFed(t *testing.T) (*federation.Master, *engine.DB) {
+	t.Helper()
+	tables := survivalTables(t)
+	return fedOver(t, tables, false, false), pooledDB(t, tables)
 }
 
 func TestKaplanMeier(t *testing.T) {
-	m, pooled := survivalFed(t, false)
+	m, pooled := survivalFed(t)
 	req := Request{
 		Y:          []string{"time", "event"},
 		X:          []string{"grp"},
@@ -274,7 +267,7 @@ func TestKaplanMeier(t *testing.T) {
 }
 
 func TestKaplanMeierSingleGroup(t *testing.T) {
-	m, _ := survivalFed(t, false)
+	m, _ := survivalFed(t)
 	res := runAlg(t, m, "kaplan_meier", Request{Y: []string{"time", "event"}})
 	curves := res["curves"].([]KMCurve)
 	if len(curves) != 1 || curves[0].Group != "all" {
@@ -285,9 +278,9 @@ func TestKaplanMeierSingleGroup(t *testing.T) {
 	}
 }
 
-// calibrationFed builds workers holding predicted probabilities with a
-// known miscalibration and binary outcomes.
-func calibrationFed(t *testing.T, miscalibrated bool) *federation.Master {
+// calibrationTables builds three sites holding predicted probabilities
+// with a known miscalibration and binary outcomes.
+func calibrationTables(t *testing.T, miscalibrated bool) []*engine.Table {
 	t.Helper()
 	schema := engine.Schema{
 		{Name: "row_id", Type: engine.Int64},
@@ -295,7 +288,7 @@ func calibrationFed(t *testing.T, miscalibrated bool) *federation.Master {
 		{Name: "pred", Type: engine.Float64},
 		{Name: "outcome", Type: engine.String},
 	}
-	var clients []federation.WorkerClient
+	var out []*engine.Table
 	rng := newTestRNG()
 	for w := 0; w < 3; w++ {
 		tab := engine.NewTable(schema)
@@ -306,23 +299,17 @@ func calibrationFed(t *testing.T, miscalibrated bool) *federation.Master {
 				// The model systematically underestimates risk.
 				trueP = math.Min(1, p*1.4)
 			}
-			out := "no"
+			y := "no"
 			if rng.Float64() < trueP {
-				out = "yes"
+				y = "yes"
 			}
-			if err := tab.AppendRow(int64(w*1000+i), "d", p, out); err != nil {
+			if err := tab.AppendRow(int64(w*1000+i), "d", p, y); err != nil {
 				t.Fatal(err)
 			}
 		}
-		db := engine.NewDB()
-		db.RegisterTable(federation.DataTable, tab)
-		clients = append(clients, federation.NewWorker(fmt.Sprintf("c%d", w), db))
+		out = append(out, tab)
 	}
-	m, err := federation.NewMaster(clients, nil, federation.Security{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return m
+	return out
 }
 
 type simpleRNG struct{ state uint64 }
@@ -335,7 +322,7 @@ func (r *simpleRNG) Float64() float64 {
 }
 
 func TestCalibrationBeltWellCalibrated(t *testing.T) {
-	m := calibrationFed(t, false)
+	m := fedOver(t, calibrationTables(t, false), false, false)
 	req := Request{
 		Y:          []string{"outcome"},
 		X:          []string{"pred"},
@@ -360,7 +347,7 @@ func TestCalibrationBeltWellCalibrated(t *testing.T) {
 }
 
 func TestCalibrationBeltDetectsMiscalibration(t *testing.T) {
-	m := calibrationFed(t, true)
+	m := fedOver(t, calibrationTables(t, true), false, false)
 	req := Request{
 		Y:          []string{"outcome"},
 		X:          []string{"pred"},

@@ -22,31 +22,41 @@ func init() {
 	Register(&TTestPaired{})
 }
 
-// ttestMomentsLocal computes moments of kwargs["var"], optionally split by
-// the binary kwargs["group_var"] with kwargs["groups"] = [g1, g2].
+// ttestArgs are the kwargs of the moments step: the variable, optionally
+// split by the binary GroupVar into Groups = [g1, g2].
+type ttestArgs struct {
+	Var      string   `json:"var"`
+	GroupVar string   `json:"group_var,omitempty"`
+	Groups   []string `json:"groups,omitempty"`
+}
+
+// ttestMomentsLocal computes the moments of the variable, per group when
+// the kwargs name a group variable.
 func ttestMomentsLocal(wctx *federation.WorkerCtx, data *engine.Table, kwargs federation.Kwargs) (federation.Transfer, error) {
-	varName, _ := kwargs["var"].(string)
-	if varName == "" {
+	var a ttestArgs
+	if err := kwargs.Decode(&a); err != nil {
+		return nil, err
+	}
+	if a.Var == "" {
 		return nil, fmt.Errorf("algorithms: missing var kwarg")
 	}
-	xs, err := floatCol(data, varName)
+	xs, err := floatCol(data, a.Var)
 	if err != nil {
 		return nil, err
 	}
-	groupVar, _ := kwargs["group_var"].(string)
-	if groupVar == "" {
+	if a.GroupVar == "" {
 		return federation.Transfer{
-			"m": []float64{float64(len(xs)), sum(xs), sqSum(xs)},
+			"m": federation.Vector([]float64{float64(len(xs)), sum(xs), sqSum(xs)}),
 		}, nil
 	}
-	groups, err := kwVarsKey(kwargs, "groups")
-	if err != nil {
-		return nil, err
+	groups := a.Groups
+	if groups == nil {
+		return nil, fmt.Errorf("algorithms: missing groups kwarg")
 	}
 	if len(groups) != 2 {
 		return nil, fmt.Errorf("algorithms: independent t-test needs exactly 2 groups, got %v", groups)
 	}
-	gs, err := stringCol(data, groupVar)
+	gs, err := stringCol(data, a.GroupVar)
 	if err != nil {
 		return nil, err
 	}
@@ -63,16 +73,17 @@ func ttestMomentsLocal(wctx *federation.WorkerCtx, data *engine.Table, kwargs fe
 			out[5] += x * x
 		}
 	}
-	return federation.Transfer{"m": out}, nil
+	return federation.Transfer{"m": federation.Vector(out)}, nil
 }
 
 // ttestPairedLocal computes moments of the pairwise difference of two
 // variables.
 func ttestPairedLocal(wctx *federation.WorkerCtx, data *engine.Table, kwargs federation.Kwargs) (federation.Transfer, error) {
-	vars, err := kwVarsKey(kwargs, "vars")
+	args, err := decodeVars(kwargs)
 	if err != nil {
 		return nil, err
 	}
+	vars := args.Vars
 	if len(vars) != 2 {
 		return nil, fmt.Errorf("algorithms: paired t-test needs 2 variables")
 	}
@@ -91,29 +102,7 @@ func ttestPairedLocal(wctx *federation.WorkerCtx, data *engine.Table, kwargs fed
 		s += d
 		ss += d * d
 	}
-	return federation.Transfer{"m": []float64{n, s, ss}}, nil
-}
-
-func kwVarsKey(kwargs federation.Kwargs, key string) ([]string, error) {
-	raw, ok := kwargs[key]
-	if !ok {
-		return nil, fmt.Errorf("algorithms: missing %s kwarg", key)
-	}
-	switch v := raw.(type) {
-	case []string:
-		return v, nil
-	case []any:
-		out := make([]string, len(v))
-		for i, e := range v {
-			s, ok := e.(string)
-			if !ok {
-				return nil, fmt.Errorf("algorithms: %s[%d] is %T", key, i, e)
-			}
-			out[i] = s
-		}
-		return out, nil
-	}
-	return nil, fmt.Errorf("algorithms: %s kwarg is %T", key, raw)
+	return federation.Transfer{"m": federation.Vector([]float64{n, s, ss})}, nil
 }
 
 // TTestResult is the common output of the three tests.
@@ -166,7 +155,7 @@ func (a *TTestOneSample) Run(sess *federation.Session, req Request) (Result, err
 		Func:   "ttest_moments",
 		Vars:   req.Y,
 		Filter: req.Filter,
-		Kwargs: federation.Kwargs{"var": req.Y[0]},
+		Kwargs: ttestArgs{Var: req.Y[0]},
 	}, "m")
 	if err != nil {
 		return nil, err
@@ -217,7 +206,7 @@ func (a *TTestIndependent) Run(sess *federation.Session, req Request) (Result, e
 		Func:   "ttest_moments",
 		Vars:   append([]string{req.Y[0]}, req.X[0]),
 		Filter: req.Filter,
-		Kwargs: federation.Kwargs{"var": req.Y[0], "group_var": req.X[0], "groups": groups},
+		Kwargs: ttestArgs{Var: req.Y[0], GroupVar: req.X[0], Groups: groups},
 	}, "m")
 	if err != nil {
 		return nil, err
@@ -276,7 +265,7 @@ func (a *TTestPaired) Run(sess *federation.Session, req Request) (Result, error)
 		Func:   "ttest_paired_moments",
 		Vars:   req.Y,
 		Filter: req.Filter,
-		Kwargs: federation.Kwargs{"vars": req.Y},
+		Kwargs: varsArgs{Vars: req.Y},
 	}, "m")
 	if err != nil {
 		return nil, err

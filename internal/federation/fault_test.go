@@ -27,7 +27,7 @@ func init() {
 	// A step with an observable side effect, for replay-dedupe tests.
 	federation.RegisterLocal("test_sideeffect", func(wctx *federation.WorkerCtx, data *engine.Table, kwargs federation.Kwargs) (federation.Transfer, error) {
 		sideEffectRuns.Add(1)
-		return federation.Transfer{"n": float64(data.NumRows())}, nil
+		return federation.Transfer{"n": federation.Scalar(float64(data.NumRows()))}, nil
 	})
 }
 

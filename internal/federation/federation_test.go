@@ -1,9 +1,11 @@
 package federation
 
 import (
+	"encoding/json"
 	"fmt"
 	"math"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 
@@ -14,7 +16,7 @@ import (
 func init() {
 	// Test local step: per-column sums and count over the input relation.
 	RegisterLocal("test_sums", func(wctx *WorkerCtx, data *engine.Table, kwargs Kwargs) (Transfer, error) {
-		tr := Transfer{"n": float64(data.NumRows())}
+		tr := Transfer{"n": Scalar(float64(data.NumRows()))}
 		var vec []float64
 		for i, col := range data.Schema() {
 			if col.Type != engine.Float64 {
@@ -29,7 +31,7 @@ func init() {
 			}
 			vec = append(vec, s)
 		}
-		tr["sums"] = vec
+		tr["sums"] = Vector(vec)
 		return tr, nil
 	})
 	// Test local step exercising loopback SQL.
@@ -38,7 +40,7 @@ func init() {
 		if err != nil {
 			return nil, err
 		}
-		return Transfer{"total": float64(t.Col(0).Int64s()[0])}, nil
+		return Transfer{"total": Scalar(float64(t.Col(0).Int64s()[0]))}, nil
 	})
 	// Test local step returning distinct times (for union tests).
 	RegisterLocal("test_times", func(wctx *WorkerCtx, data *engine.Table, kwargs Kwargs) (Transfer, error) {
@@ -53,18 +55,13 @@ func init() {
 		for x := range seen {
 			out = append(out, x)
 		}
-		return Transfer{"times": out}, nil
+		return Transfer{"times": Vector(out)}, nil
 	})
-	RegisterGlobal("test_combine", func(state any, transfers []Transfer, kwargs Kwargs) (Transfer, any, error) {
-		var total float64
-		for _, t := range transfers {
-			n, err := t.Float("n")
-			if err != nil {
-				return nil, nil, err
-			}
-			total += n
-		}
-		return Transfer{"grand_total": total}, total, nil
+	// Test local step whose vector length depends on the worker: hosp0 and
+	// hosp2 emit one value, hosp1 two.
+	RegisterLocal("test_ragged", func(wctx *WorkerCtx, data *engine.Table, kwargs Kwargs) (Transfer, error) {
+		n := 1 + int(wctx.WorkerID[len(wctx.WorkerID)-1]%2)
+		return Transfer{"v": Vector(make([]float64, n))}, nil
 	})
 }
 
@@ -289,26 +286,6 @@ func TestLoopbackFromLocalStep(t *testing.T) {
 	}
 }
 
-func TestGlobalRun(t *testing.T) {
-	m, _ := buildFed(t, false)
-	s, _ := m.NewSession(nil)
-	transfers, _ := s.LocalRun(LocalRunSpec{Func: "test_sums", Vars: []string{"age"}})
-	out, err := s.GlobalRun("test_combine", transfers, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gt, _ := out.Float("grand_total")
-	if gt != 150 {
-		t.Fatalf("grand_total = %v", gt)
-	}
-	if s.GlobalState != 150.0 {
-		t.Fatalf("global state = %v", s.GlobalState)
-	}
-	if _, err := s.GlobalRun("missing", nil, nil); err == nil {
-		t.Fatal("unknown global func must error")
-	}
-}
-
 func TestSecureUnion(t *testing.T) {
 	for _, secure := range []bool{false, true} {
 		m, _ := buildFed(t, secure)
@@ -418,40 +395,50 @@ func TestHTTPRawQueryForbidden(t *testing.T) {
 	}
 }
 
-func TestFlattenUnflattenRoundTrip(t *testing.T) {
+// TestTensorJSONRoundTrip: every tensor shape a step can emit crosses the
+// JSON wire bit for bit — a scalar, -0.0, a 0-length vector, a 0×k matrix
+// and a 3×2 matrix.
+func TestTensorJSONRoundTrip(t *testing.T) {
 	tr := Transfer{
-		"scalar": 3.5,
-		"vec":    []float64{1, 2, 3},
-		"mat":    [][]float64{{1, 2}, {3, 4}},
-		"other":  "ignored",
+		"scalar": Scalar(3.5),
+		"negz":   Scalar(math.Copysign(0, -1)),
+		"empty":  Vector([]float64{}),
+		"none":   Matrix(0, 4, nil),
+		"mat":    Matrix(3, 2, []float64{1, -2.25, 3e-300, 4, 5e300, math.Copysign(0, -1)}),
 	}
-	flat, shapes, err := flattenNumeric(tr, []string{"scalar", "vec", "mat"})
+	buf, err := json.Marshal(tr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(flat) != 1+3+4 {
-		t.Fatalf("flat len = %d", len(flat))
-	}
-	back, err := unflattenNumeric(flat, shapes)
-	if err != nil {
+	var back Transfer
+	if err := json.Unmarshal(buf, &back); err != nil {
 		t.Fatal(err)
 	}
-	if back["scalar"] != 3.5 {
-		t.Fatal("scalar lost")
+	if len(back) != len(tr) {
+		t.Fatalf("keys: %v", back)
 	}
-	v, _ := back.Floats("vec")
-	if len(v) != 3 || v[2] != 3 {
-		t.Fatal("vec lost")
+	for k, want := range tr {
+		got := back[k]
+		if !slices.Equal(got.Shape, want.Shape) || len(got.Data) != len(want.Data) {
+			t.Fatalf("%s: %+v became %+v (%s)", k, want, got, buf)
+		}
+		for i := range want.Data {
+			if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
+				t.Fatalf("%s[%d]: %v became %v", k, i, want.Data[i], got.Data[i])
+			}
+		}
 	}
-	mmat, _ := back.Matrix("mat")
-	if mmat[1][1] != 4 {
-		t.Fatal("mat lost")
+	if x, err := back.Float("negz"); err != nil || !math.Signbit(x) {
+		t.Fatalf("negz = %v, %v; want -0", x, err)
 	}
-	if _, _, err := flattenNumeric(tr, []string{"missing"}); err == nil {
-		t.Fatal("missing key must error")
+	if v, err := back.Floats("empty"); err != nil || len(v) != 0 {
+		t.Fatalf("empty = %v, %v", v, err)
 	}
-	if _, _, err := flattenNumeric(tr, []string{"other"}); err == nil {
-		t.Fatal("non-numeric key must error")
+	if m, err := back.Matrix("none"); err != nil || len(m) != 0 {
+		t.Fatalf("none = %v, %v", m, err)
+	}
+	if m, err := back.Matrix("mat"); err != nil || len(m) != 3 || m[2][0] != 5e300 {
+		t.Fatalf("mat = %v, %v", m, err)
 	}
 }
 
@@ -602,7 +589,7 @@ func TestSessionAccessors(t *testing.T) {
 func TestWithFuncsCustomRegistry(t *testing.T) {
 	reg := NewFuncRegistry()
 	reg.MustRegisterLocal("only_here", func(wctx *WorkerCtx, data *engine.Table, kwargs Kwargs) (Transfer, error) {
-		return Transfer{"ok": 1.0}, nil
+		return Transfer{"ok": Scalar(1)}, nil
 	})
 	if names := reg.LocalNames(); len(names) != 1 || names[0] != "only_here" {
 		t.Fatalf("LocalNames = %v", names)
@@ -633,54 +620,68 @@ func TestWithFuncsCustomRegistry(t *testing.T) {
 	if err := reg.RegisterLocal("only_here", nil); err == nil {
 		t.Fatal("duplicate local registration must error")
 	}
-	if err := reg.RegisterGlobal("g", func(any, []Transfer, Kwargs) (Transfer, any, error) { return nil, nil, nil }); err != nil {
-		t.Fatal(err)
-	}
-	if err := reg.RegisterGlobal("g", nil); err == nil {
-		t.Fatal("duplicate global registration must error")
-	}
 }
 
 func TestTransferAccessorErrors(t *testing.T) {
-	tr := Transfer{"s": "text", "v": []any{1.5, "oops"}, "m": []any{[]any{1.0}, "bad"}}
-	if _, err := tr.Float("missing"); err == nil {
-		t.Fatal("missing key")
+	tr := Transfer{
+		"s":     Scalar(1.5),
+		"v":     Vector([]float64{1, 2}),
+		"m":     Matrix(2, 2, []float64{1, 2, 3, 4}),
+		"short": Tensor{Shape: []int{3}, Data: []float64{1, 2}},
 	}
-	if _, err := tr.Float("s"); err == nil {
-		t.Fatal("non-numeric Float")
+	for _, bad := range []struct {
+		key string
+		get func(string) error
+	}{
+		{"missing", func(k string) error { _, err := tr.Float(k); return err }},
+		{"v", func(k string) error { _, err := tr.Float(k); return err }},
+		{"s", func(k string) error { _, err := tr.Floats(k); return err }},
+		{"m", func(k string) error { _, err := tr.Floats(k); return err }},
+		{"short", func(k string) error { _, err := tr.Floats(k); return err }},
+		{"v", func(k string) error { _, err := tr.Matrix(k); return err }},
+		{"missing", func(k string) error { _, err := tr.Matrix(k); return err }},
+	} {
+		if bad.get(bad.key) == nil {
+			t.Fatalf("%q: wrong-shape access must error", bad.key)
+		}
 	}
-	if _, err := tr.Floats("missing"); err == nil {
-		t.Fatal("missing Floats")
-	}
-	if _, err := tr.Floats("v"); err == nil {
-		t.Fatal("mixed vector must error")
-	}
-	if _, err := tr.Matrix("missing"); err == nil {
-		t.Fatal("missing Matrix")
-	}
-	if _, err := tr.Matrix("m"); err == nil {
-		t.Fatal("mixed matrix must error")
-	}
-	if _, err := tr.Matrix("s"); err == nil {
-		t.Fatal("string Matrix must error")
-	}
-	// Int forms accepted by Float.
-	tr2 := Transfer{"i": 3, "i64": int64(4)}
-	if v, _ := tr2.Float("i"); v != 3 {
-		t.Fatal("int Float")
-	}
-	if v, _ := tr2.Float("i64"); v != 4 {
-		t.Fatal("int64 Float")
+	if m, err := tr.Matrix("m"); err != nil || m[1][0] != 3 {
+		t.Fatalf("matrix = %v, %v", m, err)
 	}
 }
 
 func TestAggregateFoldMismatch(t *testing.T) {
-	a := Transfer{"v": []float64{1, 2}}
-	b := Transfer{"v": []float64{1, 2, 3}}
+	a := Transfer{"v": Vector([]float64{1, 2})}
+	b := Transfer{"v": Vector([]float64{1, 2, 3})}
 	if _, err := aggregateFold([]Transfer{a, b}, smpc.OpSum, []string{"v"}); err == nil {
 		t.Fatal("shape mismatch must error")
 	}
+	if _, err := aggregateFold([]Transfer{a, {"v": Tensor{Shape: []int{2}, Data: []float64{1}}}}, smpc.OpSum, []string{"v"}); err == nil {
+		t.Fatal("data not filling its shape must error")
+	}
+	if _, err := aggregateFold([]Transfer{a, {}}, smpc.OpSum, []string{"v"}); err == nil {
+		t.Fatal("missing key must error")
+	}
 	if _, err := aggregateFold(nil, smpc.OpSum, []string{"v"}); err == nil {
 		t.Fatal("empty transfers must error")
+	}
+}
+
+// TestInconsistentShapesFail: a step whose vector length depends on the
+// worker fails Sum on both paths, and the secure job it imported is
+// discarded.
+func TestInconsistentShapesFail(t *testing.T) {
+	for _, secure := range []bool{false, true} {
+		m, _ := buildFed(t, secure)
+		s, _ := m.NewSession(nil)
+		_, err := s.Sum(LocalRunSpec{Func: "test_ragged", Vars: []string{"age"}}, "v")
+		if err == nil || !strings.Contains(err.Error(), "inconsistent shapes") {
+			t.Fatalf("secure=%v: err = %v, want inconsistent shapes", secure, err)
+		}
+		if secure {
+			if w := m.smpc.Workers(s.ID() + "/step-1"); w != nil {
+				t.Fatalf("inconsistent step left shares from %v in the cluster", w)
+			}
+		}
 	}
 }

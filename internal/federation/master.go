@@ -2,6 +2,7 @@ package federation
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -622,10 +623,6 @@ type Session struct {
 	// (partial-aggregate metadata surfaced by the API).
 	dropMu  sync.Mutex
 	dropped map[string]bool
-
-	// GlobalState carries flow state across steps (model parameters in
-	// iterative algorithms).
-	GlobalState any
 }
 
 // ID returns the session's experiment id.
@@ -792,8 +789,8 @@ type LocalRunSpec struct {
 	Vars      []string // variables the step reads (complete cases)
 	Filter    string   // extra SQL predicate
 	KeepNA    bool     // keep rows with NULLs in Vars
-	Kwargs    Kwargs
-	DataQuery string // overrides the generated query when set
+	Kwargs    any      // the step's arguments, marshalled once per round
+	DataQuery string   // overrides the generated query when set
 }
 
 // LocalRun executes a local step on every session worker concurrently and
@@ -830,6 +827,10 @@ func (s *Session) localRun(spec LocalRunSpec, secureKeys []string, parentSpan st
 	if s.Cancelled() {
 		return nil, "", fmt.Errorf("federation: experiment %s: %w", s.id, engine.ErrQueryCancelled)
 	}
+	kwargs, err := json.Marshal(spec.Kwargs)
+	if err != nil {
+		return nil, "", fmt.Errorf("federation: step %s kwargs: %w", spec.Func, err)
+	}
 	jobID := s.nextJobID()
 	s.jobMu.Lock()
 	s.curJob = jobID
@@ -844,7 +845,7 @@ func (s *Session) localRun(spec LocalRunSpec, secureKeys []string, parentSpan st
 		Tenant:     s.tenant,
 		Datasets:   s.datasets,
 		DataQuery:  dq,
-		Kwargs:     spec.Kwargs,
+		Kwargs:     Kwargs{kwargs},
 		SecureKeys: secureKeys,
 	}
 	secure := len(secureKeys) > 0
@@ -1019,18 +1020,18 @@ func (s *Session) aggregate(spec LocalRunSpec, op smpc.Op, keys []string) (Trans
 		iter := obs.DefaultTraces.StartSpan(s.trace.TraceID, s.trace.SpanID, "aggregate "+op.String()+" "+spec.Func)
 		defer iter.End()
 		resps, stepJob, err := s.localRun(spec, keys, iter.ID())
+		layouts := make([]Transfer, len(resps))
+		for i, r := range resps {
+			layouts[i] = r.Transfer
+		}
+		if err == nil {
+			err = sameShape(layouts, keys)
+		}
 		if err != nil {
 			// Workers that did import must not leave their shares behind.
 			s.master.smpc.Discard(stepJob)
 			iter.SetError(err)
 			return nil, err
-		}
-		shapes := resps[0].Shapes
-		for _, r := range resps[1:] {
-			if !shapesEqual(shapes, r.Shapes) {
-				s.master.smpc.Discard(stepJob)
-				return nil, fmt.Errorf("federation: workers reported inconsistent secure shapes")
-			}
 		}
 		noise := smpc.Noise{}
 		if op == smpc.OpSum {
@@ -1045,53 +1046,13 @@ func (s *Session) aggregate(spec LocalRunSpec, op smpc.Op, keys []string) (Trans
 			iter.SetError(err)
 			return nil, err
 		}
-		return unflattenNumeric(flat, shapes)
+		return openedTransfer(flat, layouts[0], keys)
 	}
 	transfers, err := s.LocalRun(spec)
 	if err != nil {
 		return nil, err
 	}
 	return aggregateFold(transfers, op, keys)
-}
-
-// aggregateFold combines plain transfers element-wise with the given op.
-func aggregateFold(transfers []Transfer, op smpc.Op, keys []string) (Transfer, error) {
-	if len(transfers) == 0 {
-		return nil, fmt.Errorf("federation: no transfers to aggregate")
-	}
-	var total []float64
-	var shapes map[string][]int
-	for i, t := range transfers {
-		flat, sh, err := flattenNumeric(t, keys)
-		if err != nil {
-			return nil, fmt.Errorf("federation: transfer %d: %w", i, err)
-		}
-		if total == nil {
-			total = flat
-			shapes = sh
-			continue
-		}
-		if !shapesEqual(shapes, sh) || len(flat) != len(total) {
-			return nil, fmt.Errorf("federation: transfer %d has inconsistent shapes", i)
-		}
-		for j := range total {
-			switch op {
-			case smpc.OpSum:
-				total[j] += flat[j]
-			case smpc.OpMin:
-				if flat[j] < total[j] {
-					total[j] = flat[j]
-				}
-			case smpc.OpMax:
-				if flat[j] > total[j] {
-					total[j] = flat[j]
-				}
-			default:
-				return nil, fmt.Errorf("federation: unsupported plain aggregation %v", op)
-			}
-		}
-	}
-	return unflattenNumeric(total, shapes)
 }
 
 // SecureUnion runs a local step and takes the secure disjoint union of the
@@ -1130,19 +1091,4 @@ func (s *Session) SecureUnion(spec LocalRunSpec, key string) ([]float64, error) 
 	round := obs.DefaultTraces.StartSpan(s.trace.TraceID, s.trace.SpanID, "smpc union")
 	defer round.End()
 	return s.master.smpc.Aggregate(stepJob, smpc.OpUnion, smpc.Noise{})
-}
-
-// GlobalRun executes a registered global step on the master (Figure 2's
-// `self.global_run`).
-func (s *Session) GlobalRun(fn string, localTransfers []Transfer, kwargs Kwargs) (Transfer, error) {
-	g := DefaultRegistry.Global(fn)
-	if g == nil {
-		return nil, fmt.Errorf("federation: no global func %q", fn)
-	}
-	out, newState, err := g(s.GlobalState, localTransfers, kwargs)
-	if err != nil {
-		return nil, err
-	}
-	s.GlobalState = newState
-	return out, nil
 }

@@ -15,10 +15,6 @@ import (
 // UDF generator before execution.
 type LocalFunc func(wctx *WorkerCtx, data *engine.Table, kwargs Kwargs) (Transfer, error)
 
-// GlobalFunc is a global step executed on the Master over the workers'
-// transfers (or their secure aggregate).
-type GlobalFunc func(state any, localTransfers []Transfer, kwargs Kwargs) (Transfer, any, error)
-
 // WorkerCtx gives a running local step controlled access to its hosting
 // worker: loopback SQL against the local engine and the worker identity.
 type WorkerCtx struct {
@@ -29,21 +25,18 @@ type WorkerCtx struct {
 // Loopback runs SQL inside the worker's engine.
 func (w *WorkerCtx) Loopback(sql string) (*engine.Table, error) { return w.UDF.Loopback(sql) }
 
-// FuncRegistry holds the local and global steps of the installed algorithm
-// library (every node in a MIP deployment has the same algorithms
-// installed, so a process-wide default registry mirrors reality).
+// FuncRegistry holds the local steps of the installed algorithm library
+// (every node in a MIP deployment has the same algorithms installed, so a
+// process-wide default registry mirrors reality). Global steps are the
+// algorithm flow's own Go code between rounds.
 type FuncRegistry struct {
-	mu      sync.Mutex
-	locals  map[string]LocalFunc
-	globals map[string]GlobalFunc
+	mu     sync.Mutex
+	locals map[string]LocalFunc
 }
 
 // NewFuncRegistry returns an empty registry.
 func NewFuncRegistry() *FuncRegistry {
-	return &FuncRegistry{
-		locals:  make(map[string]LocalFunc),
-		globals: make(map[string]GlobalFunc),
-	}
+	return &FuncRegistry{locals: make(map[string]LocalFunc)}
 }
 
 // RegisterLocal installs a local step.
@@ -57,27 +50,9 @@ func (r *FuncRegistry) RegisterLocal(name string, fn LocalFunc) error {
 	return nil
 }
 
-// RegisterGlobal installs a global step.
-func (r *FuncRegistry) RegisterGlobal(name string, fn GlobalFunc) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, ok := r.globals[name]; ok {
-		return fmt.Errorf("federation: global func %q already registered", name)
-	}
-	r.globals[name] = fn
-	return nil
-}
-
 // MustRegisterLocal is RegisterLocal for package init blocks.
 func (r *FuncRegistry) MustRegisterLocal(name string, fn LocalFunc) {
 	if err := r.RegisterLocal(name, fn); err != nil {
-		panic(err)
-	}
-}
-
-// MustRegisterGlobal is RegisterGlobal for package init blocks.
-func (r *FuncRegistry) MustRegisterGlobal(name string, fn GlobalFunc) {
-	if err := r.RegisterGlobal(name, fn); err != nil {
 		panic(err)
 	}
 }
@@ -87,13 +62,6 @@ func (r *FuncRegistry) Local(name string) LocalFunc {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.locals[name]
-}
-
-// Global returns the named global step, or nil.
-func (r *FuncRegistry) Global(name string) GlobalFunc {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.globals[name]
 }
 
 // LocalNames lists registered local steps, sorted.
@@ -113,6 +81,3 @@ var DefaultRegistry = NewFuncRegistry()
 
 // RegisterLocal installs a local step into the default registry.
 func RegisterLocal(name string, fn LocalFunc) { DefaultRegistry.MustRegisterLocal(name, fn) }
-
-// RegisterGlobal installs a global step into the default registry.
-func RegisterGlobal(name string, fn GlobalFunc) { DefaultRegistry.MustRegisterGlobal(name, fn) }

@@ -87,7 +87,7 @@ func TestDisclosureCountsStepRelation(t *testing.T) {
 		if _, err := wctx.Loopback("INSERT INTO " + DataTable + " VALUES " + strings.Join(rows, ", ")); err != nil {
 			return nil, err
 		}
-		return Transfer{"n": float64(data.NumRows())}, nil
+		return Transfer{"n": Scalar(float64(data.NumRows()))}, nil
 	})
 	db := newWorkerDB(t, "tiny", DefaultMinRows/2, 0)
 	w := NewWorker("tiny", db, WithFuncs(reg))

@@ -8,271 +8,201 @@
 //
 // The programming model mirrors the paper's Figure 2: an algorithm flow
 // calls Session.LocalRun to execute a named local step on every worker
-// holding the requested datasets, then aggregates the returned transfers
-// (plain or SMPC) and optionally runs global steps, iterating until done.
+// holding the requested datasets, aggregates the returned transfers (plain
+// or SMPC), and does its global step as Go code between rounds, iterating
+// until done.
 package federation
 
 import (
+	"encoding/json"
 	"fmt"
+	"slices"
 	"sort"
+
+	"mip/internal/smpc"
 )
 
-// Kwargs are the keyword arguments of a local/global step (JSON-able).
-type Kwargs map[string]any
+// Kwargs are a step's keyword arguments: one JSON document, marshalled once
+// per round by the master and shipped unchanged by every transport. The step
+// decodes it into its own argument struct.
+type Kwargs struct{ json.RawMessage }
 
-// Transfer is the result dict a step emits. Only aggregated quantities may
-// leave a worker; the worker enforces disclosure control before shipping.
-type Transfer map[string]any
+// Decode unmarshals the arguments into v, a pointer to the step's argument
+// struct. Absent arguments leave v unchanged.
+func (k Kwargs) Decode(v any) error {
+	if len(k.RawMessage) == 0 {
+		return nil
+	}
+	if err := json.Unmarshal(k.RawMessage, v); err != nil {
+		return fmt.Errorf("federation: decoding kwargs: %w", err)
+	}
+	return nil
+}
 
-// Float returns a numeric entry (handles float64 and int).
+// Transfer is the result a step emits: named tensors. Only aggregated
+// quantities may leave a worker; the worker enforces disclosure control
+// before shipping.
+type Transfer map[string]Tensor
+
+// Tensor is one transfer entry: a row-major float array and its shape. A
+// scalar has no shape, a vector's shape is [n] and a matrix's [rows, cols].
+type Tensor struct {
+	Shape []int     `json:"shape,omitempty"`
+	Data  []float64 `json:"data"`
+}
+
+// Scalar is a one-value tensor.
+func Scalar(x float64) Tensor { return Tensor{Data: []float64{x}} }
+
+// Vector is a one-dimensional tensor over xs.
+func Vector(xs []float64) Tensor { return Tensor{Shape: []int{len(xs)}, Data: xs} }
+
+// Matrix is a rows × cols tensor over row-major data.
+func Matrix(rows, cols int, data []float64) Tensor {
+	return Tensor{Shape: []int{rows, cols}, Data: data}
+}
+
+// size is the number of values the shape declares.
+func (t Tensor) size() int {
+	n := 1
+	for _, d := range t.Shape {
+		n *= d
+	}
+	return n
+}
+
+// get returns the entry under key if it has dims dimensions and its data
+// fills its shape.
+func (t Transfer) get(key string, dims int) (Tensor, error) {
+	v, ok := t[key]
+	if !ok {
+		return Tensor{}, fmt.Errorf("federation: transfer missing %q", key)
+	}
+	if len(v.Shape) != dims || len(v.Data) != v.size() {
+		return Tensor{}, fmt.Errorf("federation: transfer %q has shape %v and %d values, not a %d-dimensional tensor", key, v.Shape, len(v.Data), dims)
+	}
+	return v, nil
+}
+
+// Float returns a scalar entry.
 func (t Transfer) Float(key string) (float64, error) {
-	v, ok := t[key]
-	if !ok {
-		return 0, fmt.Errorf("federation: transfer missing %q", key)
+	v, err := t.get(key, 0)
+	if err != nil {
+		return 0, err
 	}
-	switch x := v.(type) {
-	case float64:
-		return x, nil
-	case int:
-		return float64(x), nil
-	case int64:
-		return float64(x), nil
-	}
-	return 0, fmt.Errorf("federation: transfer %q is %T, not numeric", key, v)
+	return v.Data[0], nil
 }
 
-// Floats returns a vector entry, accepting []float64 or []any (the shape
-// JSON round-trips produce).
+// Floats returns a vector entry.
 func (t Transfer) Floats(key string) ([]float64, error) {
-	v, ok := t[key]
-	if !ok {
-		return nil, fmt.Errorf("federation: transfer missing %q", key)
-	}
-	switch x := v.(type) {
-	case []float64:
-		return x, nil
-	case []any:
-		out := make([]float64, len(x))
-		for i, e := range x {
-			f, ok := e.(float64)
-			if !ok {
-				return nil, fmt.Errorf("federation: transfer %q[%d] is %T", key, i, e)
-			}
-			out[i] = f
-		}
-		return out, nil
-	}
-	return nil, fmt.Errorf("federation: transfer %q is %T, not a vector", key, v)
+	v, err := t.get(key, 1)
+	return v.Data, err
 }
 
-// Matrix returns a matrix entry ([][]float64, or the JSON equivalent).
+// Matrix returns a matrix entry as row views over its data.
 func (t Transfer) Matrix(key string) ([][]float64, error) {
-	v, ok := t[key]
-	if !ok {
-		return nil, fmt.Errorf("federation: transfer missing %q", key)
+	v, err := t.get(key, 2)
+	if err != nil {
+		return nil, err
 	}
-	switch x := v.(type) {
-	case [][]float64:
-		return x, nil
-	case []any:
-		out := make([][]float64, len(x))
-		for i, r := range x {
-			row, ok := r.([]any)
-			if !ok {
-				if fr, ok2 := r.([]float64); ok2 {
-					out[i] = fr
-					continue
-				}
-				return nil, fmt.Errorf("federation: transfer %q row %d is %T", key, i, r)
-			}
-			out[i] = make([]float64, len(row))
-			for j, e := range row {
-				f, ok := e.(float64)
-				if !ok {
-					return nil, fmt.Errorf("federation: transfer %q[%d][%d] is %T", key, i, j, e)
-				}
-				out[i][j] = f
-			}
-		}
-		return out, nil
-	}
-	return nil, fmt.Errorf("federation: transfer %q is %T, not a matrix", key, v)
-}
-
-// flattenNumeric lowers a transfer's numeric entries (scalar, vector,
-// matrix) for the named keys into one flat vector plus a shape directory,
-// so the whole payload can be secret-shared as a single SMPC job. Keys are
-// processed in sorted order for determinism across workers.
-func flattenNumeric(t Transfer, keys []string) (flat []float64, shapes map[string][]int, err error) {
-	shapes = make(map[string][]int, len(keys))
-	sorted := append([]string(nil), keys...)
-	sort.Strings(sorted)
-	size := 0
-	for _, k := range sorted {
-		size += numericLen(t[k])
-	}
-	flat = make([]float64, 0, size)
-	for _, k := range sorted {
-		v, ok := t[k]
-		if !ok {
-			return nil, nil, fmt.Errorf("federation: secure key %q missing from transfer", k)
-		}
-		switch x := v.(type) {
-		case float64:
-			flat = append(flat, x)
-			shapes[k] = []int{}
-		case int:
-			flat = append(flat, float64(x))
-			shapes[k] = []int{}
-		case []float64:
-			flat = append(flat, x...)
-			shapes[k] = []int{len(x)}
-		case [][]float64:
-			rows := len(x)
-			cols := 0
-			if rows > 0 {
-				cols = len(x[0])
-			}
-			for _, r := range x {
-				if len(r) != cols {
-					return nil, nil, fmt.Errorf("federation: ragged matrix in secure key %q", k)
-				}
-				flat = append(flat, r...)
-			}
-			shapes[k] = []int{rows, cols}
-		case []any:
-			// JSON round trips deliver []any; recover vectors and matrices.
-			if len(x) == 0 {
-				shapes[k] = []int{0}
-				continue
-			}
-			if _, isRow := x[0].([]any); isRow {
-				rows := len(x)
-				cols := -1
-				for _, re := range x {
-					row, ok := re.([]any)
-					if !ok {
-						return nil, nil, fmt.Errorf("federation: mixed matrix in secure key %q", k)
-					}
-					if cols == -1 {
-						cols = len(row)
-					} else if len(row) != cols {
-						return nil, nil, fmt.Errorf("federation: ragged matrix in secure key %q", k)
-					}
-					for _, e := range row {
-						f, ok := e.(float64)
-						if !ok {
-							return nil, nil, fmt.Errorf("federation: non-numeric matrix entry in %q", k)
-						}
-						flat = append(flat, f)
-					}
-				}
-				shapes[k] = []int{rows, cols}
-				continue
-			}
-			for _, e := range x {
-				f, ok := e.(float64)
-				if !ok {
-					return nil, nil, fmt.Errorf("federation: non-numeric vector entry in %q", k)
-				}
-				flat = append(flat, f)
-			}
-			shapes[k] = []int{len(x)}
-		default:
-			return nil, nil, fmt.Errorf("federation: secure key %q has non-numeric type %T", k, v)
-		}
-	}
-	return flat, shapes, nil
-}
-
-// numericLen is the number of floats flattenNumeric takes from v, so the
-// flat vector is sized once; values it rejects count one.
-func numericLen(v any) int {
-	switch x := v.(type) {
-	case []float64:
-		return len(x)
-	case [][]float64:
-		n := 0
-		for _, r := range x {
-			n += len(r)
-		}
-		return n
-	case []any:
-		n := 0
-		for _, e := range x {
-			if r, ok := e.([]any); ok {
-				n += len(r)
-			} else {
-				n++
-			}
-		}
-		return n
-	}
-	return 1
-}
-
-// unflattenNumeric rebuilds a transfer from a flat vector and shapes (the
-// inverse of flattenNumeric).
-func unflattenNumeric(flat []float64, shapes map[string][]int) (Transfer, error) {
-	keys := make([]string, 0, len(shapes))
-	for k := range shapes {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	out := Transfer{}
-	pos := 0
-	for _, k := range keys {
-		shape := shapes[k]
-		switch len(shape) {
-		case 0:
-			if pos >= len(flat) {
-				return nil, fmt.Errorf("federation: flat vector too short at %q", k)
-			}
-			out[k] = flat[pos]
-			pos++
-		case 1:
-			n := shape[0]
-			if pos+n > len(flat) {
-				return nil, fmt.Errorf("federation: flat vector too short at %q", k)
-			}
-			out[k] = append([]float64(nil), flat[pos:pos+n]...)
-			pos += n
-		case 2:
-			rows, cols := shape[0], shape[1]
-			if pos+rows*cols > len(flat) {
-				return nil, fmt.Errorf("federation: flat vector too short at %q", k)
-			}
-			m := make([][]float64, rows)
-			for i := range m {
-				m[i] = append([]float64(nil), flat[pos:pos+cols]...)
-				pos += cols
-			}
-			out[k] = m
-		default:
-			return nil, fmt.Errorf("federation: unsupported shape %v for %q", shape, k)
-		}
-	}
-	if pos != len(flat) {
-		return nil, fmt.Errorf("federation: flat vector length %d does not match shapes (%d consumed)", len(flat), pos)
+	rows, cols := v.Shape[0], v.Shape[1]
+	out := make([][]float64, rows)
+	for i := range out {
+		out[i] = v.Data[i*cols : (i+1)*cols : (i+1)*cols]
 	}
 	return out, nil
 }
 
-// shapesEqual verifies all workers reported identical shape directories.
-func shapesEqual(a, b map[string][]int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k, av := range a {
-		bv, ok := b[k]
-		if !ok || len(av) != len(bv) {
-			return false
-		}
-		for i := range av {
-			if av[i] != bv[i] {
-				return false
+// sortedKeys is the order a step's secure keys travel in: the worker
+// concatenates their data in it and the master slices the opened vector by
+// it.
+func sortedKeys(keys []string) []string {
+	out := append([]string(nil), keys...)
+	sort.Strings(out)
+	return out
+}
+
+// sameShape verifies that every transfer carries each key with one shape,
+// the precondition of folding them element-wise, plain or secure.
+func sameShape(transfers []Transfer, keys []string) error {
+	for _, k := range keys {
+		first, ok := transfers[0][k]
+		for i, t := range transfers {
+			v, has := t[k]
+			if !ok || !has {
+				return fmt.Errorf("federation: transfer %d missing %q", i, k)
+			}
+			if !slices.Equal(v.Shape, first.Shape) {
+				return fmt.Errorf("federation: workers reported inconsistent shapes for %q: %v and %v", k, first.Shape, v.Shape)
 			}
 		}
 	}
-	return true
+	return nil
+}
+
+// aggregateFold combines plain transfers element-wise with the given op,
+// key by key, once their shapes agree.
+func aggregateFold(transfers []Transfer, op smpc.Op, keys []string) (Transfer, error) {
+	if len(transfers) == 0 {
+		return nil, fmt.Errorf("federation: no transfers to aggregate")
+	}
+	if op != smpc.OpSum && op != smpc.OpMin && op != smpc.OpMax {
+		return nil, fmt.Errorf("federation: unsupported plain aggregation %v", op)
+	}
+	if err := sameShape(transfers, keys); err != nil {
+		return nil, err
+	}
+	out := make(Transfer, len(keys))
+	for _, k := range keys {
+		shape := transfers[0][k].Shape
+		size := Tensor{Shape: shape}.size()
+		var acc []float64
+		for i, t := range transfers {
+			xs := t[k].Data
+			if len(xs) != size {
+				return nil, fmt.Errorf("federation: transfer %d: %q has %d values for shape %v", i, k, len(xs), shape)
+			}
+			switch {
+			case i == 0:
+				acc = append([]float64(nil), xs...)
+			case op == smpc.OpSum:
+				for j, x := range xs {
+					acc[j] += x
+				}
+			case op == smpc.OpMin:
+				for j, x := range xs {
+					if x < acc[j] {
+						acc[j] = x
+					}
+				}
+			default:
+				for j, x := range xs {
+					if x > acc[j] {
+						acc[j] = x
+					}
+				}
+			}
+		}
+		out[k] = Tensor{Shape: shape, Data: acc}
+	}
+	return out, nil
+}
+
+// openedTransfer slices the opened secure vector by the keys' shapes, in
+// the sorted order the workers concatenated their data.
+func openedTransfer(flat []float64, layout Transfer, keys []string) (Transfer, error) {
+	out := make(Transfer, len(keys))
+	for _, k := range sortedKeys(keys) {
+		shape := layout[k].Shape
+		n := Tensor{Shape: shape}.size()
+		if n < 0 || n > len(flat) {
+			return nil, fmt.Errorf("federation: opened secure vector does not fit shape %v of %q", shape, k)
+		}
+		out[k] = Tensor{Shape: shape, Data: flat[:n:n]}
+		flat = flat[n:]
+	}
+	if len(flat) != 0 {
+		return nil, fmt.Errorf("federation: opened secure vector has %d values beyond the workers' shapes", len(flat))
+	}
+	return out, nil
 }

@@ -25,7 +25,7 @@ import (
 
 func init() {
 	federation.RegisterLocal("test_nan_moment", func(*federation.WorkerCtx, *engine.Table, federation.Kwargs) (federation.Transfer, error) {
-		return federation.Transfer{"m": math.NaN()}, nil
+		return federation.Transfer{"m": federation.Scalar(math.NaN())}, nil
 	})
 }
 
@@ -282,10 +282,35 @@ func TestLocalRunNaNAnswers422(t *testing.T) {
 	_, err := federation.NewHTTPWorkerClient("nan", srv.URL).LocalRun(federation.LocalRunRequest{
 		JobID: "j", Func: "test_nan_moment", DataQuery: "SELECT age FROM data"})
 	var ce *federation.CallError
-	if !errors.As(err, &ce) || ce.Status != http.StatusUnprocessableEntity || !strings.Contains(err.Error(), "unsupported value: NaN") {
-		t.Fatalf("err = %v, want HTTP 422 naming the unsupported NaN", err)
+	if !errors.As(err, &ce) || ce.Status != http.StatusUnprocessableEntity || !strings.Contains(err.Error(), `transfer "m"[0] is NaN`) {
+		t.Fatalf("err = %v, want HTTP 422 naming the NaN", err)
 	}
 	if n := calls.Load(); n != 1 {
 		t.Fatalf("worker saw %d calls, want 1 (422 is final)", n)
+	}
+}
+
+// TestNonFiniteTransferRejected: a NaN in a plain transfer fails the step
+// with the same worker message in process and over HTTP, instead of
+// flowing into the aggregate on one transport only.
+func TestNonFiniteTransferRejected(t *testing.T) {
+	w := chaosWorker(t, "nan", "edsd", 20)
+	srv := httptest.NewServer((&federation.WorkerServer{Worker: w}).Handler())
+	defer srv.Close()
+	want := `federation: worker nan: step test_nan_moment: transfer "m"[0] is NaN; non-finite values cannot leave a worker`
+	for _, c := range []federation.WorkerClient{w, federation.NewHTTPWorkerClient("nan", srv.URL)} {
+		m, err := federation.NewMaster([]federation.WorkerClient{c}, nil, federation.Security{}, federation.WithBreaker(breakerOff))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer m.Close()
+		s, err := m.NewSession(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, err := s.Sum(federation.LocalRunSpec{Func: "test_nan_moment", Vars: []string{"age"}}, "m")
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("%T: Sum = %v, %v; want an error containing %q", c, out, err, want)
+		}
 	}
 }

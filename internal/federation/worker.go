@@ -5,6 +5,7 @@ import (
 	"crypto/rand"
 	"encoding/hex"
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -36,10 +37,10 @@ type LocalRunRequest struct {
 	DataQuery string `json:"data_query"`
 	// Kwargs are the step's keyword arguments.
 	Kwargs Kwargs `json:"kwargs"`
-	// SecureKeys, when non-empty, secret-shares the named numeric transfer
-	// entries into the SMPC cluster under JobID instead of returning them;
-	// only shape metadata leaves the worker. Otherwise the transfer ships
-	// back to the master (plain path).
+	// SecureKeys, when non-empty, secret-shares the named transfer entries
+	// into the SMPC cluster under JobID instead of returning them; only their
+	// shapes leave the worker. Otherwise the transfer ships back to the
+	// master (plain path).
 	SecureKeys []string `json:"secure_keys,omitempty"`
 	// Tenant and Datasets attribute the step for metering and audit: the
 	// worker tags its engine statements with them, so per-hospital access
@@ -57,10 +58,11 @@ type LocalRunRequest struct {
 type LocalRunResponse struct {
 	// WorkerID identifies the responding worker.
 	WorkerID string `json:"worker_id"`
-	// Transfer holds the result on the plain path (no SecureKeys).
+	// Transfer holds the step's tensors on the plain path. On the secure
+	// path it holds the secure keys with their shapes only: the values went
+	// into the SMPC cluster, and the shapes let the master check the workers
+	// agree and slice the opened vector.
 	Transfer Transfer `json:"transfer,omitempty"`
-	// Shapes reports the layout of securely shared entries.
-	Shapes map[string][]int `json:"shapes,omitempty"`
 	// Rows is the number of input rows the step consumed (not shipped in
 	// privacy-sensitive deployments; used by tests and the leakage audit).
 	Rows int `json:"rows"`
@@ -372,18 +374,34 @@ func (w *Worker) doLocalRun(ctx context.Context, req LocalRunRequest, span *obs.
 	if err != nil {
 		return resp, err
 	}
-	transfer := Transfer(outs[0].Transfer)
+	transfer := outs[0].Transfer.(Transfer)
 
 	if len(req.SecureKeys) == 0 {
+		if err := w.checkFinite(req.Func, transfer); err != nil {
+			return resp, err
+		}
 		resp.Transfer = transfer
 		return resp, nil
 	}
 	if w.smpc == nil {
 		return resp, fmt.Errorf("federation: worker %s has no SMPC cluster attached", w.id)
 	}
-	flat, shapes, err := flattenNumeric(transfer, req.SecureKeys)
-	if err != nil {
-		return resp, err
+	// The secure keys' data, concatenated in sorted key order, is one SMPC
+	// job; the answer carries their shapes only.
+	keys := sortedKeys(req.SecureKeys)
+	size := 0
+	for _, k := range keys {
+		size += len(transfer[k].Data)
+	}
+	flat := make([]float64, 0, size)
+	resp.Transfer = make(Transfer, len(keys))
+	for _, k := range keys {
+		t, ok := transfer[k]
+		if !ok {
+			return resp, fmt.Errorf("federation: secure key %q missing from transfer", k)
+		}
+		flat = append(flat, t.Data...)
+		resp.Transfer[k] = Tensor{Shape: t.Shape}
 	}
 	// Attributes, not a child span: the exec span's self time is what tells
 	// the import apart from the relation query and the UDF call.
@@ -394,8 +412,26 @@ func (w *Worker) doLocalRun(ctx context.Context, req LocalRunRequest, span *obs.
 	if err != nil {
 		return resp, err
 	}
-	resp.Shapes = shapes
 	return resp, nil
+}
+
+// checkFinite rejects a plain transfer holding NaN or ±Inf before it
+// ships: JSON cannot carry such a value, so no transport may. Keys are
+// checked in sorted order, so every transport names the same element.
+func (w *Worker) checkFinite(step string, t Transfer) error {
+	keys := make([]string, 0, len(t))
+	for k := range t {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	for _, k := range keys {
+		for i, x := range t[k].Data {
+			if math.IsNaN(x) || math.IsInf(x, 0) {
+				return fmt.Errorf("federation: worker %s: step %s: transfer %q[%d] is %v; non-finite values cannot leave a worker", w.id, step, k, i, x)
+			}
+		}
+	}
+	return nil
 }
 
 // stepUDF returns the SQL UDF fed_<name> wrapping local step name (its
@@ -416,7 +452,7 @@ func (w *Worker) stepUDF(name string) (*udf.Def, error) {
 		Inputs:  []udf.IOSpec{{Name: "data", Kind: udf.Relation}, {Name: "kwargs", Kind: udf.Transfer}},
 		Outputs: []udf.IOSpec{{Name: "transfer", Kind: udf.Transfer}},
 		Body: func(ctx *udf.Ctx, args []udf.Value) ([]udf.Value, error) {
-			tr, err := fn(&WorkerCtx{WorkerID: w.id, UDF: ctx}, args[0].Table, Kwargs(args[1].Transfer))
+			tr, err := fn(&WorkerCtx{WorkerID: w.id, UDF: ctx}, args[0].Table, args[1].Transfer.(Kwargs))
 			if err != nil {
 				return nil, err
 			}

@@ -26,7 +26,7 @@ const (
 	Relation Kind = iota // a table (columns of the primary data)
 	Tensor               // a numeric array with a shape
 	Scalar               // a single value
-	Transfer             // a JSON-able dict shipped between nodes
+	Transfer             // a value shipped between nodes
 	State                // opaque node-local state, never shipped
 )
 
@@ -57,12 +57,12 @@ type IOSpec struct {
 // Value is a runtime UDF argument or result. Exactly one field is
 // populated, matching the IOSpec kind.
 type Value struct {
-	Table    *engine.Table  // Relation
-	Tensor   []float64      // Tensor (row-major)
-	Shape    []int          // Tensor shape
-	Scalar   any            // Scalar
-	Transfer map[string]any // Transfer
-	State    any            // State
+	Table    *engine.Table // Relation
+	Tensor   []float64     // Tensor (row-major)
+	Shape    []int         // Tensor shape
+	Scalar   any           // Scalar
+	Transfer any           // Transfer, carried uninspected
+	State    any           // State
 }
 
 // RelationValue wraps a table.
@@ -74,8 +74,8 @@ func TensorValue(data []float64, shape ...int) Value { return Value{Tensor: data
 // ScalarValue wraps a single value.
 func ScalarValue(v any) Value { return Value{Scalar: v} }
 
-// TransferValue wraps a transfer dict.
-func TransferValue(m map[string]any) Value { return Value{Transfer: m} }
+// TransferValue wraps a value shipped between nodes.
+func TransferValue(v any) Value { return Value{Transfer: v} }
 
 // StateValue wraps node-local state.
 func StateValue(s any) Value { return Value{State: s} }

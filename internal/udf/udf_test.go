@@ -103,7 +103,7 @@ func TestExecWithRelationQuery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sums := outs[0].Transfer
+	sums := outs[0].Transfer.(map[string]any)
 	if sums["x"] != 9.0 || sums["y"] != 21.0 {
 		t.Fatalf("sums = %v", sums)
 	}
@@ -122,7 +122,7 @@ func TestExecDirectRelation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if outs[0].Transfer["x"] != 10.0 {
+	if outs[0].Transfer.(map[string]any)["x"] != 10.0 {
 		t.Fatalf("sums = %v", outs[0].Transfer)
 	}
 }
@@ -204,7 +204,7 @@ func TestLoopbackQueries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := outs[0].Transfer["var"].(float64)
+	got := outs[0].Transfer.(map[string]any)["var"].(float64)
 	want := 5.0 / 3.0 // var of 1,2,3,4
 	if math.Abs(got-want) > 1e-12 {
 		t.Fatalf("var = %v, want %v", got, want)
