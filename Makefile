@@ -74,9 +74,12 @@ wiresmoke:
 
 # smpcsmoke covers share import outside the cluster lock: four goroutines
 # importing into two jobs while a third job aggregates (sums exact), and two
-# concurrent secure experiments each within 1e-3 of the pooled answer.
+# concurrent secure experiments each within 1e-3 of the pooled answer. It
+# also runs the op-tagged transfer: one round combining sum, min, max and
+# union keys equally plain, full-threshold and Shamir, and workers that
+# disagree on a key's op failing the round with no group's shares left.
 smpcsmoke:
-	$(GO) test -count=1 -race -run 'TestConcurrentImportAggregate|TestConcurrentSecureExperiments' ./internal/smpc/ ./internal/federation/
+	$(GO) test -count=1 -race -run 'TestConcurrentImportAggregate|TestConcurrentSecureExperiments|TestMixedOpTransfer|TestOpDisagreementFails' ./internal/smpc/ ./internal/federation/
 
 check: vet fmt race auditsmoke spillsmoke cachesmoke wiresmoke smpcsmoke
 

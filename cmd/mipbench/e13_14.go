@@ -53,7 +53,7 @@ FROM data GROUP BY alzheimerbroadcategory ORDER BY dx`
 	s.SetTrace(obs.TraceRef{TraceID: traceID, SpanID: root.ID()})
 	vars := []string{"lefthippocampus", "minimentalstate"}
 	_, err = s.LocalRun(federation.LocalRunSpec{
-		Func:   "desc_moments",
+		Func:   "desc_summary",
 		Vars:   vars,
 		Kwargs: map[string][]string{"vars": vars},
 	})

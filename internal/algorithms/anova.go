@@ -115,12 +115,12 @@ func (a *ANOVAOneWay) Run(sess *federation.Session, req Request) (Result, error)
 	if len(levels) < 2 {
 		return nil, fmt.Errorf("algorithms: anova_oneway needs parameter levels with >= 2 values")
 	}
-	agg, err := sess.Sum(federation.LocalRunSpec{
+	agg, err := sess.Aggregate(federation.LocalRunSpec{
 		Func:   "anova1_local",
 		Vars:   []string{req.Y[0], req.X[0]},
 		Filter: req.Filter,
 		Kwargs: anovaArgs{Y: req.Y[0], X: req.X[0], Levels: levels},
-	}, "groups")
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -272,12 +272,12 @@ func (a *ANOVATwoWay) Run(sess *federation.Session, req Request) (Result, error)
 	if len(la) < 2 || len(lb) < 2 {
 		return nil, fmt.Errorf("algorithms: anova_twoway needs levels for both factors")
 	}
-	agg, err := sess.Sum(federation.LocalRunSpec{
+	agg, err := sess.Aggregate(federation.LocalRunSpec{
 		Func:   "anova2_local",
 		Vars:   []string{req.Y[0], req.X[0], req.X[1]},
 		Filter: req.Filter,
 		Kwargs: anovaArgs{Y: req.Y[0], A: req.X[0], B: req.X[1], LevelsA: la, LevelsB: lb},
-	}, "n", "xtx", "xty", "yty", "sy")
+	})
 	if err != nil {
 		return nil, err
 	}

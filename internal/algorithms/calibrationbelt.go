@@ -157,13 +157,13 @@ func fitCalbelt(sess *federation.Session, req Request, degree int) (beta []float
 	vars := []string{req.Y[0], req.X[0]}
 	var hess *stats.Dense
 	for iter := 0; iter < 50; iter++ {
-		agg, err2 := sess.Sum(federation.LocalRunSpec{
+		agg, err2 := sess.Aggregate(federation.LocalRunSpec{
 			Func:   "calbelt_grad_local",
 			Vars:   vars,
 			Filter: req.Filter,
 			Kwargs: calbeltArgs{PVar: req.X[0], Y: req.Y[0],
 				PosLevel: req.ParamString("pos_level", ""), Degree: degree, Beta: beta},
-		}, "n", "pos", "grad", "hess", "ll")
+		})
 		if err2 != nil {
 			return nil, nil, 0, 0, err2
 		}
@@ -204,13 +204,13 @@ func fitCalbelt(sess *federation.Session, req Request, degree int) (beta []float
 // identityLL evaluates the log-likelihood of the perfect-calibration model
 // (η = logit(p)) in one round.
 func identityLL(sess *federation.Session, req Request) (float64, error) {
-	agg, err := sess.Sum(federation.LocalRunSpec{
+	agg, err := sess.Aggregate(federation.LocalRunSpec{
 		Func:   "calbelt_grad_local",
 		Vars:   []string{req.Y[0], req.X[0]},
 		Filter: req.Filter,
 		Kwargs: calbeltArgs{PVar: req.X[0], Y: req.Y[0],
 			PosLevel: req.ParamString("pos_level", ""), Degree: 1, Beta: []float64{0, 1}},
-	}, "ll")
+	})
 	if err != nil {
 		return 0, err
 	}

@@ -58,12 +58,12 @@ func (a *CART) Run(sess *federation.Session, req Request) (Result, error) {
 	vars := append([]string{req.Y[0]}, req.X...)
 	frontier := []int{0}
 	for len(frontier) > 0 {
-		agg, err := sess.Sum(federation.LocalRunSpec{
+		agg, err := sess.Aggregate(federation.LocalRunSpec{
 			Func:   "tree_hist_local",
 			Vars:   vars,
 			Filter: req.Filter,
 			Kwargs: treeArgs{Tree: tree, Frontier: frontier},
-		}, "hist", "totals")
+		})
 		if err != nil {
 			return nil, err
 		}
@@ -113,10 +113,10 @@ func (a *CART) Run(sess *federation.Session, req Request) (Result, error) {
 	// Final evaluation round.
 	result := Result{"tree": tree, "n_nodes": len(tree.Nodes)}
 	if classification {
-		agg, err := sess.Sum(federation.LocalRunSpec{
+		agg, err := sess.Aggregate(federation.LocalRunSpec{
 			Func: "tree_eval_local", Vars: vars, Filter: req.Filter,
 			Kwargs: treeArgs{Tree: tree},
-		}, "conf")
+		})
 		if err != nil {
 			return nil, err
 		}
@@ -135,10 +135,10 @@ func (a *CART) Run(sess *federation.Session, req Request) (Result, error) {
 			result["accuracy"] = correct / n
 		}
 	} else {
-		agg, err := sess.Sum(federation.LocalRunSpec{
+		agg, err := sess.Aggregate(federation.LocalRunSpec{
 			Func: "tree_eval_local", Vars: vars, Filter: req.Filter,
 			Kwargs: treeArgs{Tree: tree},
-		}, "metrics")
+		})
 		if err != nil {
 			return nil, err
 		}
@@ -163,23 +163,17 @@ func buildTreeFeatures(sess *federation.Session, req Request, levels map[string]
 	}
 	var mins, maxs []float64
 	if len(numeric) > 0 {
-		spec := federation.LocalRunSpec{
-			Func:   "desc_min",
+		summary, err := sess.Aggregate(federation.LocalRunSpec{
+			Func:   "desc_summary",
 			Vars:   numeric,
 			Filter: req.Filter,
 			Kwargs: varsArgs{Vars: numeric},
-		}
-		minsT, err := sess.Min(spec, "mins")
+		})
 		if err != nil {
 			return nil, err
 		}
-		spec.Func = "desc_max"
-		maxsT, err := sess.Max(spec, "maxs")
-		if err != nil {
-			return nil, err
-		}
-		mins, _ = minsT.Floats("mins")
-		maxs, _ = maxsT.Floats("maxs")
+		mins, _ = summary.Floats("mins")
+		maxs, _ = summary.Floats("maxs")
 	}
 	var features []TreeFeature
 	ni := 0

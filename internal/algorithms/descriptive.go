@@ -7,43 +7,48 @@ import (
 
 	"mip/internal/engine"
 	"mip/internal/federation"
+	"mip/internal/smpc"
 )
 
 // Descriptive statistics: the dashboard table of Figure 3 — per dataset
 // and per variable: Datapoints, NA, SE, mean, std, min, Q1, Q2, Q3, max.
 //
-// Flow (per dataset): one moments round (sum-aggregated), a min and a max
-// round, then a histogram round whose bin counts (sum-aggregated) yield the
-// quartiles by interpolation. Every transfer is a fixed-shape numeric
-// vector, so the whole algorithm runs unchanged over SMPC.
+// Flow (per dataset group): one summary round whose moments are summed and
+// whose minima and maxima are folded by min and max, then a histogram round
+// whose bin counts (summed) yield the quartiles by interpolation: two rounds
+// per group. Every transfer is a fixed-shape numeric vector tagged with its
+// op, so the whole algorithm runs unchanged over SMPC.
 
 // histBins is the quantile histogram resolution: quartiles are exact to
 // (max−min)/histBins.
 const histBins = 256
 
 func init() {
-	federation.RegisterLocal("desc_moments", descMomentsLocal)
-	federation.RegisterLocal("desc_min", descMinLocal)
-	federation.RegisterLocal("desc_max", descMaxLocal)
+	federation.RegisterLocal("desc_summary", descSummaryLocal)
 	federation.RegisterLocal("desc_hist", descHistLocal)
 	Register(&Descriptive{})
 }
 
-// descMomentsLocal returns, per requested variable, the additive moments
-// [n, na, sum, sum2] as one flat vector (variables × 4).
-func descMomentsLocal(wctx *federation.WorkerCtx, data *engine.Table, kwargs federation.Kwargs) (federation.Transfer, error) {
+// descSummaryLocal returns, per requested variable, the additive moments
+// [n, na, sum, sum2] as one flat vector (variables × 4) to sum, and the
+// minima and maxima to take the min and max of. A worker with no values for
+// a variable reports ±extremeSentinel, which the folds ignore.
+func descSummaryLocal(wctx *federation.WorkerCtx, data *engine.Table, kwargs federation.Kwargs) (federation.Transfer, error) {
 	a, err := decodeVars(kwargs)
 	if err != nil {
 		return nil, err
 	}
-	out := make([]float64, 0, len(a.Vars)*4)
-	for _, name := range a.Vars {
+	moments := make([]float64, 0, len(a.Vars)*4)
+	mins := make([]float64, len(a.Vars))
+	maxs := make([]float64, len(a.Vars))
+	for vi, name := range a.Vars {
 		v := data.ColByName(name)
 		if v == nil {
 			return nil, fmt.Errorf("algorithms: no variable %q", name)
 		}
 		f := v.CastFloat64()
 		var n, na, s, s2 float64
+		lo, hi := math.Inf(1), math.Inf(-1)
 		for i := 0; i < f.Len(); i++ {
 			if f.IsNull(i) {
 				na++
@@ -53,66 +58,32 @@ func descMomentsLocal(wctx *federation.WorkerCtx, data *engine.Table, kwargs fed
 			n++
 			s += x
 			s2 += x * x
+			if x < lo {
+				lo = x
+			}
+			if x > hi {
+				hi = x
+			}
 		}
-		out = append(out, n, na, s, s2)
+		if math.IsInf(lo, 0) {
+			lo = extremeSentinel
+		}
+		if math.IsInf(hi, 0) {
+			hi = -extremeSentinel
+		}
+		moments = append(moments, n, na, s, s2)
+		mins[vi], maxs[vi] = lo, hi
 	}
-	return federation.Transfer{"moments": federation.Vector(out)}, nil
+	return federation.Transfer{
+		"moments": federation.Vector(moments),
+		"mins":    federation.Vector(mins).WithOp(smpc.OpMin),
+		"maxs":    federation.Vector(maxs).WithOp(smpc.OpMax),
+	}, nil
 }
 
-// descMinLocal returns per-variable minima (or +huge when the worker has
-// no values, so the min fold ignores it).
-func descMinLocal(wctx *federation.WorkerCtx, data *engine.Table, kwargs federation.Kwargs) (federation.Transfer, error) {
-	return descExtreme(data, kwargs, true)
-}
-
-// descMaxLocal returns per-variable maxima.
-func descMaxLocal(wctx *federation.WorkerCtx, data *engine.Table, kwargs federation.Kwargs) (federation.Transfer, error) {
-	return descExtreme(data, kwargs, false)
-}
-
-// sentinel bounds keep empty workers neutral in min/max folds while
+// extremeSentinel bounds keep empty workers neutral in min/max folds while
 // staying inside the SMPC fixed-point range.
 const extremeSentinel = 1e12
-
-func descExtreme(data *engine.Table, kwargs federation.Kwargs, wantMin bool) (federation.Transfer, error) {
-	a, err := decodeVars(kwargs)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]float64, len(a.Vars))
-	for vi, name := range a.Vars {
-		v := data.ColByName(name)
-		if v == nil {
-			return nil, fmt.Errorf("algorithms: no variable %q", name)
-		}
-		f := v.CastFloat64()
-		best := math.Inf(1)
-		if !wantMin {
-			best = math.Inf(-1)
-		}
-		for i := 0; i < f.Len(); i++ {
-			if f.IsNull(i) {
-				continue
-			}
-			x := f.Float64s()[i]
-			if wantMin && x < best || !wantMin && x > best {
-				best = x
-			}
-		}
-		if math.IsInf(best, 0) {
-			best = extremeSentinel
-			if !wantMin {
-				best = -extremeSentinel
-			}
-		}
-		out[vi] = best
-	}
-	key := "mins"
-	if !wantMin {
-		key = "maxs"
-	}
-	return federation.Transfer{key: federation.Vector(out)}, nil
-}
 
 // descHistLocal bins each variable into histBins equal-width bins over the
 // global [min, max] passed down by the master.
@@ -230,37 +201,26 @@ func (*Descriptive) Run(sess *federation.Session, req Request) (Result, error) {
 func describeOnce(sess *federation.Session, req Request, datasets []string) ([]VariableSummary, error) {
 	filter := datasetFilter(datasets, req.Filter)
 	spec := federation.LocalRunSpec{
-		Func:   "desc_moments",
+		Func:   "desc_summary",
 		Vars:   req.Y,
 		Filter: filter,
 		KeepNA: true, // NA counting needs the incomplete rows
 		Kwargs: varsArgs{Vars: req.Y},
 	}
-	moments, err := sess.Sum(spec, "moments")
+	summary, err := sess.Aggregate(spec)
 	if err != nil {
 		return nil, err
 	}
-	m, err := moments.Floats("moments")
+	m, err := summary.Floats("moments")
 	if err != nil {
 		return nil, err
 	}
-	spec.Func = "desc_min"
-	minsT, err := sess.Min(spec, "mins")
-	if err != nil {
-		return nil, err
-	}
-	spec.Func = "desc_max"
-	maxsT, err := sess.Max(spec, "maxs")
-	if err != nil {
-		return nil, err
-	}
-	mins, _ := minsT.Floats("mins")
-	maxs, _ := maxsT.Floats("maxs")
+	mins, _ := summary.Floats("mins")
+	maxs, _ := summary.Floats("maxs")
 
-	histSpec := spec
-	histSpec.Func = "desc_hist"
-	histSpec.Kwargs = varsArgs{Vars: req.Y, Mins: mins, Maxs: maxs}
-	histT, err := sess.Sum(histSpec, "hist")
+	spec.Func = "desc_hist"
+	spec.Kwargs = varsArgs{Vars: req.Y, Mins: mins, Maxs: maxs}
+	histT, err := sess.Aggregate(spec)
 	if err != nil {
 		return nil, err
 	}

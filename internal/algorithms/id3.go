@@ -70,12 +70,12 @@ func (a *ID3) Run(sess *federation.Session, req Request) (Result, error) {
 	vars := append([]string{req.Y[0]}, req.X...)
 	frontier := []int{0}
 	for len(frontier) > 0 {
-		agg, err := sess.Sum(federation.LocalRunSpec{
+		agg, err := sess.Aggregate(federation.LocalRunSpec{
 			Func:   "tree_hist_local",
 			Vars:   vars,
 			Filter: req.Filter,
 			Kwargs: treeArgs{Tree: tree, Frontier: frontier},
-		}, "hist", "totals")
+		})
 		if err != nil {
 			return nil, err
 		}
@@ -149,10 +149,10 @@ func (a *ID3) Run(sess *federation.Session, req Request) (Result, error) {
 		frontier = next
 	}
 
-	agg, err := sess.Sum(federation.LocalRunSpec{
+	agg, err := sess.Aggregate(federation.LocalRunSpec{
 		Func: "tree_eval_local", Vars: vars, Filter: req.Filter,
 		Kwargs: treeArgs{Tree: tree},
-	}, "conf")
+	})
 	if err != nil {
 		return nil, err
 	}

@@ -7,6 +7,7 @@ import (
 
 	"mip/internal/engine"
 	"mip/internal/federation"
+	"mip/internal/smpc"
 	"mip/internal/stats"
 )
 
@@ -50,7 +51,7 @@ func kmTimesLocal(wctx *federation.WorkerCtx, data *engine.Table, kwargs federat
 	for t := range seen {
 		out = append(out, t)
 	}
-	return federation.Transfer{"times": federation.Vector(out)}, nil
+	return federation.Transfer{"times": federation.Vector(out).WithOp(smpc.OpUnion)}, nil
 }
 
 // kmCountsLocal returns per group g and per distinct time t: events d[g][t],
@@ -187,12 +188,16 @@ func (a *KaplanMeier) Run(sess *federation.Session, req Request) (Result, error)
 	}
 
 	// Round 1: distinct times (secure disjoint union when SMPC is on).
-	times, err := sess.SecureUnion(federation.LocalRunSpec{
+	union, err := sess.Aggregate(federation.LocalRunSpec{
 		Func:   "km_times_local",
 		Vars:   vars,
 		Filter: req.Filter,
 		Kwargs: kmArgs{Time: timeVar},
-	}, "times")
+	})
+	if err != nil {
+		return nil, err
+	}
+	times, err := union.Floats("times")
 	if err != nil {
 		return nil, err
 	}
@@ -201,12 +206,12 @@ func (a *KaplanMeier) Run(sess *federation.Session, req Request) (Result, error)
 	}
 
 	// Round 2: counts per group per time.
-	agg, err := sess.Sum(federation.LocalRunSpec{
+	agg, err := sess.Aggregate(federation.LocalRunSpec{
 		Func:   "km_counts_local",
 		Vars:   vars,
 		Filter: req.Filter,
 		Kwargs: kmArgs{Time: timeVar, Event: eventVar, Times: times, Groups: groups, GroupVar: groupVar},
-	}, "events", "censored", "totals")
+	})
 	if err != nil {
 		return nil, err
 	}

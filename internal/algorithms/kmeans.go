@@ -112,30 +112,19 @@ func (a *KMeans) Run(sess *federation.Session, req Request) (Result, error) {
 	p := len(req.Y)
 
 	// Bootstrap round: global moments (for standardization) and min/max
-	// (for centroid seeding) via the descriptive local steps.
-	spec := federation.LocalRunSpec{
-		Func:   "desc_moments",
+	// (for centroid seeding) via the descriptive summary step.
+	summary, err := sess.Aggregate(federation.LocalRunSpec{
+		Func:   "desc_summary",
 		Vars:   req.Y,
 		Filter: req.Filter,
 		Kwargs: varsArgs{Vars: req.Y},
-	}
-	mom, err := sess.Sum(spec, "moments")
+	})
 	if err != nil {
 		return nil, err
 	}
-	m, _ := mom.Floats("moments")
-	spec.Func = "desc_min"
-	minsT, err := sess.Min(spec, "mins")
-	if err != nil {
-		return nil, err
-	}
-	spec.Func = "desc_max"
-	maxsT, err := sess.Max(spec, "maxs")
-	if err != nil {
-		return nil, err
-	}
-	mins, _ := minsT.Floats("mins")
-	maxs, _ := maxsT.Floats("maxs")
+	m, _ := summary.Floats("moments")
+	mins, _ := summary.Floats("mins")
+	maxs, _ := summary.Floats("maxs")
 
 	var totalN float64
 	means := make([]float64, p)
@@ -170,12 +159,12 @@ func (a *KMeans) Run(sess *federation.Session, req Request) (Result, error) {
 
 	res := KMeansResult{Variables: req.Y}
 	for iter := 1; iter <= maxIter; iter++ {
-		agg, err := sess.Sum(federation.LocalRunSpec{
+		agg, err := sess.Aggregate(federation.LocalRunSpec{
 			Func:   "kmeans_assign",
 			Vars:   req.Y,
 			Filter: req.Filter,
 			Kwargs: varsArgs{Vars: req.Y, Centroids: centroids},
-		}, "counts", "sums", "wss")
+		})
 		if err != nil {
 			return nil, err
 		}

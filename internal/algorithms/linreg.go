@@ -144,12 +144,12 @@ func fitLinReg(sess *federation.Session, req Request, fold, numFolds int) (*LinR
 		args.foldArgs = foldArgs{Fold: fold, NumFolds: numFolds, FoldMode: "exclude"}
 		vars = append(vars, "row_id")
 	}
-	agg, err := sess.Sum(federation.LocalRunSpec{
+	agg, err := sess.Aggregate(federation.LocalRunSpec{
 		Func:   "linreg_fit_local",
 		Vars:   vars,
 		Filter: req.Filter,
 		Kwargs: args,
-	}, "n", "xtx", "xty", "yty", "sy")
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -294,13 +294,13 @@ func (a *LinearRegressionCV) Run(sess *federation.Session, req Request) (Result,
 		for i, c := range model.Coefficients {
 			beta[i] = c.Estimate
 		}
-		scores, err := sess.Sum(federation.LocalRunSpec{
+		scores, err := sess.Aggregate(federation.LocalRunSpec{
 			Func:   "linreg_score_local",
 			Vars:   vars,
 			Filter: req.Filter,
 			Kwargs: modelArgs{Y: req.Y[0], X: req.X, Levels: levels, Beta: beta,
 				foldArgs: foldArgs{Fold: f, NumFolds: k, FoldMode: "only"}},
-		}, "n", "sse", "sae", "sy", "sy2")
+		})
 		if err != nil {
 			return nil, fmt.Errorf("fold %d scoring: %w", f, err)
 		}

@@ -232,12 +232,12 @@ func fitLogReg(sess *federation.Session, req Request, fold, numFolds int) (*LogR
 	var hessInv *stats.Dense
 	var lastLL float64
 	for iter := 1; iter <= maxIter; iter++ {
-		agg, err := sess.Sum(federation.LocalRunSpec{
+		agg, err := sess.Aggregate(federation.LocalRunSpec{
 			Func:   "logreg_grad_local",
 			Vars:   vars,
 			Filter: req.Filter,
 			Kwargs: args,
-		}, "n", "pos", "grad", "hess", "ll")
+		})
 		if err != nil {
 			return nil, nil, err
 		}
@@ -365,14 +365,14 @@ func (a *LogisticRegressionCV) Run(sess *federation.Session, req Request) (Resul
 		if err != nil {
 			return nil, fmt.Errorf("fold %d: %w", f, err)
 		}
-		agg, err := sess.Sum(federation.LocalRunSpec{
+		agg, err := sess.Aggregate(federation.LocalRunSpec{
 			Func:   "logreg_score_local",
 			Vars:   vars,
 			Filter: req.Filter,
 			Kwargs: modelArgs{Y: req.Y[0], X: req.X, Levels: levels,
 				PosLevel: req.ParamString("pos_level", ""), Beta: beta,
 				foldArgs: foldArgs{Fold: f, NumFolds: k, FoldMode: "only"}},
-		}, "pos_bins", "neg_bins", "conf")
+		})
 		if err != nil {
 			return nil, fmt.Errorf("fold %d scoring: %w", f, err)
 		}

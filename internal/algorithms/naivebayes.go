@@ -335,12 +335,12 @@ func trainNB(sess *federation.Session, req Request, fold, numFolds int) (*NBMode
 		a.foldArgs = foldArgs{Fold: fold, NumFolds: numFolds, FoldMode: "exclude"}
 		vars = append(vars, "row_id")
 	}
-	agg, err := sess.Sum(federation.LocalRunSpec{
+	agg, err := sess.Aggregate(federation.LocalRunSpec{
 		Func:   "nb_train_local",
 		Vars:   vars,
 		Filter: req.Filter,
 		Kwargs: a,
-	}, "counts", "gauss", "cat")
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -415,12 +415,12 @@ func (alg *NaiveBayesCV) Run(sess *federation.Session, req Request) (Result, err
 		}
 		args.Model = model
 		args.foldArgs = foldArgs{Fold: f, NumFolds: k, FoldMode: "only"}
-		agg, err := sess.Sum(federation.LocalRunSpec{
+		agg, err := sess.Aggregate(federation.LocalRunSpec{
 			Func:   "nb_score_local",
 			Vars:   vars,
 			Filter: req.Filter,
 			Kwargs: args,
-		}, "conf")
+		})
 		if err != nil {
 			return nil, fmt.Errorf("fold %d scoring: %w", f, err)
 		}

@@ -86,12 +86,12 @@ func (a *PCA) Run(sess *federation.Session, req Request) (Result, error) {
 	if err := requireVars(a.Spec(), req); err != nil {
 		return nil, err
 	}
-	agg, err := sess.Sum(federation.LocalRunSpec{
+	agg, err := sess.Aggregate(federation.LocalRunSpec{
 		Func:   "pca_local",
 		Vars:   req.Y,
 		Filter: req.Filter,
 		Kwargs: varsArgs{Vars: req.Y},
-	}, "n", "sums", "cross")
+	})
 	if err != nil {
 		return nil, err
 	}

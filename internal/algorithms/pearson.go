@@ -115,12 +115,12 @@ func (a *PearsonCorrelation) Run(sess *federation.Session, req Request) (Result,
 		return nil, err
 	}
 	vars := append(append([]string{}, req.Y...), req.X...)
-	agg, err := sess.Sum(federation.LocalRunSpec{
+	agg, err := sess.Aggregate(federation.LocalRunSpec{
 		Func:   "pearson_local",
 		Vars:   dedupe(vars),
 		Filter: req.Filter,
 		Kwargs: pearsonArgs{Y: req.Y, X: req.X},
-	}, "pairs")
+	})
 	if err != nil {
 		return nil, err
 	}

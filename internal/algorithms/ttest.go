@@ -151,12 +151,12 @@ func (a *TTestOneSample) Run(sess *federation.Session, req Request) (Result, err
 	if err := requireVars(a.Spec(), req); err != nil {
 		return nil, err
 	}
-	agg, err := sess.Sum(federation.LocalRunSpec{
+	agg, err := sess.Aggregate(federation.LocalRunSpec{
 		Func:   "ttest_moments",
 		Vars:   req.Y,
 		Filter: req.Filter,
 		Kwargs: ttestArgs{Var: req.Y[0]},
-	}, "m")
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -202,12 +202,12 @@ func (a *TTestIndependent) Run(sess *federation.Session, req Request) (Result, e
 	if len(groups) != 2 {
 		return nil, fmt.Errorf("algorithms: ttest_independent needs parameter groups = [g1, g2]")
 	}
-	agg, err := sess.Sum(federation.LocalRunSpec{
+	agg, err := sess.Aggregate(federation.LocalRunSpec{
 		Func:   "ttest_moments",
 		Vars:   append([]string{req.Y[0]}, req.X[0]),
 		Filter: req.Filter,
 		Kwargs: ttestArgs{Var: req.Y[0], GroupVar: req.X[0], Groups: groups},
-	}, "m")
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -261,12 +261,12 @@ func (a *TTestPaired) Run(sess *federation.Session, req Request) (Result, error)
 	if err := requireVars(a.Spec(), req); err != nil {
 		return nil, err
 	}
-	agg, err := sess.Sum(federation.LocalRunSpec{
+	agg, err := sess.Aggregate(federation.LocalRunSpec{
 		Func:   "ttest_paired_moments",
 		Vars:   req.Y,
 		Filter: req.Filter,
 		Kwargs: varsArgs{Vars: req.Y},
-	}, "m")
+	})
 	if err != nil {
 		return nil, err
 	}

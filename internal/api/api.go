@@ -69,6 +69,27 @@ type Experiment struct {
 	Finished       *time.Time `json:"finished,omitempty"`
 
 	taskID string
+	done   chan struct{} // closed at the terminal transition
+}
+
+// settle closes a record's done channel at its terminal transition, once:
+// a record already settled keeps its channel closed. Callers hold s.mu.
+func settle(done chan struct{}) {
+	select {
+	case <-done:
+	default:
+		close(done)
+	}
+}
+
+// await blocks until done closes or ctx ends.
+func await(ctx context.Context, done <-chan struct{}) error {
+	select {
+	case <-done:
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
 }
 
 // Server wires the master, the catalogue and the task runner into HTTP
@@ -214,6 +235,7 @@ func (s *Server) AbortPending(reason string) int {
 			e.Status = "error"
 			e.Error = reason
 			e.Finished = &now
+			settle(e.done)
 			n++
 		}
 	}
@@ -221,6 +243,7 @@ func (s *Server) AbortPending(reason string) int {
 		if wf.Status == "pending" || wf.Status == "running" {
 			wf.Status = "error"
 			wf.Finished = &now
+			settle(wf.done)
 			n++
 		}
 	}
@@ -335,6 +358,7 @@ func (s *Server) handleCreateExperiment(w http.ResponseWriter, r *http.Request) 
 		Request:   req.Request,
 		Status:    "pending",
 		Created:   time.Now(),
+		done:      make(chan struct{}),
 	}
 	s.experiments[exp.UUID] = exp
 	s.mu.Unlock()
@@ -345,6 +369,7 @@ func (s *Server) handleCreateExperiment(w http.ResponseWriter, r *http.Request) 
 		s.mu.Lock()
 		exp.Status = "error"
 		exp.Error = err.Error()
+		settle(exp.done)
 		s.mu.Unlock()
 		writeErr(w, http.StatusServiceUnavailable, "submitting: %v", err)
 		return
@@ -389,7 +414,6 @@ func (s *Server) runExperimentTask(ctx context.Context, payload json.RawMessage)
 		return nil, fmt.Errorf("api: unknown experiment %q", p.UUID)
 	}
 	exp.Status = "running"
-	alg := algorithms.Get(exp.Algorithm)
 	req := exp.Request
 	created := exp.Created
 	tenant := exp.Tenant
@@ -400,70 +424,56 @@ func (s *Server) runExperimentTask(ctx context.Context, payload json.RawMessage)
 	// over HTTP), SMPC rounds, engine queries — nests under this root.
 	root := obs.DefaultTraces.StartSpan(exp.UUID, "", "experiment "+exp.Algorithm)
 	root.SetAttr("name", exp.Name)
+	result, dropped, err := s.runAlgorithm(exp.UUID, tenant, exp.Algorithm, req,
+		obs.TraceRef{TraceID: exp.UUID, SpanID: root.ID()}, created)
 
-	var sess *federation.Session
-	finish := func(result algorithms.Result, err error) {
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		now := time.Now()
-		exp.Finished = &now
-		apiExperimentSeconds.Observe(now.Sub(created).Seconds())
-		if err != nil {
-			exp.Status = "error"
-			exp.Error = err.Error()
-		} else if enc, encErr := json.Marshal(result); encErr != nil {
-			exp.Status = "error"
-			exp.Error = encErr.Error()
-		} else {
-			exp.Status = "success"
-			exp.Result = enc
-		}
-		if sess != nil {
-			if dropped := sess.Dropped(); len(dropped) > 0 {
-				exp.Degraded = true
-				exp.DroppedWorkers = dropped
-				root.SetAttr("dropped_workers", strings.Join(dropped, ","))
-			}
-		}
-		apiExperimentsDone(exp.Status).Inc()
-		root.SetAttr("status", exp.Status)
-		if exp.Status == "error" {
-			root.SetAttr("error", exp.Error)
-		}
-		root.End()
-
-		// The experiment's own record: its verdict, its worker set and any
-		// degraded quorum. The per-statement rows/bytes were already emitted
-		// by the workers' engines as they ran.
-		rec := obs.QueryRecord{
-			Kind:     obs.KindExperiment,
-			ID:       exp.UUID,
-			SQL:      exp.Algorithm,
-			Tenant:   tenant,
-			Job:      exp.UUID,
-			Datasets: req.Datasets,
-			Start:    created,
-			Seconds:  now.Sub(created).Seconds(),
-			Verdict:  exp.Status,
-			Error:    exp.Error,
-			Dropped:  exp.DroppedWorkers,
-		}
-		if sess != nil {
-			rec.Workers = sess.WorkerIDs()
-		}
-		obs.Emit(&rec, nil, true)
-	}
-
-	sess, err := s.Master.NewSession(req.Datasets)
+	s.mu.Lock()
+	now := time.Now()
+	exp.Finished = &now
+	apiExperimentSeconds.Observe(now.Sub(created).Seconds())
+	exp.Status, exp.Result = "success", result
 	if err != nil {
-		finish(nil, err)
-		return nil, nil // failure recorded on the experiment, not retried
+		exp.Status, exp.Error = "error", err.Error()
+		root.SetAttr("error", exp.Error)
 	}
-	sess.SetTrace(obs.TraceRef{TraceID: exp.UUID, SpanID: root.ID()})
-	sess.SetTenant(tenant) // every worker statement meters under this account
-	result, err := algorithms.Run(alg, sess, req)
-	finish(result, err)
+	if len(dropped) > 0 {
+		exp.Degraded, exp.DroppedWorkers = true, dropped
+		root.SetAttr("dropped_workers", strings.Join(dropped, ","))
+	}
+	apiExperimentsDone(exp.Status).Inc()
+	root.SetAttr("status", exp.Status)
+	root.End() // before waiters wake, so they read a whole trace
+	settle(exp.done)
+	s.mu.Unlock()
 	return map[string]string{"uuid": p.UUID}, nil
+}
+
+// runAlgorithm runs one algorithm as experiment id of tenant: it opens the
+// session, traces it under trace, meters every worker statement to tenant,
+// and emits the experiment's record (verdict, worker set, degraded quorum)
+// for the tenant meter and the audit chain; the per-statement rows and
+// bytes were already emitted by the workers' engines as they ran. It
+// returns the encoded result and the workers a degraded quorum dropped.
+func (s *Server) runAlgorithm(id, tenant, name string, req algorithms.Request, trace obs.TraceRef, start time.Time) (json.RawMessage, []string, error) {
+	rec := obs.QueryRecord{Kind: obs.KindExperiment, ID: id, SQL: name, Tenant: tenant, Job: id,
+		Datasets: req.Datasets, Start: start, Verdict: "success"}
+	var enc json.RawMessage
+	sess, err := s.Master.NewSession(req.Datasets)
+	if err == nil {
+		sess.SetTrace(trace)
+		sess.SetTenant(tenant)
+		var res algorithms.Result
+		if res, err = algorithms.Run(algorithms.Get(name), sess, req); err == nil {
+			enc, err = json.Marshal(res)
+		}
+		rec.Workers, rec.Dropped = sess.WorkerIDs(), sess.Dropped()
+	}
+	rec.Seconds = time.Since(start).Seconds()
+	if err != nil {
+		rec.Verdict, rec.Error = "error", err.Error()
+	}
+	obs.Emit(&rec, nil, true)
+	return enc, rec.Dropped, err
 }
 
 func (s *Server) handleListExperiments(w http.ResponseWriter, _ *http.Request) {
@@ -495,27 +505,18 @@ func (s *Server) handleGetExperiment(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, cp)
 }
 
-// WaitForExperiment polls until the experiment finishes (test/CLI helper).
+// WaitForExperiment blocks until the experiment finishes or ctx ends and
+// returns its snapshot (test/CLI helper).
 func (s *Server) WaitForExperiment(ctx context.Context, uuid string) (*Experiment, error) {
-	for {
-		s.mu.Lock()
-		e := s.experiments[uuid]
-		var snapshot *Experiment
-		if e != nil {
-			c := *e
-			snapshot = &c
-		}
-		s.mu.Unlock()
-		if snapshot == nil {
-			return nil, fmt.Errorf("api: unknown experiment %q", uuid)
-		}
-		if snapshot.Status == "success" || snapshot.Status == "error" {
-			return snapshot, nil
-		}
-		select {
-		case <-ctx.Done():
-			return snapshot, ctx.Err()
-		case <-time.After(2 * time.Millisecond):
-		}
+	s.mu.Lock()
+	e := s.experiments[uuid]
+	s.mu.Unlock()
+	if e == nil {
+		return nil, fmt.Errorf("api: unknown experiment %q", uuid)
 	}
+	err := await(ctx, e.done)
+	s.mu.Lock()
+	snapshot := *e
+	s.mu.Unlock()
+	return &snapshot, err
 }

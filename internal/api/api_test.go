@@ -376,3 +376,41 @@ func TestConcurrentExperiments(t *testing.T) {
 		}
 	}
 }
+
+// TestWaitWakesOnAbortPending: a waiter parked on an experiment that no
+// runner will pick up returns the terminal snapshot as soon as
+// AbortPending settles it, without polling.
+func TestWaitWakesOnAbortPending(t *testing.T) {
+	s, ts := testServer(t)
+	s.Runner.Close() // nothing consumes the queue: the experiment stays pending
+	var exp Experiment
+	if code := postJSON(t, ts.URL+"/experiments", ExperimentRequest{
+		Algorithm: "descriptive_stats",
+		Request:   algorithms.Request{Datasets: []string{"edsd"}, Y: []string{"ab42"}},
+	}, &exp); code != 201 {
+		t.Fatalf("create = %d", code)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	type waited struct {
+		exp *Experiment
+		err error
+	}
+	ch := make(chan waited, 1)
+	go func() {
+		e, err := s.WaitForExperiment(ctx, exp.UUID)
+		ch <- waited{e, err}
+	}()
+	select {
+	case w := <-ch:
+		t.Fatalf("waiter returned before the experiment settled: %+v, %v", w.exp, w.err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	if n := s.AbortPending("test shutdown"); n != 1 {
+		t.Fatalf("AbortPending settled %d records, want 1", n)
+	}
+	w := <-ch
+	if w.err != nil || w.exp.Status != "error" || w.exp.Error != "test shutdown" || w.exp.Finished == nil {
+		t.Fatalf("waiter got %+v, %v; want the aborted terminal snapshot", w.exp, w.err)
+	}
+}

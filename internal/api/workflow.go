@@ -25,10 +25,13 @@ type WorkflowStep struct {
 	Request   algorithms.Request `json:"request"`
 }
 
-// WorkflowRequest is the POST /workflows payload.
+// WorkflowRequest is the POST /workflows payload. Tenant attributes every
+// step's statements to a billing account, as on POST /experiments; the
+// X-MIP-Tenant request header takes precedence when set.
 type WorkflowRequest struct {
-	Name  string         `json:"name"`
-	Steps []WorkflowStep `json:"steps"`
+	Name   string         `json:"name"`
+	Tenant string         `json:"tenant,omitempty"`
+	Steps  []WorkflowStep `json:"steps"`
 }
 
 // WorkflowStepResult is one step's outcome.
@@ -49,7 +52,9 @@ type Workflow struct {
 	Created  time.Time            `json:"created"`
 	Finished *time.Time           `json:"finished,omitempty"`
 
-	spec []WorkflowStep
+	spec   []WorkflowStep
+	tenant string        // meters every step's statements
+	done   chan struct{} // closed at the terminal transition
 }
 
 // snapshotWorkflow deep-copies a workflow (steps included) so JSON
@@ -88,14 +93,19 @@ func (s *Server) handleCreateWorkflow(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
+	if h := r.Header.Get("X-MIP-Tenant"); h != "" {
+		req.Tenant = h
+	}
 	s.mu.Lock()
 	s.seq++
 	wf := &Workflow{
 		UUID:    fmt.Sprintf("wf-%s-%06d", s.instance, s.seq),
 		Name:    req.Name,
+		tenant:  req.Tenant,
 		Status:  "pending",
 		Created: time.Now(),
 		spec:    req.Steps,
+		done:    make(chan struct{}),
 	}
 	for _, st := range req.Steps {
 		wf.Steps = append(wf.Steps, WorkflowStepResult{
@@ -112,6 +122,7 @@ func (s *Server) handleCreateWorkflow(w http.ResponseWriter, r *http.Request) {
 	if _, err := s.Runner.Submit("workflow", map[string]any{"uuid": wf.UUID}); err != nil {
 		s.mu.Lock()
 		wf.Status = "error"
+		settle(wf.done)
 		s.mu.Unlock()
 		writeErr(w, http.StatusServiceUnavailable, "submitting: %v", err)
 		return
@@ -149,7 +160,12 @@ func (s *Server) runWorkflowTask(ctx context.Context, payload json.RawMessage) (
 			s.mu.Unlock()
 			continue
 		}
-		result, err := s.runStep(st, root)
+		span := root.StartChild("step " + st.Algorithm)
+		span.SetAttr("name", st.Name)
+		result, _, err := s.runAlgorithm(fmt.Sprintf("%s/step-%d", wf.UUID, i+1), wf.tenant, st.Algorithm,
+			st.Request, obs.TraceRef{TraceID: wf.UUID, SpanID: span.ID()}, time.Now())
+		span.SetError(err)
+		span.End()
 		s.mu.Lock()
 		if err != nil {
 			wf.Steps[i].Status = "error"
@@ -170,31 +186,10 @@ func (s *Server) runWorkflowTask(ctx context.Context, payload json.RawMessage) (
 		wf.Status = "success"
 	}
 	root.SetAttr("status", wf.Status)
-	s.mu.Unlock()
 	root.End()
+	settle(wf.done)
+	s.mu.Unlock()
 	return map[string]string{"uuid": p.UUID}, nil
-}
-
-func (s *Server) runStep(st WorkflowStep, parent *obs.Span) (json.RawMessage, error) {
-	span := parent.StartChild("step " + st.Algorithm)
-	span.SetAttr("name", st.Name)
-	defer span.End()
-	alg := algorithms.Get(st.Algorithm)
-	if alg == nil {
-		return nil, fmt.Errorf("unknown algorithm %q", st.Algorithm)
-	}
-	sess, err := s.Master.NewSession(st.Request.Datasets)
-	if err != nil {
-		span.SetError(err)
-		return nil, err
-	}
-	sess.SetTrace(obs.TraceRef{TraceID: parent.Data().TraceID, SpanID: span.ID()})
-	res, err := algorithms.Run(alg, sess, st.Request)
-	if err != nil {
-		span.SetError(err)
-		return nil, err
-	}
-	return json.Marshal(res)
 }
 
 func (s *Server) handleListWorkflows(w http.ResponseWriter, _ *http.Request) {
@@ -224,26 +219,18 @@ func (s *Server) handleGetWorkflow(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, cp)
 }
 
-// WaitForWorkflow polls until the workflow finishes.
+// WaitForWorkflow blocks until the workflow finishes or ctx ends and
+// returns its snapshot.
 func (s *Server) WaitForWorkflow(ctx context.Context, uuid string) (*Workflow, error) {
-	for {
-		s.mu.Lock()
-		wf := s.workflows[uuid]
-		var snapshot *Workflow
-		if wf != nil {
-			snapshot = snapshotWorkflow(wf)
-		}
-		s.mu.Unlock()
-		if snapshot == nil {
-			return nil, fmt.Errorf("api: unknown workflow %q", uuid)
-		}
-		if snapshot.Status == "success" || snapshot.Status == "error" {
-			return snapshot, nil
-		}
-		select {
-		case <-ctx.Done():
-			return snapshot, ctx.Err()
-		case <-time.After(2 * time.Millisecond):
-		}
+	s.mu.Lock()
+	wf := s.workflows[uuid]
+	s.mu.Unlock()
+	if wf == nil {
+		return nil, fmt.Errorf("api: unknown workflow %q", uuid)
 	}
+	err := await(ctx, wf.done)
+	s.mu.Lock()
+	snapshot := snapshotWorkflow(wf)
+	s.mu.Unlock()
+	return snapshot, err
 }

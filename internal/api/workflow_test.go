@@ -4,11 +4,14 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
+	"slices"
 	"testing"
 	"time"
 
 	"mip/internal/algorithms"
+	"mip/internal/obs"
 )
 
 func TestWorkflowLifecycle(t *testing.T) {
@@ -180,5 +183,60 @@ func TestWorkflowResultDecodable(t *testing.T) {
 	r := corrs[0].(map[string]any)["r"].(float64)
 	if r <= 0 {
 		t.Fatalf("r = %v, expected positive MMSE~hippocampus correlation", r)
+	}
+}
+
+// TestWorkflowStepsMeteredUnderTenant: POST /workflows takes its tenant from
+// X-MIP-Tenant like POST /experiments, so each step's worker statements
+// meter to that account and each step leaves an experiment record on the
+// tenant's audit chain.
+func TestWorkflowStepsMeteredUnderTenant(t *testing.T) {
+	s, ts := testServer(t)
+	tenant := fmt.Sprintf("wf-tenant-%d", time.Now().UnixNano())
+	req := WorkflowRequest{
+		Name:   "metered",
+		Tenant: "overridden-by-header",
+		Steps: []WorkflowStep{
+			{Name: "profile", Algorithm: "descriptive_stats",
+				Request: algorithms.Request{Datasets: []string{"edsd"}, Y: []string{"ab42"}}},
+			{Name: "corr", Algorithm: "pearson_correlation",
+				Request: algorithms.Request{Datasets: []string{"edsd"}, Y: []string{"minimentalstate"}, X: []string{"lefthippocampus"}}},
+		},
+	}
+	var wf Workflow
+	if code := postJSONAs(t, tenant, ts.URL+"/workflows", req, &wf); code != 201 {
+		t.Fatalf("create = %d", code)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if final, err := s.WaitForWorkflow(ctx, wf.UUID); err != nil || final.Status != "success" {
+		t.Fatalf("workflow = %+v, %v", final, err)
+	}
+
+	var usage obs.TenantUsage
+	if code := getJSON(t, ts.URL+"/tenants/"+tenant+"/usage", &usage); code != 200 {
+		t.Fatalf("GET /tenants/%s/usage = %d: the steps were not metered to the tenant", tenant, code)
+	}
+	if usage.Experiments != 2 || usage.Queries == 0 {
+		t.Fatalf("usage = %+v, want 2 experiments and metered statements", usage)
+	}
+	var audit struct {
+		Records  []obs.AuditRecord `json:"records"`
+		Verified bool              `json:"verified"`
+	}
+	if code := getJSON(t, ts.URL+"/audit?tenant="+tenant, &audit); code != 200 || !audit.Verified {
+		t.Fatalf("GET /audit = %d, verified %v", code, audit.Verified)
+	}
+	var steps []string
+	for _, r := range audit.Records {
+		if r.Kind == "experiment" {
+			steps = append(steps, r.Job)
+			if len(r.Workers) != 2 {
+				t.Fatalf("step %s audit workers = %v, want both", r.Job, r.Workers)
+			}
+		}
+	}
+	if want := []string{wf.UUID + "/step-1", wf.UUID + "/step-2"}; !slices.Equal(steps, want) {
+		t.Fatalf("experiment audit records = %v, want %v", steps, want)
 	}
 }

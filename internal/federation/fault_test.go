@@ -84,7 +84,7 @@ func TestRetrySurvivesFlakyWorker(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	total, err := sess.Sum(federation.LocalRunSpec{Func: "test_sums", Vars: []string{"age"}}, "n")
+	total, err := sess.Aggregate(federation.LocalRunSpec{Func: "test_sums", Vars: []string{"age"}})
 	if err != nil {
 		t.Fatalf("Sum with flaky worker: %v", err)
 	}
@@ -136,7 +136,7 @@ func TestDeadWorkerPartialAggregate(t *testing.T) {
 	if sess.NumWorkers() != 4 {
 		t.Fatalf("session workers = %d, want 4", sess.NumWorkers())
 	}
-	total, err := sess.Sum(federation.LocalRunSpec{Func: "test_sums", Vars: []string{"age"}}, "n")
+	total, err := sess.Aggregate(federation.LocalRunSpec{Func: "test_sums", Vars: []string{"age"}})
 	if err != nil {
 		t.Fatalf("Sum with dead worker under quorum: %v", err)
 	}
@@ -175,7 +175,7 @@ func TestQuorumNotMet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = sess.Sum(federation.LocalRunSpec{Func: "test_sums", Vars: []string{"age"}}, "n")
+	_, err = sess.Aggregate(federation.LocalRunSpec{Func: "test_sums", Vars: []string{"age"}})
 	if err == nil || !strings.Contains(err.Error(), "quorum not met") {
 		t.Fatalf("err = %v, want quorum-not-met", err)
 	}
@@ -214,7 +214,7 @@ func TestSecureAggregationNeverDegrades(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = sess.SecureSum(federation.LocalRunSpec{Func: "test_sums", Vars: []string{"age"}}, "n")
+	_, err = sess.Aggregate(federation.LocalRunSpec{Func: "test_sums", Vars: []string{"age"}})
 	if err == nil || !strings.Contains(err.Error(), "secure aggregation requires shares from all 3 workers") {
 		t.Fatalf("err = %v, want all-shares-required", err)
 	}
@@ -253,16 +253,16 @@ func TestFailedSecureStepReleasesShares(t *testing.T) {
 		t.Fatal(err)
 	}
 	spec := federation.LocalRunSpec{Func: "test_sums", Vars: []string{"age"}}
-	if _, err := sess.SecureSum(spec, "n"); err == nil {
+	if _, err := sess.Aggregate(spec); err == nil {
 		t.Fatal("secure step with a failing worker succeeded")
 	}
-	if w := cluster.Workers(sess.ID() + "/step-1"); w != nil {
+	if w := cluster.Workers(sess.ID() + "/step-1/sum"); w != nil {
 		t.Fatalf("failed step left shares from %v in the cluster", w)
 	}
 	if got := pending.Value(); got != start {
 		t.Fatalf("mip_smpc_pending_jobs = %v after the failed step, want %v", got, start)
 	}
-	total, err := sess.SecureSum(spec, "n")
+	total, err := sess.Aggregate(spec)
 	if err != nil {
 		t.Fatalf("step after recovery: %v", err)
 	}
@@ -438,7 +438,7 @@ func TestStragglerDeadline(t *testing.T) {
 		t.Fatal(err)
 	}
 	start := time.Now()
-	total, err := sess.Sum(federation.LocalRunSpec{Func: "test_sums", Vars: []string{"age"}}, "n")
+	total, err := sess.Aggregate(federation.LocalRunSpec{Func: "test_sums", Vars: []string{"age"}})
 	if err != nil {
 		t.Fatalf("Sum with straggler: %v", err)
 	}
@@ -555,7 +555,7 @@ func TestChaosFlapping(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		total, err := sess.Sum(federation.LocalRunSpec{Func: "test_sums", Vars: []string{"age"}}, "n")
+		total, err := sess.Aggregate(federation.LocalRunSpec{Func: "test_sums", Vars: []string{"age"}})
 		if err != nil {
 			if !strings.Contains(err.Error(), "federation") && !strings.Contains(err.Error(), "worker") {
 				t.Fatalf("step %d: unexpected error shape: %v", i, err)

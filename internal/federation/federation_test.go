@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"mip/internal/engine"
@@ -15,7 +16,12 @@ import (
 
 func init() {
 	// Test local step: per-column sums and count over the input relation.
+	// The kwarg "op" tags the sums (default: summed across workers).
 	RegisterLocal("test_sums", func(wctx *WorkerCtx, data *engine.Table, kwargs Kwargs) (Transfer, error) {
+		var a struct{ Op smpc.Op }
+		if err := kwargs.Decode(&a); err != nil {
+			return nil, err
+		}
 		tr := Transfer{"n": Scalar(float64(data.NumRows()))}
 		var vec []float64
 		for i, col := range data.Schema() {
@@ -31,7 +37,7 @@ func init() {
 			}
 			vec = append(vec, s)
 		}
-		tr["sums"] = Vector(vec)
+		tr["sums"] = Vector(vec).WithOp(a.Op)
 		return tr, nil
 	})
 	// Test local step exercising loopback SQL.
@@ -55,7 +61,34 @@ func init() {
 		for x := range seen {
 			out = append(out, x)
 		}
-		return Transfer{"times": Vector(out)}, nil
+		return Transfer{"times": Vector(out).WithOp(smpc.OpUnion)}, nil
+	})
+	// Test local step carrying one key of every op: the row count (sum), the
+	// youngest and oldest age (min, max) and the distinct age decades
+	// (union).
+	RegisterLocal("test_mixed", func(wctx *WorkerCtx, data *engine.Table, kwargs Kwargs) (Transfer, error) {
+		ages := data.ColByName("age").CastFloat64().Float64s()
+		lo, hi := slices.Min(ages), slices.Max(ages)
+		var decades []float64
+		for _, a := range ages {
+			decades = append(decades, math.Floor(a/10))
+		}
+		slices.Sort(decades)
+		return Transfer{
+			"n":       Scalar(float64(len(ages))),
+			"lo":      Scalar(lo).WithOp(smpc.OpMin),
+			"hi":      Scalar(hi).WithOp(smpc.OpMax),
+			"decades": Vector(slices.Compact(decades)).WithOp(smpc.OpUnion),
+		}, nil
+	})
+	// Test local step whose workers disagree on how "extreme" combines:
+	// hosp1 tags it max, every other worker min.
+	RegisterLocal("test_disagree", func(wctx *WorkerCtx, data *engine.Table, kwargs Kwargs) (Transfer, error) {
+		op := smpc.OpMin
+		if wctx.WorkerID == "hosp1" {
+			op = smpc.OpMax
+		}
+		return Transfer{"n": Scalar(float64(data.NumRows())), "extreme": Scalar(1).WithOp(op)}, nil
 	})
 	// Test local step whose vector length depends on the worker: hosp0 and
 	// hosp2 emit one value, hosp1 two.
@@ -175,7 +208,7 @@ func TestLocalRunPlainAggregation(t *testing.T) {
 	if len(transfers) != 3 {
 		t.Fatalf("transfers = %d", len(transfers))
 	}
-	agg, err := aggregateFold(transfers, smpc.OpSum, []string{"n", "sums"})
+	agg, err := aggregateFold(transfers)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,13 +228,13 @@ func TestSecureSumMatchesPlain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := aggregateFold(transfers, smpc.OpSum, []string{"n", "sums"})
+	plain, err := aggregateFold(transfers)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	ss, _ := secureM.NewSession(nil)
-	secure, err := ss.Sum(LocalRunSpec{Func: "test_sums", Vars: []string{"age", "mmse"}}, "n", "sums")
+	secure, err := ss.Aggregate(LocalRunSpec{Func: "test_sums", Vars: []string{"age", "mmse"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +268,7 @@ func TestSecureSumShamir(t *testing.T) {
 		t.Fatal(err)
 	}
 	s, _ := m.NewSession(nil)
-	out, err := s.Sum(LocalRunSpec{Func: "test_sums", Vars: []string{"age"}}, "n")
+	out, err := s.Aggregate(LocalRunSpec{Func: "test_sums", Vars: []string{"age"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,10 +323,11 @@ func TestSecureUnion(t *testing.T) {
 	for _, secure := range []bool{false, true} {
 		m, _ := buildFed(t, secure)
 		s, _ := m.NewSession(nil)
-		times, err := s.SecureUnion(LocalRunSpec{Func: "test_times", Vars: []string{"age"}}, "times")
+		union, err := s.Aggregate(LocalRunSpec{Func: "test_times", Vars: []string{"age"}})
 		if err != nil {
 			t.Fatalf("secure=%v: %v", secure, err)
 		}
+		times, _ := union.Floats("times")
 		if len(times) == 0 {
 			t.Fatalf("secure=%v: empty union", secure)
 		}
@@ -359,7 +393,7 @@ func TestHTTPTransport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	agg, err := aggregateFold(transfers, smpc.OpSum, []string{"n", "sums"})
+	agg, err := aggregateFold(transfers)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -475,7 +509,7 @@ func TestHTTPTransportWithSMPC(t *testing.T) {
 		t.Fatal(err)
 	}
 	s, _ := m.NewSession(nil)
-	out, err := s.Sum(LocalRunSpec{Func: "test_sums", Vars: []string{"age"}}, "n")
+	out, err := s.Aggregate(LocalRunSpec{Func: "test_sums", Vars: []string{"age"}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -528,12 +562,15 @@ func TestSessionMinMax(t *testing.T) {
 	for _, secure := range []bool{false, true} {
 		m, _ := buildFed(t, secure)
 		s, _ := m.NewSession(nil)
-		lo, err := s.Min(federation_testSpec(), "sums")
+		spec := federation_testSpec()
+		spec.Kwargs = map[string]any{"op": smpc.OpMin}
+		lo, err := s.Aggregate(spec)
 		if err != nil {
 			t.Fatalf("secure=%v min: %v", secure, err)
 		}
 		s2, _ := m.NewSession(nil)
-		hi, err := s2.Max(federation_testSpec(), "sums")
+		spec.Kwargs = map[string]any{"op": smpc.OpMax}
+		hi, err := s2.Aggregate(spec)
 		if err != nil {
 			t.Fatalf("secure=%v max: %v", secure, err)
 		}
@@ -550,15 +587,10 @@ func federation_testSpec() LocalRunSpec {
 }
 
 func TestSecureSumRequiresCluster(t *testing.T) {
-	m, _ := buildFed(t, false)
-	s, _ := m.NewSession(nil)
-	if _, err := s.SecureSum(federation_testSpec(), "n"); err == nil {
-		t.Fatal("SecureSum on a plain master must fail")
-	}
-	// On a secure master it works.
+	// On a secure master the sum goes through the cluster.
 	ms, _ := buildFed(t, true)
 	ss, _ := ms.NewSession(nil)
-	out, err := ss.SecureSum(federation_testSpec(), "n")
+	out, err := ss.Aggregate(federation_testSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -653,16 +685,16 @@ func TestTransferAccessorErrors(t *testing.T) {
 func TestAggregateFoldMismatch(t *testing.T) {
 	a := Transfer{"v": Vector([]float64{1, 2})}
 	b := Transfer{"v": Vector([]float64{1, 2, 3})}
-	if _, err := aggregateFold([]Transfer{a, b}, smpc.OpSum, []string{"v"}); err == nil {
+	if _, err := aggregateFold([]Transfer{a, b}); err == nil {
 		t.Fatal("shape mismatch must error")
 	}
-	if _, err := aggregateFold([]Transfer{a, {"v": Tensor{Shape: []int{2}, Data: []float64{1}}}}, smpc.OpSum, []string{"v"}); err == nil {
+	if _, err := aggregateFold([]Transfer{a, {"v": Tensor{Shape: []int{2}, Data: []float64{1}}}}); err == nil {
 		t.Fatal("data not filling its shape must error")
 	}
-	if _, err := aggregateFold([]Transfer{a, {}}, smpc.OpSum, []string{"v"}); err == nil {
+	if _, err := aggregateFold([]Transfer{a, {}}); err == nil {
 		t.Fatal("missing key must error")
 	}
-	if _, err := aggregateFold(nil, smpc.OpSum, []string{"v"}); err == nil {
+	if _, err := aggregateFold(nil); err == nil {
 		t.Fatal("empty transfers must error")
 	}
 }
@@ -674,13 +706,106 @@ func TestInconsistentShapesFail(t *testing.T) {
 	for _, secure := range []bool{false, true} {
 		m, _ := buildFed(t, secure)
 		s, _ := m.NewSession(nil)
-		_, err := s.Sum(LocalRunSpec{Func: "test_ragged", Vars: []string{"age"}}, "v")
+		_, err := s.Aggregate(LocalRunSpec{Func: "test_ragged", Vars: []string{"age"}})
 		if err == nil || !strings.Contains(err.Error(), "inconsistent shapes") {
 			t.Fatalf("secure=%v: err = %v, want inconsistent shapes", secure, err)
 		}
 		if secure {
-			if w := m.smpc.Workers(s.ID() + "/step-1"); w != nil {
+			if w := m.smpc.Workers(s.ID() + "/step-1/sum"); w != nil {
 				t.Fatalf("inconsistent step left shares from %v in the cluster", w)
+			}
+		}
+	}
+}
+
+// localRunCounter counts the /localrun calls a worker receives.
+type localRunCounter struct {
+	WorkerClient
+	calls atomic.Int64
+}
+
+func (c *localRunCounter) LocalRun(req LocalRunRequest) (LocalRunResponse, error) {
+	c.calls.Add(1)
+	return c.WorkerClient.LocalRun(req)
+}
+
+// TestMixedOpTransfer: one step's transfer carries a sum, a min, a max and
+// a union key; Aggregate combines each by its own op in one /localrun per
+// worker, with the same values plain, full-threshold and Shamir.
+func TestMixedOpTransfer(t *testing.T) {
+	var want Transfer
+	for _, mode := range []string{"plain", "full-threshold", "shamir"} {
+		var cluster *smpc.Cluster
+		var opts []WorkerOption
+		switch mode {
+		case "full-threshold":
+			cluster = buildCluster(t, smpc.FullThreshold)
+		case "shamir":
+			cluster = buildCluster(t, smpc.ShamirScheme)
+		}
+		if cluster != nil {
+			opts = append(opts, WithSMPC(cluster))
+		}
+		var clients []*localRunCounter
+		var wcs []WorkerClient
+		for i, ds := range []string{"edsd", "edsd", "ppmi"} {
+			c := &localRunCounter{WorkerClient: NewWorker(fmt.Sprintf("hosp%d", i), newWorkerDB(t, ds, 40+10*i, float64(3*i)), opts...)}
+			clients = append(clients, c)
+			wcs = append(wcs, c)
+		}
+		m, err := NewMaster(wcs, cluster, Security{UseSMPC: cluster != nil})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(m.Close)
+		s, _ := m.NewSession(nil)
+		got, err := s.Aggregate(LocalRunSpec{Func: "test_mixed", Vars: []string{"age"}})
+		if err != nil {
+			t.Fatalf("%s: %v", mode, err)
+		}
+		for _, c := range clients {
+			if n := c.calls.Load(); n != 1 {
+				t.Errorf("%s: worker %s got %d /localrun calls, want 1", mode, c.ID(), n)
+			}
+		}
+		if want == nil {
+			want = got
+			n, _ := got.Float("n")
+			lo, _ := got.Float("lo")
+			hi, _ := got.Float("hi")
+			decades, _ := got.Floats("decades")
+			if n != 150 || lo != 50 || hi != 95 || !slices.Equal(decades, []float64{5, 6, 7, 8, 9}) {
+				t.Fatalf("plain: n=%v lo=%v hi=%v decades=%v", n, lo, hi, decades)
+			}
+			continue
+		}
+		for k, w := range want {
+			if g := got[k]; !slices.Equal(g.Data, w.Data) || !slices.Equal(g.Shape, w.Shape) || g.Op != w.Op {
+				t.Errorf("%s: %q = %+v, plain %+v", mode, k, g, w)
+			}
+		}
+		if len(got) != len(want) {
+			t.Errorf("%s: %d keys, plain %d", mode, len(got), len(want))
+		}
+	}
+}
+
+// TestOpDisagreementFails: workers tagging one key with different ops fail
+// the round on both paths with an error naming the key, and a secure round
+// leaves no group's shares in the cluster.
+func TestOpDisagreementFails(t *testing.T) {
+	for _, secure := range []bool{false, true} {
+		m, _ := buildFed(t, secure)
+		s, _ := m.NewSession(nil)
+		_, err := s.Aggregate(LocalRunSpec{Func: "test_disagree", Vars: []string{"age"}})
+		if err == nil || !strings.Contains(err.Error(), `"extreme"`) {
+			t.Fatalf("secure=%v: err = %v, want an error naming \"extreme\"", secure, err)
+		}
+		if secure {
+			for _, op := range aggOps {
+				if w := m.smpc.Workers(groupJob(s.ID()+"/step-1", op)); w != nil {
+					t.Fatalf("the %v group kept shares from %v in the cluster", op, w)
+				}
 			}
 		}
 	}

@@ -798,7 +798,7 @@ type LocalRunSpec struct {
 // `self.local_run(...)` call of Figure 2 with the transfer shared to the
 // global step.
 func (s *Session) LocalRun(spec LocalRunSpec) ([]Transfer, error) {
-	resps, _, err := s.localRun(spec, nil, s.trace.SpanID)
+	resps, _, err := s.localRun(spec, false, s.trace.SpanID)
 	if err != nil {
 		return nil, err
 	}
@@ -820,10 +820,10 @@ func (s *Session) LocalRun(spec LocalRunSpec) ([]Transfer, error) {
 // every worker's shares), and the survivors' responses are returned with
 // the dropped ids recorded on the session and the step span.
 //
-// It also returns the job id it minted for the step, the key the workers
-// imported their shares under, so secure callers aggregate or discard
-// exactly that job ("" when the step failed before one was minted).
-func (s *Session) localRun(spec LocalRunSpec, secureKeys []string, parentSpan string) ([]LocalRunResponse, string, error) {
+// It also returns the job id it minted for the step, the prefix of the jobs
+// the workers imported their shares under, so secure callers aggregate or
+// discard exactly those jobs ("" when the step failed before one was minted).
+func (s *Session) localRun(spec LocalRunSpec, secure bool, parentSpan string) ([]LocalRunResponse, string, error) {
 	if s.Cancelled() {
 		return nil, "", fmt.Errorf("federation: experiment %s: %w", s.id, engine.ErrQueryCancelled)
 	}
@@ -840,15 +840,14 @@ func (s *Session) localRun(spec LocalRunSpec, secureKeys []string, parentSpan st
 		dq = s.DataQuery(spec.Vars, spec.Filter, !spec.KeepNA)
 	}
 	req := LocalRunRequest{
-		JobID:      jobID,
-		Func:       spec.Func,
-		Tenant:     s.tenant,
-		Datasets:   s.datasets,
-		DataQuery:  dq,
-		Kwargs:     Kwargs{kwargs},
-		SecureKeys: secureKeys,
+		JobID:     jobID,
+		Func:      spec.Func,
+		Tenant:    s.tenant,
+		Datasets:  s.datasets,
+		DataQuery: dq,
+		Kwargs:    Kwargs{kwargs},
+		Secure:    secure,
 	}
-	secure := len(secureKeys) > 0
 	step := obs.DefaultTraces.StartSpan(s.trace.TraceID, parentSpan, "localrun "+spec.Func)
 	step.SetAttr("job_id", jobID)
 	step.SetAttr("workers", strconv.Itoa(len(s.workers)))
@@ -985,53 +984,47 @@ func (s *Session) localRun(spec LocalRunSpec, secureKeys []string, parentSpan st
 	return ok, jobID, nil
 }
 
-// SecureSum runs a local step on every worker, secret-shares the named
-// numeric transfer entries into the SMPC cluster, and returns their secure
-// sum (with the master's configured noise applied in-protocol). This is
-// the paper's crown-jewel path: the master only ever sees the aggregate.
-func (s *Session) SecureSum(spec LocalRunSpec, keys ...string) (Transfer, error) {
-	if s.master.smpc == nil || !s.master.security.UseSMPC {
-		return nil, fmt.Errorf("federation: session has no SMPC cluster")
-	}
-	return s.aggregate(spec, smpc.OpSum, keys)
-}
-
-// Sum runs a local step and aggregates the named keys through the
-// configured path (SMPC when the master is secure, plain otherwise): the
-// one-call form used by most algorithm flows.
-func (s *Session) Sum(spec LocalRunSpec, keys ...string) (Transfer, error) {
-	return s.aggregate(spec, smpc.OpSum, keys)
-}
-
-// Min runs a local step and takes the element-wise minimum of the named
-// keys across workers.
-func (s *Session) Min(spec LocalRunSpec, keys ...string) (Transfer, error) {
-	return s.aggregate(spec, smpc.OpMin, keys)
-}
-
-// Max runs a local step and takes the element-wise maximum of the named
-// keys across workers.
-func (s *Session) Max(spec LocalRunSpec, keys ...string) (Transfer, error) {
-	return s.aggregate(spec, smpc.OpMax, keys)
-}
-
-func (s *Session) aggregate(spec LocalRunSpec, op smpc.Op, keys []string) (Transfer, error) {
-	if s.master.security.UseSMPC {
-		iter := obs.DefaultTraces.StartSpan(s.trace.TraceID, s.trace.SpanID, "aggregate "+op.String()+" "+spec.Func)
-		defer iter.End()
-		resps, stepJob, err := s.localRun(spec, keys, iter.ID())
-		layouts := make([]Transfer, len(resps))
-		for i, r := range resps {
-			layouts[i] = r.Transfer
-		}
-		if err == nil {
-			err = sameShape(layouts, keys)
-		}
+// Aggregate runs a local step once on every session worker and combines
+// each key of the returned transfers by the op its tensor carries. On a
+// plain master that is the element-wise fold. On a secure master each worker
+// imports every key into the SMPC cluster, one job per op, and the master
+// opens one aggregate per op (noise goes on the sum only), so it only ever
+// sees aggregates: the paper's crown-jewel path.
+func (s *Session) Aggregate(spec LocalRunSpec) (Transfer, error) {
+	if !s.Secure() {
+		transfers, err := s.LocalRun(spec)
 		if err != nil {
-			// Workers that did import must not leave their shares behind.
-			s.master.smpc.Discard(stepJob)
-			iter.SetError(err)
 			return nil, err
+		}
+		return aggregateFold(transfers)
+	}
+	iter := obs.DefaultTraces.StartSpan(s.trace.TraceID, s.trace.SpanID, "aggregate "+spec.Func)
+	defer iter.End()
+	resps, stepJob, err := s.localRun(spec, true, iter.ID())
+	fail := func(err error) (Transfer, error) {
+		// Workers that did import must not leave their shares behind.
+		for _, op := range aggOps {
+			s.master.smpc.Discard(groupJob(stepJob, op))
+		}
+		iter.SetError(err)
+		return nil, err
+	}
+	if err != nil {
+		return fail(err)
+	}
+	layouts := make([]Transfer, len(resps))
+	for i, r := range resps {
+		layouts[i] = r.Transfer
+	}
+	groups, err := groupKeys(layouts)
+	if err != nil {
+		return fail(err)
+	}
+	out := make(Transfer, len(layouts[0]))
+	for _, op := range aggOps {
+		keys := groups[op]
+		if len(keys) == 0 {
+			continue
 		}
 		noise := smpc.Noise{}
 		if op == smpc.OpSum {
@@ -1039,56 +1032,23 @@ func (s *Session) aggregate(spec LocalRunSpec, op smpc.Op, keys []string) (Trans
 		}
 		round := iter.StartChild("smpc " + op.String())
 		round.SetAttr("workers", strconv.Itoa(len(resps)))
-		flat, err := s.master.smpc.Aggregate(stepJob, op, noise)
+		flat, err := s.master.smpc.Aggregate(groupJob(stepJob, op), op, noise)
 		round.SetError(err)
 		round.End()
-		if err != nil {
-			iter.SetError(err)
-			return nil, err
+		switch {
+		case err != nil:
+		case op == smpc.OpUnion:
+			out[keys[0]] = Vector(flat).WithOp(op)
+		default:
+			err = openedTransfer(flat, layouts[0], keys, out)
 		}
-		return openedTransfer(flat, layouts[0], keys)
+		if err != nil {
+			return fail(err)
+		}
 	}
-	transfers, err := s.LocalRun(spec)
-	if err != nil {
-		return nil, err
-	}
-	return aggregateFold(transfers, op, keys)
+	return out, nil
 }
 
-// SecureUnion runs a local step and takes the secure disjoint union of the
-// named vector entry across workers (e.g. distinct event times for
-// Kaplan-Meier).
-func (s *Session) SecureUnion(spec LocalRunSpec, key string) ([]float64, error) {
-	if !s.master.security.UseSMPC {
-		transfers, err := s.LocalRun(spec)
-		if err != nil {
-			return nil, err
-		}
-		seen := map[float64]struct{}{}
-		for _, t := range transfers {
-			vs, err := t.Floats(key)
-			if err != nil {
-				return nil, err
-			}
-			for _, v := range vs {
-				seen[v] = struct{}{}
-			}
-		}
-		out := make([]float64, 0, len(seen))
-		for v := range seen {
-			out = append(out, v)
-		}
-		sort.Float64s(out)
-		return out, nil
-	}
-	// Secure path: workers import the vector under the step job id; union
-	// opens the merged set.
-	_, stepJob, err := s.localRun(spec, []string{key}, s.trace.SpanID)
-	if err != nil {
-		s.master.smpc.Discard(stepJob)
-		return nil, err
-	}
-	round := obs.DefaultTraces.StartSpan(s.trace.TraceID, s.trace.SpanID, "smpc union")
-	defer round.End()
-	return s.master.smpc.Aggregate(stepJob, smpc.OpUnion, smpc.Noise{})
-}
+// groupJob is the SMPC job a secure step's keys of one op are imported
+// under.
+func groupJob(stepJob string, op smpc.Op) string { return stepJob + "/" + op.String() }

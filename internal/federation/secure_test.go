@@ -16,11 +16,11 @@ func TestSecureImportRejectsNaN(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := s.SecureSum(LocalRunSpec{Func: "test_nan_moment", Vars: []string{"age"}}, "m")
+	out, err := s.Aggregate(LocalRunSpec{Func: "test_nan_moment", Vars: []string{"age"}})
 	if err == nil || !strings.Contains(err.Error(), "cannot encode NaN") {
 		t.Fatalf("secure sum of a NaN moment = %v, %v; want a cannot-encode-NaN error", out, err)
 	}
-	if w := m.smpc.Workers(s.ID() + "/step-1"); w != nil {
+	if w := m.smpc.Workers(s.ID() + "/step-1/sum"); w != nil {
 		t.Fatalf("failed step left shares from %v in the cluster", w)
 	}
 }
@@ -62,7 +62,7 @@ func TestConcurrentSecureExperiments(t *testing.T) {
 				return
 			}
 			for i := 0; i < steps; i++ {
-				got, err := s.Sum(LocalRunSpec{Func: "test_sums", Vars: []string{"age", "mmse"}}, "n", "sums")
+				got, err := s.Aggregate(LocalRunSpec{Func: "test_sums", Vars: []string{"age", "mmse"}})
 				if err != nil {
 					t.Error(err)
 					return

@@ -52,7 +52,7 @@ func TestOneStatementPerStep(t *testing.T) {
 				}
 				const steps = 3
 				for k := 0; k < steps; k++ {
-					out, err := s.Sum(LocalRunSpec{Func: "test_sums", Vars: []string{"age"}}, "n")
+					out, err := s.Aggregate(LocalRunSpec{Func: "test_sums", Vars: []string{"age"}})
 					if err != nil {
 						t.Fatal(err)
 					}

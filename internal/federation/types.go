@@ -7,10 +7,11 @@
 // cluster.
 //
 // The programming model mirrors the paper's Figure 2: an algorithm flow
-// calls Session.LocalRun to execute a named local step on every worker
-// holding the requested datasets, aggregates the returned transfers (plain
-// or SMPC), and does its global step as Go code between rounds, iterating
-// until done.
+// calls Session.Aggregate to execute a named local step on every worker
+// holding the requested datasets and combine each key of the returned
+// transfers by the op its tensor carries (plain or SMPC), then does its
+// global step as Go code between rounds, iterating until done.
+// Session.LocalRun returns the raw per-worker transfers instead.
 package federation
 
 import (
@@ -44,11 +45,21 @@ func (k Kwargs) Decode(v any) error {
 // before shipping.
 type Transfer map[string]Tensor
 
-// Tensor is one transfer entry: a row-major float array and its shape. A
-// scalar has no shape, a vector's shape is [n] and a matrix's [rows, cols].
+// Tensor is one transfer entry: a row-major float array, its shape, and the
+// op that combines it across workers. A scalar has no shape, a vector's
+// shape is [n] and a matrix's [rows, cols]. The zero Op is a sum.
 type Tensor struct {
 	Shape []int     `json:"shape,omitempty"`
 	Data  []float64 `json:"data"`
+	Op    smpc.Op   `json:"op,omitempty"`
+}
+
+// WithOp tags the tensor with the op that combines it across workers:
+// smpc.OpMin or smpc.OpMax element-wise, or smpc.OpUnion for a vector whose
+// workers' values merge into their sorted distinct set.
+func (t Tensor) WithOp(op smpc.Op) Tensor {
+	t.Op = op
+	return t
 }
 
 // Scalar is a one-value tensor.
@@ -113,96 +124,120 @@ func (t Transfer) Matrix(key string) ([][]float64, error) {
 	return out, nil
 }
 
-// sortedKeys is the order a step's secure keys travel in: the worker
-// concatenates their data in it and the master slices the opened vector by
-// it.
-func sortedKeys(keys []string) []string {
-	out := append([]string(nil), keys...)
-	sort.Strings(out)
-	return out
-}
+// aggOps are the ops a transfer key may carry, in the order a secure
+// round aggregates their groups.
+var aggOps = []smpc.Op{smpc.OpSum, smpc.OpMin, smpc.OpMax, smpc.OpUnion}
 
-// sameShape verifies that every transfer carries each key with one shape,
-// the precondition of folding them element-wise, plain or secure.
-func sameShape(transfers []Transfer, keys []string) error {
-	for _, k := range keys {
-		first, ok := transfers[0][k]
-		for i, t := range transfers {
-			v, has := t[k]
-			if !ok || !has {
-				return fmt.Errorf("federation: transfer %d missing %q", i, k)
-			}
-			if !slices.Equal(v.Shape, first.Shape) {
-				return fmt.Errorf("federation: workers reported inconsistent shapes for %q: %v and %v", k, first.Shape, v.Shape)
-			}
-		}
-	}
-	return nil
-}
-
-// aggregateFold combines plain transfers element-wise with the given op,
-// key by key, once their shapes agree.
-func aggregateFold(transfers []Transfer, op smpc.Op, keys []string) (Transfer, error) {
+// groupKeys checks that every transfer carries the same keys, each tagged
+// with one supported op by every worker and, except a union's (whose length
+// is each worker's own), with one shape: the precondition of combining them
+// plain or secure. It returns the keys grouped by op and sorted, the order a
+// worker concatenates a group's data in and the master slices it back by.
+func groupKeys(transfers []Transfer) (map[smpc.Op][]string, error) {
 	if len(transfers) == 0 {
 		return nil, fmt.Errorf("federation: no transfers to aggregate")
 	}
-	if op != smpc.OpSum && op != smpc.OpMin && op != smpc.OpMax {
-		return nil, fmt.Errorf("federation: unsupported plain aggregation %v", op)
-	}
-	if err := sameShape(transfers, keys); err != nil {
-		return nil, err
-	}
-	out := make(Transfer, len(keys))
-	for _, k := range keys {
-		shape := transfers[0][k].Shape
-		size := Tensor{Shape: shape}.size()
-		var acc []float64
-		for i, t := range transfers {
-			xs := t[k].Data
-			if len(xs) != size {
-				return nil, fmt.Errorf("federation: transfer %d: %q has %d values for shape %v", i, k, len(xs), shape)
-			}
+	first := transfers[0]
+	for i, t := range transfers {
+		for k, v := range t {
+			f, ok := first[k]
 			switch {
-			case i == 0:
-				acc = append([]float64(nil), xs...)
-			case op == smpc.OpSum:
-				for j, x := range xs {
-					acc[j] += x
-				}
-			case op == smpc.OpMin:
-				for j, x := range xs {
-					if x < acc[j] {
-						acc[j] = x
-					}
-				}
-			default:
-				for j, x := range xs {
-					if x > acc[j] {
-						acc[j] = x
-					}
-				}
+			case !ok:
+				return nil, fmt.Errorf("federation: transfer 0 missing %q", k)
+			case v.Op != f.Op:
+				return nil, fmt.Errorf("federation: workers tagged %q with different ops: %v and %v", k, f.Op, v.Op)
+			case v.Op == smpc.OpUnion && len(v.Shape) != 1:
+				return nil, fmt.Errorf("federation: union %q has shape %v, not a vector", k, v.Shape)
+			case v.Op != smpc.OpUnion && !slices.Equal(v.Shape, f.Shape):
+				return nil, fmt.Errorf("federation: workers reported inconsistent shapes for %q: %v and %v", k, f.Shape, v.Shape)
 			}
 		}
-		out[k] = Tensor{Shape: shape, Data: acc}
+		for k := range first {
+			if _, ok := t[k]; !ok {
+				return nil, fmt.Errorf("federation: transfer %d missing %q", i, k)
+			}
+		}
+	}
+	groups := map[smpc.Op][]string{}
+	for k, v := range first {
+		if !slices.Contains(aggOps, v.Op) {
+			return nil, fmt.Errorf("federation: transfer %q: unsupported aggregation %v", k, v.Op)
+		}
+		groups[v.Op] = append(groups[v.Op], k)
+	}
+	if len(groups[smpc.OpUnion]) > 1 {
+		return nil, fmt.Errorf("federation: a transfer carries at most one union key, not %v", groups[smpc.OpUnion])
+	}
+	for _, keys := range groups {
+		sort.Strings(keys)
+	}
+	return groups, nil
+}
+
+// aggregateFold combines plain transfers key by key, each by its op: sum,
+// min or max element-wise, or a union's sorted distinct values.
+func aggregateFold(transfers []Transfer) (Transfer, error) {
+	groups, err := groupKeys(transfers)
+	if err != nil {
+		return nil, err
+	}
+	out := make(Transfer, len(transfers[0]))
+	for op, keys := range groups {
+		for _, k := range keys {
+			var acc []float64
+			for i, t := range transfers {
+				v := t[k]
+				if len(v.Data) != v.size() {
+					return nil, fmt.Errorf("federation: transfer %d: %q has %d values for shape %v", i, k, len(v.Data), v.Shape)
+				}
+				xs := v.Data
+				switch {
+				case i == 0 || op == smpc.OpUnion:
+					acc = append(acc, xs...)
+				case op == smpc.OpSum:
+					for j, x := range xs {
+						acc[j] += x
+					}
+				case op == smpc.OpMin:
+					for j, x := range xs {
+						if x < acc[j] {
+							acc[j] = x
+						}
+					}
+				default:
+					for j, x := range xs {
+						if x > acc[j] {
+							acc[j] = x
+						}
+					}
+				}
+			}
+			if op == smpc.OpUnion {
+				slices.Sort(acc)
+				acc = slices.Compact(acc)
+				out[k] = Vector(acc).WithOp(op)
+				continue
+			}
+			out[k] = Tensor{Shape: transfers[0][k].Shape, Data: acc, Op: op}
+		}
 	}
 	return out, nil
 }
 
-// openedTransfer slices the opened secure vector by the keys' shapes, in
-// the sorted order the workers concatenated their data.
-func openedTransfer(flat []float64, layout Transfer, keys []string) (Transfer, error) {
-	out := make(Transfer, len(keys))
-	for _, k := range sortedKeys(keys) {
+// openedTransfer slices an opened secure group by its keys' shapes, in the
+// sorted order the workers concatenated their data, into out.
+func openedTransfer(flat []float64, layout Transfer, keys []string, out Transfer) error {
+	for _, k := range keys {
 		shape := layout[k].Shape
 		n := Tensor{Shape: shape}.size()
 		if n < 0 || n > len(flat) {
-			return nil, fmt.Errorf("federation: opened secure vector does not fit shape %v of %q", shape, k)
+			return fmt.Errorf("federation: opened secure vector does not fit shape %v of %q", shape, k)
 		}
-		out[k] = Tensor{Shape: shape, Data: flat[:n:n]}
+		out[k] = Tensor{Shape: shape, Data: flat[:n:n], Op: layout[k].Op}
 		flat = flat[n:]
 	}
 	if len(flat) != 0 {
-		return nil, fmt.Errorf("federation: opened secure vector has %d values beyond the workers' shapes", len(flat))
+		return fmt.Errorf("federation: opened secure vector has %d values beyond the workers' shapes", len(flat))
 	}
-	return out, nil
+	return nil
 }

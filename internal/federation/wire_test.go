@@ -308,7 +308,7 @@ func TestNonFiniteTransferRejected(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out, err := s.Sum(federation.LocalRunSpec{Func: "test_nan_moment", Vars: []string{"age"}}, "m")
+		out, err := s.Aggregate(federation.LocalRunSpec{Func: "test_nan_moment", Vars: []string{"age"}})
 		if err == nil || !strings.Contains(err.Error(), want) {
 			t.Fatalf("%T: Sum = %v, %v; want an error containing %q", c, out, err, want)
 		}

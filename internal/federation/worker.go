@@ -37,11 +37,11 @@ type LocalRunRequest struct {
 	DataQuery string `json:"data_query"`
 	// Kwargs are the step's keyword arguments.
 	Kwargs Kwargs `json:"kwargs"`
-	// SecureKeys, when non-empty, secret-shares the named transfer entries
-	// into the SMPC cluster under JobID instead of returning them; only their
-	// shapes leave the worker. Otherwise the transfer ships back to the
-	// master (plain path).
-	SecureKeys []string `json:"secure_keys,omitempty"`
+	// Secure secret-shares every transfer entry into the SMPC cluster, the
+	// keys of each op under JobID/<op>, instead of returning them; only
+	// their shapes and ops leave the worker. Otherwise the transfer ships
+	// back to the master (plain path).
+	Secure bool `json:"secure,omitempty"`
 	// Tenant and Datasets attribute the step for metering and audit: the
 	// worker tags its engine statements with them, so per-hospital access
 	// records name the owning tenant and the datasets touched. Additive
@@ -59,9 +59,9 @@ type LocalRunResponse struct {
 	// WorkerID identifies the responding worker.
 	WorkerID string `json:"worker_id"`
 	// Transfer holds the step's tensors on the plain path. On the secure
-	// path it holds the secure keys with their shapes only: the values went
-	// into the SMPC cluster, and the shapes let the master check the workers
-	// agree and slice the opened vector.
+	// path it holds every key with its shape and op only: the values went
+	// into the SMPC cluster, and the shapes and ops let the master check the
+	// workers agree and slice each opened group.
 	Transfer Transfer `json:"transfer,omitempty"`
 	// Rows is the number of input rows the step consumed (not shipped in
 	// privacy-sensitive deployments; used by tests and the leakage audit).
@@ -376,7 +376,7 @@ func (w *Worker) doLocalRun(ctx context.Context, req LocalRunRequest, span *obs.
 	}
 	transfer := outs[0].Transfer.(Transfer)
 
-	if len(req.SecureKeys) == 0 {
+	if !req.Secure {
 		if err := w.checkFinite(req.Func, transfer); err != nil {
 			return resp, err
 		}
@@ -386,32 +386,31 @@ func (w *Worker) doLocalRun(ctx context.Context, req LocalRunRequest, span *obs.
 	if w.smpc == nil {
 		return resp, fmt.Errorf("federation: worker %s has no SMPC cluster attached", w.id)
 	}
-	// The secure keys' data, concatenated in sorted key order, is one SMPC
-	// job; the answer carries their shapes only.
-	keys := sortedKeys(req.SecureKeys)
-	size := 0
-	for _, k := range keys {
-		size += len(transfer[k].Data)
-	}
-	flat := make([]float64, 0, size)
-	resp.Transfer = make(Transfer, len(keys))
-	for _, k := range keys {
-		t, ok := transfer[k]
-		if !ok {
-			return resp, fmt.Errorf("federation: secure key %q missing from transfer", k)
-		}
-		flat = append(flat, t.Data...)
-		resp.Transfer[k] = Tensor{Shape: t.Shape}
-	}
-	// Attributes, not a child span: the exec span's self time is what tells
-	// the import apart from the relation query and the UDF call.
-	t0 := time.Now()
-	err = w.smpc.ImportSecret(req.JobID, w.id, flat)
-	span.SetAttr("smpc_import_ms", strconv.FormatFloat(time.Since(t0).Seconds()*1e3, 'f', 3, 64))
-	span.SetAttr("smpc_import_elems", strconv.Itoa(len(flat)))
+	groups, err := groupKeys([]Transfer{transfer})
 	if err != nil {
 		return resp, err
 	}
+	// Each op's keys, their data concatenated in sorted key order, are one
+	// SMPC job; the answer carries every key's shape and op only.
+	resp.Transfer = make(Transfer, len(transfer))
+	t0 := time.Now()
+	elems := 0
+	for op, keys := range groups {
+		var flat []float64
+		for _, k := range keys {
+			t := transfer[k]
+			flat = append(flat, t.Data...)
+			resp.Transfer[k] = Tensor{Shape: t.Shape, Op: op}
+		}
+		elems += len(flat)
+		if err := w.smpc.ImportSecret(groupJob(req.JobID, op), w.id, flat); err != nil {
+			return resp, err
+		}
+	}
+	// Attributes, not a child span: the exec span's self time is what tells
+	// the import apart from the relation query and the UDF call.
+	span.SetAttr("smpc_import_ms", strconv.FormatFloat(time.Since(t0).Seconds()*1e3, 'f', 3, 64))
+	span.SetAttr("smpc_import_elems", strconv.Itoa(elems))
 	return resp, nil
 }
 

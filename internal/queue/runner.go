@@ -66,6 +66,8 @@ type TaskInfo struct {
 	Created  time.Time
 	Started  time.Time
 	Finished time.Time
+
+	done chan struct{} // closed at the terminal transition
 }
 
 // Runner dispatches submitted tasks to handlers through the broker using a
@@ -129,7 +131,7 @@ func (r *Runner) Submit(name string, payload any) (string, error) {
 	r.mu.Lock()
 	r.nextID++
 	id := fmt.Sprintf("task-%d", r.nextID)
-	r.tasks[id] = &TaskInfo{ID: id, Name: name, State: Pending, Created: r.now()}
+	r.tasks[id] = &TaskInfo{ID: id, Name: name, State: Pending, Created: r.now(), done: make(chan struct{})}
 	r.mu.Unlock()
 	msg := &Message{ID: id, Body: body, Headers: map[string]string{"task": name}}
 	// Count the task before publishing: once Publish returns, a worker may
@@ -141,10 +143,8 @@ func (r *Runner) Submit(name string, payload any) (string, error) {
 		queueDepth.Dec()
 		r.depth.Add(-1)
 		r.mu.Lock()
-		r.tasks[id].State = Failure
-		r.tasks[id].Error = err.Error()
+		r.end(r.tasks[id], Failure, err.Error())
 		r.mu.Unlock()
-		queueTasks(Failure).Inc()
 		return id, err
 	}
 	queueTasks(Pending).Inc()
@@ -170,22 +170,28 @@ func (r *Runner) Info(id string) *TaskInfo {
 	return &cp
 }
 
-// Wait polls until the task reaches a terminal state or the context ends.
+// Wait blocks until the task reaches a terminal state or the context ends.
 func (r *Runner) Wait(ctx context.Context, id string) (*TaskInfo, error) {
-	for {
-		info := r.Info(id)
-		if info == nil {
-			return nil, fmt.Errorf("queue: unknown task %q", id)
-		}
-		if info.State == Success || info.State == Failure {
-			return info, nil
-		}
-		select {
-		case <-ctx.Done():
-			return info, ctx.Err()
-		case <-time.After(time.Millisecond):
-		}
+	r.mu.Lock()
+	t := r.tasks[id]
+	r.mu.Unlock()
+	if t == nil {
+		return nil, fmt.Errorf("queue: unknown task %q", id)
 	}
+	select {
+	case <-t.done:
+		return r.Info(id), nil
+	case <-ctx.Done():
+		return r.Info(id), ctx.Err()
+	}
+}
+
+// end moves a task to a terminal state and wakes its waiters. Callers hold
+// r.mu.
+func (r *Runner) end(t *TaskInfo, state State, errMsg string) {
+	t.State, t.Error, t.Finished = state, errMsg, r.now()
+	queueTasks(state).Inc()
+	close(t.done)
 }
 
 // List returns snapshots of all tasks.
@@ -248,10 +254,7 @@ func (r *Runner) sweep(reason string) {
 				queueDepth.Dec()
 				r.depth.Add(-1)
 			}
-			t.State = Failure
-			t.Error = reason
-			t.Finished = r.now()
-			queueTasks(Failure).Inc()
+			r.end(t, Failure, reason)
 		}
 	}
 }
@@ -299,10 +302,7 @@ func (r *Runner) execute(ctx context.Context, d *Delivery) {
 		if t == nil {
 			return
 		}
-		t.State = state
-		t.Error = errMsg
-		t.Finished = r.now()
-		queueTasks(state).Inc()
+		r.end(t, state, errMsg)
 		queueRunSeconds.Observe(t.Finished.Sub(started).Seconds())
 		if result != nil {
 			if enc, err := json.Marshal(result); err == nil {
