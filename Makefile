@@ -58,9 +58,12 @@ spillsmoke:
 # results, and a concurrent miss herd collapses to one execution. It also
 # runs what the versions rest on: statements read one catalog version while
 # writers publish the next, and a write restamps only the datasets whose
-# rows it added or removed.
+# rows it added or removed. Last, the worker contract: a wrapped worker
+# keeps caching, cancellation and query contexts, a failing stamp probe
+# bypasses the cache, a flapping worker beside writers never gets a stale
+# serve, and every snapshot refresh reaches availability.
 cachesmoke:
-	$(GO) test -count=1 -race -run 'TestPlanCacheResultsUnchanged|TestPlanCacheSchemaChangeInvalidates|TestResultCacheInvalidationOnAppend|TestResultCacheWorkerRestartInvalidates|TestResultCacheSingleflight|TestParallelSortEquivalence|TestCatalogSnapshotRace|TestDatasetVersionsDeclared' ./internal/engine/ ./internal/federation/
+	$(GO) test -count=1 -race -run 'TestPlanCacheResultsUnchanged|TestPlanCacheSchemaChangeInvalidates|TestResultCacheInvalidationOnAppend|TestResultCacheWorkerRestartInvalidates|TestResultCacheSingleflight|TestParallelSortEquivalence|TestCatalogSnapshotRace|TestDatasetVersionsDeclared|TestWrappedClientKeepsContract|TestStampFailureBypassesCache|TestFlappingWorkerCacheNeverStale|TestSnapshotRefreshedByEitherPath' ./internal/engine/ ./internal/federation/
 
 # wiresmoke covers both wires a worker answers on. The /query table stream:
 # merge answers over HTTP are bit-identical to in-process ones (NaN

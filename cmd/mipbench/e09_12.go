@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"net/http/httptest"
+	"strings"
 	"time"
 
 	"mip"
@@ -53,15 +54,36 @@ func runE9() {
 	fmt.Printf("%-32s %10s %14s %12s\n", "query", "pushdown", "rows shipped", "wall")
 	for _, q := range queries {
 		start := time.Now()
-		_, err := master.Query(q.sql)
+		qs, merge, err := queryMerge(master, q.sql)
 		fatalIf(err)
 		wall := time.Since(start)
-		st := mt.LastStats()
-		fmt.Printf("%-32s %10v %14d %12s\n", q.name, st.Pushdown, st.RowsShipped, wall.Round(time.Microsecond))
+		pushdown := strings.HasPrefix(merge.Detail, "pushdown ")
+		fmt.Printf("%-32s %10v %14d %12s\n", q.name, pushdown, qs.RowsShipped, wall.Round(time.Microsecond))
 	}
 	fmt.Println("\npaper shape: decomposable aggregates travel as one partial row per worker")
 	fmt.Println("(never materialized), while only non-decomposable statistics fall back to")
 	fmt.Println("shipping rows — the merge/remote-table mechanism of MIP's non-secure path.")
+}
+
+// queryMerge runs sql on a DB holding a merge view and returns the
+// statement's own record plus its merge fan-in node, whose detail names
+// the mode ("pushdown …" or "materialize …") and whose children carry the
+// SQL each part ran ("<part>: <sql>").
+func queryMerge(db *engine.DB, sql string) (engine.QueryStats, *engine.PlanNode, error) {
+	_, qs, err := db.QueryWithStats(sql)
+	if err != nil {
+		return qs, nil, err
+	}
+	var merge *engine.PlanNode
+	qs.Root.Walk(func(n *engine.PlanNode) {
+		if n.Op == "merge" && merge == nil {
+			merge = n
+		}
+	})
+	if merge == nil {
+		return qs, nil, fmt.Errorf("%s: no merge node in the plan", sql)
+	}
+	return qs, merge, nil
 }
 
 // E10 — strong scaling: fixed total caseload, growing worker count. In a

@@ -27,8 +27,7 @@ import (
 // statement stays in the active-query registry while the test looks at it.
 type stuckPart struct{ started chan struct{} }
 
-func (p *stuckPart) PartName() string                    { return "stuck" }
-func (p *stuckPart) Query(string) (*engine.Table, error) { return nil, context.Canceled }
+func (p *stuckPart) PartName() string { return "stuck" }
 func (p *stuckPart) QueryCtx(ctx context.Context, _ string) (*engine.Table, error) {
 	close(p.started)
 	<-ctx.Done()

@@ -109,9 +109,6 @@ type blockingAPIPart struct {
 }
 
 func (p *blockingAPIPart) PartName() string { return "bp" }
-func (p *blockingAPIPart) Query(string) (*engine.Table, error) {
-	return nil, errors.New("blockingAPIPart needs QueryCtx")
-}
 func (p *blockingAPIPart) QueryCtx(ctx context.Context, _ string) (*engine.Table, error) {
 	p.once.Do(func() { close(p.started) })
 	<-ctx.Done()

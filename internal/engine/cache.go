@@ -111,7 +111,7 @@ func defaultPlanCacheSize() int {
 }
 
 // DefaultPlanCache is the process-wide cache every DB uses unless
-// WithPlanCache/WithPlanCacheSize overrides it. Size 256 statements by
+// WithPlanCache overrides it. Size 256 statements by
 // default; MIP_PLAN_CACHE_SIZE=0 disables it process-wide.
 var DefaultPlanCache = NewPlanCache(defaultPlanCacheSize())
 

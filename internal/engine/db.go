@@ -157,12 +157,6 @@ func WithPlanCache(pc *PlanCache) Option {
 	return func(db *DB) { db.plans = pc }
 }
 
-// WithPlanCacheSize gives the DB a private plan cache of the given
-// capacity; n <= 0 disables plan caching for this DB.
-func WithPlanCacheSize(n int) Option {
-	return func(db *DB) { db.plans = NewPlanCache(n) }
-}
-
 // WithPlanCacheIdentity replaces the DB's process-unique plan-cache key
 // namespace with a shared token from NewPlanCacheIdentity. Only safe when
 // every DB using the token applies the identical DDL sequence, so that an

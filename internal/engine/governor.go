@@ -313,14 +313,6 @@ func WithQueryAttribution(ctx context.Context, a Attribution) context.Context {
 	return context.WithValue(ctx, attrKey{}, a)
 }
 
-// WithQueryTenant tags ctx with just a tenant identifier, preserving any
-// job/dataset attribution already present.
-func WithQueryTenant(ctx context.Context, tenant string) context.Context {
-	a := queryAttribution(ctx)
-	a.Tenant = tenant
-	return WithQueryAttribution(ctx, a)
-}
-
 func queryAttribution(ctx context.Context) Attribution {
 	if ctx == nil {
 		return Attribution{}

@@ -26,10 +26,6 @@ func newBlockingPart(name string) *blockingPart {
 
 func (p *blockingPart) PartName() string { return p.name }
 
-func (p *blockingPart) Query(string) (*Table, error) {
-	return nil, errors.New("blockingPart needs QueryCtx")
-}
-
 func (p *blockingPart) QueryCtx(ctx context.Context, _ string) (*Table, error) {
 	p.once.Do(func() { close(p.started) })
 	<-ctx.Done()

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -14,22 +13,15 @@ import (
 
 // Part is one member of a merge table: typically a remote table on another
 // node, addressed through whatever transport the federation layer provides.
-// Query ships SQL text to wherever the part's rows live and returns the
-// result — the engine never needs the part's raw rows unless a query cannot
-// be decomposed.
+// QueryCtx ships SQL text to wherever the part's rows live and returns the
+// result under the querying statement's context, so cancelling a merge
+// query cancels the part-side execution too (engine-level for LocalPart, a
+// cancelled RPC for federation transports). The engine never needs the
+// part's raw rows unless a query cannot be decomposed.
 type Part interface {
 	// PartName identifies the part (e.g. the worker node id).
 	PartName() string
-	// Query executes SQL against the part and returns the result table.
-	Query(sql string) (*Table, error)
-}
-
-// CtxPart is an optional Part extension: parts that implement it receive
-// the querying statement's context, so cancelling a merge query on this
-// node propagates to the part's own execution (engine-level for LocalPart,
-// a cancelled RPC for federation transports). Plain Parts keep working —
-// they just run to completion after a cancel.
-type CtxPart interface {
+	// QueryCtx executes SQL against the part and returns the result table.
 	QueryCtx(ctx context.Context, sql string) (*Table, error)
 }
 
@@ -43,10 +35,7 @@ type LocalPart struct {
 // PartName implements Part.
 func (p *LocalPart) PartName() string { return p.Name }
 
-// Query implements Part.
-func (p *LocalPart) Query(sql string) (*Table, error) { return p.DB.Query(sql) }
-
-// QueryCtx implements CtxPart.
+// QueryCtx implements Part.
 func (p *LocalPart) QueryCtx(ctx context.Context, sql string) (*Table, error) {
 	return p.DB.QueryCtx(ctx, sql)
 }
@@ -62,44 +51,10 @@ type MergeTable struct {
 	Parts     []Part
 	// MinParts, when positive, tolerates failing parts: a query succeeds
 	// over the surviving parts as long as at least MinParts answered, and
-	// LastStats().FailedParts names the dropped ones. Zero (the default)
-	// keeps strict semantics — any part failure fails the query.
+	// the statement's QueryStats.Dropped names the dropped ones. Zero (the
+	// default) keeps strict semantics — any part failure fails the query.
 	MinParts int
-
-	lastStats MergeStats // protected by mergeStatsMu
 }
-
-// Stats tracks how a merge query was served, for the E9 benchmark.
-type MergeStats struct {
-	Pushdown     bool  // true if only partial aggregates travelled
-	RowsShipped  int   // rows received from parts
-	BytesShipped int64 // payload bytes received from parts
-	PartsQueried int
-	// FailedParts names parts dropped from a degraded (MinParts) query.
-	FailedParts []string
-	// PartSQL is the SQL shipped to every part: the partial-aggregate
-	// query on the pushdown path, or the projected/filtered (and, without
-	// ORDER BY, LIMIT-capped) row query on the materialize path.
-	PartSQL string
-}
-
-// LastStats returns statistics of the most recent execSelect call.
-func (m *MergeTable) LastStats() MergeStats {
-	mergeStatsMu.Lock()
-	defer mergeStatsMu.Unlock()
-	return m.lastStats
-}
-
-var mergeStatsMu sync.Mutex
-
-func (m *MergeTable) setStats(s MergeStats) {
-	mergeStatsMu.Lock()
-	m.lastStats = s
-	mergeStatsMu.Unlock()
-}
-
-// lastStats is protected by mergeStatsMu.
-// (kept simple: merge tables are read-mostly and stats are advisory)
 
 // execSelect serves a SELECT against the merge view. With a plan-cache
 // entry on the context, the pushdown decomposition and the rendered
@@ -145,15 +100,7 @@ func (m *MergeTable) execMaterialize(ec *ExecContext, st *SelectStmt, sql string
 		// an empty union instead of running under a nil schema.
 		union = NewTable(m.declaredSchema(pushedCols))
 	}
-	shipped := 0
-	var shippedBytes int64
-	for _, pr := range parts {
-		shipped += pr.rows
-		shippedBytes += pr.bytes
-	}
-	m.setStats(MergeStats{Pushdown: false, RowsShipped: shipped, BytesShipped: shippedBytes,
-		PartsQueried: len(parts), FailedParts: failed, PartSQL: sql})
-	recordShipped(qs, shipped, shippedBytes, parts, failed)
+	recordShipped(qs, parts, failed)
 	m.plantPlan(qs, "materialize", sql, parts, union, time.Since(t0))
 	local := *st
 	local.Where = nil // already applied at the parts
@@ -264,10 +211,10 @@ type partResult struct {
 // recordShipped accumulates one merge fan-out's wire traffic and part
 // roster onto the statement's stats (a statement can fan out more than
 // once — joins over two merge views — so fields add, not overwrite).
-func recordShipped(qs *QueryStats, shipped int, shippedBytes int64, parts []partResult, failed []string) {
-	qs.RowsShipped += shipped
-	qs.BytesShipped += shippedBytes
+func recordShipped(qs *QueryStats, parts []partResult, failed []string) {
 	for _, pr := range parts {
+		qs.RowsShipped += pr.rows
+		qs.BytesShipped += pr.bytes
 		qs.Workers = append(qs.Workers, pr.name)
 	}
 	qs.Dropped = append(qs.Dropped, failed...)
@@ -345,8 +292,8 @@ func appendVector(dst, src *Vector) {
 // old queryAll: with MinParts unset any failure is fatal, otherwise
 // failures are tolerated down to MinParts survivors.
 func (m *MergeTable) streamUnion(ec *ExecContext, sql string) (*Table, []partResult, []string, error) {
-	var ctx context.Context
-	if ec != nil {
+	ctx := context.Background()
+	if ec != nil && ec.Ctx != nil {
 		ctx = ec.Ctx
 	}
 	out := make([]*Table, len(m.Parts))
@@ -358,15 +305,7 @@ func (m *MergeTable) streamUnion(ec *ExecContext, sql string) (*Table, []partRes
 		go func(i int, p Part) {
 			defer close(done[i])
 			t0 := time.Now()
-			var t *Table
-			var err error
-			// Parts that understand contexts get the statement's: cancelling
-			// this merge query cancels the part-side execution mid-flight.
-			if cp, ok := p.(CtxPart); ok && ctx != nil {
-				t, err = cp.QueryCtx(ctx, sql)
-			} else {
-				t, err = p.Query(sql)
-			}
+			t, err := p.QueryCtx(ctx, sql)
 			nanos[i] = time.Since(t0).Nanoseconds()
 			if err != nil {
 				errs[i] = fmt.Errorf("part %s: %w", p.PartName(), err)
@@ -670,15 +609,7 @@ func (m *MergeTable) execPushdown(ec *ExecContext, st *SelectStmt, specs []parti
 	if unionAll == nil {
 		return nil, fmt.Errorf("merge table %s: no parts answered", m.TableName)
 	}
-	shipped := 0
-	var shippedBytes int64
-	for _, pr := range partTables {
-		shipped += pr.rows
-		shippedBytes += pr.bytes
-	}
-	m.setStats(MergeStats{Pushdown: true, RowsShipped: shipped, BytesShipped: shippedBytes,
-		PartsQueried: len(partTables), FailedParts: failed, PartSQL: sql})
-	recordShipped(qs, shipped, shippedBytes, partTables, failed)
+	recordShipped(qs, partTables, failed)
 	m.plantPlan(qs, "pushdown", sql, partTables, unionAll, time.Since(t0))
 
 	// 3. Merge partials: group by the gk* columns, combining each partial

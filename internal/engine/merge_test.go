@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"strings"
@@ -78,11 +79,48 @@ func checkSame(t *testing.T, sql string, got, want *Table) {
 	}
 }
 
+// mergeView is what one statement's record says about its merge fan-in:
+// the mode of its merge plan node, the SQL each part ran, and the shipped
+// rows and bytes, answering parts and dropped parts.
+type mergeView struct {
+	Pushdown     bool
+	PartSQL      string
+	RowsShipped  int
+	BytesShipped int64
+	Workers      []string
+	Dropped      []string
+}
+
+// queryMerge runs sql on db and reads the statement's merge fan-in from
+// its own QueryStats.
+func queryMerge(t *testing.T, db *DB, sql string) (*Table, mergeView, error) {
+	t.Helper()
+	got, qs, err := db.QueryWithStats(sql)
+	if err != nil {
+		return nil, mergeView{}, err
+	}
+	v := mergeView{RowsShipped: qs.RowsShipped, BytesShipped: qs.BytesShipped, Workers: qs.Workers, Dropped: qs.Dropped}
+	var merge *PlanNode
+	qs.Root.Walk(func(n *PlanNode) {
+		if n.Op == "merge" && merge == nil {
+			merge = n
+		}
+	})
+	if merge == nil {
+		t.Fatalf("%s: no merge node in the plan:\n%s", sql, qs.Root)
+	}
+	v.Pushdown = strings.HasPrefix(merge.Detail, "pushdown ")
+	if len(merge.Children) > 0 {
+		_, v.PartSQL, _ = strings.Cut(merge.Children[0].Detail, ": ")
+	}
+	return got, v, nil
+}
+
 // TestMergePushdownEquivalence is the paper's consistency claim (E4/E9):
 // a federated aggregate must equal the pooled aggregate, with only partial
 // aggregates crossing the wire.
 func TestMergePushdownEquivalence(t *testing.T) {
-	master, mt, pooled := buildFederation(t, 4)
+	master, _, pooled := buildFederation(t, 4)
 	queries := []string{
 		`SELECT count(*) AS n FROM data`,
 		`SELECT sum(age) AS s, avg(age) AS m FROM data`,
@@ -97,11 +135,11 @@ func TestMergePushdownEquivalence(t *testing.T) {
 		`SELECT avg(age) AS m FROM data WHERE diagnosis IN ('AD', 'MCI')`,
 	}
 	for _, sql := range queries {
-		got, err := master.Query(sql)
+		got, st, err := queryMerge(t, master, sql)
 		if err != nil {
 			t.Fatalf("merge query %q: %v", sql, err)
 		}
-		if !mt.LastStats().Pushdown {
+		if !st.Pushdown {
 			t.Errorf("%s: expected aggregate pushdown", sql)
 		}
 		want, err := pooled.Query(sql)
@@ -115,18 +153,18 @@ func TestMergePushdownEquivalence(t *testing.T) {
 // Non-decomposable aggregates (median/quantile) and row queries fall back
 // to materializing the union; results must still be exact.
 func TestMergeMaterializeFallback(t *testing.T) {
-	master, mt, pooled := buildFederation(t, 3)
+	master, _, pooled := buildFederation(t, 3)
 	queries := []string{
 		`SELECT median(age) AS m FROM data`,
 		`SELECT quantile(age, 0.25) AS q FROM data`,
 		`SELECT count(DISTINCT diagnosis) AS d FROM data`,
 	}
 	for _, sql := range queries {
-		got, err := master.Query(sql)
+		got, st, err := queryMerge(t, master, sql)
 		if err != nil {
 			t.Fatalf("merge query %q: %v", sql, err)
 		}
-		if mt.LastStats().Pushdown {
+		if st.Pushdown {
 			t.Errorf("%s: expected materialize fallback", sql)
 		}
 		want, err := pooled.Query(sql)
@@ -139,18 +177,18 @@ func TestMergeMaterializeFallback(t *testing.T) {
 
 // Pushdown must ship far fewer rows than materialization.
 func TestMergePushdownShipsOnlyAggregates(t *testing.T) {
-	master, mt, _ := buildFederation(t, 4)
-	if _, err := master.Query(`SELECT avg(age) AS m FROM data`); err != nil {
+	master, _, _ := buildFederation(t, 4)
+	_, push, err := queryMerge(t, master, `SELECT avg(age) AS m FROM data`)
+	if err != nil {
 		t.Fatal(err)
 	}
-	push := mt.LastStats()
 	if push.RowsShipped != 4 { // one partial row per part
 		t.Fatalf("pushdown shipped %d rows, want 4", push.RowsShipped)
 	}
-	if _, err := master.Query(`SELECT median(age) AS m FROM data`); err != nil {
+	_, mat, err := queryMerge(t, master, `SELECT median(age) AS m FROM data`)
+	if err != nil {
 		t.Fatal(err)
 	}
-	mat := mt.LastStats()
 	if mat.RowsShipped <= push.RowsShipped {
 		t.Fatalf("materialize shipped %d rows, pushdown %d — expected many more", mat.RowsShipped, push.RowsShipped)
 	}
@@ -198,7 +236,7 @@ func TestMergePartError(t *testing.T) {
 type failingPart struct{ name string }
 
 func (p *failingPart) PartName() string { return p.name }
-func (p *failingPart) Query(string) (*Table, error) {
+func (p *failingPart) QueryCtx(context.Context, string) (*Table, error) {
 	return nil, fmt.Errorf("connection refused")
 }
 
@@ -218,10 +256,10 @@ func partDB(t *testing.T, n int) *DB {
 
 // TestMergeMinPartsDegraded: with MinParts set, a failing part is dropped
 // from both the pushdown and the materialize path, the partial result
-// covers the survivors, and LastStats names the failed part. Below
+// covers the survivors, and the statement's record names the failed part. Below
 // MinParts the query errors.
 func TestMergeMinPartsDegraded(t *testing.T) {
-	newMT := func(minParts int) (*DB, *MergeTable) {
+	newMT := func(minParts int) *DB {
 		mt := &MergeTable{
 			Schema:    Schema{{"x", Float64}},
 			TableName: "data",
@@ -234,46 +272,40 @@ func TestMergeMinPartsDegraded(t *testing.T) {
 		}
 		db := NewDB()
 		db.RegisterMerge("data", mt)
-		return db, mt
+		return db
 	}
 
 	// Pushdown path (decomposable aggregate).
-	db, mt := newMT(2)
-	got, err := db.Query(`SELECT sum(x) AS s FROM data`)
+	got, st, err := queryMerge(t, newMT(2), `SELECT sum(x) AS s FROM data`)
 	if err != nil {
 		t.Fatalf("degraded pushdown: %v", err)
 	}
 	if s := got.Col(0).Float64s()[0]; s != 9 { // 6 + 3
 		t.Fatalf("partial sum = %v, want 9", s)
 	}
-	st := mt.LastStats()
-	if !st.Pushdown || st.PartsQueried != 2 || len(st.FailedParts) != 1 || st.FailedParts[0] != "p1" {
+	if !st.Pushdown || len(st.Workers) != 2 || len(st.Dropped) != 1 || st.Dropped[0] != "p1" {
 		t.Fatalf("stats = %+v", st)
 	}
 
 	// Materialize path (non-decomposable aggregate).
-	db, mt = newMT(2)
-	got, err = db.Query(`SELECT median(x) AS m FROM data`)
+	got, st, err = queryMerge(t, newMT(2), `SELECT median(x) AS m FROM data`)
 	if err != nil {
 		t.Fatalf("degraded materialize: %v", err)
 	}
 	if m := got.Col(0).Float64s()[0]; m != 2 { // union 1,2,3,1,2
 		t.Fatalf("partial median = %v, want 2", m)
 	}
-	st = mt.LastStats()
-	if st.Pushdown || len(st.FailedParts) != 1 || st.FailedParts[0] != "p1" {
+	if st.Pushdown || len(st.Dropped) != 1 || st.Dropped[0] != "p1" {
 		t.Fatalf("stats = %+v", st)
 	}
 
 	// Survivors below MinParts: fail, naming the broken part.
-	db, _ = newMT(3)
-	if _, err := db.Query(`SELECT sum(x) FROM data`); err == nil {
+	if _, err := newMT(3).Query(`SELECT sum(x) FROM data`); err == nil {
 		t.Fatal("2 survivors under MinParts=3 must fail")
 	}
 
 	// MinParts unset keeps strict semantics.
-	db, _ = newMT(0)
-	if _, err := db.Query(`SELECT sum(x) FROM data`); err == nil {
+	if _, err := newMT(0).Query(`SELECT sum(x) FROM data`); err == nil {
 		t.Fatal("strict merge with failing part must fail")
 	}
 }
@@ -281,8 +313,8 @@ func TestMergeMinPartsDegraded(t *testing.T) {
 // nilPart answers with neither a table nor an error — a buggy worker.
 type nilPart struct{ name string }
 
-func (p *nilPart) PartName() string             { return p.name }
-func (p *nilPart) Query(string) (*Table, error) { return nil, nil }
+func (p *nilPart) PartName() string                                 { return p.name }
+func (p *nilPart) QueryCtx(context.Context, string) (*Table, error) { return nil, nil }
 
 // TestMergeMaterializeProjectionFilterLimitPushdown is the acceptance
 // check for the materialize-path pushdown: a projected, filtered, limited
@@ -290,19 +322,19 @@ func (p *nilPart) Query(string) (*Table, error) { return nil, nil }
 // SELECT * materialization, the pushed SQL must show all three
 // reductions, and the result must still equal the pooled reference.
 func TestMergeMaterializeProjectionFilterLimitPushdown(t *testing.T) {
-	master, mt, pooled := buildFederation(t, 4)
+	master, _, pooled := buildFederation(t, 4)
 
 	// Baseline: a query that materializes the full union.
-	if _, err := master.Query(`SELECT median(age) AS m FROM data`); err != nil {
+	_, base, err := queryMerge(t, master, `SELECT median(age) AS m FROM data`)
+	if err != nil {
 		t.Fatal(err)
 	}
-	base := mt.LastStats()
 	if base.Pushdown || base.RowsShipped == 0 || base.BytesShipped == 0 {
 		t.Fatalf("baseline stats = %+v, want a full materialization", base)
 	}
 
 	sql := `SELECT hospital, age FROM data WHERE age > 80 LIMIT 10`
-	got, err := master.Query(sql)
+	got, st, err := queryMerge(t, master, sql)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,7 +344,6 @@ func TestMergeMaterializeProjectionFilterLimitPushdown(t *testing.T) {
 	}
 	checkSame(t, sql, got, want)
 
-	st := mt.LastStats()
 	if st.Pushdown {
 		t.Fatal("row query must take the materialize path")
 	}
@@ -333,7 +364,7 @@ func TestMergeMaterializeProjectionFilterLimitPushdown(t *testing.T) {
 	// ORDER BY needs the whole filtered union: the LIMIT must not push,
 	// but projection and filter still do.
 	sql = `SELECT hospital, age FROM data WHERE age > 80 ORDER BY age, hospital LIMIT 5`
-	got, err = master.Query(sql)
+	got, st, err = queryMerge(t, master, sql)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,7 +373,6 @@ func TestMergeMaterializeProjectionFilterLimitPushdown(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkSame(t, sql, got, want)
-	st = mt.LastStats()
 	if strings.Contains(st.PartSQL, "LIMIT") {
 		t.Errorf("LIMIT pushed under ORDER BY: %q", st.PartSQL)
 	}
@@ -353,10 +383,10 @@ func TestMergeMaterializeProjectionFilterLimitPushdown(t *testing.T) {
 	// ORDER BY over a select-item alias must not leak the alias into the
 	// pushed projection.
 	sql = `SELECT age AS a FROM data WHERE age > 80 ORDER BY a`
-	if _, err := master.Query(sql); err != nil {
+	if _, st, err = queryMerge(t, master, sql); err != nil {
 		t.Fatal(err)
 	}
-	if st = mt.LastStats(); !strings.Contains(st.PartSQL, "SELECT age FROM") {
+	if !strings.Contains(st.PartSQL, "SELECT age FROM") {
 		t.Errorf("aliased ORDER BY broke the projection: %q", st.PartSQL)
 	}
 }
@@ -382,7 +412,7 @@ func TestMergeQuotedIdentifierPushdown(t *testing.T) {
 	master.RegisterMerge("data", mt)
 
 	sql := `SELECT "patient id" FROM data WHERE "patient id" > 2 AND "select" = 's1'`
-	got, err := master.Query(sql)
+	got, st, err := queryMerge(t, master, sql)
 	if err != nil {
 		t.Fatalf("quoted-identifier round trip: %v", err)
 	}
@@ -390,7 +420,6 @@ func TestMergeQuotedIdentifierPushdown(t *testing.T) {
 	if got.NumRows() != 2 {
 		t.Fatalf("got %d rows, want 2", got.NumRows())
 	}
-	st := mt.LastStats()
 	if !strings.Contains(st.PartSQL, `"patient id"`) || !strings.Contains(st.PartSQL, `"select"`) {
 		t.Errorf("part SQL lost identifier quoting: %q", st.PartSQL)
 	}
@@ -427,7 +456,7 @@ func TestMergeZeroParts(t *testing.T) {
 // TestMergeNilTablePart: a part that answers (nil, nil) is a failure, not
 // a silent empty shard — strict merges error, MinParts merges degrade.
 func TestMergeNilTablePart(t *testing.T) {
-	newMT := func(minParts int) (*DB, *MergeTable) {
+	newMT := func(minParts int) *DB {
 		mt := &MergeTable{
 			Schema:    Schema{{"x", Float64}},
 			TableName: "data",
@@ -439,21 +468,19 @@ func TestMergeNilTablePart(t *testing.T) {
 		}
 		db := NewDB()
 		db.RegisterMerge("data", mt)
-		return db, mt
+		return db
 	}
-	db, _ := newMT(0)
-	if _, err := db.Query(`SELECT median(x) AS m FROM data`); err == nil || !strings.Contains(err.Error(), "returned no table") {
+	if _, err := newMT(0).Query(`SELECT median(x) AS m FROM data`); err == nil || !strings.Contains(err.Error(), "returned no table") {
 		t.Fatalf("strict merge over nil-table part: err = %v, want 'returned no table'", err)
 	}
-	db, mt := newMT(1)
-	got, err := db.Query(`SELECT median(x) AS m FROM data`)
+	got, st, err := queryMerge(t, newMT(1), `SELECT median(x) AS m FROM data`)
 	if err != nil {
 		t.Fatalf("degraded merge over nil-table part: %v", err)
 	}
 	if m := got.Col(0).Float64s()[0]; m != 2 {
 		t.Fatalf("median over surviving part = %v, want 2", m)
 	}
-	if st := mt.LastStats(); len(st.FailedParts) != 1 || st.FailedParts[0] != "p1" {
+	if len(st.Dropped) != 1 || st.Dropped[0] != "p1" {
 		t.Fatalf("stats = %+v, want p1 recorded as failed", st)
 	}
 }

@@ -27,10 +27,6 @@ func newBlockingCancelPart() *blockingCancelPart {
 
 func (p *blockingCancelPart) PartName() string { return "bp" }
 
-func (p *blockingCancelPart) Query(string) (*engine.Table, error) {
-	return nil, errors.New("blockingCancelPart needs QueryCtx")
-}
-
 func (p *blockingCancelPart) QueryCtx(ctx context.Context, _ string) (*engine.Table, error) {
 	p.once.Do(func() { close(p.started) })
 	<-ctx.Done()

@@ -306,9 +306,9 @@ func TestCircuitBreakerLifecycle(t *testing.T) {
 
 	// While open (within cooldown the breaker may flip to half-open and
 	// admit exactly one probe), further scans cannot hammer the worker.
-	calls := flap.Calls("Datasets")
+	calls := flap.Calls("DatasetInfo")
 	_ = m.RefreshAvailability()
-	if got := flap.Calls("Datasets"); got > calls+1 {
+	if got := flap.Calls("DatasetInfo"); got > calls+1 {
 		t.Fatalf("open circuit admitted %d calls in one scan", got-calls)
 	}
 
@@ -480,14 +480,14 @@ func TestMergeQueryDegraded(t *testing.T) {
 
 	// Strict master: a failing part fails the query.
 	strict := newM(federation.Tolerance{})
-	bad.FailN("Query", 1)
+	bad.FailN("QueryCtx", 1)
 	if _, err := strict.MergeQuery([]string{"edsd"}, "SELECT count(*) AS n FROM data"); err == nil {
 		t.Fatal("strict MergeQuery with failing part succeeded, want error")
 	}
 
 	// Tolerant master: the failing part is dropped and named.
 	tolerant := newM(federation.Tolerance{MinWorkers: 2})
-	bad.FailN("Query", 1)
+	bad.FailN("QueryCtx", 1)
 	tab, dropped, err := tolerant.MergeQueryDegraded([]string{"edsd"}, "SELECT count(*) AS n FROM data")
 	if err != nil {
 		t.Fatalf("degraded MergeQuery: %v", err)

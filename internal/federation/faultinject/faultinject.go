@@ -1,12 +1,15 @@
 // Package faultinject wraps a federation.WorkerClient with scripted
 // failures for chaos testing the fault-tolerance layer: per-method error
 // schedules (fail N times then recover), injected latency, and up/down
-// flapping. All state is mutex-protected so schedules can be mutated while
+// flapping. Every call of the contract except ID is gated, so a wrapped
+// worker keeps the master's result caching, cancellation and query
+// contexts. All state is mutex-protected so schedules can be mutated while
 // a master hammers the client from many goroutines (the -race chaos tests
 // depend on this).
 package faultinject
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"time"
@@ -36,9 +39,10 @@ type Step struct {
 	Delay time.Duration
 }
 
-// Client wraps an inner worker client with scripted fault schedules.
+// Client wraps an inner worker client with scripted fault schedules. ID
+// passes straight through to the embedded client.
 type Client struct {
-	inner federation.WorkerClient
+	federation.WorkerClient
 
 	mu    sync.Mutex
 	steps map[string][]Step // method → FIFO schedule
@@ -49,14 +53,15 @@ type Client struct {
 // Wrap builds a fault-injecting client around inner.
 func Wrap(inner federation.WorkerClient) *Client {
 	return &Client{
-		inner: inner,
-		steps: make(map[string][]Step),
-		calls: make(map[string]int),
+		WorkerClient: inner,
+		steps:        make(map[string][]Step),
+		calls:        make(map[string]int),
 	}
 }
 
-// Script appends outcomes to a method's schedule ("Datasets", "LocalRun"
-// or "Query"). Each call consumes one step; an exhausted schedule passes
+// Script appends outcomes to a method's schedule, keyed by the contract's
+// method name ("DatasetInfo", "DataStamp", "LocalRun", "CancelJob" or
+// "QueryCtx"). Each call consumes one step; an exhausted schedule passes
 // calls through untouched.
 func (c *Client) Script(method string, steps ...Step) {
 	c.mu.Lock()
@@ -118,15 +123,20 @@ func (c *Client) gate(method string) error {
 	return step.Err
 }
 
-// ID implements federation.WorkerClient.
-func (c *Client) ID() string { return c.inner.ID() }
-
-// Datasets implements federation.WorkerClient.
-func (c *Client) Datasets() ([]string, error) {
-	if err := c.gate("Datasets"); err != nil {
-		return nil, err
+// DatasetInfo implements federation.WorkerClient.
+func (c *Client) DatasetInfo() (federation.DatasetInfo, error) {
+	if err := c.gate("DatasetInfo"); err != nil {
+		return federation.DatasetInfo{}, err
 	}
-	return c.inner.Datasets()
+	return c.WorkerClient.DatasetInfo()
+}
+
+// DataStamp implements federation.WorkerClient.
+func (c *Client) DataStamp() (string, error) {
+	if err := c.gate("DataStamp"); err != nil {
+		return "", err
+	}
+	return c.WorkerClient.DataStamp()
 }
 
 // LocalRun implements federation.WorkerClient.
@@ -134,13 +144,22 @@ func (c *Client) LocalRun(req federation.LocalRunRequest) (federation.LocalRunRe
 	if err := c.gate("LocalRun"); err != nil {
 		return federation.LocalRunResponse{}, err
 	}
-	return c.inner.LocalRun(req)
+	return c.WorkerClient.LocalRun(req)
 }
 
-// Query implements federation.WorkerClient.
-func (c *Client) Query(sql string) (*engine.Table, error) {
-	if err := c.gate("Query"); err != nil {
+// CancelJob implements federation.WorkerClient: a gated cancel finds no
+// job.
+func (c *Client) CancelJob(jobID string) bool {
+	if err := c.gate("CancelJob"); err != nil {
+		return false
+	}
+	return c.WorkerClient.CancelJob(jobID)
+}
+
+// QueryCtx implements federation.WorkerClient.
+func (c *Client) QueryCtx(ctx context.Context, sql string) (*engine.Table, error) {
+	if err := c.gate("QueryCtx"); err != nil {
 		return nil, err
 	}
-	return c.inner.Query(sql)
+	return c.WorkerClient.QueryCtx(ctx, sql)
 }

@@ -1,6 +1,7 @@
 package federation
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -416,7 +417,7 @@ func TestHTTPRawQueryForbidden(t *testing.T) {
 	srv := httptest.NewServer((&WorkerServer{Worker: w, AllowRawQuery: false}).Handler())
 	defer srv.Close()
 	c := NewHTTPWorkerClient("h", srv.URL)
-	if _, err := c.Query("SELECT * FROM data"); err == nil {
+	if _, err := c.QueryCtx(context.Background(), "SELECT * FROM data"); err == nil {
 		t.Fatal("raw query must be forbidden")
 	}
 	// Local runs still work.

@@ -181,14 +181,14 @@ func (m *Master) probeLoop(interval time.Duration) {
 }
 
 // ProbeNow synchronously re-probes every worker that is unhealthy (or has
-// no availability record) with a Datasets call, feeding the breaker and
-// re-adopting recovered workers into the availability map. Tests and the
-// background loop both drive recovery through this.
+// no snapshot) with a DatasetInfo call, feeding the breaker and re-adopting
+// recovered workers into availability. Tests and the background loop both
+// drive recovery through this.
 func (m *Master) ProbeNow() {
 	for _, w := range m.Workers() {
 		id := w.ID()
 		m.mu.Lock()
-		_, known := m.workerDS[id]
+		_, known := m.infos[id]
 		m.mu.Unlock()
 		if known && m.WorkerState(id) == "closed" {
 			continue
@@ -197,15 +197,14 @@ func (m *Master) ProbeNow() {
 			continue
 		}
 		fedProbes.Inc()
-		ds, err := w.Datasets()
+		info, err := w.DatasetInfo()
 		m.reportResult(id, err)
 		m.mu.Lock()
 		if err == nil {
-			m.workerDS[id] = ds
+			m.infos[id] = info
 		} else {
-			delete(m.workerDS, id)
+			delete(m.infos, id)
 		}
-		m.rebuildAvailLocked()
 		m.mu.Unlock()
 	}
 }

@@ -21,7 +21,7 @@ import (
 //	POST /localrun  — execute a local step (LocalRunRequest → LocalRunResponse)
 //	POST /cancel    — abort an in-flight step by job id
 //	POST /query     — run SQL against the worker engine (non-sensitive mode)
-//	GET  /datasets  — list hosted datasets (+ version stamps)
+//	GET  /datasets  — the worker's DatasetInfo snapshot
 //	GET  /datastamp — cheap data-change probe for the result cache
 //	GET  /healthz   — liveness + worker status JSON
 //	GET  /metrics   — Prometheus text exposition
@@ -63,12 +63,12 @@ func (s *WorkerServer) Handler() http.Handler {
 }
 
 func (s *WorkerServer) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	ds, _ := s.Worker.Datasets()
+	info, _ := s.Worker.DatasetInfo()
 	writeJSON(w, http.StatusOK, map[string]any{
 		"status":         "ok",
 		"worker":         s.Worker.ID(),
 		"uptime_seconds": time.Since(s.Start).Seconds(),
-		"datasets":       len(ds),
+		"datasets":       len(info.Datasets),
 	})
 }
 
@@ -348,7 +348,9 @@ func truncate(s string, n int) string {
 	return s[:n] + "…"
 }
 
-// Datasets implements WorkerClient. Idempotent: retried under Retry.
+// Datasets lists the worker's datasets: DatasetInfo without the versions
+// (the benchmark's tracing decorator calls it). Idempotent: retried under
+// Retry.
 func (c *HTTPWorkerClient) Datasets() ([]string, error) {
 	info, err := c.DatasetInfo()
 	if err != nil {
@@ -357,8 +359,7 @@ func (c *HTTPWorkerClient) Datasets() ([]string, error) {
 	return info.Datasets, nil
 }
 
-// DatasetInfo implements the master's versioned-client interface over the
-// /datasets endpoint (the version fields are additive JSON). Idempotent:
+// DatasetInfo implements WorkerClient over GET /datasets. Idempotent:
 // retried under Retry.
 func (c *HTTPWorkerClient) DatasetInfo() (DatasetInfo, error) {
 	var out DatasetInfo
@@ -371,9 +372,9 @@ func (c *HTTPWorkerClient) DatasetInfo() (DatasetInfo, error) {
 	return out, nil
 }
 
-// DataStamp implements the versioned-client probe against GET /datastamp.
-// A worker predating the endpoint returns an error, which the result cache
-// treats as "bypass caching for this worker".
+// DataStamp implements WorkerClient over GET /datastamp. An error makes the
+// result cache bypass caching for this worker. Idempotent: retried under
+// Retry.
 func (c *HTTPWorkerClient) DataStamp() (string, error) {
 	var out struct {
 		Stamp string `json:"stamp"`
@@ -397,9 +398,9 @@ func (c *HTTPWorkerClient) LocalRun(req LocalRunRequest) (LocalRunResponse, erro
 	return resp, err
 }
 
-// CancelJob implements the master's optional job-canceller interface: POST
-// /cancel aborts the named step on the worker. Returns whether the worker
-// found a live job to cancel.
+// CancelJob implements WorkerClient: POST /cancel aborts the named step on
+// the worker. Returns whether the worker found a live job to cancel. Not
+// retried.
 func (c *HTTPWorkerClient) CancelJob(jobID string) bool {
 	var out struct {
 		Cancelled bool `json:"cancelled"`
@@ -410,14 +411,9 @@ func (c *HTTPWorkerClient) CancelJob(jobID string) bool {
 	return out.Cancelled
 }
 
-// Query implements WorkerClient.
-func (c *HTTPWorkerClient) Query(sql string) (*engine.Table, error) {
-	return c.QueryCtx(context.Background(), sql)
-}
-
-// QueryCtx implements the master's optional context-aware query interface:
-// cancelling the context tears down the HTTP request, which cancels the
-// worker-side engine execution through the server's request context.
+// QueryCtx implements WorkerClient over POST /query: cancelling the context
+// tears down the HTTP request, which cancels the worker-side engine
+// execution through the server's request context. Not retried.
 func (c *HTTPWorkerClient) QueryCtx(ctx context.Context, sql string) (*engine.Table, error) {
 	var t *engine.Table
 	err := c.do(ctx, http.MethodPost, "/query", c.runTimeout(), nil, map[string]string{"sql": sql}, &t)

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -17,27 +18,42 @@ import (
 	"mip/internal/smpc"
 )
 
-// WorkerClient is the master's handle to a worker node, implemented
-// directly by *Worker (in-process deployments) and by the HTTP client
-// (multi-process deployments).
+// WorkerClient is the master's one channel to a worker node: exactly the
+// calls the master makes. *Worker implements it in process and
+// *HTTPWorkerClient over the wire; wrappers (WithRetry, faultinject) embed
+// it and override only the calls they change, so none of the master's
+// capabilities (result caching, cancellation, query contexts) can be lost
+// by wrapping.
 type WorkerClient interface {
 	ID() string
-	Datasets() ([]string, error)
+	// DatasetInfo is the worker's snapshot: the datasets it hosts, their
+	// versions, and the stamp the snapshot was taken at.
+	DatasetInfo() (DatasetInfo, error)
+	// DataStamp is the cheap change probe: equal to a snapshot's Stamp
+	// while nothing in the snapshot has changed.
+	DataStamp() (string, error)
 	LocalRun(req LocalRunRequest) (LocalRunResponse, error)
-	Query(sql string) (*engine.Table, error)
+	// CancelJob aborts an in-flight step by job id and reports whether a
+	// live one was found.
+	CancelJob(jobID string) bool
+	// QueryCtx runs SQL on the worker's engine (the merge-table path);
+	// cancelling ctx aborts the worker-side execution.
+	QueryCtx(ctx context.Context, sql string) (*engine.Table, error)
 }
+
+var masterLog = obs.Logger("master")
 
 // Master governs the communication with and among the workers, keeps track
 // of dataset availability for algorithm shipping, orchestrates algorithm
-var masterLog = obs.Logger("master")
-
 // flows and handles the aggregates coming back from local computations.
 type Master struct {
-	mu       sync.Mutex
-	workers  []WorkerClient
-	byID     map[string]WorkerClient
-	workerDS map[string][]string // worker id → last-known datasets
-	avail    map[string][]string // dataset → worker ids (derived from workerDS)
+	mu      sync.Mutex
+	workers []WorkerClient
+	byID    map[string]WorkerClient
+	// infos is the last DatasetInfo snapshot of each reachable worker.
+	// Availability is derived from it and the result cache keys on it;
+	// availability scans, probes and cache revalidation all refresh it.
+	infos    map[string]DatasetInfo
 	smpc     *smpc.Cluster
 	jobSeq   int
 	security Security
@@ -59,11 +75,8 @@ type Master struct {
 	engineOpts  []engine.Option
 	mergePlanID uint64
 
-	// Result cache (nil = disabled) plus the per-worker dataset-version
-	// snapshots it validates entries against.
-	results    *ResultCache
-	verMu      sync.Mutex
-	workerVers map[string]workerVerState
+	// results is the federated result cache (nil = disabled).
+	results *ResultCache
 }
 
 // MasterOption configures a Master.
@@ -120,8 +133,7 @@ func NewMaster(workers []WorkerClient, cluster *smpc.Cluster, sec Security, opts
 	m := &Master{
 		workers:     workers,
 		byID:        make(map[string]WorkerClient, len(workers)),
-		workerDS:    make(map[string][]string),
-		avail:       make(map[string][]string),
+		infos:       make(map[string]DatasetInfo),
 		smpc:        cluster,
 		security:    sec,
 		health:      make(map[string]*workerHealth, len(workers)),
@@ -157,16 +169,16 @@ func (m *Master) Close() {
 	unregisterMaster(m)
 }
 
-// RefreshAvailability re-scans every worker's datasets concurrently,
-// degrading gracefully: broken workers are skipped (and drop out of the
-// availability map until the background probe readmits them) instead of
+// RefreshAvailability re-fetches every worker's DatasetInfo snapshot
+// concurrently, degrading gracefully: broken workers are skipped (and drop
+// out of availability until the background probe readmits them) instead of
 // failing the whole scan. It returns an error only when no worker could be
 // scanned at all.
 func (m *Master) RefreshAvailability() error {
 	workers := m.Workers()
 	type scan struct {
 		id      string
-		ds      []string
+		info    DatasetInfo
 		err     error
 		skipped bool
 	}
@@ -181,9 +193,9 @@ func (m *Master) RefreshAvailability() error {
 		wg.Add(1)
 		go func(i int, w WorkerClient) {
 			defer wg.Done()
-			ds, err := w.Datasets()
+			info, err := w.DatasetInfo()
 			m.reportResult(w.ID(), err)
-			results[i] = scan{id: w.ID(), ds: ds, err: err}
+			results[i] = scan{id: w.ID(), info: info, err: err}
 		}(i, w)
 	}
 	wg.Wait()
@@ -194,18 +206,17 @@ func (m *Master) RefreshAvailability() error {
 		switch {
 		case r.skipped:
 			// Circuit open: keep nothing stale around.
-			delete(m.workerDS, r.id)
+			delete(m.infos, r.id)
 		case r.err != nil:
-			delete(m.workerDS, r.id)
+			delete(m.infos, r.id)
 			if firstErr == nil {
 				firstErr = fmt.Errorf("federation: worker %s availability: %w", r.id, r.err)
 			}
 		default:
-			m.workerDS[r.id] = r.ds
+			m.infos[r.id] = r.info
 			ok++
 		}
 	}
-	m.rebuildAvailLocked()
 	m.mu.Unlock()
 	if ok == 0 {
 		if firstErr != nil {
@@ -216,36 +227,28 @@ func (m *Master) RefreshAvailability() error {
 	return nil
 }
 
-// rebuildAvailLocked derives the dataset → worker-ids map from the
-// per-worker dataset records. Caller holds m.mu.
-func (m *Master) rebuildAvailLocked() {
-	m.avail = make(map[string][]string, len(m.avail))
-	for _, w := range m.workers {
-		for _, d := range m.workerDS[w.ID()] {
-			m.avail[d] = append(m.avail[d], w.ID())
-		}
-	}
-}
-
-// Availability returns dataset → sorted worker ids.
+// Availability returns dataset → sorted worker ids, derived from the
+// workers' snapshots.
 func (m *Master) Availability() map[string][]string {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	out := make(map[string][]string, len(m.avail))
-	for d, ws := range m.avail {
-		cp := append([]string(nil), ws...)
-		sort.Strings(cp)
-		out[d] = cp
+	out := map[string][]string{}
+	for id, info := range m.infos {
+		for _, d := range info.Datasets {
+			out[d] = append(out[d], id)
+		}
+	}
+	for _, ids := range out {
+		sort.Strings(ids)
 	}
 	return out
 }
 
 // Datasets lists all known datasets, sorted.
 func (m *Master) Datasets() []string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]string, 0, len(m.avail))
-	for d := range m.avail {
+	avail := m.Availability()
+	out := make([]string, 0, len(avail))
+	for d := range avail {
 		out = append(out, d)
 	}
 	sort.Strings(out)
@@ -268,16 +271,13 @@ func (m *Master) WorkersFor(datasets []string) []WorkerClient {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	ids := map[string]bool{}
-	for _, d := range datasets {
-		for _, id := range m.avail[d] {
-			ids[id] = true
-		}
-	}
 	var out []WorkerClient
 	for _, w := range m.workers {
-		if ids[w.ID()] {
-			out = append(out, w)
+		for _, d := range m.infos[w.ID()].Datasets {
+			if slices.Contains(datasets, d) {
+				out = append(out, w)
+				break
+			}
 		}
 	}
 	return out
@@ -428,7 +428,7 @@ func (m *Master) runFlightLeader(key string, f *resultFlight, tenant string, dat
 // DataTable on a fresh DB), so their plan-cache keys coincide and a
 // repeated federated statement hits the memoized plan instead of every
 // query inserting keys no later DB could ever reach.
-func (m *Master) newMergeDB(ws []WorkerClient) (*engine.DB, *engine.MergeTable) {
+func (m *Master) newMergeDB(ws []WorkerClient) *engine.DB {
 	opts := append(append([]engine.Option(nil), m.engineOpts...),
 		engine.WithPlanCacheIdentity(m.mergePlanID))
 	mdb := engine.NewDB(opts...)
@@ -440,20 +440,20 @@ func (m *Master) newMergeDB(ws []WorkerClient) (*engine.DB, *engine.MergeTable) 
 		mt.MinParts = req
 	}
 	mdb.RegisterMerge(DataTable, mt)
-	return mdb, mt
+	return mdb
 }
 
 // mergeQueryExec runs one federated merge query over the given workers on
 // a transient merge database (the uncached execution path).
 func (m *Master) mergeQueryExec(tenant string, datasets []string, sql string, ws []WorkerClient) (*engine.Table, []string, error) {
-	mdb, mt := m.newMergeDB(ws)
+	mdb := m.newMergeDB(ws)
 	ctx := engine.WithQueryAttribution(context.Background(),
 		engine.Attribution{Tenant: tenant, Datasets: datasets})
-	t, err := mdb.QueryCtx(ctx, sql)
+	t, qs, err := mdb.QueryWithStatsCtx(ctx, sql)
 	if err != nil {
 		return nil, nil, err
 	}
-	dropped := mt.LastStats().FailedParts
+	dropped := qs.Dropped
 	if len(dropped) > 0 {
 		fedDegradedSteps.Inc()
 		fedDroppedWorkers.Add(int64(len(dropped)))
@@ -498,7 +498,7 @@ func (m *Master) ExplainAs(tenant string, datasets []string, sql string, analyze
 			}
 		}
 	}
-	mdb, _ := m.newMergeDB(ws)
+	mdb := m.newMergeDB(ws)
 	keyword := "EXPLAIN "
 	if analyze {
 		keyword = "EXPLAIN ANALYZE "
@@ -560,41 +560,16 @@ type workerPart struct {
 	m *Master
 }
 
-// ctxQueryClient is the optional WorkerClient extension for context-aware
-// remote queries; *Worker and the HTTP client implement it. Kept optional so
-// existing fakes satisfying plain WorkerClient keep compiling.
-type ctxQueryClient interface {
-	QueryCtx(ctx context.Context, sql string) (*engine.Table, error)
-}
-
-// jobCanceller is the optional WorkerClient extension for aborting an
-// in-flight step by job id.
-type jobCanceller interface {
-	CancelJob(jobID string) bool
-}
-
 func (p *workerPart) PartName() string { return p.w.ID() }
 
-func (p *workerPart) Query(sql string) (*engine.Table, error) {
-	return p.QueryCtx(context.Background(), sql)
-}
-
-// QueryCtx implements engine.CtxPart: cancelling a federated merge query on
-// the master propagates to workers that understand contexts.
+// QueryCtx implements engine.Part: cancelling a federated merge query on
+// the master cancels the worker-side execution.
 func (p *workerPart) QueryCtx(ctx context.Context, sql string) (*engine.Table, error) {
-	if p.m != nil && !p.m.allowCall(p.w.ID()) {
+	if !p.m.allowCall(p.w.ID()) {
 		return nil, fmt.Errorf("worker %s: %w", p.w.ID(), ErrCircuitOpen)
 	}
-	var t *engine.Table
-	var err error
-	if cq, ok := p.w.(ctxQueryClient); ok {
-		t, err = cq.QueryCtx(ctx, sql)
-	} else {
-		t, err = p.w.Query(sql)
-	}
-	if p.m != nil {
-		p.m.reportResult(p.w.ID(), err)
-	}
+	t, err := p.w.QueryCtx(ctx, sql)
+	p.m.reportResult(p.w.ID(), err)
 	return t, err
 }
 
@@ -730,15 +705,13 @@ func (s *Session) Cancelled() bool {
 	}
 }
 
-// cancelWorkers fans a CancelJob to every session worker that supports it.
+// cancelWorkers fans a CancelJob to every session worker.
 func (s *Session) cancelWorkers(jobID string) {
 	if jobID == "" {
 		return
 	}
 	for _, w := range s.workers {
-		if jc, ok := w.(jobCanceller); ok {
-			jc.CancelJob(jobID)
-		}
+		w.CancelJob(jobID)
 	}
 }
 

@@ -16,8 +16,10 @@ import (
 // brokenPart is a merge part that always fails.
 type brokenPart struct{}
 
-func (brokenPart) PartName() string                    { return "hospital-down" }
-func (brokenPart) Query(string) (*engine.Table, error) { return nil, errors.New("part unreachable") }
+func (brokenPart) PartName() string { return "hospital-down" }
+func (brokenPart) QueryCtx(context.Context, string) (*engine.Table, error) {
+	return nil, errors.New("part unreachable")
+}
 
 // recordDB is a 5000-row table over 500 groups: big enough to trip a 1KB
 // ceiling and to spill a grouped aggregate under a 4KB budget.

@@ -44,15 +44,6 @@ var (
 		"Bytes of result payload currently held by the master's result cache.")
 )
 
-// versionedClient is the optional WorkerClient extension the result cache
-// needs: per-dataset version stamps plus the cheap change probe. *Worker
-// and *HTTPWorkerClient implement it; queries touching a worker that does
-// not bypass the cache.
-type versionedClient interface {
-	DatasetInfo() (DatasetInfo, error)
-	DataStamp() (string, error)
-}
-
 // ResultCacheStats is the snapshot served by GET /cache.
 type ResultCacheStats struct {
 	BudgetBytes int64 `json:"budget_bytes"`
@@ -250,19 +241,10 @@ func (c *ResultCache) putLocked(key string, t *engine.Table) {
 	fedResultCacheBytes.Set(float64(c.acct.Live()))
 }
 
-// workerVerState is the master's last-known version snapshot for one
-// worker: while the worker's cheap DataStamp still equals stamp, every
-// entry of vers is current.
-type workerVerState struct {
-	stamp string
-	boot  string
-	vers  map[string]uint64
-}
-
 // resultKey derives the cache key for sql attributed to tenant over the
 // given workers, or ok = false when any worker cannot vouch for its data
-// versions (no version support, probe error) — those queries bypass the
-// cache entirely rather than risk a stale serve.
+// versions (a failed probe) — those queries bypass the cache entirely
+// rather than risk a stale serve.
 //
 // The per-worker fragment enumerates the versions of exactly the datasets
 // the query touches (all of the worker's datasets when the request names
@@ -278,21 +260,17 @@ func (m *Master) resultKey(tenant string, datasets []string, sql string, ws []Wo
 	}
 	frags := make([]string, 0, len(ws))
 	for _, w := range ws {
-		vc, ok := w.(versionedClient)
-		if !ok {
-			return "", false
-		}
-		st, err := m.workerVersions(w.ID(), vc)
+		info, err := m.currentInfo(w)
 		if err != nil {
 			return "", false
 		}
 		var b strings.Builder
 		b.WriteString(w.ID())
 		b.WriteString("@")
-		b.WriteString(st.boot)
+		b.WriteString(info.Boot)
 		b.WriteString("{")
-		codes := make([]string, 0, len(st.vers))
-		for ds := range st.vers {
+		codes := make([]string, 0, len(info.Versions))
+		for ds := range info.Versions {
 			if len(want) == 0 || want[ds] {
 				codes = append(codes, ds)
 			}
@@ -301,7 +279,7 @@ func (m *Master) resultKey(tenant string, datasets []string, sql string, ws []Wo
 		for _, ds := range codes {
 			b.WriteString(ds)
 			b.WriteString("=")
-			b.WriteString(strconv.FormatUint(st.vers[ds], 10))
+			b.WriteString(strconv.FormatUint(info.Versions[ds], 10))
 			b.WriteString(",")
 		}
 		b.WriteString("}")
@@ -311,30 +289,31 @@ func (m *Master) resultKey(tenant string, datasets []string, sql string, ws []Wo
 	return tenant + "\x00" + strings.Join(frags, "|") + "\x00" + canon, true
 }
 
-// workerVersions returns a current version snapshot for the worker,
-// revalidating the cached snapshot with the cheap stamp probe and
-// refreshing it with a full DatasetInfo scan only when the stamp moved.
-func (m *Master) workerVersions(id string, vc versionedClient) (workerVerState, error) {
-	probe, err := vc.DataStamp()
+// currentInfo returns the worker's snapshot, revalidated with the cheap
+// stamp probe and re-fetched only when the stamp moved. A re-fetched
+// snapshot replaces the worker's entry in m.infos, so availability sees it
+// too; a worker without an entry (its last scan failed or its circuit is
+// open) is readmitted only by RefreshAvailability or ProbeNow, which feed
+// its breaker. A failed probe only bypasses the cache: it never drops the
+// worker from availability.
+func (m *Master) currentInfo(w WorkerClient) (DatasetInfo, error) {
+	probe, err := w.DataStamp()
 	if err != nil {
-		return workerVerState{}, err
+		return DatasetInfo{}, err
 	}
-	m.verMu.Lock()
-	st, ok := m.workerVers[id]
-	m.verMu.Unlock()
-	if ok && st.stamp == probe {
-		return st, nil
+	m.mu.Lock()
+	info, known := m.infos[w.ID()]
+	m.mu.Unlock()
+	if known && info.Stamp == probe {
+		return info, nil
 	}
-	info, err := vc.DatasetInfo()
-	if err != nil {
-		return workerVerState{}, err
+	if info, err = w.DatasetInfo(); err != nil {
+		return DatasetInfo{}, err
 	}
-	st = workerVerState{stamp: info.Stamp, boot: info.Boot, vers: info.Versions}
-	m.verMu.Lock()
-	if m.workerVers == nil {
-		m.workerVers = make(map[string]workerVerState)
+	m.mu.Lock()
+	if _, known := m.infos[w.ID()]; known {
+		m.infos[w.ID()] = info
 	}
-	m.workerVers[id] = st
-	m.verMu.Unlock()
-	return st, nil
+	m.mu.Unlock()
+	return info, nil
 }

@@ -200,12 +200,6 @@ type countingClient struct {
 	delay   time.Duration
 }
 
-func (c *countingClient) Query(sql string) (*engine.Table, error) {
-	return c.QueryCtx(context.Background(), sql)
-}
-
-// QueryCtx shadows the embedded worker's method: the master prefers the
-// context-aware extension, so the counter must live here.
 func (c *countingClient) QueryCtx(ctx context.Context, sql string) (*engine.Table, error) {
 	c.queries.Add(1)
 	time.Sleep(c.delay)
@@ -527,10 +521,6 @@ func TestResultCacheInvalidationOnLoad(t *testing.T) {
 type flakyClient struct {
 	*Worker
 	calls atomic.Int64
-}
-
-func (c *flakyClient) Query(sql string) (*engine.Table, error) {
-	return c.QueryCtx(context.Background(), sql)
 }
 
 func (c *flakyClient) QueryCtx(ctx context.Context, sql string) (*engine.Table, error) {

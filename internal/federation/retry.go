@@ -5,13 +5,11 @@ import (
 	"fmt"
 	"math/rand"
 	"time"
-
-	"mip/internal/engine"
 )
 
 // RetryPolicy configures retry-with-exponential-backoff-and-jitter for
 // idempotent worker calls. The calls it guards are safe to replay:
-// /datasets and /healthz are reads, and /localrun is keyed by JobID so
+// /datasets and /datastamp are reads, and /localrun is keyed by JobID so
 // workers dedupe replays (see Worker.LocalRun).
 type RetryPolicy struct {
 	// MaxAttempts is the total number of tries (1 = no retry). Zero and
@@ -115,47 +113,41 @@ func IsRetryable(err error) bool {
 	return false
 }
 
-// retryClient wraps any WorkerClient with a RetryPolicy, replaying
-// idempotent calls on transient failures. Used for in-process clients
-// (HTTPWorkerClient applies its own policy at the request layer).
+// retryClient wraps any WorkerClient with a RetryPolicy, replaying the
+// calls HTTPWorkerClient retries — DatasetInfo, DataStamp and LocalRun —
+// on transient failures. Used for in-process clients (HTTPWorkerClient
+// applies its own policy at the request layer). Every other call reaches
+// the embedded client unchanged.
 type retryClient struct {
-	inner  WorkerClient
+	WorkerClient
 	policy RetryPolicy
 }
 
-// WithRetry wraps a worker client so its calls retry under the policy.
+// WithRetry wraps a worker client so its idempotent calls retry under the
+// policy.
 func WithRetry(inner WorkerClient, p RetryPolicy) WorkerClient {
-	return &retryClient{inner: inner, policy: p}
+	return &retryClient{WorkerClient: inner, policy: p}
 }
 
-func (c *retryClient) ID() string { return c.inner.ID() }
-
-func (c *retryClient) Datasets() ([]string, error) {
-	var out []string
-	err := c.policy.run(c.inner.ID(), func() error {
+// retried runs call under the client's policy.
+func retried[T any](c *retryClient, call func() (T, error)) (T, error) {
+	var out T
+	err := c.policy.run(c.ID(), func() error {
 		var e error
-		out, e = c.inner.Datasets()
+		out, e = call()
 		return e
 	})
 	return out, err
+}
+
+func (c *retryClient) DatasetInfo() (DatasetInfo, error) {
+	return retried(c, c.WorkerClient.DatasetInfo)
+}
+
+func (c *retryClient) DataStamp() (string, error) {
+	return retried(c, c.WorkerClient.DataStamp)
 }
 
 func (c *retryClient) LocalRun(req LocalRunRequest) (LocalRunResponse, error) {
-	var out LocalRunResponse
-	err := c.policy.run(c.inner.ID(), func() error {
-		var e error
-		out, e = c.inner.LocalRun(req)
-		return e
-	})
-	return out, err
-}
-
-func (c *retryClient) Query(sql string) (*engine.Table, error) {
-	var out *engine.Table
-	err := c.policy.run(c.inner.ID(), func() error {
-		var e error
-		out, e = c.inner.Query(sql)
-		return e
-	})
-	return out, err
+	return retried(c, func() (LocalRunResponse, error) { return c.WorkerClient.LocalRun(req) })
 }

@@ -6,6 +6,7 @@ package federation_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -159,7 +160,7 @@ func TestQueryHTTPMatchesInProcess(t *testing.T) {
 
 	sql := "SELECT * FROM data WHERE x < 5"
 	for _, fi := range flaky {
-		fi.FailN("Query", 1)
+		fi.FailN("QueryCtx", 1)
 	}
 	want, wantDropped, err := lm.MergeQueryDegraded(nil, sql)
 	if err != nil {
@@ -247,7 +248,7 @@ func TestQueryStreamTruncation(t *testing.T) {
 	c := federation.NewHTTPWorkerClient("stub", stub.URL)
 	for _, end := range ends {
 		served.Store(body[:end])
-		if part, err := c.Query("SELECT * FROM data"); err == nil {
+		if part, err := c.QueryCtx(context.Background(), "SELECT * FROM data"); err == nil {
 			t.Fatalf("HTTP body cut at %d of %d decoded as a %d-row table", end, len(body), part.NumRows())
 		}
 	}
@@ -262,7 +263,7 @@ func TestQueryRejectsOtherFormat(t *testing.T) {
 		w.Write([]byte(`{"columns":[{"name":"n","type":"BIGINT"}],"rows":[[1]]}`))
 	}))
 	defer stub.Close()
-	_, err := federation.NewHTTPWorkerClient("old", stub.URL).Query("SELECT count(*) AS n FROM data")
+	_, err := federation.NewHTTPWorkerClient("old", stub.URL).QueryCtx(context.Background(), "SELECT count(*) AS n FROM data")
 	var ce *federation.CallError
 	if !errors.As(err, &ce) || ce.Temporary() || !strings.Contains(err.Error(), "older /query format") {
 		t.Fatalf("err = %v, want a final CallError naming the older /query format", err)

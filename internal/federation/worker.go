@@ -44,8 +44,7 @@ type LocalRunRequest struct {
 	Secure bool `json:"secure,omitempty"`
 	// Tenant and Datasets attribute the step for metering and audit: the
 	// worker tags its engine statements with them, so per-hospital access
-	// records name the owning tenant and the datasets touched. Additive
-	// JSON fields — older workers ignore them.
+	// records name the owning tenant and the datasets touched.
 	Tenant   string   `json:"tenant,omitempty"`
 	Datasets []string `json:"datasets,omitempty"`
 	// Trace carries the master's trace context so worker-side spans nest
@@ -157,10 +156,9 @@ func (w *Worker) ID() string { return w.id }
 // DB exposes the worker's engine (tests, ETL).
 func (w *Worker) DB() *engine.DB { return w.db }
 
-// DatasetInfo bundles a worker's dataset availability with the version
-// stamps the master's result cache keys on. Additive JSON over the
-// /datasets wire shape, so older clients decoding only `datasets` keep
-// working.
+// DatasetInfo is a worker's snapshot: the datasets it hosts (the master's
+// availability) and their version stamps (the result cache's key), taken at
+// one catalog version. It is the /datasets wire shape.
 type DatasetInfo struct {
 	Datasets []string          `json:"datasets"`
 	Versions map[string]uint64 `json:"versions,omitempty"`
@@ -172,10 +170,10 @@ type DatasetInfo struct {
 	Stamp string `json:"stamp,omitempty"`
 }
 
-// DatasetInfo implements the master's optional versioned-client interface:
-// availability plus current per-dataset versions, all read from one engine
-// catalog version. A dataset's version is the engine's stamp for it, which
-// moves exactly when a write adds or removes rows of that dataset.
+// DatasetInfo implements WorkerClient: availability plus current
+// per-dataset versions, all read from one engine catalog version. A
+// dataset's version is the engine's stamp for it, which moves exactly when
+// a write adds or removes rows of that dataset.
 func (w *Worker) DatasetInfo() (DatasetInfo, error) {
 	ver, vers := w.db.DatasetVersions(DataTable)
 	info := DatasetInfo{Versions: vers, Boot: w.bootID, Stamp: w.bootID + ":" + strconv.FormatUint(ver, 10)}
@@ -186,33 +184,24 @@ func (w *Worker) DatasetInfo() (DatasetInfo, error) {
 	return info, nil
 }
 
-// DataStamp is the cheap change probe: the engine's data version. If it
-// still equals the Stamp of an earlier DatasetInfo, no data on this worker
-// has changed since that snapshot.
+// DataStamp implements WorkerClient: the cheap change probe, the engine's
+// data version. If it still equals the Stamp of an earlier DatasetInfo, no
+// data on this worker has changed since that snapshot.
 func (w *Worker) DataStamp() (string, error) {
 	return w.bootID + ":" + strconv.FormatUint(w.db.DataVersion(), 10), nil
 }
 
-// Datasets implements WorkerClient: the dataset availability the master
-// tracks for algorithm shipping.
-func (w *Worker) Datasets() ([]string, error) {
-	info, err := w.DatasetInfo()
-	return info.Datasets, err
-}
-
-// Query implements WorkerClient: the remote-table path (non-sensitive
+// QueryCtx implements WorkerClient: the remote-table path (non-sensitive
 // deployments only; production MIP disables raw remote queries).
-func (w *Worker) Query(sql string) (*engine.Table, error) { return w.db.Query(sql) }
-
-// QueryCtx is Query scoped by a caller context: cancelling it aborts the
-// engine execution at the next batch boundary. Federation transports use it
+// Cancelling ctx aborts the engine execution at the next batch boundary,
 // so a master-side kill reaches the worker's engine.
 func (w *Worker) QueryCtx(ctx context.Context, sql string) (*engine.Table, error) {
 	return w.db.QueryCtx(ctx, sql)
 }
 
-// CancelJob aborts a step that is still executing under the given JobID.
-// Returns true if a live job was found and its cancellation triggered. The
+// CancelJob implements WorkerClient: it aborts a step that is still
+// executing under the given JobID. Returns true if a live job was found and
+// its cancellation triggered. The
 // dedupe entry is cleared once the step unwinds, so a later replay of the
 // same JobID re-executes instead of returning the cancelled error forever.
 func (w *Worker) CancelJob(jobID string) bool {

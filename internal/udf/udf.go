@@ -85,17 +85,14 @@ func StateValue(s any) Value { return Value{State: s} }
 // "SQL loopback queries").
 type Ctx struct {
 	DB *engine.DB
-	// Context, when set, scopes every loopback query: cancelling it aborts
-	// the in-engine execution mid-batch (end-to-end query cancellation).
+	// Context scopes every loopback query: cancelling it aborts the
+	// in-engine execution mid-batch (end-to-end query cancellation).
 	Context context.Context
 }
 
 // Loopback executes SQL inside the engine hosting the UDF.
 func (c *Ctx) Loopback(sql string) (*engine.Table, error) {
-	if c.Context != nil {
-		return c.DB.QueryCtx(c.Context, sql)
-	}
-	return c.DB.Query(sql)
+	return c.DB.QueryCtx(c.Context, sql)
 }
 
 // Func is the procedural body of a UDF.
