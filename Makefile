@@ -9,8 +9,8 @@ test:
 	$(GO) test ./...
 
 # race is also where `make check` runs the one-record coherence test
-# (internal/federation TestOneRecordPerStatement), the one-relation step
-# tests (internal/federation TestOneStatementPerStep and
+# (internal/federation TestOneRecordPerStatement), the session-pin statement
+# and disclosure tests (internal/federation TestOneStatementPerSession and
 # TestDisclosureCountsStepRelation) and the mipctl printer test (cmd/mipctl
 # TestPrintersRenderEveryServerField): all live in ./... .
 race:
@@ -61,9 +61,15 @@ spillsmoke:
 # rows it added or removed. Last, the worker contract: a wrapped worker
 # keeps caching, cancellation and query contexts, a failing stamp probe
 # bypasses the cache, a flapping worker beside writers never gets a stale
-# serve, and every snapshot refresh reaches availability.
+# serve, and every snapshot refresh reaches availability. Last, session
+# pins: a statement through an engine Snapshot reads the pinned version, a
+# write between rounds leaves an iterative result equal to the one at the
+# pin (plain and Shamir, in process and over HTTP) while a fresh session
+# sees it, pins are released after Close and bounded, a lost pin fails
+# loudly, concurrent sessions beside writers each read one version, and job
+# ids never collide across masters.
 cachesmoke:
-	$(GO) test -count=1 -race -run 'TestPlanCacheResultsUnchanged|TestPlanCacheSchemaChangeInvalidates|TestResultCacheInvalidationOnAppend|TestResultCacheWorkerRestartInvalidates|TestResultCacheSingleflight|TestParallelSortEquivalence|TestCatalogSnapshotRace|TestDatasetVersionsDeclared|TestWrappedClientKeepsContract|TestStampFailureBypassesCache|TestFlappingWorkerCacheNeverStale|TestSnapshotRefreshedByEitherPath' ./internal/engine/ ./internal/federation/
+	$(GO) test -count=1 -race -run 'TestPlanCacheResultsUnchanged|TestPlanCacheSchemaChangeInvalidates|TestResultCacheInvalidationOnAppend|TestResultCacheWorkerRestartInvalidates|TestResultCacheSingleflight|TestParallelSortEquivalence|TestCatalogSnapshotRace|TestDatasetVersionsDeclared|TestWrappedClientKeepsContract|TestStampFailureBypassesCache|TestFlappingWorkerCacheNeverStale|TestSnapshotRefreshedByEitherPath|TestSnapshotReadsPinnedVersion|TestWriteBetweenRounds|TestSessionReadsOnePinnedVersion|TestPinsReleasedAfterClose|TestPinLostFailsLoudly|TestConcurrentSessionsBesideWrites|TestJobIDsUniqueAcrossMasters' ./internal/engine/ ./internal/federation/ ./internal/algorithms/
 
 # wiresmoke covers both wires a worker answers on. The /query table stream:
 # merge answers over HTTP are bit-identical to in-process ones (NaN

@@ -64,6 +64,14 @@ func pooledDB(t *testing.T, tables []*engine.Table) *engine.DB {
 // Shamir SMPC cluster.
 func fedOver(t *testing.T, tables []*engine.Table, overHTTP, secure bool) *federation.Master {
 	t.Helper()
+	return fedWith(t, tables, overHTTP, secure, nil)
+}
+
+// fedWith is fedOver with each worker's client passed through wrap (nil
+// keeps them as built), which also sees the worker's engine DB.
+func fedWith(t *testing.T, tables []*engine.Table, overHTTP, secure bool,
+	wrap func(i int, db *engine.DB, c federation.WorkerClient) federation.WorkerClient) *federation.Master {
+	t.Helper()
 	var cluster *smpc.Cluster
 	if secure {
 		var err error
@@ -80,13 +88,16 @@ func fedOver(t *testing.T, tables []*engine.Table, overHTTP, secure bool) *feder
 			opts = append(opts, federation.WithSMPC(cluster))
 		}
 		w := federation.NewWorker(fmt.Sprintf("w%d", i), db, opts...)
-		if !overHTTP {
-			clients = append(clients, w)
-			continue
+		var c federation.WorkerClient = w
+		if overHTTP {
+			srv := httptest.NewServer((&federation.WorkerServer{Worker: w}).Handler())
+			t.Cleanup(srv.Close)
+			c = federation.NewHTTPWorkerClient(w.ID(), srv.URL)
 		}
-		srv := httptest.NewServer((&federation.WorkerServer{Worker: w}).Handler())
-		t.Cleanup(srv.Close)
-		clients = append(clients, federation.NewHTTPWorkerClient(w.ID(), srv.URL))
+		if wrap != nil {
+			c = wrap(i, db, c)
+		}
+		clients = append(clients, c)
 	}
 	m, err := federation.NewMaster(clients, cluster, federation.Security{UseSMPC: secure})
 	if err != nil {

@@ -448,8 +448,8 @@ func (s *Server) runExperimentTask(ctx context.Context, payload json.RawMessage)
 	return map[string]string{"uuid": p.UUID}, nil
 }
 
-// runAlgorithm runs one algorithm as experiment id of tenant: it opens the
-// session, traces it under trace, meters every worker statement to tenant,
+// runAlgorithm runs one algorithm as experiment id of tenant: it opens (and
+// closes) the session, traces it under trace, meters every worker statement to tenant,
 // and emits the experiment's record (verdict, worker set, degraded quorum)
 // for the tenant meter and the audit chain; the per-statement rows and
 // bytes were already emitted by the workers' engines as they ran. It
@@ -460,6 +460,7 @@ func (s *Server) runAlgorithm(id, tenant, name string, req algorithms.Request, t
 	var enc json.RawMessage
 	sess, err := s.Master.NewSession(req.Datasets)
 	if err == nil {
+		defer sess.Close()
 		sess.SetTrace(trace)
 		sess.SetTenant(tenant)
 		var res algorithms.Result

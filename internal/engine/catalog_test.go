@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -91,5 +92,58 @@ func TestJoinOverMergeRejected(t *testing.T) {
 		if err == nil || err.Error() != "engine: JOIN over merge tables is not supported" {
 			t.Errorf("%s: err = %v", sql, err)
 		}
+	}
+}
+
+// TestSnapshotReadsPinnedVersion: statements through a Snapshot resolve
+// every relation from the version it pinned, across INSERT, DELETE, Append
+// and DROP; each one still counts as a statement; a write through it is
+// refused and publishes nothing.
+func TestSnapshotReadsPinnedVersion(t *testing.T) {
+	db := NewDB()
+	q(t, db, `CREATE TABLE t (k BIGINT)`)
+	q(t, db, `INSERT INTO t VALUES (1), (2), (3)`)
+	snap := db.Snapshot()
+	q(t, db, `INSERT INTO t VALUES (4)`)
+	q(t, db, `DELETE FROM t WHERE k = 1`)
+	more := NewTable(Schema{{Name: "k", Type: Int64}})
+	if err := more.AppendRow(int64(5)); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Append("t", more); err != nil {
+		t.Fatal(err)
+	}
+	count := func(query func(string) (*Table, error)) float64 {
+		t.Helper()
+		res, err := query(`SELECT count(*) AS n, sum(a.k) AS s FROM t a JOIN t b ON a.k = b.k`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Col(1).CastFloat64().Float64s()[0]
+	}
+	at := func(sql string) (*Table, error) {
+		res, _, err := snap.QueryWithStatsCtx(context.Background(), sql)
+		return res, err
+	}
+	before := db.QueryCount()
+	if got := count(at); got != 1+2+3 {
+		t.Errorf("snapshot read sum %v, want 6 at the pin", got)
+	}
+	if got := db.QueryCount() - before; got != 1 {
+		t.Errorf("a snapshot statement counted %d times, want 1", got)
+	}
+	if got := count(db.Query); got != 2+3+4+5 {
+		t.Errorf("DB read sum %v, want 14 at the current version", got)
+	}
+	q(t, db, `DROP TABLE t`)
+	if got := count(at); got != 6 {
+		t.Errorf("snapshot read sum %v after DROP, want 6", got)
+	}
+	ver := db.DataVersion()
+	if _, err := at(`CREATE TABLE u (k BIGINT)`); err == nil {
+		t.Error("a snapshot ran DDL")
+	}
+	if db.DataVersion() != ver || db.Table("u") != nil {
+		t.Error("a refused snapshot write published a version")
 	}
 }

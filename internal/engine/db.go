@@ -426,10 +426,36 @@ func (db *DB) QueryWithStats(sql string) (*Table, QueryStats, error) {
 // cancellation context (caller ctx + optional deadline + optional memory
 // ceiling), and records its verdict on the returned stats.
 func (db *DB) QueryWithStatsCtx(ctx context.Context, sql string) (*Table, QueryStats, error) {
+	return db.queryAt(ctx, db.cat.Load(), sql, false)
+}
+
+// Snapshot is a read handle on one catalog version: every statement run
+// through it resolves its relations from that version, whatever writers
+// have published since. Holding it keeps the version's tables alive.
+type Snapshot struct {
+	db  *DB
+	cat *catalog
+}
+
+// Snapshot pins the DB's current catalog version.
+func (db *DB) Snapshot() *Snapshot { return &Snapshot{db: db, cat: db.cat.Load()} }
+
+// QueryWithStatsCtx runs a read statement at the pinned version, governed,
+// counted and recorded like DB.QueryWithStatsCtx. A write is refused: it
+// could only publish onto the current version, not the pinned one.
+func (s *Snapshot) QueryWithStatsCtx(ctx context.Context, sql string) (*Table, QueryStats, error) {
+	return s.db.queryAt(ctx, s.cat, sql, true)
+}
+
+// queryAt runs sql with every relation resolved from cat; readOnly refuses
+// anything but a SELECT or an EXPLAIN of one.
+func (db *DB) queryAt(ctx context.Context, cat *catalog, sql string, readOnly bool) (*Table, QueryStats, error) {
 	db.queries.Add(1)
 	qs := newQueryStats(ctx, sql)
-	cat := db.cat.Load()
 	st, entry, hit, err := db.parseCached(cat, sql)
+	if err == nil && readOnly && !isRead(st) {
+		err = fmt.Errorf("engine: a snapshot runs only SELECT statements")
+	}
 	if err != nil {
 		// Nothing to govern, but the attempt is still a statement: it is
 		// counted, metered and audited like one that failed while running.
@@ -444,6 +470,15 @@ func (db *DB) QueryWithStatsCtx(ctx context.Context, sql string) (*Table, QueryS
 	t, err := db.run(cat, st, &qs, ec)
 	finish(err)
 	return t, qs, err
+}
+
+// isRead reports whether st only reads: a SELECT or an EXPLAIN of one.
+func isRead(st Statement) bool {
+	if ex, ok := st.(*ExplainStmt); ok {
+		st = ex.Stmt
+	}
+	_, ok := st.(*SelectStmt)
+	return ok
 }
 
 // beginQuery derives the statement's ExecContext from the DB snapshot and

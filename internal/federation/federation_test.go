@@ -97,6 +97,10 @@ func init() {
 		n := 1 + int(wctx.WorkerID[len(wctx.WorkerID)-1]%2)
 		return Transfer{"v": Vector(make([]float64, n))}, nil
 	})
+	// Test local step that always fails.
+	RegisterLocal("test_fails", func(wctx *WorkerCtx, data *engine.Table, kwargs Kwargs) (Transfer, error) {
+		return nil, fmt.Errorf("synthetic failure")
+	})
 }
 
 // newWorkerDB builds a worker database holding `rows` patients of the given
@@ -545,9 +549,6 @@ func TestWorkerFailurePropagates(t *testing.T) {
 // A worker whose local step panics... local funcs return errors instead;
 // assert a failing local step is reported with worker attribution.
 func TestLocalStepErrorAttribution(t *testing.T) {
-	RegisterLocal("test_fails", func(wctx *WorkerCtx, data *engine.Table, kwargs Kwargs) (Transfer, error) {
-		return nil, fmt.Errorf("synthetic failure")
-	})
 	m, _ := buildFed(t, false)
 	s, _ := m.NewSession(nil)
 	_, err := s.LocalRun(LocalRunSpec{Func: "test_fails", Vars: []string{"age"}})

@@ -7,6 +7,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -18,7 +19,8 @@ import (
 // or hosts, mirroring the paper's deployment where nodes talk through REST
 // and message queues. Endpoints:
 //
-//	POST /localrun  — execute a local step (LocalRunRequest → LocalRunResponse)
+//	POST /localrun  — execute a local step (LocalRunRequest → LocalRunResponse;
+//	                  410 Gone when the step's session pin is lost)
 //	POST /cancel    — abort an in-flight step by job id
 //	POST /query     — run SQL against the worker engine (non-sensitive mode)
 //	GET  /datasets  — the worker's DatasetInfo snapshot
@@ -87,7 +89,11 @@ func (s *WorkerServer) handleLocalRun(w http.ResponseWriter, r *http.Request) {
 	}
 	resp, err := s.Worker.LocalRunCtx(r.Context(), req)
 	if err != nil {
-		writeJSON(w, http.StatusUnprocessableEntity, map[string]string{"error": err.Error()})
+		status := http.StatusUnprocessableEntity
+		if lost := (*PinLostError)(nil); errors.As(err, &lost) {
+			status = http.StatusGone
+		}
+		writeJSON(w, status, map[string]string{"error": err.Error()})
 		return
 	}
 	writeJSON(w, http.StatusOK, resp)
@@ -389,12 +395,16 @@ func (c *HTTPWorkerClient) DataStamp() (string, error) {
 }
 
 // LocalRun implements WorkerClient. Replays are safe because workers
-// dedupe /localrun by JobID, so transient failures are retried.
+// dedupe /localrun by JobID, so transient failures are retried. A 410
+// answer is the worker's PinLostError, returned as that type.
 func (c *HTTPWorkerClient) LocalRun(req LocalRunRequest) (LocalRunResponse, error) {
 	var resp LocalRunResponse
 	err := c.Retry.run(c.WorkerID, func() error {
 		return c.do(context.Background(), http.MethodPost, "/localrun", c.runTimeout(), req.Trace, req, &resp)
 	})
+	if ce := (*CallError)(nil); errors.As(err, &ce) && ce.Status == http.StatusGone && req.Session != nil {
+		return resp, &PinLostError{Worker: c.WorkerID, Session: req.Session.ID}
+	}
 	return resp, err
 }
 

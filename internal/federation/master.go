@@ -57,6 +57,13 @@ type Master struct {
 	smpc     *smpc.Cluster
 	jobSeq   int
 	security Security
+	// boot is restart-unique and prefixes every session id, so neither a
+	// second master nor a restarted one reuses a job id a long-lived
+	// worker (or the SMPC cluster) still holds.
+	boot string
+	// releases holds, per worker id, the closed sessions whose pins ride
+	// out on the next step sent to that worker (at most pinCap each).
+	releases map[string][]string
 
 	// Fault tolerance: per-worker circuit breakers plus the default
 	// degraded-aggregation policy new sessions inherit.
@@ -136,6 +143,8 @@ func NewMaster(workers []WorkerClient, cluster *smpc.Cluster, sec Security, opts
 		infos:       make(map[string]DatasetInfo),
 		smpc:        cluster,
 		security:    sec,
+		boot:        randHex(4),
+		releases:    make(map[string][]string),
 		health:      make(map[string]*workerHealth, len(workers)),
 		stopProbe:   make(chan struct{}),
 		now:         time.Now,
@@ -330,7 +339,7 @@ func (m *Master) NewSession(datasets []string) (*Session, error) {
 	}
 	m.mu.Lock()
 	m.jobSeq++
-	id := fmt.Sprintf("exp-%d", m.jobSeq)
+	id := fmt.Sprintf("exp-%s-%d", m.boot, m.jobSeq)
 	tol := m.tolerance
 	m.mu.Unlock()
 	return &Session{
@@ -340,7 +349,27 @@ func (m *Master) NewSession(datasets []string) (*Session, error) {
 		datasets:  datasets,
 		tolerance: tol,
 		cancelCh:  make(chan struct{}),
+		pinned:    make(map[string]bool),
 	}, nil
+}
+
+// queueRelease schedules the release of session id's pin on each worker.
+func (m *Master) queueRelease(id string, workers []string) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for _, w := range workers {
+		q := append(m.releases[w], id)
+		m.releases[w] = q[max(0, len(q)-pinCap):]
+	}
+}
+
+// takeReleases hands over the releases queued for a worker.
+func (m *Master) takeReleases(worker string) []string {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	q := m.releases[worker]
+	delete(m.releases, worker)
+	return q
 }
 
 // MergeQuery registers a transient merge table over the workers' data
@@ -598,6 +627,11 @@ type Session struct {
 	// (partial-aggregate metadata surfaced by the API).
 	dropMu  sync.Mutex
 	dropped map[string]bool
+
+	// pinned holds the workers that answered a step, so hold this
+	// session's pin; steps to any other worker open the session there.
+	pinned map[string]bool
+	closed bool // set by Close; later steps fail
 }
 
 // ID returns the session's experiment id.
@@ -675,6 +709,20 @@ func (s *Session) recordDropped(ids []string) {
 func (s *Session) nextJobID() string {
 	s.stepSeq++
 	return fmt.Sprintf("%s/step-%d", s.id, s.stepSeq)
+}
+
+// Close ends the session. Each worker drops the session's pin with the
+// next step the master sends it, so closing costs no round trip; workers
+// that never get one evict the pin by LRU. Later steps fail. Call it once
+// the flow has returned; calling it again does nothing.
+func (s *Session) Close() {
+	if s.closed {
+		return
+	}
+	s.closed = true
+	if s.stepSeq > 0 {
+		s.master.queueRelease(s.id, s.WorkerIDs())
+	}
 }
 
 // Cancel aborts the experiment: the in-flight step fails immediately on the
@@ -800,6 +848,9 @@ func (s *Session) localRun(spec LocalRunSpec, secure bool, parentSpan string) ([
 	if s.Cancelled() {
 		return nil, "", fmt.Errorf("federation: experiment %s: %w", s.id, engine.ErrQueryCancelled)
 	}
+	if s.closed {
+		return nil, "", fmt.Errorf("federation: experiment %s: session closed", s.id)
+	}
 	kwargs, err := json.Marshal(spec.Kwargs)
 	if err != nil {
 		return nil, "", fmt.Errorf("federation: step %s kwargs: %w", spec.Func, err)
@@ -845,9 +896,11 @@ func (s *Session) localRun(spec LocalRunSpec, secure bool, parentSpan string) ([
 			continue
 		}
 		launched++
-		go func(i int, w WorkerClient) {
+		wreq := req
+		wreq.Session = &SessionRef{ID: s.id, Open: !s.pinned[w.ID()]}
+		wreq.Release = s.master.takeReleases(w.ID())
+		go func(i int, w WorkerClient, wreq LocalRunRequest) {
 			ws := step.StartChild("worker " + w.ID())
-			wreq := req
 			wreq.Trace = ws.Ref()
 			t0 := time.Now()
 			r, err := w.LocalRun(wreq)
@@ -863,7 +916,7 @@ func (s *Session) localRun(spec LocalRunSpec, secure bool, parentSpan string) ([
 			ws.SetAttr("rows", strconv.Itoa(r.Rows))
 			ws.End()
 			ch <- result{i: i, resp: r}
-		}(i, w)
+		}(i, w, wreq)
 	}
 
 	// Collect until every launched worker replied or the straggler deadline
@@ -886,6 +939,7 @@ func (s *Session) localRun(spec LocalRunSpec, secure bool, parentSpan string) ([
 				failed[r.i] = r.err
 			} else {
 				resps[r.i] = r.resp
+				s.pinned[s.workers[r.i].ID()] = true
 			}
 		case <-deadline:
 			timedOut = true

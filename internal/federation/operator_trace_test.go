@@ -30,7 +30,7 @@ func TestTraceContainsPerWorkerOperatorSpans(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	const traceID = "trace-operator-test"
+	traceID := "trace-operator-test-" + obs.NewSpanID() // unique per run: the trace store is process-wide
 	root := obs.DefaultTraces.StartSpan(traceID, "", "experiment test")
 	s.SetTrace(obs.TraceRef{TraceID: traceID, SpanID: root.ID()})
 	if _, err := s.LocalRun(LocalRunSpec{Func: "test_sums", Vars: []string{"age"}}); err != nil {

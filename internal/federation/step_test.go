@@ -3,18 +3,24 @@ package federation
 import (
 	"fmt"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 
 	"mip/internal/engine"
+	"mip/internal/obs"
 	"mip/internal/smpc"
 )
 
-// TestOneStatementPerStep: a worker evaluates a step's relation once — the
-// same table feeds disclosure control and the step body — so each step
-// grows every worker's engine statement count by exactly one, on the plain
-// and the secure path, in-process and over the HTTP transport.
-func TestOneStatementPerStep(t *testing.T) {
+// TestOneStatementPerSession: a worker resolves each distinct data query of
+// a session once, at the session's pinned catalog version, and every later
+// round reads that relation. Three rounds over one query run one engine
+// statement per worker and a second query exactly one more, on the plain
+// and the secure path, in-process and over HTTP. Every reuse still leaves
+// one accounted record (verdict "pinned"), so the audit chain holds one
+// record per step per worker while mip_engine_queries_total counts only the
+// statements that ran.
+func TestOneStatementPerSession(t *testing.T) {
 	for _, secure := range []bool{false, true} {
 		for _, overHTTP := range []bool{false, true} {
 			t.Run(fmt.Sprintf("secure=%v/http=%v", secure, overHTTP), func(t *testing.T) {
@@ -50,20 +56,43 @@ func TestOneStatementPerStep(t *testing.T) {
 				for i, w := range workers {
 					before[i] = w.DB().QueryCount()
 				}
-				const steps = 3
-				for k := 0; k < steps; k++ {
+				queries0 := counterValue("mip_engine_queries_total")
+				audit0, _ := obs.DefaultAudit.Head()
+				statements := func(want int64, what string) {
+					t.Helper()
+					for i, w := range workers {
+						if got := w.DB().QueryCount() - before[i]; got != want {
+							t.Errorf("%s: worker %s ran %d engine statements, want %d", what, w.ID(), got, want)
+						}
+					}
+					if got := counterValue("mip_engine_queries_total") - queries0; got != want*int64(len(workers)) {
+						t.Errorf("%s: mip_engine_queries_total +%d, want %d", what, got, want*int64(len(workers)))
+					}
+				}
+				const rounds = 3
+				for k := 0; k < rounds; k++ {
 					out, err := s.Aggregate(LocalRunSpec{Func: "test_sums", Vars: []string{"age"}})
 					if err != nil {
 						t.Fatal(err)
 					}
 					if n, _ := out.Float("n"); n != 40+45+50 {
-						t.Fatalf("step %d: n = %v", k, n)
+						t.Fatalf("round %d: n = %v", k, n)
 					}
 				}
-				for i, w := range workers {
-					if got := w.DB().QueryCount() - before[i]; got != steps {
-						t.Errorf("worker %s ran %d engine statements for %d steps, want %d", w.ID(), got, steps, steps)
+				statements(1, "3 rounds over one data query")
+				if _, err := s.Aggregate(LocalRunSpec{Func: "test_sums", Vars: []string{"age", "mmse"}}); err != nil {
+					t.Fatal(err)
+				}
+				statements(2, "a second data query")
+
+				verdicts := map[string]int{}
+				for _, r := range obs.DefaultAudit.Entries(obs.AuditFilter{Kind: obs.KindQuery}) {
+					if r.Seq > audit0 && strings.HasPrefix(r.Job, s.ID()+"/") {
+						verdicts[r.Verdict]++
 					}
+				}
+				if want := map[string]int{engine.VerdictCompleted: 2 * len(workers), "pinned": (rounds - 1) * len(workers)}; !reflect.DeepEqual(verdicts, want) {
+					t.Errorf("audit records by verdict = %v, want %v (one per step per worker)", verdicts, want)
 				}
 			})
 		}

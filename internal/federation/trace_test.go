@@ -37,7 +37,7 @@ func TestTraceSpansOverHTTP(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	const traceID = "trace-http-test"
+	traceID := "trace-http-test-" + obs.NewSpanID() // unique per run: the trace store is process-wide
 	root := obs.DefaultTraces.StartSpan(traceID, "", "experiment test")
 	s.SetTrace(obs.TraceRef{TraceID: traceID, SpanID: root.ID()})
 	if _, err := s.LocalRun(LocalRunSpec{Func: "test_sums", Vars: []string{"age"}}); err != nil {
@@ -116,7 +116,7 @@ func TestTraceSpansInProcess(t *testing.T) {
 	}
 	s, _ := m.NewSession([]string{"edsd"})
 
-	const traceID = "trace-inproc-test"
+	traceID := "trace-inproc-test-" + obs.NewSpanID() // unique per run: the trace store is process-wide
 	root := obs.DefaultTraces.StartSpan(traceID, "", "experiment test")
 	s.SetTrace(obs.TraceRef{TraceID: traceID, SpanID: root.ID()})
 	if _, err := s.LocalRun(LocalRunSpec{Func: "test_sums", Vars: []string{"age"}}); err != nil {

@@ -51,6 +51,34 @@ type LocalRunRequest struct {
 	// under the per-worker round-trip span. On the HTTP hop it also rides
 	// the X-MIP-Trace header; nil disables tracing for the step.
 	Trace *obs.TraceRef `json:"trace,omitempty"`
+	// Session declares the experiment session the step belongs to: the
+	// worker resolves each distinct DataQuery of a session once, at the
+	// catalog version the session pinned on this worker, and later steps
+	// read that relation. Nil reads the current version (a one-off step).
+	Session *SessionRef `json:"session,omitempty"`
+	// Release names sessions the master closed since its last request to
+	// this worker; the worker drops their pins before running the step.
+	Release []string `json:"release,omitempty"`
+}
+
+// SessionRef names a step's session on the wire.
+type SessionRef struct {
+	ID string `json:"id"`
+	// Open marks a step sent before this worker has answered the session:
+	// the worker pins its current catalog version unless it already holds
+	// the session's pin. A step without Open must find the pin.
+	Open bool `json:"open,omitempty"`
+}
+
+// PinLostError fails a step of a session whose pin the worker no longer
+// holds (evicted, or the worker restarted). The step never falls back to
+// the current catalog, which would mix two versions in one experiment.
+type PinLostError struct {
+	Worker, Session string
+}
+
+func (e *PinLostError) Error() string {
+	return fmt.Sprintf("federation: worker %s no longer holds the pin of session %s (evicted or restarted)", e.Worker, e.Session)
 }
 
 // LocalRunResponse carries the step's outputs.
@@ -85,6 +113,8 @@ type Worker struct {
 	mu       sync.Mutex
 	jobs     map[string]*jobEntry // JobID → dedupe record (replayed /localrun)
 	jobOrder []string             // FIFO eviction order for jobs
+	pins     map[string]*sessionPin
+	pinTick  uint64 // advances on every pin use; orders LRU eviction
 
 	// bootID is restart-unique and prefixes every version stamp the
 	// master's result cache keys on, so versions from a previous process
@@ -95,6 +125,19 @@ type Worker struct {
 // jobDedupeCap bounds the replay-dedupe cache; the oldest job records are
 // evicted first. 256 comfortably covers the retry window of live steps.
 const jobDedupeCap = 256
+
+// pinCap bounds the session pin table; the least recently used pin is
+// evicted first, and a later step of its session fails with PinLostError.
+const pinCap = 64
+
+// sessionPin is one session's view of this worker: the catalog version its
+// first step read, and each distinct data query resolved once at it.
+type sessionPin struct {
+	snap *engine.Snapshot
+	used uint64     // pinTick of the last use, under Worker.mu
+	mu   sync.Mutex // serialises resolving rels
+	rels map[string]*engine.Table
+}
 
 // jobEntry records one step execution so replays of the same JobID (from
 // the master's retry layer) return the original result instead of running
@@ -134,6 +177,7 @@ func NewWorker(id string, db *engine.DB, opts ...WorkerOption) *Worker {
 		udfReg:  udf.NewRegistry(),
 		minRows: DefaultMinRows,
 		jobs:    make(map[string]*jobEntry),
+		pins:    make(map[string]*sessionPin),
 		bootID:  randHex(8),
 	}
 	for _, o := range opts {
@@ -242,6 +286,13 @@ func (w *Worker) LocalRun(req LocalRunRequest) (LocalRunResponse, error) {
 // execution at the next batch boundary, so a master-side experiment kill
 // stops workers mid-step.
 func (w *Worker) LocalRunCtx(ctx context.Context, req LocalRunRequest) (LocalRunResponse, error) {
+	if len(req.Release) > 0 {
+		w.mu.Lock()
+		for _, id := range req.Release {
+			delete(w.pins, id)
+		}
+		w.mu.Unlock()
+	}
 	if req.JobID == "" {
 		return w.runStep(ctx, req)
 	}
@@ -325,22 +376,7 @@ func (w *Worker) doLocalRun(ctx context.Context, req LocalRunRequest, span *obs.
 		return resp, err
 	}
 
-	// Resolve the step's relation once. When tracing, the engine's stats
-	// land on a child span with the measured operator tree grafted under it,
-	// so the master's experiment trace shows this worker's per-operator
-	// breakdown. Spans carry shapes and timings only — never values.
-	qspan := span.StartChild("engine query")
-	data, qs, err := w.db.QueryWithStatsCtx(ctx, req.DataQuery)
-	if qspan != nil {
-		for k, v := range qs.Attrs() {
-			qspan.SetAttr(k, v)
-		}
-		qspan.SetError(err)
-		qspan.End()
-		d := qspan.Data()
-		resp.Spans = append(resp.Spans, d)
-		planSpans(d.TraceID, d.SpanID, d.Start, qs.Root, &resp.Spans)
-	}
+	data, err := w.relation(ctx, req, span, &resp)
 	if err != nil {
 		return resp, err
 	}
@@ -401,6 +437,83 @@ func (w *Worker) doLocalRun(ctx context.Context, req LocalRunRequest, span *obs.
 	span.SetAttr("smpc_import_ms", strconv.FormatFloat(time.Since(t0).Seconds()*1e3, 'f', 3, 64))
 	span.SetAttr("smpc_import_elems", strconv.Itoa(elems))
 	return resp, nil
+}
+
+// relation resolves the step's input. A session step reads its pin: the
+// session's first use of a data query runs it at the pinned catalog version
+// and keeps the table, and every later use reads it with no statement,
+// leaving one accounted record with verdict "pinned" in its place. A step
+// without a session runs its data query at the current version.
+func (w *Worker) relation(ctx context.Context, req LocalRunRequest, span *obs.Span, resp *LocalRunResponse) (*engine.Table, error) {
+	query := w.db.QueryWithStatsCtx
+	var p *sessionPin
+	if req.Session != nil {
+		var err error
+		if p, err = w.pin(*req.Session); err != nil {
+			return nil, err
+		}
+		p.mu.Lock()
+		defer p.mu.Unlock()
+		if t := p.rels[req.DataQuery]; t != nil {
+			span.SetAttr("relation", "pinned")
+			obs.Emit(&obs.QueryRecord{
+				Kind: obs.KindQuery, SQL: req.DataQuery, Tenant: req.Tenant, Job: req.JobID,
+				Datasets: req.Datasets, Start: time.Now(), Verdict: "pinned", RowsOut: t.NumRows(),
+			}, nil, true)
+			return t, nil
+		}
+		query = p.snap.QueryWithStatsCtx
+	}
+	// When tracing, the engine's stats land on a child span with the
+	// measured operator tree grafted under it, so the master's experiment
+	// trace shows this worker's per-operator breakdown. Spans carry shapes
+	// and timings only — never values.
+	qspan := span.StartChild("engine query")
+	data, qs, err := query(ctx, req.DataQuery)
+	if qspan != nil {
+		for k, v := range qs.Attrs() {
+			qspan.SetAttr(k, v)
+		}
+		qspan.SetError(err)
+		qspan.End()
+		d := qspan.Data()
+		resp.Spans = append(resp.Spans, d)
+		planSpans(d.TraceID, d.SpanID, d.Start, qs.Root, &resp.Spans)
+	}
+	if err != nil {
+		return nil, err
+	}
+	if p != nil {
+		p.rels[req.DataQuery] = data
+	}
+	return data, nil
+}
+
+// pin returns the session's pin, taking one at the current catalog version
+// when ref opens the session on this worker and it holds none.
+func (w *Worker) pin(ref SessionRef) (*sessionPin, error) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	p := w.pins[ref.ID]
+	if p == nil {
+		if !ref.Open {
+			return nil, &PinLostError{Worker: w.id, Session: ref.ID}
+		}
+		if len(w.pins) >= pinCap {
+			lru := ""
+			for id, q := range w.pins {
+				if lru == "" || q.used < w.pins[lru].used {
+					lru = id
+				}
+			}
+			delete(w.pins, lru)
+		}
+		p = &sessionPin{snap: w.db.Snapshot(), rels: map[string]*engine.Table{}}
+		w.pins[ref.ID] = p
+	}
+	w.pinTick++
+	p.used = w.pinTick
+	return p, nil
 }
 
 // checkFinite rejects a plain transfer holding NaN or ±Inf before it

@@ -354,6 +354,7 @@ func (p *Platform) RunExperiment(algorithm string, req Request) (Result, error) 
 	if err != nil {
 		return nil, err
 	}
+	defer sess.Close()
 	return algorithms.Run(alg, sess, req)
 }
 
