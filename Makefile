@@ -1,9 +1,14 @@
 GO ?= go
 
-.PHONY: build test race vet fmt check freshbuild loc auditsmoke spillsmoke cachesmoke wiresmoke smpcsmoke bench benchcompare benchfull
+.PHONY: build tools test race vet fmt check freshbuild loc auditsmoke spillsmoke cachesmoke wiresmoke smpcsmoke bench benchcompare benchfull
 
 build:
 	$(GO) build ./...
+
+# tools builds every command (mipd, mipctl, mipbench) into bin/, which git
+# ignores.
+tools:
+	$(GO) build -o bin/ ./cmd/...
 
 test:
 	$(GO) test ./...

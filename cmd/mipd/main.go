@@ -14,9 +14,12 @@
 //	     [-engine-parallelism 0]  # intra-query parallelism per worker (0 = NumCPU)
 //	     [-query-deadline 0]   # per-statement wall-time ceiling (0 = unbounded)
 //	     [-query-mem-limit 0]  # per-statement accounted-bytes ceiling (0 = unbounded)
-//	     [-query-spill-dir ""] # with a mem limit: spill joins/aggregates here instead of cancelling
-//	     [-plan-cache-size 256]   # engine plan cache capacity (0 disables)
+//	     [-query-spill-dir ""] # needs -query-mem-limit: spill joins/aggregates here instead of cancelling
 //	     [-result-cache-bytes 0]  # master result cache byte budget (0 disables)
+//
+// The engine, cache and fault-tolerance flags fill mip.Config, the one
+// route by which a deployment tunes the platform. The engine's plan cache
+// is one process-wide 256-statement LRU (GET /cache reports it).
 //
 // The fault-tolerance flags let plain-path experiments degrade to a partial
 // aggregate instead of failing when workers die mid-step: -min-workers and
@@ -47,7 +50,6 @@ import (
 	"time"
 
 	"mip"
-	"mip/internal/engine"
 	"mip/internal/obs"
 )
 
@@ -79,16 +81,11 @@ func main() {
 	enginePar := flag.Int("engine-parallelism", 0, "intra-query parallelism per worker engine (0 = NumCPU); results are identical at any value")
 	queryDeadline := flag.Duration("query-deadline", 0, "cancel engine statements running longer than this (0 = unbounded); see GET /queries/active")
 	queryMemLimit := flag.Int64("query-mem-limit", 0, "per-statement memory budget in bytes (0 = unbounded); without -query-spill-dir, statements over it are cancelled")
-	querySpillDir := flag.String("query-spill-dir", "", "spill directory: with -query-mem-limit, budget-crossing joins/aggregates partition to disk here and keep running")
-	planCacheSize := flag.Int("plan-cache-size", 256, "engine plan cache capacity in statements (0 disables); see GET /cache")
+	querySpillDir := flag.String("query-spill-dir", "", "spill directory (needs -query-mem-limit): budget-crossing joins/aggregates partition to disk here and keep running")
 	resultCacheBytes := flag.Int64("result-cache-bytes", 0, "federated result cache byte budget on the master (0 disables); see GET /cache")
 	flag.Parse()
 
 	obs.DefaultSlowLog.SetThreshold(*slowQuery)
-	engine.SetDefaultPlanCacheSize(*planCacheSize)
-	if *enginePar > 0 {
-		engine.SetDefaultParallelism(*enginePar)
-	}
 	if *auditLog != "" {
 		// O_APPEND: restarts extend the existing chain file; VerifyChain
 		// accepts a file that starts mid-chain, so rotation is safe too.

@@ -20,7 +20,6 @@ import (
 
 	"mip/internal/algorithms"
 	"mip/internal/catalogue"
-	"mip/internal/engine"
 	"mip/internal/federation"
 	"mip/internal/obs"
 	"mip/internal/queue"
@@ -107,30 +106,6 @@ type Server struct {
 	// instance disambiguates UUIDs (and hence trace ids, which key the
 	// process-global trace store) across servers sharing a process.
 	instance string
-
-	// planCache is the engine plan cache the /cache endpoints report and
-	// flush, set via SetPlanCache; unset defaults to the process-wide
-	// engine.DefaultPlanCache.
-	planCache    *engine.PlanCache
-	planCacheSet bool
-}
-
-// SetPlanCache points the /cache endpoints at the plan cache the
-// platform's databases actually use (nil = plan caching disabled). Unset,
-// the endpoints operate on engine.DefaultPlanCache — wrong whenever the
-// platform wires its DBs to a private cache, so the platform constructor
-// always calls this.
-func (s *Server) SetPlanCache(pc *engine.PlanCache) {
-	s.planCache, s.planCacheSet = pc, true
-}
-
-// activePlanCache resolves the cache the /cache endpoints operate on (nil
-// when caching is disabled; Stats and Flush are nil-safe).
-func (s *Server) activePlanCache() *engine.PlanCache {
-	if s.planCacheSet {
-		return s.planCache
-	}
-	return engine.DefaultPlanCache
 }
 
 // NewServer builds the API server and registers the experiment task

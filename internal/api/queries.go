@@ -44,12 +44,12 @@ func (s *Server) handleSlowQueries(w http.ResponseWriter, _ *http.Request) {
 	})
 }
 
-// handleCacheStats serves both cache tiers' counters: the engine plan
-// cache this platform's databases resolve statements through (see
-// SetPlanCache) and the master's federated result cache.
+// handleCacheStats serves both cache tiers' counters: the process-wide
+// engine plan cache every database resolves statements through and the
+// master's federated result cache.
 func (s *Server) handleCacheStats(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, CacheStatsResponse{
-		Plan:   s.activePlanCache().Stats(),
+		Plan:   engine.DefaultPlanCache.Stats(),
 		Result: s.Master.ResultCacheStats(),
 	})
 }
@@ -58,9 +58,8 @@ func (s *Server) handleCacheStats(w http.ResponseWriter, _ *http.Request) {
 // flush onto the audit chain (who cleared the caches, and when, is an
 // operational event worth keeping).
 func (s *Server) handleCacheFlush(w http.ResponseWriter, r *http.Request) {
-	pc := s.activePlanCache()
-	plan := pc.Stats().Entries
-	pc.Flush()
+	plan := engine.DefaultPlanCache.Stats().Entries
+	engine.DefaultPlanCache.Flush()
 	result := s.Master.FlushResultCache()
 	obs.Emit(&obs.QueryRecord{
 		Kind:    obs.KindCacheFlush,

@@ -115,54 +115,6 @@ func (p *blockingAPIPart) QueryCtx(ctx context.Context, _ string) (*engine.Table
 	return nil, context.Cause(ctx)
 }
 
-// TestCacheEndpointsUsePlatformPlanCache: when the platform wires its DBs
-// to a private plan cache (Config.PlanCacheSize), GET /cache must report
-// that cache — not the unused process default — and POST /cache/flush must
-// flush it.
-func TestCacheEndpointsUsePlatformPlanCache(t *testing.T) {
-	s, ts := testServer(t)
-	private := engine.NewPlanCache(16)
-	s.SetPlanCache(private)
-
-	// Populate the private cache through a DB wired to it, the way the
-	// platform's worker DBs are.
-	db := engine.NewDB(engine.WithPlanCache(private))
-	tab := engine.NewTable(engine.Schema{{Name: "v", Type: engine.Float64}})
-	if err := tab.AppendRow(1.0); err != nil {
-		t.Fatal(err)
-	}
-	db.RegisterTable("t", tab)
-	if _, err := db.Query(`SELECT sum(v) AS s FROM t`); err != nil {
-		t.Fatal(err)
-	}
-	if n := private.Stats().Entries; n != 1 {
-		t.Fatalf("private cache entries = %d, want 1", n)
-	}
-
-	var stats struct {
-		Plan engine.PlanCacheStats `json:"plan"`
-	}
-	if code := getJSON(t, ts.URL+"/cache", &stats); code != http.StatusOK {
-		t.Fatalf("GET /cache status = %d", code)
-	}
-	if stats.Plan.Entries != 1 || stats.Plan.Capacity != 16 {
-		t.Fatalf("GET /cache reports %+v, want the private cache (1 entry, capacity 16)", stats.Plan)
-	}
-
-	var flushed struct {
-		Plan int `json:"flushed_plan_entries"`
-	}
-	if code := postJSON(t, ts.URL+"/cache/flush", struct{}{}, &flushed); code != http.StatusOK {
-		t.Fatalf("POST /cache/flush status = %d", code)
-	}
-	if flushed.Plan != 1 {
-		t.Fatalf("flush reported %d plan entries, want 1", flushed.Plan)
-	}
-	if n := private.Stats().Entries; n != 0 {
-		t.Fatalf("private cache not flushed: %d entries", n)
-	}
-}
-
 func TestActiveQueriesAndKillEndpoints(t *testing.T) {
 	_, ts := testServer(t)
 

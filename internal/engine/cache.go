@@ -2,7 +2,6 @@ package engine
 
 import (
 	"container/list"
-	"os"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -99,29 +98,9 @@ func NewPlanCache(capacity int) *PlanCache {
 	return &PlanCache{cap: capacity, ll: list.New(), entries: make(map[string]*list.Element)}
 }
 
-// defaultPlanCacheSize reads MIP_PLAN_CACHE_SIZE (the CI/test override);
-// unset or unparsable keeps the built-in default.
-func defaultPlanCacheSize() int {
-	if v := os.Getenv("MIP_PLAN_CACHE_SIZE"); v != "" {
-		if n, err := strconv.Atoi(v); err == nil {
-			return n
-		}
-	}
-	return 256
-}
-
-// DefaultPlanCache is the process-wide cache every DB uses unless
-// WithPlanCache overrides it. Size 256 statements by
-// default; MIP_PLAN_CACHE_SIZE=0 disables it process-wide.
-var DefaultPlanCache = NewPlanCache(defaultPlanCacheSize())
-
-// SetDefaultPlanCacheSize replaces the process-wide plan cache with a fresh
-// one of the given capacity (n <= 0 disables process-wide caching). Intended
-// for startup wiring, before any DB is created: DBs capture the cache pointer
-// at construction, so later calls do not affect existing databases.
-func SetDefaultPlanCacheSize(n int) {
-	DefaultPlanCache = NewPlanCache(n)
-}
+// DefaultPlanCache is the process-wide 256-statement cache every DB uses
+// unless WithPlanCache overrides it.
+var DefaultPlanCache = NewPlanCache(256)
 
 // Stats snapshots the cache counters; the zero value is returned for a nil
 // (disabled) cache.

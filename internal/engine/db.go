@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"maps"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -60,11 +61,13 @@ type Option func(*DB)
 
 // WithParallelism sets the DB's execution parallelism degree: how many
 // morsels its queries process concurrently (1 = serial). Values < 1 keep
-// the process default (runtime.NumCPU, or SetDefaultParallelism).
+// the default, runtime.NumCPU.
 func WithParallelism(n int) Option {
 	return func(db *DB) {
 		if n >= 1 {
-			db.SetParallelism(n)
+			cur := *db.ec.Load()
+			cur.Parallelism = n
+			db.ec.Store(&cur)
 		}
 	}
 }
@@ -174,7 +177,7 @@ func WithPlanCacheIdentity(id uint64) Option {
 func NewDB(opts ...Option) *DB {
 	db := &DB{id: dbSeq.Add(1), plans: DefaultPlanCache}
 	db.cat.Store(&catalog{tables: map[string]*relation{}, merges: map[string]*MergeTable{}})
-	db.ec.Store(&ExecContext{Parallelism: DefaultParallelism(), MorselSize: DefaultMorselSize})
+	db.ec.Store(&ExecContext{Parallelism: runtime.NumCPU(), MorselSize: DefaultMorselSize})
 	for _, o := range opts {
 		o(db)
 	}
@@ -280,21 +283,6 @@ func (c *catalog) mergeOf(st *SelectStmt) *MergeTable {
 }
 
 func unknownTable(name string) error { return fmt.Errorf("engine: unknown table %q", name) }
-
-// SetParallelism changes the DB's parallelism degree at runtime (n < 1 is
-// ignored). It also grows the shared worker pool to serve the new degree.
-func (db *DB) SetParallelism(n int) {
-	if n < 1 {
-		return
-	}
-	cur := *db.ec.Load()
-	cur.Parallelism = n
-	db.ec.Store(&cur)
-	enginePool.grow(n - 1)
-}
-
-// Parallelism returns the DB's configured parallelism degree.
-func (db *DB) Parallelism() int { return db.ec.Load().Parallelism }
 
 // CreateTable registers an empty table with the given schema.
 func (db *DB) CreateTable(name string, schema Schema) error {

@@ -663,8 +663,7 @@ func rewriteAgg(e Expr, keys map[string]string, aggs *[]*AggCall, aggCols map[st
 	if k, ok := keys[e.String()]; ok {
 		return &ColRef{Name: k}
 	}
-	switch t := e.(type) {
-	case *AggCall:
+	if t, ok := e.(*AggCall); ok {
 		sig := t.String()
 		if col, ok := aggCols[sig]; ok {
 			return &ColRef{Name: col}
@@ -673,32 +672,8 @@ func rewriteAgg(e Expr, keys map[string]string, aggs *[]*AggCall, aggCols map[st
 		aggCols[sig] = col
 		*aggs = append(*aggs, t)
 		return &ColRef{Name: col}
-	case *Unary:
-		return &Unary{Op: t.Op, X: rewriteAgg(t.X, keys, aggs, aggCols)}
-	case *Binary:
-		return &Binary{Op: t.Op, L: rewriteAgg(t.L, keys, aggs, aggCols), R: rewriteAgg(t.R, keys, aggs, aggCols)}
-	case *Call:
-		args := make([]Expr, len(t.Args))
-		for i, a := range t.Args {
-			args[i] = rewriteAgg(a, keys, aggs, aggCols)
-		}
-		return &Call{Name: t.Name, Args: args}
-	case *IsNullExpr:
-		return &IsNullExpr{X: rewriteAgg(t.X, keys, aggs, aggCols), Not: t.Not}
-	case *CaseExpr:
-		out := &CaseExpr{}
-		for _, w := range t.Whens {
-			out.Whens = append(out.Whens, CaseWhen{
-				Cond: rewriteAgg(w.Cond, keys, aggs, aggCols),
-				Then: rewriteAgg(w.Then, keys, aggs, aggCols),
-			})
-		}
-		if t.Else != nil {
-			out.Else = rewriteAgg(t.Else, keys, aggs, aggCols)
-		}
-		return out
 	}
-	return e
+	return mapChildren(e, func(c Expr) Expr { return rewriteAgg(c, keys, aggs, aggCols) })
 }
 
 // morselAgg is one morsel's partial aggregation: its thread-local group

@@ -191,43 +191,94 @@ func (e *CaseExpr) String() string {
 	return b.String()
 }
 
-// HasAgg reports whether the expression contains an aggregate call.
-func HasAgg(e Expr) bool {
+// children lists e's direct subexpressions in a fixed order: operands,
+// arguments, the IN operand then its list, and each CASE arm's condition
+// and value followed by the ELSE. Every structural walk over an expression
+// goes through it (and mapChildren), so no walk can miss a node kind.
+func children(e Expr) []Expr {
 	switch t := e.(type) {
-	case *AggCall:
-		return true
 	case *Unary:
-		return HasAgg(t.X)
+		return []Expr{t.X}
 	case *Binary:
-		return HasAgg(t.L) || HasAgg(t.R)
+		return []Expr{t.L, t.R}
 	case *Call:
-		for _, a := range t.Args {
-			if HasAgg(a) {
-				return true
-			}
-		}
+		return t.Args
+	case *AggCall:
+		return t.Args
 	case *IsNullExpr:
-		return HasAgg(t.X)
+		return []Expr{t.X}
 	case *InExpr:
-		if HasAgg(t.X) {
-			return true
-		}
-		for _, a := range t.List {
-			if HasAgg(a) {
-				return true
-			}
-		}
+		return append([]Expr{t.X}, t.List...)
 	case *CaseExpr:
+		out := make([]Expr, 0, 2*len(t.Whens)+1)
 		for _, w := range t.Whens {
-			if HasAgg(w.Cond) || HasAgg(w.Then) {
-				return true
-			}
+			out = append(out, w.Cond, w.Then)
 		}
 		if t.Else != nil {
-			return HasAgg(t.Else)
+			out = append(out, t.Else)
+		}
+		return out
+	}
+	return nil
+}
+
+// mapChildren returns a copy of e whose children (in children's order) are
+// replaced by f of each; a leaf is returned as is. Expressions are never
+// mutated in place: cached statements share them across queries.
+func mapChildren(e Expr, f func(Expr) Expr) Expr {
+	kids := children(e)
+	if len(kids) == 0 {
+		return e
+	}
+	m := make([]Expr, len(kids))
+	for i, k := range kids {
+		m[i] = f(k)
+	}
+	switch t := e.(type) {
+	case *Unary:
+		return &Unary{Op: t.Op, X: m[0]}
+	case *Binary:
+		return &Binary{Op: t.Op, L: m[0], R: m[1]}
+	case *Call:
+		return &Call{Name: t.Name, Args: m}
+	case *AggCall:
+		return &AggCall{Name: t.Name, Args: m, Star: t.Star, Distinct: t.Distinct}
+	case *IsNullExpr:
+		return &IsNullExpr{X: m[0], Not: t.Not}
+	case *InExpr:
+		return &InExpr{X: m[0], List: m[1:], Not: t.Not}
+	case *CaseExpr:
+		out := &CaseExpr{Whens: make([]CaseWhen, len(t.Whens))}
+		for i := range t.Whens {
+			out.Whens[i] = CaseWhen{Cond: m[2*i], Then: m[2*i+1]}
+		}
+		if t.Else != nil {
+			out.Else = m[len(m)-1]
+		}
+		return out
+	}
+	return e
+}
+
+// walkExpr visits e and then, depth first, every subexpression for which
+// fn returned true.
+func walkExpr(e Expr, fn func(Expr) bool) {
+	if fn(e) {
+		for _, c := range children(e) {
+			walkExpr(c, fn)
 		}
 	}
-	return false
+}
+
+// HasAgg reports whether the expression contains an aggregate call.
+func HasAgg(e Expr) bool {
+	found := false
+	walkExpr(e, func(x Expr) bool {
+		_, agg := x.(*AggCall)
+		found = found || agg
+		return !found
+	})
+	return found
 }
 
 // Eval evaluates a scalar expression over every row of t, vectorized.

@@ -392,19 +392,13 @@ func (m *MergeTable) decompose(st *SelectStmt) ([]partialSpec, bool) {
 			return nil, false
 		}
 	}
-	if st.Having != nil && !decomposableExpr(st.Having) {
-		return nil, false
-	}
 	var aggs []*AggCall
 	seen := map[string]bool{}
-	collect := func(e Expr) bool { return collectAggs(e, &aggs, seen) }
 	for _, it := range st.Items {
-		if !collect(it.Expr) {
-			return nil, false
-		}
+		collectAggs(it.Expr, &aggs, seen)
 	}
-	if st.Having != nil && !collect(st.Having) {
-		return nil, false
+	if st.Having != nil {
+		collectAggs(st.Having, &aggs, seen)
 	}
 	var specs []partialSpec
 	for _, a := range aggs {
@@ -417,58 +411,17 @@ func (m *MergeTable) decompose(st *SelectStmt) ([]partialSpec, bool) {
 	return specs, true
 }
 
-func decomposableExpr(e Expr) bool {
-	switch t := e.(type) {
-	case *AggCall:
-		_, ok := decomposeAgg(t)
-		return ok
-	case *Unary:
-		return decomposableExpr(t.X)
-	case *Binary:
-		return decomposableExpr(t.L) && decomposableExpr(t.R)
-	case *Call:
-		for _, a := range t.Args {
-			if !decomposableExpr(a) {
-				return false
-			}
+// collectAggs appends each distinct aggregate call inside e to aggs, in
+// first-appearance order.
+func collectAggs(e Expr, aggs *[]*AggCall, seen map[string]bool) {
+	walkExpr(e, func(x Expr) bool {
+		a, ok := x.(*AggCall)
+		if ok && !seen[a.String()] {
+			seen[a.String()] = true
+			*aggs = append(*aggs, a)
 		}
-	}
-	return true
-}
-
-func collectAggs(e Expr, aggs *[]*AggCall, seen map[string]bool) bool {
-	switch t := e.(type) {
-	case *AggCall:
-		if !seen[t.String()] {
-			seen[t.String()] = true
-			*aggs = append(*aggs, t)
-		}
-		return true
-	case *Unary:
-		return collectAggs(t.X, aggs, seen)
-	case *Binary:
-		return collectAggs(t.L, aggs, seen) && collectAggs(t.R, aggs, seen)
-	case *Call:
-		for _, a := range t.Args {
-			if !collectAggs(a, aggs, seen) {
-				return false
-			}
-		}
-		return true
-	case *IsNullExpr:
-		return collectAggs(t.X, aggs, seen)
-	case *CaseExpr:
-		for _, w := range t.Whens {
-			if !collectAggs(w.Cond, aggs, seen) || !collectAggs(w.Then, aggs, seen) {
-				return false
-			}
-		}
-		if t.Else != nil {
-			return collectAggs(t.Else, aggs, seen)
-		}
-		return true
-	}
-	return true
+		return !ok
+	})
 }
 
 // decomposeAgg maps one aggregate to its partial columns and final
@@ -651,32 +604,10 @@ func (m *MergeTable) execPushdown(ec *ExecContext, st *SelectStmt, specs []parti
 		if k, ok := keyNames[e.String()]; ok {
 			return &ColRef{Name: k}
 		}
-		switch t := e.(type) {
-		case *AggCall:
+		if t, ok := e.(*AggCall); ok {
 			return finalOf[t.String()]
-		case *Unary:
-			return &Unary{Op: t.Op, X: rewrite(t.X)}
-		case *Binary:
-			return &Binary{Op: t.Op, L: rewrite(t.L), R: rewrite(t.R)}
-		case *Call:
-			args := make([]Expr, len(t.Args))
-			for i, a := range t.Args {
-				args[i] = rewrite(a)
-			}
-			return &Call{Name: t.Name, Args: args}
-		case *IsNullExpr:
-			return &IsNullExpr{X: rewrite(t.X), Not: t.Not}
-		case *CaseExpr:
-			out := &CaseExpr{}
-			for _, w := range t.Whens {
-				out.Whens = append(out.Whens, CaseWhen{Cond: rewrite(w.Cond), Then: rewrite(w.Then)})
-			}
-			if t.Else != nil {
-				out.Else = rewrite(t.Else)
-			}
-			return out
 		}
-		return e
+		return mapChildren(e, rewrite)
 	}
 
 	stages := ec.pushdownStages(st)[1:] // the combine above was the aggregate

@@ -484,3 +484,33 @@ func TestMergeNilTablePart(t *testing.T) {
 		t.Fatalf("stats = %+v, want p1 recorded as failed", st)
 	}
 }
+
+// TestGroupedInExpr: IN over a group key and over an aggregate, in the
+// select list, in HAVING and inside CASE, answers on a merge table exactly
+// as on the plain table holding the union of its parts' rows.
+func TestGroupedInExpr(t *testing.T) {
+	master, _, pooled := buildFederation(t, 2)
+	// 113 rows cycling CN, MCI, AD: the groups count 38, 38 and 37.
+	queries := []string{
+		`SELECT diagnosis, sum(age) AS s FROM data GROUP BY diagnosis HAVING diagnosis IN ('AD', 'CN') ORDER BY diagnosis`,
+		`SELECT diagnosis, sum(age) AS s FROM data GROUP BY diagnosis HAVING count(*) IN (37) ORDER BY diagnosis`,
+		`SELECT diagnosis, count(*) AS n FROM data GROUP BY diagnosis HAVING diagnosis NOT IN ('MCI') AND max(age) IN (94.0, 95.0, 96.0) ORDER BY diagnosis`,
+		`SELECT diagnosis, diagnosis IN ('AD') AS is_ad, count(*) IN (37) AS small FROM data GROUP BY diagnosis ORDER BY diagnosis`,
+		`SELECT diagnosis, CASE WHEN diagnosis IN ('AD', 'MCI') THEN sum(age) ELSE 0.0 END AS s, CASE WHEN count(*) IN (37) THEN 1 ELSE 0 END AS small FROM data GROUP BY diagnosis ORDER BY diagnosis`,
+		`SELECT count(*) IN (113) AS all_rows, sum(age) AS s FROM data`,
+	}
+	for _, sql := range queries {
+		want, err := pooled.Query(sql)
+		if err != nil {
+			t.Fatalf("plain %s: %v", sql, err)
+		}
+		if want.NumRows() == 0 {
+			t.Fatalf("plain %s: no rows, the query tests nothing", sql)
+		}
+		got, err := master.Query(sql)
+		if err != nil {
+			t.Fatalf("merge %s: %v", sql, err)
+		}
+		checkSame(t, sql, got, want)
+	}
+}

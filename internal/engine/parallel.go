@@ -23,7 +23,6 @@ package engine
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -33,28 +32,6 @@ import (
 // DefaultMorselSize is the number of rows per morsel. It is a multiple of
 // 64 so that sliced validity bitmaps stay word-aligned (zero-copy views).
 const DefaultMorselSize = 4096
-
-// defaultParallelism is the degree new DBs inherit (NumCPU unless
-// overridden via SetDefaultParallelism, e.g. by mipd -engine-parallelism).
-var defaultParallelism atomic.Int32
-
-func init() {
-	defaultParallelism.Store(int32(runtime.NumCPU()))
-}
-
-// DefaultParallelism returns the process-wide default degree for new DBs.
-func DefaultParallelism() int { return int(defaultParallelism.Load()) }
-
-// SetDefaultParallelism sets the process-wide default degree for DBs
-// created afterwards (n < 1 resets to NumCPU). It also grows the shared
-// worker pool so the requested degree can actually be served.
-func SetDefaultParallelism(n int) {
-	if n < 1 {
-		n = runtime.NumCPU()
-	}
-	defaultParallelism.Store(int32(n))
-	enginePool.grow(n - 1)
-}
 
 // workerPool is the shared, process-wide pool that executes morsel tasks
 // for every DB. Workers block on the task channel when idle; submission is

@@ -299,36 +299,10 @@ func andExpr(acc, c Expr) Expr {
 
 // walkColRefs visits every column reference inside e.
 func walkColRefs(e Expr, fn func(string)) {
-	switch t := e.(type) {
-	case *ColRef:
-		fn(t.Name)
-	case *Unary:
-		walkColRefs(t.X, fn)
-	case *Binary:
-		walkColRefs(t.L, fn)
-		walkColRefs(t.R, fn)
-	case *Call:
-		for _, a := range t.Args {
-			walkColRefs(a, fn)
+	walkExpr(e, func(x Expr) bool {
+		if c, ok := x.(*ColRef); ok {
+			fn(c.Name)
 		}
-	case *AggCall:
-		for _, a := range t.Args {
-			walkColRefs(a, fn)
-		}
-	case *IsNullExpr:
-		walkColRefs(t.X, fn)
-	case *InExpr:
-		walkColRefs(t.X, fn)
-		for _, a := range t.List {
-			walkColRefs(a, fn)
-		}
-	case *CaseExpr:
-		for _, w := range t.Whens {
-			walkColRefs(w.Cond, fn)
-			walkColRefs(w.Then, fn)
-		}
-		if t.Else != nil {
-			walkColRefs(t.Else, fn)
-		}
-	}
+		return true
+	})
 }

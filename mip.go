@@ -28,6 +28,7 @@ import (
 	"context"
 	"fmt"
 	"net/http"
+	"os"
 	"time"
 
 	"mip/internal/algorithms"
@@ -58,10 +59,6 @@ type (
 	Variable = catalogue.Variable
 	// Tolerance is the quorum policy for degraded (partial) aggregation.
 	Tolerance = federation.Tolerance
-	// BreakerConfig tunes the master's per-worker circuit breakers.
-	BreakerConfig = federation.BreakerConfig
-	// RetryPolicy configures worker-call retries with backoff and jitter.
-	RetryPolicy = federation.RetryPolicy
 )
 
 // SecurityMode selects the aggregation path.
@@ -101,12 +98,11 @@ type WorkerConfig struct {
 	MinRows int
 }
 
-// Config assembles a platform.
+// Config assembles a platform. It is the one place a deployment tunes the
+// engine and the federation; mipd fills it from its flags.
 type Config struct {
 	Workers  []WorkerConfig
 	Security SecurityMode
-	// SMPCNodes is the SMPC cluster size (default 3).
-	SMPCNodes int
 	// NoiseKind/NoiseScale inject DP noise inside secure aggregation.
 	NoiseKind  NoiseKind
 	NoiseScale float64
@@ -119,15 +115,10 @@ type Config struct {
 	DeltaPerRun   float64 // δ charged per noisy experiment (default budget/100)
 	// Seed drives the SMPC cluster's noise RNG.
 	Seed int64
-	// QueueWorkers is the experiment-runner concurrency (default 2).
-	QueueWorkers int
 	// Tolerance lets plain-path experiments succeed on a partial quorum
 	// when workers fail mid-step. The zero value keeps strict semantics
 	// (every session worker must answer). SMPC aggregation never degrades.
 	Tolerance Tolerance
-	// Breaker tunes the per-worker circuit breakers (zero value = defaults:
-	// open after 3 consecutive failures, 5s cooldown, 15s re-probe).
-	Breaker BreakerConfig
 	// EngineParallelism caps intra-query parallelism in each worker's
 	// engine (0 = runtime.NumCPU()). Any value produces identical results;
 	// it only trades query latency against CPU.
@@ -139,27 +130,22 @@ type Config struct {
 	// statements over it are cancelled with a mem-limit verdict. With
 	// QuerySpillDir set the limit becomes a soft budget instead: see below.
 	QueryMemLimit int64
-	// PlanCacheSize overrides the engine plan cache capacity (statements).
-	// 0 keeps the process default (256, or MIP_PLAN_CACHE_SIZE); negative
-	// disables plan caching for this platform's databases.
-	PlanCacheSize int
 	// ResultCacheBytes enables the master's federated result cache with the
 	// given byte budget (0 = disabled). Repeated identical aggregates are
 	// served from memory while every worker's dataset versions still match.
 	ResultCacheBytes int64
-	// QuerySpillDir, when set together with QueryMemLimit, turns the limit
-	// into a spill budget: hash joins and grouped aggregates that would
-	// cross it partition their state to temp files under this directory
-	// and keep running (bit-identical results), instead of being cancelled.
+	// QuerySpillDir turns QueryMemLimit into a spill budget: hash joins and
+	// grouped aggregates that would cross it partition their state to temp
+	// files under this directory and keep running (bit-identical results),
+	// instead of being cancelled. It requires a positive QueryMemLimit, and
+	// New creates the directory.
 	QuerySpillDir string
 }
 
 // Platform is a running MIP deployment (in-process topology).
 type Platform struct {
 	master  *federation.Master
-	workers []*federation.Worker
 	cluster *smpc.Cluster
-	cat     *catalogue.Catalogue
 	runner  *queue.Runner
 	api     *apiserver.Server
 
@@ -174,7 +160,15 @@ func New(cfg Config) (*Platform, error) {
 	if len(cfg.Workers) == 0 {
 		return nil, fmt.Errorf("mip: config needs at least one worker")
 	}
-	p := &Platform{cat: catalogue.Default()}
+	if cfg.QuerySpillDir != "" {
+		if cfg.QueryMemLimit <= 0 {
+			return nil, fmt.Errorf("mip: QuerySpillDir %q needs a positive QueryMemLimit (the spill budget)", cfg.QuerySpillDir)
+		}
+		if err := os.MkdirAll(cfg.QuerySpillDir, 0o700); err != nil {
+			return nil, fmt.Errorf("mip: spill directory: %w", err)
+		}
+	}
+	p := &Platform{}
 
 	var cluster *smpc.Cluster
 	if cfg.Security != SecurityOff {
@@ -182,12 +176,8 @@ func New(cfg Config) (*Platform, error) {
 		if cfg.Security == SecuritySMPCFullThreshold {
 			scheme = smpc.FullThreshold
 		}
-		nodes := cfg.SMPCNodes
-		if nodes == 0 {
-			nodes = 3
-		}
 		var err error
-		cluster, err = smpc.NewCluster(smpc.Config{Scheme: scheme, Nodes: nodes, Seed: cfg.Seed})
+		cluster, err = smpc.NewCluster(smpc.Config{Scheme: scheme, Nodes: 3, Seed: cfg.Seed})
 		if err != nil {
 			return nil, err
 		}
@@ -209,19 +199,6 @@ func New(cfg Config) (*Platform, error) {
 	if cfg.QuerySpillDir != "" {
 		masterOpts = append(masterOpts, engine.WithSpillDir(cfg.QuerySpillDir))
 	}
-	// planCache is the cache this platform's DBs actually resolve
-	// statements through; the API's /cache endpoints are pointed at the
-	// same one (not blindly at the process default) below.
-	planCache := engine.DefaultPlanCache
-	if cfg.PlanCacheSize > 0 {
-		// One cache shared by every worker DB and the master's transient
-		// merge DBs (keys embed per-DB identity, so sharing is safe).
-		planCache = engine.NewPlanCache(cfg.PlanCacheSize)
-		masterOpts = append(masterOpts, engine.WithPlanCache(planCache))
-	} else if cfg.PlanCacheSize < 0 {
-		planCache = nil
-		masterOpts = append(masterOpts, engine.WithPlanCache(nil))
-	}
 
 	var clients []federation.WorkerClient
 	for _, wc := range cfg.Workers {
@@ -237,9 +214,7 @@ func New(cfg Config) (*Platform, error) {
 		if wc.MinRows > 0 {
 			opts = append(opts, federation.WithMinRows(wc.MinRows))
 		}
-		w := federation.NewWorker(wc.ID, db, opts...)
-		p.workers = append(p.workers, w)
-		clients = append(clients, w)
+		clients = append(clients, federation.NewWorker(wc.ID, db, opts...))
 	}
 
 	sec := federation.Security{UseSMPC: cfg.Security != SecurityOff}
@@ -251,7 +226,6 @@ func New(cfg Config) (*Platform, error) {
 	}
 	masterOnly := []federation.MasterOption{
 		federation.WithTolerance(cfg.Tolerance),
-		federation.WithBreaker(cfg.Breaker),
 		federation.WithEngineOptions(masterOpts...),
 	}
 	if cfg.ResultCacheBytes > 0 {
@@ -263,13 +237,8 @@ func New(cfg Config) (*Platform, error) {
 	}
 	p.master = master
 
-	qw := cfg.QueueWorkers
-	if qw == 0 {
-		qw = 2
-	}
-	p.runner = queue.NewRunner(queue.NewBroker(0, 0), qw)
-	p.api = apiserver.NewServer(master, p.cat, p.runner)
-	p.api.SetPlanCache(planCache)
+	p.runner = queue.NewRunner(queue.NewBroker(0, 0), 2)
+	p.api = apiserver.NewServer(master, catalogue.Default(), p.runner)
 
 	p.noisy = cfg.NoiseKind != NoiseNone && cfg.NoiseScale > 0
 	if cfg.PrivacyBudget > 0 {
@@ -372,9 +341,6 @@ func (p *Platform) MergeQuery(datasets []string, sql string) (*Table, error) {
 // Handler returns the REST API handler (mount it on any server).
 func (p *Platform) Handler() http.Handler { return p.api.Handler() }
 
-// APIServer exposes the underlying API server (polling helpers).
-func (p *Platform) APIServer() *apiserver.Server { return p.api }
-
 // Master exposes the federation master for advanced orchestration.
 func (p *Platform) Master() *federation.Master { return p.master }
 
@@ -387,6 +353,3 @@ func (p *Platform) SMPCStats() (messages int, bytes int64) {
 	s := p.cluster.NetStats()
 	return s.Messages, s.Bytes
 }
-
-// Catalogue exposes the metadata catalogue.
-func (p *Platform) Catalogue() *catalogue.Catalogue { return p.cat }

@@ -1,9 +1,16 @@
 package mip
 
 import (
+	"encoding/json"
 	"math"
+	"net/http"
+	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	apiserver "mip/internal/api"
 )
 
 func demoPlatform(t *testing.T, sec SecurityMode) *Platform {
@@ -209,5 +216,95 @@ func TestPrivacyBudgetAccounting(t *testing.T) {
 	p2.RunExperiment("ttest_onesample", req)
 	if e, _ := p2.PrivacySpent(); e != 0 {
 		t.Fatalf("noiseless platform spent %v", e)
+	}
+}
+
+// TestCacheEndpointReportsPlatformPlanCache: GET /cache on a platform's
+// handler reports the plan cache its worker and merge databases resolve
+// statements through, and POST /cache/flush empties it. The cache is
+// shared by the whole process, so hits are compared as deltas.
+func TestCacheEndpointReportsPlatformPlanCache(t *testing.T) {
+	p := demoPlatform(t, SecurityOff)
+	h := p.Handler()
+	stats := func() apiserver.CacheStatsResponse {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/cache", nil))
+		var out apiserver.CacheStatsResponse
+		if rec.Code != http.StatusOK {
+			t.Fatalf("GET /cache status = %d", rec.Code)
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+
+	const sql = "SELECT count(*) AS n, avg(ab42) AS m FROM data"
+	if _, err := p.MergeQuery(nil, sql); err != nil {
+		t.Fatal(err)
+	}
+	before := stats().Plan
+	if _, err := p.MergeQuery(nil, sql); err != nil {
+		t.Fatal(err)
+	}
+	after := stats().Plan
+	if after.Hits-before.Hits < 1 {
+		t.Fatalf("a repeated merge query moved plan-cache hits %d -> %d", before.Hits, after.Hits)
+	}
+	if after.Entries == 0 || after.Capacity != 256 {
+		t.Fatalf("GET /cache plan = %+v, want entries in a 256-statement cache", after)
+	}
+
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/cache/flush", strings.NewReader("{}")))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("POST /cache/flush status = %d", rec.Code)
+	}
+	var flushed apiserver.CacheFlushResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &flushed); err != nil {
+		t.Fatal(err)
+	}
+	if flushed.Plan < 1 {
+		t.Fatalf("flush reported %d plan entries, want at least 1", flushed.Plan)
+	}
+	if n := stats().Plan.Entries; n != 0 {
+		t.Fatalf("plan cache holds %d entries after flush", n)
+	}
+}
+
+// TestSpillDirChecked: a spill directory only takes effect under a memory
+// limit, so New refuses one without it, and creates the directory at
+// startup so an unusable path fails there rather than at a query's first
+// spill.
+func TestSpillDirChecked(t *testing.T) {
+	tab, err := GenerateCohort(SynthSpec{Dataset: "edsd", Rows: 50, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	workers := []WorkerConfig{{ID: "a", Data: tab}}
+	base := t.TempDir()
+
+	dir := filepath.Join(base, "spill", "runs")
+	if _, err := New(Config{Workers: workers, QuerySpillDir: dir}); err == nil ||
+		!strings.Contains(err.Error(), "QueryMemLimit") {
+		t.Fatalf("spill dir without a memory limit: err = %v, want a QueryMemLimit error", err)
+	}
+
+	p, err := New(Config{Workers: workers, QuerySpillDir: dir, QueryMemLimit: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Close()
+	if fi, err := os.Stat(dir); err != nil || !fi.IsDir() {
+		t.Fatalf("spill dir not created at startup: %v", err)
+	}
+
+	file := filepath.Join(base, "file")
+	if err := os.WriteFile(file, nil, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := New(Config{Workers: workers, QuerySpillDir: filepath.Join(file, "runs"), QueryMemLimit: 1 << 20}); err == nil {
+		t.Fatal("a spill dir that cannot be created must fail New")
 	}
 }
