@@ -80,11 +80,13 @@ cachesmoke:
 # merge answers over HTTP are bit-identical to in-process ones (NaN
 # payloads, -0.0, Int64 past 2^53, NULLs, pushdown, median, degraded
 # quorum), and a body cut at any byte is an error, never a shorter table.
-# The /localrun step values: every algorithm's result is byte-identical in
-# process and over HTTP, plain and secure, and a non-finite transfer fails
-# the step with one message on both transports.
+# The /localrun step envelope: requests and answers round-trip bit for bit
+# (-0.0, subnormals, nil against empty, span times), a body cut at any
+# byte is an error, every algorithm's result is byte-identical in process
+# and over HTTP, plain and secure, and a non-finite transfer fails the step
+# with one message on both transports.
 wiresmoke:
-	$(GO) test -count=1 -race -run 'TestQueryHTTPMatchesInProcess|TestQueryStreamTruncation|TestTransportsAgree|TestNonFiniteTransferRejected' ./internal/federation/ ./internal/algorithms/
+	$(GO) test -count=1 -race -run 'TestQueryHTTPMatchesInProcess|TestQueryStreamTruncation|TestStepEnvelopeRoundTrip|TestStepEnvelopeTruncation|TestTransportsAgree|TestNonFiniteTransferRejected' ./internal/federation/ ./internal/algorithms/
 
 # smpcsmoke covers share import outside the cluster lock: four goroutines
 # importing into two jobs while a third job aggregates (sums exact), and two

@@ -16,8 +16,10 @@ import (
 // Flow (per dataset group): one summary round whose moments are summed and
 // whose minima and maxima are folded by min and max, then a histogram round
 // whose bin counts (summed) yield the quartiles by interpolation: two rounds
-// per group. Every transfer is a fixed-shape numeric vector tagged with its
-// op, so the whole algorithm runs unchanged over SMPC.
+// per group. The groups are each dataset and "all" of them; with one
+// dataset the two are the same group, computed once. Every transfer is a
+// fixed-shape numeric vector tagged with its op, so the whole algorithm runs
+// unchanged over SMPC.
 
 // histBins is the quantile histogram resolution: quartiles are exact to
 // (max−min)/histBins.
@@ -185,8 +187,11 @@ func (*Descriptive) Run(sess *federation.Session, req Request) (Result, error) {
 		groups = append(groups, []string{d})
 		names = append(names, d)
 	}
-	groups = append(groups, req.Datasets)
-	names = append(names, "all")
+	// One dataset's group already is "all": the same rows, the same query.
+	if len(req.Datasets) != 1 {
+		groups = append(groups, req.Datasets)
+		names = append(names, "all")
+	}
 
 	for gi, ds := range groups {
 		rows, err := describeOnce(sess, req, ds)
@@ -194,6 +199,9 @@ func (*Descriptive) Run(sess *federation.Session, req Request) (Result, error) {
 			return nil, err
 		}
 		perDataset[names[gi]] = rows
+	}
+	if len(req.Datasets) == 1 {
+		perDataset["all"] = perDataset[req.Datasets[0]]
 	}
 	return Result{"datasets": perDataset, "variables": req.Y}, nil
 }

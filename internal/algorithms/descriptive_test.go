@@ -1,10 +1,16 @@
 package algorithms
 
 import (
+	"encoding/json"
 	"math"
+	"slices"
+	"sync/atomic"
 	"testing"
 
+	"mip/internal/engine"
+	"mip/internal/federation"
 	"mip/internal/stats"
+	"mip/internal/synth"
 )
 
 func TestDescriptiveMatchesPooled(t *testing.T) {
@@ -89,6 +95,80 @@ func TestDescriptiveRequiresY(t *testing.T) {
 	sess, _ := m.NewSession(nil)
 	if _, err := (&Descriptive{}).Run(sess, Request{}); err == nil {
 		t.Fatal("missing Y must fail")
+	}
+}
+
+// callCounter counts the /localrun calls a worker receives.
+type callCounter struct {
+	federation.WorkerClient
+	n *atomic.Int64
+}
+
+func (c callCounter) LocalRun(req federation.LocalRunRequest) (federation.LocalRunResponse, error) {
+	c.n.Add(1)
+	return c.WorkerClient.LocalRun(req)
+}
+
+// TestDescriptiveRoundsPerGroup: one dataset's group is "all", computed
+// once in 2 rounds, not twice in 4; two datasets take 2 rounds for each
+// dataset and 2 for "all". The result equals computing every group.
+func TestDescriptiveRoundsPerGroup(t *testing.T) {
+	var tables []*engine.Table
+	for i := 0; i < 2; i++ {
+		var parts []*engine.Table
+		for j, ds := range []string{"edsd", "ppmi"} {
+			tab, err := synth.Generate(synth.Spec{Dataset: ds, Rows: 60, Seed: int64(10*i + j), MissingRate: 0.1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			parts = append(parts, tab)
+		}
+		tables = append(tables, concatTables(t, parts...))
+	}
+	calls := make([]*atomic.Int64, len(tables))
+	m := fedWith(t, tables, false, false, func(i int, _ *engine.DB, c federation.WorkerClient) federation.WorkerClient {
+		calls[i] = new(atomic.Int64)
+		return callCounter{c, calls[i]}
+	})
+	for _, c := range []struct {
+		datasets []string
+		calls    int64
+	}{{[]string{"edsd"}, 2}, {[]string{"edsd", "ppmi"}, 6}} {
+		req := Request{Datasets: c.datasets, Y: []string{"p_tau", "lefthippocampus"}}
+		for _, n := range calls {
+			n.Store(0)
+		}
+		got, err := json.Marshal(runAlg(t, m, "descriptive_stats", req))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, n := range calls {
+			if n.Load() != c.calls {
+				t.Errorf("%v: worker %d got %d /localrun calls, want %d", c.datasets, i, n.Load(), c.calls)
+			}
+		}
+		// Every group computed on its own, "all" included.
+		sess, err := m.NewSession(req.Datasets)
+		if err != nil {
+			t.Fatal(err)
+		}
+		per := map[string][]VariableSummary{}
+		for _, ds := range append(slices.Clone(req.Datasets), "all") {
+			group := []string{ds}
+			if ds == "all" {
+				group = req.Datasets
+			}
+			if per[ds], err = describeOnce(sess, req, group); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want, err := json.Marshal(Result{"datasets": per, "variables": req.Y})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != string(want) {
+			t.Fatalf("%v:\n got %s\nwant %s", c.datasets, got, want)
+		}
 	}
 }
 

@@ -71,13 +71,27 @@ type Experiment struct {
 	done   chan struct{} // closed at the terminal transition
 }
 
-// settle closes a record's done channel at its terminal transition, once:
-// a record already settled keeps its channel closed. Callers hold s.mu.
-func settle(done chan struct{}) {
+// retainFinished caps the finished experiments, and separately the
+// finished workflows, a server keeps for GET. Past it the oldest finished
+// record is dropped and its uuid answers 404; a pending or running record
+// is never dropped. The audit chain is the durable history.
+const retainFinished = 1024
+
+// settle closes a record's done channel at its terminal transition, once,
+// and appends its uuid to finished, deleting the oldest finished uuids from
+// records while more than retainFinished are listed. A record already
+// settled keeps its channel closed and its place. Callers hold s.mu.
+func settle[R any](done chan struct{}, uuid string, records map[string]R, finished *[]string) {
 	select {
 	case <-done:
+		return
 	default:
 		close(done)
+	}
+	*finished = append(*finished, uuid)
+	for len(*finished) > retainFinished {
+		delete(records, (*finished)[0])
+		*finished = (*finished)[1:]
 	}
 }
 
@@ -101,8 +115,11 @@ type Server struct {
 	mu          sync.Mutex
 	experiments map[string]*Experiment
 	workflows   map[string]*Workflow
-	seq         int
-	start       time.Time
+	// expDone and wfDone hold the finished uuids of each kind, oldest
+	// first: the eviction order.
+	expDone, wfDone []string
+	seq             int
+	start           time.Time
 	// instance disambiguates UUIDs (and hence trace ids, which key the
 	// process-global trace store) across servers sharing a process.
 	instance string
@@ -210,7 +227,7 @@ func (s *Server) AbortPending(reason string) int {
 			e.Status = "error"
 			e.Error = reason
 			e.Finished = &now
-			settle(e.done)
+			settle(e.done, e.UUID, s.experiments, &s.expDone)
 			n++
 		}
 	}
@@ -218,7 +235,7 @@ func (s *Server) AbortPending(reason string) int {
 		if wf.Status == "pending" || wf.Status == "running" {
 			wf.Status = "error"
 			wf.Finished = &now
-			settle(wf.done)
+			settle(wf.done, wf.UUID, s.workflows, &s.wfDone)
 			n++
 		}
 	}
@@ -344,7 +361,7 @@ func (s *Server) handleCreateExperiment(w http.ResponseWriter, r *http.Request) 
 		s.mu.Lock()
 		exp.Status = "error"
 		exp.Error = err.Error()
-		settle(exp.done)
+		settle(exp.done, exp.UUID, s.experiments, &s.expDone)
 		s.mu.Unlock()
 		writeErr(w, http.StatusServiceUnavailable, "submitting: %v", err)
 		return
@@ -418,7 +435,7 @@ func (s *Server) runExperimentTask(ctx context.Context, payload json.RawMessage)
 	apiExperimentsDone(exp.Status).Inc()
 	root.SetAttr("status", exp.Status)
 	root.End() // before waiters wake, so they read a whole trace
-	settle(exp.done)
+	settle(exp.done, exp.UUID, s.experiments, &s.expDone)
 	s.mu.Unlock()
 	return map[string]string{"uuid": p.UUID}, nil
 }

@@ -414,3 +414,95 @@ func TestWaitWakesOnAbortPending(t *testing.T) {
 		t.Fatalf("waiter got %+v, %v; want the aborted terminal snapshot", w.exp, w.err)
 	}
 }
+
+// TestExperimentRetentionBounded: past retainFinished finished experiments
+// (and, apart, finished workflows) the oldest finished record goes first
+// and its uuid answers 404 on GET and /trace, while a record still in
+// flight survives any number of finishes.
+func TestExperimentRetentionBounded(t *testing.T) {
+	s, ts := testServer(t)
+	inflight := &Experiment{UUID: "exp-inflight", Status: "running", done: make(chan struct{})}
+	s.mu.Lock()
+	s.experiments[inflight.UUID] = inflight
+	s.mu.Unlock()
+
+	const extra = 3
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	h := s.Handler()
+	run := func(path string, body any, wait func(string) error) []string {
+		var uuids []string
+		for i := 0; i < retainFinished+extra; i++ {
+			// Straight into the handler: a thousand loopback round trips
+			// would dominate the test.
+			doc, _ := json.Marshal(body)
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(doc)))
+			var created struct{ UUID string }
+			if err := json.Unmarshal(rec.Body.Bytes(), &created); rec.Code != http.StatusCreated || err != nil {
+				t.Fatalf("POST %s #%d = %d: %s", path, i, rec.Code, rec.Body)
+			}
+			if err := wait(created.UUID); err != nil {
+				t.Fatal(err)
+			}
+			uuids = append(uuids, created.UUID)
+			// The first record is a real result; the rest fail fast (no Y).
+			body = withoutY(body)
+		}
+		return uuids
+	}
+	exps := run("/experiments", ExperimentRequest{Algorithm: "descriptive_stats",
+		Request: algorithms.Request{Datasets: []string{"edsd"}, Y: []string{"ab42"}}},
+		func(uuid string) error { _, err := s.WaitForExperiment(ctx, uuid); return err })
+	wfs := run("/workflows", WorkflowRequest{Steps: []WorkflowStep{{Algorithm: "descriptive_stats",
+		Request: algorithms.Request{Datasets: []string{"edsd"}, Y: []string{"ab42"}}}}},
+		func(uuid string) error { _, err := s.WaitForWorkflow(ctx, uuid); return err })
+
+	s.mu.Lock()
+	nExp, nWf := len(s.experiments), len(s.workflows)
+	s.mu.Unlock()
+	if nExp != retainFinished+1 || nWf != retainFinished {
+		t.Fatalf("kept %d experiments and %d workflows, want %d+1 in flight and %d", nExp, nWf, retainFinished, retainFinished)
+	}
+	for i, uuid := range exps {
+		want := http.StatusOK
+		if i < extra {
+			want = http.StatusNotFound // the oldest finished go first
+		} else if i > extra && i < len(exps)-1 {
+			continue
+		}
+		if code := getJSON(t, ts.URL+"/experiments/"+uuid, nil); code != want {
+			t.Fatalf("GET experiment #%d = %d, want %d", i, code, want)
+		}
+		if code := getJSON(t, ts.URL+"/experiments/"+uuid+"/trace", nil); code != want {
+			t.Fatalf("GET experiment #%d trace = %d, want %d", i, code, want)
+		}
+	}
+	for i, uuid := range wfs[:extra+1] {
+		want := http.StatusOK
+		if i < extra {
+			want = http.StatusNotFound
+		}
+		if code := getJSON(t, ts.URL+"/workflows/"+uuid, nil); code != want {
+			t.Fatalf("GET workflow #%d = %d, want %d", i, code, want)
+		}
+	}
+	var got Experiment
+	if code := getJSON(t, ts.URL+"/experiments/"+inflight.UUID, &got); code != http.StatusOK || got.Status != "running" {
+		t.Fatalf("in-flight record: HTTP %d, status %q", code, got.Status)
+	}
+}
+
+// withoutY strips the variables from an experiment or workflow request, so
+// its run fails at once.
+func withoutY(body any) any {
+	switch b := body.(type) {
+	case ExperimentRequest:
+		b.Request.Y = nil
+		return b
+	case WorkflowRequest:
+		b.Steps = []WorkflowStep{{Algorithm: b.Steps[0].Algorithm, Request: algorithms.Request{Datasets: b.Steps[0].Request.Datasets}}}
+		return b
+	}
+	return body
+}

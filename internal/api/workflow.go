@@ -122,7 +122,7 @@ func (s *Server) handleCreateWorkflow(w http.ResponseWriter, r *http.Request) {
 	if _, err := s.Runner.Submit("workflow", map[string]any{"uuid": wf.UUID}); err != nil {
 		s.mu.Lock()
 		wf.Status = "error"
-		settle(wf.done)
+		settle(wf.done, wf.UUID, s.workflows, &s.wfDone)
 		s.mu.Unlock()
 		writeErr(w, http.StatusServiceUnavailable, "submitting: %v", err)
 		return
@@ -187,7 +187,7 @@ func (s *Server) runWorkflowTask(ctx context.Context, payload json.RawMessage) (
 	}
 	root.SetAttr("status", wf.Status)
 	root.End()
-	settle(wf.done)
+	settle(wf.done, wf.UUID, s.workflows, &s.wfDone)
 	s.mu.Unlock()
 	return map[string]string{"uuid": p.UUID}, nil
 }

@@ -105,7 +105,7 @@ func init() {
 
 // newWorkerDB builds a worker database holding `rows` patients of the given
 // dataset with deterministic age/mmse values offset by base.
-func newWorkerDB(t *testing.T, dataset string, rows int, base float64) *engine.DB {
+func newWorkerDB(t testing.TB, dataset string, rows int, base float64) *engine.DB {
 	t.Helper()
 	db := engine.NewDB()
 	tab := engine.NewTable(engine.Schema{

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"time"
 	"unicode/utf8"
 )
@@ -19,8 +20,9 @@ import (
 // or hosts, mirroring the paper's deployment where nodes talk through REST
 // and message queues. Endpoints:
 //
-//	POST /localrun  — execute a local step (LocalRunRequest → LocalRunResponse;
-//	                  410 Gone when the step's session pin is lost)
+//	POST /localrun  — execute a local step (LocalRunRequest → LocalRunResponse,
+//	                  each one step envelope; 410 Gone when the step's
+//	                  session pin is lost)
 //	POST /cancel    — abort an in-flight step by job id
 //	POST /query     — run SQL against the worker engine (non-sensitive mode)
 //	GET  /datasets  — the worker's DatasetInfo snapshot
@@ -28,9 +30,10 @@ import (
 //	GET  /healthz   — liveness + worker status JSON
 //	GET  /metrics   — Prometheus text exposition
 //
-// Envelopes and {"error": …} bodies are JSON; a /query table travels as one
-// column-frame stream (engine.WriteTable). Trace context rides the
-// X-MIP-Trace header (and the LocalRunRequest envelope).
+// A /localrun request and answer each travel as one binary step envelope
+// (StepContentType, envelope.go), trace context included; a /query table
+// travels as one column-frame stream (engine.WriteTable). Error bodies
+// ({"error": …}) and the small metadata calls are JSON.
 
 // TableContentType is the media type of a /query answer.
 const TableContentType = "application/vnd.mip.table"
@@ -76,16 +79,13 @@ func (s *WorkerServer) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 
 func (s *WorkerServer) handleLocalRun(w http.ResponseWriter, r *http.Request) {
 	var req LocalRunRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
-		return
+	body, err := io.ReadAll(r.Body)
+	if err == nil {
+		err = req.decodeStep(body)
 	}
-	// The envelope's trace field wins; the header covers clients that only
-	// speak the wire protocol.
-	if req.Trace == nil {
-		if ref, ok := obs.ParseTraceRef(r.Header.Get(obs.TraceHeader)); ok {
-			req.Trace = &ref
-		}
+	if err != nil {
+		writeJSON(w, http.StatusUnsupportedMediaType, map[string]string{"error": err.Error()})
+		return
 	}
 	resp, err := s.Worker.LocalRunCtx(r.Context(), req)
 	if err != nil {
@@ -96,7 +96,10 @@ func (s *WorkerServer) handleLocalRun(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, status, map[string]string{"error": err.Error()})
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	out := resp.appendStep(nil)
+	w.Header().Set("Content-Type", StepContentType)
+	w.Header().Set("Content-Length", strconv.Itoa(len(out)))
+	w.Write(out)
 }
 
 // handleCancel aborts an in-flight step by job id (the master-side kill
@@ -155,17 +158,10 @@ func (s *WorkerServer) handleDataStamp(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{"stamp": stamp})
 }
 
-// writeJSON marshals v before committing the status: a value JSON cannot
-// carry (a NaN in a Transfer) answers a final 422, not an empty 200.
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	body, err := json.Marshal(v)
-	if err != nil {
-		status = http.StatusUnprocessableEntity
-		body, _ = json.Marshal(map[string]string{"error": err.Error()})
-	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	w.Write(body)
+	json.NewEncoder(w).Encode(v)
 }
 
 // Default per-request timeouts for the HTTP worker client. Metadata calls
@@ -261,31 +257,31 @@ func (c *HTTPWorkerClient) httpClient() *http.Client {
 // do issues one request with a deadline and decodes the response,
 // surfacing worker-side error bodies as `worker <id>: HTTP <code>: <msg>`
 // instead of opaque transport errors. Cancelling parent aborts the request,
-// which the worker server sees as its request context dying. An out of type
-// **engine.Table decodes a table stream straight off the body; any other
-// out is decoded from JSON.
-func (c *HTTPWorkerClient) do(parent context.Context, method, path string, timeout time.Duration, trace *obs.TraceRef, in, out any) error {
-	var body io.Reader
-	var sent int
-	if in != nil {
-		enc, err := json.Marshal(in)
-		if err != nil {
+// which the worker server sees as its request context dying. An in of type
+// *LocalRunRequest travels as a step envelope and any other in as JSON. An
+// out of type **engine.Table decodes a table stream straight off the body,
+// a *LocalRunResponse a step envelope, and any other out JSON.
+func (c *HTTPWorkerClient) do(parent context.Context, method, path string, timeout time.Duration, in, out any) error {
+	var body []byte
+	ctype := "application/json"
+	switch in := in.(type) {
+	case nil:
+	case *LocalRunRequest:
+		body, ctype = in.appendStep(nil), StepContentType
+	default:
+		var err error
+		if body, err = json.Marshal(in); err != nil {
 			return err
 		}
-		sent = len(enc)
-		body = bytes.NewReader(enc)
 	}
 	ctx, cancel := context.WithTimeout(parent, timeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, method, c.BaseURL+path, body)
+	req, err := http.NewRequestWithContext(ctx, method, c.BaseURL+path, bytes.NewReader(body))
 	if err != nil {
 		return err
 	}
 	if in != nil {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	if trace != nil {
-		req.Header.Set(obs.TraceHeader, trace.String())
+		req.Header.Set("Content-Type", ctype)
 	}
 	resp, err := c.httpClient().Do(req)
 	if err != nil {
@@ -296,13 +292,12 @@ func (c *HTTPWorkerClient) do(parent context.Context, method, path string, timeo
 		return &CallError{Worker: c.WorkerID, Err: err}
 	}
 	defer resp.Body.Close()
-	fedBytesSent.Add(int64(sent))
+	fedBytesSent.Add(int64(len(body)))
 	rb := &countingReader{r: resp.Body}
 	defer func() { fedBytesRecv.Add(rb.n) }()
 	if tp, ok := out.(**engine.Table); ok && resp.StatusCode == http.StatusOK {
-		if ct := resp.Header.Get("Content-Type"); ct != TableContentType {
-			return &CallError{Worker: c.WorkerID, Status: resp.StatusCode,
-				Msg: fmt.Sprintf("%s answered %q, not %s: the worker speaks an older %s format", path, ct, TableContentType, path)}
+		if err := c.wantType(resp, path, TableContentType); err != nil {
+			return err
 		}
 		if *tp, err = engine.ReadTable(rb); err != nil {
 			return &CallError{Worker: c.WorkerID, Err: fmt.Errorf("reading response: %w", err)}
@@ -324,10 +319,28 @@ func (c *HTTPWorkerClient) do(parent context.Context, method, path string, timeo
 		}
 		return &CallError{Worker: c.WorkerID, Status: resp.StatusCode, Msg: msg}
 	}
-	if out == nil {
+	switch out := out.(type) {
+	case nil:
+		return nil
+	case *LocalRunResponse:
+		if err := c.wantType(resp, path, StepContentType); err != nil {
+			return err
+		}
+		if err := out.decodeStep(data); err != nil {
+			return &CallError{Worker: c.WorkerID, Err: fmt.Errorf("reading response: %w", err)}
+		}
 		return nil
 	}
 	return json.Unmarshal(data, out)
+}
+
+// wantType fails a 200 answer that is not in the format path speaks.
+func (c *HTTPWorkerClient) wantType(resp *http.Response, path, want string) error {
+	if ct := resp.Header.Get("Content-Type"); ct != want {
+		return &CallError{Worker: c.WorkerID, Status: resp.StatusCode,
+			Msg: fmt.Sprintf("%s answered %q, not %s: the worker speaks an older %s format", path, ct, want, path)}
+	}
+	return nil
 }
 
 // countingReader counts the bytes read through it.
@@ -370,7 +383,7 @@ func (c *HTTPWorkerClient) Datasets() ([]string, error) {
 func (c *HTTPWorkerClient) DatasetInfo() (DatasetInfo, error) {
 	var out DatasetInfo
 	err := c.Retry.run(c.WorkerID, func() error {
-		return c.do(context.Background(), http.MethodGet, "/datasets", c.metaTimeout(), nil, nil, &out)
+		return c.do(context.Background(), http.MethodGet, "/datasets", c.metaTimeout(), nil, &out)
 	})
 	if err != nil {
 		return DatasetInfo{}, err
@@ -386,7 +399,7 @@ func (c *HTTPWorkerClient) DataStamp() (string, error) {
 		Stamp string `json:"stamp"`
 	}
 	err := c.Retry.run(c.WorkerID, func() error {
-		return c.do(context.Background(), http.MethodGet, "/datastamp", c.metaTimeout(), nil, nil, &out)
+		return c.do(context.Background(), http.MethodGet, "/datastamp", c.metaTimeout(), nil, &out)
 	})
 	if err != nil {
 		return "", err
@@ -400,7 +413,7 @@ func (c *HTTPWorkerClient) DataStamp() (string, error) {
 func (c *HTTPWorkerClient) LocalRun(req LocalRunRequest) (LocalRunResponse, error) {
 	var resp LocalRunResponse
 	err := c.Retry.run(c.WorkerID, func() error {
-		return c.do(context.Background(), http.MethodPost, "/localrun", c.runTimeout(), req.Trace, req, &resp)
+		return c.do(context.Background(), http.MethodPost, "/localrun", c.runTimeout(), &req, &resp)
 	})
 	if ce := (*CallError)(nil); errors.As(err, &ce) && ce.Status == http.StatusGone && req.Session != nil {
 		return resp, &PinLostError{Worker: c.WorkerID, Session: req.Session.ID}
@@ -415,7 +428,7 @@ func (c *HTTPWorkerClient) CancelJob(jobID string) bool {
 	var out struct {
 		Cancelled bool `json:"cancelled"`
 	}
-	if err := c.do(context.Background(), http.MethodPost, "/cancel", c.metaTimeout(), nil, map[string]string{"job_id": jobID}, &out); err != nil {
+	if err := c.do(context.Background(), http.MethodPost, "/cancel", c.metaTimeout(), map[string]string{"job_id": jobID}, &out); err != nil {
 		return false
 	}
 	return out.Cancelled
@@ -426,6 +439,6 @@ func (c *HTTPWorkerClient) CancelJob(jobID string) bool {
 // execution through the server's request context. Not retried.
 func (c *HTTPWorkerClient) QueryCtx(ctx context.Context, sql string) (*engine.Table, error) {
 	var t *engine.Table
-	err := c.do(ctx, http.MethodPost, "/query", c.runTimeout(), nil, map[string]string{"sql": sql}, &t)
+	err := c.do(ctx, http.MethodPost, "/query", c.runTimeout(), map[string]string{"sql": sql}, &t)
 	return t, err
 }

@@ -3,6 +3,9 @@ package federation
 import (
 	"fmt"
 	"net/http/httptest"
+	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"mip/internal/obs"
@@ -18,8 +21,61 @@ func collectNames(nodes []*obs.SpanNode, into map[string]*obs.SpanNode) {
 
 // The complete span tree must survive the HTTP hop: worker-side exec/udf/
 // engine-query spans ship back in the LocalRunResponse envelope and graft
-// under the master's per-worker round-trip spans.
+// under the master's per-worker round-trip spans. The worker shares this
+// process's trace store, so the tree alone would pass with an envelope that
+// ships no spans: the spans HTTPWorkerClient.LocalRun decoded are checked
+// against the worker's own answer first.
 func TestTraceSpansOverHTTP(t *testing.T) {
+	w := NewWorker("thx", newWorkerDB(t, "edsd", 40, 0))
+	srv := httptest.NewServer((&WorkerServer{Worker: w}).Handler())
+	t.Cleanup(srv.Close)
+	req := LocalRunRequest{JobID: "trace-http-" + obs.NewSpanID(), Func: "test_sums", DataQuery: "SELECT age FROM data",
+		Trace: &obs.TraceRef{TraceID: "trace-http-direct-" + obs.NewSpanID(), SpanID: "master-span"}}
+	got, err := NewHTTPWorkerClient(w.ID(), srv.URL).LocalRun(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A replay of the job id returns the answer the worker shipped.
+	sent, err := w.LocalRun(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameResponse(t, "decoded over HTTP", sent, got)
+	byName := map[string]obs.SpanData{}
+	ops := 0
+	for _, d := range got.Spans {
+		byName[d.Name] = d
+		if strings.HasPrefix(d.Name, "op ") {
+			ops++
+		}
+	}
+	exec, udf, query := byName["exec test_sums"], byName["udf fed_test_sums"], byName["engine query"]
+	switch {
+	case exec.Parent != req.Trace.SpanID || exec.Attrs["worker"] != "thx":
+		t.Fatalf("exec span %+v: want parent %q and worker attr", exec, req.Trace.SpanID)
+	case udf.Parent != exec.SpanID || query.Parent != exec.SpanID:
+		t.Fatalf("udf %+v and engine query %+v must be children of exec %q", udf, query, exec.SpanID)
+	case query.Attrs["rows_scanned"] == "" || ops == 0:
+		t.Fatalf("engine query %+v with %d op spans: want rows_scanned and operators", query, ops)
+	}
+	for _, d := range got.Spans {
+		if d.TraceID != req.Trace.TraceID || d.End.Before(d.Start) {
+			t.Fatalf("span %+v: want trace %q and end ≥ start", d, req.Trace.TraceID)
+		}
+		if p, ok := byID(got.Spans, d.Parent); strings.HasPrefix(d.Name, "op ") && (!ok || (p.Name != "engine query" && !strings.HasPrefix(p.Name, "op "))) {
+			t.Fatalf("operator span %q hangs under %q", d.Name, p.Name)
+		}
+	}
+	// A fresh in-process run of the same step has the same structure.
+	req.JobID += "-inproc"
+	local, err := w.LocalRun(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if shape(local) != shape(got) || !reflect.DeepEqual(local.Transfer, got.Transfer) || local.Rows != got.Rows {
+		t.Fatalf("in process %s %+v, over HTTP %s %+v", shape(local), local.Transfer, shape(got), got.Transfer)
+	}
+
 	var clients []WorkerClient
 	for i := 0; i < 2; i++ {
 		db := newWorkerDB(t, "edsd", 40, float64(i))
@@ -159,6 +215,40 @@ func TestNoTraceNoSpans(t *testing.T) {
 	if got := obs.DefaultTraces.Spans(""); got != nil {
 		t.Fatalf("untraced run recorded spans: %v", got)
 	}
+}
+
+// byID finds the span with the given id.
+func byID(spans []obs.SpanData, id string) (obs.SpanData, bool) {
+	for _, d := range spans {
+		if d.SpanID == id {
+			return d, true
+		}
+	}
+	return obs.SpanData{}, false
+}
+
+// shape renders a response's span tree by name, children sorted: what two
+// runs of one step share (timings and cache attributes differ).
+func shape(r LocalRunResponse) string {
+	var render func(parent string) string
+	render = func(parent string) string {
+		var kids []string
+		for _, d := range r.Spans {
+			if d.Parent == parent {
+				kids = append(kids, d.Name+"{"+render(d.SpanID)+"}")
+			}
+		}
+		slices.Sort(kids)
+		return strings.Join(kids, " ")
+	}
+	roots := ""
+	for _, d := range r.Spans {
+		if _, ok := byID(r.Spans, d.Parent); !ok {
+			roots += render(d.Parent)
+			break
+		}
+	}
+	return roots
 }
 
 func keys(m map[string]*obs.SpanNode) []string {

@@ -2,7 +2,7 @@ package federation_test
 
 // Tests for the /query table stream: lossless round trips of edge values,
 // in-process ≡ HTTP merge results, truncated bodies, a peer answering in
-// another format, and JSON envelopes that cannot be encoded.
+// another format, and step results that may not leave a worker.
 
 import (
 	"bytes"
@@ -270,8 +270,8 @@ func TestQueryRejectsOtherFormat(t *testing.T) {
 	}
 }
 
-// TestLocalRunNaNAnswers422: a step result JSON cannot carry fails with the
-// marshal error as a final 422, delivered once, instead of an empty 200.
+// TestLocalRunNaNAnswers422: a plain step result holding NaN fails on the
+// worker as a final 422, delivered once, instead of reaching the fold.
 func TestLocalRunNaNAnswers422(t *testing.T) {
 	h := (&federation.WorkerServer{Worker: chaosWorker(t, "nan", "edsd", 20)}).Handler()
 	var calls atomic.Int64

@@ -29,45 +29,44 @@ const DefaultMinRows = 10
 
 // LocalRunRequest asks a worker to execute one local computation step.
 type LocalRunRequest struct {
-	JobID string `json:"job_id"`
+	JobID string
 	// Func names the registered local step.
-	Func string `json:"func"`
+	Func string
 	// DataQuery is the SQL producing the step's relation input (generated
 	// by the master from the experiment's variables/datasets/filter).
-	DataQuery string `json:"data_query"`
+	DataQuery string
 	// Kwargs are the step's keyword arguments.
-	Kwargs Kwargs `json:"kwargs"`
+	Kwargs Kwargs
 	// Secure secret-shares every transfer entry into the SMPC cluster, the
 	// keys of each op under JobID/<op>, instead of returning them; only
 	// their shapes and ops leave the worker. Otherwise the transfer ships
 	// back to the master (plain path).
-	Secure bool `json:"secure,omitempty"`
+	Secure bool
 	// Tenant and Datasets attribute the step for metering and audit: the
 	// worker tags its engine statements with them, so per-hospital access
 	// records name the owning tenant and the datasets touched.
-	Tenant   string   `json:"tenant,omitempty"`
-	Datasets []string `json:"datasets,omitempty"`
+	Tenant   string
+	Datasets []string
 	// Trace carries the master's trace context so worker-side spans nest
-	// under the per-worker round-trip span. On the HTTP hop it also rides
-	// the X-MIP-Trace header; nil disables tracing for the step.
-	Trace *obs.TraceRef `json:"trace,omitempty"`
+	// under the per-worker round-trip span; nil disables tracing.
+	Trace *obs.TraceRef
 	// Session declares the experiment session the step belongs to: the
 	// worker resolves each distinct DataQuery of a session once, at the
 	// catalog version the session pinned on this worker, and later steps
 	// read that relation. Nil reads the current version (a one-off step).
-	Session *SessionRef `json:"session,omitempty"`
+	Session *SessionRef
 	// Release names sessions the master closed since its last request to
 	// this worker; the worker drops their pins before running the step.
-	Release []string `json:"release,omitempty"`
+	Release []string
 }
 
 // SessionRef names a step's session on the wire.
 type SessionRef struct {
-	ID string `json:"id"`
+	ID string
 	// Open marks a step sent before this worker has answered the session:
 	// the worker pins its current catalog version unless it already holds
 	// the session's pin. A step without Open must find the pin.
-	Open bool `json:"open,omitempty"`
+	Open bool
 }
 
 // PinLostError fails a step of a session whose pin the worker no longer
@@ -84,19 +83,19 @@ func (e *PinLostError) Error() string {
 // LocalRunResponse carries the step's outputs.
 type LocalRunResponse struct {
 	// WorkerID identifies the responding worker.
-	WorkerID string `json:"worker_id"`
+	WorkerID string
 	// Transfer holds the step's tensors on the plain path. On the secure
 	// path it holds every key with its shape and op only: the values went
 	// into the SMPC cluster, and the shapes and ops let the master check the
 	// workers agree and slice each opened group.
-	Transfer Transfer `json:"transfer,omitempty"`
+	Transfer Transfer
 	// Rows is the number of input rows the step consumed (not shipped in
 	// privacy-sensitive deployments; used by tests and the leakage audit).
-	Rows int `json:"rows"`
+	Rows int
 	// Spans are the worker-side trace spans of this step, shipped back in
 	// the envelope so the master grafts them into the experiment tree.
 	// Spans carry timings and row counts only — never data values.
-	Spans []obs.SpanData `json:"spans,omitempty"`
+	Spans []obs.SpanData
 }
 
 // Worker is one hospital node: the local data engine, the installed
@@ -517,8 +516,9 @@ func (w *Worker) pin(ref SessionRef) (*sessionPin, error) {
 }
 
 // checkFinite rejects a plain transfer holding NaN or ±Inf before it
-// ships: JSON cannot carry such a value, so no transport may. Keys are
-// checked in sorted order, so every transport names the same element.
+// ships: such a value poisons the master's fold, and the SMPC import
+// refuses it, so plain and secure fail alike. Keys are checked in sorted
+// order, so every transport names the same element.
 func (w *Worker) checkFinite(step string, t Transfer) error {
 	keys := make([]string, 0, len(t))
 	for k := range t {

@@ -5,33 +5,15 @@ import (
 	"encoding/hex"
 	"fmt"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 )
 
-// TraceRef is the portable trace context carried across process boundaries
-// — as a JSON field in federation envelopes and as the X-MIP-Trace header
-// on the HTTP hop ("traceID/spanID").
+// TraceRef is the portable trace context carried across process
+// boundaries, as a field of the federation step envelope.
 type TraceRef struct {
-	TraceID string `json:"trace_id"`
-	SpanID  string `json:"span_id"`
-}
-
-// TraceHeader is the HTTP header name carrying a TraceRef.
-const TraceHeader = "X-MIP-Trace"
-
-// String renders the header form.
-func (r TraceRef) String() string { return r.TraceID + "/" + r.SpanID }
-
-// ParseTraceRef parses the header form; ok is false for malformed input.
-func ParseTraceRef(s string) (TraceRef, bool) {
-	traceID, spanID, ok := strings.Cut(s, "/")
-	if !ok || traceID == "" {
-		return TraceRef{}, false
-	}
-	return TraceRef{TraceID: traceID, SpanID: spanID}, true
+	TraceID, SpanID string
 }
 
 // SpanData is one finished (or in-flight) span. Spans are keyed into a

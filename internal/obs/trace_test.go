@@ -93,16 +93,3 @@ func TestTraceStoreEviction(t *testing.T) {
 		t.Fatalf("newest trace missing: %v", got)
 	}
 }
-
-func TestParseTraceRef(t *testing.T) {
-	ref, ok := ParseTraceRef("exp-1/abcd-000001")
-	if !ok || ref.TraceID != "exp-1" || ref.SpanID != "abcd-000001" {
-		t.Fatalf("parse = %+v ok=%v", ref, ok)
-	}
-	if _, ok := ParseTraceRef("garbage"); ok {
-		t.Fatal("malformed ref should not parse")
-	}
-	if got := ref.String(); got != "exp-1/abcd-000001" {
-		t.Fatalf("round trip = %q", got)
-	}
-}
