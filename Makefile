@@ -53,9 +53,12 @@ auditsmoke:
 
 # spillsmoke runs the tiny-budget spill equivalence and cleanup tests: a
 # few-KB budget forces every grouped aggregate and hash join to disk, and
-# the results must stay bit-identical with no run files left behind.
+# the results must stay bit-identical with no run files left behind. It
+# also runs the mid-input crossing: an aggregate whose budget is crossed
+# partway keeps the partials built before it, spills only the later
+# morsels, stays bit-identical and evaluates no morsel twice.
 spillsmoke:
-	$(GO) test -count=1 -run 'TestSpillSerialParallelEquivalence|TestSpillJoinEquivalence|TestSpillCleanupOnError|TestSpillCleanupOnCancel' ./internal/engine/
+	$(GO) test -count=1 -run 'TestSpillSerialParallelEquivalence|TestSpillJoinEquivalence|TestSpillMidInputCrossing|TestSpillCleanupOnError|TestSpillCleanupOnCancel' ./internal/engine/
 
 # cachesmoke covers both cache tiers' correctness backbone: plan-cached
 # execution stays bit-identical to uncached, schema changes invalidate

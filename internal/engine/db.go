@@ -552,12 +552,6 @@ func (db *DB) run(cat *catalog, st Statement, qs *QueryStats, ec *ExecContext) (
 			if err != nil {
 				return nil, err
 			}
-			// Grouped aggregate over one join whose materialized result
-			// would blow the memory budget: stream the grace join's merged
-			// output straight into the spilled aggregation instead.
-			if out, handled, err := trySpillJoinAgg(ec, s, plan, qs); handled || err != nil {
-				return out, err
-			}
 			joined, err := buildJoined(ec, s, plan, qs)
 			if err != nil {
 				return nil, err
@@ -573,7 +567,7 @@ func (db *DB) run(cat *catalog, st Statement, qs *QueryStats, ec *ExecContext) (
 			return nil, err
 		}
 		qs.Root = scanPlanNode(s.From, t)
-		return execSelect(ec, s, t, qs)
+		return execSelect(ec, s, source{t: t}, qs)
 	case *CreateTableStmt:
 		return nil, db.CreateTable(s.Name, s.Schema)
 	case *InsertStmt:

@@ -5,22 +5,24 @@ import (
 	"math"
 	"sort"
 	"strings"
+	"sync"
 	"sync/atomic"
 )
 
-// execSelect runs a parsed SELECT over an input table: it plans the stage
-// list for the statement and the input's row count (planSelect — the same
-// list EXPLAIN renders) and walks it. Top-k, aggregation and every stage
-// hosting a WHERE run inside the one morsel loop (forMorsels), fanned out
-// across ec's worker pool; LIMIT stays a serial tail. qs (optional, may be
-// nil) accumulates rows/vectors touched and grows the plan tree one node
-// per stage (the scan/join/merge nodes below the first stage are planted by
+// execSelect runs a parsed SELECT over its input: it plans the stage list
+// for the statement and the input's row count (planSelect — the same list
+// EXPLAIN renders) and walks it. Top-k, aggregation and every stage hosting
+// a WHERE run inside the one morsel loop (forMorsels), fanned out across
+// ec's worker pool; LIMIT stays a serial tail. qs (optional, may be nil)
+// accumulates rows/vectors touched and grows the plan tree one node per
+// stage (the scan/join/merge nodes below the first stage are planted by
 // db.run and the merge table before this runs).
-func execSelect(ec *ExecContext, st *SelectStmt, input *Table, qs *QueryStats) (*Table, error) {
-	qs.RowsScanned += input.NumRows()
-	qs.Vectors += len(input.Schema())
-	ec.addRows(input.NumRows())
-	out, err := ec.runStages(st, ec.planSelect(st, input.NumRows()), input, qs)
+func execSelect(ec *ExecContext, st *SelectStmt, in source, qs *QueryStats) (*Table, error) {
+	rows := in.rows()
+	qs.RowsScanned += rows
+	qs.Vectors += len(in.schema())
+	ec.addRows(rows)
+	out, err := ec.runStages(st, ec.planSelect(st, rows), in, qs)
 	if err != nil {
 		return nil, err
 	}
@@ -29,10 +31,54 @@ func execSelect(ec *ExecContext, st *SelectStmt, input *Table, qs *QueryStats) (
 	return out, nil
 }
 
-// runStages walks a stage list over t, one profiled plan node per stage.
-// A fused filter stage does no work of its own: it hands its predicate and
-// plan node to the stage that follows, whose morsel loop evaluates it.
-func (ec *ExecContext) runStages(st *SelectStmt, stages []selectStage, t *Table, qs *QueryStats) (*Table, error) {
+// source is what a stage list reads: a table, or a grace join's output
+// still in its run files (js). The aggregate reads a stream as it is,
+// batch by batch, so the joined relation is never materialized; any other
+// stage reads it materialized.
+type source struct {
+	t  *Table
+	js *joinStream
+}
+
+func (s source) rows() int {
+	if s.js != nil {
+		return s.js.rows
+	}
+	return s.t.NumRows()
+}
+
+func (s source) schema() Schema {
+	if s.js != nil {
+		return s.js.schema
+	}
+	return s.t.Schema()
+}
+
+// table returns the source as a table, materializing a stream.
+func (s source) table(ec *ExecContext) (*Table, error) {
+	if s.js != nil {
+		return s.js.table(ec)
+	}
+	return s.t, nil
+}
+
+// batches runs fn over the source one batch at a time, with the fused WHERE
+// (optional, plan node fnode) applied: a table's morsels in parallel
+// (forMorsels), a stream's merged batches serially and in order. Batch i
+// starts at row ordinal start of the unfiltered input; part holds its rows
+// passing the WHERE and sel their offsets from start (nil without a WHERE).
+func (s source) batches(ec *ExecContext, where Expr, fnode *PlanNode, fn func(i int, start int64, part *Table, sel []int32) error) error {
+	if s.js != nil {
+		return s.js.batches(ec, where, fnode, fn)
+	}
+	return ec.forMorsels(s.t, where, fnode, fn)
+}
+
+// runStages walks a stage list over its input, one profiled plan node per
+// stage. A fused filter stage does no work of its own: it hands its
+// predicate and plan node to the stage that follows, whose morsel loop
+// evaluates it.
+func (ec *ExecContext) runStages(st *SelectStmt, stages []selectStage, in source, qs *QueryStats) (*Table, error) {
 	var where Expr        // fused WHERE awaiting the next stage's morsel loop
 	var fnode *PlanNode   // ... and its plan node
 	var outNames []string // output columns, from the extend stage to the final projection
@@ -40,8 +86,10 @@ func (ec *ExecContext) runStages(st *SelectStmt, stages []selectStage, t *Table,
 		if err := ec.interrupted(); err != nil {
 			return nil, err
 		}
-		sg := qs.beginStage(s.op, s.detail, t.NumRows())
-		sg.setParallelism(s.par)
+		sg := qs.beginStage(s.op, s.detail, in.rows())
+		if in.js == nil { // a stream's batches are read one at a time
+			sg.setParallelism(s.par)
+		}
 		node := sg.node
 		node.Fused = s.fused
 		if s.kind == stageFilter && s.fused {
@@ -49,12 +97,17 @@ func (ec *ExecContext) runStages(st *SelectStmt, stages []selectStage, t *Table,
 			continue
 		}
 		sg.fuseFilter(fnode)
-		var err error
+		t, err := in.t, error(nil)
+		if s.kind != stageAggregate { // only the aggregate reads a stream as it is
+			if t, err = in.table(ec); err != nil {
+				return nil, err
+			}
+		}
 		switch s.kind {
 		case stageFilter:
 			t, err = ec.filterTable(t, st.Where, node)
 		case stageAggregate:
-			t, err = execAggregate(ec, st, t, node, where, fnode)
+			t, err = execAggregate(ec, st, in, node, where, fnode)
 		case stageTopK:
 			t, err = execTopK(ec, st, t, node, where, fnode)
 		case stageExtend:
@@ -73,6 +126,7 @@ func (ec *ExecContext) runStages(st *SelectStmt, stages []selectStage, t *Table,
 		if err != nil {
 			return nil, err
 		}
+		in = source{t: t}
 		where, fnode = nil, nil
 		sg.end(t)
 	}
@@ -82,7 +136,7 @@ func (ec *ExecContext) runStages(st *SelectStmt, stages []selectStage, t *Table,
 	if err := ec.interrupted(); err != nil {
 		return nil, err
 	}
-	return t, nil
+	return in.table(ec)
 }
 
 // topkMaxCandidates bounds k'=limit+offset for the top-k operator: past
@@ -676,49 +730,77 @@ func rewriteAgg(e Expr, keys map[string]string, aggs *[]*AggCall, aggCols map[st
 	return mapChildren(e, func(c Expr) Expr { return rewriteAgg(c, keys, aggs, aggCols) })
 }
 
-// morselAgg is one morsel's partial aggregation: its thread-local group
+// morselAgg is one batch's partial aggregation: its thread-local group
 // table (groups in first-appearance order, which is row order within the
-// morsel) and one partial accumulator per aggregate call.
+// batch) and one partial accumulator per aggregate call.
 type morselAgg struct {
 	hashes  []uint64    // key-tuple hash per local group (grouped only)
 	rows    []int32     // representative local row per local group
-	keyVecs []*Vector   // group-key vectors evaluated over the morsel
+	keyVecs []*Vector   // group-key vectors evaluated over the batch
 	states  []*aggState // one per aggregate call, sized to local groups
+	seqs    []int64     // input row ordinal per local group's first row (spillable only)
 }
 
-// execAggregate runs partitioned hash aggregation: every morsel groups and
-// accumulates into thread-local state (buildPartial), then a serial combine
-// assigns global group ids and folds the partials in morsel order
-// (combinePartials). Because morsels are row ranges in order and local
+// execAggregate runs partitioned hash aggregation over its input's batches
+// (a table's morsels, or a grace join's merged stream): every batch groups
+// and accumulates into thread-local state (buildPartial), then a serial
+// combine assigns global group ids and folds the partials in batch order
+// (combinePartials). Because batches are row ranges in order and local
 // first-appearance order is row order, global group ids equal
 // first-appearance-in-row-order ids, and the fixed fold order makes float
 // results bit-identical at every parallelism degree. where (optional) is
 // the fused WHERE, fnode its plan node.
-func execAggregate(ec *ExecContext, st *SelectStmt, t *Table, node *PlanNode, where Expr, fnode *PlanNode) (*Table, error) {
-	prep, err := prepareAgg(st, t.Slice(0, 0))
+//
+// A grouped aggregate with spilling available polls the soft budget once
+// per batch, before building its partial. While the budget holds, the
+// partial is kept; once the accountant objects, the batch's rows (keys,
+// arguments and row ordinal) go to 16 hash-partition run files instead.
+// Nothing built is dropped and no batch is read twice: combineSpilled
+// folds the kept partials and the spilled rows partition by partition.
+func execAggregate(ec *ExecContext, st *SelectStmt, in source, node *PlanNode, where Expr, fnode *PlanNode) (*Table, error) {
+	prep, err := prepareAgg(st, NewTable(in.schema()))
 	if err != nil {
 		return nil, err
 	}
-	// Each morsel charges its partial's approximate footprint once; the
-	// total is released after the combine, when the partials die. With
-	// spilling available, every morsel polls the soft budget before
-	// building its partial; crossing it aborts the in-memory pass with a
-	// sentinel and the aggregation restarts through the disk-backed
-	// partitioned path (bit-identical results, bounded memory).
-	spillOK := len(st.GroupBy) > 0 && ec.spillEnabled()
-	partials := make([]*morselAgg, ec.numMorsels(t.NumRows()))
+	// Each kept partial charges its approximate footprint once; the total
+	// is released after the combine, when the partials die.
+	var sp *rowSpiller // nil = this aggregate never spills
+	var spMu sync.Mutex
+	if len(st.GroupBy) > 0 && ec.spillEnabled() {
+		sp = &rowSpiller{ec: ec, label: "agg"}
+	}
+	partials := make([]*morselAgg, ec.numMorsels(in.rows()))
 	var partialBytes atomic.Int64
-	err = ec.forMorsels(t, where, fnode, func(i int, _ morsel, part *Table, _ []int32) error {
-		if spillOK && ec.overBudget() {
-			return errAggOverBudget
-		}
+	err = in.batches(ec, where, fnode, func(i int, start int64, part *Table, sel []int32) error {
+		n := part.NumRows()
+		spill := sp != nil && n > 0 && ec.Acct.OverLimit()
 		keys, args, err := prep.evalInputs(part)
 		if err != nil {
 			return err
 		}
-		ma, err := buildPartial(prep.aggCalls, keys, args, part.NumRows())
+		node.AddMorsels(1)
+		if spill {
+			cols := keys
+			for _, av := range args {
+				cols = append(cols, av...)
+			}
+			seq := make([]int64, n)
+			for r := range seq {
+				seq[r] = ordinal(start, sel, r)
+			}
+			spMu.Lock()
+			defer spMu.Unlock()
+			return sp.add(keys, cols, seq, n)
+		}
+		ma, err := buildPartial(prep.aggCalls, keys, args, n)
 		if err != nil {
 			return err
+		}
+		if sp != nil {
+			ma.seqs = make([]int64, len(ma.rows))
+			for g, r := range ma.rows {
+				ma.seqs[g] = ordinal(start, sel, int(r))
+			}
 		}
 		partials[i] = ma
 		if ec != nil && ec.Acct != nil {
@@ -726,50 +808,50 @@ func execAggregate(ec *ExecContext, st *SelectStmt, t *Table, node *PlanNode, wh
 			partialBytes.Add(b)
 			ec.charge(b)
 		}
-		node.AddMorsels(1)
 		return nil
 	})
-	if spillOK && err == errAggOverBudget {
-		// The in-memory partials crossed the budget: drop them (and their
-		// stage counters — the spill pass re-counts every morsel) and redo
-		// the aggregation through the disk-backed partitioned path.
+	var mid *Table
+	switch {
+	case err != nil:
+		if sp != nil {
+			sp.close()
+		}
+		return nil, err
+	case sp != nil && sp.opened():
+		mid, err = combineSpilled(ec, prep, partials, sp, node)
 		ec.release(partialBytes.Load())
-		if node != nil {
-			atomic.StoreInt64(&node.Morsels, 0)
-		}
-		if fnode != nil {
-			atomic.StoreInt64(&fnode.Morsels, 0)
-			atomic.StoreInt64(&fnode.RowsOut, 0)
-			atomic.StoreInt64(&fnode.Nanos, 0)
-		}
-		mid, err := execAggSpill(ec, prep, t, node, fnode, where)
 		if err != nil {
 			return nil, err
 		}
-		return aggFinalize(ec, mid, prep.having, prep.items)
-	}
-	if err != nil {
-		return nil, err
-	}
-	mid, _, err := combinePartials(prep, partials)
-	if err != nil {
-		return nil, err
-	}
-	// The partials are garbage after the combine; the intermediate table is
-	// the stage's live payload now.
-	ec.release(partialBytes.Load())
-	ec.charge(mid.ByteSize())
-	if node != nil {
-		node.Groups = int64(mid.NumRows())
+	default:
+		if mid, _, err = combinePartials(prep, partials, nil); err != nil {
+			return nil, err
+		}
+		// The partials are garbage after the combine; the intermediate
+		// table is the stage's live payload now.
+		ec.release(partialBytes.Load())
+		ec.charge(mid.ByteSize())
+		if node != nil {
+			node.Groups = int64(mid.NumRows())
+		}
 	}
 	return aggFinalize(ec, mid, prep.having, prep.items)
 }
 
+// ordinal is the input row ordinal of row r of a batch that starts at
+// start; sel (nil = every row survived) maps r to its offset from start.
+func ordinal(start int64, sel []int32, r int) int64 {
+	if sel != nil {
+		return start + int64(sel[r])
+	}
+	return start + int64(r)
+}
+
 // buildPartial is the aggregate kernel's first half: it groups n rows by
 // their key tuples (no keys = one global group) and folds each call's
-// argument vectors into fresh per-group accumulators. The in-memory
-// operator calls it per morsel; a spilled partition calls it per morsel-run
-// of its reloaded rows — same rows, same order, same partial.
+// argument vectors into fresh per-group accumulators. The operator calls
+// it per batch it keeps; a spilled partition calls it per morsel-run of
+// its reloaded rows — same rows, same order, same partial.
 func buildPartial(calls []*AggCall, keys []*Vector, args [][]*Vector, n int) (*morselAgg, error) {
 	ma := &morselAgg{keyVecs: keys}
 	var groupOf []int
@@ -811,9 +893,11 @@ func buildPartial(calls []*AggCall, keys []*Vector, args [][]*Vector, n int) (*m
 // accumulators in that order, and builds the intermediate table of $key*
 // and $agg* columns. Local key-tuple hashes are content-based, so they
 // carry over to the global table unchanged; equality falls back to the
-// typed key vectors. refs locates each group's first row as (partial, row
-// within it); nil when not grouping.
-func combinePartials(p *aggPrep, partials []*morselAgg) (*Table, []rowRef, error) {
+// typed key vectors. keep (nil = every group) restricts the combine to the
+// groups whose key hash it accepts: a spilled aggregate's hash partition.
+// gmaps[i][lg] is the global id of partial i's local group lg (-1 when not
+// kept); nil when not grouping.
+func combinePartials(p *aggPrep, partials []*morselAgg, keep func(h uint64) bool) (*Table, [][]int, error) {
 	groups := 1
 	var refs []rowRef
 	gmaps := make([][]int, len(partials)) // nil = identity: the one global group
@@ -827,7 +911,10 @@ func combinePartials(p *aggPrep, partials []*morselAgg) (*Table, []rowRef, error
 			src := idx.addSource(ma.keyVecs)
 			gmaps[mi] = make([]int, len(ma.rows))
 			for lg := range ma.rows {
-				gmaps[mi][lg] = int(idx.insert(ma.hashes[lg], src, ma.rows[lg]))
+				gmaps[mi][lg] = -1
+				if keep == nil || keep(ma.hashes[lg]) {
+					gmaps[mi][lg] = int(idx.insert(ma.hashes[lg], src, ma.rows[lg]))
+				}
 			}
 		}
 		groups, refs = idx.groups(), idx.refs
@@ -859,7 +946,7 @@ func combinePartials(p *aggPrep, partials []*morselAgg) (*Table, []rowRef, error
 		cols = append(cols, v)
 	}
 	mid, err := NewTableFromVectors(schema, cols)
-	return mid, refs, err
+	return mid, gmaps, err
 }
 
 // aggPrep is the statement-level preparation of an aggregation: rewritten
@@ -878,8 +965,7 @@ type aggPrep struct {
 // prepareAgg rewrites the statement against the (empty) input schema and
 // validates group keys and aggregate arguments, so errors (unknown
 // columns, bad quantile fractions, corr arity) surface deterministically
-// even when the input has no rows. Shared by the in-memory aggregate and
-// the spilled join→aggregate path, which never materializes its input.
+// even when the input has no rows.
 func prepareAgg(st *SelectStmt, empty *Table) (*aggPrep, error) {
 	keyNames := map[string]string{}
 	for i, g := range st.GroupBy {
@@ -928,8 +1014,7 @@ func (p *aggPrep) evalInputs(part *Table) (keys []*Vector, args [][]*Vector, err
 }
 
 // aggFinalize applies the HAVING filter (group counts are small: serial)
-// and the final projection to the $key/$agg intermediate table. Shared by
-// the in-memory and spilled aggregation paths.
+// and the final projection to the $key/$agg intermediate table.
 func aggFinalize(ec *ExecContext, mid *Table, having Expr, items []SelectItem) (*Table, error) {
 	if having != nil {
 		sel, err := FilterSel(having, mid)
@@ -999,10 +1084,11 @@ func appendKeyRow(out, src *Vector, r int) error {
 	return nil
 }
 
-// mergeFrom folds src (one morsel's partial state) into dst. gmap maps
-// src's local group ids to dst's global ids; nil means identity (the
-// single global group). Callers fold morsels in morsel-index order, which
-// fixes the float reduction order across parallelism degrees.
+// mergeFrom folds src (one batch's partial state) into dst. gmap maps
+// src's local group ids to dst's global ids, -1 skipping a group; nil
+// means identity (the single global group). Callers fold batches in
+// batch-index order, which fixes the float reduction order across
+// parallelism degrees.
 func (dst *aggState) mergeFrom(src *aggState, gmap []int) {
 	gOf := func(lg int) int {
 		if gmap == nil {
@@ -1017,11 +1103,16 @@ func (dst *aggState) mergeFrom(src *aggState, gmap []int) {
 			return
 		}
 		for lg, c := range src.count {
-			dst.count[gOf(lg)] += c
+			if g := gOf(lg); g >= 0 {
+				dst.count[g] += c
+			}
 		}
 	case "sum", "avg", "stddev_samp", "stddev", "var_samp", "variance":
 		for lg := range src.count {
 			g := gOf(lg)
+			if g < 0 {
+				continue
+			}
 			dst.count[g] += src.count[lg]
 			dst.sum[g] += src.sum[lg]
 			dst.sum2[g] += src.sum2[lg]
@@ -1029,6 +1120,9 @@ func (dst *aggState) mergeFrom(src *aggState, gmap []int) {
 	case "min", "max":
 		for lg := range src.count {
 			g := gOf(lg)
+			if g < 0 {
+				continue
+			}
 			dst.count[g] += src.count[lg]
 			if !src.seenMM[lg] {
 				continue
@@ -1061,6 +1155,9 @@ func (dst *aggState) mergeFrom(src *aggState, gmap []int) {
 	case "corr":
 		for lg := range src.count {
 			g := gOf(lg)
+			if g < 0 {
+				continue
+			}
 			dst.count[g] += src.count[lg]
 			dst.sum[g] += src.sum[lg]
 			dst.sumY[g] += src.sumY[lg]
@@ -1071,6 +1168,9 @@ func (dst *aggState) mergeFrom(src *aggState, gmap []int) {
 	case "median", "quantile":
 		for lg := range src.count {
 			g := gOf(lg)
+			if g < 0 {
+				continue
+			}
 			dst.count[g] += src.count[lg]
 			dst.vals[g] = append(dst.vals[g], src.vals[lg]...)
 		}

@@ -386,8 +386,8 @@ func (ds *distinctSet) grow() {
 }
 
 // mergeFrom folds src's entries into ds in insertion order, remapping
-// group ids through gmap (nil = identity) and incrementing count[g] for
-// every pair new to ds.
+// group ids through gmap (nil = identity, -1 = skip) and incrementing
+// count[g] for every pair new to ds.
 func (ds *distinctSet) mergeFrom(src *distinctSet, gmap []int, count []int64) {
 	srcMap := make([]int32, len(src.srcs))
 	for i, v := range src.srcs {
@@ -396,7 +396,9 @@ func (ds *distinctSet) mergeFrom(src *distinctSet, gmap []int, count []int64) {
 	for e := range src.hashes {
 		g := int(src.groups[e])
 		if gmap != nil {
-			g = gmap[g]
+			if g = gmap[g]; g < 0 {
+				continue
+			}
 		}
 		r := src.refs[e]
 		if ds.insert(src.hashes[e], int32(g), srcMap[r.src], r.row) {

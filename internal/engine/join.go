@@ -13,52 +13,63 @@ import (
 // filter/aggregate/order pipeline. Equality conditions on columns drive the
 // hash join; any residual ON conditions are applied as a post-join filter.
 
-// buildJoined folds every JOIN clause of st into one joined table,
+// buildJoined folds every JOIN clause of st into one joined relation,
 // executing in the plan's order with its pushed filters applied; the
 // caller's filter stage applies the plan's residual WHERE. It plants the
 // scan/filter/join subtree that execSelect's stages then chain on top of.
+// A grace join's output that feeds the statement's stages stays a stream
+// (see source); a later join and the order restore read it materialized.
 //
 // Reordered execution is provably identical to written order: written-order
 // left-deep hash joins emit rows in lexicographic (base row, join-1 row,
 // ..., join-k row) order, so tagging each input with a hidden rowid and
 // sorting the reordered output by the written-order rowid tuple reproduces
 // the written-order result bit for bit.
-func buildJoined(ec *ExecContext, st *SelectStmt, plan *joinPlan, qs *QueryStats) (*Table, error) {
+func buildJoined(ec *ExecContext, st *SelectStmt, plan *joinPlan, qs *QueryStats) (source, error) {
 	inputs, nodes, err := joinInputs(ec, plan, qs)
 	if err != nil {
-		return nil, err
+		return source{}, err
 	}
-	cur, curNode := inputs[0], nodes[0]
+	cur, curNode := source{t: inputs[0]}, nodes[0]
 	for _, ji := range plan.order {
 		jc := st.Joins[ji]
+		left, err := cur.table(ec)
+		if err != nil {
+			return source{}, err
+		}
 		right := inputs[ji+1]
 		t0 := time.Now()
 		node := &PlanNode{Op: "join", Detail: joinDetail(jc)}
 		ec.setOperator("join " + joinDetail(jc))
-		joined, err := hashJoin(ec, cur, right, jc, node)
-		if err != nil {
-			return nil, err
+		if cur, err = hashJoin(ec, left, right, jc, node); err != nil {
+			return source{}, err
 		}
 		node.Nanos = time.Since(t0).Nanoseconds()
 		atomic.AddInt64(&qs.OpNanos[obs.OpJoin], node.Nanos)
-		node.RowsIn = int64(cur.NumRows() + right.NumRows())
-		node.RowsOut = int64(joined.NumRows())
-		node.Batches = int64(joined.NumCols())
-		node.Bytes = joined.ByteSize()
+		node.RowsIn = int64(left.NumRows() + right.NumRows())
+		node.RowsOut = int64(cur.rows())
+		node.Batches = int64(len(cur.schema()))
+		if cur.t != nil {
+			node.Bytes = cur.t.ByteSize()
+		}
 		node.Children = []*PlanNode{curNode, nodes[ji+1]}
-		cur, curNode = joined, node
+		curNode = node
 	}
 	if plan.reordered {
 		t0 := time.Now()
-		cur, err = restoreWrittenOrder(ec, cur, plan)
-		if err != nil {
-			return nil, err
+		t, err := cur.table(ec)
+		if err == nil {
+			t, err = restoreWrittenOrder(ec, t, plan)
 		}
+		if err != nil {
+			return source{}, err
+		}
+		cur = source{t: t}
 		curNode = &PlanNode{
 			Op: "order", Detail: "restore written join order",
-			RowsIn: int64(cur.NumRows()), RowsOut: int64(cur.NumRows()),
-			Batches: int64(cur.NumCols()), Nanos: time.Since(t0).Nanoseconds(),
-			Bytes: cur.ByteSize(), Children: []*PlanNode{curNode},
+			RowsIn: int64(t.NumRows()), RowsOut: int64(t.NumRows()),
+			Batches: int64(t.NumCols()), Nanos: time.Since(t0).Nanoseconds(),
+			Bytes: t.ByteSize(), Children: []*PlanNode{curNode},
 		}
 		atomic.AddInt64(&qs.OpNanos[obs.OpSort], curNode.Nanos)
 	}
@@ -278,26 +289,27 @@ func (ec *ExecContext) joinKeyHashes(cols []*Vector, n int, node *PlanNode) (has
 // morsels, each emitting local selection vectors that are stitched in
 // morsel order. Output rows therefore appear in exactly the order the
 // serial nested probe produced: left row order, matches in right row order.
-func hashJoin(ec *ExecContext, left, right *Table, jc JoinClause, node *PlanNode) (*Table, error) {
+func hashJoin(ec *ExecContext, left, right *Table, jc JoinClause, node *PlanNode) (source, error) {
 	lk, rk, residual, err := splitOn(jc.On, left, right)
 	if err != nil {
-		return nil, err
+		return source{}, err
 	}
 	jk := newJoinKeys(left, right, lk, rk)
 	// Grace hash join: when the estimated build-side + transient footprint
 	// cannot fit the query's soft memory budget, partition both sides to
-	// disk and join partition-wise instead. Output is bit-identical,
-	// including row order.
-	if est := right.ByteSize() + int64(right.NumRows())*24 + int64(left.NumRows())*8; ec.wouldSpill(est) &&
-		left.NumRows() < 1<<30 && right.NumRows() < 1<<30 {
-		return graceHashJoin(ec, left, right, jk, jc, residual, node)
+	// disk and join partition-wise instead. The output stays a stream in
+	// run files; read back it is bit-identical, including row order.
+	est := right.ByteSize() + int64(right.NumRows())*24 + int64(left.NumRows())*8
+	if ec.spillEnabled() && ec.Acct.Live()+est > ec.QueryMemLimit && left.NumRows() < 1<<30 && right.NumRows() < 1<<30 {
+		js, err := graceHashJoin(ec, left, right, jk, jc, residual, node)
+		return source{js: js}, err
 	}
 	lKeyCols, rKeyCols := jk.of(left.cols, jk.l), jk.of(right.cols, jk.r)
 	rHashes, rNulls := ec.joinKeyHashes(rKeyCols, right.NumRows(), node)
 	lHashes, lNulls := ec.joinKeyHashes(lKeyCols, left.NumRows(), node)
 	ji, err := ec.buildJoinIndex(rKeyCols, rHashes, rNulls)
 	if err != nil {
-		return nil, err
+		return source{}, err
 	}
 	if node != nil {
 		node.Groups = int64(ji.index.groups())
@@ -327,7 +339,7 @@ func hashJoin(ec *ExecContext, left, right *Table, jc JoinClause, node *PlanNode
 		return nil
 	})
 	if err != nil {
-		return nil, err
+		return source{}, err
 	}
 	total := 0
 	for _, p := range parts {
@@ -362,9 +374,9 @@ func hashJoin(ec *ExecContext, left, right *Table, jc JoinClause, node *PlanNode
 	if residual != nil {
 		// LEFT JOIN residual semantics simplified: residual filters the
 		// joined rows (matching most practical uses of ON ... AND extra).
-		return ec.filterTable(out, residual, node)
+		out, err = ec.filterTable(out, residual, node)
 	}
-	return out, nil
+	return source{t: out}, err
 }
 
 // joinKeys locates an equi-join's key columns on both sides. The typed

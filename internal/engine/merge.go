@@ -104,7 +104,7 @@ func (m *MergeTable) execMaterialize(ec *ExecContext, st *SelectStmt, sql string
 	m.plantPlan(qs, "materialize", sql, parts, union, time.Since(t0))
 	local := *st
 	local.Where = nil // already applied at the parts
-	return execSelect(ec, &local, union, qs)
+	return execSelect(ec, &local, source{t: union}, qs)
 }
 
 // materializeSQL builds the per-part SQL for the materialize path. Three
@@ -584,7 +584,7 @@ func (m *MergeTable) execPushdown(ec *ExecContext, st *SelectStmt, specs []parti
 			pcol++
 		}
 	}
-	merged, err := execSelect(ec, mergeStmt, unionAll, qs)
+	merged, err := execSelect(ec, mergeStmt, source{t: unionAll}, qs)
 	if err != nil {
 		return nil, err
 	}
@@ -642,7 +642,7 @@ func (m *MergeTable) execPushdown(ec *ExecContext, st *SelectStmt, specs []parti
 		return nil, err
 	}
 	sp.end(out)
-	out, err = ec.runStages(st, stages[1:], out, qs)
+	out, err = ec.runStages(st, stages[1:], source{t: out}, qs)
 	if err != nil {
 		return nil, err
 	}

@@ -124,20 +124,6 @@ func (ec *ExecContext) spillEnabled() bool {
 	return ec != nil && ec.spill != nil
 }
 
-// overBudget reports whether accounted live bytes currently exceed the
-// soft budget. Only meaningful when spillEnabled.
-func (ec *ExecContext) overBudget() bool {
-	return ec != nil && ec.Acct.OverLimit()
-}
-
-// budget returns the statement's memory budget in bytes (0 = unlimited).
-func (ec *ExecContext) budget() int64 {
-	if ec == nil {
-		return 0
-	}
-	return ec.QueryMemLimit
-}
-
 // addSpill tallies run-file bytes written and partitions spilled on the
 // live registry record; the statement's finish copies the totals onto its
 // record, from where they reach the process metrics.
@@ -193,14 +179,6 @@ func (ec *ExecContext) setOperator(op string) {
 	if ec != nil {
 		ec.query.setOp(op)
 	}
-}
-
-// serial returns a copy of ec whose morsel loops run on the calling
-// goroutine, in morsel order.
-func (ec *ExecContext) serial() *ExecContext {
-	c := *ec
-	c.Parallelism = 1
-	return &c
 }
 
 func (ec *ExecContext) parallelism() int {
@@ -338,15 +316,16 @@ func (ec *ExecContext) parallelFor(n int, fn func(i int) error) error {
 // --- parallel operator helpers ---
 
 // forMorsels is the engine's one morsel row loop: it runs fn over every
-// morsel of t, up to ec.Parallelism at a time. With a WHERE, each morsel
-// first selects and gathers its matching rows — the filter runs fused
-// inside the loop, never materializing a filtered copy of t — and sel holds
-// the surviving rows' indexes within the morsel (nil without a WHERE).
+// morsel of t (its index i and first row start), up to ec.Parallelism at a
+// time. With a WHERE, each morsel first selects and gathers its matching
+// rows — the filter runs fused inside the loop, never materializing a
+// filtered copy of t — and sel holds the surviving rows' indexes within the
+// morsel (nil without a WHERE).
 // Morsels always decompose the unfiltered input, so what a morsel holds
 // never depends on the parallelism degree. fnode (optional) accrues the
 // filter's rows out and morsel count, and ends up holding the filter's
 // share of the loop's wall time.
-func (ec *ExecContext) forMorsels(t *Table, where Expr, fnode *PlanNode, fn func(i int, m morsel, part *Table, sel []int32) error) error {
+func (ec *ExecContext) forMorsels(t *Table, where Expr, fnode *PlanNode, fn func(i int, start int64, part *Table, sel []int32) error) error {
 	ms := ec.morselsOf(t.NumRows())
 	if len(ms) == 0 && where != nil {
 		// No morsel will evaluate the predicate; evaluate it over the empty
@@ -363,7 +342,7 @@ func (ec *ExecContext) forMorsels(t *Table, where Expr, fnode *PlanNode, fn func
 		}
 		part, sel, err := filterPart(where, t.Slice(ms[i].lo, ms[i].hi), fnode)
 		if err == nil {
-			err = fn(i, ms[i], part, sel)
+			err = fn(i, int64(ms[i].lo), part, sel)
 		}
 		if fnode != nil {
 			busy.Add(time.Since(t0).Nanoseconds())
@@ -419,7 +398,7 @@ func filterPart(where Expr, part *Table, fnode *PlanNode) (*Table, []int32, erro
 // order. node (optional) counts the morsels the stage processed.
 func (ec *ExecContext) mapMorsels(t *Table, where Expr, fnode *PlanNode, schema Schema, node *PlanNode, fn func(part *Table) (*Table, error)) (*Table, error) {
 	parts := make([]*Table, ec.numMorsels(t.NumRows()))
-	err := ec.forMorsels(t, where, fnode, func(i int, _ morsel, part *Table, _ []int32) error {
+	err := ec.forMorsels(t, where, fnode, func(i int, _ int64, part *Table, _ []int32) error {
 		out, err := fn(part)
 		parts[i] = out
 		node.AddMorsels(1)

@@ -380,9 +380,8 @@ func (ec *ExecContext) planSelect(st *SelectStmt, rows int) []selectStage {
 }
 
 // afterAggregate returns the stages of st's plan that follow its aggregate
-// (ORDER BY and LIMIT over the aggregated rows), for the operators that
-// compute the aggregate themselves: the spilled join→aggregate stream and
-// the merge table's pushdown combine.
+// (ORDER BY and LIMIT over the aggregated rows), for the merge table's
+// pushdown combine, which computes the aggregate itself.
 func (ec *ExecContext) afterAggregate(st *SelectStmt) []selectStage {
 	stages := ec.planSelect(st, 0)
 	for i, s := range stages {

@@ -107,6 +107,92 @@ func TestSpillReportsStats(t *testing.T) {
 	assertNoSpillResidue(t, dir)
 }
 
+// midInputBudget lies between the budget a grouped aggregate over cat
+// crosses within its first morsels (4096) and one it never crosses: over
+// spillDB's fixture it is crossed partway through the input.
+const midInputBudget = 8192
+
+// TestSpillMidInputCrossing runs grouped aggregates whose budget is crossed
+// partway through their input: the partials built before the crossing
+// stay resident, only the later morsels spill, and the combine folds both.
+// Over cat every group has rows on both sides of the crossing; over id
+// (one morsel per group, partitions too small to re-split) the spilled
+// bytes count the spilled rows exactly. Results must be bit-identical to
+// the unbudgeted serial engine at parallelism 1, 2 and NumCPU, and the
+// aggregate and fused-filter plan nodes must count the morsels and rows of
+// the unbudgeted run: no morsel is evaluated twice. At parallelism 1 the
+// crossing point is deterministic, so the statement must also spill, and
+// strictly less than under the 4096-byte budget, which spills from its
+// first morsels on.
+func TestSpillMidInputCrossing(t *testing.T) {
+	const morsel = 128
+	ref := NewDB(WithParallelism(1), WithMorselSize(morsel))
+	if err := buildParallelFixture(ref, 1500); err != nil {
+		t.Fatal(err)
+	}
+	nodes := func(qs QueryStats) (agg, filter *PlanNode) {
+		qs.Root.Walk(func(n *PlanNode) {
+			switch n.Op {
+			case "aggregate":
+				agg = n
+			case "filter":
+				filter = n
+			}
+		})
+		return agg, filter
+	}
+	for _, c := range []struct {
+		budget int64
+		sql    string
+	}{
+		{midInputBudget, `SELECT cat, count(*) AS n, sum(x) AS s, avg(y) AS m FROM t GROUP BY cat`},
+		{midInputBudget, `SELECT cat, count(*) AS n, sum(x) AS s, avg(y) AS m FROM t WHERE flag GROUP BY cat HAVING count(*) > 1`},
+		{32768, `SELECT id, count(*) AS n FROM t GROUP BY id`},
+		{32768, `SELECT id, count(*) AS n, sum(x) AS s, avg(y) AS m FROM t WHERE flag GROUP BY id HAVING count(*) > 0`},
+	} {
+		sql := c.sql
+		want, refStats, err := ref.QueryWithStats(sql)
+		if err != nil {
+			t.Fatalf("reference: %s: %v", sql, err)
+		}
+		refAgg, refFilter := nodes(refStats)
+		for _, d := range []int{1, 2, runtime.NumCPU()} {
+			label := fmt.Sprintf("mid-input spill par=%d", d)
+			db, dir := spillDB(t, c.budget, d, morsel)
+			got, qs, err := db.QueryWithStats(sql)
+			if err != nil {
+				t.Fatalf("%s: %s: %v", label, sql, err)
+			}
+			tablesIdentical(t, sql, want, got, "in-memory", label)
+			agg, filter := nodes(qs)
+			if agg.Morsels != refAgg.Morsels || agg.RowsOut != refAgg.RowsOut {
+				t.Fatalf("%s: %s: aggregate morsels/rows out %d/%d, unbudgeted %d/%d",
+					label, sql, agg.Morsels, agg.RowsOut, refAgg.Morsels, refAgg.RowsOut)
+			}
+			if (filter == nil) != (refFilter == nil) {
+				t.Fatalf("%s: %s: filter node present %v, unbudgeted %v", label, sql, filter != nil, refFilter != nil)
+			}
+			if filter != nil && (filter.Morsels != refFilter.Morsels || filter.RowsOut != refFilter.RowsOut) {
+				t.Fatalf("%s: %s: filter morsels/rows out %d/%d, unbudgeted %d/%d",
+					label, sql, filter.Morsels, filter.RowsOut, refFilter.Morsels, refFilter.RowsOut)
+			}
+			assertNoSpillResidue(t, dir)
+			if d != 1 {
+				continue
+			}
+			early, _ := spillDB(t, 4096, d, morsel)
+			_, earlyStats, err := early.QueryWithStats(sql)
+			if err != nil {
+				t.Fatalf("4096-byte budget: %s: %v", sql, err)
+			}
+			if qs.SpillBytes <= 0 || qs.SpillBytes >= earlyStats.SpillBytes {
+				t.Fatalf("%s: %s: SpillBytes = %d, want in (0, %d) — the 4096-byte budget's spill",
+					label, sql, qs.SpillBytes, earlyStats.SpillBytes)
+			}
+		}
+	}
+}
+
 // spillJoinCorpus stresses the grace hash join and the streamed
 // join→aggregate path beyond the shared corpus: ON residuals, WHERE
 // predicates spanning both sides (unpushable), HAVING, DISTINCT
@@ -280,22 +366,47 @@ func TestSpillKeepsHardLimitSemanticsWithoutDir(t *testing.T) {
 	}
 }
 
-// TestSpillCleanupOnError drives a statement that spills during the
-// aggregate and then fails in HAVING evaluation; the session spill
-// directory must still be removed.
+// TestSpillCleanupOnError drives statements that spill during the
+// aggregate and then fail in HAVING evaluation — one spilling from its
+// first morsels, one crossing its budget mid-input with some partials
+// resident — and the session spill directory must still be removed.
 func TestSpillCleanupOnError(t *testing.T) {
-	db, dir := spillDB(t, 4096, 2, 128)
-	_, err := db.Query(`SELECT cat, count(*) AS n FROM t GROUP BY cat HAVING upper(n) > 'x'`)
-	if err == nil {
-		t.Fatal("want HAVING type error, got nil")
+	for _, c := range []struct {
+		budget int64
+		sql    string
+	}{
+		{4096, `SELECT cat, count(*) AS n FROM t GROUP BY cat HAVING upper(n) > 'x'`},
+		{midInputBudget, `SELECT cat, count(*) AS n, sum(x) AS s, avg(y) AS m FROM t GROUP BY cat HAVING upper(n) > 'x'`},
+	} {
+		db, dir := spillDB(t, c.budget, 2, 128)
+		_, err := db.Query(c.sql)
+		if err == nil {
+			t.Fatal("want HAVING type error, got nil")
+		}
+		assertNoSpillResidue(t, dir)
 	}
-	assertNoSpillResidue(t, dir)
 }
 
-// TestSpillCleanupOnCancel cancels a spilling statement mid-flight and
-// checks no run files outlive the query.
+// TestSpillCleanupOnCancel cancels spilling statements mid-flight — one
+// spilling from its first morsels, one crossing its budget mid-input —
+// and checks no run files outlive the query.
 func TestSpillCleanupOnCancel(t *testing.T) {
-	db, dir := spillDB(t, 4096, 2, 128)
+	for _, c := range []struct {
+		budget int64
+		sql    string
+	}{
+		{4096, `SELECT cat, count(DISTINCT id) AS n FROM t GROUP BY cat`},
+		{midInputBudget, `SELECT cat, count(*) AS n, sum(x) AS s, avg(y) AS m FROM t GROUP BY cat`},
+	} {
+		spillCancelled(t, c.budget, c.sql)
+	}
+}
+
+// spillCancelled runs sql repeatedly under budget until a cancellation
+// lands, then checks no run files outlived the query.
+func spillCancelled(t *testing.T, budget int64, sql string) {
+	t.Helper()
+	db, dir := spillDB(t, budget, 2, 128)
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
 	go func() {
@@ -318,7 +429,7 @@ func TestSpillCleanupOnCancel(t *testing.T) {
 	go func() {
 		defer close(done)
 		for i := 0; i < 50; i++ {
-			if _, err := db.QueryCtx(ctx, `SELECT cat, count(DISTINCT id) AS n FROM t GROUP BY cat`); err != nil {
+			if _, err := db.QueryCtx(ctx, sql); err != nil {
 				return // cancelled — good enough
 			}
 		}

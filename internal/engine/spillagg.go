@@ -1,32 +1,26 @@
 package engine
 
-// spillagg implements the disk-backed grouped aggregation path. When the
-// in-memory partial pass crosses the query's soft memory budget, the
-// aggregation restarts here: one serial pass hash-partitions every
-// (filtered) input row into 16 run files by its group-key hash, then each
-// partition is processed independently — re-partitioned recursively while
-// it still exceeds half the budget, otherwise loaded and aggregated by the
-// very kernel the in-memory path runs (buildPartial + combinePartials),
-// restricted to its groups — in-memory execution is the one-partition,
-// zero-spill case of this.
+// spillagg is the disk side of the one grouped-aggregate operator
+// (execAggregate). There is no restart: the operator keeps every partial
+// it built while the soft budget held, and once the accountant objects it
+// sends each later batch's rows to 16 run files by group-key hash instead.
+// At the end each partition folds its share of the kept partials and the
+// partials of its reloaded rows (combineSpilled), re-split by the next 4
+// hash bits while its run exceeds half the budget. An aggregate that never
+// crossed its budget combines in memory and never reaches this file.
 //
-// Bit-identity with the in-memory path is preserved by construction:
-// every spilled row carries its original row ordinal (seq), partitions
-// reload rows in seq order, and runs are split at the same morsel
-// boundaries the parallel path uses (seq / morsel size). Per-group float
-// accumulators therefore fold the same per-morsel sub-states in the same
-// morsel order, and the final group order is restored by sorting on each
-// group's first-appearance ordinal.
+// Bit-identity with the in-memory combine holds by construction: every
+// spilled row carries its input row ordinal (seq), each run batch holds
+// one input batch's rows of the partition in row order, so a reloaded
+// batch's partial is that batch's in-memory partial restricted to the
+// partition; partials fold in batch order, and the final group order is
+// restored by sorting on each group's first-appearance ordinal.
 
 import (
-	"errors"
 	"fmt"
 	"io"
+	"slices"
 )
-
-// errAggOverBudget aborts the in-memory partial pass when the accountant
-// crosses the query budget and spilling is available.
-var errAggOverBudget = errors.New("engine: aggregate over memory budget")
 
 // maxSpillDepth bounds recursive repartitioning: depth 0 is the initial
 // 16-way split, each extra level subdivides by the next 4 hash bits.
@@ -45,8 +39,7 @@ type rowSpiller struct {
 
 // add routes one batch's rows (keys and cols share length n; seq[r] is row
 // r's global ordinal) to their partitions by key hash and appends each
-// slice as a batch to the partition's run file. Row order is preserved per
-// partition, so run files stay sorted by seq.
+// slice, in row order, as one batch to the partition's run file.
 func (sp *rowSpiller) add(keys, cols []*Vector, seq []int64, n int) error {
 	for p := range sp.sels {
 		sp.sels[p] = sp.sels[p][:0]
@@ -84,6 +77,11 @@ func (sp *rowSpiller) add(keys, cols []*Vector, seq []int64, n int) error {
 		}
 	}
 	return nil
+}
+
+// opened reports whether any row was spilled.
+func (sp *rowSpiller) opened() bool {
+	return slices.ContainsFunc(sp.ws[:], func(w *runWriter) bool { return w != nil })
 }
 
 // close closes every open writer and returns the non-empty partitions'
@@ -137,166 +135,110 @@ func (ec *ExecContext) respill(rr *runReader, path, label string, depth int, key
 	return sub.close()
 }
 
-// aggSpillState is a streaming sink for the spilled aggregation: callers
-// feed (filtered) input batches tagged with their original row ordinals,
-// then finish() partitions-processes everything into the $key/$agg
-// intermediate table. Used by execAggSpill (input table morsels) and the
-// grace-join path (merged join output batches). A run row holds the group
-// keys, then each call's argument vectors (see aggArgs), then the ordinal.
-type aggSpillState struct {
-	ec      *ExecContext
-	prep    *aggPrep
-	sp      *rowSpiller
-	spilled int64
-}
-
-func newAggSpillState(ec *ExecContext, prep *aggPrep) *aggSpillState {
-	return &aggSpillState{ec: ec, prep: prep, sp: &rowSpiller{ec: ec, label: "agg"}}
-}
-
-// feed partitions one batch of already-filtered rows. The batch started at
-// ordinal start of the unfiltered input and sel (nil = every row) holds the
-// surviving rows' offsets from it; phase B uses the ordinals to recover
-// morsel boundaries and first-appearance order.
-func (as *aggSpillState) feed(part *Table, start int64, sel []int32) error {
-	n := part.NumRows()
-	if n == 0 {
-		return nil
-	}
-	keys, args, err := as.prep.evalInputs(part)
-	if err != nil {
-		return err
-	}
-	cols := keys
-	for _, av := range args {
-		cols = append(cols, av...)
-	}
-	seq := make([]int64, n)
-	for r := range seq {
-		seq[r] = start + int64(r)
-		if sel != nil {
-			seq[r] = start + int64(sel[r])
-		}
-	}
-	return as.sp.add(keys, cols, seq, n)
-}
-
-// abort closes any open run writers after a feed error.
-func (as *aggSpillState) abort() { as.sp.close() }
-
-// finish processes every partition and assembles the intermediate table,
-// recording spill totals on the aggregate's plan node.
-func (as *aggSpillState) finish(node *PlanNode) (*Table, error) {
-	ec, prep := as.ec, as.prep
-	nKeys, msize := len(prep.emptyKeys), int64(ec.morselSize())
-	paths, bytes, err := as.sp.close()
+// combineSpilled is the combine of an aggregate that spilled part of its
+// input. Every hash partition — 16 by the top 4 bits of the key hash,
+// split by the next 4 while its run exceeds half the budget — folds, in
+// batch order, two sets of partials: the kept partials' groups that hash
+// into it, and the partials of its reloaded morsel-runs. Concatenated, the
+// partitions' groups are sorted back into first-appearance order.
+//
+// Bit-identity with the in-memory combine holds by construction: a
+// reloaded run is one batch's rows of the partition in row order, so its
+// partial equals that batch's in-memory partial restricted to the
+// partition, and every group folds the same per-batch partials in the same
+// batch order.
+func combineSpilled(ec *ExecContext, prep *aggPrep, kept []*morselAgg, sp *rowSpiller, node *PlanNode) (*Table, error) {
+	nKeys := len(prep.emptyKeys)
+	paths, spilled, err := sp.close()
 	if err != nil {
 		return nil, err
 	}
-	as.spilled += bytes
-
-	// Process partitions in hash order. midParts[i] holds one partition's
-	// groups (keys + agg results); firstSeqs aligns with the concatenated
-	// rows and restores global first-appearance order.
-	var midParts []*Table
+	// mids holds each partition's groups (keys + agg results); firstSeqs
+	// aligns with their concatenated rows.
+	var mids []*Table
 	var firstSeqs []int64
+	var leaves int64
 
-	var process func(path string, depth int) error
-	process = func(path string, depth int) error {
+	// process combines the partition whose key hashes have the top
+	// 4(depth+1) bits prefix; path is its run file ("" = nothing spilled).
+	var process func(path string, depth int, prefix uint64) error
+	process = func(path string, depth int, prefix uint64) error {
 		if err := ec.interrupted(); err != nil {
 			return err
 		}
-		rr, err := ec.openRun(path)
-		if err != nil {
-			return err
-		}
-		if b := ec.budget(); rr.size > b/2 && depth < maxSpillDepth {
-			// Still too big to load: subdivide by the next 4 hash bits.
-			subPaths, bytes, err := ec.respill(rr, path, "agg", depth+1, func(vs []*Vector) []*Vector { return vs[:nKeys] })
-			as.spilled += bytes
-			if err != nil {
+		var rr *runReader
+		if path != "" {
+			var err error
+			if rr, err = ec.openRun(path); err != nil {
 				return err
 			}
-			for _, sp := range subPaths {
-				if sp == "" {
-					continue
-				}
-				if err := process(sp, depth+1); err != nil {
+			if rr.size > ec.QueryMemLimit/2 && depth < maxSpillDepth {
+				// Still too big to load: subdivide by the next 4 hash bits.
+				subs, bytes, err := ec.respill(rr, path, "agg", depth+1, func(vs []*Vector) []*Vector { return vs[:nKeys] })
+				spilled += bytes
+				if err != nil {
 					return err
 				}
+				for q, sub := range subs {
+					if err := process(sub, depth+1, prefix<<4|uint64(q)); err != nil {
+						return err
+					}
+				}
+				return nil
 			}
-			return nil
 		}
-
-		// Leaf: load the whole partition (sorted by seq — writers preserve
-		// row order), cut it at the input's morsel boundaries, and run the
-		// aggregate kernel over those runs: per-run partials hold exactly
-		// this partition's rows of each morsel, in morsel order.
-		cols, total, loaded, err := ec.loadRun(rr, path)
-		if err != nil {
-			return err
-		}
-		defer ec.release(loaded)
-		if total == 0 {
-			return nil
-		}
-		seqAll := cols[len(cols)-1].Int64s()
-		var partials []*morselAgg
-		var runLo []int
-		for lo, r := 0, 1; r <= total; r++ {
-			if r < total && seqAll[r]/msize == seqAll[lo]/msize {
-				continue
+		shift := uint(60 - 4*depth)
+		inPart := func(h uint64) bool { return h>>shift == prefix }
+		fold := make([]*morselAgg, len(kept)) // one slot per input batch
+		for i, ma := range kept {
+			if ma != nil && slices.ContainsFunc(ma.hashes, inPart) {
+				fold[i] = ma
 			}
-			run := sliceVecs(cols, lo, r)
-			args := make([][]*Vector, len(prep.aggCalls))
-			off := nKeys
-			for k := range args {
-				args[k] = run[off : off+len(prep.emptyArgs[k])]
-				off += len(args[k])
-			}
-			ma, err := buildPartial(prep.aggCalls, run[:nKeys], args, r-lo)
+		}
+		if rr != nil {
+			loaded, err := runPartials(ec, prep, rr, path, fold)
+			defer ec.release(loaded)
 			if err != nil {
 				return err
 			}
-			partials = append(partials, ma)
-			runLo = append(runLo, lo)
-			lo = r
+			leaves++
 		}
-		pt, refs, err := combinePartials(prep, partials)
+		fold = slices.DeleteFunc(fold, func(ma *morselAgg) bool { return ma == nil })
+		if len(fold) == 0 {
+			return nil
+		}
+		pt, gmaps, err := combinePartials(prep, fold, inPart)
 		if err != nil {
 			return err
 		}
-		// A group's firstSeq is the ordinal of its first row anywhere in
-		// the input.
-		for _, rf := range refs {
-			firstSeqs = append(firstSeqs, seqAll[runLo[rf.src]+int(rf.row)])
+		// Group ids are handed out in fold order, so the first (partial,
+		// local group) mapping to the next id is that group's first row.
+		next := 0
+		for mi, gm := range gmaps {
+			for lg, g := range gm {
+				if g == next {
+					firstSeqs = append(firstSeqs, fold[mi].seqs[lg])
+					next++
+				}
+			}
 		}
 		ec.charge(pt.ByteSize())
-		midParts = append(midParts, pt)
+		mids = append(mids, pt)
 		return nil
 	}
-	for _, p := range paths {
-		if p == "" {
-			continue
-		}
-		if err := process(p, 0); err != nil {
+	for p, path := range paths {
+		if err := process(path, 0, uint64(p)); err != nil {
 			return nil, err
 		}
 	}
 
 	if node != nil {
 		node.Groups = int64(len(firstSeqs))
-		node.SpillParts += int64(len(midParts))
-		node.SpillBytes += as.spilled
+		node.SpillParts += leaves
+		node.SpillBytes += spilled
 	}
-	ec.addSpill(0, int64(len(midParts)))
-
-	if len(midParts) == 0 {
-		// Nothing spilled (all rows filtered out): the empty grouped table.
-		mid, _, err := combinePartials(prep, nil)
-		return mid, err
-	}
-	mid, err := ec.concatTables(midParts[0].Schema(), midParts)
+	ec.addSpill(0, leaves)
+	mid, err := ec.concatTables(mids[0].Schema(), mids)
 	if err != nil {
 		return nil, err
 	}
@@ -308,23 +250,44 @@ func (as *aggSpillState) finish(node *PlanNode) (*Table, error) {
 	return mid.Gather(ord), nil
 }
 
-// execAggSpill redoes a grouped aggregation with partitioned spilling and
-// returns the $key/$agg intermediate table, identical (bit-for-bit, group
-// order included) to what the in-memory combine would have produced.
-func execAggSpill(ec *ExecContext, prep *aggPrep, t *Table, node, fnode *PlanNode, where Expr) (*Table, error) {
-	as := newAggSpillState(ec, prep)
-	// Phase A: the morsel loop run serially (the partition writers are
-	// shared and run files must stay in row order), partitioning every
-	// (filtered) morsel's rows. Morsels decompose the unfiltered input
-	// exactly like the parallel path, and a row's ordinal is its original
-	// row index, so morsel membership is recoverable as seq/msize.
-	err := ec.serial().forMorsels(t, where, fnode, func(_ int, m morsel, part *Table, sel []int32) error {
-		node.AddMorsels(1)
-		return as.feed(part, int64(m.lo), sel)
-	})
-	if err != nil {
-		as.abort()
-		return nil, err
+// runPartials reads a spilled partition's run batch by batch and builds
+// each batch's partial into fold's slot for its input batch: the operator
+// and respill write one batch per input batch and partition, holding its
+// rows in row order (keys, arguments, then the row ordinal). It returns
+// the bytes it charged for the rows it keeps, and deletes the run.
+func runPartials(ec *ExecContext, prep *aggPrep, rr *runReader, path string, fold []*morselAgg) (int64, error) {
+	nKeys, msize := len(prep.emptyKeys), int64(ec.morselSize())
+	var loaded int64
+	for {
+		vs, err := rr.next()
+		if err == io.EOF {
+			break
+		}
+		var ma *morselAgg
+		if err == nil {
+			args := make([][]*Vector, len(prep.aggCalls))
+			off := nKeys
+			for k := range args {
+				args[k] = vs[off : off+len(prep.emptyArgs[k])]
+				off += len(args[k])
+			}
+			ma, err = buildPartial(prep.aggCalls, vs[:nKeys], args, vs[0].Len())
+		}
+		if err != nil {
+			rr.close()
+			return loaded, err
+		}
+		seq := vs[len(vs)-1].Int64s()
+		ma.seqs = make([]int64, len(ma.rows))
+		for g, r := range ma.rows {
+			ma.seqs[g] = seq[r]
+		}
+		fold[seq[0]/msize] = ma
+		for _, v := range vs {
+			loaded += v.ByteSize()
+			ec.charge(v.ByteSize())
+		}
 	}
-	return as.finish(node)
+	ec.removeRun(path)
+	return loaded, rr.close()
 }

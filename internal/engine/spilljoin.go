@@ -16,30 +16,19 @@ package engine
 // row); partition outputs are mk-sorted by construction, so a k-way merge
 // by mk reproduces the materialized order bit for bit.
 //
-// On top of the grace join, trySpillJoinAgg runs a grouped aggregate over
-// a single join without ever materializing the joined relation: the
-// merged stream is fed straight into the spilled-aggregation sink with
-// true row ordinals, so results stay bit-identical to the in-memory
-// join → filter → aggregate pipeline.
+// The merged output is a stream (joinStream). A grouped or global
+// aggregate over the join reads it batch by batch through the same
+// operator that aggregates a table's morsels, so the joined relation is
+// never materialized; any other reader materializes it. Unlike the
+// aggregate, the join decides up front: its in-memory path must build the
+// whole right side's index before it emits a row, so there is no partial
+// work to keep once the budget is crossed, and the choice rests on the
+// one estimate made from the loaded inputs.
 
 import (
 	"fmt"
 	"io"
-	"sync/atomic"
-	"time"
-
-	"mip/internal/obs"
 )
-
-// wouldSpill reports whether an operator expecting to charge about est
-// more bytes should take its disk-backed path instead.
-func (ec *ExecContext) wouldSpill(est int64) bool {
-	if !ec.spillEnabled() {
-		return false
-	}
-	b := ec.budget()
-	return b > 0 && ec.Acct.Live()+est > b
-}
 
 // joinedSchema is the output schema of a hash join: left columns then
 // right columns (both already alias-qualified).
@@ -57,10 +46,10 @@ type joinSpill struct {
 	keys        joinKeys
 	jc          JoinClause
 	residual    Expr // ON-clause residual, applied per emitted batch
-	node        *PlanNode
 	spilled     int64
 	leafParts   int64
 	groups      int64
+	rows        int // joined rows written to outRuns
 	outRuns     []string
 }
 
@@ -90,25 +79,6 @@ func (js *joinSpill) partitionSide(t *Table, keyCols []*Vector, label string) ([
 	return paths, err
 }
 
-// partitionAndProbe runs the full grace join: partition both sides, then
-// join each partition pair, leaving mk-sorted output runs in js.outRuns.
-func (js *joinSpill) partitionAndProbe() error {
-	lPaths, err := js.partitionSide(js.left, js.keys.of(js.left.cols, js.keys.l), "jl")
-	if err != nil {
-		return err
-	}
-	rPaths, err := js.partitionSide(js.right, js.keys.of(js.right.cols, js.keys.r), "jr")
-	if err != nil {
-		return err
-	}
-	for p := 0; p < 16; p++ {
-		if err := js.process(lPaths[p], rPaths[p], 0); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // process joins one partition pair. A build side still larger than half
 // the budget re-partitions both sides by the next 4 hash bits (all
 // matches of a row live in its own partition, so the pair recursion stays
@@ -132,7 +102,7 @@ func (js *joinSpill) process(lp, rp string, depth int) error {
 		if err != nil {
 			return err
 		}
-		if rr.size > ec.budget()/2 && depth < maxSpillDepth {
+		if rr.size > ec.QueryMemLimit/2 && depth < maxSpillDepth {
 			rSub, bytes, err := ec.respill(rr, rp, "jr", depth+1, func(vs []*Vector) []*Vector { return js.keys.of(vs, js.keys.r) })
 			js.spilled += bytes
 			if err != nil {
@@ -265,6 +235,7 @@ func (js *joinSpill) leaf(lp string, rr *runReader, rp string, depth int) error 
 			}
 		}
 		outCols[lw+rw] = NewInt64Vector(mks, nil)
+		js.rows += len(mks)
 		if ow == nil {
 			ow, err = ec.newRunWriter(fmt.Sprintf("jo-d%d", depth), outCols)
 			if err != nil {
@@ -291,17 +262,6 @@ func (js *joinSpill) leaf(lp string, rr *runReader, rp string, depth int) error 
 		}
 	}
 	return nil
-}
-
-// finishStats folds the join's spill totals onto its plan node and the
-// engine/query counters (bytes are already tallied per write).
-func (js *joinSpill) finishStats() {
-	if js.node != nil {
-		js.node.Groups = js.groups
-		js.node.SpillParts += js.leafParts
-		js.node.SpillBytes += js.spilled
-	}
-	js.ec.addSpill(0, js.leafParts)
 }
 
 // mergeJoinRuns k-way merges mk-sorted output runs back into global mk
@@ -423,138 +383,68 @@ func mergeJoinRuns(ec *ExecContext, paths []string, schema Schema, batchRows int
 	return flush()
 }
 
-// graceHashJoin is hashJoin's disk-backed path: identical output (rows,
-// order, float bits), peak memory bounded by partition size instead of
-// build + output size.
-func graceHashJoin(ec *ExecContext, left, right *Table, jk joinKeys, jc JoinClause, residual Expr, node *PlanNode) (*Table, error) {
-	js := &joinSpill{ec: ec, left: left, right: right, keys: jk, jc: jc, residual: residual, node: node}
-	if err := js.partitionAndProbe(); err != nil {
+// graceHashJoin is hashJoin's disk-backed path: it partitions both sides,
+// joins each partition pair and leaves the output in mk-sorted runs. Read
+// back, the stream is the in-memory join's output (rows, order, float
+// bits); peak memory is bounded by partition size instead of build +
+// output size.
+func graceHashJoin(ec *ExecContext, left, right *Table, jk joinKeys, jc JoinClause, residual Expr, node *PlanNode) (*joinStream, error) {
+	js := &joinSpill{ec: ec, left: left, right: right, keys: jk, jc: jc, residual: residual}
+	lPaths, err := js.partitionSide(left, jk.of(left.cols, jk.l), "jl")
+	if err != nil {
 		return nil, err
 	}
-	js.finishStats()
-	schema := joinedSchema(left, right)
+	rPaths, err := js.partitionSide(right, jk.of(right.cols, jk.r), "jr")
+	if err != nil {
+		return nil, err
+	}
+	for p := 0; p < 16; p++ {
+		if err := js.process(lPaths[p], rPaths[p], 0); err != nil {
+			return nil, err
+		}
+	}
+	if node != nil { // spilled bytes reached the query's counters per write
+		node.Groups = js.groups
+		node.SpillParts += js.leafParts
+		node.SpillBytes += js.spilled
+	}
+	ec.addSpill(0, js.leafParts)
+	return &joinStream{paths: js.outRuns, schema: joinedSchema(left, right), rows: js.rows}, nil
+}
+
+// joinStream is a grace join's output still in its run files, with its
+// row count: mergeJoinRuns reads the rows back in the in-memory join's
+// order, in morsel-sized batches. It is read once.
+type joinStream struct {
+	paths  []string
+	schema Schema
+	rows   int
+}
+
+// table materializes the stream.
+func (s *joinStream) table(ec *ExecContext) (*Table, error) {
 	var parts []*Table
-	err := mergeJoinRuns(ec, js.outRuns, schema, ec.morselSize(), func(b *Table, _ int64) error {
+	err := mergeJoinRuns(ec, s.paths, s.schema, ec.morselSize(), func(b *Table, _ int64) error {
 		parts = append(parts, b)
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return ec.concatTables(schema, parts)
+	return ec.concatTables(s.schema, parts)
 }
 
-// trySpillJoinAgg runs SELECT ... FROM a JOIN b ON ... [WHERE] GROUP BY
-// ... entirely through the spill machinery when the joined relation would
-// blow the memory budget: grace-join both sides, then feed the merged
-// stream (tagged with true row ordinals) straight into the spilled
-// aggregation — the joined table is never materialized. Returns
-// handled=false when the statement shape doesn't fit or the join is
-// expected to stay within budget; the caller then takes the normal
-// materialize path.
-func trySpillJoinAgg(ec *ExecContext, s *SelectStmt, plan *joinPlan, qs *QueryStats) (*Table, bool, error) {
-	if !ec.spillEnabled() || len(s.Joins) != 1 || !selHasAgg(s) || len(s.GroupBy) == 0 {
-		return nil, false, nil
-	}
-	if len(plan.rels) != 2 || len(plan.order) != 1 || plan.reordered {
-		return nil, false, nil
-	}
-	var est int64
-	for _, r := range plan.rels {
-		if r.table.NumRows() >= 1<<30 {
-			return nil, false, nil
-		}
-		est += r.table.ByteSize() + int64(r.table.NumRows())*16
-	}
-	if !ec.wouldSpill(est) {
-		return nil, false, nil
-	}
-
-	inputs, nodes, err := joinInputs(ec, plan, qs)
-	if err != nil {
-		return nil, true, err
-	}
-	jc := s.Joins[plan.order[0]]
-	left, right := inputs[0], inputs[1]
-	lk, rk, onResidual, err := splitOn(jc.On, left, right)
-	if err != nil {
-		return nil, true, err
-	}
-
-	t0 := time.Now()
-	jnode := &PlanNode{Op: "join", Detail: joinDetail(jc)}
-	ec.setOperator("join " + joinDetail(jc))
-	js := &joinSpill{ec: ec, left: left, right: right, keys: newJoinKeys(left, right, lk, rk), jc: jc, residual: onResidual, node: jnode}
-	if err := js.partitionAndProbe(); err != nil {
-		return nil, true, err
-	}
-	js.finishStats()
-	jnode.RowsIn = int64(left.NumRows() + right.NumRows())
-	jnode.Children = []*PlanNode{nodes[0], nodes[1]}
-	qs.Root = jnode
-
-	// Aggregate off the merged stream. where is the planner's residual
-	// WHERE (the conjuncts not pushed below the join), applied per merged
-	// batch just like the morsel loop applies a fused filter per morsel.
-	where := plan.residual
-	schema := joinedSchema(left, right)
-	prep, err := prepareAgg(s, NewTable(schema))
-	if err != nil {
-		return nil, true, err
-	}
-	as := newAggSpillState(ec, prep)
-	var fnode *PlanNode
-	if where != nil {
-		fnode = qs.beginStage("filter", where.String(), 0).node
-	}
-	sg := qs.beginStage("aggregate", aggDetail(s), 0)
-	sg.fuseFilter(fnode)
-	anode := sg.node
-	for _, n := range []*PlanNode{fnode, anode} {
-		if n != nil {
-			n.Fused = where != nil
-		}
-	}
-
-	var total int64
-	err = mergeJoinRuns(ec, js.outRuns, schema, ec.morselSize(), func(b *Table, startOrd int64) error {
-		total += int64(b.NumRows())
+// batches is source.batches for the stream: its merged batches, serially
+// and in order. They cut the joined rows exactly where the morsels of the
+// materialized join would.
+func (s *joinStream) batches(ec *ExecContext, where Expr, fnode *PlanNode, fn func(i int, start int64, part *Table, sel []int32) error) error {
+	i := 0
+	return mergeJoinRuns(ec, s.paths, s.schema, ec.morselSize(), func(b *Table, start int64) error {
 		part, sel, err := filterPart(where, b, fnode)
-		if err != nil {
-			return err
+		if err == nil {
+			err = fn(i, start, part, sel)
 		}
-		anode.AddMorsels(1)
-		return as.feed(part, startOrd, sel)
+		i++
+		return err
 	})
-	if err != nil {
-		as.abort()
-		return nil, true, err
-	}
-	jnode.Nanos = time.Since(t0).Nanoseconds()
-	atomic.AddInt64(&qs.OpNanos[obs.OpJoin], jnode.Nanos)
-	jnode.RowsOut = total
-	qs.RowsScanned += int(total)
-	qs.Vectors += len(schema)
-	ec.addRows(int(total))
-	for _, n := range []*PlanNode{fnode, anode} {
-		if n != nil {
-			n.RowsIn = total
-		}
-	}
-
-	mid, err := as.finish(anode)
-	if err != nil {
-		return nil, true, err
-	}
-	out, err := aggFinalize(ec, mid, prep.having, prep.items)
-	if err != nil {
-		return nil, true, err
-	}
-	sg.end(out)
-	if out, err = ec.runStages(s, ec.afterAggregate(s), out, qs); err != nil {
-		return nil, true, err
-	}
-	qs.RowsOut += out.NumRows()
-	qs.Vectors += len(out.Schema())
-	return out, true, nil
 }

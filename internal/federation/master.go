@@ -65,8 +65,8 @@ type Master struct {
 	// out on the next step sent to that worker (at most pinCap each).
 	releases map[string][]string
 
-	// Fault tolerance: per-worker circuit breakers plus the default
-	// degraded-aggregation policy new sessions inherit.
+	// Fault tolerance: per-worker circuit breakers plus the
+	// degraded-aggregation policy every session applies.
 	healthMu  sync.Mutex
 	health    map[string]*workerHealth
 	breaker   BreakerConfig
@@ -94,8 +94,8 @@ func WithBreaker(b BreakerConfig) MasterOption {
 	return func(m *Master) { m.breaker = b }
 }
 
-// WithTolerance sets the default degraded-aggregation policy inherited by
-// new sessions and by MergeQuery.
+// WithTolerance sets the degraded-aggregation policy of every session and
+// of MergeQuery.
 func WithTolerance(t Tolerance) MasterOption {
 	return func(m *Master) { m.tolerance = t }
 }
@@ -330,8 +330,8 @@ func (t Tolerance) Required(n int) int {
 }
 
 // NewSession opens an execution session for one experiment, scoped to the
-// workers that hold the requested datasets. The session inherits the
-// master's default Tolerance; override per experiment with SetTolerance.
+// workers that hold the requested datasets. Its steps degrade by the
+// master's Tolerance (WithTolerance).
 func (m *Master) NewSession(datasets []string) (*Session, error) {
 	ws := m.WorkersFor(datasets)
 	if len(ws) == 0 {
@@ -340,16 +340,14 @@ func (m *Master) NewSession(datasets []string) (*Session, error) {
 	m.mu.Lock()
 	m.jobSeq++
 	id := fmt.Sprintf("exp-%s-%d", m.boot, m.jobSeq)
-	tol := m.tolerance
 	m.mu.Unlock()
 	return &Session{
-		id:        id,
-		master:    m,
-		workers:   ws,
-		datasets:  datasets,
-		tolerance: tol,
-		cancelCh:  make(chan struct{}),
-		pinned:    make(map[string]bool),
+		id:       id,
+		master:   m,
+		workers:  ws,
+		datasets: datasets,
+		cancelCh: make(chan struct{}),
+		pinned:   make(map[string]bool),
 	}, nil
 }
 
@@ -606,14 +604,13 @@ func (p *workerPart) QueryCtx(ctx context.Context, sql string) (*engine.Table, e
 // to run local steps, aggregate transfers and iterate — the Go rendering of
 // the paper's Figure 2 programming model.
 type Session struct {
-	id        string
-	master    *Master
-	workers   []WorkerClient
-	datasets  []string
-	tenant    string // owner of the experiment, for metering and audit
-	stepSeq   int
-	trace     obs.TraceRef // zero value disables tracing
-	tolerance Tolerance
+	id       string
+	master   *Master
+	workers  []WorkerClient
+	datasets []string
+	tenant   string // owner of the experiment, for metering and audit
+	stepSeq  int
+	trace    obs.TraceRef // zero value disables tracing
 
 	// End-to-end cancellation: Cancel closes cancelCh (failing the current
 	// and any future step) and sends a cancel RPC for the in-flight job to
@@ -671,13 +668,6 @@ func (s *Session) Datasets() []string { return append([]string(nil), s.datasets.
 
 // Secure reports whether aggregation goes through SMPC.
 func (s *Session) Secure() bool { return s.master.security.UseSMPC }
-
-// SetTolerance overrides the session's degraded-aggregation policy
-// (inherited from the master by default). Call before running steps.
-func (s *Session) SetTolerance(t Tolerance) { s.tolerance = t }
-
-// Tolerance returns the session's degraded-aggregation policy.
-func (s *Session) Tolerance() Tolerance { return s.tolerance }
 
 // Dropped returns the sorted ids of workers dropped from any degraded
 // step of this session — the partial-aggregate metadata recorded in
@@ -923,8 +913,8 @@ func (s *Session) localRun(spec LocalRunSpec, secure bool, parentSpan string) ([
 	// fires. Late repliers write to the buffered channel, so their
 	// goroutines never leak; their breaker reports still land.
 	var deadline <-chan time.Time
-	if s.tolerance.StepDeadline > 0 {
-		timer := time.NewTimer(s.tolerance.StepDeadline)
+	if s.master.tolerance.StepDeadline > 0 {
+		timer := time.NewTimer(s.master.tolerance.StepDeadline)
 		defer timer.Stop()
 		deadline = timer.C
 	}
@@ -959,7 +949,7 @@ func (s *Session) localRun(spec LocalRunSpec, secure bool, parentSpan string) ([
 	if timedOut {
 		for i, w := range s.workers {
 			if !settled[i] {
-				failed[i] = fmt.Errorf("worker %s: straggler: no reply within %s", w.ID(), s.tolerance.StepDeadline)
+				failed[i] = fmt.Errorf("worker %s: straggler: no reply within %s", w.ID(), s.master.tolerance.StepDeadline)
 				settled[i] = true
 			}
 		}
@@ -990,7 +980,7 @@ func (s *Session) localRun(spec LocalRunSpec, secure bool, parentSpan string) ([
 		step.SetError(err)
 		return nil, jobID, err
 	}
-	required := s.tolerance.Required(len(s.workers))
+	required := s.master.tolerance.Required(len(s.workers))
 	stepLog := obs.WithTrace(masterLog, &obs.TraceRef{TraceID: s.trace.TraceID, SpanID: step.ID()}).With(
 		"func", spec.Func, "job_id", jobID)
 	if len(ok) < required {

@@ -243,13 +243,12 @@ func TestPinLostFailsLoudly(t *testing.T) {
 					handles = append(handles, h)
 					clients = append(clients, h)
 				}
-				m, err := NewMaster(clients, cluster, Security{UseSMPC: secure})
+				m, err := NewMaster(clients, cluster, Security{UseSMPC: secure}, WithTolerance(Tolerance{MinWorkers: 2}))
 				if err != nil {
 					t.Fatal(err)
 				}
 				t.Cleanup(m.Close)
 				s, _ := m.NewSession(nil)
-				s.SetTolerance(Tolerance{MinWorkers: 2})
 				if _, err := s.Aggregate(sums); err != nil {
 					t.Fatal(err)
 				}
