@@ -56,9 +56,12 @@ auditsmoke:
 # the results must stay bit-identical with no run files left behind. It
 # also runs the mid-input crossing: an aggregate whose budget is crossed
 # partway keeps the partials built before it, spills only the later
-# morsels, stays bit-identical and evaluates no morsel twice.
+# morsels, stays bit-identical and evaluates no morsel twice. Last, the
+# run files themselves: every type round-trips bit for bit, an empty batch
+# survives, a session's directory goes with every run in it, and each kind
+# of corrupt stream is refused with its own message.
 spillsmoke:
-	$(GO) test -count=1 -run 'TestSpillSerialParallelEquivalence|TestSpillJoinEquivalence|TestSpillMidInputCrossing|TestSpillCleanupOnError|TestSpillCleanupOnCancel' ./internal/engine/
+	$(GO) test -count=1 -run 'TestSpillSerialParallelEquivalence|TestSpillJoinEquivalence|TestSpillMidInputCrossing|TestSpillCleanupOnError|TestSpillCleanupOnCancel|TestRoundTripAllKinds|TestEmptyBatchAndZeroRuns|TestDirCleanup|TestReaderRejectsCorruptStreams' ./internal/engine/
 
 # cachesmoke covers both cache tiers' correctness backbone: plan-cached
 # execution stays bit-identical to uncached, schema changes invalidate
@@ -87,9 +90,12 @@ cachesmoke:
 # (-0.0, subnormals, nil against empty, span times), a body cut at any
 # byte is an error, every algorithm's result is byte-identical in process
 # and over HTTP, plain and secure, and a non-finite transfer fails the step
-# with one message on both transports.
+# with one message on both transports. Both formats are pinned byte for
+# byte against recorded streams (testdata/*.mipt, *.mips), so any drift
+# fails. A worker refuses a body past its cap with a final 413, while the
+# largest legitimate one, a CART round's tree, still runs.
 wiresmoke:
-	$(GO) test -count=1 -race -run 'TestQueryHTTPMatchesInProcess|TestQueryStreamTruncation|TestStepEnvelopeRoundTrip|TestStepEnvelopeTruncation|TestTransportsAgree|TestNonFiniteTransferRejected' ./internal/federation/ ./internal/algorithms/
+	$(GO) test -count=1 -race -run 'TestQueryHTTPMatchesInProcess|TestQueryStreamTruncation|TestStepEnvelopeRoundTrip|TestStepEnvelopeTruncation|TestTransportsAgree|TestNonFiniteTransferRejected|TestTableStreamGolden|TestStepEnvelopeGolden|TestOversizedBodyRefused|TestLargestCartStepFitsBodyCap' ./internal/engine/ ./internal/federation/ ./internal/algorithms/
 
 # smpcsmoke covers share import outside the cluster lock: four goroutines
 # importing into two jobs while a third job aggregates (sums exact), and two

@@ -7,6 +7,7 @@
 package engine
 
 import (
+	"encoding/binary"
 	"fmt"
 	"maps"
 	"math"
@@ -103,18 +104,55 @@ func (b *Bitmap) Append(v bool) {
 	b.Set(b.n-1, v)
 }
 
-// CountValid returns the number of valid rows.
-func (b *Bitmap) CountValid() int {
-	if b == nil {
-		return b.n
+// nullWord returns word w's NULL bits (bit set = NULL), masked to the
+// first n rows: a sliced view's last word may carry stray bits past its
+// end, and NewBitmap's tail bits would read as NULL.
+func (b *Bitmap) nullWord(w, n int) uint64 {
+	x := ^b.words[w]
+	if r := n - 64*w; r < 64 {
+		x &= 1<<r - 1
 	}
-	var c int
-	for i := 0; i < b.n; i++ {
-		if b.Get(i) {
-			c++
+	return x
+}
+
+// hasNull reports whether any of the first n rows is NULL, a word at a
+// time; a nil bitmap has none.
+func (b *Bitmap) hasNull(n int) bool {
+	if b == nil {
+		return false
+	}
+	for w := 0; 64*w < n; w++ {
+		if b.nullWord(w, n) != 0 {
+			return true
 		}
 	}
-	return c
+	return false
+}
+
+// appendNulls appends the first n rows' NULL bits to buf, packed
+// little-endian into (n+7)/8 bytes: the table stream's null bitmap.
+func (b *Bitmap) appendNulls(buf []byte, n int) []byte {
+	end := len(buf) + (n+7)/8
+	for w := 0; 64*w < n; w++ {
+		buf = binary.LittleEndian.AppendUint64(buf, b.nullWord(w, n))
+	}
+	return buf[:end]
+}
+
+// bitmapOfNulls reads back what appendNulls wrote for n rows. It is sized
+// by p, so a forged n allocates nothing; a nil p (short input) yields nil.
+func bitmapOfNulls(p []byte, n int) *Bitmap {
+	if p == nil {
+		return nil
+	}
+	b := &Bitmap{words: make([]uint64, (len(p)+7)/8), n: n}
+	for i := range b.words {
+		var w [8]byte
+		copy(w[:], p[8*i:])
+		b.words[i] = binary.LittleEndian.Uint64(w[:])
+		b.words[i] = b.nullWord(i, n) // the inversion works both ways
+	}
+	return b
 }
 
 // slice returns a bitmap view of rows [lo, hi). When lo is word-aligned

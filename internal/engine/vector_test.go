@@ -8,14 +8,17 @@ import (
 
 func TestBitmap(t *testing.T) {
 	b := NewBitmap(130)
-	if b.Len() != 130 || b.CountValid() != 130 {
-		t.Fatalf("fresh bitmap: len=%d valid=%d", b.Len(), b.CountValid())
+	if b.Len() != 130 || b.hasNull(130) {
+		t.Fatalf("fresh bitmap: len=%d hasNull=%v", b.Len(), b.hasNull(130))
+	}
+	b.Set(129, false)
+	if !b.hasNull(130) || b.hasNull(129) {
+		t.Fatalf("a NULL in the tail word: hasNull(130)=%v hasNull(129)=%v", b.hasNull(130), b.hasNull(129))
 	}
 	b.Set(0, false)
 	b.Set(64, false)
-	b.Set(129, false)
-	if b.CountValid() != 127 {
-		t.Fatalf("CountValid = %d", b.CountValid())
+	if !b.hasNull(1) || b.slice(1, 64).hasNull(63) || !b.slice(64, 65).hasNull(1) || b.slice(65, 129).hasNull(64) || b.slice(128, 129).hasNull(1) {
+		t.Fatal("hasNull wrong across word boundaries and views")
 	}
 	if b.Get(0) || b.Get(64) || b.Get(129) || !b.Get(1) || !b.Get(63) || !b.Get(65) {
 		t.Fatal("Get/Set mismatch around word boundaries")
@@ -25,7 +28,7 @@ func TestBitmap(t *testing.T) {
 		t.Fatal("re-Set failed")
 	}
 	var nilB *Bitmap
-	if !nilB.Get(12345) {
+	if !nilB.Get(12345) || nilB.hasNull(12345) {
 		t.Fatal("nil bitmap must report valid")
 	}
 	if nilB.Clone() != nil {

@@ -1,12 +1,12 @@
 package federation
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math"
 	"slices"
 	"time"
 
+	"mip/internal/engine/frame"
 	"mip/internal/obs"
 	"mip/internal/smpc"
 )
@@ -30,25 +30,22 @@ const (
 	kindRequest, kindResponse = 'Q', 'R'
 )
 
-// stepEncoder appends an envelope's fields to buf.
-type stepEncoder struct{ buf []byte }
+// stepEncoder appends an envelope's fields to Buf.
+type stepEncoder struct{ frame.Encoder }
 
 func newStepEncoder(buf []byte, kind byte, size int) *stepEncoder {
-	return &stepEncoder{append(append(slices.Grow(buf, size), stepMagic...), kind)}
+	return &stepEncoder{frame.Encoder{Buf: append(append(slices.Grow(buf, size), stepMagic...), kind)}}
 }
 
-func (e *stepEncoder) uint(x uint64) { e.buf = binary.AppendUvarint(e.buf, x) }
-func (e *stepEncoder) int(x int64)   { e.buf = binary.AppendVarint(e.buf, x) }
-func (e *stepEncoder) u64(x uint64)  { e.buf = binary.LittleEndian.AppendUint64(e.buf, x) }
-func (e *stepEncoder) str(s string)  { e.uint(uint64(len(s))); e.buf = append(e.buf, s...) }
-func (e *stepEncoder) flag(b bool)   { e.count(0, !b) }
+func (e *stepEncoder) str(s string) { e.Uvarint(uint64(len(s))); e.Buf = append(e.Buf, s...) }
+func (e *stepEncoder) flag(b bool)  { e.count(0, !b) }
 
 // count writes a length as n+1, or 0 for nil.
 func (e *stepEncoder) count(n int, isNil bool) {
 	if isNil {
 		n = -1
 	}
-	e.uint(uint64(n + 1))
+	e.Uvarint(uint64(n + 1))
 }
 
 func (e *stepEncoder) time(t time.Time) {
@@ -56,7 +53,7 @@ func (e *stepEncoder) time(t time.Time) {
 	if !t.IsZero() {
 		n = t.UnixNano()
 	}
-	e.u64(uint64(n))
+	e.U64(uint64(n))
 }
 
 func putList[T any](e *stepEncoder, xs []T, put func(T)) {
@@ -75,9 +72,9 @@ func putMap[V any](e *stepEncoder, m map[string]V, put func(V)) {
 }
 
 func (e *stepEncoder) tensor(t Tensor) {
-	putList(e, t.Shape, func(dim int) { e.int(int64(dim)) })
-	putList(e, t.Data, func(x float64) { e.u64(math.Float64bits(x)) })
-	e.int(int64(t.Op))
+	putList(e, t.Shape, func(dim int) { e.Varint(int64(dim)) })
+	putList(e, t.Data, func(x float64) { e.U64(math.Float64bits(x)) })
+	e.Varint(int64(t.Op))
 }
 
 func (e *stepEncoder) span(s obs.SpanData) {
@@ -91,101 +88,47 @@ func (e *stepEncoder) span(s obs.SpanData) {
 	e.str(s.Err)
 }
 
-// stepDecoder reads an envelope. The first failure sticks and later reads
-// yield zero values, so callers check err once, at the end.
+// stepDecoder reads an envelope; the first failure sticks, so callers
+// check the error once, at the end.
 type stepDecoder struct {
-	buf []byte
-	off int
-	err error
-	// text, once set, is one copy of buf from textAt on: later strings are
-	// slices of it instead of copies of their own.
+	frame.Decoder
+	// text, once set, is one copy of the body from textAt on: later strings
+	// are slices of it instead of copies of their own.
 	text   string
 	textAt int
 }
 
 func newStepDecoder(body []byte, kind byte) *stepDecoder {
-	d := &stepDecoder{buf: body}
-	if b := d.next(uint64(len(stepMagic) + 1)); b == nil || string(b[:len(stepMagic)]) != stepMagic || b[len(stepMagic)] != kind {
-		d.err = fmt.Errorf("federation: not a step envelope (want %q kind %q)", stepMagic, kind)
+	d := &stepDecoder{Decoder: frame.NewDecoder(body, "step envelope")}
+	if b := d.Next(uint64(len(stepMagic) + 1)); b == nil || string(b[:len(stepMagic)]) != stepMagic || b[len(stepMagic)] != kind {
+		d.Fail(fmt.Errorf("federation: not a step envelope (want %q kind %q)", stepMagic, kind))
 	}
 	return d
 }
 
-// finish fails unless the body decoded cleanly and completely.
-func (d *stepDecoder) finish() error {
-	if d.err == nil && d.off != len(d.buf) {
-		d.err = fmt.Errorf("federation: %d trailing bytes after step envelope", len(d.buf)-d.off)
-	}
-	return d.err
-}
-
-func (d *stepDecoder) fail() {
-	if d.err == nil {
-		d.err = fmt.Errorf("federation: corrupt step envelope at byte %d of %d", d.off, len(d.buf))
-	}
-}
-
-// next returns the next n bytes, or nil once the body runs short.
-func (d *stepDecoder) next(n uint64) []byte {
-	if d.err != nil || n > uint64(len(d.buf)-d.off) {
-		d.fail()
-		return nil
-	}
-	d.off += int(n)
-	return d.buf[d.off-int(n) : d.off : d.off]
-}
-
-func (d *stepDecoder) uint() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	x, n := binary.Uvarint(d.buf[d.off:])
-	if n <= 0 {
-		d.fail()
-		return 0
-	}
-	d.off += n
-	return x
-}
-
-// int undoes binary.AppendVarint's zigzag encoding.
-func (d *stepDecoder) int() int64 { x := d.uint(); return int64(x>>1) ^ -int64(x&1) }
-
-func (d *stepDecoder) u64() uint64 {
-	if b := d.next(8); b != nil {
-		return binary.LittleEndian.Uint64(b)
-	}
-	return 0
-}
-
 func (d *stepDecoder) str() string {
-	b := d.next(d.uint())
+	b := d.Next(d.Uvarint())
 	if d.text == "" || b == nil {
 		return string(b)
 	}
-	end := d.off - d.textAt
+	end := d.Offset() - d.textAt
 	return d.text[end-len(b) : end]
 }
 
-// count reads a length written by stepEncoder.count and fails unless at
-// least size bytes per element are left: the bound every allocation sized
-// by the body passes through.
+// count reads a length written by stepEncoder.count, bounded by the bytes
+// left at size bytes per element.
 func (d *stepDecoder) count(size int) (n int, isNil bool) {
-	x := d.uint()
+	x := d.Uvarint()
 	if x == 0 {
 		return 0, true
 	}
-	if x-1 > uint64((len(d.buf)-d.off)/size) {
-		d.fail()
-		return 0, true
-	}
-	return int(x - 1), false
+	return d.Bound(x-1, size), false
 }
 
 func (d *stepDecoder) flag() bool { _, isNil := d.count(1); return !isNil }
 
 func (d *stepDecoder) time() time.Time {
-	if n := int64(d.u64()); n != math.MinInt64 && d.err == nil {
+	if n := int64(d.U64()); n != math.MinInt64 && d.Err() == nil {
 		return time.Unix(0, n)
 	}
 	return time.Time{}
@@ -220,9 +163,9 @@ func getMap[V any](d *stepDecoder, size int, get func() V) map[string]V {
 
 func (d *stepDecoder) tensor() Tensor {
 	return Tensor{
-		Shape: getList(d, 1, func() int { return int(d.int()) }),
-		Data:  getList(d, 8, func() float64 { return math.Float64frombits(d.u64()) }),
-		Op:    smpc.Op(d.int()),
+		Shape: getList(d, 1, func() int { return int(d.Varint()) }),
+		Data:  getList(d, 8, func() float64 { return math.Float64frombits(d.U64()) }),
+		Op:    smpc.Op(d.Varint()),
 	}
 }
 
@@ -238,7 +181,7 @@ func (r *LocalRunRequest) appendStep(buf []byte) []byte {
 	e.str(r.Func)
 	e.str(r.DataQuery)
 	e.count(len(r.Kwargs.RawMessage), r.Kwargs.RawMessage == nil)
-	e.buf = append(e.buf, r.Kwargs.RawMessage...)
+	e.Buf = append(e.Buf, r.Kwargs.RawMessage...)
 	e.flag(r.Secure)
 	e.str(r.Tenant)
 	putList(e, r.Datasets, e.str)
@@ -251,7 +194,7 @@ func (r *LocalRunRequest) appendStep(buf []byte) []byte {
 		e.flag(r.Session.Open)
 	}
 	putList(e, r.Release, e.str)
-	return e.buf
+	return e.Buf
 }
 
 // decodeStep replaces r with the request body holds; Kwargs alias body.
@@ -259,7 +202,7 @@ func (r *LocalRunRequest) decodeStep(body []byte) error {
 	d := newStepDecoder(body, kindRequest)
 	*r = LocalRunRequest{JobID: d.str(), Func: d.str(), DataQuery: d.str()}
 	if n, isNil := d.count(1); !isNil {
-		r.Kwargs.RawMessage = d.next(uint64(n))
+		r.Kwargs.RawMessage = d.Next(uint64(n))
 	}
 	r.Secure, r.Tenant, r.Datasets = d.flag(), d.str(), getList(d, 1, d.str)
 	if d.flag() {
@@ -269,7 +212,7 @@ func (r *LocalRunRequest) decodeStep(body []byte) error {
 		r.Session = &SessionRef{ID: d.str(), Open: d.flag()}
 	}
 	r.Release = getList(d, 1, d.str)
-	return d.finish()
+	return d.Finish()
 }
 
 // appendStep appends the response's envelope to buf.
@@ -281,9 +224,9 @@ func (r *LocalRunResponse) appendStep(buf []byte) []byte {
 	e := newStepEncoder(buf, kindResponse, size)
 	e.str(r.WorkerID)
 	putMap(e, r.Transfer, e.tensor)
-	e.int(int64(r.Rows))
+	e.Varint(int64(r.Rows))
 	putList(e, r.Spans, e.span)
-	return e.buf
+	return e.Buf
 }
 
 // decodeStep replaces r with the response body holds.
@@ -291,12 +234,12 @@ func (r *LocalRunResponse) decodeStep(body []byte) error {
 	d := newStepDecoder(body, kindResponse)
 	// A transfer entry takes at least a key, a shape count, a data count
 	// and an op.
-	*r = LocalRunResponse{WorkerID: d.str(), Transfer: getMap(d, 4, d.tensor), Rows: int(d.int())}
+	*r = LocalRunResponse{WorkerID: d.str(), Transfer: getMap(d, 4, d.tensor), Rows: int(d.Varint())}
 	// A response's spans live exactly as long as each other, in the trace
 	// store: one copy of their bytes serves all their strings. A span takes
 	// at least four string lengths, two times, an attribute count and an
 	// error length.
-	d.text, d.textAt = string(d.buf[d.off:]), d.off
+	d.text, d.textAt = string(d.Rest()), d.Offset()
 	r.Spans = getList(d, 4+16+1+1, d.span)
-	return d.finish()
+	return d.Finish()
 }

@@ -14,6 +14,7 @@ import (
 	"reflect"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -263,4 +264,49 @@ func BenchmarkStepEnvelope(b *testing.B) {
 			}
 		}
 	})
+}
+
+// TestOversizedBodyRefused: every worker endpoint reading a body refuses
+// one past maxRequestBody with a final 413, while a body of exactly
+// maxRequestBody bytes is read and judged on its content.
+func TestOversizedBodyRefused(t *testing.T) {
+	var calls atomic.Int64
+	h := (&WorkerServer{Worker: NewWorker("h", newWorkerDB(t, "edsd", 20, 0)), AllowRawQuery: true}).Handler()
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		calls.Add(1)
+		h.ServeHTTP(w, r)
+	}))
+	defer srv.Close()
+	pad := func(prefix, suffix string, n int) string {
+		return prefix + strings.Repeat("a", n-len(prefix)-len(suffix)) + suffix
+	}
+	for _, c := range []struct {
+		path, ctype, prefix, suffix string
+		size, want                  int
+	}{
+		{"/localrun", StepContentType, stepMagic + "Q", "", maxRequestBody, http.StatusUnsupportedMediaType},
+		{"/localrun", StepContentType, stepMagic + "Q", "", maxRequestBody + 1, http.StatusRequestEntityTooLarge},
+		{"/query", "application/json", `{"sql":"`, `"}`, maxRequestBody + 1, http.StatusRequestEntityTooLarge},
+		{"/cancel", "application/json", `{"job_id":"`, `"}`, maxRequestBody + 1, http.StatusRequestEntityTooLarge},
+	} {
+		resp, err := http.Post(srv.URL+c.path, c.ctype, strings.NewReader(pad(c.prefix, c.suffix, c.size)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != c.want {
+			t.Errorf("%s with a %d-byte body: HTTP %d, want %d", c.path, c.size, resp.StatusCode, c.want)
+		}
+	}
+
+	calls.Store(0)
+	_, err := NewHTTPWorkerClient("h", srv.URL).LocalRun(LocalRunRequest{JobID: "j", Func: "test_sums",
+		Kwargs: Kwargs{json.RawMessage(pad(`"`, `"`, maxRequestBody))}})
+	var ce *CallError
+	if !errors.As(err, &ce) || ce.Status != http.StatusRequestEntityTooLarge || ce.Temporary() {
+		t.Fatalf("err = %v, want a final HTTP 413", err)
+	}
+	if n := calls.Load(); n != 1 {
+		t.Fatalf("worker saw %d calls, want 1 (413 is final)", n)
+	}
 }

@@ -38,6 +38,12 @@ import (
 // TableContentType is the media type of a /query answer.
 const TableContentType = "application/vnd.mip.table"
 
+// maxRequestBody caps every request body a worker reads; a longer one is
+// refused with 413. The largest legitimate body is a tree step's envelope,
+// which carries the whole tree: a full depth-13 CART tree over three
+// 1024-bin features is about 3 MiB.
+const maxRequestBody = 16 << 20
+
 // WorkerServer exposes a Worker over HTTP.
 type WorkerServer struct {
 	Worker *Worker
@@ -64,7 +70,19 @@ func (s *WorkerServer) Handler() http.Handler {
 	mux.HandleFunc("GET /datastamp", s.handleDataStamp)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.Handle("GET /metrics", obs.MetricsHandler())
-	return obs.Middleware("worker", mux)
+	return obs.Middleware("worker", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		r.Body = http.MaxBytesReader(w, r.Body, maxRequestBody)
+		mux.ServeHTTP(w, r)
+	}))
+}
+
+// refuseBody answers a request whose body could not be read or decoded:
+// 413 when it ran past maxRequestBody, status otherwise.
+func refuseBody(w http.ResponseWriter, status int, err error) {
+	if tooLarge := (*http.MaxBytesError)(nil); errors.As(err, &tooLarge) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	writeJSON(w, status, map[string]string{"error": err.Error()})
 }
 
 func (s *WorkerServer) handleHealthz(w http.ResponseWriter, _ *http.Request) {
@@ -84,7 +102,7 @@ func (s *WorkerServer) handleLocalRun(w http.ResponseWriter, r *http.Request) {
 		err = req.decodeStep(body)
 	}
 	if err != nil {
-		writeJSON(w, http.StatusUnsupportedMediaType, map[string]string{"error": err.Error()})
+		refuseBody(w, http.StatusUnsupportedMediaType, err)
 		return
 	}
 	resp, err := s.Worker.LocalRunCtx(r.Context(), req)
@@ -109,7 +127,7 @@ func (s *WorkerServer) handleCancel(w http.ResponseWriter, r *http.Request) {
 		JobID string `json:"job_id"`
 	}
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
+		refuseBody(w, http.StatusBadRequest, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]bool{"cancelled": s.Worker.CancelJob(req.JobID)})
@@ -124,7 +142,7 @@ func (s *WorkerServer) handleQuery(w http.ResponseWriter, r *http.Request) {
 		SQL string `json:"sql"`
 	}
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": err.Error()})
+		refuseBody(w, http.StatusBadRequest, err)
 		return
 	}
 	t, err := s.Worker.QueryCtx(r.Context(), req.SQL)
