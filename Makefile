@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build tools test race vet fmt check freshbuild loc auditsmoke spillsmoke cachesmoke wiresmoke smpcsmoke bench benchcompare benchfull
+.PHONY: build tools test race vet fmt check freshbuild loc smokecheck auditsmoke spillsmoke cachesmoke wiresmoke smpcsmoke bench benchcompare benchfull
 
 build:
 	$(GO) build ./...
@@ -46,6 +46,14 @@ loc:
 	@printf '%-22s %6d non-test lines\n' 'engine + federation' \
 		$$(find internal/engine internal/federation -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)
 
+# smokecheck fails when a name in any smoke target's -run list below
+# matches no test function in the repo, so a deleted or renamed test cannot
+# silently drop out of its smoke.
+smokecheck:
+	@fail=0; for name in $$(grep -oE "\-run '[^']+'" Makefile | grep -oE 'Test[A-Za-z0-9_]+' | sort -u); do \
+		grep -rqF --include='*_test.go' "func $$name(" . || { echo "smokecheck: no test named $$name"; fail=1; }; \
+	done; exit $$fail
+
 # auditsmoke exercises the tamper-evident audit chain end to end: a JSONL
 # sink round-trip (the mipd -audit-log format) plus mutation detection.
 auditsmoke:
@@ -64,9 +72,12 @@ spillsmoke:
 	$(GO) test -count=1 -run 'TestSpillSerialParallelEquivalence|TestSpillJoinEquivalence|TestSpillMidInputCrossing|TestSpillCleanupOnError|TestSpillCleanupOnCancel|TestRoundTripAllKinds|TestEmptyBatchAndZeroRuns|TestDirCleanup|TestReaderRejectsCorruptStreams' ./internal/engine/
 
 # cachesmoke covers both cache tiers' correctness backbone: plan-cached
-# execution stays bit-identical to uncached, schema changes invalidate
-# plans, dataset-version bumps and worker restarts invalidate federated
-# results, and a concurrent miss herd collapses to one execution. It also
+# execution stays bit-identical to uncached, one text is one entry shared
+# by every DB, stays valid across DDL, memoizes merge SQL per part-table
+# name and serves DBs of different schemas concurrently, dataset-version
+# bumps and worker restarts invalidate federated results, a lookup probes
+# every worker's stamp at once, and a concurrent miss herd collapses to one
+# execution. It also
 # runs what the versions rest on: statements read one catalog version while
 # writers publish the next, and a write restamps only the datasets whose
 # rows it added or removed. Last, the worker contract: a wrapped worker
@@ -80,7 +91,7 @@ spillsmoke:
 # loudly, concurrent sessions beside writers each read one version, and job
 # ids never collide across masters.
 cachesmoke:
-	$(GO) test -count=1 -race -run 'TestPlanCacheResultsUnchanged|TestPlanCacheSchemaChangeInvalidates|TestResultCacheInvalidationOnAppend|TestResultCacheWorkerRestartInvalidates|TestResultCacheSingleflight|TestParallelSortEquivalence|TestCatalogSnapshotRace|TestDatasetVersionsDeclared|TestWrappedClientKeepsContract|TestStampFailureBypassesCache|TestFlappingWorkerCacheNeverStale|TestSnapshotRefreshedByEitherPath|TestSnapshotReadsPinnedVersion|TestWriteBetweenRounds|TestSessionReadsOnePinnedVersion|TestPinsReleasedAfterClose|TestPinLostFailsLoudly|TestConcurrentSessionsBesideWrites|TestJobIDsUniqueAcrossMasters' ./internal/engine/ ./internal/federation/ ./internal/algorithms/
+	$(GO) test -count=1 -race -run 'TestPlanCacheResultsUnchanged|TestPlanCacheSharedAcrossDBs|TestPlanCacheSurvivesDDL|TestPlanCacheMergeMemoPerPartTable|TestPlanCacheConcurrentSchemas|TestResultKeyProbesConcurrently|TestResultCacheInvalidationOnAppend|TestResultCacheWorkerRestartInvalidates|TestResultCacheSingleflight|TestParallelSortEquivalence|TestCatalogSnapshotRace|TestDatasetVersionsDeclared|TestWrappedClientKeepsContract|TestStampFailureBypassesCache|TestFlappingWorkerCacheNeverStale|TestSnapshotRefreshedByEitherPath|TestSnapshotReadsPinnedVersion|TestWriteBetweenRounds|TestSessionReadsOnePinnedVersion|TestPinsReleasedAfterClose|TestPinLostFailsLoudly|TestConcurrentSessionsBesideWrites|TestJobIDsUniqueAcrossMasters' ./internal/engine/ ./internal/federation/ ./internal/algorithms/
 
 # wiresmoke covers both wires a worker answers on. The /query table stream:
 # merge answers over HTTP are bit-identical to in-process ones (NaN
@@ -106,7 +117,7 @@ wiresmoke:
 smpcsmoke:
 	$(GO) test -count=1 -race -run 'TestConcurrentImportAggregate|TestConcurrentSecureExperiments|TestMixedOpTransfer|TestOpDisagreementFails' ./internal/smpc/ ./internal/federation/
 
-check: vet fmt race auditsmoke spillsmoke cachesmoke wiresmoke smpcsmoke
+check: vet fmt smokecheck race auditsmoke spillsmoke cachesmoke wiresmoke smpcsmoke
 
 # bench runs the engine perf suite and writes BENCH_engine.json (the CI
 # bench job uploads it as an artifact). Use benchfull for the testing.B

@@ -77,17 +77,20 @@ type Experiment struct {
 // is never dropped. The audit chain is the durable history.
 const retainFinished = 1024
 
-// settle closes a record's done channel at its terminal transition, once,
-// and appends its uuid to finished, deleting the oldest finished uuids from
-// records while more than retainFinished are listed. A record already
-// settled keeps its channel closed and its place. Callers hold s.mu.
-func settle[R any](done chan struct{}, uuid string, records map[string]R, finished *[]string) {
+// settle is a record's terminal transition, once: it stamps the record's
+// finish time at at, closes its done channel, and appends its uuid to
+// finished, deleting the oldest finished uuids from records while more
+// than retainFinished are listed. A record already settled keeps its stamp,
+// its closed channel and its place. Callers hold s.mu.
+func settle[R any](done chan struct{}, at **time.Time, uuid string, records map[string]R, finished *[]string) {
 	select {
 	case <-done:
 		return
 	default:
-		close(done)
 	}
+	now := time.Now()
+	*at = &now
+	close(done)
 	*finished = append(*finished, uuid)
 	for len(*finished) > retainFinished {
 		delete(records, (*finished)[0])
@@ -220,22 +223,18 @@ func (s *Server) handleExperimentTrace(w http.ResponseWriter, r *http.Request) {
 func (s *Server) AbortPending(reason string) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	now := time.Now()
 	n := 0
 	for _, e := range s.experiments {
 		if e.Status == "pending" || e.Status == "running" {
 			e.Status = "error"
 			e.Error = reason
-			e.Finished = &now
-			settle(e.done, e.UUID, s.experiments, &s.expDone)
+			settle(e.done, &e.Finished, e.UUID, s.experiments, &s.expDone)
 			n++
 		}
 	}
 	for _, wf := range s.workflows {
 		if wf.Status == "pending" || wf.Status == "running" {
-			wf.Status = "error"
-			wf.Finished = &now
-			settle(wf.done, wf.UUID, s.workflows, &s.wfDone)
+			s.finishWorkflow(wf, "error")
 			n++
 		}
 	}
@@ -361,7 +360,7 @@ func (s *Server) handleCreateExperiment(w http.ResponseWriter, r *http.Request) 
 		s.mu.Lock()
 		exp.Status = "error"
 		exp.Error = err.Error()
-		settle(exp.done, exp.UUID, s.experiments, &s.expDone)
+		settle(exp.done, &exp.Finished, exp.UUID, s.experiments, &s.expDone)
 		s.mu.Unlock()
 		writeErr(w, http.StatusServiceUnavailable, "submitting: %v", err)
 		return
@@ -420,9 +419,6 @@ func (s *Server) runExperimentTask(ctx context.Context, payload json.RawMessage)
 		obs.TraceRef{TraceID: exp.UUID, SpanID: root.ID()}, created)
 
 	s.mu.Lock()
-	now := time.Now()
-	exp.Finished = &now
-	apiExperimentSeconds.Observe(now.Sub(created).Seconds())
 	exp.Status, exp.Result = "success", result
 	if err != nil {
 		exp.Status, exp.Error = "error", err.Error()
@@ -435,7 +431,8 @@ func (s *Server) runExperimentTask(ctx context.Context, payload json.RawMessage)
 	apiExperimentsDone(exp.Status).Inc()
 	root.SetAttr("status", exp.Status)
 	root.End() // before waiters wake, so they read a whole trace
-	settle(exp.done, exp.UUID, s.experiments, &s.expDone)
+	settle(exp.done, &exp.Finished, exp.UUID, s.experiments, &s.expDone)
+	apiExperimentSeconds.Observe(exp.Finished.Sub(created).Seconds())
 	s.mu.Unlock()
 	return map[string]string{"uuid": p.UUID}, nil
 }

@@ -121,8 +121,7 @@ func (s *Server) handleCreateWorkflow(w http.ResponseWriter, r *http.Request) {
 
 	if _, err := s.Runner.Submit("workflow", map[string]any{"uuid": wf.UUID}); err != nil {
 		s.mu.Lock()
-		wf.Status = "error"
-		settle(wf.done, wf.UUID, s.workflows, &s.wfDone)
+		s.finishWorkflow(wf, "error")
 		s.mu.Unlock()
 		writeErr(w, http.StatusServiceUnavailable, "submitting: %v", err)
 		return
@@ -152,14 +151,8 @@ func (s *Server) runWorkflowTask(ctx context.Context, payload json.RawMessage) (
 	// per-step child of this root (the trace endpoint accepts wf- uuids too).
 	root := obs.DefaultTraces.StartSpan(wf.UUID, "", "workflow "+wf.Name)
 
-	failed := false
+	status := "success"
 	for i, st := range steps {
-		if failed {
-			s.mu.Lock()
-			wf.Steps[i].Status = "skipped"
-			s.mu.Unlock()
-			continue
-		}
 		span := root.StartChild("step " + st.Algorithm)
 		span.SetAttr("name", st.Name)
 		result, _, err := s.runAlgorithm(fmt.Sprintf("%s/step-%d", wf.UUID, i+1), wf.tenant, st.Algorithm,
@@ -170,26 +163,34 @@ func (s *Server) runWorkflowTask(ctx context.Context, payload json.RawMessage) (
 		if err != nil {
 			wf.Steps[i].Status = "error"
 			wf.Steps[i].Error = err.Error()
-			failed = true
+			status = "error"
 		} else {
 			wf.Steps[i].Status = "success"
 			wf.Steps[i].Result = result
 		}
 		s.mu.Unlock()
+		if err != nil {
+			break
+		}
 	}
-	s.mu.Lock()
-	now := time.Now()
-	wf.Finished = &now
-	if failed {
-		wf.Status = "error"
-	} else {
-		wf.Status = "success"
-	}
-	root.SetAttr("status", wf.Status)
+	root.SetAttr("status", status)
 	root.End()
-	settle(wf.done, wf.UUID, s.workflows, &s.wfDone)
+	s.mu.Lock()
+	s.finishWorkflow(wf, status)
 	s.mu.Unlock()
 	return map[string]string{"uuid": p.UUID}, nil
+}
+
+// finishWorkflow ends wf with status: every step that never ran is
+// skipped, and the record settles. Callers hold s.mu.
+func (s *Server) finishWorkflow(wf *Workflow, status string) {
+	wf.Status = status
+	for i := range wf.Steps {
+		if wf.Steps[i].Status == "pending" {
+			wf.Steps[i].Status = "skipped"
+		}
+	}
+	settle(wf.done, &wf.Finished, wf.UUID, s.workflows, &s.wfDone)
 }
 
 func (s *Server) handleListWorkflows(w http.ResponseWriter, _ *http.Request) {

@@ -6,12 +6,15 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"slices"
 	"testing"
 	"time"
 
 	"mip/internal/algorithms"
+	"mip/internal/catalogue"
 	"mip/internal/obs"
+	"mip/internal/queue"
 )
 
 func TestWorkflowLifecycle(t *testing.T) {
@@ -239,4 +242,60 @@ func TestWorkflowStepsMeteredUnderTenant(t *testing.T) {
 	if want := []string{wf.UUID + "/step-1", wf.UUID + "/step-2"}; !slices.Equal(steps, want) {
 		t.Fatalf("experiment audit records = %v, want %v", steps, want)
 	}
+}
+
+// TestTerminalRecordsFinished: every record that reaches a terminal status
+// carries its finish time, and a workflow that ends before a step runs
+// marks that step skipped. Two ways to end early are covered: the queue
+// refusing the submission (503), and AbortPending settling a workflow no
+// runner picked up.
+func TestTerminalRecordsFinished(t *testing.T) {
+	s, ts := testServer(t)
+	req := algorithms.Request{Datasets: []string{"edsd"}, Y: []string{"ab42"}}
+	wfReq := WorkflowRequest{Name: "early end", Steps: []WorkflowStep{{Name: "one", Algorithm: "descriptive_stats", Request: req}}}
+	checkWorkflow := func(how string, wf *Workflow) {
+		t.Helper()
+		if wf.Status != "error" || wf.Finished == nil || wf.Steps[0].Status != "skipped" {
+			t.Fatalf("%s: workflow status=%q finished=%v step=%q, want error, stamped, skipped",
+				how, wf.Status, wf.Finished, wf.Steps[0].Status)
+		}
+	}
+
+	// A runner with nothing consuming: the workflow stays pending until
+	// AbortPending ends it.
+	s.Runner.Close()
+	var wf Workflow
+	if code := postJSON(t, ts.URL+"/workflows", wfReq, &wf); code != 201 {
+		t.Fatalf("create workflow = %d", code)
+	}
+	if n := s.AbortPending("test shutdown"); n != 1 {
+		t.Fatalf("AbortPending settled %d records, want 1", n)
+	}
+	getJSON(t, ts.URL+"/workflows/"+wf.UUID, &wf)
+	checkWorkflow("aborted", &wf)
+
+	// A server whose broker is closed refuses every submission.
+	b := queue.NewBroker(0, 0)
+	b.Close()
+	runner := queue.NewRunner(b, 1)
+	t.Cleanup(runner.Close)
+	ts = httptest.NewServer(NewServer(s.Master, catalogue.Default(), runner).Handler())
+	t.Cleanup(ts.Close)
+	if code := postJSON(t, ts.URL+"/experiments", ExperimentRequest{Algorithm: "descriptive_stats", Request: req}, nil); code != 503 {
+		t.Fatalf("experiment on a closed queue = %d, want 503", code)
+	}
+	var exps []Experiment
+	getJSON(t, ts.URL+"/experiments", &exps)
+	if len(exps) != 1 || exps[0].Status != "error" || exps[0].Finished == nil {
+		t.Fatalf("experiments after a refused submit = %+v, want one errored and stamped", exps)
+	}
+	if code := postJSON(t, ts.URL+"/workflows", wfReq, nil); code != 503 {
+		t.Fatalf("workflow on a closed queue = %d, want 503", code)
+	}
+	var wfs []Workflow
+	getJSON(t, ts.URL+"/workflows", &wfs)
+	if len(wfs) != 1 {
+		t.Fatalf("%d workflows listed, want 1", len(wfs))
+	}
+	checkWorkflow("refused", &wfs[0])
 }

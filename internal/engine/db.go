@@ -23,7 +23,6 @@ type DB struct {
 	wmu     sync.Mutex
 	queries atomic.Int64
 	ec      atomic.Pointer[ExecContext]
-	id      uint64 // scopes this DB's plan-cache keys, with the schema version
 	plans   *PlanCache
 }
 
@@ -32,7 +31,6 @@ type DB struct {
 // relation it reads from it.
 type catalog struct {
 	ver    uint64 // data version: every publish advances it
-	schema uint64 // schema version: DDL advances it
 	tables map[string]*relation
 	merges map[string]*MergeTable
 }
@@ -160,22 +158,9 @@ func WithPlanCache(pc *PlanCache) Option {
 	return func(db *DB) { db.plans = pc }
 }
 
-// WithPlanCacheIdentity replaces the DB's process-unique plan-cache key
-// namespace with a shared token from NewPlanCacheIdentity. Only safe when
-// every DB using the token applies the identical DDL sequence, so that an
-// equal (identity, schema version) pair implies an identical catalog
-// shape; zero is ignored.
-func WithPlanCacheIdentity(id uint64) Option {
-	return func(db *DB) {
-		if id != 0 {
-			db.id = id
-		}
-	}
-}
-
 // NewDB returns an empty database.
 func NewDB(opts ...Option) *DB {
-	db := &DB{id: dbSeq.Add(1), plans: DefaultPlanCache}
+	db := &DB{plans: DefaultPlanCache}
 	db.cat.Store(&catalog{tables: map[string]*relation{}, merges: map[string]*MergeTable{}})
 	db.ec.Store(&ExecContext{Parallelism: runtime.NumCPU(), MorselSize: DefaultMorselSize})
 	for _, o := range opts {
@@ -208,15 +193,12 @@ func (db *DB) DatasetVersions(table string) (uint64, map[string]uint64) {
 }
 
 // write derives the next catalog version with fn under the writer lock and
-// publishes it, unless fn fails. ddl marks a schema change.
-func (db *DB) write(ddl bool, fn func(next *catalog) error) error {
+// publishes it, unless fn fails.
+func (db *DB) write(fn func(next *catalog) error) error {
 	db.wmu.Lock()
 	defer db.wmu.Unlock()
 	cur := db.cat.Load()
-	next := &catalog{ver: cur.ver + 1, schema: cur.schema, tables: maps.Clone(cur.tables), merges: maps.Clone(cur.merges)}
-	if ddl {
-		next.schema++
-	}
+	next := &catalog{ver: cur.ver + 1, tables: maps.Clone(cur.tables), merges: maps.Clone(cur.merges)}
 	if err := fn(next); err != nil {
 		return err
 	}
@@ -287,7 +269,7 @@ func unknownTable(name string) error { return fmt.Errorf("engine: unknown table 
 // CreateTable registers an empty table with the given schema.
 func (db *DB) CreateTable(name string, schema Schema) error {
 	key := strings.ToLower(name)
-	return db.write(true, func(c *catalog) error {
+	return db.write(func(c *catalog) error {
 		if c.tables[key] != nil {
 			return fmt.Errorf("engine: table %q already exists", name)
 		}
@@ -307,7 +289,7 @@ func (db *DB) CreateTable(name string, schema Schema) error {
 func (db *DB) RegisterTable(name string, t *Table) {
 	key := strings.ToLower(name)
 	t = t.Slice(0, t.NumRows())
-	_ = db.write(true, func(c *catalog) error { // never fails
+	_ = db.write(func(c *catalog) error { // never fails
 		if c.tables[key] == nil {
 			engTables.Inc()
 		}
@@ -321,7 +303,7 @@ func (db *DB) RegisterTable(name string, t *Table) {
 // rows is copied, not adopted.
 func (db *DB) Append(name string, rows *Table) error {
 	key := strings.ToLower(name)
-	return db.write(false, func(c *catalog) error {
+	return db.write(func(c *catalog) error {
 		r := c.tables[key]
 		if r == nil {
 			return unknownTable(name)
@@ -347,7 +329,7 @@ func (db *DB) Table(name string) *Table {
 // DropTable removes a base or merge table.
 func (db *DB) DropTable(name string) bool {
 	key := strings.ToLower(name)
-	return db.write(true, func(c *catalog) error {
+	return db.write(func(c *catalog) error {
 		switch {
 		case c.tables[key] != nil:
 			delete(c.tables, key)
@@ -365,7 +347,7 @@ func (db *DB) DropTable(name string) bool {
 // over remote parts, MonetDB-style. Queries against it push partial
 // aggregates down to the parts where possible.
 func (db *DB) RegisterMerge(name string, m *MergeTable) {
-	_ = db.write(true, func(c *catalog) error { // never fails
+	_ = db.write(func(c *catalog) error { // never fails
 		c.merges[strings.ToLower(name)] = m
 		return nil
 	})
@@ -440,7 +422,7 @@ func (s *Snapshot) QueryWithStatsCtx(ctx context.Context, sql string) (*Table, Q
 func (db *DB) queryAt(ctx context.Context, cat *catalog, sql string, readOnly bool) (*Table, QueryStats, error) {
 	db.queries.Add(1)
 	qs := newQueryStats(ctx, sql)
-	st, entry, hit, err := db.parseCached(cat, sql)
+	st, entry, hit, err := db.parseCached(sql)
 	if err == nil && readOnly && !isRead(st) {
 		err = fmt.Errorf("engine: a snapshot runs only SELECT statements")
 	}
@@ -521,23 +503,6 @@ func (db *DB) beginQuery(ctx context.Context, qs *QueryStats) (*ExecContext, fun
 	}
 }
 
-// Run executes a parsed statement, governed and recorded like Query. A
-// SELECT is recorded under its canonical rendering; other statement kinds
-// have no renderer and keep a placeholder.
-func (db *DB) Run(st Statement) (*Table, error) {
-	db.queries.Add(1)
-	sql := "(prepared statement)"
-	if sel, ok := st.(*SelectStmt); ok {
-		sql = RenderSelect(sel)
-	}
-	ctx := context.Background()
-	qs := newQueryStats(ctx, sql)
-	ec, finish := db.beginQuery(ctx, &qs)
-	t, err := db.run(db.cat.Load(), st, &qs, ec)
-	finish(err)
-	return t, err
-}
-
 // run executes st, resolving every relation it reads from cat.
 func (db *DB) run(cat *catalog, st Statement, qs *QueryStats, ec *ExecContext) (*Table, error) {
 	switch s := st.(type) {
@@ -592,11 +557,12 @@ func (db *DB) runExplain(cat *catalog, s *ExplainStmt, qs *QueryStats, ec *ExecC
 	if s.Analyze {
 		// Surface (and use) the plan cache for the inner SELECT: EXPLAIN
 		// parses as one ExplainStmt, so the inner statement bypassed
-		// parseCached. A peek neither inserts nor reorders the LRU beyond the
-		// hit itself; the trailing cache= line reports the outcome.
+		// parseCached. A peek under the inner text as written neither
+		// inserts nor reorders the LRU beyond the hit itself; the trailing
+		// cache= line reports the outcome.
 		cacheLine := ""
-		if sel, ok := s.Stmt.(*SelectStmt); ok && ec != nil {
-			if e, hit := db.lookupSelect(cat, sel); hit {
+		if _, ok := s.Stmt.(*SelectStmt); ok && ec != nil {
+			if e := db.plans.get(s.SQL); e != nil {
 				ec.plan = e
 				qs.Cache = obs.CachePlan
 				cacheLine = "cache=hit"
@@ -664,7 +630,7 @@ func (db *DB) runInsert(s *InsertStmt) error {
 // runDelete publishes the gathered copy of the rows the predicate keeps.
 func (db *DB) runDelete(s *DeleteStmt) error {
 	key := strings.ToLower(s.Name)
-	return db.write(false, func(c *catalog) error {
+	return db.write(func(c *catalog) error {
 		r := c.tables[key]
 		if r == nil {
 			return unknownTable(s.Name)

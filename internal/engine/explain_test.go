@@ -251,23 +251,6 @@ func TestSlowLogCapturesOverThreshold(t *testing.T) {
 	}
 }
 
-// TestRunIsMetered pins the audit fix: statements through DB.Run count
-// toward QueryCount like Query does.
-func TestRunIsMetered(t *testing.T) {
-	db := explainDB(t)
-	st, err := Parse(`SELECT count(*) AS n FROM patients`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := db.QueryCount()
-	if _, err := db.Run(st); err != nil {
-		t.Fatal(err)
-	}
-	if got := db.QueryCount() - before; got != 1 {
-		t.Errorf("Run added %d to QueryCount, want 1", got)
-	}
-}
-
 // TestTopKOperator pins the bounded top-k path for ORDER BY … LIMIT:
 // both plain EXPLAIN (predicted from catalog row counts) and EXPLAIN
 // ANALYZE render a single `topk` node instead of order+limit, and the

@@ -60,19 +60,33 @@ type MergeTable struct {
 // entry on the context, the pushdown decomposition and the rendered
 // per-part SQL come memoized from the entry instead of being rebuilt.
 func (m *MergeTable) execSelect(ec *ExecContext, st *SelectStmt, qs *QueryStats) (*Table, error) {
-	if e := ec.plan; e != nil {
-		e.mergePlan(m, st)
-		if e.pushOK {
-			return m.execPushdown(ec, st, e.specs, e.partSQL, e.partCols, qs)
+	p := m.plan(ec.plan, st)
+	if p.pushOK {
+		return m.execPushdown(ec, st, p.specs, p.sql, p.partCols, qs)
+	}
+	return m.execMaterialize(ec, st, p.sql, p.matCols, qs)
+}
+
+// plan derives st's pushdown decision and per-part SQL against m. Both
+// depend only on the statement and the part-table name, so e's memo is
+// reused when it was derived for the same name; the first plan derived for
+// an entry becomes its memo.
+func (m *MergeTable) plan(e *planEntry, st *SelectStmt) *mergePlan {
+	if e != nil {
+		if p := e.merge.Load(); p != nil && p.table == m.TableName {
+			return p
 		}
-		return m.execMaterialize(ec, st, e.matSQL, e.matCols, qs)
 	}
-	if specs, ok := m.decompose(st); ok {
-		sql, colNames := m.partialSQL(st, specs)
-		return m.execPushdown(ec, st, specs, sql, colNames, qs)
+	p := &mergePlan{table: m.TableName}
+	if p.specs, p.pushOK = m.decompose(st); p.pushOK {
+		p.sql, p.partCols = m.partialSQL(st, p.specs)
+	} else {
+		p.sql, p.matCols = m.materializeSQL(st)
 	}
-	sql, cols := m.materializeSQL(st)
-	return m.execMaterialize(ec, st, sql, cols, qs)
+	if e != nil {
+		e.merge.CompareAndSwap(nil, p)
+	}
+	return p
 }
 
 // execMaterialize unions part rows locally and runs the query over the

@@ -150,17 +150,24 @@ var mergeCorpus = []string{
 // same NULL positions, float cells compared by bit pattern.
 func tablesIdentical(t *testing.T, sql string, a, b *Table, labelA, labelB string) {
 	t.Helper()
+	if err := tableDiff(sql, a, b, labelA, labelB); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// tableDiff is tablesIdentical's check as an error, for goroutines.
+func tableDiff(sql string, a, b *Table, labelA, labelB string) error {
 	if !a.Schema().Equal(b.Schema()) {
-		t.Fatalf("%s: schema mismatch %s=%v %s=%v", sql, labelA, a.Schema().Names(), labelB, b.Schema().Names())
+		return fmt.Errorf("%s: schema mismatch %s=%v %s=%v", sql, labelA, a.Schema().Names(), labelB, b.Schema().Names())
 	}
 	if a.NumRows() != b.NumRows() {
-		t.Fatalf("%s: row count %s=%d %s=%d", sql, labelA, a.NumRows(), labelB, b.NumRows())
+		return fmt.Errorf("%s: row count %s=%d %s=%d", sql, labelA, a.NumRows(), labelB, b.NumRows())
 	}
 	for i := 0; i < a.NumRows(); i++ {
 		for j := 0; j < a.NumCols(); j++ {
 			ca, cb := a.Col(j), b.Col(j)
 			if ca.IsNull(i) != cb.IsNull(i) {
-				t.Fatalf("%s: row %d col %s NULL mismatch: %s=%v %s=%v",
+				return fmt.Errorf("%s: row %d col %s NULL mismatch: %s=%v %s=%v",
 					sql, i, a.Schema()[j].Name, labelA, ca.IsNull(i), labelB, cb.IsNull(i))
 			}
 			if ca.IsNull(i) {
@@ -173,11 +180,12 @@ func tablesIdentical(t *testing.T, sql string, a, b *Table, labelA, labelB strin
 				same = fmt.Sprint(ca.Value(i)) == fmt.Sprint(cb.Value(i))
 			}
 			if !same {
-				t.Fatalf("%s: row %d col %s differs: %s=%v %s=%v",
+				return fmt.Errorf("%s: row %d col %s differs: %s=%v %s=%v",
 					sql, i, a.Schema()[j].Name, labelA, ca.Value(i), labelB, cb.Value(i))
 			}
 		}
 	}
+	return nil
 }
 
 func TestParallelSerialEquivalence(t *testing.T) {

@@ -71,10 +71,12 @@ type DeleteStmt struct {
 
 // ExplainStmt is EXPLAIN [ANALYZE] <statement>. Plain EXPLAIN returns the
 // predicted plan shape without executing; ANALYZE executes the inner
-// statement and returns the measured operator tree.
+// statement and returns the measured operator tree. SQL is the inner
+// statement's text as written, the key its plan-cache entry would have.
 type ExplainStmt struct {
 	Analyze bool
 	Stmt    Statement
+	SQL     string
 }
 
 func (*SelectStmt) stmt()      {}
@@ -90,7 +92,7 @@ func Parse(sql string) (Statement, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &parser{toks: toks}
+	p := &parser{src: sql, toks: toks}
 	st, err := p.parseStatement()
 	if err != nil {
 		return nil, err
@@ -123,6 +125,7 @@ func ParseExpr(s string) (Expr, error) {
 }
 
 type parser struct {
+	src  string // the statement text (empty for a standalone expression)
 	toks []token
 	pos  int
 }
@@ -187,6 +190,7 @@ func (p *parser) parseStatement() (Statement, error) {
 		if p.peek().text == "EXPLAIN" {
 			return nil, fmt.Errorf("engine: EXPLAIN cannot be nested")
 		}
+		st.SQL = p.src[p.peek().pos:]
 		inner, err := p.parseStatement()
 		if err != nil {
 			return nil, err

@@ -76,11 +76,8 @@ type Master struct {
 	now       func() time.Time
 
 	// engineOpts configure the transient merge databases master-side
-	// queries run on (WithEngineOptions). mergePlanID is the plan-cache
-	// identity all of this master's merge DBs share, so their cache keys
-	// coincide across queries (see newMergeDB).
-	engineOpts  []engine.Option
-	mergePlanID uint64
+	// queries run on (WithEngineOptions).
+	engineOpts []engine.Option
 
 	// results is the federated result cache (nil = disabled).
 	results *ResultCache
@@ -138,17 +135,16 @@ func NewMaster(workers []WorkerClient, cluster *smpc.Cluster, sec Security, opts
 		return nil, fmt.Errorf("federation: SMPC security requested but no cluster provided")
 	}
 	m := &Master{
-		workers:     workers,
-		byID:        make(map[string]WorkerClient, len(workers)),
-		infos:       make(map[string]DatasetInfo),
-		smpc:        cluster,
-		security:    sec,
-		boot:        randHex(4),
-		releases:    make(map[string][]string),
-		health:      make(map[string]*workerHealth, len(workers)),
-		stopProbe:   make(chan struct{}),
-		now:         time.Now,
-		mergePlanID: engine.NewPlanCacheIdentity(),
+		workers:   workers,
+		byID:      make(map[string]WorkerClient, len(workers)),
+		infos:     make(map[string]DatasetInfo),
+		smpc:      cluster,
+		security:  sec,
+		boot:      randHex(4),
+		releases:  make(map[string][]string),
+		health:    make(map[string]*workerHealth, len(workers)),
+		stopProbe: make(chan struct{}),
+		now:       time.Now,
 	}
 	for _, w := range workers {
 		if _, dup := m.byID[w.ID()]; dup {
@@ -450,15 +446,9 @@ func (m *Master) runFlightLeader(key string, f *resultFlight, tenant string, dat
 }
 
 // newMergeDB builds the transient merge database for one master-side
-// statement over the given workers. All of a master's merge DBs share one
-// plan-cache identity: they apply the identical schema (RegisterMerge of
-// DataTable on a fresh DB), so their plan-cache keys coincide and a
-// repeated federated statement hits the memoized plan instead of every
-// query inserting keys no later DB could ever reach.
+// statement over the given workers.
 func (m *Master) newMergeDB(ws []WorkerClient) *engine.DB {
-	opts := append(append([]engine.Option(nil), m.engineOpts...),
-		engine.WithPlanCacheIdentity(m.mergePlanID))
-	mdb := engine.NewDB(opts...)
+	mdb := engine.NewDB(m.engineOpts...)
 	mt := &engine.MergeTable{TableName: DataTable}
 	for _, w := range ws {
 		mt.Parts = append(mt.Parts, &workerPart{w: w, m: m})

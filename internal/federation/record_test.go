@@ -102,16 +102,6 @@ func TestOneRecordPerStatement(t *testing.T) {
 		t.Fatal("m_spill: the 4KB budget did not spill")
 	}
 
-	// DB.Run takes no context: its statement meters under the untagged tenant.
-	st, err := engine.Parse(`SELECT count(*) AS m_prepared FROM t`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want["m_prepared"] = engine.VerdictCompleted
-	if _, err := db.Run(st); err != nil {
-		t.Fatal(err)
-	}
-
 	mdb := engine.NewDB()
 	mdb.RegisterMerge("t", &engine.MergeTable{
 		Schema:    engine.Schema{{Name: "g", Type: engine.String}, {Name: "x", Type: engine.Float64}},

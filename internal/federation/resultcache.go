@@ -14,7 +14,7 @@ import (
 )
 
 // Result cache: the master-side cache of complete federated query results,
-// keyed on (canonical SQL, tenant, per-worker dataset versions). Because
+// keyed on (SQL text as written, tenant, per-worker dataset versions). Because
 // every worker's dataset versions are baked into the key, invalidation is
 // strict and automatic: any data change on a relevant worker changes the
 // key, the old entry becomes unreachable, and the LRU ages it out. A
@@ -241,31 +241,42 @@ func (c *ResultCache) putLocked(key string, t *engine.Table) {
 	fedResultCacheBytes.Set(float64(c.acct.Live()))
 }
 
-// resultKey derives the cache key for sql attributed to tenant over the
-// given workers, or ok = false when any worker cannot vouch for its data
-// versions (a failed probe) — those queries bypass the cache entirely
-// rather than risk a stale serve.
+// resultKey derives the cache key for sql, as written, attributed to
+// tenant over the given workers, or ok = false when any worker cannot vouch
+// for its data versions (a failed probe) — those queries bypass the cache
+// entirely rather than risk a stale serve. The workers are probed
+// concurrently, so a lookup costs one stamp round trip, not one per worker.
 //
 // The per-worker fragment enumerates the versions of exactly the datasets
 // the query touches (all of the worker's datasets when the request names
 // none), so data changes in unrelated datasets do not invalidate the entry.
 func (m *Master) resultKey(tenant string, datasets []string, sql string, ws []WorkerClient) (string, bool) {
-	canon := sql
-	if c, ok := engine.NormalizeSQL(sql); ok {
-		canon = c
+	infos := make([]DatasetInfo, len(ws))
+	errs := make([]error, len(ws))
+	var wg sync.WaitGroup
+	for i := 1; i < len(ws); i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			infos[i], errs[i] = m.currentInfo(ws[i])
+		}()
+	}
+	// The caller probes the first worker itself: one goroutine fewer per
+	// lookup, which is measurable when every CPU is busy. Both callers
+	// pass at least one worker.
+	infos[0], errs[0] = m.currentInfo(ws[0])
+	wg.Wait()
+	if errors.Join(errs...) != nil {
+		return "", false
 	}
 	want := map[string]bool{}
 	for _, d := range datasets {
 		want[d] = true
 	}
 	frags := make([]string, 0, len(ws))
-	for _, w := range ws {
-		info, err := m.currentInfo(w)
-		if err != nil {
-			return "", false
-		}
+	for i, info := range infos {
 		var b strings.Builder
-		b.WriteString(w.ID())
+		b.WriteString(ws[i].ID())
 		b.WriteString("@")
 		b.WriteString(info.Boot)
 		b.WriteString("{")
@@ -286,7 +297,7 @@ func (m *Master) resultKey(tenant string, datasets []string, sql string, ws []Wo
 		frags = append(frags, b.String())
 	}
 	sort.Strings(frags)
-	return tenant + "\x00" + strings.Join(frags, "|") + "\x00" + canon, true
+	return tenant + "\x00" + strings.Join(frags, "|") + "\x00" + sql, true
 }
 
 // currentInfo returns the worker's snapshot, revalidated with the cheap

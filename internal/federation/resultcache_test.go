@@ -60,21 +60,6 @@ func TestResultCacheRepeatHit(t *testing.T) {
 	}
 }
 
-func TestResultCacheNormalizedSQLSharing(t *testing.T) {
-	m, _ := buildCachedFed(t, 1<<20)
-	if _, err := m.MergeQuery([]string{"edsd"}, `SELECT count(*) AS n FROM data`); err != nil {
-		t.Fatal(err)
-	}
-	// A respelled statement normalizes to the same canonical SQL and must
-	// land on the same entry.
-	if _, err := m.MergeQuery([]string{"edsd"}, `SELECT  count( * )  AS n FROM data`); err != nil {
-		t.Fatal(err)
-	}
-	if s := m.ResultCacheStats(); s.Hits != 1 || s.Entries != 1 {
-		t.Fatalf("stats = %+v, want the respelled query to hit the same entry", s)
-	}
-}
-
 func TestResultCacheInvalidationOnAppend(t *testing.T) {
 	m, dbs := buildCachedFed(t, 1<<20)
 	sql := `SELECT count(*) AS n FROM data`
@@ -619,9 +604,9 @@ func TestResultCacheFlushAbortsInflight(t *testing.T) {
 	}
 }
 
-// TestMergeQueryPlanCacheReuse: a master's transient merge DBs share one
-// plan-cache identity, so a repeated federated statement hits the plan
-// cache instead of every query inserting keys no later DB can reach.
+// TestMergeQueryPlanCacheReuse: a master's transient merge DBs share the
+// plan cache's entry for a statement's text, so a repeated federated
+// statement hits it instead of every query parsing afresh.
 func TestMergeQueryPlanCacheReuse(t *testing.T) {
 	pc := engine.NewPlanCache(32)
 	var clients []WorkerClient
@@ -699,5 +684,74 @@ func TestHTTPWorkerDatasetInfoWire(t *testing.T) {
 	}
 	if info2.Versions["edsd"] <= info.Versions["edsd"] {
 		t.Fatalf("edsd version %d -> %d, want a bump", info.Versions["edsd"], info2.Versions["edsd"])
+	}
+}
+
+// stampBarrier releases a round of DataStamp probes only once all n of
+// them have arrived; a probe still waiting after the timeout fails.
+type stampBarrier struct {
+	mu      sync.Mutex
+	n       int
+	waiting int
+	release chan struct{}
+}
+
+func (b *stampBarrier) wait() error {
+	b.mu.Lock()
+	ch := b.release
+	if b.waiting++; b.waiting == b.n {
+		b.waiting = 0
+		b.release = make(chan struct{})
+		close(ch)
+	}
+	b.mu.Unlock()
+	select {
+	case <-ch:
+		return nil
+	case <-time.After(2 * time.Second):
+		return fmt.Errorf("stamp barrier: %d probes never arrived together", b.n)
+	}
+}
+
+// barrierWorker is a Worker whose stamp probe waits at a shared barrier.
+type barrierWorker struct {
+	*Worker
+	b *stampBarrier
+}
+
+func (w barrierWorker) DataStamp() (string, error) {
+	if err := w.b.wait(); err != nil {
+		return "", err
+	}
+	return w.Worker.DataStamp()
+}
+
+// TestResultKeyProbesConcurrently: a result-cache lookup probes every
+// worker's stamp at once. Each probe blocks until all W have arrived, so a
+// master probing in turn times out, bypasses the cache and never hits.
+func TestResultKeyProbesConcurrently(t *testing.T) {
+	const w = 4
+	b := &stampBarrier{n: w, release: make(chan struct{})}
+	var clients []WorkerClient
+	for i := 0; i < w; i++ {
+		clients = append(clients, barrierWorker{NewWorker(fmt.Sprintf("bw%d", i), newWorkerDB(t, "edsd", 10+i, float64(i))), b})
+	}
+	m, err := NewMaster(clients, nil, Security{}, WithResultCacheBytes(1<<20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(m.Close)
+	sql := `SELECT count(*) AS n FROM data`
+	for i := 0; i < 2; i++ {
+		res, err := m.MergeQuery([]string{"edsd"}, sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := res.Col(0).CastFloat64().Float64s()[0]; n != 10+11+12+13 {
+			t.Fatalf("count = %v, want 46", n)
+		}
+	}
+	if s := m.ResultCacheStats(); s.Hits != 1 || s.Misses != 1 {
+		t.Fatalf("stats = %+v, want the repeat served from the cache", s)
 	}
 }
