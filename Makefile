@@ -40,7 +40,7 @@ freshbuild:
 # down.
 loc:
 	@for d in internal/engine internal/federation internal/obs internal/api cmd/mipctl \
-		internal/algorithms internal/udf internal/smpc cmd/mipbench; do \
+		internal/algorithms internal/smpc cmd/mipbench; do \
 		printf '%-22s %6d non-test lines\n' $$d $$(find $$d -name '*.go' ! -name '*_test.go' | xargs cat | wc -l); \
 	done
 	@printf '%-22s %6d non-test lines\n' 'engine + federation' \
@@ -101,12 +101,14 @@ cachesmoke:
 # (-0.0, subnormals, nil against empty, span times), a body cut at any
 # byte is an error, every algorithm's result is byte-identical in process
 # and over HTTP, plain and secure, and a non-finite transfer fails the step
-# with one message on both transports. Both formats are pinned byte for
-# byte against recorded streams (testdata/*.mipt, *.mips), so any drift
-# fails. A worker refuses a body past its cap with a final 413, while the
+# with one message on both transports, as does a step body that panics (its
+# replay too, and the handler finishes). A step body blocked in a loopback
+# query unwinds when its job is cancelled, on both transports. Both formats
+# are pinned byte for byte against recorded streams (testdata/*.mipt,
+# *.mips), so any drift fails. A worker refuses a body past its cap with a final 413, while the
 # largest legitimate one, a CART round's tree, still runs.
 wiresmoke:
-	$(GO) test -count=1 -race -run 'TestQueryHTTPMatchesInProcess|TestQueryStreamTruncation|TestStepEnvelopeRoundTrip|TestStepEnvelopeTruncation|TestTransportsAgree|TestNonFiniteTransferRejected|TestTableStreamGolden|TestStepEnvelopeGolden|TestOversizedBodyRefused|TestLargestCartStepFitsBodyCap' ./internal/engine/ ./internal/federation/ ./internal/algorithms/
+	$(GO) test -count=1 -race -run 'TestQueryHTTPMatchesInProcess|TestQueryStreamTruncation|TestStepEnvelopeRoundTrip|TestStepEnvelopeTruncation|TestTransportsAgree|TestNonFiniteTransferRejected|TestStepPanicFailsStep|TestCancelJobAbortsLoopback|TestTableStreamGolden|TestStepEnvelopeGolden|TestOversizedBodyRefused|TestLargestCartStepFitsBodyCap' ./internal/engine/ ./internal/federation/ ./internal/algorithms/
 
 # smpcsmoke covers share import outside the cluster lock: four goroutines
 # importing into two jobs while a third job aggregates (sums exact), and two

@@ -3,6 +3,7 @@ package federation
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net/http/httptest"
 	"strings"
 	"sync"
@@ -195,5 +196,53 @@ func TestHTTPCancelJob(t *testing.T) {
 	}
 	if err := bp.waitCause(t); !errors.Is(err, engine.ErrQueryCancelled) {
 		t.Fatalf("worker part context cause = %v, want ErrQueryCancelled", err)
+	}
+}
+
+// TestCancelJobAbortsLoopback cancels a step whose body, not its relation
+// query, is blocked: the body's loopback query reads a blocking part. The
+// job's cancellation — Worker.CancelJob in process, POST /cancel over HTTP
+// — must reach the loopback through the step's context, so the part
+// observes ErrQueryCancelled and the step unwinds with it.
+func TestCancelJobAbortsLoopback(t *testing.T) {
+	for _, overHTTP := range []bool{false, true} {
+		t.Run(fmt.Sprintf("http=%v", overHTTP), func(t *testing.T) {
+			w, bp := slowWorker(t, "w0")
+			var c WorkerClient = w
+			if overHTTP {
+				srv := httptest.NewServer((&WorkerServer{Worker: w}).Handler())
+				defer srv.Close()
+				c = NewHTTPWorkerClient("w0", srv.URL)
+			}
+			const jobID = "exp-loopback-cancel/step-1"
+
+			done := make(chan error, 1)
+			go func() {
+				_, err := c.LocalRun(LocalRunRequest{
+					JobID: jobID, Func: "test_loopback_slow",
+					DataQuery: `SELECT age FROM data`,
+				})
+				done <- err
+			}()
+			bp.waitStarted(t)
+
+			if !c.CancelJob(jobID) {
+				t.Fatal("CancelJob found no live job")
+			}
+			select {
+			case err := <-done:
+				if overHTTP && (err == nil || !strings.Contains(err.Error(), "cancelled")) {
+					t.Fatalf("HTTP LocalRun error = %v, want a cancelled error", err)
+				}
+				if !overHTTP && !errors.Is(err, engine.ErrQueryCancelled) {
+					t.Fatalf("LocalRun error = %v, want ErrQueryCancelled", err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("step did not unwind after CancelJob")
+			}
+			if err := bp.waitCause(t); !errors.Is(err, engine.ErrQueryCancelled) {
+				t.Fatalf("part context cause = %v, want ErrQueryCancelled", err)
+			}
+		})
 	}
 }

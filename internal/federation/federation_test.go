@@ -49,6 +49,14 @@ func init() {
 		}
 		return Transfer{"total": Scalar(float64(t.Col(0).Int64s()[0]))}, nil
 	})
+	// Test local step whose loopback reads the blocking "slowtbl" view of a
+	// slowWorker, so the body stays inside the engine until cancelled.
+	RegisterLocal("test_loopback_slow", func(wctx *WorkerCtx, data *engine.Table, kwargs Kwargs) (Transfer, error) {
+		if _, err := wctx.Loopback("SELECT age FROM slowtbl"); err != nil {
+			return nil, err
+		}
+		return Transfer{"n": Scalar(float64(data.NumRows()))}, nil
+	})
 	// Test local step returning distinct times (for union tests).
 	RegisterLocal("test_times", func(wctx *WorkerCtx, data *engine.Table, kwargs Kwargs) (Transfer, error) {
 		seen := map[float64]struct{}{}
@@ -481,15 +489,35 @@ func TestTensorJSONRoundTrip(t *testing.T) {
 	}
 }
 
+// TestGenerateStepSQL pins the wrapper text byte for byte: mipbench E2
+// prints it as the paper's UDF-to-SQL reproduction.
 func TestGenerateStepSQL(t *testing.T) {
-	db := newWorkerDB(t, "edsd", 20, 0)
-	w := NewWorker("h", db)
-	sql, err := w.GenerateStepSQL("test_sums", "SELECT age FROM data")
-	if err != nil {
-		t.Fatal(err)
+	reg := NewFuncRegistry()
+	for _, name := range []string{"linreg_fit_local", "test_sums"} {
+		reg.MustRegisterLocal(name, func(*WorkerCtx, *engine.Table, Kwargs) (Transfer, error) { return nil, nil })
 	}
-	if !strings.Contains(sql, "CREATE OR REPLACE FUNCTION fed_test_sums") {
-		t.Fatalf("generated SQL:\n%s", sql)
+	w := NewWorker("h", newWorkerDB(t, "edsd", 20, 0), WithFuncs(reg))
+	for _, c := range []struct{ fn, query, want string }{
+		{"linreg_fit_local", "SELECT minimentalstate, lefthippocampus FROM data WHERE dataset IN ('edsd')",
+			"CREATE OR REPLACE FUNCTION fed_linreg_fit_local(data TABLE(*), kwargs JSON)\n" +
+				"RETURNS TABLE(transfer JSON)\n" +
+				"LANGUAGE NATIVE -- JIT-generated wrapper\n" +
+				"{ body: fed_linreg_fit_local };\n" +
+				"SELECT * FROM fed_linreg_fit_local((SELECT minimentalstate, lefthippocampus FROM data WHERE dataset IN ('edsd')), kwargs);"},
+		{"test_sums", "  ",
+			"CREATE OR REPLACE FUNCTION fed_test_sums(data TABLE(*), kwargs JSON)\n" +
+				"RETURNS TABLE(transfer JSON)\n" +
+				"LANGUAGE NATIVE -- JIT-generated wrapper\n" +
+				"{ body: fed_test_sums };\n" +
+				"SELECT * FROM fed_test_sums(data, kwargs);"},
+	} {
+		sql, err := w.GenerateStepSQL(c.fn, c.query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sql != c.want {
+			t.Fatalf("GenerateStepSQL(%q, %q):\n%s\nwant:\n%s", c.fn, c.query, sql, c.want)
+		}
 	}
 	if _, err := w.GenerateStepSQL("ghost", ""); err == nil {
 		t.Fatal("unknown func must error")
@@ -625,8 +653,8 @@ func TestWithFuncsCustomRegistry(t *testing.T) {
 	reg.MustRegisterLocal("only_here", func(wctx *WorkerCtx, data *engine.Table, kwargs Kwargs) (Transfer, error) {
 		return Transfer{"ok": Scalar(1)}, nil
 	})
-	if names := reg.LocalNames(); len(names) != 1 || names[0] != "only_here" {
-		t.Fatalf("LocalNames = %v", names)
+	if reg.Local("only_here") == nil || reg.Local("test_sums") != nil {
+		t.Fatal("custom registry must hold exactly its own funcs")
 	}
 	db := newWorkerDB(t, "edsd", 40, 0)
 	w := NewWorker("custom", db, WithFuncs(reg))

@@ -1,29 +1,31 @@
 package federation
 
 import (
+	"context"
 	"fmt"
-	"sort"
 	"sync"
 
 	"mip/internal/engine"
-	"mip/internal/udf"
 )
 
 // LocalFunc is a local computation step: it runs on a Worker with access to
 // the primary data (already filtered to the requested datasets/variables)
-// and returns a transfer dict. The worker wraps it as a SQL UDF through the
-// UDF generator before execution.
+// and returns a transfer dict. The worker calls it over the step's resolved
+// relation; GenerateStepSQL renders the SQL UDF wrapper that call stands for.
 type LocalFunc func(wctx *WorkerCtx, data *engine.Table, kwargs Kwargs) (Transfer, error)
 
 // WorkerCtx gives a running local step controlled access to its hosting
 // worker: loopback SQL against the local engine and the worker identity.
 type WorkerCtx struct {
 	WorkerID string
-	UDF      *udf.Ctx
+	db       *engine.DB
+	ctx      context.Context
 }
 
-// Loopback runs SQL inside the worker's engine.
-func (w *WorkerCtx) Loopback(sql string) (*engine.Table, error) { return w.UDF.Loopback(sql) }
+// Loopback runs SQL inside the worker's engine (MonetDB's "SQL loopback
+// queries"), scoped by the step's context: cancelling the step aborts the
+// query at the next batch boundary.
+func (w *WorkerCtx) Loopback(sql string) (*engine.Table, error) { return w.db.QueryCtx(w.ctx, sql) }
 
 // FuncRegistry holds the local steps of the installed algorithm library
 // (every node in a MIP deployment has the same algorithms installed, so a
@@ -62,18 +64,6 @@ func (r *FuncRegistry) Local(name string) LocalFunc {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.locals[name]
-}
-
-// LocalNames lists registered local steps, sorted.
-func (r *FuncRegistry) LocalNames() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]string, 0, len(r.locals))
-	for n := range r.locals {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // DefaultRegistry is the process-wide algorithm library.

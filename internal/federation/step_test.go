@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"mip/internal/engine"
 	"mip/internal/obs"
@@ -141,4 +142,73 @@ func TestDisclosureCountsStepRelation(t *testing.T) {
 	if got := n.Col(0).Int64s()[0]; got != DefaultMinRows/2 {
 		t.Fatalf("data table holds %d rows after the refused step, want %d", got, DefaultMinRows/2)
 	}
+}
+
+// TestStepPanicFailsStep: a step body that panics fails its step promptly
+// with an error naming the worker, the step and the panic value, and a
+// replay of its job id fails just as promptly instead of waiting on an
+// attempt that never finished. Over HTTP the handler must also finish, so
+// the server can close; in process the panic must not escape the session's
+// worker goroutine.
+func TestStepPanicFailsStep(t *testing.T) {
+	reg := NewFuncRegistry()
+	reg.MustRegisterLocal("test_panics", func(_ *WorkerCtx, data *engine.Table, _ Kwargs) (Transfer, error) {
+		var none []float64
+		return Transfer{"x": Scalar(none[data.NumRows()])}, nil
+	})
+	newWorker := func(t *testing.T) *Worker {
+		return NewWorker("p0", newWorkerDB(t, "edsd", 30, 0), WithFuncs(reg))
+	}
+	check := func(t *testing.T, run func() error) {
+		t.Helper()
+		t0 := time.Now()
+		err := run()
+		if d := time.Since(t0); d > time.Second {
+			t.Errorf("panicking step took %v to fail", d)
+		}
+		if err == nil {
+			t.Fatal("panicking step succeeded")
+		}
+		for _, s := range []string{"worker p0", "fed_test_panics", "panicked", "index out of range"} {
+			if !strings.Contains(err.Error(), s) {
+				t.Errorf("error %q does not name %q", err, s)
+			}
+		}
+	}
+	req := LocalRunRequest{JobID: "exp-panic/step-1", Func: "test_panics", DataQuery: "SELECT age FROM data"}
+
+	t.Run("http", func(t *testing.T) {
+		srv := httptest.NewServer((&WorkerServer{Worker: newWorker(t)}).Handler())
+		c := NewHTTPWorkerClient("p0", srv.URL)
+		c.RunTimeout = 2 * time.Second
+		for i := 0; i < 2; i++ { // the original, then its replay
+			check(t, func() error { _, err := c.LocalRun(req); return err })
+		}
+		closed := make(chan struct{})
+		go func() { srv.Close(); close(closed) }()
+		select {
+		case <-closed:
+		case <-time.After(5 * time.Second):
+			t.Error("server did not close: a /localrun handler is stuck")
+		}
+	})
+	t.Run("inproc", func(t *testing.T) {
+		w := newWorker(t)
+		m, err := NewMaster([]WorkerClient{w}, nil, Security{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer m.Close()
+		sess, err := m.NewSession([]string{"edsd"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(t, func() error {
+			_, err := sess.LocalRun(LocalRunSpec{Func: "test_panics", Vars: []string{"age"}})
+			return err
+		})
+		for i := 0; i < 2; i++ {
+			check(t, func() error { _, err := w.LocalRun(req); return err })
+		}
+	})
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math"
+	"runtime/debug"
 	"sort"
 	"strconv"
 	"strings"
@@ -15,7 +16,6 @@ import (
 	"mip/internal/engine"
 	"mip/internal/obs"
 	"mip/internal/smpc"
-	"mip/internal/udf"
 )
 
 // DataTable is the canonical name of the harmonized primary-data table each
@@ -105,8 +105,6 @@ type Worker struct {
 	id       string
 	db       *engine.DB
 	funcs    *FuncRegistry
-	udfReg   *udf.Registry
-	exec     *udf.Exec
 	smpc     *smpc.Cluster // the decoupled SMPC cluster (nil = plain only)
 	minRows  int
 	mu       sync.Mutex
@@ -173,7 +171,6 @@ func NewWorker(id string, db *engine.DB, opts ...WorkerOption) *Worker {
 		id:      id,
 		db:      db,
 		funcs:   DefaultRegistry,
-		udfReg:  udf.NewRegistry(),
 		minRows: DefaultMinRows,
 		jobs:    make(map[string]*jobEntry),
 		pins:    make(map[string]*sessionPin),
@@ -182,7 +179,6 @@ func NewWorker(id string, db *engine.DB, opts ...WorkerOption) *Worker {
 	for _, o := range opts {
 		o(w)
 	}
-	w.exec = &udf.Exec{Registry: w.udfReg, DB: db}
 	return w
 }
 
@@ -264,11 +260,11 @@ func (w *Worker) CancelJob(jobID string) bool {
 }
 
 // LocalRun implements WorkerClient: evaluates the step's relation once,
-// applies disclosure control to it, runs the step over it inside the engine
-// via the UDF generator, and ships the result one way — the transfer on the
-// plain path, secret shares on the secure path. When the request carries a
-// trace context the worker records an execution span (with engine query
-// stats) and ships it back in the response envelope.
+// applies disclosure control to it, calls the step over it, and ships the
+// result one way — the transfer on the plain path, secret shares on the
+// secure path. When the request carries a trace context the worker records
+// an execution span (with engine query stats) and ships it back in the
+// response envelope.
 //
 // Calls are deduplicated by JobID: a replay of an already-completed step
 // (the master retries transient transport failures) returns the cached
@@ -370,9 +366,9 @@ func (w *Worker) doLocalRun(ctx context.Context, req LocalRunRequest, span *obs.
 			Datasets: req.Datasets,
 		})
 	}
-	def, err := w.stepUDF(req.Func)
-	if err != nil {
-		return resp, err
+	fn := w.funcs.Local(req.Func)
+	if fn == nil {
+		return resp, fmt.Errorf("federation: worker %s has no local func %q", w.id, req.Func)
 	}
 
 	data, err := w.relation(ctx, req, span, &resp)
@@ -388,8 +384,8 @@ func (w *Worker) doLocalRun(ctx context.Context, req LocalRunRequest, span *obs.
 		return resp, fmt.Errorf("federation: worker %s: disclosure control: %d rows < minimum %d", w.id, resp.Rows, w.minRows)
 	}
 
-	udfSpan := span.StartChild("udf " + def.Name)
-	outs, err := w.exec.Call(ctx, def.Name, []udf.Value{udf.RelationValue(data), udf.TransferValue(req.Kwargs)})
+	udfSpan := span.StartChild("udf fed_" + req.Func)
+	transfer, err := w.callStep(ctx, req.Func, fn, data, req.Kwargs)
 	udfSpan.SetError(err)
 	udfSpan.End()
 	if udfSpan != nil {
@@ -398,7 +394,6 @@ func (w *Worker) doLocalRun(ctx context.Context, req LocalRunRequest, span *obs.
 	if err != nil {
 		return resp, err
 	}
-	transfer := outs[0].Transfer.(Transfer)
 
 	if !req.Secure {
 		if err := w.checkFinite(req.Func, transfer); err != nil {
@@ -432,7 +427,7 @@ func (w *Worker) doLocalRun(ctx context.Context, req LocalRunRequest, span *obs.
 		}
 	}
 	// Attributes, not a child span: the exec span's self time is what tells
-	// the import apart from the relation query and the UDF call.
+	// the import apart from the relation query and the step body.
 	span.SetAttr("smpc_import_ms", strconv.FormatFloat(time.Since(t0).Seconds()*1e3, 'f', 3, 64))
 	span.SetAttr("smpc_import_elems", strconv.Itoa(elems))
 	return resp, nil
@@ -535,39 +530,24 @@ func (w *Worker) checkFinite(step string, t Transfer) error {
 	return nil
 }
 
-// stepUDF returns the SQL UDF fed_<name> wrapping local step name (its
-// relation and kwargs in, its transfer out), registering it on first use.
-// Steps run through it and GenerateStepSQL renders it, so the generated SQL
-// always describes the UDF that runs.
-func (w *Worker) stepUDF(name string) (*udf.Def, error) {
-	if def := w.udfReg.Lookup("fed_" + name); def != nil {
-		return def, nil
-	}
-	fn := w.funcs.Local(name)
-	if fn == nil {
-		return nil, fmt.Errorf("federation: worker %s has no local func %q", w.id, name)
-	}
-	def := &udf.Def{
-		Name:    "fed_" + name,
-		Doc:     "federated local step " + name,
-		Inputs:  []udf.IOSpec{{Name: "data", Kind: udf.Relation}, {Name: "kwargs", Kind: udf.Transfer}},
-		Outputs: []udf.IOSpec{{Name: "transfer", Kind: udf.Transfer}},
-		Body: func(ctx *udf.Ctx, args []udf.Value) ([]udf.Value, error) {
-			tr, err := fn(&WorkerCtx{WorkerID: w.id, UDF: ctx}, args[0].Table, args[1].Transfer.(Kwargs))
-			if err != nil {
-				return nil, err
-			}
-			return []udf.Value{udf.TransferValue(tr)}, nil
-		},
-	}
-	if err := w.udfReg.Register(def); err != nil {
-		// A concurrent first use registered the same wrapper.
-		if won := w.udfReg.Lookup(def.Name); won != nil {
-			return won, nil
+// callStep calls step name's body over its relation and kwargs: the UDF
+// fed_<name> that GenerateStepSQL renders. ctx scopes the body's loopback
+// queries. A body error reads "udf fed_<name>: …"; a body that panics fails
+// its step with an error naming the worker, the step and the panic value,
+// and its stack goes to the log, so the worker and any replay of the job
+// carry on.
+func (w *Worker) callStep(ctx context.Context, name string, fn LocalFunc, data *engine.Table, kwargs Kwargs) (tr Transfer, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			workerLog.Error("local step panicked", "worker", w.id, "func", name, "panic", fmt.Sprint(p), "stack", string(debug.Stack()))
+			tr, err = nil, fmt.Errorf("udf fed_%s: worker %s: step panicked: %v", name, w.id, p)
 		}
-		return nil, err
+	}()
+	tr, err = fn(&WorkerCtx{WorkerID: w.id, db: w.db, ctx: ctx}, data, kwargs)
+	if err != nil {
+		return nil, fmt.Errorf("udf fed_%s: %w", name, err)
 	}
-	return def, nil
+	return tr, nil
 }
 
 // planSpans synthesizes one trace span per plan operator, nesting like the
@@ -600,12 +580,13 @@ func planSpans(traceID, parentID string, start time.Time, n *engine.PlanNode, ou
 	}
 }
 
-// GenerateStepSQL exposes the UDF-to-SQL text for a registered step; shown
-// by the CLI's explain mode, mirroring the paper's generated wrappers.
+// GenerateStepSQL renders the SQL UDF wrapper a registered step stands for,
+// mirroring the paper's UDF-to-SQL translation: fed_<func> takes the step's
+// relation and kwargs and returns its transfer. The worker runs the step by
+// calling its Go body directly; the text documents that call.
 func (w *Worker) GenerateStepSQL(funcName, dataQuery string) (string, error) {
-	def, err := w.stepUDF(funcName)
-	if err != nil {
-		return "", err
+	if w.funcs.Local(funcName) == nil {
+		return "", fmt.Errorf("federation: worker %s has no local func %q", w.id, funcName)
 	}
 	src := strings.TrimSpace(dataQuery)
 	if src == "" {
@@ -613,5 +594,9 @@ func (w *Worker) GenerateStepSQL(funcName, dataQuery string) (string, error) {
 	} else {
 		src = "(" + src + ")"
 	}
-	return udf.GenerateSQL(def, []string{src, "kwargs"}, ""), nil
+	return fmt.Sprintf("CREATE OR REPLACE FUNCTION fed_%[1]s(data TABLE(*), kwargs JSON)\n"+
+		"RETURNS TABLE(transfer JSON)\n"+
+		"LANGUAGE NATIVE -- JIT-generated wrapper\n"+
+		"{ body: fed_%[1]s };\n"+
+		"SELECT * FROM fed_%[1]s(%[2]s, kwargs);", funcName, src), nil
 }
