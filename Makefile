@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build tools test race vet fmt check freshbuild loc smokecheck auditsmoke spillsmoke cachesmoke wiresmoke smpcsmoke bench benchcompare benchfull
+.PHONY: build tools test race vet fmt check freshbuild loc smokecheck auditsmoke spillsmoke cachesmoke wiresmoke smpcsmoke mergesmoke bench benchcompare benchfull
 
 build:
 	$(GO) build ./...
@@ -119,7 +119,20 @@ wiresmoke:
 smpcsmoke:
 	$(GO) test -count=1 -race -run 'TestConcurrentImportAggregate|TestConcurrentSecureExperiments|TestMixedOpTransfer|TestOpDisagreementFails' ./internal/smpc/ ./internal/federation/
 
-check: vet fmt smokecheck race auditsmoke spillsmoke cachesmoke wiresmoke smpcsmoke
+# mergesmoke guards federated ≡ pooled on the merge-table path: every
+# pushed-down aggregate answers as the pooled engine does (same types, same
+# NULLs, values within 1e-9, also on generated federations with empty and
+# single-row parts, NULL keys and a constant column), GROUP BY-only and
+# HAVING-only statements push down too, only partials ship, non-decomposable
+# aggregates fall back to materializing, degraded quorums drop failing
+# parts, quoted identifiers survive the per-part SQL, the merge memo is kept
+# per part table, and EXPLAIN shows the plain statement's stages above the
+# merge node. The federation half runs the same path over HTTP workers and
+# through the tolerant master.
+mergesmoke:
+	$(GO) test -count=1 -race -run 'TestMergePushdownEquivalence|TestMergeMaterializeFallback|TestMergePushdownShipsOnlyAggregates|TestMergeMinPartsDegraded|TestMergeQuotedIdentifierPushdown|TestGroupedInExpr|TestExplainAnalyzeMergePushdown|TestPlanCacheMergeMemoPerPartTable|TestMergePushdownGroupOnly|TestMergeMatchesPooledGenerated|TestQueryHTTPMatchesInProcess|TestMergeQueryDegraded' ./internal/engine/ ./internal/federation/
+
+check: vet fmt smokecheck race auditsmoke spillsmoke cachesmoke wiresmoke smpcsmoke mergesmoke
 
 # bench runs the engine perf suite and writes BENCH_engine.json (the CI
 # bench job uploads it as an artifact). Use benchfull for the testing.B

@@ -37,14 +37,14 @@ type planEntry struct {
 }
 
 // mergePlan is a statement's merge pushdown decision for merge tables
-// whose part-table name is table: the partial specs and per-part SQL when
-// it decomposes, else the materialize SQL and its pushed projection.
+// whose part-table name is table: the partial SQL per aggregate call and
+// the per-part SQL when it decomposes, else the materialize SQL and its
+// pushed projection.
 type mergePlan struct {
 	table    string
 	pushOK   bool
-	specs    []partialSpec
+	partials [][]string
 	sql      string
-	partCols [][]string
 	matCols  []string
 }
 

@@ -34,10 +34,12 @@ func execSelect(ec *ExecContext, st *SelectStmt, in source, qs *QueryStats) (*Ta
 // source is what a stage list reads: a table, or a grace join's output
 // still in its run files (js). The aggregate reads a stream as it is,
 // batch by batch, so the joined relation is never materialized; any other
-// stage reads it materialized.
+// stage reads it materialized. With parts set, t is a merge pushdown's
+// part answers, which only the aggregate reads (as its partials).
 type source struct {
-	t  *Table
-	js *joinStream
+	t     *Table
+	js    *joinStream
+	parts *partAnswers
 }
 
 func (s source) rows() int {
@@ -87,7 +89,7 @@ func (ec *ExecContext) runStages(st *SelectStmt, stages []selectStage, in source
 			return nil, err
 		}
 		sg := qs.beginStage(s.op, s.detail, in.rows())
-		if in.js == nil { // a stream's batches are read one at a time
+		if in.js == nil && in.parts == nil { // a stream's batches and part answers are read one at a time
 			sg.setParallelism(s.par)
 		}
 		node := sg.node
@@ -758,6 +760,9 @@ type morselAgg struct {
 // Nothing built is dropped and no batch is read twice: combineSpilled
 // folds the kept partials and the spilled rows partition by partition.
 func execAggregate(ec *ExecContext, st *SelectStmt, in source, node *PlanNode, where Expr, fnode *PlanNode) (*Table, error) {
+	if in.parts != nil {
+		return in.parts.aggregate(ec, st, in.t, node)
+	}
 	prep, err := prepareAgg(st, NewTable(in.schema()))
 	if err != nil {
 		return nil, err
@@ -792,7 +797,7 @@ func execAggregate(ec *ExecContext, st *SelectStmt, in source, node *PlanNode, w
 			defer spMu.Unlock()
 			return sp.add(keys, cols, seq, n)
 		}
-		ma, err := buildPartial(prep.aggCalls, keys, args, n)
+		ma, err := buildPartial(prep.aggCalls, keys, args, n, (*aggState).observeAll)
 		if err != nil {
 			return err
 		}
@@ -849,10 +854,12 @@ func ordinal(start int64, sel []int32, r int) int64 {
 
 // buildPartial is the aggregate kernel's first half: it groups n rows by
 // their key tuples (no keys = one global group) and folds each call's
-// argument vectors into fresh per-group accumulators. The operator calls
-// it per batch it keeps; a spilled partition calls it per morsel-run of
-// its reloaded rows — same rows, same order, same partial.
-func buildPartial(calls []*AggCall, keys []*Vector, args [][]*Vector, n int) (*morselAgg, error) {
+// argument vectors into fresh per-group accumulators with fold. The
+// operator calls it per batch it keeps, folding with observeAll; a spilled
+// partition calls it per morsel-run of its reloaded rows — same rows, same
+// order, same partial; a merge pushdown calls it per part answer, folding
+// with loadPartials.
+func buildPartial(calls []*AggCall, keys []*Vector, args [][]*Vector, n int, fold func(s *aggState, groupOf []int, args []*Vector, n int)) (*morselAgg, error) {
 	ma := &morselAgg{keyVecs: keys}
 	var groupOf []int
 	localGroups := 1
@@ -882,7 +889,7 @@ func buildPartial(calls []*AggCall, keys []*Vector, args [][]*Vector, n int) (*m
 		if err != nil {
 			return nil, err
 		}
-		s.observeAll(groupOf, args[k], n)
+		fold(s, groupOf, args[k], n)
 		ma.states[k] = s
 	}
 	return ma, nil
@@ -962,11 +969,28 @@ type aggPrep struct {
 	emptyArgs [][]*Vector
 }
 
-// prepareAgg rewrites the statement against the (empty) input schema and
-// validates group keys and aggregate arguments, so errors (unknown
-// columns, bad quantile fractions, corr arity) surface deterministically
-// even when the input has no rows.
+// prepareAgg rewrites the statement (rewriteAggs) and validates group keys
+// and aggregate arguments against the (empty) input schema, so errors
+// (unknown columns, bad quantile fractions, corr arity) surface
+// deterministically even when the input has no rows.
 func prepareAgg(st *SelectStmt, empty *Table) (*aggPrep, error) {
+	p := rewriteAggs(st)
+	var err error
+	if p.emptyKeys, p.emptyArgs, err = p.evalInputs(empty); err != nil {
+		return nil, err
+	}
+	for k, c := range p.aggCalls {
+		if _, err := newAggState(c, 0, p.emptyArgs[k]); err != nil {
+			return nil, err
+		}
+	}
+	return p, nil
+}
+
+// rewriteAggs is prepareAgg's schema-free half: the select items and HAVING
+// with group keys and aggregate calls replaced by $key*/$agg* column refs,
+// and the distinct calls in first-appearance order (items, then HAVING).
+func rewriteAggs(st *SelectStmt) *aggPrep {
 	keyNames := map[string]string{}
 	for i, g := range st.GroupBy {
 		keyNames[g.String()] = fmt.Sprintf("$key%d", i)
@@ -983,16 +1007,7 @@ func prepareAgg(st *SelectStmt, empty *Table) (*aggPrep, error) {
 	if st.Having != nil {
 		p.having = rewriteAgg(st.Having, keyNames, &p.aggCalls, aggCols)
 	}
-	var err error
-	if p.emptyKeys, p.emptyArgs, err = p.evalInputs(empty); err != nil {
-		return nil, err
-	}
-	for k, c := range p.aggCalls {
-		if _, err := newAggState(c, 0, p.emptyArgs[k]); err != nil {
-			return nil, err
-		}
-	}
-	return p, nil
+	return p
 }
 
 // evalInputs evaluates the group keys and every call's arguments (see

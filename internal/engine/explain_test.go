@@ -194,6 +194,39 @@ func TestExplainAnalyzeMergePushdown(t *testing.T) {
 	if qs.OpNanos[obs.OpMerge] <= 0 {
 		t.Error("MergeNanos not recorded")
 	}
+
+	// Above its merge node a pushdown runs the plain statement's own
+	// stages, as they run above the scan of the pooled table.
+	pooled := NewDB()
+	pt := NewTable(Schema{{Name: "hospital", Type: String}, {Name: "age", Type: Float64}})
+	for _, part := range []string{"h1", "h2"} {
+		_ = pt.AppendRow(part, 70.0)
+		_ = pt.AppendRow(part, 80.0)
+	}
+	pooled.RegisterTable("cohort", pt)
+	stagesAbove := func(db *DB, sql, leaf string) []string {
+		t.Helper()
+		_, qs, err := db.QueryWithStats(sql)
+		if err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+		var out []string
+		for n := qs.Root; n.Op != leaf; n = n.Children[0] {
+			out = append(out, n.Op+" "+n.Detail)
+		}
+		return out
+	}
+	for _, sql := range []string{
+		`SELECT avg(age) AS m FROM cohort`,
+		`SELECT hospital, avg(age) AS m FROM cohort GROUP BY hospital HAVING count(*) > 1 ORDER BY m LIMIT 1`,
+	} {
+		for _, explain := range []string{"EXPLAIN ", "EXPLAIN ANALYZE "} {
+			got, want := stagesAbove(mdb, explain+sql, "merge"), stagesAbove(pooled, explain+sql, "scan")
+			if strings.Join(got, "|") != strings.Join(want, "|") {
+				t.Errorf("%s%s:\n  above merge %q\n  above scan  %q", explain, sql, got, want)
+			}
+		}
+	}
 }
 
 func TestExplainErrors(t *testing.T) {

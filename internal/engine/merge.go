@@ -56,15 +56,38 @@ type MergeTable struct {
 	MinParts int
 }
 
-// execSelect serves a SELECT against the merge view. With a plan-cache
-// entry on the context, the pushdown decomposition and the rendered
-// per-part SQL come memoized from the entry instead of being rebuilt.
+// execSelect serves a SELECT against the merge view: it fans the plan's
+// per-part SQL out to the parts and runs the statement, less its WHERE
+// (already applied at the parts), over the union of their answers. A
+// materialize plan's answers are rows; a pushdown plan's are partial
+// aggregates, which the statement's aggregate stage reads as its partials
+// (partAnswers). With a plan-cache entry on the context, the plan comes
+// memoized from the entry instead of being rebuilt.
 func (m *MergeTable) execSelect(ec *ExecContext, st *SelectStmt, qs *QueryStats) (*Table, error) {
 	p := m.plan(ec.plan, st)
-	if p.pushOK {
-		return m.execPushdown(ec, st, p.specs, p.sql, p.partCols, qs)
+	t0 := time.Now()
+	ec.setOperator("merge " + p.mode() + " " + m.TableName)
+	union, parts, failed, err := m.streamUnion(ec, p.sql)
+	if err != nil {
+		return nil, err
 	}
-	return m.execMaterialize(ec, st, p.sql, p.matCols, qs)
+	in := source{t: union}
+	switch {
+	case union == nil && len(m.Schema) == 0:
+		return nil, fmt.Errorf("engine: merge table %s has no parts and no declared schema", m.TableName)
+	case union == nil:
+		// No parts registered: the statement runs over an empty table of
+		// the declared schema (narrowed to the pushed projection), so it
+		// typechecks and answers as over an empty pooled table.
+		in.t = NewTable(m.declaredSchema(p.matCols))
+	case p.pushOK:
+		in.parts = &partAnswers{parts: parts, partials: p.partials}
+	}
+	recordShipped(qs, parts, failed)
+	m.plantPlan(qs, p.mode(), p.sql, parts, in.t, time.Since(t0))
+	local := *st
+	local.Where = nil
+	return execSelect(ec, &local, in, qs)
 }
 
 // plan derives st's pushdown decision and per-part SQL against m. Both
@@ -78,8 +101,8 @@ func (m *MergeTable) plan(e *planEntry, st *SelectStmt) *mergePlan {
 		}
 	}
 	p := &mergePlan{table: m.TableName}
-	if p.specs, p.pushOK = m.decompose(st); p.pushOK {
-		p.sql, p.partCols = m.partialSQL(st, p.specs)
+	if p.partials, p.pushOK = decompose(st); p.pushOK {
+		p.sql = m.partialSQL(st, p.partials)
 	} else {
 		p.sql, p.matCols = m.materializeSQL(st)
 	}
@@ -89,40 +112,19 @@ func (m *MergeTable) plan(e *planEntry, st *SelectStmt) *mergePlan {
 	return p
 }
 
-// execMaterialize unions part rows locally and runs the query over the
-// union. Fallback path for non-decomposable aggregates (median/quantile)
-// and plain row queries. Each part's SQL carries the statement's WHERE,
-// only the referenced columns, and — when no ORDER BY or aggregate needs
-// the whole union — a LIMIT cap, so the wire carries as little as the
-// query allows. The union is built streamingly: each part's rows fold
-// into the union as they arrive (in part order, so the result is
-// deterministic) and the part table is released immediately, instead of
-// holding every worker table until a final concatenation.
-func (m *MergeTable) execMaterialize(ec *ExecContext, st *SelectStmt, sql string, pushedCols []string, qs *QueryStats) (*Table, error) {
-	t0 := time.Now()
-	ec.setOperator("merge materialize " + m.TableName)
-	union, parts, failed, err := m.streamUnion(ec, sql)
-	if err != nil {
-		return nil, err
+// mode names the plan in its merge node: "pushdown" or "materialize".
+func (p *mergePlan) mode() string {
+	if p.pushOK {
+		return "pushdown"
 	}
-	if union == nil {
-		if len(m.Schema) == 0 {
-			return nil, fmt.Errorf("engine: merge table %s has no parts and no declared schema", m.TableName)
-		}
-		// No parts registered: fall back to the declared schema (narrowed
-		// to the pushed projection) so the statement still typechecks over
-		// an empty union instead of running under a nil schema.
-		union = NewTable(m.declaredSchema(pushedCols))
-	}
-	recordShipped(qs, parts, failed)
-	m.plantPlan(qs, "materialize", sql, parts, union, time.Since(t0))
-	local := *st
-	local.Where = nil // already applied at the parts
-	return execSelect(ec, &local, source{t: union}, qs)
+	return "materialize"
 }
 
-// materializeSQL builds the per-part SQL for the materialize path. Three
-// reductions apply, each provably transparent to the local pipeline:
+// materializeSQL builds the per-part SQL for the materialize path: the
+// fallback for non-decomposable aggregates (median, quantile, COUNT
+// DISTINCT) and plain row queries, whose union of part rows the statement
+// then runs over. Three reductions apply, each provably transparent to the
+// local pipeline:
 //   - projection: only columns the statement references ship (SELECT *
 //     keeps the full width);
 //   - filter: the whole WHERE runs remotely (the local filter stage is
@@ -371,34 +373,13 @@ func (m *MergeTable) streamUnion(ec *ExecContext, sql string) (*Table, []partRes
 	return union, ok, failed, nil
 }
 
-// partialSpec describes how one original aggregate is computed from
-// partial columns after the per-part round.
-type partialSpec struct {
-	orig *AggCall
-	// partials: SQL aggregate expressions shipped to the parts, and the
-	// merge operation (sum/min/max) that combines the per-part values.
-	partials []partialCol
-	// final builds the original aggregate's value from the merged partial
-	// column names.
-	final func(cols []string) Expr
-}
-
-type partialCol struct {
-	sqlExpr string // aggregate expression sent to the part
-	merge   string // "sum" | "min" | "max"
-}
-
-// decompose checks whether every aggregate in the query can be computed
-// from additive per-part partials and, if so, returns the plan.
-// GROUP BY keys must be plain column references for pushdown.
-func (m *MergeTable) decompose(st *SelectStmt) ([]partialSpec, bool) {
-	hasAgg := false
-	for _, it := range st.Items {
-		if HasAgg(it.Expr) {
-			hasAgg = true
-		}
-	}
-	if !hasAgg {
+// decompose reports whether st pushes down and, if so, returns the partial
+// aggregates each part computes per aggregate call, in the order the
+// aggregate's own rewrite (rewriteAggs) collects the calls. St pushes down
+// when it aggregates (selHasAgg), groups by plain column references only,
+// ships at least one column and uses decomposable aggregates only.
+func decompose(st *SelectStmt) ([][]string, bool) {
+	if !selHasAgg(st) {
 		return nil, false
 	}
 	for _, g := range st.GroupBy {
@@ -406,146 +387,112 @@ func (m *MergeTable) decompose(st *SelectStmt) ([]partialSpec, bool) {
 			return nil, false
 		}
 	}
-	var aggs []*AggCall
-	seen := map[string]bool{}
-	for _, it := range st.Items {
-		collectAggs(it.Expr, &aggs, seen)
+	calls := rewriteAggs(st).aggCalls
+	if len(calls) == 0 && len(st.GroupBy) == 0 {
+		return nil, false // nothing to ship: a HAVING without aggregates
 	}
-	if st.Having != nil {
-		collectAggs(st.Having, &aggs, seen)
-	}
-	var specs []partialSpec
-	for _, a := range aggs {
-		spec, ok := decomposeAgg(a)
-		if !ok {
+	partials := make([][]string, len(calls))
+	for k, a := range calls {
+		if partials[k] = partialExprs(a); partials[k] == nil {
 			return nil, false
 		}
-		specs = append(specs, spec)
 	}
-	return specs, true
+	return partials, true
 }
 
-// collectAggs appends each distinct aggregate call inside e to aggs, in
-// first-appearance order.
-func collectAggs(e Expr, aggs *[]*AggCall, seen map[string]bool) {
-	walkExpr(e, func(x Expr) bool {
-		a, ok := x.(*AggCall)
-		if ok && !seen[a.String()] {
-			seen[a.String()] = true
-			*aggs = append(*aggs, a)
-		}
-		return !ok
-	})
-}
-
-// decomposeAgg maps one aggregate to its partial columns and final
-// expression. COUNT DISTINCT, median and quantile are not decomposable.
-func decomposeAgg(a *AggCall) (partialSpec, bool) {
+// partialExprs lists the partial aggregates a part computes for one call,
+// in the column layout loadPartials reads; nil when the call does not
+// decompose (COUNT DISTINCT, median, quantile).
+func partialExprs(a *AggCall) []string {
 	if a.Distinct {
-		return partialSpec{}, false
+		return nil
 	}
-	argSQL := func(i int) string { return a.Args[i].String() }
-	col := func(name string) Expr { return &ColRef{Name: name} }
+	arg := func(i int) string { return a.Args[i].String() }
 	switch a.Name {
 	case "count":
-		expr := "count(*)"
-		if !a.Star {
-			expr = fmt.Sprintf("count(%s)", argSQL(0))
+		if a.Star {
+			return []string{"count(*)"}
 		}
-		return partialSpec{
-			orig:     a,
-			partials: []partialCol{{expr, "sum"}},
-			final:    func(c []string) Expr { return &Call{Name: "cast_double", Args: []Expr{col(c[0])}} },
-		}, true
-	case "sum":
-		return partialSpec{
-			orig:     a,
-			partials: []partialCol{{fmt.Sprintf("sum(%s)", argSQL(0)), "sum"}},
-			final:    func(c []string) Expr { return col(c[0]) },
-		}, true
-	case "min", "max":
-		return partialSpec{
-			orig:     a,
-			partials: []partialCol{{fmt.Sprintf("%s(%s)", a.Name, argSQL(0)), a.Name}},
-			final:    func(c []string) Expr { return col(c[0]) },
-		}, true
+		return []string{fmt.Sprintf("count(%s)", arg(0))}
+	case "sum", "min", "max":
+		return []string{fmt.Sprintf("%s(%s)", a.Name, arg(0))}
 	case "avg":
-		return partialSpec{
-			orig: a,
-			partials: []partialCol{
-				{fmt.Sprintf("sum(%s)", argSQL(0)), "sum"},
-				{fmt.Sprintf("count(%s)", argSQL(0)), "sum"},
-			},
-			final: func(c []string) Expr {
-				return &Binary{Op: "/", L: col(c[0]), R: &Call{Name: "cast_double", Args: []Expr{col(c[1])}}}
-			},
-		}, true
+		return []string{fmt.Sprintf("sum(%s)", arg(0)), fmt.Sprintf("count(%s)", arg(0))}
 	case "stddev_samp", "stddev", "var_samp", "variance":
-		x := argSQL(0)
-		return partialSpec{
-			orig: a,
-			partials: []partialCol{
-				{fmt.Sprintf("sum(%s)", x), "sum"},
-				{fmt.Sprintf("sum((%s) * (%s))", x, x), "sum"},
-				{fmt.Sprintf("count(%s)", x), "sum"},
-			},
-			final: func(c []string) Expr {
-				// (sum2 - sum*sum/n) / (n-1), sqrt for stddev.
-				n := &Call{Name: "cast_double", Args: []Expr{col(c[2])}}
-				variance := &Binary{Op: "/",
-					L: &Binary{Op: "-", L: col(c[1]),
-						R: &Binary{Op: "/", L: &Binary{Op: "*", L: col(c[0]), R: col(c[0])}, R: n}},
-					R: &Binary{Op: "-", L: n, R: &Lit{Val: 1.0}},
-				}
-				if a.Name == "stddev_samp" || a.Name == "stddev" {
-					return &Call{Name: "sqrt", Args: []Expr{variance}}
-				}
-				return variance
-			},
-		}, true
+		x := arg(0)
+		return []string{fmt.Sprintf("sum(%s)", x), fmt.Sprintf("sum((%s) * (%s))", x, x), fmt.Sprintf("count(%s)", x)}
 	case "corr":
-		x, y := argSQL(0), argSQL(1)
-		return partialSpec{
-			orig: a,
-			partials: []partialCol{
-				{fmt.Sprintf("sum(CASE WHEN (%s) IS NOT NULL AND (%s) IS NOT NULL THEN (%s) ELSE NULL END)", x, y, x), "sum"},
-				{fmt.Sprintf("sum(CASE WHEN (%s) IS NOT NULL AND (%s) IS NOT NULL THEN (%s) ELSE NULL END)", x, y, y), "sum"},
-				{fmt.Sprintf("sum(CASE WHEN (%s) IS NOT NULL AND (%s) IS NOT NULL THEN (%s)*(%s) ELSE NULL END)", x, y, x, x), "sum"},
-				{fmt.Sprintf("sum(CASE WHEN (%s) IS NOT NULL AND (%s) IS NOT NULL THEN (%s)*(%s) ELSE NULL END)", x, y, y, y), "sum"},
-				{fmt.Sprintf("sum(CASE WHEN (%s) IS NOT NULL AND (%s) IS NOT NULL THEN (%s)*(%s) ELSE NULL END)", x, y, x, y), "sum"},
-				{fmt.Sprintf("count((%s) + (%s))", x, y), "sum"},
-			},
-			final: func(c []string) Expr {
-				n := &Call{Name: "cast_double", Args: []Expr{col(c[5])}}
-				cov := &Binary{Op: "-", L: col(c[4]),
-					R: &Binary{Op: "/", L: &Binary{Op: "*", L: col(c[0]), R: col(c[1])}, R: n}}
-				vx := &Binary{Op: "-", L: col(c[2]),
-					R: &Binary{Op: "/", L: &Binary{Op: "*", L: col(c[0]), R: col(c[0])}, R: n}}
-				vy := &Binary{Op: "-", L: col(c[3]),
-					R: &Binary{Op: "/", L: &Binary{Op: "*", L: col(c[1]), R: col(c[1])}, R: n}}
-				return &Binary{Op: "/", L: cov,
-					R: &Call{Name: "sqrt", Args: []Expr{&Binary{Op: "*", L: vx, R: vy}}}}
-			},
-		}, true
+		x, y := arg(0), arg(1)
+		both := func(v string) string {
+			return fmt.Sprintf("sum(CASE WHEN (%s) IS NOT NULL AND (%s) IS NOT NULL THEN %s ELSE NULL END)", x, y, v)
+		}
+		return []string{
+			both("(" + x + ")"), both("(" + y + ")"),
+			both("(" + x + ")*(" + x + ")"), both("(" + y + ")*(" + y + ")"), both("(" + x + ")*(" + y + ")"),
+			fmt.Sprintf("count((%s) + (%s))", x, y),
+		}
 	}
-	return partialSpec{}, false
+	return nil
 }
 
-// partialSQL builds the per-part partial-aggregate query for a decomposed
-// plan, returning the SQL plus the partial column names grouped by spec.
-func (m *MergeTable) partialSQL(st *SelectStmt, specs []partialSpec) (string, [][]string) {
+// loadPartials is observeAll for a merge part's answer: row r holds this
+// call's partialExprs columns, computed by the part over its rows of group
+// groupOf[r] (nil = the one global group), and folds into that group's
+// accumulators what observing those rows here would have. A part's sum,
+// min or max folds like one observed value; a NULL one means the part had
+// no values for the group and adds nothing.
+func (s *aggState) loadPartials(groupOf []int, cols []*Vector, n int) {
+	cols = append([]*Vector(nil), cols...)
+	for i, c := range cols {
+		if c.Type() != String {
+			cols[i] = c.CastFloat64()
+		}
+	}
+	at := func(c, r int) float64 {
+		if cols[c].IsNull(r) {
+			return 0
+		}
+		return cols[c].Float64s()[r]
+	}
+	for r := 0; r < n; r++ {
+		g := 0
+		if groupOf != nil {
+			g = groupOf[r]
+		}
+		switch s.call.Name {
+		case "sum", "min", "max":
+			s.observe(g, cols, r)
+		case "count":
+			s.count[g] += int64(at(0, r))
+		case "avg":
+			s.sum[g] += at(0, r)
+			s.count[g] += int64(at(1, r))
+		case "stddev_samp", "stddev", "var_samp", "variance":
+			s.sum[g] += at(0, r)
+			s.sum2[g] += at(1, r)
+			s.count[g] += int64(at(2, r))
+		case "corr":
+			s.sum[g] += at(0, r)
+			s.sumY[g] += at(1, r)
+			s.sum2[g] += at(2, r)
+			s.sumY2[g] += at(3, r)
+			s.sumXY[g] += at(4, r)
+			s.count[g] += int64(at(5, r))
+		}
+	}
+}
+
+// partialSQL renders the per-part partial-aggregate query: the group keys
+// as gk0.., then every call's partials as p0.., under the statement's WHERE
+// and GROUP BY.
+func (m *MergeTable) partialSQL(st *SelectStmt, partials [][]string) string {
 	var sel []string
 	for i, g := range st.GroupBy {
 		sel = append(sel, fmt.Sprintf("%s AS gk%d", g.String(), i))
 	}
-	pcol := 0
-	colNames := make([][]string, len(specs))
-	for i, sp := range specs {
-		for _, pc := range sp.partials {
-			name := fmt.Sprintf("p%d", pcol)
-			colNames[i] = append(colNames[i], name)
-			sel = append(sel, fmt.Sprintf("%s AS %s", pc.sqlExpr, name))
-			pcol++
+	for _, ps := range partials {
+		for _, e := range ps {
+			sel = append(sel, fmt.Sprintf("%s AS p%d", e, len(sel)-len(st.GroupBy)))
 		}
 	}
 	sql := fmt.Sprintf("SELECT %s FROM %s", strings.Join(sel, ", "), QuoteIdent(m.TableName))
@@ -559,122 +506,65 @@ func (m *MergeTable) partialSQL(st *SelectStmt, specs []partialSpec) (string, []
 		}
 		sql += " GROUP BY " + strings.Join(keys, ", ")
 	}
-	return sql, colNames
+	return sql
 }
 
-// execPushdown runs the decomposed plan: per-part partial aggregates,
-// merged locally, then the final projection.
-func (m *MergeTable) execPushdown(ec *ExecContext, st *SelectStmt, specs []partialSpec, sql string, colNames [][]string, qs *QueryStats) (*Table, error) {
-	// Fan out the pre-built partial query, folding each part's partials
-	// into the union as they land.
-	t0 := time.Now()
-	ec.setOperator("merge pushdown " + m.TableName)
-	unionAll, partTables, failed, err := m.streamUnion(ec, sql)
-	if err != nil {
-		return nil, err
-	}
-	if unionAll == nil {
-		return nil, fmt.Errorf("merge table %s: no parts answered", m.TableName)
-	}
-	recordShipped(qs, partTables, failed)
-	m.plantPlan(qs, "pushdown", sql, partTables, unionAll, time.Since(t0))
+// partAnswers is what a pushdown's aggregate stage needs besides the union
+// of the parts' answers: the answering parts, in part order, and each
+// call's partial columns (the plan's partialExprs).
+type partAnswers struct {
+	parts    []partResult
+	partials [][]string
+}
 
-	// 3. Merge partials: group by the gk* columns, combining each partial
-	// with its merge op.
-	mergeStmt := &SelectStmt{Limit: -1}
-	for i := range st.GroupBy {
-		name := fmt.Sprintf("gk%d", i)
-		mergeStmt.Items = append(mergeStmt.Items, SelectItem{Expr: &ColRef{Name: name}, Alias: name})
-		mergeStmt.GroupBy = append(mergeStmt.GroupBy, &ColRef{Name: name})
+// aggregate runs st's aggregate over the parts' answers in union: each
+// part's answer is one partial of the engine's own aggregate (buildPartial
+// folding it with loadPartials), combinePartials folds the parts in part
+// order, and aggFinalize applies HAVING and the select items.
+func (pa *partAnswers) aggregate(ec *ExecContext, st *SelectStmt, union *Table, node *PlanNode) (*Table, error) {
+	width := len(st.GroupBy)
+	for _, ps := range pa.partials {
+		width += len(ps)
 	}
-	pcol := 0
-	for _, sp := range specs {
-		for _, pc := range sp.partials {
-			name := fmt.Sprintf("p%d", pcol)
-			mergeStmt.Items = append(mergeStmt.Items, SelectItem{
-				Expr:  &AggCall{Name: pc.merge, Args: []Expr{&ColRef{Name: name}}},
-				Alias: name,
-			})
-			pcol++
-		}
+	if union.NumCols() != width {
+		return nil, fmt.Errorf("engine: merge table parts answered %d columns, want %d partials", union.NumCols(), width)
 	}
-	merged, err := execSelect(ec, mergeStmt, source{t: unionAll}, qs)
-	if err != nil {
-		return nil, err
-	}
-
-	// 4. Final projection over merged partials: rewrite the original items
-	// replacing group keys and aggregate calls.
-	keyNames := map[string]string{}
-	for i, g := range st.GroupBy {
-		keyNames[g.String()] = fmt.Sprintf("gk%d", i)
-	}
-	finalOf := map[string]Expr{}
-	for i, sp := range specs {
-		finalOf[sp.orig.String()] = sp.final(colNames[i])
-	}
-	var rewrite func(Expr) Expr
-	rewrite = func(e Expr) Expr {
-		if k, ok := keyNames[e.String()]; ok {
-			return &ColRef{Name: k}
-		}
-		if t, ok := e.(*AggCall); ok {
-			return finalOf[t.String()]
-		}
-		return mapChildren(e, rewrite)
-	}
-
-	stages := ec.pushdownStages(st)[1:] // the combine above was the aggregate
-	if st.Having != nil {
-		sh := qs.beginStage(stages[0].op, stages[0].detail, merged.NumRows())
-		selv, err := FilterSel(rewrite(st.Having), merged)
+	prep := rewriteAggs(st)
+	prep.emptyKeys, prep.emptyArgs = pa.inputs(union.Slice(0, 0), len(st.GroupBy))
+	partials := make([]*morselAgg, len(pa.parts))
+	lo := 0
+	for i, pr := range pa.parts {
+		keys, args := pa.inputs(union.Slice(lo, lo+pr.rows), len(st.GroupBy))
+		ma, err := buildPartial(prep.aggCalls, keys, args, pr.rows, (*aggState).loadPartials)
 		if err != nil {
 			return nil, err
 		}
-		merged = merged.Gather(selv)
-		sh.end(merged)
-		stages = stages[1:]
+		partials[i] = ma
+		lo += pr.rows
 	}
-
-	sp := qs.beginStage(stages[0].op, stages[0].detail, merged.NumRows())
-	outSchema := make(Schema, len(st.Items))
-	outCols := make([]*Vector, len(st.Items))
-	for i, it := range st.Items {
-		v, err := Eval(rewrite(it.Expr), merged)
-		if err != nil {
-			return nil, err
-		}
-		name := it.Alias
-		if name == "" {
-			name = exprName(it.Expr)
-		}
-		outSchema[i] = ColumnDef{Name: name, Type: v.Type()}
-		outCols[i] = v
-	}
-	out, err := NewTableFromVectors(outSchema, outCols)
+	mid, _, err := combinePartials(prep, partials, nil)
 	if err != nil {
 		return nil, err
 	}
-	sp.end(out)
-	out, err = ec.runStages(st, stages[1:], source{t: out}, qs)
-	if err != nil {
-		return nil, err
-	}
-	// The combine-stage execSelect counted its intermediate rows; the
-	// statement's result is this final projection.
-	qs.RowsOut = out.NumRows()
-	return out, nil
+	ec.charge(mid.ByteSize())
+	node.Groups = int64(mid.NumRows())
+	return aggFinalize(ec, mid, prep.having, prep.items)
 }
 
-// pushdownStages lists what the master runs once the parts' partial
-// aggregates have arrived: the combining aggregate, HAVING, the final
-// projection, then ORDER BY / LIMIT. EXPLAIN renders the list; execPushdown
-// opens its stages from it.
-func (ec *ExecContext) pushdownStages(st *SelectStmt) []selectStage {
-	out := []selectStage{{stageAggregate, "aggregate", aggDetail(st), false, 0}}
-	if st.Having != nil {
-		out = append(out, selectStage{stageFilter, "filter", "having " + st.Having.String(), false, 0})
+// inputs splits a part's answer into its gk* key columns and each call's
+// p* columns: what evalInputs is to a batch of input rows.
+func (pa *partAnswers) inputs(t *Table, nKeys int) ([]*Vector, [][]*Vector) {
+	keys := make([]*Vector, nKeys)
+	for i := range keys {
+		keys[i] = t.Col(i)
 	}
-	out = append(out, selectStage{stageProject, "project", projectDetail(st), false, 0})
-	return append(out, ec.afterAggregate(st)...)
+	args := make([][]*Vector, len(pa.partials))
+	c := nKeys
+	for k, ps := range pa.partials {
+		for range ps {
+			args[k] = append(args[k], t.Col(c))
+			c++
+		}
+	}
+	return keys, args
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 )
@@ -47,11 +48,17 @@ func buildFederation(t *testing.T, nParts int) (*DB, *MergeTable, *DB) {
 	return master, mt, pooled
 }
 
-// checkSame asserts two result tables are equal within tolerance.
+// checkSame asserts two result tables have the same schema (names and
+// types) and equal values, floats within tolerance.
 func checkSame(t *testing.T, sql string, got, want *Table) {
 	t.Helper()
 	if got.NumRows() != want.NumRows() || got.NumCols() != want.NumCols() {
 		t.Fatalf("%s: dims %dx%d vs %dx%d", sql, got.NumRows(), got.NumCols(), want.NumRows(), want.NumCols())
+	}
+	for j, c := range want.Schema() {
+		if g := got.Schema()[j]; g != c {
+			t.Fatalf("%s: column %d is %s %s, want %s %s", sql, j, g.Name, g.Type, c.Name, c.Type)
+		}
 	}
 	for i := 0; i < got.NumRows(); i++ {
 		for j := 0; j < got.NumCols(); j++ {
@@ -63,14 +70,6 @@ func checkSame(t *testing.T, sql string, got, want *Table) {
 					t.Fatalf("%s: [%d][%d] = %v, want %v", sql, i, j, a, b)
 				}
 				continue
-			}
-			// count() comes back as BIGINT pooled but the pushdown path may
-			// deliver a float; normalize.
-			if ai, ok := a.(int64); ok {
-				a = float64(ai)
-			}
-			if bi, ok := b.(int64); ok {
-				b = float64(bi)
 			}
 			if a != b {
 				t.Fatalf("%s: [%d][%d] = %v (%T), want %v (%T)", sql, i, j, a, a, b, b)
@@ -444,6 +443,14 @@ func TestMergeZeroParts(t *testing.T) {
 	if s := got.Schema(); s[0].Name != "x" || s[0].Type != Float64 {
 		t.Fatalf("schema = %v, want declared x DOUBLE", s)
 	}
+	// A decomposable aggregate answers as over an empty pooled table.
+	got, err = db.Query(`SELECT count(*) AS n, sum(x) AS s FROM data`)
+	if err != nil {
+		t.Fatalf("zero-part aggregate: %v", err)
+	}
+	if got.NumRows() != 1 || got.Col(0).Int64s()[0] != 0 || !got.Col(1).IsNull(0) {
+		t.Fatalf("zero-part aggregate = %v, want one row (0, NULL)", got.Row(0))
+	}
 
 	bare := NewDB()
 	bare.RegisterMerge("data", &MergeTable{TableName: "data"})
@@ -485,6 +492,24 @@ func TestMergeNilTablePart(t *testing.T) {
 	}
 }
 
+// cannedPart answers every query with one fixed table: a worker that does
+// not run the SQL it is sent.
+type cannedPart struct{ t *Table }
+
+func (p cannedPart) PartName() string                                 { return "canned" }
+func (p cannedPart) QueryCtx(context.Context, string) (*Table, error) { return p.t, nil }
+
+// TestMergeMalformedPartAnswer: a part answer lacking the partial columns
+// the pushdown asked for fails the statement with an error.
+func TestMergeMalformedPartAnswer(t *testing.T) {
+	db := NewDB()
+	db.RegisterMerge("data", &MergeTable{TableName: "data",
+		Parts: []Part{cannedPart{NewTable(Schema{{"p0", Float64}})}}})
+	if _, err := db.Query(`SELECT avg(x) AS m FROM data`); err == nil {
+		t.Fatal("a one-column answer to a two-partial pushdown succeeded")
+	}
+}
+
 // TestGroupedInExpr: IN over a group key and over an aggregate, in the
 // select list, in HAVING and inside CASE, answers on a merge table exactly
 // as on the plain table holding the union of its parts' rows.
@@ -513,4 +538,166 @@ func TestGroupedInExpr(t *testing.T) {
 		}
 		checkSame(t, sql, got, want)
 	}
+}
+
+// TestMergePushdownGroupOnly: a statement that aggregates through its
+// GROUP BY or HAVING alone, with no aggregate among its select items,
+// pushes down like any other aggregate: each part ships one row per group,
+// not its rows, and the answer equals the pooled one.
+func TestMergePushdownGroupOnly(t *testing.T) {
+	master, _, pooled := buildFederation(t, 3)
+	for _, sql := range []string{
+		`SELECT diagnosis FROM data GROUP BY diagnosis`,
+		`SELECT diagnosis FROM data GROUP BY diagnosis HAVING count(*) > 3`,
+	} {
+		got, st, err := queryMerge(t, master, sql)
+		if err != nil {
+			t.Fatalf("merge query %q: %v", sql, err)
+		}
+		if !st.Pushdown {
+			t.Errorf("%s: expected aggregate pushdown, part SQL %q", sql, st.PartSQL)
+		}
+		if st.RowsShipped != 9 { // 3 diagnoses × 3 parts
+			t.Errorf("%s: shipped %d rows, want 9", sql, st.RowsShipped)
+		}
+		want, err := pooled.Query(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkSame(t, sql, got, want)
+	}
+}
+
+// genFederation builds a random federation of 1-5 parts over (g TEXT, k
+// BIGINT, x DOUBLE, s TEXT, c DOUBLE), one part empty or single-row, plus
+// the pooled table of every part's rows in part order. g, k, x and s
+// carry NULLs; g's NULL is a group of its own; x is NULL throughout group
+// 'c'; c is 0.1 in every row, constant up to rounding.
+func genFederation(t *testing.T, rng *rand.Rand) (*DB, *DB) {
+	t.Helper()
+	schema := Schema{{"g", String}, {"k", Int64}, {"x", Float64}, {"s", String}, {"c", Float64}}
+	orNull := func(v any) any {
+		if rng.Intn(6) == 0 {
+			return nil
+		}
+		return v
+	}
+	master, pooled := NewDB(), NewDB()
+	pooledTab := NewTable(schema)
+	mt := &MergeTable{Schema: schema, TableName: "data"}
+	nParts := 1 + rng.Intn(5)
+	small := rng.Intn(nParts)
+	for p := 0; p < nParts; p++ {
+		rows := 2 + rng.Intn(12)
+		if p == small {
+			rows = rng.Intn(2)
+		}
+		tab := NewTable(schema)
+		for i := 0; i < rows; i++ {
+			g := orNull([]string{"a", "b", "c"}[rng.Intn(3)])
+			x := orNull(math.Round(rng.NormFloat64()*1e4) / 100)
+			if g == "c" {
+				x = nil
+			}
+			row := []any{g, orNull(int64(rng.Intn(200) - 100)), x, orNull([]string{"p", "q", "r"}[rng.Intn(3)]), 0.1}
+			if err := tab.AppendRow(row...); err != nil {
+				t.Fatal(err)
+			}
+			if err := pooledTab.AppendRow(row...); err != nil {
+				t.Fatal(err)
+			}
+		}
+		db := NewDB()
+		db.RegisterTable("data", tab)
+		mt.Parts = append(mt.Parts, &LocalPart{Name: fmt.Sprintf("p%d", p), DB: db})
+	}
+	master.RegisterMerge("data", mt)
+	pooled.RegisterTable("data", pooledTab)
+	return master, pooled
+}
+
+// TestMergeMatchesPooledGenerated is federated ≡ pooled on random inputs:
+// every decomposable aggregate, with and without GROUP BY and under
+// HAVING, ORDER BY and LIMIT, pushes down and answers as the pooled engine
+// does: same column names and types, same NULLs, values within 1e-9.
+//
+// Two comparisons allow for the one-pass moment formulas, which both
+// engines share but sum in different orders. A standard deviation is
+// compared as its square: near zero the square root turns the variance's
+// rounding noise (~1e-18 on the constant column) into ~1e-9 of its own.
+// And corr over the constant column is not compared: whether its variance
+// term rounds to zero (NULL) or to noise is decided by summation order, on
+// either path.
+func TestMergeMatchesPooledGenerated(t *testing.T) {
+	aggs := []string{
+		"count(*)", "count(x)", "count(s)", "sum(x)", "sum(k)", "avg(x)", "avg(k)",
+		"min(x)", "max(x)", "min(k)", "max(k)", "min(s)", "max(s)",
+		"stddev(x)", "stddev_samp(x)", "variance(x)", "var_samp(x)", "stddev(k)", "corr(x, k)",
+		"sum(c)", "avg(c)", "stddev(c)", "stddev_samp(c)", "variance(c)", "var_samp(c)", "corr(c, x)",
+	}
+	shapes := []string{
+		"SELECT %s AS v FROM data",
+		"SELECT %s AS v FROM data WHERE k > -50",
+		"SELECT g, %s AS v FROM data GROUP BY g",
+		"SELECT g, s, %s AS v FROM data GROUP BY g, s ORDER BY g, s",
+		"SELECT g, %s AS v FROM data GROUP BY g HAVING count(*) > 1 ORDER BY g LIMIT 2",
+		"SELECT %s AS v, count(*) AS n FROM data HAVING count(*) > 0",
+	}
+	for seed := int64(1); seed <= 40; seed++ {
+		master, pooled := genFederation(t, rand.New(rand.NewSource(seed)))
+		for _, agg := range aggs {
+			for _, shape := range shapes {
+				sql := fmt.Sprintf(shape, agg)
+				got, st, err := queryMerge(t, master, sql)
+				if err != nil {
+					t.Fatalf("seed %d: %s: %v", seed, sql, err)
+				}
+				if !st.Pushdown {
+					t.Fatalf("seed %d: %s: not pushed down", seed, sql)
+				}
+				want, err := pooled.Query(sql)
+				if err != nil {
+					t.Fatalf("seed %d: pooled %s: %v", seed, sql, err)
+				}
+				if err := samePooled(got, want, agg); err != nil {
+					t.Fatalf("seed %d: %s: %v", seed, sql, err)
+				}
+			}
+		}
+	}
+}
+
+// samePooled compares a merged result with the pooled one under
+// TestMergeMatchesPooledGenerated's rules for the aggregate agg.
+func samePooled(got, want *Table, agg string) error {
+	if g, w := fmt.Sprint(got.Schema()), fmt.Sprint(want.Schema()); g != w {
+		return fmt.Errorf("schema %s, want %s", g, w)
+	}
+	if got.NumRows() != want.NumRows() {
+		return fmt.Errorf("%d rows, want %d", got.NumRows(), want.NumRows())
+	}
+	for j, col := range want.Schema() {
+		if col.Name == "v" && agg == "corr(c, x)" {
+			continue
+		}
+		for i := 0; i < want.NumRows(); i++ {
+			a, b := got.Col(j).Value(i), want.Col(j).Value(i)
+			af, aok := a.(float64)
+			bf, bok := b.(float64)
+			if col.Name == "v" && strings.HasPrefix(agg, "stddev") && aok && bok {
+				af, bf = af*af, bf*bf
+			}
+			switch {
+			case (a == nil) != (b == nil):
+				return fmt.Errorf("%s row %d = %v, want %v", col.Name, i, a, b)
+			case aok && bok:
+				if math.Abs(af-bf) > 1e-9*(1+math.Abs(bf)) {
+					return fmt.Errorf("%s row %d = %v, want %v", col.Name, i, a, b)
+				}
+			case a != b:
+				return fmt.Errorf("%s row %d = %v (%T), want %v (%T)", col.Name, i, a, a, b, b)
+			}
+		}
+	}
+	return nil
 }

@@ -379,19 +379,6 @@ func (ec *ExecContext) planSelect(st *SelectStmt, rows int) []selectStage {
 	return out
 }
 
-// afterAggregate returns the stages of st's plan that follow its aggregate
-// (ORDER BY and LIMIT over the aggregated rows), for the merge table's
-// pushdown combine, which computes the aggregate itself.
-func (ec *ExecContext) afterAggregate(st *SelectStmt) []selectStage {
-	stages := ec.planSelect(st, 0)
-	for i, s := range stages {
-		if s.kind == stageAggregate {
-			return stages[i+1:]
-		}
-	}
-	return nil
-}
-
 // explainPlan predicts the plan shape for a statement without executing it.
 // It mirrors db.run's dispatch (merge view vs join vs plain scan) for the
 // nodes below the pipeline and renders the pipeline itself from the stage
@@ -408,22 +395,14 @@ func (c *catalog) explainPlan(ec *ExecContext, st Statement) (*PlanNode, error) 
 		// row count is unknown until they answer.
 		local := *sel
 		local.Where = nil
-		mode := "materialize"
-		var partSQL string
-		if specs, ok := m.decompose(sel); ok {
-			mode = "pushdown"
-			partSQL, _ = m.partialSQL(sel, specs)
-			stages = ec.pushdownStages(sel)
-		} else {
-			partSQL, _ = m.materializeSQL(sel)
-			stages = ec.planSelect(&local, 0)
-		}
-		cur = &PlanNode{Op: "merge", Detail: mode + " " + m.TableName}
+		stages = ec.planSelect(&local, 0)
+		mp := m.plan(nil, sel)
+		cur = &PlanNode{Op: "merge", Detail: mp.mode() + " " + m.TableName}
 		if len(m.Parts) > 1 {
 			cur.Parallelism = len(m.Parts) // part fan-out is one goroutine per part
 		}
 		for _, p := range m.Parts {
-			cur.Children = append(cur.Children, &PlanNode{Op: "part", Detail: p.PartName() + ": " + partSQL})
+			cur.Children = append(cur.Children, &PlanNode{Op: "part", Detail: p.PartName() + ": " + mp.sql})
 		}
 	} else {
 		base, err := c.table(sel.From)

@@ -271,7 +271,7 @@ func runPartials(ec *ExecContext, prep *aggPrep, rr *runReader, path string, fol
 				args[k] = vs[off : off+len(prep.emptyArgs[k])]
 				off += len(args[k])
 			}
-			ma, err = buildPartial(prep.aggCalls, vs[:nKeys], args, vs[0].Len())
+			ma, err = buildPartial(prep.aggCalls, vs[:nKeys], args, vs[0].Len(), (*aggState).observeAll)
 		}
 		if err != nil {
 			rr.close()

@@ -495,7 +495,7 @@ func TestMergeQueryDegraded(t *testing.T) {
 	if len(dropped) != 1 || dropped[0] != "site1" {
 		t.Fatalf("dropped = %v, want [site1]", dropped)
 	}
-	if n := tab.Col(0).Float64s()[0]; n != 40 {
+	if n := tab.Col(0).Int64s()[0]; n != 40 {
 		t.Fatalf("partial count = %v, want 40 (sites 0,2)", n)
 	}
 }
