@@ -45,7 +45,6 @@ type mergePlan struct {
 	pushOK   bool
 	partials [][]string
 	sql      string
-	matCols  []string
 }
 
 // PlanCacheStats is the snapshot served by GET /cache.

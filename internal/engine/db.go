@@ -531,6 +531,7 @@ func (db *DB) run(cat *catalog, st Statement, qs *QueryStats, ec *ExecContext) (
 		if err != nil {
 			return nil, err
 		}
+		t = narrowed(s, t)
 		qs.Root = scanPlanNode(s.From, t)
 		return execSelect(ec, s, source{t: t}, qs)
 	case *CreateTableStmt:

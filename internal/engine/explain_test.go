@@ -382,6 +382,51 @@ func TestExplainMatchesExplainAnalyze(t *testing.T) {
 	}
 }
 
+// TestExplainJoinScansReadColumns: the scans under an aggregate over a join
+// carry only the columns the statement names, in EXPLAIN and in EXPLAIN
+// ANALYZE alike. The tables have the shapes of a hospital's 18-column data
+// table and its 3-column visits table; the statement reads 2 of each.
+func TestExplainJoinScansReadColumns(t *testing.T) {
+	db := NewDB()
+	schema := Schema{{Name: "row_id", Type: Int64}, {Name: "dataset", Type: String}, {Name: "alzheimerbroadcategory", Type: String}}
+	for len(schema) < 18 {
+		schema = append(schema, ColumnDef{Name: fmt.Sprintf("m%d", len(schema)), Type: Float64})
+	}
+	data := NewTable(schema)
+	visits := NewTable(Schema{{Name: "row_id", Type: Int64}, {Name: "bucket", Type: Int64}, {Name: "score", Type: Float64}})
+	for i := 0; i < 20; i++ {
+		row := []any{int64(i), "edsd", []string{"AD", "CN", "MCI"}[i%3]}
+		for len(row) < 18 {
+			row = append(row, float64(i*len(row)))
+		}
+		if err := data.AppendRow(row...); err != nil {
+			t.Fatal(err)
+		}
+		if err := visits.AppendRow(int64(i), int64(i%4), float64(i)/20); err != nil {
+			t.Fatal(err)
+		}
+	}
+	db.RegisterTable("data", data)
+	db.RegisterTable("visits", visits)
+	sql := `SELECT d.alzheimerbroadcategory, count(*) AS n, avg(v.score) AS m FROM data d JOIN visits v ON d.row_id = v.row_id` +
+		` WHERE v.score >= 0.1 GROUP BY d.alzheimerbroadcategory`
+	for _, explain := range []string{"EXPLAIN ", "EXPLAIN ANALYZE "} {
+		_, qs, err := db.QueryWithStats(explain + sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cols := map[string]int64{}
+		qs.Root.Walk(func(n *PlanNode) {
+			if n.Op == "scan" {
+				cols[n.Detail] = n.Batches
+			}
+		})
+		if len(cols) != 2 || cols["data"] != 2 || cols["visits"] != 2 {
+			t.Errorf("%s: scan columns %v, want 2 per side", explain, cols)
+		}
+	}
+}
+
 // TestFusedFilterWallTimeBookedOnce: a fused filter→project runs in one
 // morsel loop, whose wall time must be split between the two operators —
 // booking it to both inflated mip_engine_operator_nanos_total past the

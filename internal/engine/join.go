@@ -11,7 +11,7 @@ import (
 // Hash equi-joins. A SELECT with JOIN clauses first materializes the joined
 // relation (qualified column names alias.col), then runs through the usual
 // filter/aggregate/order pipeline. Equality conditions on columns drive the
-// hash join; any residual ON conditions are applied as a post-join filter.
+// hash join; any residual ON conditions filter its candidate pairs (joinPairs).
 
 // buildJoined folds every JOIN clause of st into one joined relation,
 // executing in the plan's order with its pushed filters applied; the
@@ -330,13 +330,18 @@ func hashJoin(ec *ExecContext, left, right *Table, jc JoinClause, node *PlanNode
 	if node != nil {
 		node.Parallelism = ec.degreeFor(len(ms))
 	}
+	if len(ms) == 0 {
+		ms = []morsel{{}} // evaluate the residual over no rows: its errors must surface
+	}
+	schema := joinedSchema(left, right)
 	type probeOut struct{ lsel, rsel []int32 }
 	parts := make([]probeOut, len(ms))
 	err = ec.parallelFor(len(ms), func(i int) error {
-		lsel, rsel := ji.probe(probeSrc, lHashes, lNulls, ms[i].lo, ms[i].hi, jc.Left)
+		lsel, rsel := ji.probe(probeSrc, lHashes, lNulls, ms[i].lo, ms[i].hi)
+		lsel, rsel, err := joinPairs(jc.Left, residual, schema, left.cols, right.cols, lsel, rsel, ms[i].lo, ms[i].hi)
 		parts[i] = probeOut{lsel, rsel}
 		node.AddMorsels(1)
-		return nil
+		return err
 	})
 	if err != nil {
 		return source{}, err
@@ -356,8 +361,6 @@ func hashJoin(ec *ExecContext, left, right *Table, jc JoinClause, node *PlanNode
 
 	// Materialize: left columns by plain gather, right columns by outer
 	// gather (-1 ⇒ NULL row); columns fan out across the pool.
-	schema := append(Schema{}, left.Schema()...)
-	schema = append(schema, right.Schema()...)
 	lw, rw := left.NumCols(), right.NumCols()
 	cols := make([]*Vector, lw+rw)
 	_ = ec.parallelFor(lw+rw, func(j int) error {
@@ -371,12 +374,46 @@ func hashJoin(ec *ExecContext, left, right *Table, jc JoinClause, node *PlanNode
 	out := &Table{schema: schema, cols: cols}
 	ec.charge(out.ByteSize())
 	ec.release(buildBytes)
+	return source{t: out}, nil
+}
+
+// joinPairs finishes the probe of left rows [lo, hi) for both join paths:
+// the ON residual keeps the candidate pairs it holds for, then a LEFT JOIN
+// pads each left row left without a pair with right row -1, in row order.
+// Pairs in and out are selection-pool buffers.
+func joinPairs(outer bool, residual Expr, schema Schema, lcols, rcols []*Vector, lsel, rsel []int32, lo, hi int) ([]int32, []int32, error) {
 	if residual != nil {
-		// LEFT JOIN residual semantics simplified: residual filters the
-		// joined rows (matching most practical uses of ON ... AND extra).
-		out, err = ec.filterTable(out, residual, node)
+		cols := make([]*Vector, 0, len(schema))
+		for _, c := range lcols {
+			cols = append(cols, c.Gather(lsel))
+		}
+		for _, c := range rcols {
+			cols = append(cols, c.Gather(rsel))
+		}
+		keep, err := FilterSel(residual, &Table{schema: schema, cols: cols})
+		if err != nil {
+			return lsel, rsel, err
+		}
+		for i, k := range keep { // k ≥ i: compacts in place
+			lsel[i], rsel[i] = lsel[k], rsel[k]
+		}
+		lsel, rsel = lsel[:len(keep)], rsel[:len(keep)]
 	}
-	return source{t: out}, err
+	if !outer {
+		return lsel, rsel, nil
+	}
+	pl, pr := getSelBuf(len(lsel)+hi-lo), getSelBuf(len(lsel)+hi-lo)
+	for k, r := 0, int32(lo); r < int32(hi); r++ {
+		if k == len(lsel) || lsel[k] != r {
+			pl, pr = append(pl, r), append(pr, -1)
+		}
+		for ; k < len(lsel) && lsel[k] == r; k++ {
+			pl, pr = append(pl, r), append(pr, rsel[k])
+		}
+	}
+	putSelBuf(lsel)
+	putSelBuf(rsel)
+	return pl, pr, nil
 }
 
 // joinKeys locates an equi-join's key columns on both sides. The typed
@@ -467,10 +504,10 @@ func (ec *ExecContext) buildJoinIndex(keys []*Vector, hashes []uint64, nulls []b
 
 // probe looks rows [lo, hi) of probe source src up in the index and
 // returns the matches as parallel selection vectors: probe rows in row
-// order, each with its build rows in build-row order. With outer set, a
-// probe row without a match is emitted once with build row -1. The vectors
-// come from the selection-buffer pool; the caller returns them.
-func (ji *joinIndex) probe(src int32, hashes []uint64, nulls []bool, lo, hi int, outer bool) (lsel, rsel []int32) {
+// order, each with its build rows in build-row order (joinPairs applies the
+// residual and the LEFT JOIN padding). The vectors come from the
+// selection-buffer pool; the caller returns them.
+func (ji *joinIndex) probe(src int32, hashes []uint64, nulls []bool, lo, hi int) (lsel, rsel []int32) {
 	lsel, rsel = getSelBuf(hi-lo), getSelBuf(hi-lo)
 	for r := lo; r < hi; r++ {
 		g := int32(-1)
@@ -482,9 +519,6 @@ func (ji *joinIndex) probe(src int32, hashes []uint64, nulls []bool, lo, hi int,
 				lsel = append(lsel, int32(r))
 				rsel = append(rsel, br)
 			}
-		} else if outer {
-			lsel = append(lsel, int32(r))
-			rsel = append(rsel, -1)
 		}
 	}
 	return lsel, rsel

@@ -77,9 +77,9 @@ func (m *MergeTable) execSelect(ec *ExecContext, st *SelectStmt, qs *QueryStats)
 		return nil, fmt.Errorf("engine: merge table %s has no parts and no declared schema", m.TableName)
 	case union == nil:
 		// No parts registered: the statement runs over an empty table of
-		// the declared schema (narrowed to the pushed projection), so it
-		// typechecks and answers as over an empty pooled table.
-		in.t = NewTable(m.declaredSchema(p.matCols))
+		// the declared schema, so it typechecks and answers as over an
+		// empty pooled table.
+		in.t = narrowed(st, NewTable(m.Schema))
 	case p.pushOK:
 		in.parts = &partAnswers{parts: parts, partials: p.partials}
 	}
@@ -104,7 +104,7 @@ func (m *MergeTable) plan(e *planEntry, st *SelectStmt) *mergePlan {
 	if p.partials, p.pushOK = decompose(st); p.pushOK {
 		p.sql = m.partialSQL(st, p.partials)
 	} else {
-		p.sql, p.matCols = m.materializeSQL(st)
+		p.sql = m.materializeSQL(st)
 	}
 	if e != nil {
 		e.merge.CompareAndSwap(nil, p)
@@ -125,8 +125,8 @@ func (p *mergePlan) mode() string {
 // DISTINCT) and plain row queries, whose union of part rows the statement
 // then runs over. Three reductions apply, each provably transparent to the
 // local pipeline:
-//   - projection: only columns the statement references ship (SELECT *
-//     keeps the full width);
+//   - projection: only the columns the statement reads (readColumns)
+//     ship; SELECT * and a statement naming no column keep the full width;
 //   - filter: the whole WHERE runs remotely (the local filter stage is
 //     skipped), exactly as before;
 //   - limit: without ORDER BY or aggregation the union's first
@@ -134,12 +134,9 @@ func (p *mergePlan) mode() string {
 //     every union row at a position below that cap sits at or below the
 //     same position within its own part — so capping each part at
 //     offset+limit preserves the rows the local limit stage can emit.
-//
-// It returns the SQL plus the pushed projection (nil when shipping *).
-func (m *MergeTable) materializeSQL(st *SelectStmt) (string, []string) {
+func (m *MergeTable) materializeSQL(st *SelectStmt) string {
 	proj := "*"
-	cols := m.referencedColumns(st)
-	if cols != nil {
+	if cols := readColumns(st); cols != nil {
 		q := make([]string, len(cols))
 		for i, c := range cols {
 			q[i] = QuoteIdent(c)
@@ -153,64 +150,7 @@ func (m *MergeTable) materializeSQL(st *SelectStmt) (string, []string) {
 	if st.Limit >= 0 && len(st.OrderBy) == 0 && !selHasAgg(st) {
 		sql += fmt.Sprintf(" LIMIT %d", st.Limit+st.Offset)
 	}
-	return sql, cols
-}
-
-// referencedColumns lists the part columns the statement touches, in
-// first-reference order, or nil when the full width is needed (SELECT *,
-// or a statement referencing no columns at all). ORDER BY names that match
-// a select-item alias resolve to the projected column locally, so they are
-// not part columns and are excluded.
-func (m *MergeTable) referencedColumns(st *SelectStmt) []string {
-	if st.Star {
-		return nil
-	}
-	aliases := map[string]bool{}
-	for _, it := range st.Items {
-		if it.Alias != "" {
-			aliases[strings.ToLower(it.Alias)] = true
-		}
-	}
-	seen := map[string]bool{}
-	var out []string
-	add := func(name string) {
-		k := strings.ToLower(name)
-		if !seen[k] {
-			seen[k] = true
-			out = append(out, name)
-		}
-	}
-	for _, it := range st.Items {
-		walkColRefs(it.Expr, add)
-	}
-	walkColRefs(st.Where, add)
-	for _, g := range st.GroupBy {
-		walkColRefs(g, add)
-	}
-	walkColRefs(st.Having, add)
-	for _, o := range st.OrderBy {
-		walkColRefs(o.Expr, func(n string) {
-			if !aliases[strings.ToLower(n)] {
-				add(n)
-			}
-		})
-	}
-	return out
-}
-
-// declaredSchema narrows the declared schema to the pushed projection (in
-// pushed order); a nil projection keeps the full declared schema.
-func (m *MergeTable) declaredSchema(cols []string) Schema {
-	if cols == nil {
-		return m.Schema
-	}
-	var out Schema
-	for _, c := range cols {
-		if i := m.Schema.ColIndex(c); i >= 0 {
-			out = append(out, m.Schema[i])
-		}
-	}
-	return out
+	return sql
 }
 
 // partResult summarizes one part's answer: its shape and how long the

@@ -441,7 +441,7 @@ func (c *catalog) explainPlan(ec *ExecContext, st Statement) (*PlanNode, error) 
 				cur = &PlanNode{Op: "order", Detail: "restore written join order", Children: []*PlanNode{cur}}
 			}
 		} else {
-			cur = scanPlanNode(sel.From, base)
+			cur = scanPlanNode(sel.From, narrowed(sel, base))
 		}
 		stages = ec.planSelect(&local, baseRows)
 	}

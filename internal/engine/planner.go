@@ -16,6 +16,7 @@ import "strings"
 // both feeds the heuristic and shrinks join inputs). Pushing a conjunct
 // onto the right side of a LEFT JOIN would turn filtered rows into
 // NULL-extended survivors, so those conjuncts stay in the residual filter.
+// Last, every relation is narrowed to the columns the statement reads.
 
 // plannedRel is one relation of the FROM/JOIN list at plan time.
 type plannedRel struct {
@@ -73,6 +74,7 @@ func (c *catalog) planJoins(st *SelectStmt, reorder bool) (*joinPlan, error) {
 	}
 	if len(st.Joins) == 0 {
 		plan.residual = st.Where
+		plan.narrow(st)
 		return plan, nil
 	}
 
@@ -94,7 +96,47 @@ func (c *catalog) planJoins(st *SelectStmt, reorder bool) (*joinPlan, error) {
 	if reorder && len(st.Joins) >= 2 {
 		plan.greedyOrder()
 	}
+	plan.narrow(st)
 	return plan, nil
+}
+
+// narrow cuts every relation to the columns st reads, after the order's
+// tie-break has read declared widths. SELECT *, a repeated alias or a name
+// no single relation resolves keeps them whole: the statement runs as written.
+func (p *joinPlan) narrow(st *SelectStmt) {
+	if st.Star {
+		return
+	}
+	keep := make([][]bool, len(p.rels))
+	for i, r := range p.rels {
+		for _, o := range p.rels[:i] {
+			if strings.EqualFold(o.alias, r.alias) {
+				return
+			}
+		}
+		keep[i] = make([]bool, r.table.NumCols())
+	}
+	for _, name := range readColumns(st) {
+		ri := p.resolveRel(name)
+		if ri < 0 {
+			return
+		}
+		if i := strings.IndexByte(name, '.'); i > 0 {
+			name = name[i+1:]
+		}
+		keep[ri][p.rels[ri].table.Schema().ColIndex(name)] = true
+	}
+	for i, r := range p.rels {
+		r.table = r.table.narrow(keep[i])
+	}
+}
+
+// narrowed is t, the one relation of a join-free statement st, narrowed
+// to the columns st reads as a join's relations are.
+func narrowed(st *SelectStmt, t *Table) *Table {
+	p := &joinPlan{rels: []*plannedRel{{alias: st.From, table: t}}}
+	p.narrow(st)
+	return p.rels[0].table
 }
 
 // greedyOrder picks the execution order: starting from the base relation,
@@ -295,6 +337,49 @@ func andExpr(acc, c Expr) Expr {
 		return c
 	}
 	return &Binary{Op: "AND", L: acc, R: c}
+}
+
+// readColumns lists the column names st reads, in first-reference order:
+// its select items, WHERE, GROUP BY, HAVING, ORDER BY (less names matching
+// a select-item alias, which resolve to the projected column) and every
+// JOIN's ON. Nil for SELECT * (the full width) or when none is named.
+func readColumns(st *SelectStmt) []string {
+	if st.Star {
+		return nil
+	}
+	aliases := map[string]bool{}
+	for _, it := range st.Items {
+		if it.Alias != "" {
+			aliases[strings.ToLower(it.Alias)] = true
+		}
+	}
+	seen := map[string]bool{}
+	var out []string
+	add := func(name string) {
+		if k := strings.ToLower(name); !seen[k] {
+			seen[k] = true
+			out = append(out, name)
+		}
+	}
+	for _, it := range st.Items {
+		walkColRefs(it.Expr, add)
+	}
+	walkColRefs(st.Where, add)
+	for _, g := range st.GroupBy {
+		walkColRefs(g, add)
+	}
+	walkColRefs(st.Having, add)
+	for _, o := range st.OrderBy {
+		walkColRefs(o.Expr, func(n string) {
+			if !aliases[strings.ToLower(n)] {
+				add(n)
+			}
+		})
+	}
+	for _, jc := range st.Joins {
+		walkColRefs(jc.On, add)
+	}
+	return out
 }
 
 // walkColRefs visits every column reference inside e.

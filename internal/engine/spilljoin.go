@@ -6,7 +6,8 @@ package engine
 // files by their join-key hash, each partition pair is joined
 // independently (build the small side, stream the probe side), and the
 // per-partition outputs are merged back into the exact row order the
-// in-memory join produces.
+// in-memory join produces. The sides arrive narrowed to the columns the
+// statement reads (joinPlan.narrow): partitions and runs carry only those.
 //
 // Order reconstruction: every spilled row carries its original row index
 // (rid). The in-memory join emits rows in (left row order, matches in
@@ -45,7 +46,7 @@ type joinSpill struct {
 	left, right *Table
 	keys        joinKeys
 	jc          JoinClause
-	residual    Expr // ON-clause residual, applied per emitted batch
+	residual    Expr // ON-clause residual, applied per probe batch
 	spilled     int64
 	leafParts   int64
 	groups      int64
@@ -135,6 +136,7 @@ func (js *joinSpill) process(lp, rp string, depth int) error {
 func (js *joinSpill) leaf(lp string, rr *runReader, rp string, depth int) error {
 	ec := js.ec
 	lw, rw := js.left.NumCols(), js.right.NumCols()
+	schema := joinedSchema(js.left, js.right)
 
 	var rCols []*Vector
 	rTotal := 0
@@ -190,10 +192,14 @@ func (js *joinSpill) leaf(lp string, rr *runReader, rp string, depth int) error 
 		lrids := vs[lw].Int64s()
 		lKeys := js.keys.of(vs, js.keys.l)
 		lHashes, lNulls := ec.joinKeyHashes(lKeys, n, nil)
-		lsel, rsel := ji.probe(ji.index.addSource(lKeys), lHashes, lNulls, 0, n, js.jc.Left)
-		if len(lsel) == 0 {
+		lsel, rsel := ji.probe(ji.index.addSource(lKeys), lHashes, lNulls, 0, n)
+		lsel, rsel, err = joinPairs(js.jc.Left, js.residual, schema, vs[:lw], rCols[:rw], lsel, rsel, 0, n)
+		if err != nil || len(lsel) == 0 {
 			putSelBuf(lsel)
 			putSelBuf(rsel)
+			if err != nil {
+				return fail(err)
+			}
 			continue
 		}
 		outCols := make([]*Vector, lw+rw+1)
@@ -213,27 +219,6 @@ func (js *joinSpill) leaf(lp string, rr *runReader, rp string, depth int) error 
 		}
 		putSelBuf(lsel)
 		putSelBuf(rsel)
-		if js.residual != nil {
-			bt, err := NewTableFromVectors(joinedSchema(js.left, js.right), outCols[:lw+rw])
-			if err != nil {
-				return fail(err)
-			}
-			sel, err := FilterSel(js.residual, bt)
-			if err != nil {
-				return fail(err)
-			}
-			for j := 0; j < lw+rw; j++ {
-				outCols[j] = outCols[j].Gather(sel)
-			}
-			fm := make([]int64, len(sel))
-			for i, s := range sel {
-				fm[i] = mks[s]
-			}
-			mks = fm
-			if len(mks) == 0 {
-				continue
-			}
-		}
 		outCols[lw+rw] = NewInt64Vector(mks, nil)
 		js.rows += len(mks)
 		if ow == nil {

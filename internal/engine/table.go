@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -158,6 +159,21 @@ func (t *Table) Slice(lo, hi int) *Table {
 		cols[i] = c.Slice(lo, hi)
 	}
 	return &Table{schema: t.schema, cols: cols}
+}
+
+// narrow returns a zero-copy view of the columns keep marks, in table
+// order; with none marked, of the first, so the row count survives.
+func (t *Table) narrow(keep []bool) *Table {
+	if len(keep) > 0 && !slices.Contains(keep, true) {
+		keep[0] = true
+	}
+	out := &Table{}
+	for i, k := range keep {
+		if k {
+			out.schema, out.cols = append(out.schema, t.schema[i]), append(out.cols, t.cols[i])
+		}
+	}
+	return out
 }
 
 // Gather returns a new table with the selected rows.
