@@ -64,17 +64,21 @@ auditsmoke:
 # the results must stay bit-identical with no run files left behind. It
 # also runs the mid-input crossing: an aggregate whose budget is crossed
 # partway keeps the partials built before it, spills only the later
-# morsels, stays bit-identical and evaluates no morsel twice. Last, the
-# run files themselves: every type round-trips bit for bit, an empty batch
-# survives, a session's directory goes with every run in it, and each kind
-# of corrupt stream is refused with its own message. It also guards what
-# both join paths must agree on beyond each other: a LEFT JOIN whose ON
-# residual rejects every match of a left row keeps that row NULL-extended,
-# in memory and through the grace join; and columns a statement never
-# names cost it nothing, so tables with 20 unread columns appended give
-# bit-identical answers with as many vectors touched and bytes spilled.
+# morsels, stays bit-identical and evaluates no morsel twice; and the
+# mid-build crossing: a hash join whose budget is crossed while it admits
+# its build partitions keeps the earlier ones in memory, spills only the
+# later ones with their probe rows, and stays bit-identical, LEFT JOIN
+# padding included. Last, the run files themselves: every type round-trips
+# bit for bit, an empty batch survives, a session's directory goes with
+# every run in it, and each kind of corrupt stream is refused with its own
+# message. It also guards what the join must keep whether a partition is
+# resident or spilled: a LEFT JOIN whose ON residual rejects every match
+# of a left row keeps that row NULL-extended, in memory and under a tiny
+# budget; and columns a statement never names cost it nothing, so tables
+# with 20 unread columns appended give bit-identical answers with as many
+# vectors touched and bytes spilled.
 spillsmoke:
-	$(GO) test -count=1 -run 'TestSpillSerialParallelEquivalence|TestSpillJoinEquivalence|TestSpillMidInputCrossing|TestSpillCleanupOnError|TestSpillCleanupOnCancel|TestRoundTripAllKinds|TestEmptyBatchAndZeroRuns|TestDirCleanup|TestReaderRejectsCorruptStreams|TestLeftJoinResidual|TestUnreadColumnsCostNothing' ./internal/engine/
+	$(GO) test -count=1 -run 'TestSpillSerialParallelEquivalence|TestSpillJoinEquivalence|TestSpillMidInputCrossing|TestSpillJoinMidBuildCrossing|TestSpillCleanupOnError|TestSpillCleanupOnCancel|TestRoundTripAllKinds|TestEmptyBatchAndZeroRuns|TestDirCleanup|TestReaderRejectsCorruptStreams|TestLeftJoinResidual|TestUnreadColumnsCostNothing' ./internal/engine/
 
 # cachesmoke covers both cache tiers' correctness backbone: plan-cached
 # execution stays bit-identical to uncached, one text is one entry shared

@@ -109,7 +109,8 @@ func runPerfSuite(benchOut, comparePath string, threshold float64) {
 		// Spill pair: a 1M-row join feeding a grouped aggregate, unbudgeted
 		// and under an 8 MB budget with a spill directory. The spill row's
 		// mem_peak_bytes should land far below the unbudgeted row's (the
-		// grace join and streamed aggregate hold one partition at a time)
+		// join keeps only the partitions that fit, and the streamed
+		// aggregate reads its output batch by batch)
 		// and its spill_bytes > 0 proves the budget actually forced disk.
 		{"hash_join_1m_agg", spillBench(0, benchJoinAggSpill)},
 		{"hash_join_1m_agg_spill_8mb", spillBench(8<<20, benchJoinAggSpill)},
@@ -385,8 +386,9 @@ func spillBench(budget int64, fn func(*testing.B, int64)) func(*testing.B) {
 
 // benchJoinAggSpill: a 1M x 1M equi-join feeding a 16-group aggregate.
 // With budget 0 it runs fully in memory; with a positive budget plus a
-// spill dir the grace hash join partitions both sides to disk and streams
-// its merged output into the spilled aggregate — same bits, tiny peak.
+// spill dir the hash join keeps the build partitions that fit resident,
+// writes the rest with their probe rows to disk, and streams its merged
+// output into the spilled aggregate — same bits, tiny peak.
 func benchJoinAggSpill(b *testing.B, budget int64) {
 	l := engine.NewTable(engine.Schema{
 		{Name: "id", Type: engine.Int64},

@@ -31,10 +31,10 @@ func execSelect(ec *ExecContext, st *SelectStmt, in source, qs *QueryStats) (*Ta
 	return out, nil
 }
 
-// source is what a stage list reads: a table, or a grace join's output
-// still in its run files (js). The aggregate reads a stream as it is,
-// batch by batch, so the joined relation is never materialized; any other
-// stage reads it materialized. With parts set, t is a merge pushdown's
+// source is what a stage list reads: a table, or the output of a hash
+// join that spilled (js), its resident pairs and runs not yet merged. The
+// aggregate reads a stream as it is, batch by batch, so the joined
+// relation is never materialized; any other stage reads it materialized. With parts set, t is a merge pushdown's
 // part answers, which only the aggregate reads (as its partials).
 type source struct {
 	t     *Table
@@ -744,7 +744,7 @@ type morselAgg struct {
 }
 
 // execAggregate runs partitioned hash aggregation over its input's batches
-// (a table's morsels, or a grace join's merged stream): every batch groups
+// (a table's morsels, or a spilled join's merged stream): every batch groups
 // and accumulates into thread-local state (buildPartial), then a serial
 // combine assigns global group ids and folds the partials in batch order
 // (combinePartials). Because batches are row ranges in order and local
@@ -795,7 +795,7 @@ func execAggregate(ec *ExecContext, st *SelectStmt, in source, node *PlanNode, w
 			}
 			spMu.Lock()
 			defer spMu.Unlock()
-			return sp.add(keys, cols, seq, n)
+			return sp.add(keys, cols, seq, n, nil)
 		}
 		ma, err := buildPartial(prep.aggCalls, keys, args, n, (*aggState).observeAll)
 		if err != nil {

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -17,8 +18,8 @@ import (
 // executing in the plan's order with its pushed filters applied; the
 // caller's filter stage applies the plan's residual WHERE. It plants the
 // scan/filter/join subtree that execSelect's stages then chain on top of.
-// A grace join's output that feeds the statement's stages stays a stream
-// (see source); a later join and the order restore read it materialized.
+// A join that spilled hands the statement's stages a stream (see source);
+// a later join and the order restore read it materialized.
 //
 // Reordered execution is provably identical to written order: written-order
 // left-deep hash joins emit rows in lexicographic (base row, join-1 row,
@@ -116,23 +117,14 @@ func joinInputs(ec *ExecContext, plan *joinPlan, qs *QueryStats) ([]*Table, []*P
 // restore sort reads these to put reordered join output back in written
 // order; the $ prefix keeps the name outside the user-expressible space.
 func withRowID(t *Table, rel int) *Table {
-	n := t.NumRows()
-	ids := make([]int64, n)
+	ids := make([]int64, t.NumRows())
 	for i := range ids {
 		ids[i] = int64(i)
 	}
-	schema := append(append(Schema{}, t.Schema()...),
-		ColumnDef{Name: fmt.Sprintf("$rid%d", rel), Type: Int64})
-	cols := make([]*Vector, t.NumCols()+1)
-	for i := 0; i < t.NumCols(); i++ {
-		cols[i] = t.Col(i)
+	return &Table{
+		schema: append(slices.Clone(t.schema), ColumnDef{Name: fmt.Sprintf("$rid%d", rel), Type: Int64}),
+		cols:   append(slices.Clone(t.cols), NewInt64Vector(ids, nil)),
 	}
-	cols[t.NumCols()] = NewInt64Vector(ids, nil)
-	out, err := NewTableFromVectors(schema, cols)
-	if err != nil {
-		panic(err) // same lengths by construction
-	}
-	return out
 }
 
 // restoreWrittenOrder sorts the reordered join output by the hidden rowid
@@ -176,33 +168,16 @@ func restoreWrittenOrder(ec *ExecContext, t *Table, plan *joinPlan) (*Table, err
 // copied).
 func qualifyTable(t *Table, alias string) *Table {
 	schema := make(Schema, len(t.Schema()))
-	cols := make([]*Vector, len(schema))
 	for i, c := range t.Schema() {
 		schema[i] = ColumnDef{Name: alias + "." + c.Name, Type: c.Type}
-		cols[i] = t.Col(i)
 	}
-	out, err := NewTableFromVectors(schema, cols)
-	if err != nil {
-		panic(err) // same shapes by construction
-	}
-	return out
+	return &Table{schema: schema, cols: slices.Clone(t.cols)}
 }
 
 // splitOn separates the ON expression into equi-join key pairs and a
 // residual predicate.
 func splitOn(on Expr, left, right *Table) (lk, rk []string, residual Expr, err error) {
-	var conds []Expr
-	var flatten func(e Expr)
-	flatten = func(e Expr) {
-		if b, ok := e.(*Binary); ok && b.Op == "AND" {
-			flatten(b.L)
-			flatten(b.R)
-			return
-		}
-		conds = append(conds, e)
-	}
-	flatten(on)
-	for _, c := range conds {
+	for _, c := range splitConjuncts(on) {
 		b, ok := c.(*Binary)
 		if ok && b.Op == "=" {
 			lc, lok := b.L.(*ColRef)
@@ -221,11 +196,7 @@ func splitOn(on Expr, left, right *Table) (lk, rk []string, residual Expr, err e
 				}
 			}
 		}
-		if residual == nil {
-			residual = c
-		} else {
-			residual = &Binary{Op: "AND", L: residual, R: c}
-		}
+		residual = andExpr(residual, c)
 	}
 	if len(lk) == 0 {
 		return nil, nil, nil, fmt.Errorf("engine: JOIN requires at least one left=right equality in ON")
@@ -247,141 +218,126 @@ func resolveSide(name string, left, right *Table) int {
 	return 0
 }
 
-// joinKeyHashes computes each row's key-tuple hash morsel-parallel via the
-// typed kernels, plus a per-row NULL flag (SQL: NULL keys never match, so
-// join rows with any NULL key component are excluded from build and probe).
-// nulls is nil when no key column can hold NULLs.
-func (ec *ExecContext) joinKeyHashes(cols []*Vector, n int, node *PlanNode) (hashes []uint64, nulls []bool) {
+// joinKeyHashes computes each of n rows' key-tuple hash via the typed
+// kernels, plus a per-row NULL flag (SQL: NULL keys never match, so join
+// rows with any NULL key component are excluded from build and probe).
+// nulls is nil when no key column can hold NULLs. The join hashes one
+// morsel or run batch at a time; node (optional) counts it.
+func joinKeyHashes(cols []*Vector, n int, node *PlanNode) (hashes []uint64, nulls []bool) {
 	hashes = make([]uint64, n)
+	hashKeyCols(cols, n, hashes)
 	for _, c := range cols {
-		if c.valid != nil {
+		if c.valid == nil {
+			continue
+		}
+		if nulls == nil {
 			nulls = make([]bool, n)
-			break
+		}
+		for r := 0; r < n; r++ {
+			nulls[r] = nulls[r] || c.IsNull(r)
 		}
 	}
-	ms := ec.morselsOf(n)
-	_ = ec.parallelFor(len(ms), func(i int) error {
-		m := ms[i]
-		sliced := sliceVecs(cols, m.lo, m.hi)
-		hashKeyCols(sliced, m.hi-m.lo, hashes[m.lo:m.hi])
-		if nulls != nil {
-			for _, c := range sliced {
-				if c.valid == nil {
-					continue
-				}
-				for r := 0; r < m.hi-m.lo; r++ {
-					if c.IsNull(r) {
-						nulls[m.lo+r] = true
-					}
-				}
-			}
-		}
-		node.AddMorsels(1)
-		return nil
-	})
+	node.AddMorsels(1)
 	return hashes, nulls
 }
 
 // hashJoin performs the (inner or left-outer) equi-join, morsel-parallel:
-// key hashes for both sides are computed across the pool, the build-side
-// index is inserted serially in row order (it is immutable from then on and
-// shared by all probe workers), and the probe fans out over left-side
-// morsels, each emitting local selection vectors that are stitched in
-// morsel order. Output rows therefore appear in exactly the order the
-// serial nested probe produced: left row order, matches in right row order.
+// the build-side index is inserted serially in row order (it is immutable
+// from then on and shared by all probe workers), and the probe fans out
+// over left-side morsels, each hashing its keys and emitting local
+// selection vectors that are stitched in morsel order. Output rows
+// therefore appear in exactly the order the serial nested probe produced:
+// left row order, matches in right row order. With spilling available the
+// build side is admitted partition by partition (spilljoin.go): the
+// partitions the budget cannot hold go to run files with the probe rows
+// that hash to them, and the output is a stream merging both back into
+// that order.
 func hashJoin(ec *ExecContext, left, right *Table, jc JoinClause, node *PlanNode) (source, error) {
 	lk, rk, residual, err := splitOn(jc.On, left, right)
 	if err != nil {
 		return source{}, err
 	}
-	jk := newJoinKeys(left, right, lk, rk)
-	// Grace hash join: when the estimated build-side + transient footprint
-	// cannot fit the query's soft memory budget, partition both sides to
-	// disk and join partition-wise instead. The output stays a stream in
-	// run files; read back it is bit-identical, including row order.
-	est := right.ByteSize() + int64(right.NumRows())*24 + int64(left.NumRows())*8
-	if ec.spillEnabled() && ec.Acct.Live()+est > ec.QueryMemLimit && left.NumRows() < 1<<30 && right.NumRows() < 1<<30 {
-		js, err := graceHashJoin(ec, left, right, jk, jc, residual, node)
-		return source{js: js}, err
+	js := &joinSpill{ec: ec, left: left, right: right, keys: newJoinKeys(left, right, lk, rk), jc: jc, residual: residual}
+	lKeyCols, rKeyCols := js.keys.of(left.cols, js.keys.l), js.keys.of(right.cols, js.keys.r)
+	charged := js.admit(rKeyCols) // until the probe is done
+	spilled := slices.Contains(js.spill[:], true)
+	var rPaths [16]string
+	if spilled {
+		if rPaths, err = js.spillRows(right, rKeyCols, "jr"); err != nil {
+			return source{}, err
+		}
 	}
-	lKeyCols, rKeyCols := jk.of(left.cols, jk.l), jk.of(right.cols, jk.r)
-	rHashes, rNulls := ec.joinKeyHashes(rKeyCols, right.NumRows(), node)
-	lHashes, lNulls := ec.joinKeyHashes(lKeyCols, left.NumRows(), node)
-	ji, err := ec.buildJoinIndex(rKeyCols, rHashes, rNulls)
+	ji, err := ec.buildJoinIndex(rKeyCols, right.NumRows(), js.spill, node)
 	if err != nil {
 		return source{}, err
 	}
-	if node != nil {
-		node.Groups = int64(ji.index.groups())
-	}
-	// Charge the join's transient payloads in one shot: both sides' key
-	// hashes, the build index's CSR arrays and group map. Released after the
-	// output is materialized and they become garbage.
-	buildBytes := int64(right.NumRows()+left.NumRows())*8 +
-		int64(right.NumRows()+len(ji.off)+len(ji.matchRows))*4 +
-		int64(ji.index.groups())*16 // group-index slots/refs, approximate
-	ec.charge(buildBytes)
+	node.Groups = int64(ji.index.groups())
 
 	// Probe side: per-morsel selection vectors into the immutable index
 	// (find never mutates, so all probe workers share it), stitched in
-	// morsel order.
+	// morsel order. Rows whose partition spilled are neither probed nor
+	// padded here.
 	probeSrc := ji.index.addSource(lKeyCols)
 	ms := ec.morselsOf(left.NumRows())
-	if node != nil {
-		node.Parallelism = ec.degreeFor(len(ms))
-	}
+	node.Parallelism = ec.degreeFor(len(ms))
 	if len(ms) == 0 {
 		ms = []morsel{{}} // evaluate the residual over no rows: its errors must surface
 	}
 	schema := joinedSchema(left, right)
-	type probeOut struct{ lsel, rsel []int32 }
-	parts := make([]probeOut, len(ms))
+	lsels, rsels := make([][]int32, len(ms)), make([][]int32, len(ms))
 	err = ec.parallelFor(len(ms), func(i int) error {
-		lsel, rsel := ji.probe(probeSrc, lHashes, lNulls, ms[i].lo, ms[i].hi)
-		lsel, rsel, err := joinPairs(jc.Left, residual, schema, left.cols, right.cols, lsel, rsel, ms[i].lo, ms[i].hi)
-		parts[i] = probeOut{lsel, rsel}
+		lo, hi := ms[i].lo, ms[i].hi
+		hashes, nulls := joinKeyHashes(sliceVecs(lKeyCols, lo, hi), hi-lo, node)
+		skip := js.route(hashes, nulls)
+		lsel, rsel := ji.probe(probeSrc, hashes, nulls, skip, lo, hi)
+		var err error
+		lsels[i], rsels[i], err = joinPairs(jc.Left, residual, schema, left.cols, right.cols, lsel, rsel, lo, hi, skip)
 		node.AddMorsels(1)
 		return err
 	})
 	if err != nil {
 		return source{}, err
 	}
-	total := 0
-	for _, p := range parts {
-		total += len(p.lsel)
+	lsel, rsel := slices.Concat(lsels...), slices.Concat(rsels...)
+	for i := range lsels {
+		putSelBuf(lsels[i])
+		putSelBuf(rsels[i])
 	}
-	lsel := make([]int32, 0, total)
-	rsel := make([]int32, 0, total)
-	for _, p := range parts {
-		lsel = append(lsel, p.lsel...)
-		rsel = append(rsel, p.rsel...)
-		putSelBuf(p.lsel)
-		putSelBuf(p.rsel)
+	if spilled {
+		ec.release(charged)
+		s, err := js.finish(lKeyCols, rPaths, lsel, rsel, node)
+		return source{js: s}, err
 	}
-
-	// Materialize: left columns by plain gather, right columns by outer
-	// gather (-1 ⇒ NULL row); columns fan out across the pool.
-	lw, rw := left.NumCols(), right.NumCols()
-	cols := make([]*Vector, lw+rw)
-	_ = ec.parallelFor(lw+rw, func(j int) error {
-		if j < lw {
-			cols[j] = left.Col(j).Gather(lsel)
-		} else {
-			cols[j] = right.Col(j - lw).GatherOuter(rsel)
-		}
-		return nil
-	})
-	out := &Table{schema: schema, cols: cols}
+	out := &Table{schema: schema, cols: ec.gatherPairs(left.cols, right.cols, lsel, rsel)}
 	ec.charge(out.ByteSize())
-	ec.release(buildBytes)
+	ec.release(charged)
 	return source{t: out}, nil
 }
 
-// joinPairs finishes the probe of left rows [lo, hi) for both join paths:
-// the ON residual keeps the candidate pairs it holds for, then a LEFT JOIN
-// pads each left row left without a pair with right row -1, in row order.
-// Pairs in and out are selection-pool buffers.
-func joinPairs(outer bool, residual Expr, schema Schema, lcols, rcols []*Vector, lsel, rsel []int32, lo, hi int) ([]int32, []int32, error) {
+// gatherPairs materializes joined pairs: the left columns by plain gather,
+// the right columns by outer gather (-1 ⇒ NULL row); columns fan out
+// across the pool.
+func (ec *ExecContext) gatherPairs(lcols, rcols []*Vector, lsel, rsel []int32) []*Vector {
+	lw := len(lcols)
+	cols := make([]*Vector, lw+len(rcols), lw+len(rcols)+1)
+	_ = ec.parallelFor(len(cols), func(j int) error {
+		if j < lw {
+			cols[j] = lcols[j].Gather(lsel)
+		} else {
+			cols[j] = rcols[j-lw].GatherOuter(rsel)
+		}
+		return nil
+	})
+	return cols
+}
+
+// joinPairs finishes the probe of left rows [lo, hi): the ON residual
+// keeps the candidate pairs it holds for, then a LEFT JOIN pads each left
+// row left without a pair with right row -1, in row order — except rows
+// flagged in skip (indexed from lo, nil = none), whose partition spilled
+// and is padded in its own leaf. Pairs in and out are selection-pool
+// buffers.
+func joinPairs(outer bool, residual Expr, schema Schema, lcols, rcols []*Vector, lsel, rsel []int32, lo, hi int, skip []bool) ([]int32, []int32, error) {
 	if residual != nil {
 		cols := make([]*Vector, 0, len(schema))
 		for _, c := range lcols {
@@ -404,7 +360,7 @@ func joinPairs(outer bool, residual Expr, schema Schema, lcols, rcols []*Vector,
 	}
 	pl, pr := getSelBuf(len(lsel)+hi-lo), getSelBuf(len(lsel)+hi-lo)
 	for k, r := 0, int32(lo); r < int32(hi); r++ {
-		if k == len(lsel) || lsel[k] != r {
+		if (k == len(lsel) || lsel[k] != r) && (skip == nil || !skip[r-int32(lo)]) {
 			pl, pr = append(pl, r), append(pr, -1)
 		}
 		for ; k < len(lsel) && lsel[k] == r; k++ {
@@ -458,28 +414,35 @@ type joinIndex struct {
 	matchRows []int32
 }
 
-// buildJoinIndex is the join-build kernel: it indexes the build side's key
-// tuples serially in row order. SQL NULL keys never match, so rows flagged
-// in nulls (nil = none) stay out of the index. The in-memory join builds
-// over the whole right table, a grace-join leaf over one loaded partition.
-// The loop polls for cancellation at batch-size strides, so a killed query
+// buildJoinIndex is the join-build kernel: it hashes the build side's
+// key tuples morsel by morsel and indexes them serially in row order. SQL
+// NULL keys never match, so their rows stay out of the index, as do the
+// rows of the partitions flagged in spill. The join builds over the right
+// table's resident partitions, a spilled partition's leaf over its loaded
+// run. The loop polls for cancellation per morsel, so a killed query
 // aborts mid-build.
-func (ec *ExecContext) buildJoinIndex(keys []*Vector, hashes []uint64, nulls []bool) (*joinIndex, error) {
-	n := len(hashes)
-	index := newGroupIndex(n)
+func (ec *ExecContext) buildJoinIndex(keys []*Vector, n int, spill [16]bool, node *PlanNode) (*joinIndex, error) {
+	resident := 16
+	for _, s := range spill {
+		if s {
+			resident--
+		}
+	}
+	index := newGroupIndex(n * resident / 16)
 	src := index.addSource(keys)
 	groupOf := make([]int32, n)
-	for r := range groupOf {
-		if r&4095 == 0 {
-			if err := ec.interrupted(); err != nil {
-				return nil, err
+	for _, m := range ec.morselsOf(n) {
+		if err := ec.interrupted(); err != nil {
+			return nil, err
+		}
+		hashes, nulls := joinKeyHashes(sliceVecs(keys, m.lo, m.hi), m.hi-m.lo, node)
+		for i, h := range hashes {
+			if nulls != nil && nulls[i] || spill[h>>60] {
+				groupOf[m.lo+i] = -1
+				continue
 			}
+			groupOf[m.lo+i] = index.insert(h, src, int32(m.lo+i))
 		}
-		if nulls != nil && nulls[r] {
-			groupOf[r] = -1
-			continue
-		}
-		groupOf[r] = index.insert(hashes[r], src, int32(r))
 	}
 	groups := index.groups()
 	off := make([]int32, groups+1)
@@ -505,14 +468,15 @@ func (ec *ExecContext) buildJoinIndex(keys []*Vector, hashes []uint64, nulls []b
 // probe looks rows [lo, hi) of probe source src up in the index and
 // returns the matches as parallel selection vectors: probe rows in row
 // order, each with its build rows in build-row order (joinPairs applies the
-// residual and the LEFT JOIN padding). The vectors come from the
-// selection-buffer pool; the caller returns them.
-func (ji *joinIndex) probe(src int32, hashes []uint64, nulls []bool, lo, hi int) (lsel, rsel []int32) {
+// residual and the LEFT JOIN padding). hashes, nulls and skip hold rows
+// [lo, hi); rows flagged in nulls or skip (nil = none) are not looked up.
+// The vectors come from the selection-buffer pool; the caller returns them.
+func (ji *joinIndex) probe(src int32, hashes []uint64, nulls, skip []bool, lo, hi int) (lsel, rsel []int32) {
 	lsel, rsel = getSelBuf(hi-lo), getSelBuf(hi-lo)
 	for r := lo; r < hi; r++ {
 		g := int32(-1)
-		if nulls == nil || !nulls[r] {
-			g = ji.index.find(hashes[r], src, int32(r))
+		if (nulls == nil || !nulls[r-lo]) && (skip == nil || !skip[r-lo]) {
+			g = ji.index.find(hashes[r-lo], src, int32(r))
 		}
 		if g >= 0 {
 			for _, br := range ji.matchRows[ji.off[g]:ji.off[g+1]] {

@@ -349,15 +349,21 @@ func (ec *ExecContext) forMorsels(t *Table, where Expr, fnode *PlanNode, fn func
 		}
 		return err
 	})
-	if fnode != nil && err == nil && busy.Load() > 0 {
-		// fnode.Nanos is the filter's part of the time the workers spent in
-		// morsels, however many workers ran and however the morsels fell
-		// among them; the same fraction of the loop's wall time is the
-		// filter's, the rest the hosting stage's.
-		wall := float64(time.Since(start).Nanoseconds())
-		fnode.Nanos = int64(wall * float64(fnode.Nanos) / float64(busy.Load()))
+	if fnode != nil && err == nil {
+		fnode.Nanos = busyShare(time.Since(start).Nanoseconds(), fnode.Nanos, busy.Load())
 	}
 	return err
+}
+
+// busyShare is the filter's share of a fused loop's wall time: part is the
+// filter's part of the busy time the workers spent in morsels, however
+// many workers ran and however the morsels fell among them, and the same
+// fraction of wall is the filter's, the rest the hosting stage's.
+func busyShare(wall, part, busy int64) int64 {
+	if busy <= 0 {
+		return part
+	}
+	return int64(float64(wall) * float64(part) / float64(busy))
 }
 
 // selectPart evaluates a WHERE over one batch of rows: the indexes of the

@@ -286,6 +286,97 @@ func TestSpillJoinReportsStats(t *testing.T) {
 	assertNoSpillResidue(t, dir)
 }
 
+// midBuildBudget lies between the budget a hash join over spillDB's
+// fixture crosses before admitting its first build partitions (4096) and
+// one that holds them all: some partitions stay resident, the rest spill.
+const midBuildBudget = 24 << 10
+
+// TestSpillJoinMidBuildCrossing runs joins whose budget is crossed while
+// the build partitions are admitted: the partitions admitted before the
+// crossing are indexed and probed in memory, the later ones spill with
+// their probe rows, and the merge puts both back in the in-memory join's
+// order. Results must be bit-identical to the unbudgeted serial engine at
+// parallelism 1, 2 and NumCPU, with no spill residue. The LEFT JOIN has
+// NULL left keys, which are padded in memory, and unmatched left rows in
+// resident and spilled partitions alike: each must come out exactly once,
+// NULL-extended. At parallelism 1 the crossing point is deterministic, so
+// the join must spill some of its 16 build partitions but not all, fewer
+// than under the 4096-byte budget, and strictly fewer bytes.
+func TestSpillJoinMidBuildCrossing(t *testing.T) {
+	const morsel = 128
+	ref := NewDB(WithParallelism(1), WithMorselSize(morsel))
+	if err := buildParallelFixture(ref, 1500); err != nil {
+		t.Fatal(err)
+	}
+	joinNode := func(qs QueryStats) (join *PlanNode) {
+		qs.Root.Walk(func(n *PlanNode) {
+			if n.Op == "join" {
+				join = n
+			}
+		})
+		return join
+	}
+	leftJoin := `SELECT a.id, a.score, b.x FROM u a LEFT JOIN t b ON a.id = b.id AND b.x > 0`
+	for _, sql := range []string{
+		`SELECT a.id, a.x, b.score, b.site FROM t a JOIN u b ON a.id = b.id`,
+		leftJoin,
+		`SELECT b.site, count(*) AS n, sum(a.x) AS s FROM t a JOIN u b ON a.id = b.id GROUP BY b.site`,
+	} {
+		want, err := ref.Query(sql)
+		if err != nil {
+			t.Fatalf("reference: %s: %v", sql, err)
+		}
+		for _, d := range []int{1, 2, runtime.NumCPU()} {
+			label := fmt.Sprintf("mid-build spill par=%d", d)
+			db, dir := spillDB(t, midBuildBudget, d, morsel)
+			got, qs, err := db.QueryWithStats(sql)
+			if err != nil {
+				t.Fatalf("%s: %s: %v", label, sql, err)
+			}
+			tablesIdentical(t, sql, want, got, "in-memory", label)
+			assertNoSpillResidue(t, dir)
+			if sql == leftJoin {
+				wantNull, wantPadded := nullRows(want)
+				gotNull, gotPadded := nullRows(got)
+				if wantNull == 0 || wantPadded <= wantNull || gotNull != wantNull || gotPadded != wantPadded {
+					t.Fatalf("%s: %s: %d NULL-key rows and %d NULL-extended, want %d and %d (> 0 and more)",
+						label, sql, gotNull, gotPadded, wantNull, wantPadded)
+				}
+			}
+			if d != 1 {
+				continue
+			}
+			early, _ := spillDB(t, 4096, d, morsel)
+			_, earlyStats, err := early.QueryWithStats(sql)
+			if err != nil {
+				t.Fatalf("4096-byte budget: %s: %v", sql, err)
+			}
+			j, ej := joinNode(qs), joinNode(earlyStats)
+			if j.SpillParts <= 0 || j.SpillParts >= min(16, ej.SpillParts) {
+				t.Fatalf("%s: %s: join SpillParts = %d, want in (0, %d) — some of the 16 build partitions resident, fewer spilled than under the 4096-byte budget",
+					label, sql, j.SpillParts, min(16, ej.SpillParts))
+			}
+			if j.SpillBytes >= ej.SpillBytes {
+				t.Fatalf("%s: %s: join SpillBytes = %d, want below %d — the 4096-byte budget's", label, sql, j.SpillBytes, ej.SpillBytes)
+			}
+		}
+	}
+}
+
+// nullRows counts the rows of a LEFT JOIN's answer whose first column (the
+// left key) is NULL, and those whose last column (a right column) is.
+func nullRows(t *Table) (nullKeys, padded int) {
+	for r := 0; r < t.NumRows(); r++ {
+		if t.Col(0).IsNull(r) {
+			nullKeys++
+		}
+		if t.Col(t.NumCols() - 1).IsNull(r) {
+			padded++
+		}
+	}
+	return nullKeys, padded
+}
+
 // TestSpillJoinAggMemoryBudget is the headline acceptance check: a
 // 1M-row join feeding a grouped aggregate under an 8 MB budget must
 // complete via spill, report SpillBytes > 0, return bit-identical rows,

@@ -39,8 +39,9 @@ type rowSpiller struct {
 
 // add routes one batch's rows (keys and cols share length n; seq[r] is row
 // r's global ordinal) to their partitions by key hash and appends each
-// slice, in row order, as one batch to the partition's run file.
-func (sp *rowSpiller) add(keys, cols []*Vector, seq []int64, n int) error {
+// slice, in row order, as one batch to the partition's run file. With keep
+// set, only the rows it flags are written.
+func (sp *rowSpiller) add(keys, cols []*Vector, seq []int64, n int, keep []bool) error {
 	for p := range sp.sels {
 		sp.sels[p] = sp.sels[p][:0]
 	}
@@ -48,8 +49,10 @@ func (sp *rowSpiller) add(keys, cols []*Vector, seq []int64, n int) error {
 	hashKeyCols(keys, n, hashes)
 	shift := uint(60 - 4*sp.depth)
 	for r := 0; r < n; r++ {
-		p := (hashes[r] >> shift) & 15
-		sp.sels[p] = append(sp.sels[p], int32(r))
+		if keep == nil || keep[r] {
+			p := (hashes[r] >> shift) & 15
+			sp.sels[p] = append(sp.sels[p], int32(r))
+		}
 	}
 	putHashBuf(hashes)
 	for p, sel := range sp.sels {
@@ -119,7 +122,7 @@ func (ec *ExecContext) respill(rr *runReader, path, label string, depth int, key
 		}
 		if err == nil {
 			last := len(vs) - 1
-			err = sub.add(keysOf(vs), vs[:last], vs[last].Int64s(), vs[0].Len())
+			err = sub.add(keysOf(vs), vs[:last], vs[last].Int64s(), vs[0].Len(), nil)
 		}
 		if err != nil {
 			rr.close()
