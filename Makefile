@@ -40,7 +40,7 @@ freshbuild:
 # down.
 loc:
 	@for d in internal/engine internal/federation internal/obs internal/api cmd/mipctl \
-		internal/algorithms internal/smpc cmd/mipbench; do \
+		internal/algorithms internal/smpc cmd/mipbench internal/queue; do \
 		printf '%-22s %6d non-test lines\n' $$d $$(find $$d -name '*.go' ! -name '*_test.go' | xargs cat | wc -l); \
 	done
 	@printf '%-22s %6d non-test lines\n' 'engine + federation' \

@@ -162,22 +162,27 @@ var algLog = obs.Logger("algorithms")
 // record per run carrying the algorithm name, datasets, duration and
 // outcome, joined to the experiment trace when the session carries one.
 // Platform entry points (the embedded platform and the API runner) route
-// through it instead of calling a.Run directly.
-func Run(a Algorithm, sess *federation.Session, req Request) (Result, error) {
+// through it instead of calling a.Run directly. A panic in a is returned as
+// an error naming the algorithm and the panic.
+func Run(a Algorithm, sess *federation.Session, req Request) (res Result, err error) {
 	l := algLog.With("algorithm", a.Spec().Name,
 		"datasets", strings.Join(req.Datasets, ","))
 	if tr := sess.Trace(); tr.TraceID != "" {
 		l = obs.WithTrace(l, &tr)
 	}
 	start := time.Now()
-	res, err := a.Run(sess, req)
-	if err != nil {
-		l.Error("algorithm failed", "seconds", time.Since(start).Seconds(), "err", err.Error())
-		return res, err
-	}
-	l.Info("algorithm done", "seconds", time.Since(start).Seconds(),
-		"dropped_workers", strings.Join(sess.Dropped(), ","))
-	return res, nil
+	defer func() {
+		if p := recover(); p != nil {
+			res, err = nil, fmt.Errorf("algorithms: %s panicked: %v", a.Spec().Name, p)
+		}
+		if err != nil {
+			l.Error("algorithm failed", "seconds", time.Since(start).Seconds(), "err", err.Error())
+			return
+		}
+		l.Info("algorithm done", "seconds", time.Since(start).Seconds(),
+			"dropped_workers", strings.Join(sess.Dropped(), ","))
+	}()
+	return a.Run(sess, req)
 }
 
 // Names lists registered algorithms, sorted.

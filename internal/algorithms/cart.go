@@ -1,6 +1,7 @@
 package algorithms
 
 import (
+	"fmt"
 	"math"
 
 	"mip/internal/federation"
@@ -31,7 +32,7 @@ func (*CART) Spec() Spec {
 			{Name: "levels", Label: "Nominal feature levels", Type: "string"},
 			{Name: "max_depth", Label: "Maximum depth", Type: "int", Default: 4},
 			{Name: "min_split", Label: "Minimum rows to split", Type: "int", Default: 20},
-			{Name: "bins", Label: "Numeric histogram bins", Type: "int", Default: 32},
+			{Name: "bins", Label: "Numeric histogram bins", Type: "int", Default: 32, Min: 1},
 		},
 	}
 }
@@ -46,6 +47,9 @@ func (a *CART) Run(sess *federation.Session, req Request) (Result, error) {
 	maxDepth := req.ParamInt("max_depth", 4)
 	minSplit := float64(req.ParamInt("min_split", 20))
 	bins := req.ParamInt("bins", 32)
+	if bins < 1 {
+		return nil, fmt.Errorf("algorithms: bins must be >= 1")
+	}
 	levels := levelsParam(req)
 
 	features, err := buildTreeFeatures(sess, req, levels, bins)

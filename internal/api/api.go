@@ -67,8 +67,7 @@ type Experiment struct {
 	Created        time.Time  `json:"created"`
 	Finished       *time.Time `json:"finished,omitempty"`
 
-	taskID string
-	done   chan struct{} // closed at the terminal transition
+	done chan struct{} // closed at the terminal transition
 }
 
 // retainFinished caps the finished experiments, and separately the
@@ -128,10 +127,10 @@ type Server struct {
 	instance string
 }
 
-// NewServer builds the API server and registers the experiment task
-// handler on the runner.
+// NewServer builds the API server; experiments and workflows run as tasks
+// on runner.
 func NewServer(master *federation.Master, cat *catalogue.Catalogue, runner *queue.Runner) *Server {
-	s := &Server{
+	return &Server{
 		Master:      master,
 		Catalogue:   cat,
 		Runner:      runner,
@@ -139,9 +138,6 @@ func NewServer(master *federation.Master, cat *catalogue.Catalogue, runner *queu
 		start:       time.Now(),
 		instance:    randHex(4),
 	}
-	runner.Register("experiment", s.runExperimentTask)
-	runner.Register("workflow", s.runWorkflowTask)
-	return s
 }
 
 // Handler returns the REST mux, wrapped in the obs middleware so every
@@ -355,8 +351,9 @@ func (s *Server) handleCreateExperiment(w http.ResponseWriter, r *http.Request) 
 	s.mu.Unlock()
 
 	apiExperiments.Inc()
-	taskID, err := s.Runner.Submit("experiment", map[string]any{"uuid": exp.UUID})
-	if err != nil {
+	if _, err := s.Runner.Submit("experiment", func(context.Context) (any, error) {
+		return s.runExperiment(exp)
+	}); err != nil {
 		s.mu.Lock()
 		exp.Status = "error"
 		exp.Error = err.Error()
@@ -366,7 +363,6 @@ func (s *Server) handleCreateExperiment(w http.ResponseWriter, r *http.Request) 
 		return
 	}
 	s.mu.Lock()
-	exp.taskID = taskID
 	snapshot := *exp // the runner mutates exp concurrently; encode a copy
 	s.mu.Unlock()
 	writeJSON(w, http.StatusCreated, &snapshot)
@@ -389,21 +385,11 @@ func (s *Server) validateDatasets(datasets []string) error {
 	return nil
 }
 
-// runExperimentTask is the queue handler that actually executes an
-// experiment on the federation.
-func (s *Server) runExperimentTask(ctx context.Context, payload json.RawMessage) (any, error) {
-	var p struct {
-		UUID string `json:"uuid"`
-	}
-	if err := json.Unmarshal(payload, &p); err != nil {
-		return nil, err
-	}
+// runExperiment is the queued task that executes exp on the federation.
+// The task fails with the experiment's error, and its result names the
+// experiment.
+func (s *Server) runExperiment(exp *Experiment) (any, error) {
 	s.mu.Lock()
-	exp := s.experiments[p.UUID]
-	if exp == nil {
-		s.mu.Unlock()
-		return nil, fmt.Errorf("api: unknown experiment %q", p.UUID)
-	}
 	exp.Status = "running"
 	req := exp.Request
 	created := exp.Created
@@ -434,7 +420,7 @@ func (s *Server) runExperimentTask(ctx context.Context, payload json.RawMessage)
 	settle(exp.done, &exp.Finished, exp.UUID, s.experiments, &s.expDone)
 	apiExperimentSeconds.Observe(exp.Finished.Sub(created).Seconds())
 	s.mu.Unlock()
-	return map[string]string{"uuid": p.UUID}, nil
+	return map[string]string{"uuid": exp.UUID}, err
 }
 
 // runAlgorithm runs one algorithm as experiment id of tenant: it opens (and

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -349,6 +350,83 @@ func TestExperimentAlgorithmError(t *testing.T) {
 	}
 }
 
+// runToEnd submits req and waits for its experiment to finish.
+func runToEnd(t *testing.T, s *Server, ts *httptest.Server, req ExperimentRequest) *Experiment {
+	t.Helper()
+	var exp Experiment
+	if code := postJSON(t, ts.URL+"/experiments", req, &exp); code != 201 {
+		t.Fatalf("create %s = %d", req.Algorithm, code)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	final, err := s.WaitForExperiment(ctx, exp.UUID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return final
+}
+
+// TestCartRejectsBadBins: a cart experiment asking for fewer than one bin
+// ends in an error naming the parameter (-3 used to panic the server, 0 to
+// fail encoding a NaN), and the server goes on to run the next experiment.
+func TestCartRejectsBadBins(t *testing.T) {
+	s, ts := testServer(t)
+	for _, bins := range []int{-3, 0} {
+		final := runToEnd(t, s, ts, ExperimentRequest{Algorithm: "cart", Request: algorithms.Request{
+			Datasets: []string{"edsd"}, Y: []string{"ab42"}, X: []string{"p_tau"},
+			Parameters: map[string]any{"bins": bins},
+		}})
+		if final.Status != "error" || final.Error != "algorithms: bins must be >= 1" {
+			t.Fatalf("bins=%d: status %q, error %q", bins, final.Status, final.Error)
+		}
+	}
+	final := runToEnd(t, s, ts, ExperimentRequest{Algorithm: "descriptive_stats",
+		Request: algorithms.Request{Datasets: []string{"edsd"}, Y: []string{"ab42"}}})
+	if final.Status != "success" {
+		t.Fatalf("next experiment: %q (%s)", final.Status, final.Error)
+	}
+}
+
+// panicking is an algorithm whose run panics on the master.
+type panicking struct{}
+
+func (panicking) Spec() algorithms.Spec {
+	return algorithms.Spec{Name: "test_panic", Label: "Panics", Y: algorithms.VarSpec{Min: 1}}
+}
+
+func (panicking) Run(*federation.Session, algorithms.Request) (algorithms.Result, error) {
+	panic("kaboom")
+}
+
+func init() { algorithms.Register(panicking{}) }
+
+// TestPanickingAlgorithmFailsExperiment: an algorithm that panics ends its
+// experiment in "error" with the panic's text and its task in FAILURE, and
+// the server runs the next experiment.
+func TestPanickingAlgorithmFailsExperiment(t *testing.T) {
+	s, ts := testServer(t)
+	final := runToEnd(t, s, ts, ExperimentRequest{Algorithm: "test_panic",
+		Request: algorithms.Request{Datasets: []string{"edsd"}, Y: []string{"ab42"}}})
+	if final.Status != "error" || !strings.Contains(final.Error, "kaboom") || final.Finished == nil {
+		t.Fatalf("status %q, error %q, finished %v", final.Status, final.Error, final.Finished)
+	}
+	// The task ends just after the experiment settles.
+	var task *queue.TaskInfo
+	for deadline := time.Now().Add(5 * time.Second); task == nil && time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		if tasks := s.Runner.List(); len(tasks) == 1 && tasks[0].State != queue.Started {
+			task = tasks[0]
+		}
+	}
+	if task == nil || task.State != queue.Failure || task.Error != final.Error {
+		t.Fatalf("task %+v, want FAILURE carrying %q", task, final.Error)
+	}
+	next := runToEnd(t, s, ts, ExperimentRequest{Algorithm: "descriptive_stats",
+		Request: algorithms.Request{Datasets: []string{"edsd"}, Y: []string{"ab42"}}})
+	if next.Status != "success" {
+		t.Fatalf("next experiment: %q (%s)", next.Status, next.Error)
+	}
+}
+
 func TestConcurrentExperiments(t *testing.T) {
 	s, ts := testServer(t)
 	var uuids []string
@@ -377,12 +455,28 @@ func TestConcurrentExperiments(t *testing.T) {
 	}
 }
 
+// holdRunner gives s a one-goroutine runner whose goroutine is held until
+// the test ends, so whatever s submits stays pending.
+func holdRunner(t *testing.T, s *Server) {
+	t.Helper()
+	runner := queue.NewRunner(queue.NewBroker(0, 0), 1)
+	t.Cleanup(runner.Close)
+	started := make(chan struct{})
+	runner.Submit("hold", func(ctx context.Context) (any, error) {
+		close(started)
+		<-ctx.Done()
+		return nil, nil
+	})
+	<-started
+	s.Runner = runner
+}
+
 // TestWaitWakesOnAbortPending: a waiter parked on an experiment that no
 // runner will pick up returns the terminal snapshot as soon as
 // AbortPending settles it, without polling.
 func TestWaitWakesOnAbortPending(t *testing.T) {
 	s, ts := testServer(t)
-	s.Runner.Close() // nothing consumes the queue: the experiment stays pending
+	holdRunner(t, s) // the experiment stays pending
 	var exp Experiment
 	if code := postJSON(t, ts.URL+"/experiments", ExperimentRequest{
 		Algorithm: "descriptive_stats",

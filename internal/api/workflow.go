@@ -119,7 +119,9 @@ func (s *Server) handleCreateWorkflow(w http.ResponseWriter, r *http.Request) {
 	snapshot := snapshotWorkflow(wf)
 	s.mu.Unlock()
 
-	if _, err := s.Runner.Submit("workflow", map[string]any{"uuid": wf.UUID}); err != nil {
+	if _, err := s.Runner.Submit("workflow", func(context.Context) (any, error) {
+		return s.runWorkflow(wf)
+	}); err != nil {
 		s.mu.Lock()
 		s.finishWorkflow(wf, "error")
 		s.mu.Unlock()
@@ -129,20 +131,10 @@ func (s *Server) handleCreateWorkflow(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusCreated, snapshot)
 }
 
-// runWorkflowTask executes the chain.
-func (s *Server) runWorkflowTask(ctx context.Context, payload json.RawMessage) (any, error) {
-	var p struct {
-		UUID string `json:"uuid"`
-	}
-	if err := json.Unmarshal(payload, &p); err != nil {
-		return nil, err
-	}
+// runWorkflow is the queued task that executes the chain. The task fails
+// with the failing step's error, and its result names the workflow.
+func (s *Server) runWorkflow(wf *Workflow) (any, error) {
 	s.mu.Lock()
-	wf := s.workflows[p.UUID]
-	if wf == nil {
-		s.mu.Unlock()
-		return nil, fmt.Errorf("api: unknown workflow %q", p.UUID)
-	}
 	wf.Status = "running"
 	steps := append([]WorkflowStep(nil), wf.spec...)
 	s.mu.Unlock()
@@ -152,10 +144,12 @@ func (s *Server) runWorkflowTask(ctx context.Context, payload json.RawMessage) (
 	root := obs.DefaultTraces.StartSpan(wf.UUID, "", "workflow "+wf.Name)
 
 	status := "success"
+	var err error
 	for i, st := range steps {
 		span := root.StartChild("step " + st.Algorithm)
 		span.SetAttr("name", st.Name)
-		result, _, err := s.runAlgorithm(fmt.Sprintf("%s/step-%d", wf.UUID, i+1), wf.tenant, st.Algorithm,
+		var result json.RawMessage
+		result, _, err = s.runAlgorithm(fmt.Sprintf("%s/step-%d", wf.UUID, i+1), wf.tenant, st.Algorithm,
 			st.Request, obs.TraceRef{TraceID: wf.UUID, SpanID: span.ID()}, time.Now())
 		span.SetError(err)
 		span.End()
@@ -178,7 +172,7 @@ func (s *Server) runWorkflowTask(ctx context.Context, payload json.RawMessage) (
 	s.mu.Lock()
 	s.finishWorkflow(wf, status)
 	s.mu.Unlock()
-	return map[string]string{"uuid": p.UUID}, nil
+	return map[string]string{"uuid": wf.UUID}, err
 }
 
 // finishWorkflow ends wf with status: every step that never ran is

@@ -246,9 +246,9 @@ func TestWorkflowStepsMeteredUnderTenant(t *testing.T) {
 
 // TestTerminalRecordsFinished: every record that reaches a terminal status
 // carries its finish time, and a workflow that ends before a step runs
-// marks that step skipped. Two ways to end early are covered: the queue
-// refusing the submission (503), and AbortPending settling a workflow no
-// runner picked up.
+// marks that step skipped. Two ways to end early are covered: a closed
+// runner refusing the submission (503), and AbortPending settling a
+// workflow no runner picked up.
 func TestTerminalRecordsFinished(t *testing.T) {
 	s, ts := testServer(t)
 	req := algorithms.Request{Datasets: []string{"edsd"}, Y: []string{"ab42"}}
@@ -261,9 +261,9 @@ func TestTerminalRecordsFinished(t *testing.T) {
 		}
 	}
 
-	// A runner with nothing consuming: the workflow stays pending until
-	// AbortPending ends it.
-	s.Runner.Close()
+	// A runner whose only goroutine is held: the workflow stays pending
+	// until AbortPending ends it.
+	holdRunner(t, s)
 	var wf Workflow
 	if code := postJSON(t, ts.URL+"/workflows", wfReq, &wf); code != 201 {
 		t.Fatalf("create workflow = %d", code)
@@ -274,11 +274,9 @@ func TestTerminalRecordsFinished(t *testing.T) {
 	getJSON(t, ts.URL+"/workflows/"+wf.UUID, &wf)
 	checkWorkflow("aborted", &wf)
 
-	// A server whose broker is closed refuses every submission.
-	b := queue.NewBroker(0, 0)
-	b.Close()
-	runner := queue.NewRunner(b, 1)
-	t.Cleanup(runner.Close)
+	// A server whose runner is closed refuses every submission.
+	runner := queue.NewRunner(queue.NewBroker(0, 0), 1)
+	runner.Close()
 	ts = httptest.NewServer(NewServer(s.Master, catalogue.Default(), runner).Handler())
 	t.Cleanup(ts.Close)
 	if code := postJSON(t, ts.URL+"/experiments", ExperimentRequest{Algorithm: "descriptive_stats", Request: req}, nil); code != 503 {

@@ -795,7 +795,7 @@ func execAggregate(ec *ExecContext, st *SelectStmt, in source, node *PlanNode, w
 			}
 			spMu.Lock()
 			defer spMu.Unlock()
-			return sp.add(keys, cols, seq, n, nil)
+			return sp.addKeys(keys, cols, seq, n)
 		}
 		ma, err := buildPartial(prep.aggCalls, keys, args, n, (*aggState).observeAll)
 		if err != nil {

@@ -37,24 +37,31 @@ type rowSpiller struct {
 	sels  [16][]int32
 }
 
-// add routes one batch's rows (keys and cols share length n; seq[r] is row
-// r's global ordinal) to their partitions by key hash and appends each
-// slice, in row order, as one batch to the partition's run file. With keep
-// set, only the rows it flags are written.
-func (sp *rowSpiller) add(keys, cols []*Vector, seq []int64, n int, keep []bool) error {
+// addKeys is add for a batch whose key hashes the caller has not computed:
+// it hashes the key columns keys once and adds every row.
+func (sp *rowSpiller) addKeys(keys, cols []*Vector, seq []int64, n int) error {
+	hashes := getHashBuf(n)
+	hashKeyCols(keys, n, hashes)
+	err := sp.add(hashes, cols, seq, nil)
+	putHashBuf(hashes)
+	return err
+}
+
+// add routes one batch's rows (hashes[r] is row r's key hash, seq[r] its
+// global ordinal; cols have len(hashes) rows) to their partitions and
+// appends each slice, in row order, as one batch to the partition's run
+// file. With keep set, only the rows it flags are written.
+func (sp *rowSpiller) add(hashes []uint64, cols []*Vector, seq []int64, keep []bool) error {
 	for p := range sp.sels {
 		sp.sels[p] = sp.sels[p][:0]
 	}
-	hashes := getHashBuf(n)
-	hashKeyCols(keys, n, hashes)
 	shift := uint(60 - 4*sp.depth)
-	for r := 0; r < n; r++ {
+	for r, h := range hashes {
 		if keep == nil || keep[r] {
-			p := (hashes[r] >> shift) & 15
+			p := (h >> shift) & 15
 			sp.sels[p] = append(sp.sels[p], int32(r))
 		}
 	}
-	putHashBuf(hashes)
 	for p, sel := range sp.sels {
 		if len(sel) == 0 {
 			continue
@@ -122,7 +129,7 @@ func (ec *ExecContext) respill(rr *runReader, path, label string, depth int, key
 		}
 		if err == nil {
 			last := len(vs) - 1
-			err = sub.add(keysOf(vs), vs[:last], vs[last].Int64s(), vs[0].Len(), nil)
+			err = sub.addKeys(keysOf(vs), vs[:last], vs[last].Int64s(), vs[0].Len())
 		}
 		if err != nil {
 			rr.close()

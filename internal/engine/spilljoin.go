@@ -107,12 +107,12 @@ func (js *joinSpill) spillRows(t *Table, keyCols []*Vector, label string) ([16]s
 	for _, m := range ec.morselsOf(t.NumRows()) {
 		err := ec.interrupted()
 		if err == nil {
-			keys := sliceVecs(keyCols, m.lo, m.hi)
+			hashes, nulls := joinKeyHashes(sliceVecs(keyCols, m.lo, m.hi), m.hi-m.lo, nil)
 			seq := make([]int64, m.hi-m.lo)
 			for r := range seq {
 				seq[r] = int64(m.lo + r)
 			}
-			err = sp.add(keys, sliceVecs(t.cols, m.lo, m.hi), seq, m.hi-m.lo, js.route(joinKeyHashes(keys, m.hi-m.lo, nil)))
+			err = sp.add(hashes, sliceVecs(t.cols, m.lo, m.hi), seq, js.route(hashes, nulls))
 		}
 		if err != nil {
 			sp.close()

@@ -5,114 +5,127 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 )
 
-func TestBrokerPublishConsume(t *testing.T) {
-	b := NewBroker(0, 0)
-	if err := b.Publish("q", &Message{ID: "1", Body: []byte("hi")}); err != nil {
-		t.Fatal(err)
-	}
-	d, err := b.Consume(context.Background(), "q")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(d.Message.Body) != "hi" || d.Message.Attempts() != 1 {
-		t.Fatalf("message %+v", d.Message)
-	}
-	d.Ack()
-	if b.Len("q") != 0 {
-		t.Fatal("queue should be empty after ack")
-	}
-}
-
-func TestBrokerNackRedelivers(t *testing.T) {
-	b := NewBroker(3, 0)
-	b.Publish("q", &Message{ID: "1"})
-	for i := 1; i <= 3; i++ {
-		d, err := b.Consume(context.Background(), "q")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d.Message.Attempts() != i {
-			t.Fatalf("attempt %d reported as %d", i, d.Message.Attempts())
-		}
-		if err := d.Nack(); err != nil {
-			t.Fatal(err)
+// await polls r until task id reaches a terminal state and returns its
+// record.
+func await(t *testing.T, r *Runner, id string) *TaskInfo {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		for _, info := range r.List() {
+			if info.ID == id && (info.State == Success || info.State == Failure) {
+				return info
+			}
 		}
 	}
-	// Third nack hits the retry limit → dead letter.
-	if b.Len("q") != 0 {
-		t.Fatal("message should not be requeued beyond maxRetries")
-	}
-	if b.DeadLetters("q") != 1 {
-		t.Fatalf("dead letters = %d", b.DeadLetters("q"))
-	}
+	t.Fatalf("task %s did not finish", id)
+	return nil
 }
 
-func TestBrokerConsumeContextCancel(t *testing.T) {
-	b := NewBroker(0, 0)
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
-	defer cancel()
-	if _, err := b.Consume(ctx, "empty"); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("expected deadline, got %v", err)
-	}
-}
-
-func TestBrokerTryConsume(t *testing.T) {
-	b := NewBroker(0, 0)
-	if d := b.TryConsume("q"); d != nil {
-		t.Fatal("empty queue should return nil")
-	}
-	b.Publish("q", &Message{ID: "1"})
-	if d := b.TryConsume("q"); d == nil {
-		t.Fatal("expected message")
-	}
-}
-
-func TestBrokerClose(t *testing.T) {
-	b := NewBroker(0, 0)
-	b.Close()
-	if err := b.Publish("q", &Message{}); !errors.Is(err, ErrClosed) {
-		t.Fatalf("expected ErrClosed, got %v", err)
-	}
-	if _, err := b.Consume(context.Background(), "q"); !errors.Is(err, ErrClosed) {
-		t.Fatalf("expected ErrClosed, got %v", err)
-	}
-}
-
+// TestBrokerCapacity: past the broker's bound of waiting tasks, Submit
+// refuses and records the task as failed.
 func TestBrokerCapacity(t *testing.T) {
-	b := NewBroker(1, 2)
-	b.Publish("q", &Message{ID: "1"})
-	b.Publish("q", &Message{ID: "2"})
-	if err := b.Publish("q", &Message{ID: "3"}); err == nil {
+	r := NewRunner(NewBroker(0, 2), 1)
+	defer r.Close()
+	release, started := make(chan struct{}), make(chan struct{})
+	r.Submit("hold", func(context.Context) (any, error) { close(started); <-release; return nil, nil })
+	<-started // the only goroutine is busy: what follows waits in the queue
+	noop := func(context.Context) (any, error) { return nil, nil }
+	for i := 0; i < 2; i++ {
+		if _, err := r.Submit("wait", noop); err != nil {
+			t.Fatalf("submission %d within the bound: %v", i, err)
+		}
+	}
+	if r.Depth() != 2 {
+		t.Fatalf("depth = %d, want 2", r.Depth())
+	}
+	id, err := r.Submit("over", noop)
+	if err == nil {
 		t.Fatal("expected full-queue error")
+	}
+	if info := await(t, r, id); info.State != Failure || info.Error != err.Error() {
+		t.Fatalf("refused task: state=%s err=%q", info.State, info.Error)
+	}
+	close(release)
+}
+
+// TestBrokerClose: a closed runner refuses every submission and records it
+// as failed without running it.
+func TestBrokerClose(t *testing.T) {
+	r := NewRunner(NewBroker(0, 0), 1)
+	r.Close()
+	var ran atomic.Bool
+	id, err := r.Submit("late", func(context.Context) (any, error) { ran.Store(true); return nil, nil })
+	if !errors.Is(err, ErrClosed) {
+		t.Fatalf("expected ErrClosed, got %v", err)
+	}
+	if info := await(t, r, id); info.State != Failure || ran.Load() {
+		t.Fatalf("refused task: state=%s, ran=%v", info.State, ran.Load())
+	}
+}
+
+// TestRunnerCloseCancelsRunningTask: Close cancels the context of a running
+// task and fails a queued one without running it.
+func TestRunnerCloseCancelsRunningTask(t *testing.T) {
+	r := NewRunner(NewBroker(0, 0), 1)
+	started := make(chan struct{})
+	running, _ := r.Submit("running", func(ctx context.Context) (any, error) {
+		close(started)
+		<-ctx.Done()
+		return nil, ctx.Err()
+	})
+	<-started
+	var ran atomic.Bool
+	queued, _ := r.Submit("queued", func(context.Context) (any, error) { ran.Store(true); return nil, nil })
+	r.Close()
+	if info := await(t, r, running); info.State != Failure || info.Error != context.Canceled.Error() {
+		t.Fatalf("running task: state=%s err=%q", info.State, info.Error)
+	}
+	if info := await(t, r, queued); info.State != Failure || ran.Load() {
+		t.Fatalf("queued task: state=%s, ran=%v", info.State, ran.Load())
+	}
+	if r.Depth() != 0 || r.Running() != 0 {
+		t.Fatalf("after Close: depth=%d running=%d", r.Depth(), r.Running())
+	}
+}
+
+// TestShutdownDrains: Shutdown lets a running task finish, and past its
+// deadline cancels the one still running and reports the deadline.
+func TestShutdownDrains(t *testing.T) {
+	r := NewRunner(NewBroker(0, 0), 2)
+	release := make(chan struct{})
+	finishing, _ := r.Submit("finishing", func(context.Context) (any, error) { <-release; return "done", nil })
+	stuck, _ := r.Submit("stuck", func(ctx context.Context) (any, error) { <-ctx.Done(); return nil, ctx.Err() })
+	for r.Running() != 2 {
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	if err := r.Shutdown(ctx); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("Shutdown = %v, want the deadline", err)
+	}
+	if info := await(t, r, finishing); info.State != Success || string(info.Result) != `"done"` {
+		t.Fatalf("finishing task: state=%s result=%s", info.State, info.Result)
+	}
+	if info := await(t, r, stuck); info.State != Failure {
+		t.Fatalf("stuck task: state=%s", info.State)
 	}
 }
 
 func TestRunnerLifecycle(t *testing.T) {
-	b := NewBroker(0, 0)
-	r := NewRunner(b, 2)
+	r := NewRunner(NewBroker(0, 0), 2)
 	defer r.Close()
-	r.Register("double", func(ctx context.Context, payload json.RawMessage) (any, error) {
-		var x float64
-		if err := json.Unmarshal(payload, &x); err != nil {
-			return nil, err
-		}
-		return x * 2, nil
-	})
-	id, err := r.Submit("double", 21.0)
+	x := 21.0
+	id, err := r.Submit("double", func(context.Context) (any, error) { return x * 2, nil })
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
-	defer cancel()
-	info, err := r.Wait(ctx, id)
-	if err != nil {
-		t.Fatal(err)
-	}
+	info := await(t, r, id)
 	if info.State != Success {
 		t.Fatalf("state = %s err=%s", info.State, info.Error)
 	}
@@ -126,61 +139,55 @@ func TestRunnerLifecycle(t *testing.T) {
 	}
 }
 
-func TestRunnerFailureAfterRetries(t *testing.T) {
-	b := NewBroker(2, 0)
-	r := NewRunner(b, 1)
+// TestRunnerFailureRunsOnce: a task that returns an error is not retried.
+func TestRunnerFailureRunsOnce(t *testing.T) {
+	r := NewRunner(NewBroker(0, 0), 1)
 	defer r.Close()
 	var calls atomic.Int32
-	r.Register("boom", func(ctx context.Context, payload json.RawMessage) (any, error) {
+	id, _ := r.Submit("boom", func(context.Context) (any, error) {
 		calls.Add(1)
 		return nil, fmt.Errorf("kaput")
 	})
-	id, _ := r.Submit("boom", nil)
-	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
-	defer cancel()
-	info, err := r.Wait(ctx, id)
-	if err != nil {
-		t.Fatal(err)
-	}
+	info := await(t, r, id)
 	if info.State != Failure || info.Error != "kaput" {
 		t.Fatalf("state=%s err=%q", info.State, info.Error)
 	}
-	if c := calls.Load(); c != 2 { // maxRetries=2 → two attempts
-		t.Fatalf("handler called %d times, want 2", c)
+	// A later task proves the goroutine is free, so a retry would have run.
+	await(t, r, must(r.Submit("after", func(context.Context) (any, error) { return nil, nil })))
+	if c := calls.Load(); c != 1 {
+		t.Fatalf("task ran %d times, want 1", c)
 	}
 }
 
-func TestRunnerUnknownHandler(t *testing.T) {
-	b := NewBroker(0, 0)
-	r := NewRunner(b, 1)
+// TestRunnerPanicFails: a panicking task ends in Failure with the panic's
+// text, and the runner's only goroutine goes on to run the next task.
+func TestRunnerPanicFails(t *testing.T) {
+	r := NewRunner(NewBroker(0, 0), 1)
 	defer r.Close()
-	id, _ := r.Submit("nope", nil)
-	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
-	defer cancel()
-	info, _ := r.Wait(ctx, id)
-	if info.State != Failure {
-		t.Fatalf("state = %s", info.State)
+	id, _ := r.Submit("panics", func(context.Context) (any, error) { panic("boom") })
+	if info := await(t, r, id); info.State != Failure || !strings.Contains(info.Error, "boom") {
+		t.Fatalf("state=%s err=%q", info.State, info.Error)
+	}
+	if info := await(t, r, must(r.Submit("next", func(context.Context) (any, error) { return 1, nil }))); info.State != Success {
+		t.Fatalf("next task: state=%s err=%q", info.State, info.Error)
+	}
+	if r.Running() != 0 {
+		t.Fatalf("running = %d after the panic", r.Running())
 	}
 }
 
-func TestRunnerInfoUnknown(t *testing.T) {
-	b := NewBroker(0, 0)
-	r := NewRunner(b, 1)
-	defer r.Close()
-	if r.Info("ghost") != nil {
-		t.Fatal("unknown task should be nil")
+func must(id string, err error) string {
+	if err != nil {
+		panic(err)
 	}
-	if _, err := r.Wait(context.Background(), "ghost"); err == nil {
-		t.Fatal("waiting on unknown task should error")
-	}
+	return id
 }
 
 func TestRunnerConcurrency(t *testing.T) {
-	b := NewBroker(0, 0)
-	r := NewRunner(b, 4)
+	r := NewRunner(NewBroker(0, 0), 4)
 	defer r.Close()
 	var running, peak atomic.Int32
-	r.Register("slow", func(ctx context.Context, payload json.RawMessage) (any, error) {
+	slow := func(context.Context) (any, error) {
 		cur := running.Add(1)
 		for {
 			p := peak.Load()
@@ -191,18 +198,14 @@ func TestRunnerConcurrency(t *testing.T) {
 		time.Sleep(20 * time.Millisecond)
 		running.Add(-1)
 		return nil, nil
-	})
+	}
 	var ids []string
 	for i := 0; i < 8; i++ {
-		id, _ := r.Submit("slow", i)
+		id, _ := r.Submit("slow", slow)
 		ids = append(ids, id)
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-	defer cancel()
 	for _, id := range ids {
-		if _, err := r.Wait(ctx, id); err != nil {
-			t.Fatal(err)
-		}
+		await(t, r, id)
 	}
 	if peak.Load() < 2 {
 		t.Fatalf("peak concurrency = %d, want >= 2", peak.Load())
@@ -212,14 +215,14 @@ func TestRunnerConcurrency(t *testing.T) {
 	}
 }
 
-// TestDepthGaugeNeverNegative: the depth gauge is incremented before
-// Publish, so a fast worker can never decrement it below its pre-submit
-// value (the regression was inc-after-publish racing the pickup's dec).
+// TestDepthGaugeNeverNegative: the depth gauge is incremented before the
+// task is handed over, so a fast goroutine can never decrement it below
+// its pre-submit value (the regression was inc-after-publish racing the
+// pickup's dec).
 func TestDepthGaugeNeverNegative(t *testing.T) {
-	b := NewBroker(0, 0)
-	r := NewRunner(b, 4)
+	r := NewRunner(NewBroker(0, 0), 4)
 	defer r.Close()
-	r.Register("noop", func(context.Context, json.RawMessage) (any, error) { return nil, nil })
+	noop := func(context.Context) (any, error) { return nil, nil }
 
 	baseline := queueDepth.Value()
 	stop := make(chan struct{})
@@ -243,18 +246,14 @@ func TestDepthGaugeNeverNegative(t *testing.T) {
 
 	var ids []string
 	for i := 0; i < 200; i++ {
-		id, err := r.Submit("noop", nil)
+		id, err := r.Submit("noop", noop)
 		if err != nil {
 			t.Fatal(err)
 		}
 		ids = append(ids, id)
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
 	for _, id := range ids {
-		if _, err := r.Wait(ctx, id); err != nil {
-			t.Fatal(err)
-		}
+		await(t, r, id)
 	}
 	close(stop)
 	select {
@@ -267,42 +266,31 @@ func TestDepthGaugeNeverNegative(t *testing.T) {
 	}
 }
 
-// TestWaitObservedOncePerTask: a task redelivered through the retry path
-// contributes exactly one queue-wait observation (first pickup), not one
-// per delivery.
+// TestWaitObservedOncePerTask: a task runs once and contributes exactly one
+// queue-wait observation, stamped at its pickup.
 func TestWaitObservedOncePerTask(t *testing.T) {
-	b := NewBroker(3, 0)
-	r := NewRunner(b, 1)
+	r := NewRunner(NewBroker(0, 0), 1)
 	defer r.Close()
 	var attempts atomic.Int64
-	r.Register("flaky", func(context.Context, json.RawMessage) (any, error) {
-		if attempts.Add(1) < 3 {
-			return nil, errors.New("transient")
-		}
+	baseline := queueWaitSeconds.Count()
+	id, err := r.Submit("once", func(context.Context) (any, error) {
+		attempts.Add(1)
 		return "ok", nil
 	})
-
-	baseline := queueWaitSeconds.Count()
-	id, err := r.Submit("flaky", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	info, err := r.Wait(ctx, id)
-	if err != nil {
-		t.Fatal(err)
-	}
+	info := await(t, r, id)
 	if info.State != Success {
 		t.Fatalf("state = %s, want SUCCESS (err %q)", info.State, info.Error)
 	}
-	if got := attempts.Load(); got != 3 {
-		t.Fatalf("handler ran %d times, want 3", got)
+	if got := attempts.Load(); got != 1 {
+		t.Fatalf("task ran %d times, want 1", got)
 	}
 	if got := queueWaitSeconds.Count() - baseline; got != 1 {
-		t.Fatalf("wait observed %d times across redeliveries, want 1", got)
+		t.Fatalf("wait observed %d times, want 1", got)
 	}
 	if info.Started.IsZero() {
-		t.Fatal("Started must be stamped on first pickup")
+		t.Fatal("Started must be stamped on pickup")
 	}
 }

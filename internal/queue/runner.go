@@ -1,8 +1,14 @@
+// Package queue runs the platform's asynchronous tasks, the role Celery on
+// RabbitMQ plays in the paper's deployment: Submit hands a closure to a
+// bounded pool of goroutines and returns a task id at once, each task runs
+// exactly once, and its record (Celery state, timestamps, result) stays
+// readable, so the dashboard can poll an experiment until it completes.
 package queue
 
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -11,9 +17,10 @@ import (
 	"mip/internal/obs"
 )
 
-// Queue metrics, registered eagerly for GET /metrics. Depth counts
-// submitted-but-not-started tasks (a retried task re-enters the queue);
-// running counts tasks inside a handler.
+// ErrClosed is returned by Submit once the runner is closed or shut down.
+var ErrClosed = errors.New("queue: runner closed")
+
+// Queue metrics, registered eagerly for GET /metrics.
 var (
 	queueDepth = obs.GetGauge("mip_queue_depth",
 		"Tasks submitted and waiting for a worker goroutine.")
@@ -34,7 +41,7 @@ func queueTasks(state State) *obs.Counter {
 func init() {
 	// Pre-create the per-state series so a fresh process exposes the family
 	// (at zero) before any task runs.
-	for _, s := range []State{Pending, Started, Success, Failure, Retried} {
+	for _, s := range []State{Pending, Started, Success, Failure} {
 		queueTasks(s)
 	}
 }
@@ -49,12 +56,11 @@ const (
 	Started State = "STARTED"
 	Success State = "SUCCESS"
 	Failure State = "FAILURE"
-	Retried State = "RETRY"
 )
 
-// Handler executes one task type; the returned value is stored as the
-// task's result (JSON-encoded).
-type Handler func(ctx context.Context, payload json.RawMessage) (any, error)
+// Func is one task's work. Its result is stored JSON-encoded as the task's
+// Result; an error or a panic ends the task in Failure.
+type Func func(ctx context.Context) (any, error)
 
 // TaskInfo is the runner's view of one submitted task.
 type TaskInfo struct {
@@ -66,132 +72,98 @@ type TaskInfo struct {
 	Created  time.Time
 	Started  time.Time
 	Finished time.Time
-
-	done chan struct{} // closed at the terminal transition
 }
 
-// Runner dispatches submitted tasks to handlers through the broker using a
-// pool of worker goroutines, and keeps results in an in-memory backend.
+// Broker holds the runner's admission bound: how many submitted tasks may
+// wait for a goroutine before Submit refuses.
+type Broker struct{ capacity int }
+
+// NewBroker returns the admission bound for a runner: capacity waiting
+// tasks (default 1024). The first argument is ignored.
+func NewBroker(_, capacity int) *Broker {
+	if capacity <= 0 {
+		capacity = 1024
+	}
+	return &Broker{capacity: capacity}
+}
+
+type task struct {
+	info *TaskInfo
+	fn   Func
+}
+
+// Runner serves submitted tasks from a bounded channel with a fixed pool of
+// goroutines and keeps every task's record in memory.
 type Runner struct {
-	broker  *Broker
-	queueN  string
+	queue   chan task
 	mu      sync.Mutex
-	handler map[string]Handler
 	tasks   map[string]*TaskInfo
 	nextID  int
-	// consumeCancel stops the pull loop; handlerCancel additionally aborts
-	// in-flight handlers. Graceful shutdown cancels only the former so
-	// running experiments can finish.
-	consumeCancel context.CancelFunc
-	handlerCancel context.CancelFunc
-	wg            sync.WaitGroup
-	now           func() time.Time
-	// Per-runner mirrors of the process-wide depth/running gauges.
-	depth   atomic.Int64
-	running atomic.Int64
+	closed  bool // set, and queue closed, when the runner stops
+	abort   context.CancelFunc
+	wg      sync.WaitGroup
+	running atomic.Int64 // this runner's share of queueRunning
 }
 
-// NewRunner creates a runner over the broker with the given concurrency.
+// NewRunner starts concurrency goroutines (default 2) serving tasks
+// admitted under b's bound.
 func NewRunner(b *Broker, concurrency int) *Runner {
 	if concurrency <= 0 {
 		concurrency = 2
 	}
-	consumeCtx, consumeCancel := context.WithCancel(context.Background())
-	handlerCtx, handlerCancel := context.WithCancel(context.Background())
-	r := &Runner{
-		broker:        b,
-		queueN:        "tasks",
-		handler:       make(map[string]Handler),
-		tasks:         make(map[string]*TaskInfo),
-		consumeCancel: consumeCancel,
-		handlerCancel: handlerCancel,
-		now:           time.Now,
-	}
+	ctx, abort := context.WithCancel(context.Background())
+	r := &Runner{queue: make(chan task, b.capacity), tasks: make(map[string]*TaskInfo), abort: abort}
 	for i := 0; i < concurrency; i++ {
 		r.wg.Add(1)
-		go r.loop(consumeCtx, handlerCtx)
+		go func() {
+			defer r.wg.Done()
+			for t := range r.queue {
+				r.execute(ctx, t)
+			}
+		}()
 	}
 	return r
 }
 
-// Register installs a handler for a task name.
-func (r *Runner) Register(name string, h Handler) {
+// Submit queues fn under name and returns its task id at once. It is
+// refused, with the task recorded as failed, when the runner is closed or
+// its bound of waiting tasks is reached.
+func (r *Runner) Submit(name string, fn Func) (string, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.handler[name] = h
-}
-
-// Submit enqueues a task and returns its id immediately (the asynchronous
-// experiment-submission flow).
-func (r *Runner) Submit(name string, payload any) (string, error) {
-	body, err := json.Marshal(payload)
-	if err != nil {
-		return "", fmt.Errorf("queue: encoding payload: %w", err)
-	}
-	r.mu.Lock()
 	r.nextID++
 	id := fmt.Sprintf("task-%d", r.nextID)
-	r.tasks[id] = &TaskInfo{ID: id, Name: name, State: Pending, Created: r.now(), done: make(chan struct{})}
-	r.mu.Unlock()
-	msg := &Message{ID: id, Body: body, Headers: map[string]string{"task": name}}
-	// Count the task before publishing: once Publish returns, a worker may
-	// already have picked it up and decremented the gauge — incrementing
-	// after the fact would race it below zero. Roll back if publish fails.
+	t := &TaskInfo{ID: id, Name: name, State: Pending, Created: time.Now()}
+	r.tasks[id] = t
+	if r.closed {
+		r.end(t, Failure, ErrClosed.Error())
+		return id, ErrClosed
+	}
+	// Count before the send: a goroutine may take the task and decrement first.
 	queueDepth.Inc()
-	r.depth.Add(1)
-	if err := r.broker.Publish(r.queueN, msg); err != nil {
+	select {
+	case r.queue <- task{t, fn}:
+		queueTasks(Pending).Inc()
+		return id, nil
+	default:
 		queueDepth.Dec()
-		r.depth.Add(-1)
-		r.mu.Lock()
-		r.end(r.tasks[id], Failure, err.Error())
-		r.mu.Unlock()
+		err := fmt.Errorf("queue: full (%d tasks waiting)", cap(r.queue))
+		r.end(t, Failure, err.Error())
 		return id, err
 	}
-	queueTasks(Pending).Inc()
-	return id, nil
 }
 
 // Depth reports this runner's submitted tasks not yet picked up by a
 // worker goroutine.
-func (r *Runner) Depth() int { return int(r.depth.Load()) }
+func (r *Runner) Depth() int { return len(r.queue) }
 
-// Running reports this runner's tasks currently executing in a handler.
+// Running reports this runner's tasks currently executing.
 func (r *Runner) Running() int { return int(r.running.Load()) }
 
-// Info returns a snapshot of the task's state, or nil if unknown.
-func (r *Runner) Info(id string) *TaskInfo {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	t, ok := r.tasks[id]
-	if !ok {
-		return nil
-	}
-	cp := *t
-	return &cp
-}
-
-// Wait blocks until the task reaches a terminal state or the context ends.
-func (r *Runner) Wait(ctx context.Context, id string) (*TaskInfo, error) {
-	r.mu.Lock()
-	t := r.tasks[id]
-	r.mu.Unlock()
-	if t == nil {
-		return nil, fmt.Errorf("queue: unknown task %q", id)
-	}
-	select {
-	case <-t.done:
-		return r.Info(id), nil
-	case <-ctx.Done():
-		return r.Info(id), ctx.Err()
-	}
-}
-
-// end moves a task to a terminal state and wakes its waiters. Callers hold
-// r.mu.
+// end moves a task to a terminal state. Callers hold r.mu.
 func (r *Runner) end(t *TaskInfo, state State, errMsg string) {
-	t.State, t.Error, t.Finished = state, errMsg, r.now()
+	t.State, t.Error, t.Finished = state, errMsg, time.Now()
 	queueTasks(state).Inc()
-	close(t.done)
 }
 
 // List returns snapshots of all tasks.
@@ -206,134 +178,69 @@ func (r *Runner) List() []*TaskInfo {
 	return out
 }
 
-// Close stops the worker pool immediately (queued tasks are abandoned and
-// in-flight handlers see a cancelled context). For a graceful drain use
-// Shutdown.
+// Close stops the pool at once: queued tasks never run and running ones
+// see a cancelled context. For a graceful drain use Shutdown.
 func (r *Runner) Close() {
-	r.consumeCancel()
-	r.handlerCancel()
-	r.wg.Wait()
-	r.sweep("runner closed")
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	r.Shutdown(ctx)
 }
 
-// Shutdown drains the runner: it stops pulling new work, lets in-flight
-// handlers finish, and waits until the pool is idle or ctx expires. On
-// deadline the in-flight handlers are cancelled and their tasks marked
-// failed. Tasks still queued when the pool stops are swept to Failure so
-// callers never wait forever on an abandoned task.
+// Shutdown drains the runner: it refuses new tasks, fails the queued ones,
+// lets running tasks finish and waits until the pool is idle or ctx
+// expires, when the running tasks are cancelled (and still awaited).
 func (r *Runner) Shutdown(ctx context.Context) error {
-	r.consumeCancel()
-	done := make(chan struct{})
-	go func() {
-		r.wg.Wait()
-		close(done)
-	}()
-	var err error
-	select {
-	case <-done:
-	case <-ctx.Done():
-		err = ctx.Err()
-		r.handlerCancel()
-		<-done
+	r.mu.Lock()
+	if !r.closed {
+		r.closed = true
+		close(r.queue)
 	}
-	r.handlerCancel()
-	r.sweep("runner shut down")
+	r.mu.Unlock()
+	stop := context.AfterFunc(ctx, r.abort)
+	r.wg.Wait()
+	var err error
+	if !stop() { // ctx ended first and cancelled the running tasks
+		err = ctx.Err()
+	}
+	r.abort()
 	return err
 }
 
-// sweep fails every task that will never reach a terminal state because the
-// pool has stopped.
-func (r *Runner) sweep(reason string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, t := range r.tasks {
-		if t.State == Pending || t.State == Started || t.State == Retried {
-			// Pending/Retried tasks still sit in the queue and were counted
-			// in the depth gauges; failing them here dequeues them.
-			if t.State == Pending || t.State == Retried {
-				queueDepth.Dec()
-				r.depth.Add(-1)
-			}
-			r.end(t, Failure, reason)
-		}
-	}
-}
-
-func (r *Runner) loop(consumeCtx, handlerCtx context.Context) {
-	defer r.wg.Done()
-	for {
-		d, err := r.broker.Consume(consumeCtx, r.queueN)
-		if err != nil {
-			return
-		}
-		r.execute(handlerCtx, d)
-	}
-}
-
-func (r *Runner) execute(ctx context.Context, d *Delivery) {
-	id := d.Message.ID
-	name := d.Message.Headers["task"]
-	started := r.now()
+// execute runs one task taken off the queue, or fails it when the runner
+// stopped while it waited. The task ends in a deferred call, so a panic in
+// it ends the task in Failure and the goroutine lives on.
+func (r *Runner) execute(ctx context.Context, t task) {
 	queueDepth.Dec()
-	r.depth.Add(-1)
+	info := t.info
+	r.mu.Lock()
+	if r.closed {
+		r.end(info, Failure, "runner stopped")
+		r.mu.Unlock()
+		return
+	}
+	info.State, info.Started = Started, time.Now()
+	queueWaitSeconds.Observe(info.Started.Sub(info.Created).Seconds())
+	r.mu.Unlock()
 	queueRunning.Inc()
 	r.running.Add(1)
+	var res any
+	var err error
 	defer func() {
+		if p := recover(); p != nil {
+			err = fmt.Errorf("task panicked: %v", p)
+		}
 		queueRunning.Dec()
 		r.running.Add(-1)
-	}()
-	r.mu.Lock()
-	h := r.handler[name]
-	if t := r.tasks[id]; t != nil {
-		t.State = Started
-		// Queue wait is submission→first pickup; a redelivered (retried)
-		// task keeps its original Started stamp and is not re-observed.
-		if t.Started.IsZero() {
-			t.Started = started
-			queueWaitSeconds.Observe(started.Sub(t.Created).Seconds())
-		}
-	}
-	r.mu.Unlock()
-
-	finish := func(state State, result any, errMsg string) {
 		r.mu.Lock()
-		defer r.mu.Unlock()
-		t := r.tasks[id]
-		if t == nil {
-			return
+		state, msg := Success, ""
+		if err != nil {
+			state, msg = Failure, err.Error()
+		} else if res != nil {
+			info.Result, _ = json.Marshal(res)
 		}
-		r.end(t, state, errMsg)
-		queueRunSeconds.Observe(t.Finished.Sub(started).Seconds())
-		if result != nil {
-			if enc, err := json.Marshal(result); err == nil {
-				t.Result = enc
-			}
-		}
-	}
-
-	if h == nil {
-		d.Ack()
-		finish(Failure, nil, fmt.Sprintf("no handler for task %q", name))
-		return
-	}
-	res, err := h(ctx, d.Message.Body)
-	if err != nil {
-		if d.Message.Attempts() < r.broker.maxRetries {
-			r.mu.Lock()
-			if t := r.tasks[id]; t != nil {
-				t.State = Retried
-			}
-			r.mu.Unlock()
-			queueTasks(Retried).Inc()
-			queueDepth.Inc()
-			r.depth.Add(1)
-			d.Nack() // redeliver
-			return
-		}
-		d.Ack()
-		finish(Failure, nil, err.Error())
-		return
-	}
-	d.Ack()
-	finish(Success, res, "")
+		r.end(info, state, msg)
+		queueRunSeconds.Observe(info.Finished.Sub(info.Started).Seconds())
+		r.mu.Unlock()
+	}()
+	res, err = t.fn(ctx)
 }
