@@ -60,25 +60,30 @@ auditsmoke:
 	$(GO) test -count=1 -run 'TestAuditJSONLSinkRoundTrip|TestVerifyChainDetectsMutatedMiddleEntry' ./internal/obs/
 
 # spillsmoke runs the tiny-budget spill equivalence and cleanup tests: a
-# few-KB budget forces every grouped aggregate and hash join to disk, and
-# the results must stay bit-identical with no run files left behind. It
-# also runs the mid-input crossing: an aggregate whose budget is crossed
-# partway keeps the partials built before it, spills only the later
-# morsels, stays bit-identical and evaluates no morsel twice; and the
-# mid-build crossing: a hash join whose budget is crossed while it admits
-# its build partitions keeps the earlier ones in memory, spills only the
-# later ones with their probe rows, and stays bit-identical, LEFT JOIN
-# padding included. Last, the run files themselves: every type round-trips
-# bit for bit, an empty batch survives, a session's directory goes with
-# every run in it, and each kind of corrupt stream is refused with its own
-# message. It also guards what the join must keep whether a partition is
-# resident or spilled: a LEFT JOIN whose ON residual rejects every match
-# of a left row keeps that row NULL-extended, in memory and under a tiny
-# budget; and columns a statement never names cost it nothing, so tables
-# with 20 unread columns appended give bit-identical answers with as many
-# vectors touched and bytes spilled.
+# few-KB budget forces every grouped aggregate to disk and every hash join
+# into several passes, and the results must stay bit-identical with no run
+# files left behind. It also runs the mid-input crossing: an aggregate
+# whose budget is crossed partway keeps the partials built before it,
+# spills only the later morsels, stays bit-identical and evaluates no
+# morsel twice; and the mid-build crossing: a hash join whose budget is
+# crossed while it admits its build partitions joins the earlier ones in
+# its first pass, the later ones in later passes, and stays bit-identical,
+# LEFT JOIN padding included. It runs the budgeted join+aggregate of
+# engine_sql's shape: a pushed filter that keeps every row costs nothing,
+# the join spends the 2 MB budget on its index, the aggregate over its
+# stream spills nothing, and the statement peaks within 1.25x the budget;
+# and a filter that keeps every row is its input, charging nothing. Last,
+# the run files themselves: every type round-trips bit for bit, an empty
+# batch survives, a session's directory goes with every run in it, and
+# each kind of corrupt stream is refused with its own message. It also
+# guards what the join must keep whichever pass joins a partition: a LEFT
+# JOIN whose ON residual rejects every match of a left row keeps that row
+# NULL-extended, in memory and under a tiny budget; and columns a
+# statement never names cost it nothing, so tables with 20 unread columns
+# appended give bit-identical answers with as many vectors touched and
+# bytes spilled.
 spillsmoke:
-	$(GO) test -count=1 -run 'TestSpillSerialParallelEquivalence|TestSpillJoinEquivalence|TestSpillMidInputCrossing|TestSpillJoinMidBuildCrossing|TestSpillCleanupOnError|TestSpillCleanupOnCancel|TestRoundTripAllKinds|TestEmptyBatchAndZeroRuns|TestDirCleanup|TestReaderRejectsCorruptStreams|TestLeftJoinResidual|TestUnreadColumnsCostNothing' ./internal/engine/
+	$(GO) test -count=1 -run 'TestSpillSerialParallelEquivalence|TestSpillJoinEquivalence|TestSpillMidInputCrossing|TestSpillJoinMidBuildCrossing|TestSpillJoinAggStaysInBudget|TestAllPassFilterIsItsInput|TestSpillCleanupOnError|TestSpillCleanupOnCancel|TestRoundTripAllKinds|TestEmptyBatchAndZeroRuns|TestDirCleanup|TestReaderRejectsCorruptStreams|TestLeftJoinResidual|TestUnreadColumnsCostNothing' ./internal/engine/
 
 # cachesmoke covers both cache tiers' correctness backbone: plan-cached
 # execution stays bit-identical to uncached, one text is one entry shared

@@ -32,7 +32,7 @@ func execSelect(ec *ExecContext, st *SelectStmt, in source, qs *QueryStats) (*Ta
 }
 
 // source is what a stage list reads: a table, or the output of a hash
-// join that spilled (js), its resident pairs and runs not yet merged. The
+// join of several passes (js), its pairs not yet merged. The
 // aggregate reads a stream as it is, batch by batch, so the joined
 // relation is never materialized; any other stage reads it materialized. With parts set, t is a merge pushdown's
 // part answers, which only the aggregate reads (as its partials).
@@ -744,7 +744,7 @@ type morselAgg struct {
 }
 
 // execAggregate runs partitioned hash aggregation over its input's batches
-// (a table's morsels, or a spilled join's merged stream): every batch groups
+// (a table's morsels, or a join's merged stream): every batch groups
 // and accumulates into thread-local state (buildPartial), then a serial
 // combine assigns global group ids and folds the partials in batch order
 // (combinePartials). Because batches are row ranges in order and local

@@ -18,7 +18,7 @@ import (
 // executing in the plan's order with its pushed filters applied; the
 // caller's filter stage applies the plan's residual WHERE. It plants the
 // scan/filter/join subtree that execSelect's stages then chain on top of.
-// A join that spilled hands the statement's stages a stream (see source);
+// A join of several passes hands the statement's stages a stream (see source);
 // a later join and the order restore read it materialized.
 //
 // Reordered execution is provably identical to written order: written-order
@@ -248,70 +248,114 @@ func joinKeyHashes(cols []*Vector, n int, node *PlanNode) (hashes []uint64, null
 // selection vectors that are stitched in morsel order. Output rows
 // therefore appear in exactly the order the serial nested probe produced:
 // left row order, matches in right row order. With spilling available the
-// build side is admitted partition by partition (spilljoin.go): the
-// partitions the budget cannot hold go to run files with the probe rows
-// that hash to them, and the output is a stream merging both back into
-// that order.
+// build side is joined in as many passes as the budget needs
+// (spilljoin.go), and the output of more than one is a stream merging
+// their pairs back into that order.
 func hashJoin(ec *ExecContext, left, right *Table, jc JoinClause, node *PlanNode) (source, error) {
 	lk, rk, residual, err := splitOn(jc.On, left, right)
 	if err != nil {
 		return source{}, err
 	}
-	js := &joinSpill{ec: ec, left: left, right: right, keys: newJoinKeys(left, right, lk, rk), jc: jc, residual: residual}
-	lKeyCols, rKeyCols := js.keys.of(left.cols, js.keys.l), js.keys.of(right.cols, js.keys.r)
-	charged := js.admit(rKeyCols) // until the probe is done
-	spilled := slices.Contains(js.spill[:], true)
-	var rPaths [16]string
-	if spilled {
-		if rPaths, err = js.spillRows(right, rKeyCols, "jr"); err != nil {
-			return source{}, err
-		}
-	}
-	ji, err := ec.buildJoinIndex(rKeyCols, right.NumRows(), js.spill, node)
+	keys := newJoinKeys(left, right, lk, rk)
+	hj := &hashJoiner{ec: ec, left: left, right: right, lkeys: keys.of(left.cols, keys.l), rkeys: keys.of(right.cols, keys.r),
+		outer: jc.Left, residual: residual, schema: joinedSchema(left, right), node: node}
+	node.Parallelism = ec.degreeFor(ec.numMorsels(left.NumRows()))
+	units, err := hj.units()
 	if err != nil {
 		return source{}, err
 	}
-	node.Groups = int64(ji.index.groups())
+	var s *joinStream
+	for i := 0; i < len(units); {
+		end, rows, parts := hj.admit(units, i)
+		charged := int64(rows) * residentRowBytes
+		if i > 0 {
+			node.SpillParts += int64(parts)
+		}
+		lo, hi := units[i].lo, units[end-1].hi
+		lsel, rsel, err := hj.pass(lo, hi, rows, i == 0)
+		if err != nil {
+			return source{}, err
+		}
+		if i == 0 && end == len(units) { // one pass: the output is a table
+			out := &Table{schema: hj.schema, cols: ec.gatherPairs(left.cols, right.cols, lsel, rsel)}
+			ec.charge(out.ByteSize())
+			ec.release(charged)
+			return source{t: out}, nil
+		}
+		ec.release(charged)
+		if s == nil {
+			s = &joinStream{lkeys: hj.lkeys, lcols: left.cols, rcols: right.cols,
+				passOf: make([]uint16, 1<<prefixBits), schema: hj.schema}
+		}
+		if err := s.add(ec, lo, hi, lsel, rsel, node); err != nil {
+			return source{}, err
+		}
+		i = end
+	}
+	ec.addSpill(0, node.SpillParts)
+	return source{js: s}, nil
+}
 
-	// Probe side: per-morsel selection vectors into the immutable index
-	// (find never mutates, so all probe workers share it), stitched in
-	// morsel order. Rows whose partition spilled are neither probed nor
-	// padded here.
-	probeSrc := ji.index.addSource(lKeyCols)
+// hashJoiner is one hash join's fixed state: its (qualified,
+// pushed-filtered) sides, their key columns and the ON residual.
+type hashJoiner struct {
+	ec           *ExecContext
+	left, right  *Table
+	lkeys, rkeys []*Vector
+	outer        bool // LEFT JOIN
+	residual     Expr // ON-clause residual, applied per probe morsel
+	schema       Schema
+	node         *PlanNode
+}
+
+// pass joins the build rows whose key-hash prefix lies in [lo, hi) — rows
+// of them — with the left rows whose keys hash there and, in the first
+// pass, the NULL-key left rows a LEFT JOIN pads. It returns the pairs in
+// (lrid, rrid) order: per-morsel selection vectors into the immutable
+// index (find never mutates, so all probe workers share it), stitched in
+// morsel order.
+func (hj *hashJoiner) pass(lo, hi, rows int, first bool) (lsel, rsel []int32, err error) {
+	ec, left, right := hj.ec, hj.left, hj.right
+	ji, err := ec.buildJoinIndex(hj.rkeys, right.NumRows(), lo, hi, rows, hj.node)
+	if err != nil {
+		return nil, nil, err
+	}
+	hj.node.Groups += int64(ji.index.groups())
+	probeSrc := ji.index.addSource(hj.lkeys)
 	ms := ec.morselsOf(left.NumRows())
-	node.Parallelism = ec.degreeFor(len(ms))
 	if len(ms) == 0 {
 		ms = []morsel{{}} // evaluate the residual over no rows: its errors must surface
 	}
-	schema := joinedSchema(left, right)
 	lsels, rsels := make([][]int32, len(ms)), make([][]int32, len(ms))
 	err = ec.parallelFor(len(ms), func(i int) error {
-		lo, hi := ms[i].lo, ms[i].hi
-		hashes, nulls := joinKeyHashes(sliceVecs(lKeyCols, lo, hi), hi-lo, node)
-		skip := js.route(hashes, nulls)
-		lsel, rsel := ji.probe(probeSrc, hashes, nulls, skip, lo, hi)
+		mlo, mhi := ms[i].lo, ms[i].hi
+		hashes, nulls := joinKeyHashes(sliceVecs(hj.lkeys, mlo, mhi), mhi-mlo, hj.node)
+		var skip []bool // rows another pass joins
+		if lo > 0 || hi < 1<<prefixBits {
+			skip = make([]bool, len(hashes))
+			for r, h := range hashes {
+				if nulls != nil && nulls[r] {
+					skip[r] = !first
+				} else {
+					skip[r] = prefixOf(h) < lo || prefixOf(h) >= hi
+				}
+			}
+		}
+		lsel, rsel := ji.probe(probeSrc, hashes, nulls, skip, mlo, mhi)
 		var err error
-		lsels[i], rsels[i], err = joinPairs(jc.Left, residual, schema, left.cols, right.cols, lsel, rsel, lo, hi, skip)
-		node.AddMorsels(1)
+		lsels[i], rsels[i], err = joinPairs(hj.outer, hj.residual, hj.schema, left.cols, right.cols, lsel, rsel, mlo, mhi, skip)
+		hj.node.AddMorsels(1)
 		return err
 	})
 	if err != nil {
-		return source{}, err
+		return nil, nil, err
 	}
-	lsel, rsel := slices.Concat(lsels...), slices.Concat(rsels...)
+	lsel, rsel = slices.Concat(lsels...), slices.Concat(rsels...)
 	for i := range lsels {
 		putSelBuf(lsels[i])
 		putSelBuf(rsels[i])
 	}
-	if spilled {
-		ec.release(charged)
-		s, err := js.finish(lKeyCols, rPaths, lsel, rsel, node)
-		return source{js: s}, err
-	}
-	out := &Table{schema: schema, cols: ec.gatherPairs(left.cols, right.cols, lsel, rsel)}
-	ec.charge(out.ByteSize())
-	ec.release(charged)
-	return source{t: out}, nil
+	return lsel, rsel, nil
 }
 
 // gatherPairs materializes joined pairs: the left columns by plain gather,
@@ -334,9 +378,8 @@ func (ec *ExecContext) gatherPairs(lcols, rcols []*Vector, lsel, rsel []int32) [
 // joinPairs finishes the probe of left rows [lo, hi): the ON residual
 // keeps the candidate pairs it holds for, then a LEFT JOIN pads each left
 // row left without a pair with right row -1, in row order — except rows
-// flagged in skip (indexed from lo, nil = none), whose partition spilled
-// and is padded in its own leaf. Pairs in and out are selection-pool
-// buffers.
+// flagged in skip (indexed from lo, nil = none), which another pass joins
+// and pads. Pairs in and out are selection-pool buffers.
 func joinPairs(outer bool, residual Expr, schema Schema, lcols, rcols []*Vector, lsel, rsel []int32, lo, hi int, skip []bool) ([]int32, []int32, error) {
 	if residual != nil {
 		cols := make([]*Vector, 0, len(schema))
@@ -390,9 +433,8 @@ func newJoinKeys(left, right *Table, lk, rk []string) joinKeys {
 	return jk
 }
 
-// of picks the key vectors out of one side's columns — the whole side or
-// one run batch of it; promotion is elementwise, so per-batch casts hash
-// identically to whole-side casts. kidx is jk.l or jk.r.
+// of picks the key vectors out of one side's columns, promoted where the
+// pair's types differ. kidx is jk.l or jk.r.
 func (jk joinKeys) of(cols []*Vector, kidx []int) []*Vector {
 	kc := make([]*Vector, len(kidx))
 	for i, ci := range kidx {
@@ -415,52 +457,39 @@ type joinIndex struct {
 }
 
 // buildJoinIndex is the join-build kernel: it hashes the build side's
-// key tuples morsel by morsel and indexes them serially in row order. SQL
-// NULL keys never match, so their rows stay out of the index, as do the
-// rows of the partitions flagged in spill. The join builds over the right
-// table's resident partitions, a spilled partition's leaf over its loaded
-// run. The loop polls for cancellation per morsel, so a killed query
-// aborts mid-build.
-func (ec *ExecContext) buildJoinIndex(keys []*Vector, n int, spill [16]bool, node *PlanNode) (*joinIndex, error) {
-	resident := 16
-	for _, s := range spill {
-		if s {
-			resident--
-		}
-	}
-	index := newGroupIndex(n * resident / 16)
+// key tuples morsel by morsel and indexes, serially in row order, the rows
+// whose key-hash prefix lies in [lo, hi) (rows of them: a size hint). SQL
+// NULL keys never match, so their rows stay out of the index. The loop
+// polls for cancellation per morsel, so a killed query aborts mid-build.
+func (ec *ExecContext) buildJoinIndex(keys []*Vector, n, lo, hi, rows int, node *PlanNode) (*joinIndex, error) {
+	index := newGroupIndex(rows)
 	src := index.addSource(keys)
-	groupOf := make([]int32, n)
+	rids, gids := make([]int32, 0, rows), make([]int32, 0, rows) // indexed rows, their groups
 	for _, m := range ec.morselsOf(n) {
 		if err := ec.interrupted(); err != nil {
 			return nil, err
 		}
 		hashes, nulls := joinKeyHashes(sliceVecs(keys, m.lo, m.hi), m.hi-m.lo, node)
 		for i, h := range hashes {
-			if nulls != nil && nulls[i] || spill[h>>60] {
-				groupOf[m.lo+i] = -1
-				continue
+			if (nulls == nil || !nulls[i]) && prefixOf(h) >= lo && prefixOf(h) < hi {
+				rids = append(rids, int32(m.lo+i))
+				gids = append(gids, index.insert(h, src, int32(m.lo+i)))
 			}
-			groupOf[m.lo+i] = index.insert(h, src, int32(m.lo+i))
 		}
 	}
 	groups := index.groups()
 	off := make([]int32, groups+1)
-	for _, g := range groupOf {
-		if g >= 0 {
-			off[g+1]++
-		}
+	for _, g := range gids {
+		off[g+1]++
 	}
 	for g := 0; g < groups; g++ {
 		off[g+1] += off[g]
 	}
-	matchRows := make([]int32, off[groups])
+	matchRows := make([]int32, len(rids))
 	cursor := append([]int32(nil), off[:groups]...)
-	for r, g := range groupOf {
-		if g >= 0 {
-			matchRows[cursor[g]] = int32(r)
-			cursor[g]++
-		}
+	for i, g := range gids {
+		matchRows[cursor[g]] = rids[i]
+		cursor[g]++
 	}
 	return &joinIndex{index: index, off: off, matchRows: matchRows}, nil
 }

@@ -19,7 +19,7 @@ func rowStrings(t *Table) []string {
 // the residual decides which pairs match, and a left row none of whose
 // pairs pass survives once, NULL-extended, in left-row order. It holds for
 // a residual on either side and for an IS NULL test above the join, in
-// memory and through the grace join under a tiny spill budget; inner-join
+// memory and through a join of several passes under a tiny spill budget; inner-join
 // residuals keep filtering pairs.
 func TestLeftJoinResidual(t *testing.T) {
 	// a has NULL keys and duplicates; b.x is never NULL, so a NULL b.x is
@@ -111,8 +111,8 @@ func TestLeftJoinResidual(t *testing.T) {
 			if err != nil {
 				t.Fatalf("budget %d: %s: %v", budget, c.sql, err)
 			}
-			if budget > 0 && qs.SpillBytes == 0 {
-				t.Errorf("budget %d: %s did not take the grace join", budget, c.sql)
+			if budget > 0 && joinOverflow(qs) == 0 {
+				t.Errorf("budget %d: %s joined no partition in a later pass", budget, c.sql)
 			}
 			g := rowStrings(got)
 			if strings.Join(g, "|") != strings.Join(c.want, "|") {

@@ -430,8 +430,9 @@ func (ec *ExecContext) mapRows(t *Table, where Expr, fnode *PlanNode, schema Sch
 
 // filterTable materializes the rows of t matching pred. Nothing follows the
 // filter inside the loop, so the morsels only select: their selections,
-// stitched in morsel order, gather the surviving rows once. node (optional)
-// accrues the filter's stats.
+// stitched in morsel order, gather the surviving rows once. When every row
+// survives, t itself is the answer (tables are immutable), so nothing is
+// gathered or charged. node (optional) accrues the filter's stats.
 func (ec *ExecContext) filterTable(t *Table, pred Expr, node *PlanNode) (*Table, error) {
 	ms := ec.morselsOf(t.NumRows())
 	if len(ms) == 0 {
@@ -449,7 +450,11 @@ func (ec *ExecContext) filterTable(t *Table, pred Expr, node *PlanNode) (*Table,
 	if err != nil {
 		return nil, err
 	}
-	return ec.gather(t, slices.Concat(sels...)), nil
+	sel := slices.Concat(sels...)
+	if len(sel) == t.NumRows() {
+		return t, nil
+	}
+	return ec.gather(t, sel), nil
 }
 
 // gather materializes t.Gather(sel) with the columns fanned out across the

@@ -193,7 +193,7 @@ func TestSpillMidInputCrossing(t *testing.T) {
 	}
 }
 
-// spillJoinCorpus stresses the grace hash join and the streamed
+// spillJoinCorpus stresses the join of several passes and the streamed
 // join→aggregate path beyond the shared corpus: ON residuals, WHERE
 // predicates spanning both sides (unpushable), HAVING, DISTINCT
 // aggregates over the merged stream, LEFT JOIN NULL group keys, and a
@@ -208,7 +208,7 @@ var spillJoinCorpus = []string{
 	`SELECT a.id, b.score, c.site FROM t a JOIN u b ON a.id = b.id JOIN u c ON b.id = c.id WHERE a.flag ORDER BY a.id, b.score, c.site`,
 }
 
-// TestSpillJoinEquivalence requires the grace join (and the streamed
+// TestSpillJoinEquivalence requires the join of several passes (and the streamed
 // join→aggregate) to be bit-identical to the unbudgeted in-memory join at
 // parallelism 1, 2, and NumCPU.
 func TestSpillJoinEquivalence(t *testing.T) {
@@ -234,9 +234,22 @@ func TestSpillJoinEquivalence(t *testing.T) {
 	}
 }
 
+// joinOverflow sums the statement's join nodes' SpillParts: the build
+// partitions joined in a pass after the first.
+func joinOverflow(qs QueryStats) (parts int64) {
+	qs.Root.Walk(func(n *PlanNode) {
+		if n.Op == "join" {
+			parts += n.SpillParts
+		}
+	})
+	return parts
+}
+
 // TestSpillJoinReportsStats checks that a budget-crossing join records
 // spill stats on its plan node, both standalone and under the streamed
-// join→aggregate path (where the aggregate node must spill too).
+// join→aggregate path (where the aggregate node must spill too). Under
+// 4 KiB the kept pairs outgrow half the budget, so the standalone join
+// writes pair runs.
 func TestSpillJoinReportsStats(t *testing.T) {
 	db, dir := spillDB(t, 4096, 2, 128)
 
@@ -244,17 +257,17 @@ func TestSpillJoinReportsStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var joinSpills bool
+	var join *PlanNode
 	qs.Root.Walk(func(n *PlanNode) {
-		if n.Op == "join" && n.SpillParts > 0 {
-			joinSpills = true
+		if n.Op == "join" {
+			join = n
 		}
 	})
-	if !joinSpills {
-		t.Fatalf("standalone join did not record spill stats:\n%s", qs.Root)
+	if join == nil || join.SpillParts <= 0 {
+		t.Fatalf("standalone join joined no partition in a later pass:\n%s", qs.Root)
 	}
-	if qs.SpillBytes <= 0 {
-		t.Fatalf("join SpillBytes = %d, want > 0", qs.SpillBytes)
+	if join.SpillBytes <= 0 || qs.SpillBytes < join.SpillBytes {
+		t.Fatalf("join SpillBytes = %d (statement %d), want pair runs written", join.SpillBytes, qs.SpillBytes)
 	}
 
 	_, qs, err = db.QueryWithStats(`SELECT b.site, count(*) AS n, sum(a.x) AS s FROM t a JOIN u b ON a.id = b.id WHERE a.x > b.score GROUP BY b.site ORDER BY b.site`)
@@ -288,20 +301,23 @@ func TestSpillJoinReportsStats(t *testing.T) {
 
 // midBuildBudget lies between the budget a hash join over spillDB's
 // fixture crosses before admitting its first build partitions (4096) and
-// one that holds them all: some partitions stay resident, the rest spill.
+// one that holds them all: some partitions join in the first pass, the
+// rest in later ones.
 const midBuildBudget = 24 << 10
 
 // TestSpillJoinMidBuildCrossing runs joins whose budget is crossed while
 // the build partitions are admitted: the partitions admitted before the
-// crossing are indexed and probed in memory, the later ones spill with
-// their probe rows, and the merge puts both back in the in-memory join's
-// order. Results must be bit-identical to the unbudgeted serial engine at
+// crossing are joined in the first pass, the later ones in later passes,
+// and the merge puts their pairs back in the in-memory join's order.
+// Results must be bit-identical to the unbudgeted serial engine at
 // parallelism 1, 2 and NumCPU, with no spill residue. The LEFT JOIN has
-// NULL left keys, which are padded in memory, and unmatched left rows in
-// resident and spilled partitions alike: each must come out exactly once,
-// NULL-extended. At parallelism 1 the crossing point is deterministic, so
-// the join must spill some of its 16 build partitions but not all, fewer
-// than under the 4096-byte budget, and strictly fewer bytes.
+// NULL left keys, which the first pass pads, and unmatched left rows in
+// first-pass and later-pass partitions alike: each must come out exactly
+// once, NULL-extended. At parallelism 1 the crossing point is
+// deterministic, so the join must leave some of its 16 build partitions
+// to later passes but not all, fewer than under the 4096-byte budget, and
+// write strictly fewer pair-run bytes than that budget's join, which
+// writes some.
 func TestSpillJoinMidBuildCrossing(t *testing.T) {
 	const morsel = 128
 	ref := NewDB(WithParallelism(1), WithMorselSize(morsel))
@@ -356,8 +372,8 @@ func TestSpillJoinMidBuildCrossing(t *testing.T) {
 				t.Fatalf("%s: %s: join SpillParts = %d, want in (0, %d) — some of the 16 build partitions resident, fewer spilled than under the 4096-byte budget",
 					label, sql, j.SpillParts, min(16, ej.SpillParts))
 			}
-			if j.SpillBytes >= ej.SpillBytes {
-				t.Fatalf("%s: %s: join SpillBytes = %d, want below %d — the 4096-byte budget's", label, sql, j.SpillBytes, ej.SpillBytes)
+			if ej.SpillBytes <= 0 || j.SpillBytes >= ej.SpillBytes {
+				t.Fatalf("%s: %s: join SpillBytes = %d, want below %d — the 4096-byte budget's, which writes pair runs", label, sql, j.SpillBytes, ej.SpillBytes)
 			}
 		}
 	}
@@ -442,6 +458,76 @@ func TestSpillJoinAggMemoryBudget(t *testing.T) {
 		refStats.MemPeakBytes, qs.MemPeakBytes,
 		float64(refStats.MemPeakBytes)/float64(qs.MemPeakBytes), qs.SpillBytes, qs.SpillPartitions)
 	assertNoSpillResidue(t, dir)
+}
+
+// TestSpillJoinAggStaysInBudget is the shape of engine_sql's budgeted
+// join+aggregate: 100 000 + 100 000 rows on unique int keys, a 3-value
+// category and a float score, grouped by the category under a 2 MB budget
+// behind a pushed filter that keeps every row. The filter is its input
+// and costs nothing, so the budget goes to the join's index: the join
+// leaves some partitions to later passes, the aggregate over its stream
+// never crosses the budget and spills nothing, and the statement peaks
+// within 1.25× the budget. Results are bit-identical to the unbudgeted
+// serial engine at parallelism 1, 2 and NumCPU, with no spill residue.
+func TestSpillJoinAggStaysInBudget(t *testing.T) {
+	const rows, budget = 100_000, 2 << 20
+	ids, cats := make([]int64, rows), NewVector(String)
+	scores := make([]float64, rows)
+	for i := range ids {
+		ids[i] = int64(i)
+		cats.AppendString([]string{"AD", "CN", "MCI"}[i*7%3])
+		scores[i] = float64(i*7919%rows) / rows
+	}
+	d, err := NewTableFromVectors(Schema{{Name: "row_id", Type: Int64}, {Name: "cat", Type: String}},
+		[]*Vector{NewInt64Vector(ids, nil), cats})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := NewTableFromVectors(Schema{{Name: "row_id", Type: Int64}, {Name: "score", Type: Float64}},
+		[]*Vector{NewInt64Vector(ids, nil), NewFloat64Vector(scores, nil)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sql := `SELECT d.cat, count(*) AS n, avg(v.score) AS m FROM d JOIN v ON d.row_id = v.row_id WHERE v.score >= -0.25 GROUP BY d.cat`
+	ref := NewDB(WithParallelism(1))
+	ref.RegisterTable("d", d)
+	ref.RegisterTable("v", v)
+	want, err := ref.Query(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, par := range []int{1, 2, runtime.NumCPU()} {
+		label := fmt.Sprintf("2 MB budget par=%d", par)
+		dir := t.TempDir()
+		db := NewDB(WithParallelism(par), WithQueryMemLimit(budget), WithSpillDir(dir))
+		db.RegisterTable("d", d)
+		db.RegisterTable("v", v)
+		got, qs, err := db.QueryWithStats(sql)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		tablesIdentical(t, sql, want, got, "unbudgeted", label)
+		assertNoSpillResidue(t, dir)
+		var join, agg *PlanNode
+		qs.Root.Walk(func(n *PlanNode) {
+			switch n.Op {
+			case "join":
+				join = n
+			case "aggregate":
+				agg = n
+			}
+		})
+		if join == nil || join.SpillParts <= 0 {
+			t.Fatalf("%s: the join took one pass:\n%s", label, qs.Root)
+		}
+		if agg == nil || agg.SpillParts != 0 {
+			t.Fatalf("%s: the aggregate spilled:\n%s", label, qs.Root)
+		}
+		if qs.MemPeakBytes > budget*5/4 {
+			t.Fatalf("%s: peak %d bytes, over 1.25× the %d-byte budget", label, qs.MemPeakBytes, budget)
+		}
+		t.Logf("%s: peak %d bytes, join passes left %d partitions, wrote %d bytes", label, qs.MemPeakBytes, join.SpillParts, qs.SpillBytes)
+	}
 }
 
 // TestSpillKeepsHardLimitSemanticsWithoutDir checks that a budget without

@@ -37,30 +37,21 @@ type rowSpiller struct {
 	sels  [16][]int32
 }
 
-// addKeys is add for a batch whose key hashes the caller has not computed:
-// it hashes the key columns keys once and adds every row.
+// addKeys routes one batch's rows to their partitions by the hash of
+// their key columns keys (seq[r] is row r's global ordinal; cols have n
+// rows) and appends each slice, in row order, as one batch to the
+// partition's run file.
 func (sp *rowSpiller) addKeys(keys, cols []*Vector, seq []int64, n int) error {
 	hashes := getHashBuf(n)
+	defer putHashBuf(hashes)
 	hashKeyCols(keys, n, hashes)
-	err := sp.add(hashes, cols, seq, nil)
-	putHashBuf(hashes)
-	return err
-}
-
-// add routes one batch's rows (hashes[r] is row r's key hash, seq[r] its
-// global ordinal; cols have len(hashes) rows) to their partitions and
-// appends each slice, in row order, as one batch to the partition's run
-// file. With keep set, only the rows it flags are written.
-func (sp *rowSpiller) add(hashes []uint64, cols []*Vector, seq []int64, keep []bool) error {
 	for p := range sp.sels {
 		sp.sels[p] = sp.sels[p][:0]
 	}
 	shift := uint(60 - 4*sp.depth)
 	for r, h := range hashes {
-		if keep == nil || keep[r] {
-			p := (h >> shift) & 15
-			sp.sels[p] = append(sp.sels[p], int32(r))
-		}
+		p := (h >> shift) & 15
+		sp.sels[p] = append(sp.sels[p], int32(r))
 	}
 	for p, sel := range sp.sels {
 		if len(sel) == 0 {

@@ -156,19 +156,5 @@ func (rr *runReader) close() error {
 }
 
 // removeRun deletes a fully consumed run file early (before the session
-// cleanup), bounding peak disk usage during recursive repartitioning.
+// cleanup), bounding peak disk usage.
 func (ec *ExecContext) removeRun(path string) { os.Remove(path) }
-
-// loadRun reads a whole run (one known to fit the budget) into one vector
-// per column, batches concatenated in file order, then closes and deletes
-// it. The loaded bytes are charged to the query; the caller releases them
-// when done with the columns.
-func (ec *ExecContext) loadRun(rr *runReader, path string) (cols []*Vector, rows int, loaded int64, err error) {
-	t, err := rr.r.readAll()
-	if err = errors.Join(err, rr.close()); err != nil {
-		return nil, 0, 0, err
-	}
-	ec.removeRun(path)
-	ec.charge(t.ByteSize())
-	return t.cols, t.NumRows(), t.ByteSize(), nil
-}

@@ -294,3 +294,28 @@ func TestWaitObservedOncePerTask(t *testing.T) {
 		t.Fatal("Started must be stamped on pickup")
 	}
 }
+
+// TestTaskStatesCounted: one task that runs to success moves the
+// PENDING, STARTED and SUCCESS series of mip_queue_tasks_total by one
+// each.
+func TestTaskStatesCounted(t *testing.T) {
+	r := NewRunner(NewBroker(0, 0), 1)
+	defer r.Close()
+	states := []State{Pending, Started, Success}
+	before := make([]int64, len(states))
+	for i, s := range states {
+		before[i] = queueTasks(s).Value()
+	}
+	id, err := r.Submit("count", func(context.Context) (any, error) { return nil, nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info := await(t, r, id); info.State != Success {
+		t.Fatalf("state = %s, want SUCCESS (err %q)", info.State, info.Error)
+	}
+	for i, s := range states {
+		if got := queueTasks(s).Value() - before[i]; got != 1 {
+			t.Errorf("%s moved by %d, want 1", s, got)
+		}
+	}
+}

@@ -219,6 +219,7 @@ func (r *Runner) execute(ctx context.Context, t task) {
 		return
 	}
 	info.State, info.Started = Started, time.Now()
+	queueTasks(Started).Inc()
 	queueWaitSeconds.Observe(info.Started.Sub(info.Created).Seconds())
 	r.mu.Unlock()
 	queueRunning.Inc()
