@@ -118,11 +118,15 @@ func runPerfSuite(benchOut, comparePath string, threshold float64) {
 		{"hash_join_1m_agg", spillBench(0, benchJoinAggSpill)},
 		{"hash_join_1m_agg_spill_8mb", spillBench(8<<20, benchJoinAggSpill)},
 		// Parallel ORDER BY pair: a full 1M-row sort at parallelism 1 (the
-		// serial oracle) and at NumCPU. The comparator breaks every tie on
-		// global row index, so output is bit-identical at any parallelism
-		// and the parN row is pure speedup.
+		// serial oracle) and at NumCPU. The radix sort is stable from row
+		// order, so every tie breaks on global row index, output is
+		// bit-identical at any parallelism and the parN row is pure speedup.
 		{"parallel_sort_1m_par1", parBench(1, benchParSort)},
 		{parName("parallel_sort_1m", ncpu), parBench(ncpu, benchParSort)},
+		// Top-k over the same 1M rows at NumCPU: every morsel keeps its 100
+		// best rows by key image in a bounded heap, and only the final 100
+		// rows are projected.
+		{"topk_1m_limit100", parBench(ncpu, benchTopK)},
 		// Result-cache pair: the same federated aggregate re-issued against
 		// a 4-worker federation with the master's result cache off (every
 		// repeat replans and re-executes the merge) and on (every repeat is
@@ -482,8 +486,19 @@ func benchRepeatQuery(b *testing.B, cacheBytes int64) {
 }
 
 // benchParSort: a full 1M-row ORDER BY (no LIMIT, so nothing short-circuits
-// into top-k), morsel-parallel sort + pairwise merge.
+// into top-k): a radix sort of the two keys' images, key by key.
 func benchParSort(b *testing.B, par int) {
+	benchLoop(b, benchSortDB(b, par), `SELECT site, x FROM t ORDER BY x, site`)
+}
+
+// benchTopK: ORDER BY … LIMIT 100 over the same 1M rows.
+func benchTopK(b *testing.B, par int) {
+	benchLoop(b, benchSortDB(b, par), `SELECT site, x FROM t ORDER BY x DESC LIMIT 100`)
+}
+
+// benchSortDB is the sort benchmarks' table: 1M random floats beside a
+// 16-value string column.
+func benchSortDB(b *testing.B, par int) *engine.DB {
 	tab := engine.NewTable(engine.Schema{
 		{Name: "x", Type: engine.Float64},
 		{Name: "site", Type: engine.String},
@@ -497,7 +512,7 @@ func benchParSort(b *testing.B, par int) {
 	db := engine.NewDB(engine.WithParallelism(par))
 	db.RegisterTable("t", tab)
 	b.ResetTimer()
-	benchLoop(b, db, `SELECT site, x FROM t ORDER BY x, site`)
+	return db
 }
 
 // parName names the NumCPU half of a parallel pair; on a 1-CPU machine it

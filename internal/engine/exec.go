@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -115,7 +116,7 @@ func (ec *ExecContext) runStages(st *SelectStmt, stages []selectStage, in source
 		case stageExtend:
 			t, outNames, err = execExtend(ec, st, t, node, where, fnode)
 		case stageOrder:
-			t, err = ec.sortTable(st.OrderBy, t, sg)
+			t, err = ec.sortTable(st.OrderBy, t, outNames, sg)
 		case stageProjectNames:
 			t, err = projectNames(t, outNames)
 		case stageProject:
@@ -147,52 +148,85 @@ func (ec *ExecContext) runStages(st *SelectStmt, stages []selectStage, in source
 const topkMaxCandidates = 1 << 16
 
 // execTopK implements ORDER BY ... LIMIT k without a full sort: every
-// morsel sorts its own extended rows and keeps only its first
-// k'=limit+offset; the candidates are concatenated in morsel order and
-// re-sorted. A row outside its morsel's first k' has ≥ k' rows ahead of it
-// globally, so the merged first k' equal the full sort's first k' —
-// including tie order, because ties break on row index within a morsel and
-// the concat preserves morsel order.
+// morsel images only the ORDER BY keys (orderKeyStmt) and keeps the rows of
+// its first k'=limit+offset (topRows); the candidates, in row order, are
+// imaged again and sorted, and the projection is evaluated for rows
+// [offset, k') of that order only. A row outside its morsel's first k' has
+// ≥ k' rows ahead of it globally, so the candidates' first k' equal the
+// full sort's first k' — including tie order, because ties break on row
+// index within a morsel and the candidates keep row order.
 func execTopK(ec *ExecContext, st *SelectStmt, t *Table, node *PlanNode, where Expr, fnode *PlanNode) (*Table, error) {
 	kPrime := st.Limit + st.Offset
-	extEmpty, outNames, err := extendWithProjection(st, t.Slice(0, 0))
-	if err != nil {
-		return nil, err
+	ks := orderKeyStmt(st)
+	keysOf := func(part *Table) ([]sortKey, error) {
+		kt, _, err := extendWithProjection(ks, part)
+		if err != nil {
+			return nil, err
+		}
+		return orderKeys(st.OrderBy, kt)
 	}
-	// best keeps rows [lo, hi) of ext's sorted order. A morsel's rows are a
-	// single run sorted on the morsel's own goroutine; only the final pass
-	// over the merged candidates can span runs and fan out.
-	best := func(ext *Table, lo, hi int) (*Table, error) {
-		keys, err := orderKeys(st.OrderBy, ext)
+	cands := make([][]int32, ec.numMorsels(t.NumRows()))
+	err := ec.forMorsels(t, where, fnode, func(i int, start int64, part *Table, sel []int32) error {
+		keys, err := keysOf(part)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		perm, err := ec.sortPerm(keys, ext.NumRows(), nil)
-		if err != nil {
-			return nil, err
+		best := topRows(keys, part.NumRows(), kPrime)
+		for j, r := range best {
+			if sel != nil {
+				r = sel[r]
+			}
+			best[j] = int32(start) + r
 		}
-		return ext.Gather(perm[min(lo, len(perm)):min(hi, len(perm))]), nil
-	}
-	merged, err := ec.mapMorsels(t, where, fnode, extEmpty.Schema(), node, func(part *Table) (*Table, error) {
-		ext, _, err := extendWithProjection(st, part)
-		if err != nil {
-			return nil, err
-		}
-		return best(ext, 0, kPrime)
+		cands[i] = best
+		node.AddMorsels(1)
+		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	top, err := best(merged, st.Offset, kPrime)
+	c := t.Gather(slices.Concat(cands...))
+	keys, err := keysOf(c)
 	if err != nil {
 		return nil, err
 	}
-	out, err := projectNames(top, outNames)
+	perm, err := ec.sortPerm(keys, c.NumRows(), nil)
+	if err != nil {
+		return nil, err
+	}
+	ext, outNames, err := extendWithProjection(st, c.Gather(perm[min(st.Offset, len(perm)):min(kPrime, len(perm))]))
+	if err != nil {
+		return nil, err
+	}
+	out, err := projectNames(ext, outNames)
 	if err != nil {
 		return nil, err
 	}
 	ec.charge(out.ByteSize())
 	return out, nil
+}
+
+// orderKeyStmt is st narrowed to the select items its ORDER BY names: it
+// extends a table with exactly the columns the ORDER BY resolves to (an
+// alias to its item, any other name to the source column), without
+// evaluating the rest of the projection.
+func orderKeyStmt(st *SelectStmt) *SelectStmt {
+	named := map[string]bool{}
+	for _, o := range st.OrderBy {
+		walkColRefs(o.Expr, func(n string) { named[strings.ToLower(n)] = true })
+	}
+	ks := *st
+	ks.Items = nil
+	for _, it := range st.Items {
+		name := it.Alias
+		if name == "" {
+			name = exprName(it.Expr)
+		}
+		if named[strings.ToLower(name)] {
+			ks.Items = append(ks.Items, it)
+		}
+	}
+	return &ks
 }
 
 // execExtend evaluates the extended projection (see extendWithProjection)

@@ -144,15 +144,18 @@ func restoreWrittenOrder(ec *ExecContext, t *Table, plan *joinPlan) (*Table, err
 		offsets[ri] = off
 		off += len(plan.rels[ri].table.Schema()) + 1
 	}
-	rids := make([]sortKey, len(plan.rels))
+	var rids []sortKey
 	for ri, r := range plan.rels {
-		rids[ri] = newSortKey(t.Col(offsets[ri]+len(r.table.Schema())), false)
+		rids = appendSortKey(rids, t.Col(offsets[ri]+len(r.table.Schema())), false)
 	}
 	idx, err := ec.sortPerm(rids, t.NumRows(), nil)
 	if err != nil {
 		return nil, err
 	}
-	sorted := ec.gather(t, idx)
+	sorted, err := ec.gather(t, idx)
+	if err != nil {
+		return nil, err
+	}
 	var schema Schema
 	var cols []*Vector
 	for ri, r := range plan.rels {

@@ -454,25 +454,37 @@ func (ec *ExecContext) filterTable(t *Table, pred Expr, node *PlanNode) (*Table,
 	if len(sel) == t.NumRows() {
 		return t, nil
 	}
-	return ec.gather(t, sel), nil
+	return ec.gather(t, sel)
 }
 
-// gather materializes t.Gather(sel) with the columns fanned out across the
-// pool (each output column is independent).
-func (ec *ExecContext) gather(t *Table, sel []int32) *Table {
-	if ec.degreeFor(t.NumCols()) == 1 || len(sel) < ec.morselSize() {
-		out := t.Gather(sel)
+// gather is gatherRows with the output charged to the statement.
+func (ec *ExecContext) gather(t *Table, sel []int32) (*Table, error) {
+	out, err := ec.gatherRows(t, sel)
+	if err == nil {
 		ec.charge(out.ByteSize())
-		return out
+	}
+	return out, err
+}
+
+// gatherRows materializes t.Gather(sel) morsel-parallel: every output
+// column is allocated once, and each morsel of sel fills its own row range
+// of all of them.
+func (ec *ExecContext) gatherRows(t *Table, sel []int32) (*Table, error) {
+	ms := ec.morselsOf(len(sel))
+	if ec.degreeFor(len(ms)) == 1 {
+		return t.Gather(sel), nil
 	}
 	cols := make([]*Vector, t.NumCols())
-	_ = ec.parallelFor(len(cols), func(i int) error {
-		cols[i] = t.Col(i).Gather(sel)
+	for j := range cols {
+		cols[j] = t.Col(j).gatherTarget(len(sel))
+	}
+	err := ec.parallelFor(len(ms), func(i int) error {
+		for j, c := range cols {
+			t.Col(j).gatherInto(c, sel[ms[i].lo:ms[i].hi], ms[i].lo)
+		}
 		return nil
 	})
-	out := &Table{schema: t.schema, cols: cols}
-	ec.charge(out.ByteSize())
-	return out
+	return &Table{schema: t.schema, cols: cols}, err
 }
 
 // concatTables unions the rows of every part (schemas must match) into one

@@ -1,8 +1,8 @@
 package engine
 
 import (
-	"cmp"
 	"math"
+	"math/bits"
 	"slices"
 	"strings"
 )
@@ -10,179 +10,291 @@ import (
 // The engine's one sort. Every ordering — ORDER BY, top-k's per-morsel and
 // final selections, the join-order restore, the spilled aggregate's group
 // re-ordering — is the unique permutation that orders rows by (keys, row
-// index): each morsel's rows are sorted as one run, and adjacent runs are
-// merged pairwise in rounds. The comparator is total (NULLs and NaNs have
-// fixed positions, the row index breaks every tie), so that permutation is
-// well defined and independent of the parallelism degree, which only
-// changes how many runs are sorted or merged at once. Tie-breaking on the
-// row index is what a stable sort does, so the result is the stable order.
+// index). Each key becomes one unsigned image per row whose unsigned order
+// is the key's order, narrowed to the bits its observed range needs, and
+// (image, row) entries are radix-sorted key by key, last key first. A key's
+// top 8-bit digit is counted per morsel, and a prefix sum over (digit,
+// morsel) gives every morsel its own output slots, so morsels scatter in
+// parallel; the digit's buckets then sort in parallel, MSD digit by digit.
+// Entries start in row order and every pass is stable, so the row index
+// breaks every tie: the result is the stable order, independent of the
+// parallelism degree and the morsel size.
 
-// sortKey is one sort key prepared for comparison, once per sort: numeric
-// and boolean columns become order-preserving int64 images (an Int64 key
-// compares as int64, exact past 2^53), string columns compare through
-// their dictionary.
+// sortKey is one key imaged for the sort: valid row r's image is
+// (u(r) ^ m) + a, a NULL row's is null, and every image fits in bits bits.
 type sortKey struct {
-	desc  bool
-	valid *Bitmap // nil when the column holds no NULLs
-	str   bool
-	ints  []int64
-	codes []int32
-	dict  *Dict
+	valid      *Bitmap // nil when the column holds no NULLs
+	u          func(r int32) uint64
+	m, a, null uint64
+	bits       int
 }
 
-// floatSortKey maps a float64 to an int64 with the same order, under the
+func (k *sortKey) image(r int32) uint64 {
+	if !k.valid.Get(int(r)) {
+		return k.null
+	}
+	return (k.u(r) ^ k.m) + k.a
+}
+
+// floatImage maps a float64 to a uint64 with the same order under the
 // engine's total order on floats: -0.0 equals 0.0, and every NaN is equal
 // to every other NaN and above +Inf.
-func floatSortKey(x float64) int64 {
-	switch {
+func floatImage(x float64) uint64 {
+	switch b := math.Float64bits(x); {
 	case x != x:
-		return math.MaxInt64
+		return math.MaxUint64
 	case x == 0:
-		return 0
+		return 1 << 63
+	case b>>63 != 0:
+		return ^b // negative floats: larger magnitude sorts lower
+	default:
+		return b | 1<<63
 	}
-	b := int64(math.Float64bits(x))
-	if b < 0 {
-		b ^= math.MaxInt64 // negative floats: larger magnitude sorts lower
-	}
-	return b
 }
 
-func newSortKey(v *Vector, desc bool) sortKey {
-	k := sortKey{desc: desc, valid: v.Valid()}
+// appendSortKey images v as a sort key and appends it to keys. An Int64
+// key is exact past 2^53, a string key reads its code's rank. The images
+// are shifted down by the smallest valid raw image, so the width is that of
+// the observed range, and NULL takes the image below it (above it under
+// DESC, which complements the range). Only a key spanning all 64 bits has
+// no spare image: a one-bit flag key ahead of it orders its NULLs, and it
+// images them 0. A constant key appends nothing.
+func appendSortKey(keys []sortKey, v *Vector, desc bool) []sortKey {
+	if v.Type() == Bool {
+		v = v.CastFloat64() // false < true as 0 < 1
+	}
+	k := sortKey{valid: v.Valid()}
 	switch v.Type() {
-	case String:
-		k.str, k.codes, k.dict = true, v.Codes(), v.StrDict()
 	case Int64:
-		k.ints = v.Int64s()
+		xs := v.Int64s()
+		k.u = func(r int32) uint64 { return uint64(xs[r]) ^ 1<<63 }
 	case Float64:
-		k.ints = make([]int64, v.Len())
-		for i, x := range v.Float64s() {
-			k.ints[i] = floatSortKey(x)
-		}
-	case Bool:
-		k.ints = make([]int64, v.Len())
-		for i, x := range v.Bools() {
-			if x {
-				k.ints[i] = 1
-			}
+		xs := v.Float64s()
+		k.u = func(r int32) uint64 { return floatImage(xs[r]) }
+	case String:
+		codes, ranks := v.Codes(), v.StrDict().sortRanks()
+		k.u = func(r int32) uint64 { return uint64(ranks[codes[r]]) }
+	}
+	lo, hi, nulls := uint64(math.MaxUint64), uint64(0), false
+	for r := int32(0); int(r) < v.Len(); r++ {
+		if u := k.u(r); k.valid.Get(int(r)) {
+			lo, hi = min(lo, u), max(hi, u)
+		} else {
+			nulls = true
 		}
 	}
-	return k
+	span, off := hi-lo, uint64(0)
+	switch {
+	case lo > hi: // every row is NULL
+		return keys
+	case nulls && span == math.MaxUint64:
+		flag := sortKey{valid: k.valid, u: func(int32) uint64 { return 0 }, a: 1, bits: 1}
+		if desc {
+			flag.a, flag.null = 0, 1
+		}
+		keys = append(keys, flag)
+	case nulls:
+		off = 1
+	}
+	if desc {
+		k.m, k.a, k.null = math.MaxUint64, hi+1, span+1 // ^u + hi + 1 = hi - u
+	} else {
+		k.a = off - lo
+	}
+	if k.bits = bits.Len64(span + off); k.bits == 0 {
+		return keys
+	}
+	return append(keys, k)
 }
 
-// orderKeys evaluates the ORDER BY expressions over t and prepares them.
+// sortRanks returns each code's rank in the values' byte order: a string
+// key's raw image. It is memoized; a published dictionary never grows, so
+// every sort of a table's column shares one computation.
+func (d *Dict) sortRanks() []int32 {
+	d.hashMu.Lock()
+	defer d.hashMu.Unlock()
+	if len(d.ranks) != len(d.values) {
+		order := identityRows(len(d.values))
+		slices.SortFunc(order, func(a, b int32) int { return strings.Compare(d.values[a], d.values[b]) })
+		d.ranks = make([]int32, len(order))
+		for rank, c := range order {
+			d.ranks[c] = int32(rank)
+		}
+	}
+	return d.ranks
+}
+
+// orderKeys evaluates the ORDER BY expressions over t and images them.
 func orderKeys(items []OrderItem, t *Table) ([]sortKey, error) {
-	keys := make([]sortKey, len(items))
-	for i, it := range items {
+	var keys []sortKey
+	for _, it := range items {
 		v, err := Eval(it.Expr, t)
 		if err != nil {
 			return nil, err
 		}
-		keys[i] = newSortKey(v, it.Desc)
+		keys = appendSortKey(keys, v, it.Desc)
 	}
 	return keys, nil
 }
 
-// compareSortRows orders rows a and b: key by key with NULLs first (last
-// under DESC), then by row index.
-func compareSortRows(keys []sortKey, a, b int32) int {
-	for i := range keys {
-		k := &keys[i]
-		c := 0
-		if k.valid != nil {
-			va, vb := k.valid.Get(int(a)), k.valid.Get(int(b))
-			switch {
-			case !va && !vb:
-				continue
-			case !va:
-				c = -1
-			case !vb:
-				c = 1
-			}
-		}
-		if c == 0 {
-			if !k.str {
-				c = cmp.Compare(k.ints[a], k.ints[b])
-			} else if ca, cb := k.codes[a], k.codes[b]; ca != cb {
-				c = strings.Compare(k.dict.Value(ca), k.dict.Value(cb))
-			}
-		}
-		if c != 0 {
-			if k.desc {
-				return -c
-			}
-			return c
-		}
+func identityRows(n int) []int32 {
+	rows := make([]int32, n)
+	for i := range rows {
+		rows[i] = int32(i)
 	}
-	return cmp.Compare(a, b)
+	return rows
 }
+
+const (
+	radixBits  = 8
+	radixSmall = 32 // runs this short are insertion-sorted
+)
 
 // sortPerm returns the permutation of [0, n) that orders rows by keys and
-// then row index. node (optional) counts the sorted runs as morsels.
+// then row index. node (optional) counts the morsels.
 func (ec *ExecContext) sortPerm(keys []sortKey, n int, node *PlanNode) ([]int32, error) {
-	src := make([]int32, n)
-	for i := range src {
-		src[i] = int32(i)
-	}
-	cmpRows := func(a, b int32) int { return compareSortRows(keys, a, b) }
 	ms := ec.morselsOf(n)
-	if err := ec.parallelFor(len(ms), func(i int) error {
-		slices.SortFunc(src[ms[i].lo:ms[i].hi], cmpRows)
-		node.AddMorsels(1)
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	if len(ms) <= 1 {
-		return src, nil
-	}
-	// Runs are adjacent ranges of src, so a round merges every adjacent
-	// pair into the same range of dst and the two buffers swap. Pairing is
-	// by run index: the merge tree never depends on scheduling.
-	bounds := make([]int, len(ms)+1)
-	for i, m := range ms {
-		bounds[i+1] = m.hi
-	}
-	dst := make([]int32, n)
-	for len(bounds) > 2 {
-		runs := len(bounds) - 1
-		if err := ec.parallelFor((runs+1)/2, func(i int) error {
-			lo, mid, hi := bounds[2*i], bounds[2*i+1], bounds[min(2*i+2, runs)]
-			mergeRuns(dst[lo:hi], src[lo:mid], src[mid:hi], cmpRows)
+	node.AddMorsels(int64(len(ms)))
+	rows, tmpRows := identityRows(n), make([]int32, n)
+	img, tmpImg := make([]uint64, n), make([]uint64, n)
+	pos := make([][1 << radixBits]int, len(ms))
+	for ki := len(keys) - 1; ki >= 0 && n > 0; ki-- {
+		k, shift := &keys[ki], max(keys[ki].bits-radixBits, 0)
+		err := ec.parallelFor(len(ms), func(i int) error {
+			pos[i] = [1 << radixBits]int{}
+			for j := ms[i].lo; j < ms[i].hi; j++ {
+				img[j] = k.image(rows[j])
+				pos[i][img[j]>>shift&(1<<radixBits-1)]++
+			}
 			return nil
-		}); err != nil {
+		})
+		if err == nil && len(ms) == 1 {
+			msdSort(img, tmpImg, rows, tmpRows, k.bits)
+			continue
+		}
+		// Digit d's entries from morsel i land after every smaller digit's
+		// and after earlier morsels' of digit d; once they have, the last
+		// morsel's slots mark where each digit's bucket ends.
+		for d, off := 0, 0; d < 1<<radixBits; d++ {
+			for i := range pos {
+				pos[i][d], off = off, off+pos[i][d]
+			}
+		}
+		if err == nil {
+			err = ec.parallelFor(len(ms), func(i int) error {
+				scatter(img[ms[i].lo:ms[i].hi], rows[ms[i].lo:ms[i].hi], tmpImg, tmpRows, &pos[i], shift)
+				return nil
+			})
+		}
+		if ends := &pos[len(ms)-1]; err == nil {
+			err = ec.parallelFor(1<<radixBits, func(d int) error {
+				lo := 0
+				if d > 0 {
+					lo = ends[d-1]
+				}
+				msdSort(tmpImg[lo:ends[d]], img[lo:ends[d]], tmpRows[lo:ends[d]], rows[lo:ends[d]], shift)
+				return nil
+			})
+		}
+		if err != nil {
 			return nil, err
 		}
-		next := bounds[:0:0]
-		for i := 0; i < runs; i += 2 {
-			next = append(next, bounds[i])
-		}
-		bounds = append(next, n)
-		src, dst = dst, src
+		img, tmpImg, rows, tmpRows = tmpImg, img, tmpRows, rows
 	}
-	return src, nil
+	return rows, nil
 }
 
-// mergeRuns merges two sorted runs into out (len(out) = len(a)+len(b)).
-func mergeRuns(out, a, b []int32, cmpRows func(x, y int32) int) {
-	i, j, o := 0, 0, 0
-	for i < len(a) && j < len(b) {
-		if cmpRows(b[j], a[i]) < 0 {
-			out[o] = b[j]
-			j++
-		} else {
-			out[o] = a[i]
-			i++
+// msdSort stably sorts the entries (k[i], r[i]) by the low width bits of
+// k, in place, with tk and tr as scratch: one 8-bit digit at a time from
+// the highest, skipping a digit all entries share, down to short runs.
+func msdSort(k, tk []uint64, r, tr []int32, width int) {
+	for ; width > 0 && len(k) > radixSmall; width -= radixBits {
+		shift := max(width-radixBits, 0)
+		var pos [1 << radixBits]int
+		for _, x := range k {
+			pos[x>>shift&(1<<radixBits-1)]++
 		}
-		o++
+		if pos[k[0]>>shift&(1<<radixBits-1)] == len(k) {
+			continue
+		}
+		for d, off := 0, 0; d < len(pos); d++ {
+			pos[d], off = off, off+pos[d]
+		}
+		scatter(k, r, tk, tr, &pos, shift) // now bucket d ends at pos[d]
+		for d, lo := 0, 0; d < len(pos); lo, d = pos[d], d+1 {
+			msdSort(tk[lo:pos[d]], k[lo:pos[d]], tr[lo:pos[d]], r[lo:pos[d]], shift)
+		}
+		copy(k, tk)
+		copy(r, tr)
+		return
 	}
-	o += copy(out[o:], a[i:])
-	copy(out[o:], b[j:])
+	for i := 1; i < len(k); i++ {
+		x, y, j := k[i], r[i], i
+		for ; j > 0 && k[j-1] > x; j-- {
+			k[j], r[j] = k[j-1], r[j-1]
+		}
+		k[j], r[j] = x, y
+	}
 }
 
-// sortTable orders t by the ORDER BY items. sg (nullable) receives the
-// fan-out degree and run count for EXPLAIN.
-func (ec *ExecContext) sortTable(items []OrderItem, t *Table, sg *stage) (*Table, error) {
+// scatter moves the entries (img[j], rows[j]) to the slots pos assigns
+// their digit, in order, advancing each digit's slot.
+func scatter(img []uint64, rows []int32, dst []uint64, dstRows []int32, pos *[1 << radixBits]int, shift int) {
+	for j, x := range img {
+		p := &pos[x>>shift&(1<<radixBits-1)]
+		dst[*p], dstRows[*p] = x, rows[j]
+		*p++
+	}
+}
+
+// topRows returns, in row order, the rows of [0, n) among the first k by
+// keys and row index: a bounded max-heap of the best rows so far. Rows
+// arrive in index order, so a row tying the heap's worst loses.
+func topRows(keys []sortKey, n, k int) []int32 {
+	img := make([][]uint64, len(keys))
+	for ki := range keys {
+		img[ki] = make([]uint64, n)
+		for r := range img[ki] {
+			img[ki][r] = keys[ki].image(int32(r))
+		}
+	}
+	less := func(a, b int32) bool {
+		for _, x := range img {
+			if x[a] != x[b] {
+				return x[a] < x[b]
+			}
+		}
+		return a < b
+	}
+	h := identityRows(min(k, n))
+	down := func(p int) {
+		for c := 2*p + 1; c < len(h); p, c = c, 2*c+1 {
+			if c+1 < len(h) && less(h[c], h[c+1]) {
+				c++
+			}
+			if !less(h[p], h[c]) {
+				return
+			}
+			h[p], h[c] = h[c], h[p]
+		}
+	}
+	for p := len(h)/2 - 1; p >= 0; p-- {
+		down(p)
+	}
+	for r := int32(len(h)); int(r) < n && len(h) > 0; r++ {
+		if less(r, h[0]) {
+			h[0] = r
+			down(0)
+		}
+	}
+	slices.Sort(h)
+	return h
+}
+
+// sortTable orders t by the ORDER BY items and gathers, morsel-parallel,
+// only the columns named by keep (every column when keep is nil). sg
+// (nullable) receives the fan-out degree and morsel count for EXPLAIN.
+func (ec *ExecContext) sortTable(items []OrderItem, t *Table, keep []string, sg *stage) (*Table, error) {
 	keys, err := orderKeys(items, t)
 	if err != nil {
 		return nil, err
@@ -194,5 +306,10 @@ func (ec *ExecContext) sortTable(items []OrderItem, t *Table, sg *stage) (*Table
 	if err != nil {
 		return nil, err
 	}
-	return t.Gather(perm), nil
+	if keep != nil {
+		if t, err = projectNames(t, keep); err != nil {
+			return nil, err
+		}
+	}
+	return ec.gatherRows(t, perm)
 }

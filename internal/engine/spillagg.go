@@ -244,7 +244,7 @@ func combineSpilled(ec *ExecContext, prep *aggPrep, kept []*morselAgg, sp *rowSp
 		return nil, err
 	}
 	// Restore global first-appearance group order.
-	ord, err := ec.sortPerm([]sortKey{newSortKey(NewInt64Vector(firstSeqs, nil), false)}, len(firstSeqs), nil)
+	ord, err := ec.sortPerm(appendSortKey(nil, NewInt64Vector(firstSeqs, nil), false), len(firstSeqs), nil)
 	if err != nil {
 		return nil, err
 	}

@@ -199,6 +199,9 @@ type Dict struct {
 	// concurrent morsel workers sharing the dict compute each hash once.
 	hashMu sync.Mutex
 	hashes []uint64
+	// ranks memoizes each code's rank in value order for string sort
+	// keys (see sortRanks), under hashMu.
+	ranks []int32
 }
 
 // NewDict returns an empty dictionary.
@@ -472,41 +475,62 @@ func (v *Vector) Value(i int) any {
 // order. This is the engine's positional-selection primitive (MonetDB's
 // candidate lists).
 func (v *Vector) Gather(sel []int32) *Vector {
-	out := &Vector{typ: v.typ}
-	n := len(sel)
-	hasNulls := v.valid != nil
-	if hasNulls {
+	out := v.gatherTarget(len(sel))
+	v.gatherInto(out, sel, 0)
+	return out
+}
+
+// gatherTarget allocates the output of an n-row gather from v: v's type and
+// dictionary, a payload of n rows, and a validity bitmap when v has one.
+func (v *Vector) gatherTarget(n int) *Vector {
+	out := &Vector{typ: v.typ, dict: v.dict}
+	if v.valid != nil {
 		out.valid = NewBitmap(n)
 	}
 	switch v.typ {
 	case Float64:
 		out.f64 = make([]float64, n)
-		for i, s := range sel {
-			out.f64[i] = v.f64[s]
-		}
 	case Int64:
 		out.i64 = make([]int64, n)
-		for i, s := range sel {
-			out.i64[i] = v.i64[s]
-		}
 	case String:
-		out.dict = v.dict
 		out.codes = make([]int32, n)
-		for i, s := range sel {
-			out.codes[i] = v.codes[s]
-		}
 	case Bool:
 		out.b = make([]bool, n)
-		for i, s := range sel {
-			out.b[i] = v.b[s]
-		}
-	}
-	if hasNulls {
-		for i, s := range sel {
-			out.valid.Set(i, v.valid.Get(int(s)))
-		}
 	}
 	return out
+}
+
+// gatherInto writes the rows of v selected by sel into rows [at,
+// at+len(sel)) of out, a gatherTarget of v. Ranges starting at multiples of
+// 64 share no validity word, so morsels may fill one target in parallel.
+func (v *Vector) gatherInto(out *Vector, sel []int32, at int) {
+	switch v.typ {
+	case Float64:
+		dst := out.f64[at : at+len(sel)]
+		for i, s := range sel {
+			dst[i] = v.f64[s]
+		}
+	case Int64:
+		dst := out.i64[at : at+len(sel)]
+		for i, s := range sel {
+			dst[i] = v.i64[s]
+		}
+	case String:
+		dst := out.codes[at : at+len(sel)]
+		for i, s := range sel {
+			dst[i] = v.codes[s]
+		}
+	case Bool:
+		dst := out.b[at : at+len(sel)]
+		for i, s := range sel {
+			dst[i] = v.b[s]
+		}
+	}
+	if v.valid != nil {
+		for i, s := range sel {
+			out.valid.Set(at+i, v.valid.Get(int(s)))
+		}
+	}
 }
 
 // Slice returns a zero-copy view of rows [lo, hi): the morsel primitive.
