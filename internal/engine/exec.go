@@ -84,7 +84,7 @@ func (s source) batches(ec *ExecContext, where Expr, fnode *PlanNode, fn func(i 
 func (ec *ExecContext) runStages(st *SelectStmt, stages []selectStage, in source, qs *QueryStats) (*Table, error) {
 	var where Expr        // fused WHERE awaiting the next stage's morsel loop
 	var fnode *PlanNode   // ... and its plan node
-	var outNames []string // output columns, from the extend stage to the final projection
+	var outNames []string // output columns, from the extend stage to the order stage that keeps them
 	for _, s := range stages {
 		if err := ec.interrupted(); err != nil {
 			return nil, err
@@ -117,8 +117,6 @@ func (ec *ExecContext) runStages(st *SelectStmt, stages []selectStage, in source
 			t, outNames, err = execExtend(ec, st, t, node, where, fnode)
 		case stageOrder:
 			t, err = ec.sortTable(st.OrderBy, t, outNames, sg)
-		case stageProjectNames:
-			t, err = projectNames(t, outNames)
 		case stageProject:
 			if !st.Star { // SELECT * passes its input through, zero-copy
 				t, err = execProject(ec, st, t, node, where, fnode)
@@ -150,11 +148,12 @@ const topkMaxCandidates = 1 << 16
 // execTopK implements ORDER BY ... LIMIT k without a full sort: every
 // morsel images only the ORDER BY keys (orderKeyStmt) and keeps the rows of
 // its first k'=limit+offset (topRows); the candidates, in row order, are
-// imaged again and sorted, and the projection is evaluated for rows
-// [offset, k') of that order only. A row outside its morsel's first k' has
-// ≥ k' rows ahead of it globally, so the candidates' first k' equal the
-// full sort's first k' — including tie order, because ties break on row
-// index within a morsel and the candidates keep row order.
+// gathered (charged), imaged again and sorted, and the projection is
+// evaluated for rows [offset, k') of that order only. A row outside its
+// morsel's first k' has ≥ k' rows ahead of it globally, so the candidates'
+// first k' equal the full sort's first k' — including tie order, because
+// ties break on row index within a morsel and the candidates keep row
+// order.
 func execTopK(ec *ExecContext, st *SelectStmt, t *Table, node *PlanNode, where Expr, fnode *PlanNode) (*Table, error) {
 	kPrime := st.Limit + st.Offset
 	ks := orderKeyStmt(st)
@@ -171,21 +170,24 @@ func execTopK(ec *ExecContext, st *SelectStmt, t *Table, node *PlanNode, where E
 		if err != nil {
 			return err
 		}
-		best := topRows(keys, part.NumRows(), kPrime)
-		for j, r := range best {
+		rows := topRows(keys, part.NumRows(), kPrime)
+		for j, r := range rows {
 			if sel != nil {
 				r = sel[r]
 			}
-			best[j] = int32(start) + r
+			rows[j] = int32(start) + r
 		}
-		cands[i] = best
+		cands[i] = rows
 		node.AddMorsels(1)
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	c := t.Gather(slices.Concat(cands...))
+	c, err := ec.gather(t, slices.Concat(cands...))
+	if err != nil {
+		return nil, err
+	}
 	keys, err := keysOf(c)
 	if err != nil {
 		return nil, err
@@ -233,7 +235,7 @@ func orderKeyStmt(st *SelectStmt) *SelectStmt {
 // row-wise (mapRows). ORDER BY may reference source columns that the
 // projection drops (SELECT id ... ORDER BY age) as well as projection
 // aliases, so the sort runs over a table carrying both; outNames is what
-// the final projection keeps.
+// the order stage keeps.
 func execExtend(ec *ExecContext, st *SelectStmt, t *Table, node *PlanNode, where Expr, fnode *PlanNode) (*Table, []string, error) {
 	extEmpty, outNames, err := extendWithProjection(st, t.Slice(0, 0))
 	if err != nil {

@@ -210,7 +210,8 @@ func (m *MergeTable) plantPlan(qs *QueryStats, mode, sql string, parts []partRes
 // appendVector appends all of src's rows onto dst (same type): the engine's
 // one union kernel, under Table.Append, streamUnion and concatVectors.
 // String payloads are re-encoded through a per-call code translation table
-// (first-appearance order) and null bitmaps materialize lazily.
+// (first-appearance order), unless both share one dictionary, and null
+// bitmaps materialize lazily.
 func appendVector(dst, src *Vector) {
 	if src.valid != nil && dst.valid == nil {
 		dst.valid = NewBitmap(dst.Len())
@@ -223,6 +224,10 @@ func appendVector(dst, src *Vector) {
 	case Bool:
 		dst.b = append(dst.b, src.b...)
 	case String:
+		if src.dict == dst.dict {
+			dst.codes = append(dst.codes, src.codes...)
+			break
+		}
 		trans := make([]int32, src.dict.Size())
 		for c := range trans {
 			trans[c] = dst.dict.Code(src.dict.Value(int32(c)))

@@ -87,8 +87,9 @@ type ExecContext struct {
 	// Parallelism is the maximum number of morsels processed concurrently
 	// (the issuing goroutine plus pool helpers). 1 = serial.
 	Parallelism int
-	// MorselSize is the row-range length tables are split into. It must be
-	// a multiple of 64 (bitmap word alignment); NewDB enforces this.
+	// MorselSize is the row-range length tables are split into, rounded up
+	// to a multiple of 64 (bitmap word alignment: morsels filling one
+	// output bitmap in parallel never share a word).
 	MorselSize int
 	// Ctx, when non-nil, carries the statement's cancellation signal
 	// (explicit kill, deadline, memory ceiling). Morsel loops poll it at
@@ -192,7 +193,7 @@ func (ec *ExecContext) morselSize() int {
 	if ec == nil || ec.MorselSize < 64 {
 		return DefaultMorselSize
 	}
-	return ec.MorselSize
+	return roundMorselSize(ec.MorselSize)
 }
 
 // morsel is one contiguous row range [lo, hi).
@@ -468,7 +469,8 @@ func (ec *ExecContext) gather(t *Table, sel []int32) (*Table, error) {
 
 // gatherRows materializes t.Gather(sel) morsel-parallel: every output
 // column is allocated once, and each morsel of sel fills its own row range
-// of all of them.
+// of all of them. Morsels start at multiples of 64 (morselSize), so no two
+// fill the same word of an output validity bitmap.
 func (ec *ExecContext) gatherRows(t *Table, sel []int32) (*Table, error) {
 	ms := ec.morselsOf(len(sel))
 	if ec.degreeFor(len(ms)) == 1 {
@@ -521,9 +523,14 @@ func (ec *ExecContext) concatTables(schema Schema, parts []*Table) (*Table, erro
 
 // concatVectors concatenates parts in order into payloads sized for total
 // rows up front. It is the appendVector fold, so dictionary codes and NULLs
-// come out exactly as in a union grown part by part.
+// come out exactly as in a union grown part by part. String parts that
+// share one dictionary (morsels of one column) keep it and their codes: a
+// fresh dictionary would be that one's copy, in the same code order.
 func concatVectors(t Type, parts []*Vector, total int) *Vector {
 	out := NewVector(t)
+	if t == String && len(parts) > 0 && !slices.ContainsFunc(parts, func(p *Vector) bool { return p.dict != parts[0].dict }) {
+		out.dict = parts[0].dict
+	}
 	switch t {
 	case Float64:
 		out.f64 = make([]float64, 0, total)

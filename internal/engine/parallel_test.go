@@ -361,6 +361,42 @@ func TestMorselSizeRoundsToWordMultiple(t *testing.T) {
 	}
 }
 
+// TestGatherRowsUnalignedMorselSize sets ExecContext.MorselSize to a value
+// that is no multiple of 64: the morsels still start on bitmap words, so
+// the parallel gather of a nullable column equals the serial one.
+func TestGatherRowsUnalignedMorselSize(t *testing.T) {
+	ec := &ExecContext{Parallelism: 4, MorselSize: 100}
+	if got := ec.morselSize(); got != 128 {
+		t.Fatalf("morselSize() = %d, want 128", got)
+	}
+	v := NewVector(Int64)
+	for i := 0; i < 5000; i++ {
+		if i%3 == 0 {
+			v.AppendNull()
+		} else {
+			v.AppendInt64(int64(i))
+		}
+	}
+	tab, err := NewTableFromVectors(Schema{{Name: "x", Type: Int64}}, []*Vector{v})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sel := make([]int32, 5000)
+	for i := range sel {
+		sel[i] = int32((i * 7919) % 5000)
+	}
+	got, err := ec.gatherRows(tab, sel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := tab.Gather(sel)
+	for r := range sel {
+		if g, w := got.Col(0).Value(r), want.Col(0).Value(r); g != w {
+			t.Fatalf("row %d: %v, want %v", r, g, w)
+		}
+	}
+}
+
 func TestVectorSliceAndGatherOuter(t *testing.T) {
 	v := NewVector(String)
 	for i := 0; i < 200; i++ {

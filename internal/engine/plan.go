@@ -279,7 +279,7 @@ var stageOp = map[string]obs.Op{
 }
 
 // stageKind names what a selectStage does; its op and detail are only how
-// the plan tree labels it (three kinds render as "project").
+// the plan tree labels it (two kinds render as "project").
 type stageKind uint8
 
 const (
@@ -288,7 +288,6 @@ const (
 	stageTopK
 	stageExtend
 	stageOrder
-	stageProjectNames
 	stageProject
 	stageLimit
 )
@@ -320,7 +319,7 @@ func (ec *ExecContext) predictPar(rows int) int {
 }
 
 // planSelect is the one mapping from (statement, input row count) to the
-// stage list: filter? → aggregate·order? | topk | extend·order·project |
+// stage list: filter? → aggregate·order? | topk | extend·order |
 // project, then limit?. EXPLAIN renders the list and runStages walks it,
 // so the two cannot drift.
 //
@@ -366,8 +365,7 @@ func (ec *ExecContext) planSelect(st *SelectStmt, rows int) []selectStage {
 	case ordered:
 		out = append(out,
 			selectStage{stageExtend, "project", "extend", fused, rowPar},
-			selectStage{stageOrder, "order", orderDetail(st.OrderBy), false, par},
-			selectStage{stageProjectNames, "project", projectDetail(st), false, 0})
+			selectStage{stageOrder, "order", orderDetail(st.OrderBy), false, par})
 	case passThrough:
 		out = append(out, selectStage{stageProject, "project", projectDetail(st), false, 0})
 	default:

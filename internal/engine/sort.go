@@ -12,10 +12,11 @@ import (
 // re-ordering — is the unique permutation that orders rows by (keys, row
 // index). Each key becomes one unsigned image per row whose unsigned order
 // is the key's order, narrowed to the bits its observed range needs, and
-// (image, row) entries are radix-sorted key by key, last key first. A key's
-// top 8-bit digit is counted per morsel, and a prefix sum over (digit,
-// morsel) gives every morsel its own output slots, so morsels scatter in
-// parallel; the digit's buckets then sort in parallel, MSD digit by digit.
+// (image, row) entries are radix-sorted key by key, last key first. One
+// morsel's rows sort serially, MSD digit by digit. Over more morsels a
+// key's top 8-bit digit is counted per morsel, and a prefix sum over
+// (digit, morsel) gives every morsel its own output slots, so morsels
+// scatter in parallel; the digit's buckets then sort in parallel, MSD.
 // Entries start in row order and every pass is stable, so the row index
 // breaks every tie: the result is the stable order, independent of the
 // parallelism degree and the morsel size.
@@ -72,8 +73,7 @@ func appendSortKey(keys []sortKey, v *Vector, desc bool) []sortKey {
 		xs := v.Float64s()
 		k.u = func(r int32) uint64 { return floatImage(xs[r]) }
 	case String:
-		codes, ranks := v.Codes(), v.StrDict().sortRanks()
-		k.u = func(r int32) uint64 { return uint64(ranks[codes[r]]) }
+		k.u = stringImages(v)
 	}
 	lo, hi, nulls := uint64(math.MaxUint64), uint64(0), false
 	for r := int32(0); int(r) < v.Len(); r++ {
@@ -107,9 +107,32 @@ func appendSortKey(keys []sortKey, v *Vector, desc bool) []sortKey {
 	return append(keys, k)
 }
 
-// sortRanks returns each code's rank in the values' byte order: a string
-// key's raw image. It is memoized; a published dictionary never grows, so
-// every sort of a table's column shares one computation.
+// stringImages returns a string key's raw image: its code's rank among
+// the dictionary's values in byte order. A key of at least a quarter as
+// many rows as its dictionary has values reads the dictionary's memoized
+// ranks (sortRanks); a smaller one ranks only the codes its rows use, so
+// a few rows sorted over a large dictionary cost a sort of those rows'
+// values, not of the dictionary's.
+func stringImages(v *Vector) func(r int32) uint64 {
+	codes, d := v.Codes(), v.StrDict()
+	if 4*len(codes) >= d.Size() {
+		ranks := d.sortRanks()
+		return func(r int32) uint64 { return uint64(ranks[codes[r]]) }
+	}
+	used := slices.Clone(codes)
+	slices.Sort(used)
+	used = slices.Compact(used)
+	slices.SortFunc(used, func(a, b int32) int { return strings.Compare(d.values[a], d.values[b]) })
+	rank := make(map[int32]uint64, len(used))
+	for i, c := range used {
+		rank[c] = uint64(i)
+	}
+	return func(r int32) uint64 { return rank[codes[r]] }
+}
+
+// sortRanks returns each code's rank in the values' byte order. It is
+// memoized; a published dictionary never grows, so every sort of a
+// table's column shares one computation.
 func (d *Dict) sortRanks() []int32 {
 	d.hashMu.Lock()
 	defer d.hashMu.Unlock()
@@ -151,14 +174,24 @@ const (
 )
 
 // sortPerm returns the permutation of [0, n) that orders rows by keys and
-// then row index. node (optional) counts the morsels.
+// then row index. node (optional) counts the morsels. A single morsel is
+// sorted serially (msdSort), key by key.
 func (ec *ExecContext) sortPerm(keys []sortKey, n int, node *PlanNode) ([]int32, error) {
 	ms := ec.morselsOf(n)
 	node.AddMorsels(int64(len(ms)))
 	rows, tmpRows := identityRows(n), make([]int32, n)
 	img, tmpImg := make([]uint64, n), make([]uint64, n)
+	if len(ms) <= 1 {
+		for ki := len(keys) - 1; ki >= 0; ki-- {
+			for j, r := range rows {
+				img[j] = keys[ki].image(r)
+			}
+			msdSort(img, tmpImg, rows, tmpRows, keys[ki].bits)
+		}
+		return rows, nil
+	}
 	pos := make([][1 << radixBits]int, len(ms))
-	for ki := len(keys) - 1; ki >= 0 && n > 0; ki-- {
+	for ki := len(keys) - 1; ki >= 0; ki-- {
 		k, shift := &keys[ki], max(keys[ki].bits-radixBits, 0)
 		err := ec.parallelFor(len(ms), func(i int) error {
 			pos[i] = [1 << radixBits]int{}
@@ -168,10 +201,6 @@ func (ec *ExecContext) sortPerm(keys []sortKey, n int, node *PlanNode) ([]int32,
 			}
 			return nil
 		})
-		if err == nil && len(ms) == 1 {
-			msdSort(img, tmpImg, rows, tmpRows, k.bits)
-			continue
-		}
 		// Digit d's entries from morsel i land after every smaller digit's
 		// and after earlier morsels' of digit d; once they have, the last
 		// morsel's slots mark where each digit's bucket ends.

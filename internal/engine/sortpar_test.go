@@ -384,6 +384,37 @@ func TestTopKMatchesFullSortGenerated(t *testing.T) {
 	}
 }
 
+// TestTopKChargesCandidates: top-k copies its candidate rows out of the
+// input, and the copy is charged to the statement. With limit + offset
+// above the morsel size every morsel keeps all of its rows, so the
+// statement's peak covers the whole input.
+func TestTopKChargesCandidates(t *testing.T) {
+	const rows = 20_000
+	ids, xs := make([]int64, rows), make([]float64, rows)
+	for i := range ids {
+		ids[i], xs[i] = int64(i), float64((i*7919)%rows)
+	}
+	tab, err := NewTableFromVectors(Schema{{Name: "id", Type: Int64}, {Name: "x", Type: Float64}},
+		[]*Vector{NewInt64Vector(ids, nil), NewFloat64Vector(xs, nil)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, par := range []int{1, 2} {
+		db := NewDB(WithParallelism(par))
+		db.RegisterTable("big", tab)
+		res, qs, err := db.QueryWithStats(`SELECT id FROM big ORDER BY x LIMIT 10000`)
+		if err != nil {
+			t.Fatalf("par=%d: %v", par, err)
+		}
+		if qs.Root.Op != "topk" || res.NumRows() != 10_000 {
+			t.Fatalf("par=%d: %d rows from plan\n%s\nwant 10000 from a topk", par, res.NumRows(), qs.Root)
+		}
+		if qs.MemPeakBytes < tab.ByteSize() {
+			t.Errorf("par=%d: peak %d bytes, want ≥ the %d-byte input every morsel keeps", par, qs.MemPeakBytes, tab.ByteSize())
+		}
+	}
+}
+
 // TestSortStringKeysWhileAppending sorts a string column whose dictionary
 // codes run against the values' byte order and hold more values than the
 // column uses, while a writer appends rows with new strings, so that every
@@ -520,11 +551,11 @@ func FuzzOrderByMatchesReference(f *testing.F) {
 	})
 }
 
-// TestSortAllocationsBounded pins the radix sort's cost model: keys are
-// imaged once per sort, into one pair of image and row buffers, and each
-// word's pass allocates only its per-morsel digit counts, so a two-key
-// sort over an Int64 key allocates a handful of buffers per morsel, not
-// anything per row or per comparison.
+// TestSortAllocationsBounded pins the radix sort's cost model: a sort
+// allocates one pair of image and one pair of row buffers, each key's pass
+// images the key into them and allocates only its per-morsel digit
+// counts, so a two-key sort over an Int64 key allocates a handful of
+// buffers per morsel, not anything per row or per comparison.
 func TestSortAllocationsBounded(t *testing.T) {
 	const rows = 100_000
 	ids := make([]int64, rows)
